@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vet race escape fuzz-smoke verify profile bench-smoke obs-smoke bufpool-debug protocol-check
+.PHONY: build test lint vet race escape fuzz-smoke verify profile bench-smoke obs-smoke bufpool-debug protocol-check bench-check
 
 build:
 	$(GO) build ./...
@@ -59,8 +59,18 @@ protocol-check:
 	$(GO) run ./cmd/protogen -check
 	$(GO) run ./cmd/netagg-lint ./internal/lint
 
+# The fabric benchmark's own vet, unit tests and smoke run of all four
+# workloads (~9 s). benchmark/ is a nested module (netagg/benchmark,
+# `replace netagg => ../`) that the root ./... patterns above never see,
+# so without this target an internal/ API change breaks it silently. It
+# is a `cd`, not a module merge, because merging would move or edit files
+# under benchmark/, and no file there may change in a PR that is not a
+# benchmark PR (BENCHMARK.json `paths`).
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # The tier-1 gate: everything CI and pre-commit should run.
-verify: build vet lint protocol-check escape race
+verify: build vet lint protocol-check escape bench-check race
 
 # Flamegraph entry point for the next perf PR: profile the full-scale Fig 6
 # regeneration (the allocator-bound path). Inspect with

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"netagg/internal/figures"
+	"netagg/internal/metrics"
 	"netagg/internal/tbfig"
 )
 
@@ -31,7 +32,7 @@ var simOpts = figures.Options{Scale: figures.ScaleFull, Seed: 1}
 var tbOpts = tbfig.Options{Window: 2 * time.Second, Seed: 1}
 
 // runSimFig regenerates one simulation figure per iteration and logs it.
-func runSimFig(b *testing.B, fn func(figures.Options) *figures.Report) {
+func runSimFig(b *testing.B, fn func(figures.Options) *metrics.Report) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := fn(simOpts)
@@ -42,7 +43,7 @@ func runSimFig(b *testing.B, fn func(figures.Options) *figures.Report) {
 }
 
 // runTbFig regenerates one testbed figure per iteration and logs it.
-func runTbFig(b *testing.B, fn func(tbfig.Options) *tbfig.Report) {
+func runTbFig(b *testing.B, fn func(tbfig.Options) *metrics.Report) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := fn(tbOpts)
@@ -97,4 +98,4 @@ func BenchmarkFig26AdaptiveWFQ(b *testing.B)       { runTbFig(b, tbfig.Fig26) }
 
 // tbfigExtFanout indirects the extension experiment so the ablation file
 // stays free of direct figure imports.
-func tbfigExtFanout() *tbfig.Report { return tbfig.ExtFanout(tbOpts) }
+func tbfigExtFanout() *metrics.Report { return tbfig.ExtFanout(tbOpts) }

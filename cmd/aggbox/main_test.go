@@ -59,14 +59,11 @@ func TestBoxShutdownLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w := wire.NewWriter(conn)
+	w := wire.NewVectorWriter(conn)
 	r := wire.NewReader(conn)
 
 	// Heartbeat echo proves the reader goroutine is live.
-	if err := w.Write(&wire.Msg{Type: wire.THeartbeat, Seq: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := w.WriteBatch([]*wire.Msg{{Type: wire.THeartbeat, Seq: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	hb, err := r.Read()
@@ -85,12 +82,7 @@ func TestBoxShutdownLeavesNoGoroutines(t *testing.T) {
 		{Type: wire.TData, App: "concat", Req: 7, Source: 1, Payload: []byte("hello")},
 		{Type: wire.TEnd, App: "concat", Req: 7, Source: 1},
 	}
-	for _, m := range frames {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := w.WriteBatch(frames); err != nil {
 		t.Fatal(err)
 	}
 	select {

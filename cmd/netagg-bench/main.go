@@ -19,11 +19,12 @@ import (
 	"syscall"
 	"time"
 
+	"netagg/internal/metrics"
 	"netagg/internal/profiling"
 	"netagg/internal/tbfig"
 )
 
-var all = map[string]func(tbfig.Options) *tbfig.Report{
+var all = map[string]func(tbfig.Options) *metrics.Report{
 	"fig15":      tbfig.Fig15,
 	"fig16":      tbfig.Fig16,
 	"fig17":      tbfig.Fig17,

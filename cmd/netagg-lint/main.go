@@ -295,15 +295,22 @@ func expand(root string, patterns []string) ([]string, error) {
 }
 
 // walkGoFiles adds every .go file below base, skipping hidden
-// directories and testdata.
+// directories, testdata and — as the go tool's own ./... does — nested
+// modules (benchmark/ has its own go.mod; `make bench-check` covers it).
 func walkGoFiles(base string, add func(string)) error {
 	return filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
+			if path == base {
+				return nil
+			}
 			name := d.Name()
-			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -18,10 +18,11 @@ import (
 	"time"
 
 	"netagg/internal/figures"
+	"netagg/internal/metrics"
 	"netagg/internal/profiling"
 )
 
-var all = map[string]func(figures.Options) *figures.Report{
+var all = map[string]func(figures.Options) *metrics.Report{
 	"fig02":   figures.Fig02,
 	"fig03":   figures.Fig03,
 	"fig06":   figures.Fig06,

@@ -37,10 +37,6 @@ type Config struct {
 	Shares map[string]float64
 	// NIC optionally emulates the box's access link (10 Gbps in the paper).
 	NIC *netem.NIC
-	// MaxPending bounds buffered parts per request (back-pressure).
-	MaxPending int
-	// IdleTimeout garbage-collects requests with no traffic (default 30s).
-	IdleTimeout time.Duration
 	// SchedSeed seeds the WFQ random pick (0 = time-based).
 	SchedSeed int64
 	// MaxCrashes quarantines an application after this many aggregation
@@ -51,6 +47,15 @@ type Config struct {
 	// equivalent to Close (nil = Background).
 	Context context.Context
 }
+
+const (
+	// maxPending bounds the buffered parts per request before the local
+	// tree back-pressures its senders.
+	maxPending = 64
+	// idleTimeout is how long a request may see no traffic before the
+	// janitor garbage-collects it.
+	idleTimeout = 30 * time.Second
+)
 
 // Box is a running agg box.
 type Box struct {
@@ -129,12 +134,6 @@ func Start(cfg Config) (*Box, error) {
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 30 * time.Second
 	}
 	parent := cfg.Context
 	if parent == nil {
@@ -305,7 +304,7 @@ func (b *Box) handle(m *wire.Msg) error {
 			firstSeen: time.Now(),
 		}
 		guarded := guardedAggregator{app: m.App, inner: aggregator, guard: b.guard}
-		req.tree = NewLocalTree(b.sched, m.App, guarded, b.cfg.MaxPending, func(result *bufpool.Buf, err error) {
+		req.tree = NewLocalTree(b.sched, m.App, guarded, maxPending, func(result *bufpool.Buf, err error) {
 			b.finishRequest(req, result, err)
 		})
 		b.requests[key] = req
@@ -525,30 +524,35 @@ func (b *Box) sendError(key reqKey, route []string, err error) {
 // left behind by recovery).
 func (b *Box) janitor() {
 	defer b.wg.Done()
-	tick := time.NewTicker(b.cfg.IdleTimeout / 4)
+	tick := time.NewTicker(idleTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {
 		case <-b.ctx.Done():
 			return
 		case <-tick.C:
-			now := time.Now()
-			var stale []*boxRequest
-			b.mu.Lock()
-			for key, req := range b.requests {
-				if now.Sub(req.lastSeen) > b.cfg.IdleTimeout {
-					delete(b.requests, key)
-					stale = append(stale, req)
-				}
-			}
-			b.mu.Unlock()
-			// Discard outside b.mu: it takes the tree lock, and releasing
-			// the buffered parts here is what lets an abandoned request's
-			// pool buffers recycle instead of sitting pinned in its tree.
-			for _, req := range stale {
-				req.tree.Discard()
-			}
+			b.sweep(time.Now())
 		}
+	}
+}
+
+// sweep discards every request that has seen no traffic for idleTimeout
+// as of now.
+func (b *Box) sweep(now time.Time) {
+	var stale []*boxRequest
+	b.mu.Lock()
+	for key, req := range b.requests {
+		if now.Sub(req.lastSeen) > idleTimeout {
+			delete(b.requests, key)
+			stale = append(stale, req)
+		}
+	}
+	b.mu.Unlock()
+	// Discard outside b.mu: it takes the tree lock, and releasing the
+	// buffered parts here is what lets an abandoned request's pool
+	// buffers recycle instead of sitting pinned in its tree.
+	for _, req := range stale {
+		req.tree.Discard()
 	}
 }
 

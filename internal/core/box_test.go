@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"netagg/internal/agg"
+	"netagg/internal/bufpool"
 	"netagg/internal/wire"
 )
 
@@ -75,20 +76,21 @@ func sendStream(t *testing.T, addr string, app string, req, source uint64, route
 		return
 	}
 	defer conn.Close()
-	w := wire.NewWriter(conn)
 	msgs := []*wire.Msg{{Type: wire.THello, App: app, Req: req, Source: source, Payload: wire.EncodeStrings(route)}}
 	for i, p := range parts {
 		msgs = append(msgs, &wire.Msg{Type: wire.TData, App: app, Req: req, Source: source, Seq: uint64(i), Payload: p})
 	}
 	msgs = append(msgs, &wire.Msg{Type: wire.TEnd, App: app, Req: req, Source: source})
-	for _, m := range msgs {
-		if err := w.Write(m); err != nil {
-			t.Error(err)
-			return
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := wire.NewVectorWriter(conn).WriteBatch(msgs); err != nil {
 		t.Error(err)
+	}
+}
+
+// sendFrame writes one frame on an already dialled connection.
+func sendFrame(t *testing.T, conn net.Conn, m *wire.Msg) {
+	t.Helper()
+	if _, err := wire.NewVectorWriter(conn).WriteBatch([]*wire.Msg{m}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -99,13 +101,7 @@ func sendExpect(t *testing.T, addr, app string, req uint64, count int) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w := wire.NewWriter(conn)
-	if err := w.Write(&wire.Msg{Type: wire.TExpect, App: app, Req: req, Payload: wire.EncodeCount(count)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	sendFrame(t, conn, &wire.Msg{Type: wire.TExpect, App: app, Req: req, Payload: wire.EncodeCount(count)})
 }
 
 func TestBoxAggregatesAndDelivers(t *testing.T) {
@@ -214,11 +210,8 @@ func TestBoxHeartbeatEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w, r := wire.NewWriter(conn), wire.NewReader(conn)
-	if err := w.Write(&wire.Msg{Type: wire.THeartbeat, Seq: 42}); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
+	r := wire.NewReader(conn)
+	sendFrame(t, conn, &wire.Msg{Type: wire.THeartbeat, Seq: 42})
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	m, err := r.Read()
 	if err != nil {
@@ -266,13 +259,62 @@ func TestBoxIgnoresLateData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := wire.NewWriter(conn)
-	w.Write(&wire.Msg{Type: wire.TData, App: "wc", Req: 17, Source: 0, Payload: agg.EncodeKVs(nil)})
-	w.Flush()
+	sendFrame(t, conn, &wire.Msg{Type: wire.TData, App: "wc", Req: 17, Source: 0, Payload: agg.EncodeKVs(nil)})
 	conn.Close()
 	select {
 	case m := <-sink.results:
 		t.Fatalf("unexpected second result %+v", m)
 	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+// The janitor's sweep must collect a request whose senders went quiet:
+// the request is forgotten, its buffered part goes back to the pool, and
+// data that arrives for it afterwards is dropped instead of reopening it.
+func TestJanitorSweepCollectsIdleRequest(t *testing.T) {
+	box, err := Start(Config{ID: 1 << 32, Registry: testRegistry(), Workers: 1, SchedSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer box.Close()
+	key := reqKey{app: "wc", req: 21}
+	open := func() bool {
+		box.mu.Lock()
+		defer box.mu.Unlock()
+		_, ok := box.requests[key]
+		return ok
+	}
+	// An inbound TData frame as the transport delivers it: the frame owns
+	// one reference on a pooled payload buffer.
+	data := func(seq uint64) *wire.Msg {
+		part := agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}})
+		buf := bufpool.Get(len(part))
+		copy(buf.Bytes(), part)
+		return &wire.Msg{Type: wire.TData, App: key.app, Req: key.req, Seq: seq, Payload: buf.Bytes(), Buf: buf}
+	}
+
+	before := bufpool.ReadStats()
+	box.serveFrame(nil, &wire.Msg{
+		Type: wire.THello, App: key.app, Req: key.req,
+		Payload: wire.EncodeStrings([]string{"127.0.0.1:1"}),
+	})
+	box.serveFrame(nil, data(0))
+
+	box.sweep(time.Now())
+	if !open() {
+		t.Fatal("sweep collected a request that had traffic a moment ago")
+	}
+	box.sweep(time.Now().Add(idleTimeout + time.Second))
+	if open() {
+		t.Fatal("sweep left a request idle for longer than idleTimeout")
+	}
+	box.serveFrame(nil, data(1))
+	if open() {
+		t.Fatal("late data reopened a collected request")
+	}
+
+	after := bufpool.ReadStats()
+	if acq, rel := after.Acquires()-before.Acquires(), after.Releases-before.Releases; acq != rel {
+		t.Fatalf("bufpool unbalanced after the sweep: %d acquires vs %d releases", acq, rel)
 	}
 }

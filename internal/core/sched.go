@@ -56,10 +56,10 @@ type SchedulerConfig struct {
 	Adaptive bool
 	// Seed makes the weighted random pick deterministic for tests.
 	Seed int64
-	// EWMAAlpha smooths the per-application task time moving average;
-	// 0 defaults to 0.05.
-	EWMAAlpha float64
 }
+
+// ewmaAlpha smooths the per-application task time moving average.
+const ewmaAlpha = 0.05
 
 type appState struct {
 	name    string
@@ -108,9 +108,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.EWMAAlpha <= 0 {
-		cfg.EWMAAlpha = 0.05
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -139,7 +136,7 @@ func (s *Scheduler) Register(app string, share float64) {
 	if _, dup := s.apps[app]; dup {
 		panic(fmt.Sprintf("core: application %q already registered", app))
 	}
-	st := &appState{name: app, share: share, avg: stats.NewEWMA(s.cfg.EWMAAlpha)}
+	st := &appState{name: app, share: share, avg: stats.NewEWMA(ewmaAlpha)}
 	s.apps[app] = st
 	s.order = append(s.order, st)
 }

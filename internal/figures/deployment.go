@@ -12,7 +12,7 @@ import (
 // First, boxes at a single tier only (ToR / aggregation / core) versus the
 // full deployment; second, a fixed box budget spread over the core tier
 // only, the aggregation tier, or both.
-func Fig12(o Options) *Report {
+func Fig12(o Options) *metrics.Report {
 	clos := o.Scale.Clos()
 	wcfg := o.workload()
 	spec := strategies.DefaultBoxSpec()
@@ -68,7 +68,7 @@ func Fig12(o Options) *Report {
 		table.AddRow(fmt.Sprintf("%s(n=%d)", bc.name, budget),
 			results[1+len(tierConfigs)+i].AllFCT.P99()/rackP99)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig12",
 		Title: "Flow completion time relative to baseline with different partial NetAgg deployments",
 		Table: table,
@@ -78,7 +78,7 @@ func Fig12(o Options) *Report {
 
 // Fig13 regenerates Figure 13: NetAgg in a 10 Gbps-edge network with
 // varying over-subscription, scaling out to 2 and 4 agg boxes per switch.
-func Fig13(o Options) *Report {
+func Fig13(o Options) *metrics.Report {
 	oversubs := []float64{1, 2, 4, 10}
 	table := metrics.NewTable(
 		"Fig 13 — relative 99th FCT in a 10G network (scale-out boxes per switch)",
@@ -112,7 +112,7 @@ func Fig13(o Options) *Report {
 		}
 		table.AddRow(row...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig13",
 		Title: "Flow completion time relative to baseline in 10G network with varying over-subscription",
 		Table: table,
@@ -122,7 +122,7 @@ func Fig13(o Options) *Report {
 
 // Fig14 regenerates Figure 14: relative 99th FCT with a varying fraction of
 // straggling workers whose flows start late.
-func Fig14(o Options) *Report {
+func Fig14(o Options) *metrics.Report {
 	ratios := []float64{0, 0.1, 0.2, 0.3, 0.5}
 	table := metrics.NewTable(
 		"Fig 14 — relative 99th FCT vs straggler ratio",
@@ -138,7 +138,7 @@ func Fig14(o Options) *Report {
 	for i, rel := range relP99Batch(o, points, strategies.DefaultBoxSpec()) {
 		table.AddRow(ratios[i], rel["rack"], rel["binary"], rel["chain"], rel["netagg"])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig14",
 		Title: "Flow completion time relative to baseline with varying stragglers",
 		Table: table,

@@ -45,9 +45,9 @@ func cdfTable(title, unit string, results map[string]*simexp.Result, pick func(*
 
 // Fig06 regenerates Figure 6: the CDF of flow completion time of all
 // traffic under rack, binary, chain and NetAgg aggregation.
-func Fig06(o Options) *Report {
+func Fig06(o Options) *metrics.Report {
 	results := runBaselines(o)
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig06",
 		Title: "CDF of flow completion time of all traffic",
 		Table: cdfTable("Fig 6 — FCT of all traffic (seconds at CDF percentiles)", "s",
@@ -57,9 +57,9 @@ func Fig06(o Options) *Report {
 
 // Fig07 regenerates Figure 7: the CDF of flow completion time of the
 // non-aggregatable background traffic only.
-func Fig07(o Options) *Report {
+func Fig07(o Options) *metrics.Report {
 	results := runBaselines(o)
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig07",
 		Title: "CDF of flow completion time of non-aggregatable traffic",
 		Table: cdfTable("Fig 7 — FCT of non-aggregatable traffic (seconds at CDF percentiles)", "s",
@@ -69,7 +69,7 @@ func Fig07(o Options) *Report {
 
 // Fig08 regenerates Figure 8: 99th-percentile FCT relative to rack-level
 // aggregation while varying the aggregation output ratio α.
-func Fig08(o Options) *Report {
+func Fig08(o Options) *metrics.Report {
 	alphas := []float64{0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 1.0}
 	table := metrics.NewTable(
 		"Fig 8 — relative 99th FCT vs aggregation output ratio α",
@@ -84,7 +84,7 @@ func Fig08(o Options) *Report {
 	for i, rel := range relP99Batch(o, points, strategies.DefaultBoxSpec()) {
 		table.AddRow(alphas[i], rel["rack"], rel["binary"], rel["chain"], rel["netagg"], rel["netagg_job"])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig08",
 		Title: "Flow completion time relative to baseline with varying output ratio α",
 		Table: table,
@@ -95,9 +95,9 @@ func Fig08(o Options) *Report {
 // Fig09 regenerates Figure 9: the CDF of per-link traffic at α = 10 %,
 // showing that chain and binary trees consume more link bandwidth than rack
 // while NetAgg consumes the least.
-func Fig09(o Options) *Report {
+func Fig09(o Options) *metrics.Report {
 	results := runBaselines(o)
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig09",
 		Title: "CDF of link traffic (α = 10%)",
 		Table: cdfTable("Fig 9 — per-link traffic (MB at CDF percentiles)", "MB",
@@ -107,7 +107,7 @@ func Fig09(o Options) *Report {
 
 // Fig10 regenerates Figure 10: relative 99th FCT while varying the fraction
 // of aggregatable flows.
-func Fig10(o Options) *Report {
+func Fig10(o Options) *metrics.Report {
 	fractions := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	table := metrics.NewTable(
 		"Fig 10 — relative 99th FCT vs fraction of aggregatable flows",
@@ -122,7 +122,7 @@ func Fig10(o Options) *Report {
 	for i, rel := range relP99Batch(o, points, strategies.DefaultBoxSpec()) {
 		table.AddRow(fractions[i], rel["rack"], rel["binary"], rel["chain"], rel["netagg"])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig10",
 		Title: "Flow completion time relative to baseline with varying fraction of aggregatable traffic",
 		Table: table,
@@ -131,7 +131,7 @@ func Fig10(o Options) *Report {
 
 // Fig11 regenerates Figure 11: relative 99th FCT while varying the
 // over-subscription ratio of the 1 Gbps network from 1:1 to 1:10.
-func Fig11(o Options) *Report {
+func Fig11(o Options) *metrics.Report {
 	oversubs := []float64{1, 2, 4, 6, 10}
 	table := metrics.NewTable(
 		"Fig 11 — relative 99th FCT vs over-subscription (1G edge, α = 10%)",
@@ -146,7 +146,7 @@ func Fig11(o Options) *Report {
 	for i, rel := range relP99Batch(o, points, strategies.DefaultBoxSpec()) {
 		table.AddRow(oversubs[i], rel["rack"], rel["binary"], rel["chain"], rel["netagg"])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig11",
 		Title: "Flow completion time relative to baseline with different over-subscription",
 		Table: table,

@@ -13,7 +13,7 @@ import (
 // NetAgg relative to rack-level aggregation, as a function of the agg box
 // processing rate R, for a full-bisection (1:1) and a 1:4 over-subscribed
 // network (§2.4 feasibility study).
-func Fig02(o Options) *Report {
+func Fig02(o Options) *metrics.Report {
 	rates := []float64{1, 2, 4, 6, 8, 10}
 	oversubs := []float64{1, 4}
 
@@ -49,7 +49,7 @@ func Fig02(o Options) *Report {
 		}
 		table.AddRow(row...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig02",
 		Title: "FCT for different aggregation processing rates R",
 		Table: table,
@@ -60,7 +60,7 @@ func Fig02(o Options) *Report {
 // Fig03 regenerates Figure 3: performance (relative 99th FCT) and upgrade
 // cost of alternative DC configurations versus deploying NetAgg in the base
 // network (1 Gbps edge, 1:4 over-subscribed).
-func Fig03(o Options) *Report {
+func Fig03(o Options) *metrics.Report {
 	base := o.Scale.Clos()
 	prices := cost.DefaultPrices()
 	wcfg := o.workload()
@@ -128,7 +128,7 @@ func Fig03(o Options) *Report {
 	for _, c := range configs {
 		table.AddRow(c.name, c.rel, c.cost/1e6)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig03",
 		Title: "Performance and cost of different DC configurations",
 		Table: table,

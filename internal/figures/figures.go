@@ -1,6 +1,6 @@
 // Package figures regenerates every simulation figure of the paper's
 // evaluation (§2.4 feasibility study and §4.1): each FigNN function runs the
-// required simulations and returns a Report whose table prints the same
+// required simulations and returns a metrics.Report whose table prints the same
 // rows/series as the corresponding figure. The functions are shared by the
 // netagg-sim CLI and the benchmark harness in the repository root.
 package figures
@@ -8,7 +8,6 @@ package figures
 import (
 	"fmt"
 
-	"netagg/internal/metrics"
 	"netagg/internal/simexp"
 	"netagg/internal/strategies"
 	"netagg/internal/topology"
@@ -72,27 +71,6 @@ type Options struct {
 	// Every figure is byte-identical for any worker count: scenarios are
 	// independent simulations whose results land in per-index slots.
 	Workers int
-}
-
-// Report is the regenerated data of one figure.
-type Report struct {
-	// ID is the paper's figure identifier, e.g. "fig06".
-	ID string
-	// Title describes what the figure shows.
-	Title string
-	// Table holds the series the paper plots.
-	Table *metrics.Table
-	// Notes records deviations or parameter choices worth knowing.
-	Notes string
-}
-
-// String renders the report.
-func (r *Report) String() string {
-	s := r.Table.String()
-	if r.Notes != "" {
-		s += "note: " + r.Notes + "\n"
-	}
-	return s
 }
 
 func (o Options) workload() workload.Config {

@@ -3,6 +3,8 @@ package figures
 import (
 	"strings"
 	"testing"
+
+	"netagg/internal/metrics"
 )
 
 var small = Options{Scale: ScaleSmall, Seed: 1}
@@ -45,7 +47,7 @@ func TestFig03HasAllConfigs(t *testing.T) {
 }
 
 func TestFig06And07Run(t *testing.T) {
-	for _, fn := range []func(Options) *Report{Fig06, Fig07, Fig09} {
+	for _, fn := range []func(Options) *metrics.Report{Fig06, Fig07, Fig09} {
 		r := fn(small)
 		if r.Table == nil || len(r.Table.String()) == 0 {
 			t.Fatalf("figure %s produced no table", r.ID)

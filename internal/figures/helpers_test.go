@@ -3,10 +3,12 @@ package figures
 import (
 	"strconv"
 	"testing"
+
+	"netagg/internal/metrics"
 )
 
 // rawRows returns the report table's cells as strings.
-func rawRows(t *testing.T, r *Report) [][]string {
+func rawRows(t *testing.T, r *metrics.Report) [][]string {
 	t.Helper()
 	rows := r.Table.Rows()
 	if len(rows) == 0 {
@@ -16,7 +18,7 @@ func rawRows(t *testing.T, r *Report) [][]string {
 }
 
 // tableRows parses every cell of the report table as float64.
-func tableRows(t *testing.T, r *Report) [][]float64 {
+func tableRows(t *testing.T, r *metrics.Report) [][]float64 {
 	t.Helper()
 	var out [][]float64
 	for _, row := range rawRows(t, r) {

@@ -1,6 +1,10 @@
 package figures
 
-import "testing"
+import (
+	"testing"
+
+	"netagg/internal/metrics"
+)
 
 // TestWorkerCountInvariance is the regression gate for the parallel scenario
 // runner: a figure regenerated serially and with a worker pool must render
@@ -13,7 +17,7 @@ import "testing"
 func TestWorkerCountInvariance(t *testing.T) {
 	figs := []struct {
 		name string
-		gen  func(Options) *Report
+		gen  func(Options) *metrics.Report
 	}{
 		{"fig02", Fig02},
 		{"fig06", Fig06},

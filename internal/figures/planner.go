@@ -26,7 +26,7 @@ var plannerFactors = []float64{0, 0.5, 1, 2}
 // sees the hot boxes' queue depth and steers trees to the cold ones. The
 // table reports the 99th-percentile job completion time of both planners
 // per skew factor.
-func FigPlanner(o Options) *Report {
+func FigPlanner(o Options) *metrics.Report {
 	results := make([]*simexp.Result, 2*len(plannerFactors))
 	simexp.ForEach(o.Workers, len(results), func(i int) {
 		results[i] = runPlanner(o, plannerFactors[i/2], i%2 == 1)
@@ -39,7 +39,7 @@ func FigPlanner(o Options) *Report {
 	for fi, f := range plannerFactors {
 		table.AddRow(f, results[2*fi].JobFCT.P99(), results[2*fi+1].JobFCT.P99())
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "planner",
 		Title: "OnPath vs LoadAware planner under skewed background load",
 		Table: table,

@@ -38,7 +38,7 @@ const replanBits = 4e7
 // simulator's rendition of the live fabric's attempt-epoch migration. The
 // table reports the 99th-percentile job completion time of both per churn
 // factor, plus how many subtree migrations the dynamic runs performed.
-func FigReplan(o Options) *Report {
+func FigReplan(o Options) *metrics.Report {
 	results := make([]*simexp.Result, 2*len(replanFactors))
 	migrations := make([]int, len(replanFactors))
 	simexp.ForEach(o.Workers, len(results), func(i int) {
@@ -56,7 +56,7 @@ func FigReplan(o Options) *Report {
 	for fi, f := range replanFactors {
 		table.AddRow(f, results[2*fi].JobFCT.P99(), results[2*fi+1].JobFCT.P99(), migrations[fi])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "replan",
 		Title: "Static vs dynamic aggregation trees under background churn",
 		Table: table,

@@ -13,7 +13,7 @@ import (
 // stalled or double-counted request. Explicitly assigning to _ is
 // accepted as an audited discard.
 var droppedErrorMethods = map[string]bool{
-	"Write": true, "Flush": true, "Send": true, "SendAll": true,
+	"Write": true, "WriteBatch": true, "Flush": true, "Send": true, "SendAll": true,
 	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 }
 

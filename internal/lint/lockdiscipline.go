@@ -16,10 +16,10 @@ var dataPlanePackages = []string{"core", "wire", "shim", "cluster", "transport"}
 
 // blockingMethods are method names that perform (or can perform) network
 // I/O or otherwise block indefinitely. The set is tuned to this repo's
-// idioms: wire.Writer/Client/Pool and net.Conn traffic, dialing,
-// accepting, and WaitGroup waits.
+// idioms: wire.VectorWriter batches, transport.Conn/Pool sends and
+// net.Conn traffic, dialing, accepting, and WaitGroup waits.
 var blockingMethods = map[string]bool{
-	"Write": true, "Flush": true, "Send": true, "SendAll": true,
+	"Write": true, "WriteBatch": true, "Flush": true, "Send": true, "SendAll": true,
 	"Dial": true, "DialTimeout": true, "Accept": true, "Wait": true,
 	"ReadFull": true, "ReadFrom": true, "WriteTo": true, "CopyN": true,
 }

@@ -117,9 +117,9 @@ func (mo *monitor) handleEcho(addr string, m *wire.Msg) {
 }
 
 // notAHandler carries no annotation: protocheck ignores it even though
-// its switch handles a frame no role could justify here.
+// its switch handles a frame only the master may receive.
 func notAHandler(m *wire.Msg) {
 	switch m.Type {
-	case wire.TAck:
+	case wire.TResult:
 	}
 }

@@ -100,3 +100,24 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// Report is the regenerated data of one figure, simulated or testbed.
+type Report struct {
+	// ID is the paper's figure identifier, e.g. "fig06".
+	ID string
+	// Title describes what the figure shows.
+	Title string
+	// Table holds the series the paper plots.
+	Table *Table
+	// Notes records deviations or parameter choices worth knowing.
+	Notes string
+}
+
+// String renders the report.
+func (r *Report) String() string {
+	s := r.Table.String()
+	if r.Notes != "" {
+		s += "note: " + r.Notes + "\n"
+	}
+	return s
+}

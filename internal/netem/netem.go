@@ -173,23 +173,3 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 	return Wrap(c, l.nic), nil
 }
-
-// Dialer dials connections paced by a NIC.
-type Dialer struct {
-	NIC *NIC
-}
-
-// Dial connects to addr over TCP and wraps the connection.
-func (d Dialer) Dial(network, addr string) (net.Conn, error) {
-	c, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return Wrap(c, d.NIC), nil
-}
-
-// DialAddr is Dial with the network fixed to TCP, matching the dial
-// function signature of wire.Pool.
-func (d Dialer) DialAddr(addr string) (net.Conn, error) {
-	return d.Dial("tcp", addr)
-}

@@ -1,18 +1,19 @@
 package shim
 
 import (
-	"net"
+	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"netagg/internal/cluster"
+	"netagg/internal/transport"
 	"netagg/internal/wire"
 )
 
 // fanoutSink is a worker-side listener collecting delivered payloads.
 type fanoutSink struct {
-	srv *wire.Server
+	srv *transport.Server
 
 	mu       sync.Mutex
 	payloads [][]byte
@@ -20,20 +21,21 @@ type fanoutSink struct {
 
 func newFanoutSink(t *testing.T) *fanoutSink {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := &fanoutSink{}
-	s.srv = wire.Serve(ln, func(_ net.Conn, m *wire.Msg) {
+	srv, err := transport.Listen(context.Background(), "127.0.0.1:0", func(_ *transport.ServerConn, m *wire.Msg) {
+		defer m.Release()
 		if m.Type != wire.TData {
 			return
 		}
 		s.mu.Lock()
 		s.payloads = append(s.payloads, append([]byte(nil), m.Payload...))
 		s.mu.Unlock()
-	})
-	t.Cleanup(s.srv.Close)
+	}, transport.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.srv = srv
+	t.Cleanup(srv.Close)
 	return s
 }
 

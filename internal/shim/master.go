@@ -39,12 +39,6 @@ type MasterConfig struct {
 	// MaxAttempts bounds recovery attempts per request (default 3; the wire
 	// encoding supports at most 16).
 	MaxAttempts int
-	// NoMigrateApps lists applications whose pending requests MigrateAway
-	// must leave in place (OPERATIONS.md §9: per-application migration
-	// opt-out). Their requests still recover through the straggler timer
-	// and OnBoxFailure — opting out of migration never opts out of
-	// failure recovery.
-	NoMigrateApps []string
 	// Context optionally bounds the shim's lifetime: cancelling it is
 	// equivalent to Close (nil = Background).
 	Context context.Context
@@ -119,12 +113,11 @@ type srcKey struct {
 
 // Master is a master host's shim layer.
 type Master struct {
-	cfg       MasterConfig
-	planner   treeplan.Planner
-	srv       *transport.Server
-	pool      *transport.Pool
-	cancel    context.CancelFunc
-	noMigrate map[string]bool
+	cfg     MasterConfig
+	planner treeplan.Planner
+	srv     *transport.Server
+	pool    *transport.Pool
+	cancel  context.CancelFunc
 
 	mu      sync.Mutex
 	pending map[pendKey]*Pending
@@ -159,15 +152,11 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	ctx, cancel := context.WithCancel(parent)
 	m := &Master{
-		cfg:       cfg,
-		planner:   cfg.Planner,
-		cancel:    cancel,
-		pool:      transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
-		pending:   make(map[pendKey]*Pending),
-		noMigrate: make(map[string]bool, len(cfg.NoMigrateApps)),
-	}
-	for _, app := range cfg.NoMigrateApps {
-		m.noMigrate[app] = true
+		cfg:     cfg,
+		planner: cfg.Planner,
+		cancel:  cancel,
+		pool:    transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
+		pending: make(map[pendKey]*Pending),
 	}
 	// The result listener: every frame lands in handle on its
 	// connection's reader goroutine; the transport server owns the accept
@@ -389,11 +378,11 @@ func (m *Master) cancelAttempt(p *Pending, boxes map[uint64]bool, attempt int) {
 	}
 }
 
-// OnBoxFailure triggers immediate recovery of every pending request whose
-// current plan includes the failed box, instead of waiting for the
-// straggler timeout. Wire it to a cluster.Monitor.
-func (m *Master) OnBoxFailure(boxID uint64) {
+// routedThrough returns the pending requests whose current attempt's
+// plan includes the box.
+func (m *Master) routedThrough(boxID uint64) []*Pending {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	var affected []*Pending
 	for _, p := range m.pending {
 		p.mu.Lock()
@@ -402,8 +391,14 @@ func (m *Master) OnBoxFailure(boxID uint64) {
 		}
 		p.mu.Unlock()
 	}
-	m.mu.Unlock()
-	for _, p := range affected {
+	return affected
+}
+
+// OnBoxFailure triggers immediate recovery of every pending request whose
+// current plan includes the failed box, instead of waiting for the
+// straggler timeout. Wire it to a cluster.Monitor.
+func (m *Master) OnBoxFailure(boxID uint64) {
+	for _, p := range m.routedThrough(boxID) {
 		m.redirect(p)
 	}
 }
@@ -417,21 +412,8 @@ func (m *Master) OnBoxFailure(boxID uint64) {
 // attempt epoch in every wire request id guarantees nothing is lost or
 // double-combined — the new attempt is complete on its own, and stale
 // frames from the old epoch are dropped by the master's attempt check.
-// Applications listed in NoMigrateApps are skipped.
 func (m *Master) MigrateAway(boxID uint64) int {
-	m.mu.Lock()
-	var affected []*Pending
-	for _, p := range m.pending {
-		if m.noMigrate[p.app] {
-			continue
-		}
-		p.mu.Lock()
-		if p.boxes[boxID] && !p.done {
-			affected = append(affected, p)
-		}
-		p.mu.Unlock()
-	}
-	m.mu.Unlock()
+	affected := m.routedThrough(boxID)
 	node := fmt.Sprintf("box:%d", boxID)
 	for _, p := range affected {
 		start := time.Now()

@@ -1,10 +1,12 @@
 package shim
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"netagg/internal/cluster"
+	"netagg/internal/transport"
 	"netagg/internal/wire"
 )
 
@@ -83,7 +85,7 @@ func TestDuplicateRedirectIgnored(t *testing.T) {
 // newCtl returns a sender on a fresh control connection.
 func newCtl(t *testing.T, addr string) func(*wire.Msg) {
 	t.Helper()
-	c := wire.NewClient(addr, nil)
+	c := transport.NewConn(context.Background(), addr, transport.Options{})
 	t.Cleanup(c.Close)
 	return func(m *wire.Msg) {
 		t.Helper()

@@ -34,19 +34,21 @@ type WorkerConfig struct {
 	// It must match the master shim's planner — see
 	// MasterConfig.Planner.
 	Planner treeplan.Planner
-	// Retention bounds how long sent partial results stay buffered for
-	// recovery resends (default 30s).
-	Retention time.Duration
-	// ReplayWindow is the per-box-connection transport replay window:
-	// the last N frames written are rewritten after a reconnect, so
-	// partials buffered in a dying box's socket survive the reconnect
-	// (§3.1 at-least-once; boxes dedup replayed frames per source
-	// sequence). Default 128; negative disables replay entirely.
-	ReplayWindow int
 	// Context optionally bounds the shim's lifetime: cancelling it is
 	// equivalent to Close (nil = Background).
 	Context context.Context
 }
+
+const (
+	// retention bounds how long sent partial results stay buffered for
+	// recovery resends.
+	retention = 30 * time.Second
+	// replayWindow is the per-box-connection transport replay window: the
+	// last N frames written are rewritten after a reconnect, so partials
+	// buffered in a dying box's socket survive the reconnect (§3.1
+	// at-least-once; boxes dedup replayed frames per source sequence).
+	replayWindow = 128
+)
 
 // Worker is a worker host's shim layer.
 type Worker struct {
@@ -94,17 +96,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("shim: worker requires a deployment")
 	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = 30 * time.Second
-	}
 	if cfg.Planner == nil {
 		cfg.Planner = treeplan.OnPath{}
-	}
-	if cfg.ReplayWindow == 0 {
-		cfg.ReplayWindow = 128
-	}
-	if cfg.ReplayWindow < 0 {
-		cfg.ReplayWindow = 0
 	}
 	parent := cfg.Context
 	if parent == nil {
@@ -116,7 +109,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		planner:  cfg.Planner,
 		self:     []string{cfg.Host.Name},
 		cancel:   cancel,
-		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, ReplayWindow: cfg.ReplayWindow}),
+		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, ReplayWindow: replayWindow}),
 		buffered: make(map[bufKey]*bufferedSend),
 	}
 	// The control listener carries only tiny redirect frames, so it is
@@ -172,7 +165,7 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 	}
 	w.buffered[bufKey{app, req}] = b
 	// Opportunistic retention cleanup.
-	cutoff := time.Now().Add(-w.cfg.Retention)
+	cutoff := time.Now().Add(-retention)
 	for k, old := range w.buffered {
 		if old.sentAt.Before(cutoff) {
 			delete(w.buffered, k)

@@ -1,43 +1,5 @@
 package stats
 
-// Reservoir keeps a uniform random sample of at most k values from a stream
-// of unknown length (Vitter's algorithm R). It is used by the simulator to
-// bound memory when recording per-flow statistics for very large runs.
-type Reservoir struct {
-	k      int
-	n      int64
-	values []float64
-	rn     *Rand
-}
-
-// NewReservoir returns a reservoir of capacity k drawing randomness from rn.
-func NewReservoir(k int, rn *Rand) *Reservoir {
-	if k <= 0 {
-		panic("stats: reservoir capacity must be > 0")
-	}
-	return &Reservoir{k: k, values: make([]float64, 0, k), rn: rn}
-}
-
-// Add offers v to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.n++
-	if len(r.values) < r.k {
-		r.values = append(r.values, v)
-		return
-	}
-	j := r.rn.Int63() % r.n
-	if j < int64(r.k) {
-		r.values[j] = v
-	}
-}
-
-// Values returns the sampled values. The returned slice is owned by the
-// reservoir; callers must not modify it.
-func (r *Reservoir) Values() []float64 { return r.values }
-
-// Seen reports how many values have been offered.
-func (r *Reservoir) Seen() int64 { return r.n }
-
 // EWMA is an exponentially weighted moving average. The agg box scheduler
 // uses one per application to track task execution time (§3.2.1: "Our
 // implementation uses a moving average to represent the measured task

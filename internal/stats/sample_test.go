@@ -6,46 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestReservoirKeepsAllWhenUnderCapacity(t *testing.T) {
-	r := NewReservoir(10, NewRand(1))
-	for i := 0; i < 5; i++ {
-		r.Add(float64(i))
-	}
-	if len(r.Values()) != 5 || r.Seen() != 5 {
-		t.Fatalf("got %d values, seen %d", len(r.Values()), r.Seen())
-	}
-}
-
-func TestReservoirBoundsSize(t *testing.T) {
-	r := NewReservoir(16, NewRand(2))
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	if len(r.Values()) != 16 {
-		t.Fatalf("reservoir size %d, want 16", len(r.Values()))
-	}
-	if r.Seen() != 10000 {
-		t.Fatalf("seen %d, want 10000", r.Seen())
-	}
-}
-
-func TestReservoirApproximatelyUniform(t *testing.T) {
-	// Sample 1000 of 10000 sequential values; mean of kept values should be
-	// near the stream mean.
-	r := NewReservoir(1000, NewRand(3))
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	sum := 0.0
-	for _, v := range r.Values() {
-		sum += v
-	}
-	mean := sum / 1000
-	if math.Abs(mean-4999.5) > 300 {
-		t.Fatalf("sample mean %g too far from 4999.5", mean)
-	}
-}
-
 func TestEWMAConvergesToConstant(t *testing.T) {
 	e := NewEWMA(0.2)
 	for i := 0; i < 200; i++ {

@@ -19,7 +19,7 @@ import (
 // future work in the paper; the experiment shows the expected shape — the
 // direct broadcast serialises on the master uplink while the box-assisted
 // one parallelises across the boxes' 10 Gbps links.
-func ExtFanout(o Options) *Report {
+func ExtFanout(o Options) *metrics.Report {
 	payloadSizes := []int{64 << 10, 256 << 10, 1 << 20}
 	table := metrics.NewTable(
 		"Extension — broadcast to 8 workers: direct vs box-assisted fanout",
@@ -30,7 +30,7 @@ func ExtFanout(o Options) *Report {
 		fanout := broadcastOnce(o, true, size)
 		table.AddRow(size/1024, direct.Seconds(), fanout.Seconds(), direct.Seconds()/fanout.Seconds())
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "ext-fanout",
 		Title: "One-to-many distribution through agg boxes (§5 future work)",
 		Table: table,

@@ -83,7 +83,7 @@ func hadoopGen(seed int64) mapred.GenConfig {
 // Fig22 regenerates Figure 22: for each Hadoop benchmark, the shuffle and
 // reduce time on NetAgg relative to plain Hadoop, and the agg box
 // processing rate.
-func Fig22(o Options) *Report {
+func Fig22(o Options) *metrics.Report {
 	table := metrics.NewTable(
 		"Fig 22 — Hadoop benchmarks: shuffle+reduce time ratio and box rate",
 		"benchmark", "rel_SRT(netagg/plain)", "speedup", "box_rate_gbps_equiv",
@@ -101,7 +101,7 @@ func Fig22(o Options) *Report {
 		boxRate := gbpsEquiv(boxed.IntermediateBytes, boxed.ShuffleReduceTime, o.scale())
 		table.AddRow(b.Name, rel, 1/rel, boxRate)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig22",
 		Title: "Performance of Hadoop benchmarks",
 		Table: table,
@@ -112,7 +112,7 @@ func Fig22(o Options) *Report {
 // Fig23 regenerates Figure 23: WordCount shuffle+reduce time (relative to
 // plain Hadoop) against the output ratio α, controlled via word repetition
 // (the key-universe size).
-func Fig23(o Options) *Report {
+func Fig23(o Options) *metrics.Report {
 	table := metrics.NewTable(
 		"Fig 23 — WordCount relative SRT vs output ratio α",
 		"keys", "measured_alpha", "rel_SRT(netagg/plain)", "speedup",
@@ -133,7 +133,7 @@ func Fig23(o Options) *Report {
 		rel := boxed.ShuffleReduceTime.Seconds() / plain.ShuffleReduceTime.Seconds()
 		table.AddRow(keys, alpha, rel, 1/rel)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig23",
 		Title: "Shuffle and reduce time against output ratio (Hadoop WordCount)",
 		Table: table,
@@ -143,7 +143,7 @@ func Fig23(o Options) *Report {
 
 // Fig24 regenerates Figure 24: WordCount absolute shuffle+reduce time
 // against the intermediate data size.
-func Fig24(o Options) *Report {
+func Fig24(o Options) *metrics.Report {
 	table := metrics.NewTable(
 		"Fig 24 — WordCount shuffle+reduce time (s) vs intermediate data size",
 		"intermediate_MB", "hadoop_s", "netagg_s", "speedup",
@@ -166,7 +166,7 @@ func Fig24(o Options) *Report {
 			boxed.ShuffleReduceTime.Seconds(),
 			plain.ShuffleReduceTime.Seconds()/boxed.ShuffleReduceTime.Seconds())
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig24",
 		Title: "Shuffle and reduce time against intermediate data sizes (Hadoop)",
 		Table: table,

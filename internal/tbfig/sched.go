@@ -14,7 +14,7 @@ import (
 // aggregation tree for different numbers of leaves (concurrent feeders) and
 // scheduler thread-pool sizes, using the WordCount combine workload with
 // virtualised per-byte cost (single-CPU host).
-func Fig15(o Options) *Report {
+func Fig15(o Options) *metrics.Report {
 	leaves := []int{2, 4, 8, 16, 32}
 	threads := []int{2, 4, 8, 16}
 	header := []string{"leaves"}
@@ -33,7 +33,7 @@ func Fig15(o Options) *Report {
 		}
 		table.AddRow(row...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig15",
 		Title: "Processing rate of an in-memory local aggregation tree",
 		Table: table,
@@ -139,9 +139,9 @@ func cpuShareSweep(title string, adaptive bool, o Options) *metrics.Table {
 // Fig25 regenerates Figure 25: CPU sharing between Solr and Hadoop under
 // the non-adaptive weighted fair scheduler — the long Solr tasks starve
 // Hadoop despite equal target shares.
-func Fig25(o Options) *Report {
+func Fig25(o Options) *metrics.Report {
 	table := cpuShareSweep("Fig 25 — CPU share over time, fixed-weight WFQ", false, o)
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig25",
 		Title: "CPU resource fair sharing with a non-adaptive scheduler (Fig 25)",
 		Table: table,
@@ -151,9 +151,9 @@ func Fig25(o Options) *Report {
 
 // Fig26 regenerates Figure 26: the adaptive scheduler corrects the weights
 // by measured task time and splits CPU evenly.
-func Fig26(o Options) *Report {
+func Fig26(o Options) *metrics.Report {
 	table := cpuShareSweep("Fig 26 — CPU share over time, adaptive WFQ", true, o)
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig26",
 		Title: "CPU resource fair sharing with the adaptive scheduler (Fig 26)",
 		Table: table,

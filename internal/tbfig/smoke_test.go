@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"netagg/internal/metrics"
 )
 
 // quick runs every testbed figure with a short measurement window so the
@@ -116,7 +118,7 @@ func TestFig23And24Shape(t *testing.T) {
 }
 
 func TestFig18Through21Run(t *testing.T) {
-	for _, fn := range []func(Options) *Report{Fig18, Fig19, Fig20, Fig21} {
+	for _, fn := range []func(Options) *metrics.Report{Fig18, Fig19, Fig20, Fig21} {
 		r := fn(Options{Window: 500 * time.Millisecond, Seed: 1})
 		t.Log("\n" + r.String())
 		if len(r.Table.Rows()) == 0 {

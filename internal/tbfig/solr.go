@@ -10,7 +10,7 @@ import (
 // output ratio α with a fixed client population. Plain Solr is
 // network-bound regardless of α; NetAgg's benefit shrinks as α grows
 // because the frontend link carries α of the backend volume.
-func Fig18(o Options) *Report {
+func Fig18(o Options) *metrics.Report {
 	ratios := []float64{0.05, 0.10, 0.25, 0.50, 0.75, 1.0}
 	table := metrics.NewTable(
 		"Fig 18 — network throughput (Gbps-equiv) vs output ratio α (Solr, 16 clients)",
@@ -31,7 +31,7 @@ func Fig18(o Options) *Report {
 		}
 		table.AddRow(row...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig18",
 		Title: "Network throughput against output ratio (Solr)",
 		Table: table,
@@ -43,7 +43,7 @@ func Fig18(o Options) *Report {
 // backends per rack, for one rack with one agg box versus two racks with
 // one agg box each. Throughput scales with backends and doubles with the
 // second rack.
-func Fig19(o Options) *Report {
+func Fig19(o Options) *metrics.Report {
 	backendCounts := []int{2, 4, 6, 8}
 	table := metrics.NewTable(
 		"Fig 19 — throughput (Gbps-equiv) vs backends per rack",
@@ -64,7 +64,7 @@ func Fig19(o Options) *Report {
 		}
 		table.AddRow(row...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig19",
 		Title: "Throughput against number of backend servers per rack (Solr)",
 		Table: table,
@@ -75,7 +75,7 @@ func Fig19(o Options) *Report {
 // Fig20 regenerates Figure 20: agg box scale-out for the CPU-intensive
 // categorise aggregation — one versus two boxes attached to the same
 // switch, with requests hash-split between them (§4.2.1 "Scale out").
-func Fig20(o Options) *Report {
+func Fig20(o Options) *metrics.Report {
 	clientCounts := []int{2, 4, 8, 16, 32}
 	table := metrics.NewTable(
 		"Fig 20 — throughput (Gbps-equiv) vs clients, categorise (box scale-out)",
@@ -102,7 +102,7 @@ func Fig20(o Options) *Report {
 	for _, n := range clientCounts {
 		table.AddRow(rows[n]...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig20",
 		Title: "Agg box scale-out for CPU-intensive aggregation (Solr categorise)",
 		Table: table,
@@ -113,7 +113,7 @@ func Fig20(o Options) *Report {
 // Fig21 regenerates Figure 21: throughput against the number of scheduler
 // threads on a single box, for the cheap sample function (network-bound,
 // flat) and the CPU-intensive categorise function (scales with the pool).
-func Fig21(o Options) *Report {
+func Fig21(o Options) *metrics.Report {
 	poolSizes := []int{1, 2, 4, 8, 16}
 	table := metrics.NewTable(
 		"Fig 21 — throughput (Gbps-equiv) vs box CPU cores (scheduler pool size)",
@@ -143,7 +143,7 @@ func Fig21(o Options) *Report {
 	for _, w := range poolSizes {
 		table.AddRow(rows[w]...)
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig21",
 		Title: "Throughput against number of CPU cores (Solr)",
 		Table: table,

@@ -16,7 +16,7 @@ import (
 // analogues are the per-application codec + aggregation functions and the
 // deployment glue that wires the application's servers to the shim layers.
 // Counts are taken from the source tree at run time.
-func Tab01() *Report {
+func Tab01() *metrics.Report {
 	root := repoRoot()
 	rows := []struct {
 		app, component string
@@ -42,7 +42,7 @@ func Tab01() *Report {
 	}
 	table.AddRow("solr", "total", totals["solr"])
 	table.AddRow("hadoop", "total", totals["hadoop"])
-	return &Report{
+	return &metrics.Report{
 		ID:    "tab01",
 		Title: "Lines of application-specific code in NetAgg",
 		Table: table,

@@ -27,23 +27,6 @@ import (
 	"netagg/internal/treeplan"
 )
 
-// Report mirrors figures.Report for the testbed experiments.
-type Report struct {
-	ID    string
-	Title string
-	Table *metrics.Table
-	Notes string
-}
-
-// String renders the report.
-func (r *Report) String() string {
-	s := r.Table.String()
-	if r.Notes != "" {
-		s += "note: " + r.Notes + "\n"
-	}
-	return s
-}
-
 // Options tunes experiment durations so tests can run quick variants.
 type Options struct {
 	// Window is the measurement window per data point (default 3s).
@@ -295,14 +278,14 @@ func runSearchSweep(o Options) *searchSweep {
 
 // Fig16 regenerates Figure 16: network throughput against the number of
 // clients for plain search and search on NetAgg (sample, α = 5 %).
-func Fig16(o Options) *Report {
+func Fig16(o Options) *metrics.Report {
 	sw := runSearchSweep(o)
 	table := metrics.NewTable("Fig 16 — network throughput (Gbps-equiv) vs clients (Solr, sample α=5%)",
 		"clients", "solr", "netagg")
 	for i, n := range sw.clients {
 		table.AddRow(n, sw.throughput["solr"][i], sw.throughput["netagg"][i])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig16",
 		Title: "Network throughput against number of clients (Solr)",
 		Table: table,
@@ -312,14 +295,14 @@ func Fig16(o Options) *Report {
 
 // Fig17 regenerates Figure 17: 99th-percentile response latency against
 // the number of clients.
-func Fig17(o Options) *Report {
+func Fig17(o Options) *metrics.Report {
 	sw := runSearchSweep(o)
 	table := metrics.NewTable("Fig 17 — 99th percentile response latency (s) vs clients (Solr)",
 		"clients", "solr_s", "netagg_s")
 	for i, n := range sw.clients {
 		table.AddRow(n, sw.p99["solr"][i], sw.p99["netagg"][i])
 	}
-	return &Report{
+	return &metrics.Report{
 		ID:    "fig17",
 		Title: "Response latency against number of clients (Solr)",
 		Table: table,

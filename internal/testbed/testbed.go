@@ -46,13 +46,8 @@ type Config struct {
 	// FixedWeights disables the adaptive WFQ correction (Fig 25).
 	FixedWeights bool
 	// Planner selects the tree planner every shim uses (nil = the
-	// paper's treeplan.OnPath, or a live-telemetry LoadAware when
-	// LoadAwarePlanner is set). Master and workers always share it.
+	// paper's treeplan.OnPath). Master and workers always share it.
 	Planner treeplan.Planner
-	// LoadAwarePlanner, when Planner is nil, wires a treeplan.LoadAware
-	// planner fed by the deployment's own boxes: scheduler queue depth,
-	// flush-latency EWMA, and heartbeat RTT (see Testbed.Telemetry).
-	LoadAwarePlanner bool
 	// StragglerTimeout enables master-side recovery.
 	StragglerTimeout time.Duration
 	// Seed makes box scheduling deterministic.
@@ -162,13 +157,6 @@ func New(cfg Config) (*Testbed, error) {
 		}
 	}
 
-	// The planner is resolved once and shared by every shim: master and
-	// workers must plan identical trees (treeplan package doc).
-	planner := cfg.Planner
-	if planner == nil && cfg.LoadAwarePlanner {
-		planner = treeplan.LoadAware{Telemetry: tb.Telemetry()}
-	}
-
 	// Shims.
 	for _, name := range tb.workers {
 		h, _ := tb.Dep.Host(name)
@@ -176,7 +164,7 @@ func New(cfg Config) (*Testbed, error) {
 			Host:       h,
 			Deployment: tb.Dep,
 			NIC:        nic(name, cfg.EdgeGbps),
-			Planner:    planner,
+			Planner:    cfg.Planner,
 			Context:    cfg.Context,
 		})
 		if err != nil {
@@ -189,7 +177,7 @@ func New(cfg Config) (*Testbed, error) {
 		Host:             masterHost,
 		Deployment:       tb.Dep,
 		NIC:              nic(MasterHost, cfg.EdgeGbps),
-		Planner:          planner,
+		Planner:          cfg.Planner,
 		StragglerTimeout: cfg.StragglerTimeout,
 		Context:          cfg.Context,
 	})
@@ -249,8 +237,8 @@ func (tb *Testbed) health() map[string]interface{} {
 func (tb *Testbed) WorkerHosts() []string { return tb.workers }
 
 // Telemetry returns live per-box load signals — scheduler queue depth,
-// flush-latency EWMA, heartbeat RTT — for load-aware tree planning
-// (Config.LoadAwarePlanner uses it; custom planners can too).
+// flush-latency EWMA, heartbeat RTT — for load-aware tree planning and
+// the replanner.
 func (tb *Testbed) Telemetry() treeplan.Telemetry {
 	return tbTelemetry{dep: tb.Dep, boxes: tb.boxByID}
 }

@@ -67,7 +67,7 @@ func BenchmarkTransportEchoParallel(b *testing.B) {
 	}
 	defer srv.Close()
 
-	replies := make(chan struct{}, 4*defaultSendQueue)
+	replies := make(chan struct{}, 4*sendqCap)
 	c := NewConn(context.Background(), srv.Addr(), Options{
 		OnFrame: func(m *wire.Msg) { m.Release(); replies <- struct{}{} },
 	})

@@ -20,22 +20,6 @@ var ErrBackingOff = errors.New("transport: backing off after failed dial")
 // ErrClosed reports use of a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
-// sendReq is one frame staged in the send queue. m is a value copy of
-// the sender's Msg, taken at admission so the sender may reuse its Msg
-// struct the moment Send returns; m.Buf carries the queue's own payload
-// reference (retained at admission, released or moved to the replay
-// window by the flusher). done, when non-nil, is where a synchronous
-// sender waits for the outcome of its frame's flush.
-type sendReq struct {
-	m    wire.Msg
-	done chan error
-	// sync marks a frame whose sender is waiting synchronously (the
-	// group's waiter rides the last frame; earlier frames carry sync
-	// alone). On a failed attempt sync frames are dropped with the error
-	// reported, where fire-and-forget frames persist for the retry.
-	sync bool
-}
-
 // connHandle wraps the established net.Conn so Close and Reset can
 // reach the live socket (to unblock an in-flight vectored write) without
 // sharing the flusher's connection state.
@@ -50,8 +34,9 @@ type connHandle struct {
 // pooled payloads as their own iovec elements — no copy between the
 // buffer pool and the socket). The flush policy is adaptive: a lone
 // frame on an idle connection flushes immediately, concurrent senders
-// are amortised into batched writev calls bounded by MaxBatchFrames and
-// MaxBatchBytes.
+// are amortised into batched writev calls bounded by batchMaxFrames and
+// batchMaxBytes. The queue, the bound and the write are the sendq core
+// shared with ServerConn.
 //
 // The flusher also owns the connection lifecycle: it dials lazily with a
 // bounded timeout, paces re-dials to a dead peer with jittered
@@ -68,18 +53,8 @@ type Conn struct {
 	stop func() bool // detaches the context→Close hook
 
 	stats counters
+	q     sendq // send queue + batch writer; closed with ErrClosed
 
-	// Sender-side queue state. qmu guards only the queue and the
-	// closed/started flags — never a network operation, which is what
-	// fixes the old head-of-line blocking where one slow peer's write
-	// stalled every sender sharing the connection's mutex.
-	qmu     sync.Mutex
-	notFull *sync.Cond
-	queue   []sendReq
-	closed  bool
-	started bool // flusher goroutine launched
-
-	wake      chan struct{}              // flusher doorbell, 1-buffered
 	connected atomic.Bool                // an established connection is believed healthy
 	resetReq  atomic.Bool                // Reset asked the flusher to drop the connection
 	trimReq   atomic.Bool                // DropReplay asked the flusher to discard the replay window
@@ -90,14 +65,12 @@ type Conn struct {
 	// goroutine, so none of it needs a lock.
 	conn       net.Conn
 	vw         *wire.VectorWriter
-	everUp     bool        // a connection has been established before
-	needReplay bool        // the previous connection died with frames possibly unread
-	replay     []wire.Msg  // last ReplayWindow frames written; owns one payload ref each
-	dialFails  int         // consecutive dial failures
-	nextDial   time.Time   // start of the next allowed dial (backoff)
-	writeFails int         // consecutive vectored-write failures
-	pending    []sendReq   // frames taken off the queue, not yet written
-	batch      []*wire.Msg // reused per-writev staging
+	everUp     bool       // a connection has been established before
+	needReplay bool       // the previous connection died with frames possibly unread
+	replay     []wire.Msg // last ReplayWindow frames written; owns one payload ref each
+	dialFails  int        // consecutive dial failures
+	nextDial   time.Time  // start of the next allowed dial (backoff)
+	writeFails int        // consecutive vectored-write failures
 
 	wg sync.WaitGroup // flusher + reader goroutines
 }
@@ -114,9 +87,8 @@ func NewConn(ctx context.Context, addr string, opts Options) *Conn {
 		addr: addr,
 		opts: opts.withDefaults(),
 		ctx:  ctx,
-		wake: make(chan struct{}, 1),
 	}
-	c.notFull = sync.NewCond(&c.qmu)
+	c.q.init(&c.stats, &c.wg, c.flusher)
 	c.stop = context.AfterFunc(ctx, c.Close)
 	return c
 }
@@ -154,43 +126,14 @@ func (c *Conn) enqueue(msgs []*wire.Msg) error {
 	if err := c.ctx.Err(); err != nil {
 		return err
 	}
-	sync := !c.connected.Load()
+	// While disconnected the send is synchronous: the group's last frame
+	// carries the channel the flusher reports the outcome on.
 	var done chan error
-	if sync {
+	if !c.connected.Load() {
 		done = make(chan error, 1)
 	}
-	c.qmu.Lock()
-	if !c.started && !c.closed {
-		c.started = true
-		c.wg.Add(1)
-		go c.flusher()
-	}
-	// Admission: wait until the whole group fits the bounded queue. An
-	// empty queue always admits, so a group larger than the bound cannot
-	// deadlock — it just has the queue to itself.
-	for len(c.queue) > 0 && len(c.queue)+len(msgs) > c.opts.SendQueue && !c.closed {
-		c.stats.queueWaits.Add(1)
-		obsQueueWaits.Inc()
-		//lint:ignore lockdiscipline admission back-pressure: qmu guards only the queue (no network I/O ever runs under it) and Close broadcasts after setting closed, so the wait always terminates
-		c.notFull.Wait()
-	}
-	if c.closed {
-		c.qmu.Unlock()
-		return ErrClosed
-	}
-	for i, m := range msgs {
-		cp := *m
-		cp.Buf = m.Buf.Retain() //netagg:owns cp — the queue's reference, released or moved to the replay window by the flusher
-		var d chan error
-		if sync && i == len(msgs)-1 {
-			d = done // the group's waiter rides its last frame
-		}
-		c.queue = append(c.queue, sendReq{m: cp, done: d, sync: sync})
-	}
-	c.qmu.Unlock()
-	c.doorbell()
-	if !sync {
-		return nil
+	if err := c.q.admit(msgs, done); err != nil || done == nil {
+		return err
 	}
 	select {
 	case err := <-done:
@@ -203,22 +146,12 @@ func (c *Conn) enqueue(msgs []*wire.Msg) error {
 	}
 }
 
-// doorbell nudges the flusher; a full buffer means a wake-up is already
-// pending.
-func (c *Conn) doorbell() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
 // flusher is the connection's single writer goroutine: it drains the
 // send queue, establishes the connection as needed, and turns every
 // drained run of frames into coalesced vectored writes.
 func (c *Conn) flusher() {
-	defer c.wg.Done()
 	for {
-		closed := c.moveQueued()
+		closed := c.q.moveQueued()
 		if c.resetReq.Swap(false) {
 			c.dropConn()
 		}
@@ -235,7 +168,7 @@ func (c *Conn) flusher() {
 			c.shutdown()
 			return
 		}
-		if len(c.pending) == 0 {
+		if len(c.q.pending) == 0 {
 			if c.needReplay && len(c.replay) > 0 {
 				// Eager §3.1 recovery: the window may hold frames the dead
 				// peer never processed, and no future send is guaranteed to
@@ -244,10 +177,7 @@ func (c *Conn) flusher() {
 				// with the dial backoff.
 				if err := c.ensure(); err != nil {
 					if c.ctx.Err() != nil {
-						c.qmu.Lock()
-						c.closed = true
-						c.notFull.Broadcast()
-						c.qmu.Unlock()
+						c.q.close(ErrClosed)
 						continue
 					}
 					c.waitRetry()
@@ -255,21 +185,18 @@ func (c *Conn) flusher() {
 				continue
 			}
 			select {
-			case <-c.wake:
+			case <-c.q.wake:
 			case <-c.ctx.Done():
 				// Mark closed ourselves: the context's AfterFunc runs
 				// Close concurrently, but observing the cancellation here
 				// must terminate the loop even if that hook is delayed.
-				c.qmu.Lock()
-				c.closed = true
-				c.notFull.Broadcast()
-				c.qmu.Unlock()
+				c.q.close(ErrClosed)
 			}
 			continue
 		}
 		if err := c.ensure(); err != nil {
 			c.failWaiters(err)
-			if len(c.pending) > 0 {
+			if len(c.q.pending) > 0 {
 				// Fire-and-forget frames persist across the outage; wait
 				// for the backoff window (or new work) and try again.
 				c.waitRetry()
@@ -278,23 +205,6 @@ func (c *Conn) flusher() {
 		}
 		c.writePending()
 	}
-}
-
-// moveQueued claims everything senders have queued, reopening admission
-// space, and reports whether the connection has been closed.
-func (c *Conn) moveQueued() bool {
-	c.qmu.Lock()
-	if len(c.queue) > 0 {
-		c.pending = append(c.pending, c.queue...)
-		for i := range c.queue {
-			c.queue[i] = sendReq{}
-		}
-		c.queue = c.queue[:0]
-		c.notFull.Broadcast()
-	}
-	closed := c.closed
-	c.qmu.Unlock()
-	return closed
 }
 
 // waitRetry sleeps until the next allowed dial, new work, or shutdown.
@@ -306,8 +216,8 @@ func (c *Conn) waitRetry() {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-c.wake:
-		c.doorbell() // preserve the nudge for the main loop's next block
+	case <-c.q.wake:
+		c.q.doorbell() // preserve the nudge for the main loop's next block
 	case <-t.C:
 	case <-c.ctx.Done():
 	}
@@ -318,13 +228,9 @@ func (c *Conn) waitRetry() {
 // are kept for the post-reconnect rewrite; repeated failures surface the
 // error to synchronous waiters.
 func (c *Conn) writePending() {
-	for len(c.pending) > 0 {
-		n := c.batchBound()
-		c.batch = c.batch[:0]
-		for i := 0; i < n; i++ {
-			c.batch = append(c.batch, &c.pending[i].m)
-		}
-		if err := c.writeVec(); err != nil {
+	for len(c.q.pending) > 0 {
+		n := c.q.stagePending()
+		if err := c.q.writeVec(c.vw); err != nil {
 			c.dropConn()
 			c.writeFails++
 			if c.writeFails >= c.opts.MaxSendAttempts {
@@ -338,62 +244,12 @@ func (c *Conn) writePending() {
 	}
 }
 
-// batchBound returns how many pending frames the next vectored write may
-// coalesce under the frame-count and payload-byte caps (always at least
-// one).
-//
-//netagg:hotpath
-func (c *Conn) batchBound() int {
-	n := len(c.pending)
-	if n > c.opts.MaxBatchFrames {
-		n = c.opts.MaxBatchFrames
-	}
-	bytes := 0
-	for i := 0; i < n; i++ {
-		bytes += len(c.pending[i].m.Payload)
-		if bytes > c.opts.MaxBatchBytes && i > 0 {
-			return i
-		}
-	}
-	return n
-}
-
-// writeVec issues one vectored write for the frames staged in c.batch
-// and records the per-batch counters.
-//
-//netagg:hotpath
-func (c *Conn) writeVec() error {
-	written, err := c.vw.WriteBatch(c.batch)
-	if err != nil {
-		return err
-	}
-	k := int64(len(c.batch))
-	var payload int64
-	for _, m := range c.batch {
-		payload += int64(len(m.Payload))
-	}
-	c.stats.writevCalls.Add(1)
-	c.stats.framesOut.Add(k)
-	c.stats.bytesOut.Add(payload)
-	obsWritevCalls.Inc()
-	obsBatchSize.Observe(k)
-	obsBatchFrames.Add(k)
-	obsBatchBytes.Add(written)
-	obsFramesOut.Add(k)
-	obsBytesOut.Add(payload)
-	if k > 1 {
-		c.stats.batchedFrames.Add(k)
-		obsFlushCoalesce.Add(k - 1)
-	}
-	return nil
-}
-
 // finishBatch completes the first n pending frames after a successful
 // write: the queue's payload reference moves to the replay window (or is
 // released), and synchronous waiters are woken with success.
 func (c *Conn) finishBatch(n int) {
 	for i := 0; i < n; i++ {
-		req := &c.pending[i]
+		req := &c.q.pending[i]
 		if c.opts.ReplayWindow > 0 {
 			c.retainReplay(req.m)
 		} else {
@@ -406,20 +262,17 @@ func (c *Conn) finishBatch(n int) {
 			}
 		}
 	}
-	m := copy(c.pending, c.pending[n:])
-	for i := m; i < len(c.pending); i++ {
-		c.pending[i] = sendReq{}
-	}
-	c.pending = c.pending[:m]
+	c.q.pop(n)
 }
 
 // failWaiters reports err to every synchronous sender in pending and
 // releases the frames of their groups; fire-and-forget frames stay
 // pending for the next attempt, preserving their order.
 func (c *Conn) failWaiters(err error) {
-	kept := c.pending[:0]
-	for i := range c.pending {
-		req := c.pending[i]
+	pending := c.q.pending
+	kept := pending[:0]
+	for i := range pending {
+		req := pending[i]
 		if req.sync {
 			req.m.Buf.Release()
 			if req.done != nil {
@@ -432,10 +285,10 @@ func (c *Conn) failWaiters(err error) {
 			kept = append(kept, req)
 		}
 	}
-	for i := len(kept); i < len(c.pending); i++ {
-		c.pending[i] = sendReq{}
+	for i := len(kept); i < len(pending); i++ {
+		pending[i] = sendReq{}
 	}
-	c.pending = kept
+	c.q.pending = kept
 }
 
 // retainReplay moves the queue's payload reference on m into the replay
@@ -483,7 +336,7 @@ func (c *Conn) trimReplay() {
 // which is safe for exactly the same epoch reason.
 func (c *Conn) DropReplay() {
 	c.trimReq.Store(true)
-	c.doorbell()
+	c.q.doorbell()
 }
 
 // ensure establishes the connection if needed, honouring the backoff
@@ -560,14 +413,14 @@ func (c *Conn) ensure() error {
 func (c *Conn) writeReplay() error {
 	for off := 0; off < len(c.replay); {
 		n := len(c.replay) - off
-		if n > c.opts.MaxBatchFrames {
-			n = c.opts.MaxBatchFrames
+		if n > batchMaxFrames {
+			n = batchMaxFrames
 		}
-		c.batch = c.batch[:0]
+		c.q.batch = c.q.batch[:0]
 		for i := 0; i < n; i++ {
-			c.batch = append(c.batch, &c.replay[off+i])
+			c.q.batch = append(c.q.batch, &c.replay[off+i])
 		}
-		if err := c.writeVec(); err != nil {
+		if err := c.q.writeVec(c.vw); err != nil {
 			return err
 		}
 		off += n
@@ -597,8 +450,8 @@ func (c *Conn) dropConn() {
 // dropped), all queue and replay references are released, and the socket
 // is closed.
 func (c *Conn) shutdown() {
-	for i := range c.pending {
-		req := c.pending[i]
+	for i := range c.q.pending {
+		req := c.q.pending[i]
 		req.m.Buf.Release()
 		if req.done != nil {
 			select {
@@ -610,9 +463,9 @@ func (c *Conn) shutdown() {
 			c.stats.dropped.Add(1)
 			obsQueueDrops.Inc()
 		}
-		c.pending[i] = sendReq{}
+		c.q.pending[i] = sendReq{}
 	}
-	c.pending = nil
+	c.q.pending = nil
 	c.releaseReplay()
 	c.dropConn()
 }
@@ -638,13 +491,10 @@ func (c *Conn) readLoop(nc net.Conn, h *connHandle) {
 				c.connected.Store(false)
 			}
 			c.dead.Store(h)
-			c.doorbell()
+			c.q.doorbell()
 			return
 		}
-		c.stats.framesIn.Add(1)
-		c.stats.bytesIn.Add(int64(len(m.Payload)))
-		obsFramesIn.Inc()
-		obsBytesIn.Add(int64(len(m.Payload)))
+		c.stats.countIn(m)
 		if c.opts.OnFrame != nil {
 			c.opts.OnFrame(m)
 		} else {
@@ -662,7 +512,7 @@ func (c *Conn) Reset() {
 	if h := c.live.Load(); h != nil {
 		h.nc.Close() // unblock an in-flight write into the dead socket
 	}
-	c.doorbell()
+	c.q.doorbell()
 }
 
 // Close tears the connection down: the flusher completes or drops every
@@ -670,19 +520,14 @@ func (c *Conn) Reset() {
 // drain. It is idempotent and is also invoked by cancellation of the
 // constructor's context.
 func (c *Conn) Close() {
-	c.qmu.Lock()
-	if c.closed {
-		c.qmu.Unlock()
+	if !c.q.close(ErrClosed) {
 		if c.stop != nil {
 			c.stop()
 		}
 		return
 	}
-	c.closed = true
-	c.notFull.Broadcast()
-	c.qmu.Unlock()
 	c.connected.Store(false)
-	c.doorbell()
+	c.q.doorbell()
 	if h := c.live.Load(); h != nil {
 		h.nc.Close() // unblock an in-flight write so the flusher can exit
 	}

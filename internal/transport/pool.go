@@ -7,9 +7,9 @@ import (
 	"netagg/internal/wire"
 )
 
-// Pool caches one Conn per destination address — the successor of
-// wire.Pool. All connections share the pool's context and Options, so a
-// NIC or backoff policy is configured once per host.
+// Pool caches one Conn per destination address. All connections share
+// the pool's context and Options, so a NIC or backoff policy is
+// configured once per host.
 type Pool struct {
 	ctx  context.Context
 	opts Options

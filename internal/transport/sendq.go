@@ -1,0 +1,224 @@
+package transport
+
+import (
+	"sync"
+
+	"netagg/internal/wire"
+)
+
+const (
+	// sendqCap bounds the frames admitted to a connection's send queue
+	// before senders block (back-pressure toward the application).
+	sendqCap = 256
+	// batchMaxFrames caps the frames coalesced into one vectored write.
+	// The flush policy is adaptive below the cap: an empty queue flushes
+	// a lone frame immediately, a backlog is drained in cap-sized writes.
+	batchMaxFrames = 64
+	// batchMaxBytes caps the payload bytes coalesced into one vectored
+	// write, so a run of large frames does not pin the flusher (and every
+	// queued sender behind it) in a single enormous writev; a single
+	// frame larger than the cap still goes out alone.
+	batchMaxBytes = 1 << 20
+)
+
+// sendReq is one frame staged in a send queue. m is a value copy of the
+// sender's Msg, taken at admission so the sender may reuse its Msg
+// struct the moment the send returns; m.Buf carries the queue's own
+// payload reference (retained at admission, released or moved to the
+// replay window by the flusher). done, when non-nil, is where a
+// synchronous sender waits for the outcome of its frame's flush.
+type sendReq struct {
+	m    wire.Msg
+	done chan error
+	// sync marks a frame whose sender is waiting synchronously (the
+	// group's waiter rides the last frame; earlier frames carry sync
+	// alone). On a failed attempt sync frames are dropped with the error
+	// reported, where fire-and-forget frames persist for the retry.
+	sync bool
+}
+
+// sendq is the write path Conn and ServerConn share: a bounded
+// admission queue with a doorbell on the sender side, and on the flusher
+// side the claimed frames, the batch bound and the one vectored write
+// that accounts for itself in both the endpoint counters and the obs
+// series. Connection lifecycle, replay, synchronous waiters (Conn) and
+// what a failed write means (both) stay with the owner.
+type sendq struct {
+	stats *counters // the owning endpoint's counters
+	// run is the owner's flusher loop, started on the first admission
+	// under wg so the owner's Close drains it.
+	run func()
+	wg  *sync.WaitGroup
+
+	// Sender-side state. mu guards only the queue and the flags — never
+	// a network operation, so one slow peer's write cannot stall the
+	// senders sharing the connection.
+	mu      sync.Mutex
+	notFull *sync.Cond
+	queue   []sendReq
+	started bool  // flusher goroutine launched
+	err     error // latched: admission is closed and refuses with it
+
+	wake chan struct{} // flusher doorbell, 1-buffered
+
+	// Flusher-owned state: touched only by the flusher goroutine.
+	pending []sendReq   // frames taken off the queue, not yet written
+	batch   []*wire.Msg // reused per-writev staging
+}
+
+func (q *sendq) init(stats *counters, wg *sync.WaitGroup, run func()) {
+	q.stats, q.wg, q.run = stats, wg, run
+	q.notFull = sync.NewCond(&q.mu)
+	q.wake = make(chan struct{}, 1)
+}
+
+// admit queues msgs as one group, blocking while the bounded queue is
+// full, and rings the flusher. A non-nil done marks the group
+// synchronous: the flusher reports its outcome there. Once the queue is
+// closed admit refuses with the latched error.
+func (q *sendq) admit(msgs []*wire.Msg, done chan error) error {
+	q.mu.Lock()
+	if !q.started && q.err == nil {
+		q.started = true
+		q.wg.Add(1)
+		go func() {
+			defer q.wg.Done()
+			q.run()
+		}()
+	}
+	// Wait until the whole group fits. An empty queue always admits, so
+	// a group larger than the bound cannot deadlock — it just has the
+	// queue to itself.
+	for len(q.queue) > 0 && len(q.queue)+len(msgs) > sendqCap && q.err == nil {
+		q.stats.queueWaits.Add(1)
+		obsQueueWaits.Inc()
+		//lint:ignore lockdiscipline admission back-pressure: mu guards only the queue (no network I/O ever runs under it) and close broadcasts after latching err, so the wait always terminates
+		q.notFull.Wait()
+	}
+	if err := q.err; err != nil {
+		q.mu.Unlock()
+		return err
+	}
+	for i, m := range msgs {
+		cp := *m
+		cp.Buf = m.Buf.Retain() //netagg:owns cp — the queue's reference, released or moved to the replay window by the flusher
+		var d chan error
+		if i == len(msgs)-1 {
+			d = done // the group's waiter rides its last frame
+		}
+		q.queue = append(q.queue, sendReq{m: cp, done: d, sync: done != nil})
+	}
+	q.mu.Unlock()
+	q.doorbell()
+	return nil
+}
+
+// doorbell nudges the flusher; a full buffer means a wake-up is already
+// pending.
+func (q *sendq) doorbell() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// close latches err (the first one wins), wakes blocked senders so they
+// observe it, and reports whether this call closed the queue.
+func (q *sendq) close(err error) bool {
+	q.mu.Lock()
+	first := q.err == nil
+	if first {
+		q.err = err
+	}
+	q.notFull.Broadcast()
+	q.mu.Unlock()
+	return first
+}
+
+// moveQueued claims everything senders have queued, reopening admission
+// space, and reports whether the queue has been closed.
+func (q *sendq) moveQueued() bool {
+	q.mu.Lock()
+	if len(q.queue) > 0 {
+		q.pending = append(q.pending, q.queue...)
+		for i := range q.queue {
+			q.queue[i] = sendReq{}
+		}
+		q.queue = q.queue[:0]
+		q.notFull.Broadcast()
+	}
+	closed := q.err != nil
+	q.mu.Unlock()
+	return closed
+}
+
+// batchBound returns how many pending frames the next vectored write may
+// coalesce under the frame-count and payload-byte caps (always at least
+// one).
+//
+//netagg:hotpath
+func (q *sendq) batchBound() int {
+	n := len(q.pending)
+	if n > batchMaxFrames {
+		n = batchMaxFrames
+	}
+	bytes := 0
+	for i := 0; i < n; i++ {
+		bytes += len(q.pending[i].m.Payload)
+		if bytes > batchMaxBytes && i > 0 {
+			return i
+		}
+	}
+	return n
+}
+
+// stagePending stages the next batch-bounded run of pending frames for
+// writeVec and returns its length.
+func (q *sendq) stagePending() int {
+	n := q.batchBound()
+	q.batch = q.batch[:0]
+	for i := 0; i < n; i++ {
+		q.batch = append(q.batch, &q.pending[i].m)
+	}
+	return n
+}
+
+// writeVec issues one vectored write for the frames staged in q.batch
+// and records the per-batch counters.
+//
+//netagg:hotpath
+func (q *sendq) writeVec(vw *wire.VectorWriter) error {
+	written, err := vw.WriteBatch(q.batch)
+	if err != nil {
+		return err
+	}
+	k := int64(len(q.batch))
+	var payload int64
+	for _, m := range q.batch {
+		payload += int64(len(m.Payload))
+	}
+	q.stats.writevCalls.Add(1)
+	q.stats.framesOut.Add(k)
+	q.stats.bytesOut.Add(payload)
+	obsWritevCalls.Inc()
+	obsBatchSize.Observe(k)
+	obsBatchFrames.Add(k)
+	obsBatchBytes.Add(written)
+	obsFramesOut.Add(k)
+	obsBytesOut.Add(payload)
+	if k > 1 {
+		q.stats.batchedFrames.Add(k)
+		obsFlushCoalesce.Add(k - 1)
+	}
+	return nil
+}
+
+// pop drops the first n pending frames once their owner has completed
+// them (payload reference released or moved on, waiter told).
+func (q *sendq) pop(n int) {
+	m := copy(q.pending, q.pending[n:])
+	for i := m; i < len(q.pending); i++ {
+		q.pending[i] = sendReq{}
+	}
+	q.pending = q.pending[:m]
+}

@@ -84,19 +84,21 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// watch turns context cancellation into the actual teardown: mark
-// closed, kill open connections (unblocking their readers), close the
-// listener (unblocking the accept loop).
+// watch turns context cancellation into the actual teardown: close the
+// listener (unblocking the accept loop), mark closed, kill open
+// connections (unblocking their readers). The listener goes first so a
+// peer that reconnects the moment its connection dies is refused instead
+// of being accepted by a server that is about to drop it again.
 func (s *Server) watch() {
 	defer s.wg.Done()
 	<-s.ctx.Done()
+	s.ln.Close()
 	s.mu.Lock()
 	s.closed = true
 	for conn := range s.conns {
 		conn.Close()
 	}
 	s.mu.Unlock()
-	s.ln.Close()
 }
 
 func (s *Server) acceptLoop() {
@@ -126,8 +128,8 @@ func (s *Server) acceptLoop() {
 // serve reads frames off one accepted connection into the handler.
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
-	sc := &ServerConn{conn: conn, srv: s, done: make(chan struct{}), wake: make(chan struct{}, 1)}
-	sc.notFull = sync.NewCond(&sc.mu)
+	sc := &ServerConn{conn: conn, srv: s, done: make(chan struct{})}
+	sc.q.init(&s.stats, &s.wg, sc.flusher)
 	defer func() {
 		close(sc.done) // stop the reply flusher (if one started)
 		s.mu.Lock()
@@ -143,35 +145,21 @@ func (s *Server) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		s.stats.framesIn.Add(1)
-		s.stats.bytesIn.Add(int64(len(m.Payload)))
-		obsFramesIn.Inc()
-		obsBytesIn.Add(int64(len(m.Payload)))
+		s.stats.countIn(m)
 		s.handler(sc, m)
 	}
 }
 
-// replyQueueCap bounds queued replies per inbound connection before
-// Reply blocks on admission.
-const replyQueueCap = defaultSendQueue
-
 // ServerConn is the server's handle on one accepted connection, used by
 // handlers to reply on the same connection (heartbeat echoes, acks).
-// Like the outbound Conn, replies are drained by a per-connection
-// flusher goroutine that coalesces concurrent replies into vectored
-// writes; Reply blocks only on queue admission.
+// Like the outbound Conn, replies go through a sendq: a per-connection
+// flusher goroutine coalesces concurrent replies into vectored writes,
+// and Reply blocks only on queue admission.
 type ServerConn struct {
 	conn net.Conn
 	srv  *Server
 	done chan struct{} // closed when the reader goroutine exits
-
-	mu      sync.Mutex
-	notFull *sync.Cond
-	queue   []wire.Msg
-	started bool
-	err     error // latched write error: the peer is gone
-
-	wake chan struct{}
+	q    sendq         // reply queue; its latched error means the peer is gone
 }
 
 // Reply queues one frame to go back on the connection. Safe for
@@ -179,139 +167,52 @@ type ServerConn struct {
 // flusher; an error (this call or a previous flush failing) means the
 // peer is gone and the connection should be abandoned.
 func (sc *ServerConn) Reply(m *wire.Msg) error {
-	sc.mu.Lock()
-	if sc.err != nil {
-		err := sc.err
-		sc.mu.Unlock()
-		return err
-	}
-	if !sc.started {
-		sc.started = true
-		sc.srv.wg.Add(1)
-		go sc.flusher()
-	}
-	for len(sc.queue) >= replyQueueCap && sc.err == nil {
-		sc.srv.stats.queueWaits.Add(1)
-		obsQueueWaits.Inc()
-		//lint:ignore lockdiscipline admission back-pressure: sc.mu guards only the reply queue (no network I/O under it) and the flusher broadcasts on both drain and failure, so the wait always terminates
-		sc.notFull.Wait()
-	}
-	if sc.err != nil {
-		err := sc.err
-		sc.mu.Unlock()
-		return err
-	}
-	cp := *m
-	cp.Buf = m.Buf.Retain() //netagg:owns cp — the reply queue's reference, released by the flusher
-	sc.queue = append(sc.queue, cp)
-	sc.mu.Unlock()
-	select {
-	case sc.wake <- struct{}{}:
-	default:
-	}
-	return nil
+	one := [1]*wire.Msg{m}
+	return sc.q.admit(one[:], nil)
 }
 
 // flusher drains queued replies into coalesced vectored writes until the
 // connection dies or the write path fails.
 func (sc *ServerConn) flusher() {
-	defer sc.srv.wg.Done()
 	vw := wire.NewVectorWriter(sc.conn)
-	var pending []wire.Msg
-	var batch []*wire.Msg
 	for {
-		sc.mu.Lock()
-		pending = append(pending[:0], sc.queue...)
-		for i := range sc.queue {
-			sc.queue[i] = wire.Msg{}
-		}
-		sc.queue = sc.queue[:0]
-		sc.notFull.Broadcast()
-		sc.mu.Unlock()
-		if len(pending) == 0 {
+		sc.q.moveQueued()
+		if len(sc.q.pending) == 0 {
 			select {
-			case <-sc.wake:
+			case <-sc.q.wake:
 				continue
 			case <-sc.done:
-				sc.fail(ErrClosed)
-				return
 			case <-sc.srv.ctx.Done():
-				sc.fail(ErrClosed)
-				return
 			}
+			sc.fail(ErrClosed)
+			return
 		}
-		for off := 0; off < len(pending); {
-			n := replyBatchBound(pending[off:])
-			batch = batch[:0]
-			for i := 0; i < n; i++ {
-				batch = append(batch, &pending[off+i])
-			}
-			written, err := vw.WriteBatch(batch)
-			if err != nil {
-				// Release everything still queued or staged and latch the
-				// error: the peer is gone.
-				for i := off; i < len(pending); i++ {
-					pending[i].Buf.Release()
-				}
-				sc.fail(err)
+		for len(sc.q.pending) > 0 {
+			n := sc.q.stagePending()
+			if err := sc.q.writeVec(vw); err != nil {
+				sc.fail(err) // the peer is gone
 				return
 			}
-			k := int64(n)
-			var payload int64
-			for i := 0; i < n; i++ {
-				payload += int64(len(pending[off+i].Payload))
-				pending[off+i].Buf.Release()
-				pending[off+i] = wire.Msg{}
-			}
-			sc.srv.stats.writevCalls.Add(1)
-			sc.srv.stats.framesOut.Add(k)
-			sc.srv.stats.bytesOut.Add(payload)
-			obsWritevCalls.Inc()
-			obsBatchSize.Observe(k)
-			obsBatchFrames.Add(k)
-			obsBatchBytes.Add(written)
-			obsFramesOut.Add(k)
-			obsBytesOut.Add(payload)
-			if k > 1 {
-				sc.srv.stats.batchedFrames.Add(k)
-				obsFlushCoalesce.Add(k - 1)
-			}
-			off += n
+			sc.drop(n)
 		}
 	}
 }
 
-// replyBatchBound mirrors Conn.batchBound for the reply queue, using the
-// package default caps.
-func replyBatchBound(pending []wire.Msg) int {
-	n := len(pending)
-	if n > defaultMaxBatchFrames {
-		n = defaultMaxBatchFrames
-	}
-	bytes := 0
+// drop releases the reply queue's payload references on the first n
+// pending frames and forgets them.
+func (sc *ServerConn) drop(n int) {
 	for i := 0; i < n; i++ {
-		bytes += len(pending[i].Payload)
-		if bytes > defaultMaxBatchBytes && i > 0 {
-			return i
-		}
+		sc.q.pending[i].m.Buf.Release()
 	}
-	return n
+	sc.q.pop(n)
 }
 
-// fail latches err, releases every queued reply, and wakes blocked
-// repliers so they observe the error.
+// fail latches err so blocked and future repliers observe it, and
+// releases every reply still queued or staged.
 func (sc *ServerConn) fail(err error) {
-	sc.mu.Lock()
-	if sc.err == nil {
-		sc.err = err
-	}
-	for i := range sc.queue {
-		sc.queue[i].Buf.Release()
-		sc.queue[i] = wire.Msg{}
-	}
-	sc.queue = sc.queue[:0]
-	sc.notFull.Broadcast()
-	sc.mu.Unlock()
+	sc.q.close(err)
+	sc.q.moveQueued()
+	sc.drop(len(sc.q.pending))
 }
 
 // RemoteAddr identifies the peer.

@@ -35,23 +35,12 @@ import (
 )
 
 const (
-	// defaultDialTimeout bounds connection establishment. The legacy
-	// wire.Client dialled with no bound while holding its send mutex, so
-	// one hung dial stalled every sender sharing the client.
+	// defaultDialTimeout bounds connection establishment, so one hung
+	// dial cannot stall the connection's flusher indefinitely.
 	defaultDialTimeout = 5 * time.Second
 	// defaultSendAttempts is the original try plus one retry after a
-	// reconnect, matching the legacy client's behaviour.
+	// reconnect.
 	defaultSendAttempts = 2
-	// defaultSendQueue bounds frames admitted to a connection's send
-	// queue before senders block (back-pressure toward the application).
-	defaultSendQueue = 256
-	// defaultMaxBatchFrames caps frames coalesced into one vectored
-	// write.
-	defaultMaxBatchFrames = 64
-	// defaultMaxBatchBytes caps payload bytes coalesced into one
-	// vectored write, so a run of large frames does not pin the flusher
-	// (and every queued sender behind it) in a single enormous writev.
-	defaultMaxBatchBytes = 1 << 20
 )
 
 // Options configure an outbound Conn (and every Conn a Pool creates).
@@ -89,20 +78,6 @@ type Options struct {
 	// own reference on each frame's pooled payload, so senders must not
 	// recycle or mutate a sent Msg's payload buffer out from under it.
 	ReplayWindow int
-	// SendQueue bounds the frames buffered between senders and the
-	// connection's flusher goroutine (default 256). Once an established
-	// connection exists, Send blocks only on admission to this queue;
-	// the flusher drains it into coalesced vectored writes.
-	SendQueue int
-	// MaxBatchFrames caps how many queued frames one vectored write may
-	// coalesce (default 64). The flush policy is adaptive below the cap:
-	// an empty queue flushes a lone frame immediately, a backlog is
-	// drained in cap-sized writev calls.
-	MaxBatchFrames int
-	// MaxBatchBytes caps the payload bytes one vectored write may
-	// coalesce (default 1 MiB); a single frame larger than the cap still
-	// goes out alone.
-	MaxBatchBytes int
 }
 
 // withDefaults fills zero fields.
@@ -112,15 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSendAttempts <= 0 {
 		o.MaxSendAttempts = defaultSendAttempts
-	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = defaultSendQueue
-	}
-	if o.MaxBatchFrames <= 0 {
-		o.MaxBatchFrames = defaultMaxBatchFrames
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = defaultMaxBatchBytes
 	}
 	o.Backoff = o.Backoff.withDefaults()
 	return o
@@ -205,6 +171,16 @@ type counters struct {
 	batchedFrames       atomic.Int64
 	queueWaits          atomic.Int64
 	dropped             atomic.Int64
+}
+
+// countIn records one inbound frame in the endpoint's counters and the
+// process-wide obs series.
+func (c *counters) countIn(m *wire.Msg) {
+	n := int64(len(m.Payload))
+	c.framesIn.Add(1)
+	c.bytesIn.Add(n)
+	obsFramesIn.Inc()
+	obsBytesIn.Add(n)
 }
 
 func (c *counters) snapshot() Stats {

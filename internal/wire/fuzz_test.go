@@ -7,23 +7,6 @@ import (
 	"testing"
 )
 
-// encodeStream serialises msgs back-to-back into one stream, the way the
-// batched transport write path flushes them.
-func encodeStream(f *testing.F, msgs ...*Msg) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, m := range msgs {
-		if err := w.Write(m); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzDecodeFrame drives Reader.Read with arbitrary stream bytes. The
 // decoder sits directly on the network, so it must reject any corrupt
 // frame with an error — never a panic, never an over-allocation (the
@@ -32,15 +15,7 @@ func encodeStream(f *testing.F, msgs ...*Msg) []byte {
 func FuzzDecodeFrame(f *testing.F) {
 	// A valid single-frame stream, a truncation, and corruptions of each
 	// header region seed the interesting decode paths.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(&Msg{Type: TData, App: "search", Req: 7, Source: 3, Seq: 1, Payload: []byte("part")}); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := encode(f, &Msg{Type: TData, App: "search", Req: 7, Source: 3, Seq: 1, Payload: []byte("part")})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-2])
 	f.Add([]byte{})
@@ -49,14 +24,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 9, 0})
 	// The recovery/migration control frames (TExpect, TRedirect, TCancel)
 	// and a fanout frame carrying nested routes.
-	f.Add(encodeStream(f, &Msg{Type: TExpect, App: "search", Req: 7, Payload: EncodeCount(3)}))
-	f.Add(encodeStream(f, &Msg{Type: TRedirect, App: "search", Req: 7, Payload: EncodeCount(2)}))
-	f.Add(encodeStream(f, &Msg{Type: TCancel, App: "search", Req: 7}))
+	f.Add(encode(f, &Msg{Type: TExpect, App: "search", Req: 7, Payload: EncodeCount(3)}))
+	f.Add(encode(f, &Msg{Type: TRedirect, App: "search", Req: 7, Payload: EncodeCount(2)}))
+	f.Add(encode(f, &Msg{Type: TCancel, App: "search", Req: 7}))
 	fanout := &FanoutPayload{Inner: []byte("part"), Routes: [][]string{{"127.0.0.1:1", "127.0.0.1:2"}, {"127.0.0.1:3"}}}
-	f.Add(encodeStream(f, &Msg{Type: TFanout, App: "search", Req: 7, Payload: fanout.Encode()}))
+	f.Add(encode(f, &Msg{Type: TFanout, App: "search", Req: 7, Payload: fanout.Encode()}))
 	// A batched stream the shape SendAll's vectored write path produces:
 	// several frames of one request back-to-back in a single flush.
-	f.Add(encodeStream(f,
+	f.Add(encode(f,
 		&Msg{Type: THello, App: "search", Req: 7, Source: 3, Payload: EncodeStrings([]string{"127.0.0.1:9"})},
 		&Msg{Type: TData, App: "search", Req: 7, Source: 3, Seq: 0, Payload: []byte("p0")},
 		&Msg{Type: TData, App: "search", Req: 7, Source: 3, Seq: 1, Payload: []byte("p1")},
@@ -84,8 +59,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzEncodeDecode round-trips arbitrary messages through Writer and
-// Reader: everything the writer accepts must decode back bit-identical,
+// FuzzEncodeDecode round-trips arbitrary messages through VectorWriter
+// and Reader: everything the writer accepts must decode back bit-identical,
 // and everything outside the protocol limits must be rejected at encode
 // time.
 func FuzzEncodeDecode(f *testing.F) {
@@ -103,8 +78,7 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ byte, app string, req, source, seq uint64, payload []byte) {
 		in := &Msg{Type: Type(typ), App: app, Req: req, Source: source, Seq: seq, Payload: payload}
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		err := w.Write(in)
+		_, err := NewVectorWriter(&buf).WriteBatch([]*Msg{in})
 		if len(app) > maxAppLen {
 			if err == nil {
 				t.Fatalf("writer accepted %d-byte app name", len(app))
@@ -114,15 +88,11 @@ func FuzzEncodeDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
 		out, err := NewReader(bytes.NewReader(buf.Bytes())).Read()
 		if err != nil {
 			t.Fatalf("decode of a written frame failed: %v", err)
 		}
-		if out.Type != in.Type || out.App != in.App || out.Req != in.Req ||
-			out.Source != in.Source || out.Seq != in.Seq || !bytes.Equal(out.Payload, in.Payload) {
+		if !sameFrame(in, out) {
 			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 		}
 	})

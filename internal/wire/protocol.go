@@ -212,10 +212,6 @@ func Protocol() []Rule {
 			Note:      "recovery resend order (varint attempt payload); the worker's lastAttempt check dedups the straggler-timer/monitor race",
 		},
 		{
-			Type: TAck, Name: "TAck",
-			Note: "reserved for result-delivery acknowledgement on failover; no sender or receiver implements it yet",
-		},
-		{
 			Type: TError, Name: "TError",
 			Senders:   []Role{RoleBox},
 			Receivers: []Role{RoleMaster},
@@ -263,7 +259,7 @@ func MaySend(role Role, t Type) bool {
 }
 
 // receiverNames renders a rule's receiver list for diagnostics
-// ("(none)" for reserved frames).
+// ("(none)" for frame types the table does not know).
 func receiverNames(t Type) string {
 	r, ok := RuleFor(t)
 	if !ok || len(r.Receivers) == 0 {

@@ -16,10 +16,23 @@ var allTypes = map[Type]string{
 	TResult:    "TResult",
 	THeartbeat: "THeartbeat",
 	TRedirect:  "TRedirect",
-	TAck:       "TAck",
 	TError:     "TError",
 	TCancel:    "TCancel",
 	TFanout:    "TFanout",
+}
+
+// The byte a frame type encodes as is wire format: removing a type must
+// retire its value, never renumber its successors.
+func TestFrameTypeValuesPinned(t *testing.T) {
+	want := map[Type]uint8{
+		THello: 1, TData: 2, TEnd: 3, TExpect: 4, TResult: 5, THeartbeat: 6,
+		TRedirect: 7, TError: 9, TCancel: 10, TFanout: 100,
+	}
+	for ft := range allTypes {
+		if v, ok := want[ft]; !ok || uint8(ft) != v {
+			t.Errorf("%s encodes as %d; want %d (pinned: %v)", ft, uint8(ft), v, ok)
+		}
+	}
 }
 
 func TestProtocolCoversAllFrameTypes(t *testing.T) {
@@ -70,7 +83,7 @@ func TestProtocolRuleInvariants(t *testing.T) {
 			}
 		}
 		// A frame someone receives must have at least one sender, and
-		// vice versa (TAck is reserved: both empty).
+		// vice versa.
 		if (len(r.Senders) == 0) != (len(r.Receivers) == 0) {
 			t.Errorf("%s: senders=%v receivers=%v; both must be empty (reserved) or both populated",
 				r.Name, r.Senders, r.Receivers)
@@ -110,7 +123,7 @@ func TestMaySendMayReceive(t *testing.T) {
 		{RoleWorker, TRedirect, false, true},
 		{RoleMaster, TRedirect, true, false},
 		{RoleMonitor, THeartbeat, true, true},
-		{RoleWorker, TAck, false, false},
+		{RoleWorker, Type(8), false, false},   // the retired slot after TRedirect
 		{RoleMaster, Type(200), false, false}, // unknown frame type
 	}
 	for _, c := range cases {
@@ -144,9 +157,6 @@ func TestProtocolMatrixDeterministicAndComplete(t *testing.T) {
 }
 
 func TestReceiverNames(t *testing.T) {
-	if got := receiverNames(TAck); got != "(none)" {
-		t.Errorf("receiverNames(TAck) = %q; want \"(none)\"", got)
-	}
 	if got := receiverNames(TData); got != "box, master" {
 		t.Errorf("receiverNames(TData) = %q; want \"box, master\"", got)
 	}

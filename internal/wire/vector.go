@@ -11,10 +11,9 @@ import (
 // batch are encoded back-to-back into one reused scratch buffer and each
 // payload is appended as its own iovec element, so payload bytes flow
 // from their pool buffer to the socket without passing through an
-// intermediate copy. It is the batched counterpart of Writer — same
-// frame format, no bufio stage — and like Writer it is not safe for
-// concurrent use: the transport serialises access through one flusher
-// goroutine per connection.
+// intermediate copy. It is the package's only encoder and is not safe
+// for concurrent use: the transport serialises access through one
+// flusher goroutine per connection.
 type VectorWriter struct {
 	w io.Writer
 	// hdr is the header scratch for the whole batch: every frame's

@@ -34,8 +34,9 @@ const (
 	// TRedirect instructs a node to resend a request's results elsewhere
 	// (failure/straggler recovery, §3.1).
 	TRedirect
-	// TAck acknowledges delivery of a result (used for dedup on failover).
-	TAck
+	// Value 8 is retired (a reserved acknowledgement frame nothing ever
+	// sent); the slot stays skipped so no other frame's encoding moves.
+	_
 	// TError reports a fatal per-request error upstream.
 	TError
 	// TCancel tells a box to discard its local aggregation state for a
@@ -63,8 +64,6 @@ func (t Type) String() string {
 		return "heartbeat"
 	case TRedirect:
 		return "redirect"
-	case TAck:
-		return "ack"
 	case TError:
 		return "error"
 	case TCancel:
@@ -155,70 +154,22 @@ var (
 	ErrCorrupt = errors.New("wire: corrupt frame")
 )
 
-// Writer serialises frames onto a buffered stream. Not safe for concurrent
-// use.
-type Writer struct {
-	w   *bufio.Writer
-	buf []byte
-	// lenb is the length-prefix scratch. Keeping it in the struct rather
-	// than on Write's stack matters: taking lenb[:] inside Write made the
-	// compiler move a stack array to the heap, one allocation per frame.
-	lenb [4]byte
-}
-
-// NewWriter returns a Writer on w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 64*1024)}
-}
-
-// errAppTooLong is kept out of Write (and out of inlining range) so the
-// fmt.Errorf boxing of the name only allocates on the error path, not in
-// the hot encode path.
+// errAppTooLong is kept out of the encoder (and out of inlining range) so
+// the fmt.Errorf boxing of the name only allocates on the error path, not
+// in the hot encode path.
 //
 //go:noinline
 func errAppTooLong(app string) error {
 	return fmt.Errorf("wire: app name %q too long", app)
 }
 
-// Write serialises one frame. The caller must eventually call Flush.
-//
-//netagg:hotpath
-func (w *Writer) Write(m *Msg) error {
-	if len(m.Payload) > MaxPayload {
-		return ErrTooLarge
-	}
-	if len(m.App) > maxAppLen {
-		return errAppTooLong(m.App)
-	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, byte(m.Type))
-	w.buf = append(w.buf, byte(len(m.App)))
-	w.buf = append(w.buf, m.App...)
-	w.buf = binary.AppendUvarint(w.buf, m.Req)
-	w.buf = binary.AppendUvarint(w.buf, m.Source)
-	w.buf = binary.AppendUvarint(w.buf, m.Seq)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(m.Payload)))
-
-	binary.BigEndian.PutUint32(w.lenb[:], uint32(len(w.buf)+len(m.Payload)))
-	if _, err := w.w.Write(w.lenb[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(w.buf); err != nil {
-		return err
-	}
-	_, err := w.w.Write(m.Payload)
-	return err
-}
-
-// Flush drains buffered frames to the underlying stream.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
 // Reader deserialises frames from a buffered stream. Not safe for
 // concurrent use.
 type Reader struct {
 	r *bufio.Reader
-	// lenb is the length-prefix scratch (see Writer.lenb: a stack array
-	// sliced into io.ReadFull was moved to the heap on every frame).
+	// lenb is the length-prefix scratch. Keeping it in the struct rather
+	// than on ReadInto's stack matters: a stack array sliced into
+	// io.ReadFull was moved to the heap on every frame.
 	lenb [4]byte
 	// apps interns application names. A connection carries frames for a
 	// small fixed set of apps, so after the first frame per app the

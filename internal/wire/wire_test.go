@@ -8,24 +8,27 @@ import (
 	"testing/quick"
 )
 
-func roundTrip(t *testing.T, msgs []*Msg) []*Msg {
-	t.Helper()
+// encode serialises msgs as one batch through the encoder production
+// uses. A bytes.Buffer is not a *net.TCPConn, so the batch takes the
+// per-iovec Write fallback that netem-shaped connections take.
+func encode(tb testing.TB, msgs ...*Msg) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, m := range msgs {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := NewVectorWriter(&buf).WriteBatch(msgs); err != nil {
+		tb.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
-	out := make([]*Msg, 0, len(msgs))
-	for range msgs {
+	return buf.Bytes()
+}
+
+// decodeAll reads exactly n frames off stream and requires EOF after them.
+func decodeAll(t *testing.T, stream io.Reader, n int) []*Msg {
+	t.Helper()
+	r := NewReader(stream)
+	out := make([]*Msg, 0, n)
+	for i := 0; i < n; i++ {
 		m, err := r.Read()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("frame %d: %v", i, err)
 		}
 		out = append(out, m)
 	}
@@ -33,6 +36,17 @@ func roundTrip(t *testing.T, msgs []*Msg) []*Msg {
 		t.Fatalf("expected EOF after all frames, got %v", err)
 	}
 	return out
+}
+
+func roundTrip(t *testing.T, msgs []*Msg) []*Msg {
+	t.Helper()
+	return decodeAll(t, bytes.NewReader(encode(t, msgs...)), len(msgs))
+}
+
+// sameFrame reports whether two frames carry the same fields and payload.
+func sameFrame(a, b *Msg) bool {
+	return a.Type == b.Type && a.App == b.App && a.Req == b.Req &&
+		a.Source == b.Source && a.Seq == b.Seq && bytes.Equal(a.Payload, b.Payload)
 }
 
 func TestRoundTripBasic(t *testing.T) {
@@ -45,9 +59,7 @@ func TestRoundTripBasic(t *testing.T) {
 	}
 	out := roundTrip(t, in)
 	for i := range in {
-		if out[i].Type != in[i].Type || out[i].App != in[i].App ||
-			out[i].Req != in[i].Req || out[i].Source != in[i].Source ||
-			out[i].Seq != in[i].Seq || !bytes.Equal(out[i].Payload, in[i].Payload) {
+		if !sameFrame(in[i], out[i]) {
 			t.Fatalf("frame %d mismatch: %+v vs %+v", i, in[i], out[i])
 		}
 	}
@@ -60,16 +72,65 @@ func TestEmptyPayload(t *testing.T) {
 	}
 }
 
+// writeCounter is a plain io.Writer (not a *net.TCPConn), so a batch
+// reaches it as one Write per iovec element — the fallback netem-shaped
+// connections take — and the call count is the batch's iovec count.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// A batched run the shape the shims send, with empty-payload frames
+// between payload frames: the headers of the empty frames must coalesce
+// into their neighbour's header iovec, and the stream must decode back
+// frame for frame.
+func TestVectorWriterBatchCoalescesHeaders(t *testing.T) {
+	in := []*Msg{
+		{Type: THello, App: "wc", Req: 1, Source: 2, Payload: EncodeStrings([]string{"a:1"})},
+		{Type: TData, App: "wc", Req: 1, Source: 2, Seq: 0, Payload: []byte("p0")},
+		{Type: TEnd, App: "wc", Req: 1, Source: 2, Seq: 1},
+		{Type: TCancel, App: "wc", Req: 9},
+		{Type: TData, App: "wc", Req: 1, Source: 3, Seq: 0, Payload: []byte("p1")},
+		{Type: TEnd, App: "wc", Req: 1, Source: 3, Seq: 1},
+		{Type: TExpect, App: "wc", Req: 1, Payload: EncodeCount(2)},
+		{Type: TEnd, App: "wc", Req: 1, Source: 4},
+	}
+	var w writeCounter
+	n, err := NewVectorWriter(&w).WriteBatch(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(w.Len()) {
+		t.Fatalf("WriteBatch reported %d bytes, wrote %d", n, w.Len())
+	}
+	// Four payload frames cost a header run and a payload each; the
+	// trailing empty frame's header is a ninth element. Uncoalesced, the
+	// eight frames would take twelve.
+	if w.writes != 9 {
+		t.Fatalf("batch took %d iovec elements, want 9", w.writes)
+	}
+	for i, out := range decodeAll(t, &w.Buffer, len(in)) {
+		if !sameFrame(in[i], out) {
+			t.Fatalf("frame %d mismatch: %+v vs %+v", i, in[i], out)
+		}
+	}
+}
+
 func TestRejectsOversizedPayload(t *testing.T) {
-	w := NewWriter(io.Discard)
-	if err := w.Write(&Msg{Type: TData, Payload: make([]byte, MaxPayload+1)}); err != ErrTooLarge {
+	w := NewVectorWriter(io.Discard)
+	if _, err := w.WriteBatch([]*Msg{{Type: TData, Payload: make([]byte, MaxPayload+1)}}); err != ErrTooLarge {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
 }
 
 func TestRejectsLongAppName(t *testing.T) {
-	w := NewWriter(io.Discard)
-	if err := w.Write(&Msg{Type: TData, App: strings.Repeat("x", 300)}); err == nil {
+	w := NewVectorWriter(io.Discard)
+	if _, err := w.WriteBatch([]*Msg{{Type: TData, App: strings.Repeat("x", 300)}}); err == nil {
 		t.Fatal("expected error for long app name")
 	}
 }
@@ -89,12 +150,8 @@ func TestReaderRejectsCorruptFrames(t *testing.T) {
 }
 
 func TestReaderEOFMidFrame(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Write(&Msg{Type: TData, App: "a", Payload: []byte("0123456789")})
-	w.Flush()
-	trunc := buf.Bytes()[:buf.Len()-3]
-	r := NewReader(bytes.NewReader(trunc))
+	stream := encode(t, &Msg{Type: TData, App: "a", Payload: []byte("0123456789")})
+	r := NewReader(bytes.NewReader(stream[:len(stream)-3]))
 	if _, err := r.Read(); err == nil {
 		t.Fatal("expected error on truncated frame")
 	}
@@ -142,18 +199,15 @@ func TestRoundTripProperty(t *testing.T) {
 			payload = payload[:4096]
 		}
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
 		in := &Msg{Type: TData, App: app, Req: req, Source: source, Seq: seq, Payload: payload}
-		if err := w.Write(in); err != nil {
+		if _, err := NewVectorWriter(&buf).WriteBatch([]*Msg{in}); err != nil {
 			return false
 		}
-		w.Flush()
 		out, err := NewReader(&buf).Read()
 		if err != nil {
 			return false
 		}
-		return out.App == app && out.Req == req && out.Source == source &&
-			out.Seq == seq && bytes.Equal(out.Payload, payload)
+		return sameFrame(in, out)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -163,15 +217,9 @@ func TestRoundTripProperty(t *testing.T) {
 // A maximum-size payload with a long application name must round-trip: the
 // reader's frame bound has to leave room for the full header.
 func TestMaxPayloadWithLongAppName(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	app := strings.Repeat("a", maxAppLen)
-	in := &Msg{Type: TData, App: app, Payload: make([]byte, MaxPayload)}
-	if err := w.Write(in); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	out, err := NewReader(&buf).Read()
+	stream := encode(t, &Msg{Type: TData, App: app, Payload: make([]byte, MaxPayload)})
+	out, err := NewReader(bytes.NewReader(stream)).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
