@@ -34,12 +34,15 @@ race:
 escape:
 	$(GO) run ./cmd/netagg-lint -escape ./...
 
-# Wire-codec fuzzers, bounded for CI: each target runs its checked-in seed
-# corpus (internal/wire/testdata/fuzz) plus 10s of mutation. Local deep
+# Fuzzers of everything that parses bytes from the network, bounded for
+# CI: the wire codec and the k-way KV merge, which reads partial results
+# without decoding them. Each target runs its checked-in seed corpus
+# (internal/{wire,agg}/testdata/fuzz) plus 10s of mutation. Local deep
 # runs: `go test ./internal/wire -fuzz FuzzDecodeFrame -fuzztime=5m`.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime=10s
+	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzKVMerge$$' -fuzztime=10s
 
 # Runtime half of the buffer-ownership contract: the netaggdebug build
 # tag poisons released buffers (0xDB) and verifies the poison on reuse,
@@ -91,11 +94,13 @@ obs-smoke:
 # are the CI artifact convention. Compare two commits with
 # `benchstat old/BENCH_simnet.json new/BENCH_simnet.json`.
 #
-# The bufpool and transport artifacts are alloc-guarded: the fresh run
+# The bufpool, transport and agg artifacts are guarded: the fresh run
 # lands in a .new file, benchguard fails the target if any benchmark's
-# B/op grew >25% over the checked-in artifact, and only a passing run
-# replaces it — so alloc regressions break CI instead of silently
-# re-baselining (the BenchmarkTransportEcho 1488 B/op drift, CHANGES.md).
+# B/op grew >25% (or ns/op >50%) over the checked-in artifact, and only a
+# passing run replaces it — so alloc regressions break CI instead of
+# silently re-baselining (the BenchmarkTransportEcho 1488 B/op drift,
+# CHANGES.md). BENCH_agg.json is the box's merge path: the k-way KV merge
+# alone (0 allocs/op) and a whole mapred_kv job through a local tree.
 bench-smoke:
 	$(GO) test ./internal/simnet -run '^$$' -bench BenchmarkAllocate \
 		-benchmem -benchtime 200x -count 5 | tee BENCH_simnet.json
@@ -107,6 +112,10 @@ bench-smoke:
 		-benchmem -benchtime 2000x -count 5 | tee BENCH_transport.json.new
 	$(GO) run ./cmd/benchguard -baseline BENCH_transport.json BENCH_transport.json.new
 	mv BENCH_transport.json.new BENCH_transport.json
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkKVMerge|BenchmarkLocalTreeKV' \
+		-benchmem -benchtime 100x -count 5 | tee BENCH_agg.json.new
+	$(GO) run ./cmd/benchguard -baseline BENCH_agg.json BENCH_agg.json.new
+	mv BENCH_agg.json.new BENCH_agg.json
 	$(GO) test ./internal/treeplan -run '^$$' -bench BenchmarkPlan \
 		-benchmem -benchtime 200x -count 5 | tee BENCH_treeplan.json
 	$(GO) test ./internal/strategies -run '^$$' -bench BenchmarkReplan \

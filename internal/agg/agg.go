@@ -9,22 +9,32 @@
 // Aggregators operate on serialised partial results ([]byte) so boxes can
 // host unmodified application functions behind a thin wrapper, mirroring
 // the paper's aggregation wrappers. Every aggregator must be associative
-// and commutative (§2.1): Combine(a, Combine(b, c)) must equal
-// Combine(Combine(a, b), c) for any grouping and order.
+// and commutative (§2.1) over its codec's canonical form: Merge of any
+// number of parts must be byte-equal to any pairwise fold of the same
+// parts, in any grouping and order. That is what lets a box fold whatever
+// has arrived — two parts or sixty — in one call, and a later hop fold the
+// results again.
 package agg
 
 import "fmt"
 
-// Aggregator merges two serialised partial results into one.
+// Aggregator folds serialised partial results into one.
 type Aggregator interface {
 	// Name identifies the function in logs and scheduling stats.
 	Name() string
-	// Combine merges two partial results. It must be associative and
-	// commutative up to the codec's canonical form, and must not retain or
-	// modify its inputs. The returned slice must be freshly allocated,
-	// never an alias of a or b: the aggregation tree releases both input
-	// buffers back to the pool the moment Combine returns (see
-	// core.LocalTree.combine and DESIGN.md §13).
+	// Merge folds len(parts) >= 1 canonical payloads into one and appends
+	// the result to dst (append-style: the return value is dst extended,
+	// reallocated only if dst's spare capacity was too small). The result
+	// is byte-equal to any pairwise Combine fold of the same parts; a
+	// single part comes back in canonical form. Merge must not retain,
+	// modify or alias a part: the aggregation tree releases every input
+	// buffer back to the pool the moment Merge returns, and owns dst (see
+	// core.LocalTree and DESIGN.md §13). On error the contents of dst
+	// beyond its original length are unspecified.
+	Merge(dst []byte, parts [][]byte) ([]byte, error)
+	// Combine is Merge of exactly two parts into a fresh slice, for
+	// callers that fold by hand (applications, reference folds, tests).
+	// Every built-in Combine is the same one-line adapter over Merge.
 	Combine(a, b []byte) ([]byte, error)
 }
 

@@ -2,10 +2,14 @@ package agg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netagg/internal/stats"
 )
@@ -234,9 +238,46 @@ func randomDocsPayload(rn *stats.Rand, tagged bool) []byte {
 	return enc
 }
 
+// foldPairwise and foldLeft are the two by-hand folds of parts with
+// Combine: in pairwise rounds, and one part at a time into a running
+// aggregate.
+func foldPairwise(a Aggregator, parts [][]byte) ([]byte, error) {
+	cur := append([][]byte(nil), parts...)
+	for len(cur) > 1 {
+		next := cur[:0]
+		for i := 0; i+1 < len(cur); i += 2 {
+			out, err := a.Combine(cur[i], cur[i+1])
+			if err != nil {
+				return nil, err
+			}
+			next = append(next, out)
+		}
+		if len(cur)%2 == 1 {
+			next = append(next, cur[len(cur)-1])
+		}
+		cur = next
+	}
+	return cur[0], nil
+}
+
+func foldLeft(a Aggregator, parts [][]byte) ([]byte, error) {
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		var err error
+		if acc, err = a.Combine(acc, p); err != nil {
+			return nil, err
+		}
+	}
+	return acc, nil
+}
+
 // Property: every built-in aggregator is associative and commutative
-// (§2.1), the correctness requirement for on-path aggregation.
+// (§2.1), the correctness requirement for on-path aggregation — and its
+// k-way Merge is byte-equal to any by-hand fold of the same parts, appends
+// to dst, leaves the parts alone, and returns an already canonical single
+// part unchanged.
 func TestAggregatorsAssociativeCommutative(t *testing.T) {
+	docs := func(rn *stats.Rand) []byte { return randomDocsPayload(rn, false) }
 	cases := []struct {
 		name string
 		agg  Aggregator
@@ -253,9 +294,21 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 			}
 			return EncodeItems(items)
 		}},
-		{"topk", TopK{K: 4}, func(rn *stats.Rand) []byte { return randomDocsPayload(rn, false) }},
-		{"sample", Sample{Ratio: 0.5}, func(rn *stats.Rand) []byte { return randomDocsPayload(rn, false) }},
-		{"categorise", testCategorise(), func(rn *stats.Rand) []byte { return randomDocsPayload(rn, true) }},
+		{"topk", TopK{K: 4}, docs},
+		{"sample", Sample{Ratio: 0.5}, docs},
+		{"categorise", testCategorise(), func(rn *stats.Rand) []byte {
+			raw := randomDocsPayload(rn, true)
+			if rn.Intn(2) == 0 {
+				return raw
+			}
+			// A summary, as an upstream box forwards it.
+			summary, err := testCategorise().Combine(raw, randomDocsPayload(rn, true))
+			if err != nil {
+				panic(err)
+			}
+			return summary
+		}},
+		{"virtual-cost", VirtualCost{Inner: KVCombiner{Op: OpSum}, PerKB: time.Nanosecond}, randomKVPayload},
 	}
 	for _, c := range cases {
 		c := c
@@ -277,14 +330,177 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 					return false
 				}
 				abd2, err3 := c.agg.Combine(a, bd)
-				if err3 != nil {
+				if err3 != nil || !bytes.Equal(abd, abd2) {
+					return false // not associative
+				}
+
+				// ab is canonical: merged alone it comes back as it is.
+				if alone, err := c.agg.Merge(nil, [][]byte{ab}); err != nil || !bytes.Equal(alone, ab) {
 					return false
 				}
-				return bytes.Equal(abd, abd2) // associative
+				parts := make([][]byte, 2+rn.Intn(39))
+				for i := range parts {
+					parts[i] = c.gen(rn)
+				}
+				before := make([][]byte, len(parts))
+				for i, p := range parts {
+					before[i] = bytes.Clone(p)
+				}
+				merged, err := c.agg.Merge([]byte("dst"), parts)
+				if err != nil || !bytes.HasPrefix(merged, []byte("dst")) {
+					return false
+				}
+				merged = merged[len("dst"):]
+				for i := range parts {
+					if !bytes.Equal(parts[i], before[i]) {
+						return false // Merge modified an input
+					}
+				}
+				pairwise, err1 := foldPairwise(c.agg, parts)
+				left, err2 := foldLeft(c.agg, parts)
+				return err1 == nil && err2 == nil && bytes.Equal(merged, pairwise) && bytes.Equal(merged, left)
 			}
 			if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// referenceKV is the decode-everything reduction Merge must agree with:
+// every pair of every part into a map, then the canonical encoding.
+func referenceKV(t *testing.T, op KVOp, parts [][]byte) []byte {
+	t.Helper()
+	totals := map[string]int64{}
+	for _, p := range parts {
+		kvs, err := DecodeKVs(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kv := range kvs {
+			if old, ok := totals[kv.Key]; ok {
+				totals[kv.Key] = KVCombiner{Op: op}.reduce(old, kv.Val)
+			} else {
+				totals[kv.Key] = kv.Val
+			}
+		}
+	}
+	out := make([]KV, 0, len(totals))
+	for k, v := range totals {
+		out = append(out, KV{Key: k, Val: v})
+	}
+	return EncodeKVs(out)
+}
+
+// Equal keys inside one part (mapred's raw mode keeps them) are reduced by
+// the merge like equal keys across parts, for any number of parts down to
+// one: no key comes out twice, and the output is never larger than the
+// input.
+func TestKVMergeReducesKeysInsideAndAcrossParts(t *testing.T) {
+	rn := stats.NewRand(7)
+	for _, op := range []KVOp{OpSum, OpMax, OpMin} {
+		for trial := 0; trial < 200; trial++ {
+			parts := make([][]byte, 1+rn.Intn(40))
+			total := 0
+			for i := range parts {
+				kvs := make([]KV, rn.Intn(12))
+				for j := range kvs {
+					// Keys of different lengths, some a prefix of others.
+					kvs[j] = KV{Key: "k" + strings.Repeat("x", rn.Intn(4)), Val: int64(rn.Intn(100)) - 50}
+				}
+				parts[i] = EncodeKVs(kvs)
+				total += len(parts[i])
+			}
+			got, err := KVCombiner{Op: op}.Merge(nil, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceKV(t, op, parts); !bytes.Equal(got, want) {
+				t.Fatalf("%v, %d parts: merge differs from the decode-everything reduction", op, len(parts))
+			}
+			if len(got) > total {
+				t.Fatalf("%v: merged %d bytes into %d", op, total, len(got))
+			}
+		}
+	}
+}
+
+// The merge reads its inputs without decoding them, so it carries
+// DecodeKVs' checks itself — and one more, keys that go backwards.
+// Whatever DecodeKVs rejects Merge rejects, wherever the bad part sits
+// among good ones, with ErrBadPayload and without panicking.
+func TestKVMergeRejectsMalformedParts(t *testing.T) {
+	valid := EncodeKVs([]KV{{"apple", 3}, {"banana", -70000}, {"cherry", 1 << 40}, {"date", 0}})
+	other := EncodeKVs([]KV{{"banana", 1}, {"zebra", 2}})
+	setCount := func(p []byte, count uint64) []byte {
+		_, n := binary.Uvarint(p)
+		return append(binary.AppendUvarint(nil, count), p[n:]...)
+	}
+	bad := map[string][]byte{
+		"empty":           nil,
+		"trailing byte":   append(bytes.Clone(valid), 0),
+		"count too low":   setCount(valid, 3),
+		"count too high":  setCount(valid, 5),
+		"count absurd":    setCount(valid, 1<<50),
+		"count overflows": append(bytes.Repeat([]byte{0xff}, 10), valid[1:]...),
+		"descending keys": setCount(append(bytes.Clone(valid), other[1:]...), 6), // …, date, banana, zebra
+	}
+	for i := 1; i < len(valid); i++ {
+		bad[fmt.Sprintf("truncated at %d", i)] = valid[:i]
+	}
+	for name, p := range bad {
+		if _, err := DecodeKVs(p); err == nil && name != "descending keys" {
+			t.Fatalf("%s: DecodeKVs accepts it; the case tests nothing", name)
+		}
+		for _, parts := range [][][]byte{{p}, {p, valid, other}, {valid, p, other}, {valid, other, p}} {
+			if _, err := (KVCombiner{Op: OpSum}).Merge(nil, parts); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("%s: Merge returned %v, want ErrBadPayload", name, err)
+			}
+		}
+	}
+}
+
+// FuzzKVMerge feeds Merge two arbitrary payloads around a valid one. It
+// must never panic, and when it accepts the input the output is a
+// canonical payload: it decodes, its keys strictly ascend, and (the values
+// being summed) nothing was lost or counted twice.
+func FuzzKVMerge(f *testing.F) {
+	valid := EncodeKVs([]KV{{"a", 1}, {"b", 2}, {"d", -4}})
+	f.Add(EncodeKVs([]KV{{"a", 5}, {"c", 7}}), EncodeKVs(nil))
+	f.Add(EncodeKVs([]KV{{"b", 1}, {"b", 2}, {"b", 3}}), valid)
+	// Malformed seeds (keys going backwards, bad counts, truncation) are
+	// checked in under testdata/fuzz/FuzzKVMerge.
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		parts := [][]byte{a, valid, b}
+		out, err := KVCombiner{Op: OpSum}.Merge(nil, parts)
+		if err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		kvs, err := DecodeKVs(out)
+		if err != nil {
+			t.Fatalf("output does not decode: %v", err)
+		}
+		var sum int64
+		for i, kv := range kvs {
+			if i > 0 && kvs[i-1].Key >= kv.Key {
+				t.Fatalf("output keys not strictly ascending: %q then %q", kvs[i-1].Key, kv.Key)
+			}
+			sum += kv.Val
+		}
+		for _, p := range parts {
+			in, err := DecodeKVs(p)
+			if err != nil {
+				t.Fatalf("Merge accepted a part DecodeKVs rejects: %v", err)
+			}
+			for _, kv := range in {
+				sum -= kv.Val
+			}
+		}
+		if sum != 0 {
+			t.Fatalf("values do not add up: off by %d", sum)
+		}
+	})
 }

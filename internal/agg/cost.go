@@ -1,6 +1,9 @@
 package agg
 
-import "time"
+import (
+	"encoding/binary"
+	"time"
+)
 
 // VirtualCost wraps an aggregator with an emulated, size-proportional
 // processing cost. The paper's CPU-intensive functions (categorise) were
@@ -22,8 +25,18 @@ func (v VirtualCost) Name() string { return v.Inner.Name() + "+cost" }
 
 // Combine implements Aggregator.
 func (v VirtualCost) Combine(a, b []byte) ([]byte, error) {
+	return v.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
+}
+
+// Merge implements Aggregator: one sleep for the whole merged input, then
+// the inner merge.
+func (v VirtualCost) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	if v.PerKB > 0 {
-		time.Sleep(time.Duration(float64(len(a)+len(b)) / 1024 * float64(v.PerKB)))
+		total := 0
+		for _, p := range parts {
+			total += len(p)
+		}
+		time.Sleep(time.Duration(float64(total) / 1024 * float64(v.PerKB)))
 	}
-	return v.Inner.Combine(a, b)
+	return v.Inner.Merge(dst, parts)
 }

@@ -3,6 +3,7 @@ package agg
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,26 +17,49 @@ type Doc struct {
 }
 
 // EncodeDocs serialises documents in canonical order (score descending,
-// then ID ascending).
+// then ID ascending). The input is sorted in place.
 func EncodeDocs(docs []Doc) []byte {
-	sortDocs(docs)
 	size := binary.MaxVarintLen64
 	for i := range docs {
 		size += 2*binary.MaxVarintLen64 + 8 + len(docs[i].Text)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(docs)))
+	sortDocs(docs)
+	return appendDocs(make([]byte, 0, size), docs)
+}
+
+// appendDocs appends the encoding of docs, which must already be in
+// canonical order.
+func appendDocs(dst []byte, docs []Doc) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(docs)))
 	for i := range docs {
-		buf = binary.AppendUvarint(buf, docs[i].ID)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(docs[i].Score))
-		buf = binary.AppendUvarint(buf, uint64(len(docs[i].Text)))
-		buf = append(buf, docs[i].Text...)
+		dst = binary.AppendUvarint(dst, docs[i].ID)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(docs[i].Score))
+		dst = binary.AppendUvarint(dst, uint64(len(docs[i].Text)))
+		dst = append(dst, docs[i].Text...)
 	}
-	return buf
+	return dst
 }
 
 // DecodeDocs parses a payload produced by EncodeDocs.
 func DecodeDocs(p []byte) ([]Doc, error) {
+	return appendDecodedDocs([]Doc{}, p)
+}
+
+// decodeAllDocs decodes every part into one slice.
+func decodeAllDocs(parts [][]byte) ([]Doc, error) {
+	var docs []Doc
+	for _, p := range parts {
+		var err error
+		if docs, err = appendDecodedDocs(docs, p); err != nil {
+			return nil, err
+		}
+	}
+	return docs, nil
+}
+
+// appendDecodedDocs parses an EncodeDocs payload and appends its
+// documents to docs.
+func appendDecodedDocs(docs []Doc, p []byte) ([]Doc, error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, ErrBadPayload
@@ -44,7 +68,7 @@ func DecodeDocs(p []byte) ([]Doc, error) {
 	if count > uint64(len(p))+1 {
 		return nil, ErrBadPayload
 	}
-	docs := make([]Doc, 0, count)
+	docs = slices.Grow(docs, int(count))
 	for i := uint64(0); i < count; i++ {
 		id, n := binary.Uvarint(p)
 		if n <= 0 {
@@ -92,20 +116,20 @@ func (t TopK) Name() string { return "topk" }
 
 // Combine implements Aggregator.
 func (t TopK) Combine(a, b []byte) ([]byte, error) {
-	av, err := DecodeDocs(a)
+	return t.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
+}
+
+// Merge implements Aggregator.
+func (t TopK) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	docs, err := decodeAllDocs(parts)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	bv, err := DecodeDocs(b)
-	if err != nil {
-		return nil, err
+	sortDocs(docs)
+	if t.K > 0 && len(docs) > t.K {
+		docs = docs[:t.K]
 	}
-	out := append(av, bv...)
-	sortDocs(out)
-	if t.K > 0 && len(out) > t.K {
-		out = out[:t.K]
-	}
-	return EncodeDocs(out), nil
+	return appendDocs(dst, docs), nil
 }
 
 // Sample retains a deterministic pseudo-random fraction Ratio of the merged
@@ -132,21 +156,23 @@ func (s Sample) keep(id uint64) bool {
 
 // Combine implements Aggregator.
 func (s Sample) Combine(a, b []byte) ([]byte, error) {
-	av, err := DecodeDocs(a)
+	return s.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
+}
+
+// Merge implements Aggregator.
+func (s Sample) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	docs, err := decodeAllDocs(parts)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	bv, err := DecodeDocs(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Doc, 0, len(av)+len(bv))
-	for _, d := range append(av, bv...) {
+	kept := docs[:0]
+	for _, d := range docs {
 		if s.keep(d.ID) {
-			out = append(out, d)
+			kept = append(kept, d)
 		}
 	}
-	return EncodeDocs(out), nil
+	sortDocs(kept)
+	return appendDocs(dst, kept), nil
 }
 
 // Category is one classification target of Categorise.
@@ -159,8 +185,8 @@ type Category struct {
 // (§4.2.1): it classifies documents into base categories by scanning their
 // text for category terms and returns the top-K results per category.
 // Payloads are a tagged union: raw documents (from workers) or an already
-// classified summary (from upstream aggregation); Combine classifies any
-// raw side and then merges summaries, so it stays associative and
+// classified summary (from upstream aggregation); Merge classifies every
+// raw part and then merges summaries, so it stays associative and
 // commutative.
 type Categorise struct {
 	K          int
@@ -237,8 +263,8 @@ func (s *summary) trim(k int) {
 	}
 }
 
-func (c Categorise) encodeSummary(s *summary) []byte {
-	buf := []byte{tagSummary}
+func appendSummary(buf []byte, s *summary) []byte {
+	buf = append(buf, tagSummary)
 	buf = binary.AppendUvarint(buf, uint64(len(s.perCat)))
 	for _, docs := range s.perCat {
 		buf = binary.AppendUvarint(buf, uint64(len(docs)))
@@ -282,19 +308,25 @@ func (c Categorise) decodeSummary(p []byte) (*summary, error) {
 
 // Combine implements Aggregator.
 func (c Categorise) Combine(a, b []byte) ([]byte, error) {
-	as, err := c.toSummary(a)
-	if err != nil {
-		return nil, err
+	return c.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
+}
+
+// Merge implements Aggregator. The per-category lists are trimmed to K
+// once, after every part is in: the K best of a union are the K best of
+// its parts' K best, so trimming in between would change nothing.
+func (c Categorise) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	merged := &summary{perCat: make([][]Doc, len(c.Categories))}
+	for _, p := range parts {
+		s, err := c.toSummary(p)
+		if err != nil {
+			return dst, err
+		}
+		for ci := range merged.perCat {
+			merged.perCat[ci] = append(merged.perCat[ci], s.perCat[ci]...)
+		}
 	}
-	bs, err := c.toSummary(b)
-	if err != nil {
-		return nil, err
-	}
-	for ci := range as.perCat {
-		as.perCat[ci] = append(as.perCat[ci], bs.perCat[ci]...)
-	}
-	as.trim(c.K)
-	return c.encodeSummary(as), nil
+	merged.trim(c.K)
+	return appendSummary(dst, merged), nil
 }
 
 // TopPerCategory decodes a Categorise result into per-category documents,

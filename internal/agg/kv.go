@@ -1,9 +1,12 @@
 package agg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -104,35 +107,168 @@ type KVCombiner struct {
 // Name implements Aggregator.
 func (c KVCombiner) Name() string { return "kv-" + c.Op.String() }
 
-// Combine implements Aggregator by merge-joining the two sorted payloads.
+// Combine implements Aggregator.
 func (c KVCombiner) Combine(a, b []byte) ([]byte, error) {
-	av, err := DecodeKVs(a)
-	if err != nil {
-		return nil, err
+	return c.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
+}
+
+// kvStackCursors is how many parts Merge reads from cursors on its own
+// stack frame; a box's local tree never hands it more (core.maxPending).
+const kvStackCursors = 64
+
+// kvCursor reads one encoded KV payload pair by pair without decoding it:
+// key is a sub-slice of the part, so advancing allocates nothing. It
+// rejects exactly what DecodeKVs rejects, plus keys that go backwards.
+type kvCursor struct {
+	rest []byte // unread bytes after the current pair
+	key  []byte // current key
+	val  int64  // current value
+	left uint64 // pairs after the current one
+}
+
+// open positions the cursor before the part's first pair.
+func (k *kvCursor) open(part []byte) error {
+	count, n := binary.Uvarint(part)
+	if n <= 0 || count > uint64(len(part)-n)+1 {
+		return ErrBadPayload
 	}
-	bv, err := DecodeKVs(b)
-	if err != nil {
-		return nil, err
+	*k = kvCursor{rest: part[n:], left: count}
+	return nil
+}
+
+// next steps to the following pair; ok is false once the part is
+// exhausted (trailing bytes after the last pair are an error).
+//
+//netagg:hotpath
+func (k *kvCursor) next() (ok bool, err error) {
+	p := k.rest
+	if k.left == 0 {
+		if len(p) != 0 {
+			return false, ErrBadPayload
+		}
+		return false, nil
 	}
-	out := make([]KV, 0, len(av)+len(bv))
-	i, j := 0, 0
-	for i < len(av) && j < len(bv) {
-		switch {
-		case av[i].Key < bv[j].Key:
-			out = append(out, av[i])
-			i++
-		case av[i].Key > bv[j].Key:
-			out = append(out, bv[j])
-			j++
-		default:
-			out = append(out, KV{Key: av[i].Key, Val: c.reduce(av[i].Val, bv[j].Val)})
-			i++
-			j++
+	klen, n := binary.Uvarint(p)
+	if n <= 0 || uint64(len(p)-n) < klen {
+		return false, ErrBadPayload
+	}
+	end := n + int(klen)
+	key := p[n:end]
+	val, n := binary.Varint(p[end:])
+	if n <= 0 || bytes.Compare(key, k.key) < 0 {
+		return false, ErrBadPayload
+	}
+	k.rest, k.key, k.val = p[end+n:], key, val
+	k.left--
+	return true, nil
+}
+
+// siftDown restores the min-heap (by current key) below heap[i] after
+// that cursor's key grew.
+//
+//netagg:hotpath
+func siftDown(heap []kvCursor, i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(heap) {
+			return
+		}
+		if r := child + 1; r < len(heap) && bytes.Compare(heap[r].key, heap[child].key) < 0 {
+			child = r
+		}
+		if bytes.Compare(heap[i].key, heap[child].key) <= 0 {
+			return
+		}
+		heap[i], heap[child] = heap[child], heap[i]
+		i = child
+	}
+}
+
+// moreKVCursors is Merge's beyond-the-stack-frame slow path, kept out of
+// the hot function so its allocation is not charged to it.
+//
+//go:noinline
+func moreKVCursors(n int) []kvCursor { return make([]kvCursor, n) }
+
+// uvarintLen is the encoded size of x as binary.AppendUvarint writes it.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Merge implements Aggregator as one streaming k-way heap merge over the
+// encoded bytes: a cursor per part, keys compared as sub-slices of the
+// input, the output written once. A part whose keys go backwards is
+// rejected with ErrBadPayload (a merge-join over it would silently leave
+// keys unreduced). Equal keys inside one part — mapred's raw mode keeps
+// them — are reduced like equal keys across parts, so the output never
+// holds a key twice; what a reducer computes from it is unchanged and the
+// bytes it receives can only shrink.
+//
+//netagg:hotpath
+func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	var stack [kvStackCursors]kvCursor
+	heap := stack[:]
+	if len(parts) > kvStackCursors {
+		heap = moreKVCursors(len(parts))
+	}
+	live := 0
+	var bound uint64 // the output cannot hold more pairs than the inputs together
+	for _, part := range parts {
+		k := &heap[live]
+		if err := k.open(part); err != nil {
+			return dst, err
+		}
+		bound += k.left
+		ok, err := k.next()
+		if err != nil {
+			return dst, err
+		}
+		if ok {
+			live++
 		}
 	}
-	out = append(out, av[i:]...)
-	out = append(out, bv[j:]...)
-	return EncodeKVs(out), nil
+	heap = heap[:live]
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+
+	// The count goes in front of pairs not merged yet: reserve the widest
+	// prefix it can need, and close the gap once at the end if the merge
+	// reduced enough keys away for a narrower one.
+	var pad [binary.MaxVarintLen64]byte
+	start, reserved := len(dst), uvarintLen(bound)
+	dst = append(dst, pad[:reserved]...)
+	var count uint64
+	for len(heap) > 0 {
+		top := &heap[0]
+		key, val := top.key, top.val
+		for {
+			ok, err := top.next()
+			if err != nil {
+				return dst, err
+			}
+			if !ok {
+				heap[0] = heap[len(heap)-1]
+				heap = heap[:len(heap)-1]
+				if len(heap) == 0 {
+					break
+				}
+			}
+			siftDown(heap, 0)
+			if !bytes.Equal(top.key, key) {
+				break
+			}
+			val = c.reduce(val, top.val)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(key)))
+		dst = append(dst, key...)
+		dst = binary.AppendVarint(dst, val)
+		count++
+	}
+	if n := uvarintLen(count); n < reserved {
+		copy(dst[start+n:], dst[start+reserved:])
+		dst = dst[:len(dst)-(reserved-n)]
+	}
+	binary.PutUvarint(dst[start:], count)
+	return dst, nil
 }
 
 func (c KVCombiner) reduce(a, b int64) int64 {
@@ -155,26 +291,32 @@ func (c KVCombiner) reduce(a, b int64) int64 {
 // Concat appends payloads without any reduction: the aggregator of
 // non-reducible data such as TeraSort rows (identity reduce, Fig 22's TS
 // bar shows no benefit). Payload format: varint count + length-prefixed
-// items.
+// items, in byte order once merged.
 type Concat struct{}
 
 // Name implements Aggregator.
 func (Concat) Name() string { return "concat" }
 
 // Combine implements Aggregator.
-func (Concat) Combine(a, b []byte) ([]byte, error) {
-	av, err := DecodeItems(a)
-	if err != nil {
-		return nil, err
+func (c Concat) Combine(a, b []byte) ([]byte, error) {
+	return c.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
+}
+
+// Merge implements Aggregator: the parts' items are collected as
+// sub-slices of the input, put in canonical (byte) order — which keeps
+// the fold commutative — and encoded once.
+func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	var items [][]byte
+	for _, p := range parts {
+		var err error
+		if items, err = appendItemViews(items, p); err != nil {
+			return dst, err
+		}
 	}
-	bv, err := DecodeItems(b)
-	if err != nil {
-		return nil, err
+	if !slices.IsSortedFunc(items, bytes.Compare) {
+		slices.SortFunc(items, bytes.Compare)
 	}
-	// Canonical order keeps Combine commutative.
-	out := append(av, bv...)
-	sort.Slice(out, func(i, j int) bool { return string(out[i]) < string(out[j]) })
-	return EncodeItems(out), nil
+	return appendItems(dst, items), nil
 }
 
 // EncodeItems serialises opaque items: varint count + length-prefixed blobs.
@@ -183,17 +325,34 @@ func EncodeItems(items [][]byte) []byte {
 	for _, it := range items {
 		size += binary.MaxVarintLen64 + len(it)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(len(it)))
-		buf = append(buf, it...)
-	}
-	return buf
+	return appendItems(make([]byte, 0, size), items)
 }
 
-// DecodeItems parses a payload produced by EncodeItems.
+func appendItems(dst []byte, items [][]byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(items)))
+	for _, it := range items {
+		dst = binary.AppendUvarint(dst, uint64(len(it)))
+		dst = append(dst, it...)
+	}
+	return dst
+}
+
+// DecodeItems parses a payload produced by EncodeItems. The items are
+// copies: they stay valid after p's buffer is released.
 func DecodeItems(p []byte) ([][]byte, error) {
+	items, err := appendItemViews([][]byte{}, p)
+	if err != nil {
+		return nil, err
+	}
+	for i, it := range items {
+		items[i] = bytes.Clone(it)
+	}
+	return items, nil
+}
+
+// appendItemViews parses an EncodeItems payload and appends its items to
+// items as sub-slices of p.
+func appendItemViews(items [][]byte, p []byte) ([][]byte, error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, ErrBadPayload
@@ -202,17 +361,15 @@ func DecodeItems(p []byte) ([][]byte, error) {
 	if count > uint64(len(p))+1 {
 		return nil, ErrBadPayload
 	}
-	items := make([][]byte, 0, count)
+	items = slices.Grow(items, int(count))
 	for i := uint64(0); i < count; i++ {
 		ilen, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p[n:])) < ilen {
 			return nil, ErrBadPayload
 		}
-		p = p[n:]
-		item := make([]byte, ilen)
-		copy(item, p[:ilen])
-		p = p[ilen:]
-		items = append(items, item)
+		end := n + int(ilen)
+		items = append(items, p[n:end:end])
+		p = p[end:]
 	}
 	if len(p) != 0 {
 		return nil, ErrBadPayload

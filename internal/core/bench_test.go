@@ -1,0 +1,116 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"netagg/internal/agg"
+	"netagg/internal/bufpool"
+)
+
+// benchKVParts builds k parts in the fabric benchmark's mapred_kv shape:
+// eight workers each draw 200k keys Zipf(1.1) from 20k, combine map-side,
+// sort and chunk at 512 pairs (28-29 parts of ~6 kB a worker); the parts
+// are taken round-robin across the workers, the order a box sees them in,
+// so their key ranges overlap.
+func benchKVParts(k int) [][]byte {
+	const workers, keys, draws, chunk = 8, 20_000, 200_000, 512
+	perWorker := make([][][]byte, workers)
+	for w := range perWorker {
+		rng := rand.New(rand.NewSource(int64(w) + 1))
+		zipf := rand.NewZipf(rng, 1.1, 1, keys-1)
+		counts := make([]int64, keys)
+		for i := 0; i < draws; i++ {
+			counts[zipf.Uint64()]++
+		}
+		var kvs []agg.KV
+		for key, n := range counts {
+			if n == 0 {
+				continue
+			}
+			kvs = append(kvs, agg.KV{Key: fmt.Sprintf("word%06d", key), Val: n})
+			if len(kvs) == chunk {
+				perWorker[w] = append(perWorker[w], agg.EncodeKVs(kvs))
+				kvs = kvs[:0]
+			}
+		}
+		if len(kvs) > 0 {
+			perWorker[w] = append(perWorker[w], agg.EncodeKVs(kvs))
+		}
+	}
+	parts := make([][]byte, 0, k)
+	for i := 0; len(parts) < k; i++ {
+		if chunks := perWorker[i%workers]; i/workers < len(chunks) {
+			parts = append(parts, chunks[i/workers])
+		}
+	}
+	return parts
+}
+
+func totalLen(parts [][]byte) (n int) {
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
+var benchSink []byte
+
+// BenchmarkKVMerge is the box's merge step alone: k parts of the
+// mapred_kv shape folded into a pre-sized dst. It lives here, beside the
+// tree benchmark, because both feed on the same parts. The target is
+// 0 allocs/op at every k (the escape gate covers the code,
+// BENCH_agg.json the number).
+func BenchmarkKVMerge(b *testing.B) {
+	for _, k := range []int{2, 16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			parts := benchKVParts(k)
+			size := totalLen(parts)
+			dst := make([]byte, 0, size+16)
+			c := agg.KVCombiner{Op: agg.OpSum}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := c.Merge(dst, parts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = out
+			}
+		})
+	}
+}
+
+// BenchmarkLocalTreeKV is one mapred_kv job through a box's local tree:
+// 224 pooled parts added as fast as the tree takes them, merged on a
+// 4-worker scheduler, until onDone fires.
+func BenchmarkLocalTreeKV(b *testing.B) {
+	parts := benchKVParts(224)
+	s := NewScheduler(SchedulerConfig{Workers: 4, Seed: 1})
+	defer s.Close()
+	s.Register("bench", 1)
+	done := make(chan error, 1)
+	onDone := func(res *bufpool.Buf, err error) {
+		res.Release()
+		done <- err
+	}
+	job := func() {
+		tree := NewLocalTree(s, "bench", agg.KVCombiner{Op: agg.OpSum}, maxPending, onDone)
+		for _, p := range parts {
+			tree.Add(pooled(p))
+		}
+		tree.CloseInputs()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	}
+	job() // fills the buffer pool's size classes before the clock starts
+	b.SetBytes(int64(totalLen(parts)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
+	}
+}

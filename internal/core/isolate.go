@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"netagg/internal/agg"
 )
 
 // The paper leaves "mechanisms for isolating faulty or malicious
@@ -55,22 +58,19 @@ func (g *faultGuard) recordCrash(app string) bool {
 }
 
 // guardedAggregator wraps an application's aggregation function with panic
-// isolation: a panicking Combine becomes an error on the request instead of
+// isolation: a panicking Merge becomes an error on the request instead of
 // crashing the box, and repeated panics quarantine the application.
 type guardedAggregator struct {
 	app   string
-	inner interface {
-		Name() string
-		Combine(a, b []byte) ([]byte, error)
-	}
+	inner agg.Aggregator
 	guard *faultGuard
 }
 
 // Name implements agg.Aggregator.
 func (g guardedAggregator) Name() string { return g.inner.Name() }
 
-// Combine implements agg.Aggregator with panic isolation.
-func (g guardedAggregator) Combine(a, b []byte) (out []byte, err error) {
+// Merge implements agg.Aggregator with panic isolation.
+func (g guardedAggregator) Merge(dst []byte, parts [][]byte) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if g.guard.recordCrash(g.app) {
@@ -80,7 +80,13 @@ func (g guardedAggregator) Combine(a, b []byte) (out []byte, err error) {
 			}
 		}
 	}()
-	return g.inner.Combine(a, b)
+	return g.inner.Merge(dst, parts)
+}
+
+// Combine implements agg.Aggregator under the same guard: like every
+// built-in, it is the two-part Merge.
+func (g guardedAggregator) Combine(a, b []byte) ([]byte, error) {
+	return g.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
 }
 
 // Quarantined reports whether the box has disabled an application's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,19 +9,36 @@ import (
 	"netagg/internal/wire"
 )
 
-// panicAggregator panics on every combine.
+// panicAggregator panics on every merge.
 type panicAggregator struct{}
 
 func (panicAggregator) Name() string { return "boom" }
 
-func (panicAggregator) Combine(a, b []byte) ([]byte, error) {
+func (panicAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	panic("malicious aggregation function")
 }
 
+func (p panicAggregator) Combine(a, b []byte) ([]byte, error) {
+	return p.Merge(nil, [][]byte{a, b})
+}
+
+// A panicking Merge becomes an error on the request, through Combine (the
+// two-part Merge) as well, and the crash that reaches MaxCrashes
+// quarantines the application.
 func TestGuardedAggregatorConvertsPanicToError(t *testing.T) {
 	g := guardedAggregator{app: "x", inner: panicAggregator{}, guard: newFaultGuard(3)}
+	if _, err := g.Merge(nil, [][]byte{nil, nil, nil}); err == nil {
+		t.Fatal("expected error from panicking merge")
+	}
 	if _, err := g.Combine(nil, nil); err == nil {
 		t.Fatal("expected error from panicking combine")
+	}
+	if g.guard.Quarantined("x") {
+		t.Fatal("quarantined before MaxCrashes")
+	}
+	_, err := g.Merge(nil, [][]byte{nil})
+	if err == nil || !strings.Contains(err.Error(), "quarantined") || !g.guard.Quarantined("x") {
+		t.Fatalf("third crash should quarantine, got %v", err)
 	}
 }
 

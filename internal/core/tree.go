@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 
@@ -12,27 +13,38 @@ import (
 // it never reaches a master because Discard detaches onDone first.
 var errDiscarded = errors.New("core: aggregation tree discarded")
 
+// fanIn is how many waiting parts make a merge batch: enough that each
+// byte is merged about twice on its way through a box, few enough that
+// several batches of one request run as parallel tasks while it streams in.
+const fanIn = 16
+
 // LocalTree is the in-box aggregation structure for one request (§3.2.1
 // "Local aggregation trees"): partial results stream in from the network
-// layer, pairs are combined by aggregation tasks running in parallel on the
-// scheduler, and intermediate results propagate until a single final result
-// remains. Because the aggregation function is associative and commutative,
-// greedily combining any two available parts executes the same computation
-// as a static binary tree with maximal pipelining. A bounded pending-part
-// buffer provides back-pressure: Add blocks when the tree cannot keep up,
-// which in turn stops the network reader and lets TCP throttle the sender
-// ("a back-pressure mechanism ensures that the workers reduce the rate at
-// which they produce partial results").
+// layer, batches of them are merged by aggregation tasks running in
+// parallel on the scheduler, and the merged runs go back among the parts
+// until a single final result remains. Because the aggregation function is
+// associative and commutative, greedily merging whatever parts are
+// available executes the same computation as a static tree with maximal
+// pipelining. A bounded pending-part buffer provides back-pressure: Add
+// blocks when the tree cannot keep up, which in turn stops the network
+// reader and lets TCP throttle the sender ("a back-pressure mechanism
+// ensures that the workers reduce the rate at which they produce partial
+// results").
 type LocalTree struct {
 	app        string
 	aggregator agg.Aggregator
 	sched      *Scheduler
 	maxPending int
+	// batchMin is how many buffered parts make a batch due:
+	// min(fanIn, maxPending/2). The cap keeps it inside the back-pressure
+	// budget, which it must be or Add would block with nothing to merge.
+	batchMin int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	parts    []*bufpool.Buf
-	inflight int
+	parts    []*bufpool.Buf // buffered, not yet in a task's batch
+	held     int            // parts in the batches of queued or running tasks
+	tasks    int            // merge tasks queued or running
 	closed   bool
 	finished bool
 	err      error
@@ -41,20 +53,20 @@ type LocalTree struct {
 
 	// BytesIn counts external payload bytes, for throughput measurements.
 	bytesIn int64
-	// combines counts pairwise merges executed (always n-1 for n parts).
-	combines int64
-	// cutThrough counts merges that ran cut-through: the combine task
-	// pulled the next waiting part directly instead of re-queueing its
-	// result on the scheduler.
+	// merges counts Merge calls executed.
+	merges int64
+	// cutThrough counts merges a task started without going back through
+	// the scheduler, because another batch was due when its last ended.
 	cutThrough int64
 }
 
 // NewLocalTree creates a tree executing app's aggregation function on
 // sched. onDone is called exactly once, with the final aggregated result
-// (nil if no parts were added) or the first combine error; it must not
+// (nil if no parts were added) or the first merge error; it must not
 // block. The callback owns the result's buffer reference and must
-// Release it. maxPending bounds buffered parts; values < 4 are raised to
-// 4 so a combine can always be scheduled.
+// Release it. maxPending bounds the parts the tree holds, buffered or
+// being merged; values < 4 are raised to 4 so a merge can always be
+// scheduled.
 func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPending int, onDone func(*bufpool.Buf, error)) *LocalTree {
 	if maxPending < 4 {
 		maxPending = 4
@@ -64,6 +76,7 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 		aggregator: aggregator,
 		sched:      sched,
 		maxPending: maxPending,
+		batchMin:   min(fanIn, maxPending/2),
 		onDone:     onDone,
 	}
 	t.cond = sync.NewCond(&t.mu)
@@ -79,10 +92,10 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 //netagg:owns part
 func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	t.mu.Lock()
-	// The budget counts buffered parts and the two inputs of every combine
-	// still queued or running, so a slow aggregator applies back-pressure
-	// instead of letting the scheduler queue grow without bound.
-	for len(t.parts)+2*t.inflight >= t.maxPending && t.err == nil && !t.closed {
+	// The budget counts buffered parts and the batch of every merge still
+	// queued or running, so a slow aggregator applies back-pressure instead
+	// of letting the scheduler queue grow without bound.
+	for len(t.parts)+t.held >= t.maxPending && t.err == nil && !t.closed {
 		t.cond.Wait()
 	}
 	if t.err != nil || t.closed {
@@ -97,18 +110,19 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	return true
 }
 
-// CloseInputs declares that no further parts will be added; once inflight
-// combines drain and a single part remains, onDone fires.
+// CloseInputs declares that no further parts will be added; once the
+// merges drain and a single part remains, onDone fires.
 func (t *LocalTree) CloseInputs() {
 	t.mu.Lock()
 	t.closed = true
+	t.scheduleLocked() // the final batch, if no task is left to take it
 	t.maybeFinishLocked()
 	t.mu.Unlock()
 }
 
 // Discard tears the tree down without notifying onDone: buffered parts
-// are released, waiters are unblocked, and in-flight combines release
-// their inputs as they drain. The janitor and box shutdown use it to
+// are released, waiters are unblocked, and running merges release their
+// inputs and output as they drain. The janitor and box shutdown use it to
 // reclaim pool buffers held by abandoned requests, which previously
 // pinned them until process exit.
 func (t *LocalTree) Discard() {
@@ -119,107 +133,138 @@ func (t *LocalTree) Discard() {
 	t.mu.Unlock()
 }
 
-// scheduleLocked starts combine tasks while at least two parts are buffered.
-func (t *LocalTree) scheduleLocked() {
-	for len(t.parts) >= 2 && t.err == nil {
-		a := t.parts[len(t.parts)-1]
-		b := t.parts[len(t.parts)-2]
-		t.parts = t.parts[:len(t.parts)-2]
-		t.inflight++
-		if err := t.sched.Submit(t.app, func() { t.combine(a, b) }); err != nil {
-			t.inflight--
-			t.failLocked(err)
-			return
-		}
-	}
-	t.cond.Broadcast()
+// dueLocked reports whether the buffered parts make a batch for a caller
+// that accounts for self of t.tasks (1 inside a task, else 0): batchMin
+// are waiting, or inputs are closed and nobody else can still add a run —
+// then whatever remains is the final batch.
+func (t *LocalTree) dueLocked(self int) bool {
+	n := len(t.parts)
+	return t.err == nil && n >= 2 && (n >= t.batchMin || (t.closed && t.tasks == self))
 }
 
-// combine is the body of one aggregation task. Both inputs are released
-// once the aggregator returns: Combine implementations decode their
-// inputs and encode a fresh output (the contract documented on
-// agg.Aggregator), so the output never aliases a or b.
-//
-// The task runs cut-through (§3.2.1 pipelined aggregation): when further
-// parts are already waiting, the freshly produced intermediate result is
-// merged with the next one in the same task instead of being re-queued
-// through the scheduler, so partials stream through one hot combine loop
-// as they arrive. Associativity and commutativity make the greedy order
-// equivalent to a binary tree; the result count stays n-1 merges.
-//
-//netagg:owns a
-//netagg:owns b
-func (t *LocalTree) combine(a, b *bufpool.Buf) {
-	for {
-		out, err := t.aggregator.Combine(a.Bytes(), b.Bytes())
-		a.Release()
-		b.Release()
-		t.mu.Lock()
-		t.combines++
-		if err != nil {
-			t.inflight--
-			t.failLocked(err)
-			t.mu.Unlock()
-			return
-		}
-		if t.err != nil {
-			// The tree already failed; the intermediate result is dead
-			// weight for the GC, matching the pre-cut-through behaviour.
-			t.inflight--
-			t.maybeFinishLocked()
-			t.mu.Unlock()
-			return
-		}
-		if len(t.parts) > 0 {
-			// Cut-through: claim the next waiting part and keep merging in
-			// this task. inflight stays 1 for this task's two inputs;
-			// popping a part frees budget, so wake blocked Adds.
-			next := t.parts[len(t.parts)-1]
-			t.parts = t.parts[:len(t.parts)-1]
-			t.cutThrough++
-			obsCutThrough.Inc()
-			t.cond.Broadcast()
-			t.mu.Unlock()
-			a, b = bufpool.Adopt(out), next //netagg:owns out
-			continue
-		}
-		t.inflight--
-		t.parts = append(t.parts, bufpool.Adopt(out)) //netagg:owns out
-		t.scheduleLocked()
-		t.maybeFinishLocked()
-		t.mu.Unlock()
+// takeBatchLocked moves every buffered part into a batch for one merge.
+// The parts stay in the back-pressure budget (held) until merged.
+func (t *LocalTree) takeBatchLocked() []*bufpool.Buf {
+	batch := t.parts
+	t.parts = make([]*bufpool.Buf, 0, len(batch))
+	t.held += len(batch)
+	return batch
+}
+
+// scheduleLocked submits a merge task for the buffered parts if they make
+// a batch.
+func (t *LocalTree) scheduleLocked() {
+	if !t.dueLocked(0) {
 		return
 	}
-	//lint:ignore bufown a and b are re-bound each cut-through iteration; the loop releases every pair right after Combine, so no path exits holding them
+	batch := t.takeBatchLocked()
+	t.tasks++
+	if err := t.sched.Submit(t.app, func() { t.mergeTask(batch) }); err != nil {
+		t.tasks--
+		t.held -= len(batch)
+		for _, p := range batch {
+			p.Release()
+		}
+		t.failLocked(err)
+	}
 }
 
-// failLocked records the first error and releases waiters.
+// mergeTask is the body of one aggregation task: it merges its batch in
+// one call and puts the run back among the parts. Every batch of a request
+// gets a task of its own, so independent batches merge in parallel,
+// pipelined with arrival.
+//
+// The task runs cut-through (§3.2.1 pipelined aggregation): if its run
+// makes another batch due — enough parts were already waiting, or inputs
+// are closed and this is the last task — it merges that one too instead
+// of sending it round through the scheduler. Associativity and
+// commutativity make any grouping equivalent to a static tree.
+func (t *LocalTree) mergeTask(batch []*bufpool.Buf) {
+	for {
+		run, err := t.merge(batch)
+		t.mu.Lock()
+		t.merges++
+		t.held -= len(batch)
+		if err == nil && t.err == nil {
+			t.parts = append(t.parts, run) //netagg:owns run
+		} else {
+			// A failed merge has no run (Release of nil is a no-op); a
+			// run that outlived its tree is nobody's input any more.
+			run.Release()
+			if err != nil {
+				t.failLocked(err)
+			}
+		}
+		t.cond.Broadcast() // the batch left the budget
+		if !t.dueLocked(1) {
+			break
+		}
+		batch = t.takeBatchLocked()
+		t.cutThrough++
+		obsCutThrough.Inc()
+		t.mu.Unlock()
+	}
+	t.tasks--
+	t.maybeFinishLocked()
+	t.mu.Unlock()
+}
+
+// merge folds one batch into a single pooled buffer and releases the
+// batch: Merge implementations never alias their inputs (the contract
+// documented on agg.Aggregator), so the inputs can go back to the pool the
+// moment it returns.
+func (t *LocalTree) merge(batch []*bufpool.Buf) (*bufpool.Buf, error) {
+	views := make([][]byte, len(batch))
+	size := binary.MaxVarintLen64 // slack for a count prefix wider than any input's
+	for i, p := range batch {
+		views[i] = p.Bytes()
+		size += p.Len()
+	}
+	buf := bufpool.Get(size)
+	out, err := t.aggregator.Merge(buf.Bytes()[:0], views)
+	for _, p := range batch {
+		p.Release()
+	}
+	if err != nil {
+		buf.Release()
+		return nil, err
+	}
+	if len(out) > 0 && &out[0] != &buf.Bytes()[0] {
+		// The output outgrew the pooled buffer and append moved it to the
+		// heap: carry the grown slice, not a truncated one.
+		buf.Release()
+		return bufpool.Adopt(out), nil
+	}
+	buf.SetLen(len(out))
+	return buf, nil
+}
+
+// failLocked records the first error, releases the buffered parts (they
+// can never be merged now; running tasks release their own batches) and
+// wakes waiters.
 func (t *LocalTree) failLocked(err error) {
 	if t.err == nil {
 		t.err = err
 	}
+	for _, p := range t.parts {
+		p.Release()
+	}
+	t.parts = nil
 	t.cond.Broadcast()
 	t.maybeFinishLocked()
 }
 
-// maybeFinishLocked fires onDone when the tree has fully drained. On the
-// failure path every buffered part is released — before buffers were
-// refcounted, an aggregation error silently pinned all pending partial
-// results until the tree itself was collected.
+// maybeFinishLocked fires onDone when the tree has fully drained.
 func (t *LocalTree) maybeFinishLocked() {
-	if t.finished || t.inflight > 0 {
+	if t.finished || t.tasks > 0 {
 		return
 	}
 	if t.err == nil && (!t.closed || len(t.parts) > 1) {
 		return
 	}
 	t.finished = true
-	if t.err == nil && len(t.parts) == 1 {
+	if len(t.parts) == 1 {
 		t.result = t.parts[0]
-		t.parts = t.parts[:0]
-	}
-	for _, p := range t.parts {
-		p.Release()
 	}
 	t.parts = nil
 	if t.onDone != nil {
@@ -245,15 +290,15 @@ func (t *LocalTree) BytesIn() int64 {
 	return t.bytesIn
 }
 
-// Combines reports the number of pairwise merges executed.
+// Combines reports the number of Merge calls executed.
 func (t *LocalTree) Combines() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.combines
+	return t.merges
 }
 
-// CutThrough reports how many merges ran cut-through (without a
-// scheduler round-trip between them).
+// CutThrough reports how many merges ran cut-through: started by a task
+// that had just finished one, without a scheduler round-trip between them.
 func (t *LocalTree) CutThrough() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,14 +55,71 @@ func (w *waitResult) wait(t *testing.T) ([]byte, error) {
 	}
 }
 
+// pooled copies a payload into a pool buffer, the form parts arrive in
+// from the wire decoder (and the form netaggdebug poisons on release).
+func pooled(p []byte) *bufpool.Buf {
+	b := bufpool.Get(len(p))
+	copy(b.Bytes(), p)
+	return b
+}
+
+// pairwiseFold is the reference result: the parts folded with Combine in
+// pairwise rounds on one goroutine.
+func pairwiseFold(t *testing.T, a agg.Aggregator, parts [][]byte) []byte {
+	t.Helper()
+	cur := append([][]byte(nil), parts...)
+	for len(cur) > 1 {
+		next := cur[:0]
+		for i := 0; i+1 < len(cur); i += 2 {
+			out, err := a.Combine(cur[i], cur[i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			next = append(next, out)
+		}
+		if len(cur)%2 == 1 {
+			next = append(next, cur[len(cur)-1])
+		}
+		cur = next
+	}
+	return cur[0]
+}
+
+// maxMerges is the most Merge calls a tree may need for n parts: every
+// batch but the final one holds at least batchMin parts and so removes at
+// least batchMin-1 of them.
+func maxMerges(n, maxPending int) int64 {
+	batchMin := min(fanIn, max(maxPending, 4)/2)
+	return int64((n-1+batchMin-2)/(batchMin-1) + 1)
+}
+
+// randomKVPart encodes up to 200 distinct keys out of 1000 with random
+// values, so parts of every size overlap.
+func randomKVPart(rng *rand.Rand) []byte {
+	n := rng.Intn(200)
+	if rng.Intn(8) == 0 {
+		n = 0 // an empty payload is a part like any other
+	}
+	seen := make(map[int]bool, n)
+	kvs := make([]agg.KV, 0, n)
+	for len(kvs) < n {
+		if k := rng.Intn(1000); !seen[k] {
+			seen[k] = true
+			kvs = append(kvs, agg.KV{Key: fmt.Sprintf("key%04d", k), Val: rng.Int63n(1000) - 500})
+		}
+	}
+	return agg.EncodeKVs(kvs)
+}
+
 func TestLocalTreeAggregatesKVs(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 4, Seed: 1})
 	defer s.Close()
 	s.Register("wc", 1)
 	wr := newWaitResult()
 	tree := NewLocalTree(s, "wc", agg.KVCombiner{Op: agg.OpSum}, 16, wr.done)
-	for i := 0; i < 50; i++ {
-		if !tree.Add(bufpool.Adopt(agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}, {Key: "x", Val: 2}}))) {
+	const n = 50
+	for i := 0; i < n; i++ {
+		if !tree.Add(pooled(agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}, {Key: "x", Val: 2}}))) {
 			t.Fatal("Add refused")
 		}
 	}
@@ -70,31 +132,93 @@ func TestLocalTreeAggregatesKVs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kvs) != 2 || kvs[0].Val != 50 || kvs[1].Val != 100 {
+	if len(kvs) != 2 || kvs[0].Val != n || kvs[1].Val != 2*n {
 		t.Fatalf("unexpected result %v", kvs)
 	}
-	if tree.Combines() != 49 {
-		t.Fatalf("combines = %d, want 49 (n-1 merges)", tree.Combines())
+	if got, limit := tree.Combines(), maxMerges(n, 16); got > limit {
+		t.Fatalf("%d merges, want at most %d", got, limit)
 	}
 }
 
-// Cut-through: with parts already waiting when a combine finishes, the
-// task merges in place instead of re-queueing its intermediate result
-// through the scheduler. The merge count must stay exactly n-1 and the
-// result must be unchanged.
+// Whatever batches the tree happens to form — any part count, part size,
+// budget, number of feeders and scheduler width — the result is the
+// reference fold's, byte for byte, in no more merges than the batch size
+// allows.
+func TestLocalTreeMatchesPairwiseFold(t *testing.T) {
+	kv := agg.KVCombiner{Op: agg.OpSum}
+	for _, workers := range []int{1, 2, 4} {
+		s := NewScheduler(SchedulerConfig{Workers: workers, Seed: 1})
+		defer s.Close()
+		s.Register("wc", 1)
+		rng := rand.New(rand.NewSource(int64(workers)))
+		for trial := 0; trial < 20; trial++ {
+			n := 1 + rng.Intn(300)
+			maxPending := []int{4, 6, 16, 64, 128}[rng.Intn(5)]
+			feeders := 1 + rng.Intn(4)
+			parts := make([][]byte, n)
+			for i := range parts {
+				parts[i] = randomKVPart(rng)
+			}
+			want := pairwiseFold(t, kv, parts)
+
+			wr := newWaitResult()
+			tree := NewLocalTree(s, "wc", kv, maxPending, wr.done)
+			var wg sync.WaitGroup
+			for f := 0; f < feeders; f++ {
+				pause := rng.Intn(3) // 0: never yields, else yields every pause-th part
+				wg.Add(1)
+				go func(f int) {
+					defer wg.Done()
+					for i := f; i < n; i += feeders {
+						if !tree.Add(pooled(parts[i])) {
+							t.Error("Add refused")
+							return
+						}
+						if pause > 0 && i%pause == 0 {
+							runtime.Gosched()
+						}
+					}
+				}(f)
+			}
+			wg.Wait()
+			tree.CloseInputs()
+			got, err := wr.wait(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("workers=%d n=%d maxPending=%d feeders=%d: result differs from the reference fold", workers, n, maxPending, feeders)
+			}
+			if got, limit := tree.Combines(), maxMerges(n, maxPending); got > limit || (n == 1 && got != 0) {
+				t.Fatalf("workers=%d n=%d maxPending=%d: %d merges, want at most %d", workers, n, maxPending, got, limit)
+			}
+		}
+	}
+}
+
+// Cut-through: with one scheduler worker and a backlog of queued batches,
+// the task that ends last finds the other runs waiting and inputs closed,
+// so it merges the final batch itself instead of going back through the
+// scheduler.
 func TestLocalTreeCutThrough(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, Seed: 1})
 	defer s.Close()
 	s.Register("wc", 1)
+	// Hold the only worker so every batch queues behind it.
+	gate := make(chan struct{})
+	if err := s.Submit("wc", func() { <-gate }); err != nil {
+		t.Fatal(err)
+	}
 	wr := newWaitResult()
 	tree := NewLocalTree(s, "wc", agg.KVCombiner{Op: agg.OpSum}, 128, wr.done)
 	const n = 40
 	for i := 0; i < n; i++ {
-		if !tree.Add(bufpool.Adopt(agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}}))) {
+		if !tree.Add(pooled(agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}}))) {
 			t.Fatal("Add refused")
 		}
 	}
 	tree.CloseInputs()
+	close(gate)
 	result, err := wr.wait(t)
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +230,178 @@ func TestLocalTreeCutThrough(t *testing.T) {
 	if len(kvs) != 1 || kvs[0].Val != n {
 		t.Fatalf("unexpected result %v", kvs)
 	}
-	if got := tree.Combines(); got != n-1 {
-		t.Fatalf("combines = %d, want %d (n-1 merges)", got, n-1)
+	if got, limit := tree.Combines(), maxMerges(n, 128); got > limit {
+		t.Fatalf("%d merges, want at most %d", got, limit)
 	}
-	// One scheduler worker serialises the tasks, so every task after the
-	// first finds the previous intermediate result waiting: cut-through
-	// must have fired.
 	if tree.CutThrough() == 0 {
-		t.Fatal("expected cut-through merges with a single worker and a backlog")
+		t.Fatal("expected a cut-through merge with a single worker and a backlog")
+	}
+}
+
+// The deadlock guard: with the smallest budget the batch size must shrink
+// with it, or Add would block on a full tree that has nothing to merge.
+func TestLocalTreeSmallestBudgetCompletes(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 2, Seed: 1})
+	defer s.Close()
+	s.Register("wc", 1)
+	wr := newWaitResult()
+	tree := NewLocalTree(s, "wc", agg.KVCombiner{Op: agg.OpSum}, 4, wr.done)
+	const n = 100
+	for i := 0; i < n; i++ {
+		if !tree.Add(pooled(agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}}))) {
+			t.Fatal("Add refused")
+		}
+	}
+	tree.CloseInputs()
+	result, err := wr.wait(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kvs, _ := agg.DecodeKVs(result); len(kvs) != 1 || kvs[0].Val != n {
+		t.Fatalf("unexpected result %v", kvs)
+	}
+}
+
+// scriptedAggregator is a KV sum whose Merge calls a hook first, with the
+// 1-based number of the call; the hook may fail it or block it.
+type scriptedAggregator struct {
+	calls  atomic.Int64
+	before func(call int64) error
+}
+
+func (*scriptedAggregator) Name() string { return "scripted" }
+
+func (a *scriptedAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	if err := a.before(a.calls.Add(1)); err != nil {
+		return dst, err
+	}
+	return agg.KVCombiner{Op: agg.OpSum}.Merge(dst, parts)
+}
+
+func (a *scriptedAggregator) Combine(x, y []byte) ([]byte, error) {
+	return a.Merge(nil, [][]byte{x, y})
+}
+
+// growingAggregator returns more bytes than it was given, so its output
+// cannot fit the buffer the tree sized from the inputs.
+type growingAggregator struct{}
+
+func (growingAggregator) Name() string { return "growing" }
+
+func (growingAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
+	for _, p := range parts {
+		dst = append(dst, p...)
+		dst = append(dst, p...)
+	}
+	return dst, nil
+}
+
+func (g growingAggregator) Combine(x, y []byte) ([]byte, error) {
+	return g.Merge(nil, [][]byte{x, y})
+}
+
+// Every way out of a merge task gives every buffer back exactly once:
+// the batch's inputs, the output buffer and the parts still waiting. Run
+// under -race -tags netaggdebug the released buffers are poisoned too, so
+// a merge that read an input after its release would not produce the
+// expected result.
+func TestLocalTreeReleasesEveryBuffer(t *testing.T) {
+	part := func(i int) *bufpool.Buf {
+		return pooled(agg.EncodeKVs([]agg.KV{{Key: fmt.Sprintf("k%02d", i%7), Val: 1}}))
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, s *Scheduler)
+	}{
+		{"success", func(t *testing.T, s *Scheduler) {
+			wr := newWaitResult()
+			tree := NewLocalTree(s, "wc", agg.KVCombiner{Op: agg.OpSum}, 8, wr.done)
+			for i := 0; i < 50; i++ {
+				tree.Add(part(i))
+			}
+			tree.CloseInputs()
+			if _, err := wr.wait(t); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"output outgrows the pooled buffer", func(t *testing.T, s *Scheduler) {
+			wr := newWaitResult()
+			tree := NewLocalTree(s, "wc", growingAggregator{}, 8, wr.done)
+			for i := 0; i < 4; i++ {
+				tree.Add(pooled(bytes.Repeat([]byte{byte(i)}, 300)))
+			}
+			tree.CloseInputs()
+			// One batch of four: each input twice over, none of it cut off.
+			if out, err := wr.wait(t); err != nil || len(out) != 2*4*300 {
+				t.Fatalf("grown output: %d bytes, err %v", len(out), err)
+			}
+		}},
+		{"merge error on the second batch", func(t *testing.T, s *Scheduler) {
+			boom := errors.New("boom")
+			a := &scriptedAggregator{before: func(call int64) error {
+				if call == 2 {
+					return boom
+				}
+				return nil
+			}}
+			wr := newWaitResult()
+			tree := NewLocalTree(s, "wc", a, 8, wr.done)
+			for i := 0; i < 50; i++ {
+				tree.Add(part(i)) // refused (and released) once the tree has failed
+			}
+			tree.CloseInputs()
+			if _, err := wr.wait(t); !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the merge error", err)
+			}
+		}},
+		{"discard while a merge runs", func(t *testing.T, s *Scheduler) {
+			started, proceed := make(chan struct{}), make(chan struct{})
+			a := &scriptedAggregator{before: func(call int64) error {
+				if call == 1 {
+					close(started)
+					<-proceed
+				}
+				return nil
+			}}
+			tree := NewLocalTree(s, "wc", a, 8, func(res *bufpool.Buf, err error) {
+				t.Errorf("onDone fired on a discarded tree (%v)", err)
+				res.Release()
+			})
+			for i := 0; i < 6; i++ { // one batch of four in the merge, two parts waiting
+				tree.Add(part(i))
+			}
+			<-started
+			tree.Discard()
+			close(proceed)
+		}},
+		{"scheduler closed under the tree", func(t *testing.T, s *Scheduler) {
+			wr := newWaitResult()
+			tree := NewLocalTree(s, "wc", agg.KVCombiner{Op: agg.OpSum}, 8, wr.done)
+			for i := 0; i < 3; i++ {
+				tree.Add(part(i))
+			}
+			s.Close()
+			tree.Add(part(3)) // makes a batch due: Submit fails, the batch goes back
+			if _, err := wr.wait(t); err == nil {
+				t.Fatal("expected the scheduler's error")
+			}
+			if tree.Add(part(4)) {
+				t.Fatal("Add should refuse after failure")
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewScheduler(SchedulerConfig{Workers: 2, Seed: 1})
+			s.Register("wc", 1)
+			before := bufpool.ReadStats()
+			c.run(t, s)
+			s.Close() // drains: every merge task has returned
+			after := bufpool.ReadStats()
+			if acq, rel := after.Acquires()-before.Acquires(), after.Releases-before.Releases; acq != rel {
+				t.Fatalf("bufpool unbalanced: %d acquires vs %d releases", acq, rel)
+			}
+		})
 	}
 }
 
@@ -237,9 +525,11 @@ type slowAggregator struct {
 
 func (slowAggregator) Name() string { return "slow" }
 
-func (sa slowAggregator) Combine(a, b []byte) ([]byte, error) {
+func (sa slowAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	time.Sleep(sa.delay)
-	return agg.KVCombiner{Op: agg.OpSum}.Combine(a, b)
+	return agg.KVCombiner{Op: agg.OpSum}.Merge(dst, parts)
 }
 
-var _ = errors.New
+func (sa slowAggregator) Combine(a, b []byte) ([]byte, error) {
+	return sa.Merge(nil, [][]byte{a, b})
+}

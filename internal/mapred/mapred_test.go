@@ -78,14 +78,24 @@ func TestWordCountNetAgg(t *testing.T) {
 	checkWC(t, res)
 }
 
+// Raw mode keeps equal keys inside a mapper's part. The box's merge
+// reduces them like equal keys across parts, so the reducer computes the
+// same output from no more bytes than it receives without the box.
 func TestWordCountRawPairsMatchCombined(t *testing.T) {
-	tb := newTB(t, 1)
-	res, err := Run(tb, 3, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: false},
-		wordCountInputs(), WordCount().Map)
+	cfg := JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: false}
+	plain, err := Run(newTB(t, 0), 3, cfg, wordCountInputs(), WordCount().Map)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWC(t, plain)
+	res, err := Run(newTB(t, 1), 3, cfg, wordCountInputs(), WordCount().Map)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkWC(t, res)
+	if res.BytesToReducer > plain.BytesToReducer {
+		t.Fatalf("reducer bytes grew through the box: %d vs %d plain", res.BytesToReducer, plain.BytesToReducer)
+	}
 }
 
 // The box-side combiner must shrink what the reducer receives.

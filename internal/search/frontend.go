@@ -125,21 +125,21 @@ func (f *Frontend) Query(terms []string, limit int, withText bool) (*Response, e
 // decodes the result.
 func (f *Frontend) merge(parts [][]byte, start time.Time) (*Response, error) {
 	var bytes int64
+	nonEmpty := make([][]byte, 0, len(parts))
 	for _, p := range parts {
-		bytes += int64(len(p))
+		if len(p) > 0 {
+			bytes += int64(len(p))
+			nonEmpty = append(nonEmpty, p)
+		}
 	}
 	var merged []byte
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if merged == nil {
-			merged = p
-			continue
-		}
+	switch len(nonEmpty) {
+	case 0:
+	case 1:
+		merged = nonEmpty[0]
+	default:
 		var err error
-		merged, err = f.cfg.Aggregator.Combine(merged, p)
-		if err != nil {
+		if merged, err = f.cfg.Aggregator.Merge(make([]byte, 0, bytes), nonEmpty); err != nil {
 			return nil, fmt.Errorf("search: final aggregation: %w", err)
 		}
 	}

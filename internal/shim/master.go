@@ -330,15 +330,17 @@ func (m *Master) redirect(p *Pending) {
 	}
 	attempt := p.attempt + 1
 	p.mu.Unlock()
+	// Deregister before delivering the error: a caller that resubmits the
+	// same id the moment it reads the Result must not find it pending.
 	if attempt > m.cfg.MaxAttempts {
-		p.fail(fmt.Errorf("shim: request %d failed after %d attempts", p.req, attempt-1))
 		m.remove(p)
+		p.fail(fmt.Errorf("shim: request %d failed after %d attempts", p.req, attempt-1))
 		return
 	}
 	obsRedirectsSent.Inc()
 	if err := m.arm(p, attempt); err != nil {
-		p.fail(err)
 		m.remove(p)
+		p.fail(err)
 		return
 	}
 	for _, worker := range p.workers {

@@ -64,7 +64,11 @@ type Worker struct {
 
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
-	closed   bool
+	// expiry holds the retained sends in sentAt order (sends are stamped
+	// under mu), so ageing them out pops a prefix instead of scanning
+	// buffered on every send.
+	expiry []*bufferedSend
+	closed bool
 }
 
 type bufKey struct {
@@ -153,7 +157,7 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 	}
 	b := &bufferedSend{
 		app: app, req: req, workerIdx: workerIdx,
-		master: master, parts: parts, trees: trees, sentAt: time.Now(),
+		master: master, parts: parts, trees: trees,
 	}
 	for _, part := range parts {
 		obsPartialBytes.Observe(int64(len(part)))
@@ -163,16 +167,27 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 		w.mu.Unlock()
 		return fmt.Errorf("shim: worker closed")
 	}
+	b.sentAt = time.Now()
 	w.buffered[bufKey{app, req}] = b
-	// Opportunistic retention cleanup.
-	cutoff := time.Now().Add(-retention)
-	for k, old := range w.buffered {
-		if old.sentAt.Before(cutoff) {
-			delete(w.buffered, k)
-		}
-	}
+	w.expiry = append(w.expiry, b)
+	w.expireLocked(b.sentAt)
 	w.mu.Unlock()
 	return w.send(b, 0)
+}
+
+// expireLocked drops every retained send older than retention as of now.
+// A re-sent (app, req) overwrites its map entry, so the map entry goes
+// only if it still is the send being popped.
+func (w *Worker) expireLocked(now time.Time) {
+	cutoff := now.Add(-retention)
+	for len(w.expiry) > 0 && w.expiry[0].sentAt.Before(cutoff) {
+		old := w.expiry[0]
+		w.expiry[0] = nil // the backing array must not pin what the map let go
+		w.expiry = w.expiry[1:]
+		if key := (bufKey{old.app, old.req}); w.buffered[key] == old {
+			delete(w.buffered, key)
+		}
+	}
 }
 
 // send transmits the buffered request at the given recovery attempt,
