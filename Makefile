@@ -94,31 +94,29 @@ obs-smoke:
 # are the CI artifact convention. Compare two commits with
 # `benchstat old/BENCH_simnet.json new/BENCH_simnet.json`.
 #
-# The bufpool, transport and agg artifacts are guarded: the fresh run
-# lands in a .new file, benchguard fails the target if any benchmark's
-# B/op grew >25% (or ns/op >50%) over the checked-in artifact, and only a
-# passing run replaces it — so alloc regressions break CI instead of
+# All six artifacts are checked in and all six are guarded by the one
+# rule below: the fresh run lands in a .new file, benchguard fails the
+# target if any benchmark's B/op grew >25% (or its fastest ns/op >50%)
+# over the checked-in artifact — or if there is no checked-in artifact —
+# and only a passing run replaces it, so regressions break CI instead of
 # silently re-baselining (the BenchmarkTransportEcho 1488 B/op drift,
-# CHANGES.md). BENCH_agg.json is the box's merge path: the k-way KV merge
-# alone (0 allocs/op) and a whole mapred_kv job through a local tree.
-bench-smoke:
-	$(GO) test ./internal/simnet -run '^$$' -bench BenchmarkAllocate \
-		-benchmem -benchtime 200x -count 5 | tee BENCH_simnet.json
-	$(GO) test ./internal/bufpool -run '^$$' -bench BenchmarkBufpool \
-		-benchmem -benchtime 200x -count 5 | tee BENCH_bufpool.json.new
-	$(GO) run ./cmd/benchguard -baseline BENCH_bufpool.json BENCH_bufpool.json.new
-	mv BENCH_bufpool.json.new BENCH_bufpool.json
-	$(GO) test ./internal/transport -run '^$$' -bench BenchmarkTransport \
-		-benchmem -benchtime 2000x -count 5 | tee BENCH_transport.json.new
-	$(GO) run ./cmd/benchguard -baseline BENCH_transport.json BENCH_transport.json.new
-	mv BENCH_transport.json.new BENCH_transport.json
-	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkKVMerge|BenchmarkLocalTreeKV' \
-		-benchmem -benchtime 100x -count 5 | tee BENCH_agg.json.new
-	$(GO) run ./cmd/benchguard -baseline BENCH_agg.json BENCH_agg.json.new
-	mv BENCH_agg.json.new BENCH_agg.json
-	$(GO) test ./internal/treeplan -run '^$$' -bench BenchmarkPlan \
-		-benchmem -benchtime 200x -count 5 | tee BENCH_treeplan.json
-	$(GO) test ./internal/strategies -run '^$$' -bench BenchmarkReplan \
-		-benchmem -benchtime 20x -count 5 | tee BENCH_replan.json.new
-	$(GO) run ./cmd/benchguard -baseline BENCH_replan.json BENCH_replan.json.new
-	mv BENCH_replan.json.new BENCH_replan.json
+# CHANGES.md). A new artifact's first run is checked in by hand.
+# BENCH_agg.json is the box's merge path: the k-way KV merge alone
+# (0 allocs/op) and a whole mapred_kv job through a local tree.
+#
+#                  package               -bench                                   -benchtime
+bench_simnet    = ./internal/simnet     BenchmarkAllocate                        200x
+bench_bufpool   = ./internal/bufpool    BenchmarkBufpool                         200x
+bench_transport = ./internal/transport  BenchmarkTransport                       2000x
+bench_agg       = ./internal/core       'BenchmarkKVMerge|BenchmarkLocalTreeKV'  100x
+bench_treeplan  = ./internal/treeplan   BenchmarkPlan                            200x
+bench_replan    = ./internal/strategies BenchmarkReplan                          20x
+
+bench-smoke: bench-smoke-simnet bench-smoke-bufpool bench-smoke-transport \
+	bench-smoke-agg bench-smoke-treeplan bench-smoke-replan
+
+bench-smoke-%:
+	$(GO) test $(word 1,$(bench_$*)) -run '^$$' -bench $(word 2,$(bench_$*)) \
+		-benchmem -benchtime $(word 3,$(bench_$*)) -count 5 | tee BENCH_$*.json.new
+	$(GO) run ./cmd/benchguard -baseline BENCH_$*.json BENCH_$*.json.new
+	mv BENCH_$*.json.new BENCH_$*.json

@@ -1,3 +1,10 @@
+// Package bench keeps the five design ablations of DESIGN.md §5 as Go
+// benchmarks: each runs a design choice and its alternative once and logs
+// the comparison. The paper's figures are not here — netagg-sim and
+// netagg-bench regenerate those (README "Layout" says who owns which
+// number).
+//
+//	go test -bench=Ablation -benchtime=1x
 package bench
 
 import (
@@ -11,21 +18,17 @@ import (
 	"netagg/internal/workload"
 )
 
-// ablationRun executes the default medium-scale workload under NetAgg with
-// the given strategy and simulator options.
+// ablationRun executes the default workload on the paper's 1,024-server
+// cluster under NetAgg with the given strategy and simulator options.
 func ablationRun(b *testing.B, strat strategies.Strategy, o simexp.Opts) *simexp.Result {
 	b.Helper()
-	topo, err := topology.BuildClos(figuresMediumClos())
+	topo, err := topology.BuildClos(topology.DefaultClos())
 	if err != nil {
 		b.Fatal(err)
 	}
 	strategies.DeployTiers(topo, strategies.TierAll, strategies.DefaultBoxSpec())
 	w := workload.Generate(topo, workload.Default())
 	return simexp.RunWith(topo, w, strat, o)
-}
-
-func figuresMediumClos() topology.ClosConfig {
-	return simOpts.Scale.Clos()
 }
 
 // BenchmarkAblationStreaming compares NetAgg's streaming (pipelined)
@@ -49,7 +52,7 @@ func BenchmarkAblationStreaming(b *testing.B) {
 // strategies package comment) for the headline NetAgg-vs-rack ratio.
 func BenchmarkAblationReduceSemantics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		topo, _ := topology.BuildClos(figuresMediumClos())
+		topo, _ := topology.BuildClos(topology.DefaultClos())
 		w := workload.Generate(topo, workload.Default())
 		rack := simexp.Run(topo, w, strategies.Rack{}, false)
 		perHop := ablationRun(b, strategies.NetAgg{Mode: strategies.ReducePerHop}, simexp.Opts{})
@@ -140,15 +143,4 @@ func wfqShareDeviation(adaptive bool) float64 {
 		return 50 - share
 	}
 	return share - 50
-}
-
-// BenchmarkExtensionFanout measures the §5 one-to-many extension:
-// broadcast to every worker directly versus through the agg box overlay.
-func BenchmarkExtensionFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := tbfigExtFanout()
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
 }

@@ -1,11 +1,14 @@
 // Command benchguard compares a fresh Go benchmark run against a
 // checked-in baseline artifact and fails on regressions: any benchmark
 // whose mean B/op grows more than -max-growth (default 25%) or whose
-// mean ns/op grows more than -max-time-growth (default 50%) over the
-// baseline exits non-zero. The time gate is deliberately looser than the
-// allocation gate — wall time is noisy across machines and CI load,
-// while B/op is deterministic — but a 1.5x slowdown is a real regression
-// on any hardware. bench-smoke runs benchguard before overwriting the
+// fastest ns/op grows more than -max-time-growth (default 50%) over the
+// baseline's fastest exits non-zero. The time gate is deliberately looser
+// than the allocation gate — wall time is noisy across machines and CI
+// load, while B/op is deterministic — and compares the fastest of the
+// -count runs on each side rather than the mean, because a busy host
+// only ever adds time: the minimum is the reading least of it reached.
+// A 1.5x slowdown of that is a real regression on any hardware.
+// bench-smoke runs benchguard before overwriting the
 // BENCH_*.json artifacts, so a regression breaks CI instead of silently
 // re-baselining itself — the failure mode behind the 1488 B/op drift
 // this tool was written to catch.
@@ -16,7 +19,9 @@
 //
 // Both inputs are raw `go test -bench -benchmem` text (the benchstat
 // input format). Benchmarks present in only one file are ignored: new
-// benchmarks are allowed, and retired ones don't block.
+// benchmarks are allowed, and retired ones don't block. A missing
+// baseline file is an error, not a pass: a new artifact's first run is
+// checked in by hand, so a gate never skips itself on a fresh checkout.
 package main
 
 import (
@@ -39,12 +44,6 @@ func main() {
 	}
 	base, err := parseFile(*baselinePath)
 	if err != nil {
-		// A missing baseline is not a regression: the first run of a new
-		// artifact has nothing to compare against.
-		if os.IsNotExist(err) {
-			fmt.Printf("benchguard: no baseline %s; skipping\n", *baselinePath)
-			return
-		}
 		fatal(err)
 	}
 	fresh, err := parseFile(flag.Arg(0))
@@ -64,8 +63,8 @@ func main() {
 		// measurement granularity: 16 bytes for allocations, 1000 ns for
 		// timer resolution and scheduler jitter on sub-microsecond loops.
 		for _, line := range []string{
-			compare(name, "B/op", got.bop, want.bop, *maxGrowth, 16),
-			compare(name, "ns/op", got.nsop, want.nsop, *maxTimeGrowth, 1000),
+			compare(name, "B/op", got.bop, want.bop, sample.mean, *maxGrowth, 16),
+			compare(name, "ns/op", got.nsop, want.nsop, sample.fastest, *maxTimeGrowth, 1000),
 		} {
 			if line == "" {
 				continue
@@ -81,22 +80,23 @@ func main() {
 	}
 }
 
-// compare renders one metric's verdict line, or "" when either side has
-// no readings for the metric (old artifacts predate the ns/op gate).
-func compare(name, unit string, got, want sample, maxGrowth, floor float64) string {
+// compare renders one metric's verdict line on the statistic stat picks
+// from each side's readings, or "" when either side has no readings for
+// the metric (old artifacts predate the ns/op gate).
+func compare(name, unit string, got, want sample, stat func(sample) float64, maxGrowth, floor float64) string {
 	if got.n == 0 || want.n == 0 {
 		return ""
 	}
-	limit := want.mean() * (1 + maxGrowth)
-	if limit < want.mean()+floor {
-		limit = want.mean() + floor
+	g, w := stat(got), stat(want)
+	limit := w * (1 + maxGrowth)
+	if limit < w+floor {
+		limit = w + floor
 	}
-	if got.mean() > limit {
+	if g > limit {
 		return fmt.Sprintf("benchguard: FAIL %s: %.0f %s vs baseline %.0f %s (> %+.0f%%)",
-			name, got.mean(), unit, want.mean(), unit, 100*maxGrowth)
+			name, g, unit, w, unit, 100*maxGrowth)
 	}
-	return fmt.Sprintf("benchguard: ok   %s: %.0f %s vs baseline %.0f %s",
-		name, got.mean(), unit, want.mean(), unit)
+	return fmt.Sprintf("benchguard: ok   %s: %.0f %s vs baseline %.0f %s", name, g, unit, w, unit)
 }
 
 func fatal(err error) {
@@ -106,8 +106,16 @@ func fatal(err error) {
 
 // sample accumulates one metric's readings across -count repetitions.
 type sample struct {
-	sum float64
-	n   int
+	sum, min float64
+	n        int
+}
+
+func (s *sample) add(v float64) {
+	if s.n == 0 || v < s.min {
+		s.min = v
+	}
+	s.sum += v
+	s.n++
 }
 
 func (s sample) mean() float64 {
@@ -116,6 +124,9 @@ func (s sample) mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
+
+// fastest is the smallest reading.
+func (s sample) fastest() float64 { return s.min }
 
 // bench holds one benchmark's readings for both guarded metrics.
 type bench struct {
@@ -157,11 +168,9 @@ func parseFile(path string) (map[string]bench, error) {
 			}
 			switch fields[i+1] {
 			case "B/op":
-				b.bop.sum += v
-				b.bop.n++
+				b.bop.add(v)
 			case "ns/op":
-				b.nsop.sum += v
-				b.nsop.n++
+				b.nsop.add(v)
 			}
 		}
 		out[name] = b

@@ -32,8 +32,8 @@ func TestParseFileBothMetrics(t *testing.T) {
 	if echo.bop.mean() != 162 {
 		t.Errorf("BenchmarkEcho B/op mean = %v, want 162", echo.bop.mean())
 	}
-	if echo.nsop.mean() != 12076 {
-		t.Errorf("BenchmarkEcho ns/op mean = %v, want 12076", echo.nsop.mean())
+	if echo.nsop.mean() != 12076 || echo.nsop.fastest() != 12052 {
+		t.Errorf("BenchmarkEcho ns/op mean, fastest = %v, %v, want 12076, 12052", echo.nsop.mean(), echo.nsop.fastest())
 	}
 	to := got["BenchmarkTimeOnly"]
 	if to.nsop.n != 1 || to.bop.n != 0 {
@@ -41,8 +41,16 @@ func TestParseFileBothMetrics(t *testing.T) {
 	}
 }
 
+// mk is a sample of the given readings.
+func mk(vs ...float64) sample {
+	var s sample
+	for _, v := range vs {
+		s.add(v)
+	}
+	return s
+}
+
 func TestCompareGates(t *testing.T) {
-	mk := func(v float64) sample { return sample{sum: v, n: 1} }
 	cases := []struct {
 		name            string
 		got, want       sample
@@ -65,7 +73,7 @@ func TestCompareGates(t *testing.T) {
 		{"no baseline readings", mk(100), sample{}, 0.5, 1000, false, true},
 	}
 	for _, c := range cases {
-		line := compare("BenchmarkX", "u/op", c.got, c.want, c.maxGrowth, c.floor)
+		line := compare("BenchmarkX", "u/op", c.got, c.want, sample.mean, c.maxGrowth, c.floor)
 		if c.suppessed {
 			if line != "" {
 				t.Errorf("%s: got %q, want no output", c.name, line)
@@ -75,6 +83,22 @@ func TestCompareGates(t *testing.T) {
 		if gotFail := strings.Contains(line, "FAIL"); gotFail != c.fail {
 			t.Errorf("%s: fail=%v, want %v (line %q)", c.name, gotFail, c.fail, line)
 		}
+	}
+}
+
+// TestTimeGateReadsTheFastestRun: host noise only ever adds time, so two
+// slow repetitions out of three must not fail a benchmark whose fastest
+// run matches the baseline's — and a run whose fastest is slow still fails.
+func TestTimeGateReadsTheFastestRun(t *testing.T) {
+	base, noisy, slow := mk(11200, 10800, 12100), mk(29000, 11000, 24000), mk(29000, 17000, 24000)
+	if line := compare("BenchmarkX", "ns/op", noisy, base, sample.fastest, 0.5, 1000); strings.Contains(line, "FAIL") {
+		t.Errorf("fastest 11000 vs 10800 failed: %q", line)
+	}
+	if line := compare("BenchmarkX", "ns/op", noisy, base, sample.mean, 0.5, 1000); !strings.Contains(line, "FAIL") {
+		t.Errorf("the mean of the same readings should trip, or the case proves nothing: %q", line)
+	}
+	if line := compare("BenchmarkX", "ns/op", slow, base, sample.fastest, 0.5, 1000); !strings.Contains(line, "FAIL") {
+		t.Errorf("fastest 17000 vs 10800 passed: %q", line)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"netagg/internal/figures"
@@ -22,29 +23,12 @@ import (
 	"netagg/internal/profiling"
 )
 
-var all = map[string]func(figures.Options) *metrics.Report{
-	"fig02":   figures.Fig02,
-	"fig03":   figures.Fig03,
-	"fig06":   figures.Fig06,
-	"fig07":   figures.Fig07,
-	"fig08":   figures.Fig08,
-	"fig09":   figures.Fig09,
-	"fig10":   figures.Fig10,
-	"fig11":   figures.Fig11,
-	"fig12":   figures.Fig12,
-	"fig13":   figures.Fig13,
-	"fig14":   figures.Fig14,
-	"planner": figures.FigPlanner,
-	"replan":  figures.FigReplan,
-}
-
-var order = []string{
-	"fig02", "fig03", "fig06", "fig07", "fig08",
-	"fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"planner", "replan",
-}
-
 func main() {
+	// The paper's numbering, which is id order: fig08 prints between two
+	// figures of the CDF row.
+	order := metrics.FigureIDs(figures.All)
+	sort.Strings(order)
+
 	scale := flag.String("scale", "full", "cluster scale: small (64 servers), medium (256), full (1024, the paper's)")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	workers := flag.Int("workers", 0, "scenario fan-out parallelism (0 = GOMAXPROCS); figures are byte-identical for any value")
@@ -72,18 +56,14 @@ func main() {
 	if len(targets) == 0 {
 		targets = order
 	}
-	for _, name := range targets {
-		if _, ok := all[name]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q (have %v)\n", name, order)
-			os.Exit(2)
-		}
-	}
 	stop := prof.Start()
-	for _, name := range targets {
-		start := time.Now()
-		report := all[name](opts)
-		fmt.Print(report.String())
-		fmt.Printf("(%s regenerated in %.1fs at %s scale)\n\n", report.ID, time.Since(start).Seconds(), opts.Scale)
-	}
+	err := metrics.Regenerate(figures.All, targets, opts, func(r *metrics.Report, took time.Duration) {
+		fmt.Print(r.String())
+		fmt.Printf("(%s regenerated in %.1fs at %s scale)\n\n", r.ID, took.Seconds(), opts.Scale)
+	})
 	stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v (have %v)\n", err, order)
+		os.Exit(2)
+	}
 }

@@ -427,6 +427,13 @@ func (b *Box) maybeCloseInputsLocked(req *boxRequest) {
 func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) {
 	defer resultBuf.Release()
 	result := resultBuf.Bytes()
+	if err == nil && len(result) > wire.MaxPayload {
+		// An aggregate travels as one frame: whoever receives a TData merges
+		// it as a canonical part, so cutting one at byte offsets is never
+		// valid, and a split the next merge accepts needs the aggregator's
+		// help. Until one offers it, too large is the job's error.
+		err = fmt.Errorf("core: aggregate of %d bytes exceeds the frame limit of %d", len(result), wire.MaxPayload)
+	}
 	aggDone := time.Now()
 	b.mu.Lock()
 	route := req.route
@@ -486,27 +493,16 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 		})
 		return
 	}
-	// Forward to the next box, chunked under the frame limit.
+	// Forward to the next box: one well-formed part for its merge.
 	next := route[0]
 	b.send(next, &wire.Msg{
 		Type: wire.THello, App: req.key.app, Req: req.key.req,
 		Source: b.cfg.ID, Payload: wire.EncodeStrings(route[1:]),
 	})
-	const chunk = 1 << 20
-	for off, seq := 0, uint64(0); off < len(result) || seq == 0; seq++ {
-		end := off + chunk
-		if end > len(result) {
-			end = len(result)
-		}
-		b.send(next, &wire.Msg{
-			Type: wire.TData, App: req.key.app, Req: req.key.req,
-			Source: b.cfg.ID, Seq: seq, Payload: result[off:end], Buf: resultBuf,
-		})
-		off = end
-		if off >= len(result) {
-			break
-		}
-	}
+	b.send(next, &wire.Msg{
+		Type: wire.TData, App: req.key.app, Req: req.key.req,
+		Source: b.cfg.ID, Payload: result, Buf: resultBuf,
+	})
 	b.send(next, &wire.Msg{
 		Type: wire.TEnd, App: req.key.app, Req: req.key.req, Source: b.cfg.ID,
 	})

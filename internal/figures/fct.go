@@ -43,28 +43,30 @@ func cdfTable(title, unit string, results map[string]*simexp.Result, pick func(*
 	return table
 }
 
-// Fig06 regenerates Figure 6: the CDF of flow completion time of all
-// traffic under rack, binary, chain and NetAgg aggregation.
-func Fig06(o Options) *metrics.Report {
+// FigCDF regenerates the three CDF figures from one run of the four
+// strategies: Figure 6, the flow completion time of all traffic under
+// rack, binary, chain and NetAgg aggregation; Figure 7, that of the
+// non-aggregatable background traffic only; and Figure 9, the per-link
+// traffic at α = 10 %, showing that chain and binary trees consume more
+// link bandwidth than rack while NetAgg consumes the least.
+func FigCDF(o Options) []*metrics.Report {
 	results := runBaselines(o)
-	return &metrics.Report{
+	return []*metrics.Report{{
 		ID:    "fig06",
 		Title: "CDF of flow completion time of all traffic",
 		Table: cdfTable("Fig 6 — FCT of all traffic (seconds at CDF percentiles)", "s",
 			results, func(r *simexp.Result) *metrics.Sample { return r.AllFCT }),
-	}
-}
-
-// Fig07 regenerates Figure 7: the CDF of flow completion time of the
-// non-aggregatable background traffic only.
-func Fig07(o Options) *metrics.Report {
-	results := runBaselines(o)
-	return &metrics.Report{
+	}, {
 		ID:    "fig07",
 		Title: "CDF of flow completion time of non-aggregatable traffic",
 		Table: cdfTable("Fig 7 — FCT of non-aggregatable traffic (seconds at CDF percentiles)", "s",
 			results, func(r *simexp.Result) *metrics.Sample { return r.BackgroundFCT }),
-	}
+	}, {
+		ID:    "fig09",
+		Title: "CDF of link traffic (α = 10%)",
+		Table: cdfTable("Fig 9 — per-link traffic (MB at CDF percentiles)", "MB",
+			results, func(r *simexp.Result) *metrics.Sample { return r.LinkMB }),
+	}}
 }
 
 // Fig08 regenerates Figure 8: 99th-percentile FCT relative to rack-level
@@ -89,19 +91,6 @@ func Fig08(o Options) *metrics.Report {
 		Title: "Flow completion time relative to baseline with varying output ratio α",
 		Table: table,
 		Notes: "netagg_job is job-level completion vs rack's, the metric on which the α→1 convergence shows",
-	}
-}
-
-// Fig09 regenerates Figure 9: the CDF of per-link traffic at α = 10 %,
-// showing that chain and binary trees consume more link bandwidth than rack
-// while NetAgg consumes the least.
-func Fig09(o Options) *metrics.Report {
-	results := runBaselines(o)
-	return &metrics.Report{
-		ID:    "fig09",
-		Title: "CDF of link traffic (α = 10%)",
-		Table: cdfTable("Fig 9 — per-link traffic (MB at CDF percentiles)", "MB",
-			results, func(r *simexp.Result) *metrics.Sample { return r.LinkMB }),
 	}
 }
 

@@ -1,13 +1,14 @@
 // Package figures regenerates every simulation figure of the paper's
 // evaluation (§2.4 feasibility study and §4.1): each FigNN function runs the
 // required simulations and returns a metrics.Report whose table prints the same
-// rows/series as the corresponding figure. The functions are shared by the
-// netagg-sim CLI and the benchmark harness in the repository root.
+// rows/series as the corresponding figure. All is the one list of them; the
+// netagg-sim CLI is a loop over it.
 package figures
 
 import (
 	"fmt"
 
+	"netagg/internal/metrics"
 	"netagg/internal/simexp"
 	"netagg/internal/strategies"
 	"netagg/internal/topology"
@@ -61,6 +62,23 @@ func (s Scale) Clos() topology.ClosConfig {
 			Oversubscription: 4,
 		}
 	}
+}
+
+// All declares every simulation figure once: its id and the function that
+// regenerates it. Figs 6, 7 and 9 are three views of the same four
+// baseline simulations, so they are one row.
+var All = []metrics.Figure[Options]{
+	metrics.One("fig02", Fig02),
+	metrics.One("fig03", Fig03),
+	{IDs: []string{"fig06", "fig07", "fig09"}, Run: FigCDF},
+	metrics.One("fig08", Fig08),
+	metrics.One("fig10", Fig10),
+	metrics.One("fig11", Fig11),
+	metrics.One("fig12", Fig12),
+	metrics.One("fig13", Fig13),
+	metrics.One("fig14", Fig14),
+	metrics.One("planner", FigPlanner),
+	metrics.One("replan", FigReplan),
 }
 
 // Options configures a figure run.
@@ -185,6 +203,3 @@ func relP99Batch(o Options, points []relPoint, spec strategies.BoxSpec) []map[st
 	}
 	return out
 }
-
-// defaultSpec returns the paper's box spec (exported for internal tests).
-func defaultSpec() strategies.BoxSpec { return strategies.DefaultBoxSpec() }

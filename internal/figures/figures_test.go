@@ -3,8 +3,6 @@ package figures
 import (
 	"strings"
 	"testing"
-
-	"netagg/internal/metrics"
 )
 
 var small = Options{Scale: ScaleSmall, Seed: 1}
@@ -47,10 +45,14 @@ func TestFig03HasAllConfigs(t *testing.T) {
 }
 
 func TestFig06And07Run(t *testing.T) {
-	for _, fn := range []func(Options) *metrics.Report{Fig06, Fig07, Fig09} {
-		r := fn(small)
-		if r.Table == nil || len(r.Table.String()) == 0 {
-			t.Fatalf("figure %s produced no table", r.ID)
+	reports := FigCDF(small)
+	if len(reports) != 3 {
+		t.Fatalf("the CDF row yielded %d reports, want fig06, fig07, fig09", len(reports))
+	}
+	for i, id := range []string{"fig06", "fig07", "fig09"} {
+		r := reports[i]
+		if r.ID != id || r.Table == nil || len(tableRows(t, r)) != len(cdfPercentiles) {
+			t.Fatalf("report %d = %s, want %s with one row per percentile:\n%s", i, r.ID, id, r)
 		}
 	}
 }

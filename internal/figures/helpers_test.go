@@ -7,6 +7,10 @@ import (
 	"netagg/internal/metrics"
 )
 
+// Fig06 is the first report of the CDF row, for the tests that take one
+// figure per function.
+func Fig06(o Options) *metrics.Report { return FigCDF(o)[0] }
+
 // rawRows returns the report table's cells as strings.
 func rawRows(t *testing.T, r *metrics.Report) [][]string {
 	t.Helper()

@@ -74,29 +74,18 @@ func (Bufown) Doc() string {
 	return "pool buffer references must be released exactly once or explicitly handed off"
 }
 
-// Check implements Analyzer; Bufown is package-scoped, so the per-file
-// hook is a no-op.
-func (Bufown) Check(f *File, report func(pos token.Pos, msg string)) {}
-
 const (
 	bufpoolPath = "netagg/internal/bufpool"
 	wirePath    = "netagg/internal/wire"
 )
 
 // CheckPackage implements PackageAnalyzer.
-func (Bufown) CheckPackage(files []*File, report func(pos token.Pos, msg string)) {
-	var src []*File
-	for _, f := range files {
-		if f.Test || f.PkgDir == "bufpool" {
-			continue
-		}
-		src = append(src, f)
-	}
-	if len(src) == 0 {
+func (Bufown) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
+	if p.inScope("bufpool") {
 		return
 	}
 	inScope := false
-	for _, f := range src {
+	for _, f := range p.files {
 		if importName(f.AST, bufpoolPath) != "" || importName(f.AST, wirePath) != "" {
 			inScope = true
 		}
@@ -105,7 +94,6 @@ func (Bufown) CheckPackage(files []*File, report func(pos token.Pos, msg string)
 		return
 	}
 
-	p := buildPackage(src)
 	bo := &bufownPkg{
 		pkg:        p,
 		paramAnns:  make(map[string]map[string]string),
@@ -117,12 +105,7 @@ func (Bufown) CheckPackage(files []*File, report func(pos token.Pos, msg string)
 		bo.returnsBuf[key] = returnsBufPtr(fs)
 	}
 
-	keys := make([]string, 0, len(p.funcs))
-	for key := range p.funcs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range p.keys {
 		fs := p.funcs[key]
 		f := fs.file
 		if importName(f.AST, bufpoolPath) == "" && importName(f.AST, wirePath) == "" {

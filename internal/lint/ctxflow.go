@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -50,40 +49,29 @@ func (CtxFlow) Doc() string {
 	return "blocking operations must be cancellable: no severed, dropped, or ignored contexts"
 }
 
-// Check implements Analyzer; CtxFlow is package-scoped, so the per-file
-// hook is a no-op.
-func (CtxFlow) Check(f *File, report func(pos token.Pos, msg string)) {}
+// ctxflowPackages is deliberately not dataPlanePackages: treeplan is in
+// (the Replanner's scoring loop runs under a context) and wire is out (a
+// codec over its caller's reader and writer — nothing in it takes or
+// holds a context, so rules 2 and 3 would have nothing to consult).
+var ctxflowPackages = []string{"core", "shim", "cluster", "transport", "treeplan"}
 
 // CheckPackage implements PackageAnalyzer.
-func (CtxFlow) CheckPackage(files []*File, report func(pos token.Pos, msg string)) {
+func (CtxFlow) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
 	// Rule 1 applies to every non-test, non-main package.
-	for _, f := range files {
-		if f.Test || f.AST.Name.Name == "main" {
-			continue
+	for _, f := range p.files {
+		if f.AST.Name.Name != "main" {
+			checkBackground(f, report)
 		}
-		checkBackground(f, report)
 	}
 
 	// Rules 2 and 3 are scoped to the data plane, where blocking against
 	// a dead peer is the failure mode the paper's fault model cares about.
-	var src []*File
-	for _, f := range files {
-		if !f.Test && inScope(f, "core", "shim", "cluster", "transport", "treeplan") {
-			src = append(src, f)
-		}
-	}
-	if len(src) == 0 {
+	if !p.inScope(ctxflowPackages...) {
 		return
 	}
-	p := buildPackage(src)
 	blocking := p.transitiveBlocking()
 
-	keys := make([]string, 0, len(p.funcs))
-	for key := range p.funcs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range p.keys {
 		fs := p.funcs[key]
 		ctxAvail := fs.ctxParam != "" || p.ctxFields[fs.recvType]
 		for _, b := range fs.blocks {
@@ -102,9 +90,12 @@ func (CtxFlow) CheckPackage(files []*File, report func(pos token.Pos, msg string
 				if ctxAvail && !strings.Contains(strings.ToLower(key), "backoff") {
 					report(b.pos, "time.Sleep ignores cancellation: use a timer in a select with ctx.Done()")
 				}
+			case blockSelectBounded, blockCall:
+				// Bounded, or blocked on a peer rather than a missing
+				// cancel signal: lockdiscipline's business, not a rule here.
 			}
 		}
-		if fs.ctxParam != "" && !fs.usesCtx && (len(fs.blocks) > 0 || callsBlocking(fs, blocking)) {
+		if fs.ctxParam != "" && !fs.usesCtx && (fs.blocksUnbounded() || callsBlocking(fs, blocking)) {
 			report(fs.decl.Pos(), fmt.Sprintf("context parameter %q is dropped: the function blocks but never consults it", fs.ctxParam))
 		}
 	}

@@ -53,7 +53,7 @@ func (Determinism) Doc() string {
 	return "simulation packages must derive all time and randomness from the event clock and seeded sources"
 }
 
-// Check implements Analyzer.
+// Check is the per-file hook.
 func (Determinism) Check(f *File, report func(pos token.Pos, msg string)) {
 	if f.Test || !inScope(f, simPackages...) {
 		return

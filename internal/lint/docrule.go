@@ -31,7 +31,7 @@ func (DocRule) Doc() string {
 	return "exported identifiers in transport, cluster, core, obs, treeplan must have doc comments"
 }
 
-// Check implements Analyzer.
+// Check is the per-file hook.
 func (DocRule) Check(f *File, report func(pos token.Pos, msg string)) {
 	if f.Test || !inScope(f, docScope...) {
 		return

@@ -35,7 +35,7 @@ func (ErrcheckWire) Doc() string {
 	return "error returns of wire sends, writer writes, and connection deadline setters must be handled"
 }
 
-// Check implements Analyzer.
+// Check is the per-file hook.
 func (ErrcheckWire) Check(f *File, report func(pos token.Pos, msg string)) {
 	if f.Test || !inScope(f, dataPlanePackages...) {
 		return

@@ -43,10 +43,6 @@ func (Exhaustive) Doc() string {
 	return "switches over wire/scheduler constant sets must cover every member or fail loudly"
 }
 
-// Check implements Analyzer; Exhaustive is corpus-scoped, so the
-// per-file hook is a no-op.
-func (Exhaustive) Check(f *File, report func(pos token.Pos, msg string)) {}
-
 // enumSet is one typed constant set.
 type enumSet struct {
 	key     string // "wire.Type"
@@ -285,7 +281,7 @@ func importedDir(f *ast.File, qual string) string {
 // checkTypeSwitch flags a degenerate silent default (empty body or bare
 // return) in data-plane packages.
 func checkTypeSwitch(f *File, sw *ast.TypeSwitchStmt, report func(pos token.Pos, msg string)) {
-	if !inScope(f, "core", "wire", "shim", "cluster", "transport") {
+	if !inScope(f, dataPlanePackages...) {
 		return
 	}
 	for _, c := range sw.Body.List {

@@ -1,24 +1,16 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
 )
 
-// GoroutineHygiene flags `go func` literals that (a) capture the loop
-// variable of an enclosing for/range statement instead of receiving it
-// as an argument, or (b) contain an unconditional `for {}` loop with no
-// exit path — no return, break, select, channel receive, or reference to
-// a shutdown identifier (ctx/done/stop/quit/closed) — making the
-// goroutine unstoppable and a guaranteed leak on shutdown.
-//
-// Loop-variable capture is per-iteration-safe since Go 1.22, but passing
-// the variable explicitly keeps the dependency visible and survives
-// copy-paste into older modules; the check is cheap to satisfy and the
-// paper-reproduction fleet (boxes, shims, probers) spawns goroutines in
-// accept loops where aliasing bugs are costly.
+// GoroutineHygiene flags `go func` literals that contain an
+// unconditional `for {}` loop with no exit path — no return, break,
+// select, channel receive, or reference to a shutdown identifier
+// (ctx/done/stop/quit/closed) — making the goroutine unstoppable and a
+// guaranteed leak on shutdown.
 type GoroutineHygiene struct{}
 
 // Name implements Analyzer.
@@ -26,10 +18,10 @@ func (GoroutineHygiene) Name() string { return "goroutine-hygiene" }
 
 // Doc implements Analyzer.
 func (GoroutineHygiene) Doc() string {
-	return "go func literals must not capture loop variables and must have a shutdown path"
+	return "go func literals must have a shutdown path"
 }
 
-// Check implements Analyzer.
+// Check is the per-file hook.
 func (GoroutineHygiene) Check(f *File, report func(pos token.Pos, msg string)) {
 	if f.Test {
 		return
@@ -39,90 +31,22 @@ func (GoroutineHygiene) Check(f *File, report func(pos token.Pos, msg string)) {
 		if !ok || fn.Body == nil {
 			continue
 		}
-		checkGoroutines(fn.Body, nil, report)
-	}
-}
-
-// checkGoroutines walks statements tracking enclosing loop variables.
-func checkGoroutines(n ast.Node, loopVars []string, report func(token.Pos, string)) {
-	switch v := n.(type) {
-	case *ast.ForStmt:
-		vars := loopVars
-		if v.Init != nil {
-			if as, ok := v.Init.(*ast.AssignStmt); ok {
-				for _, lhs := range as.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-						vars = append(vars, id.Name)
-					}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
+					checkGoLiteral(fl, report)
 				}
 			}
-		}
-		checkGoroutines(v.Body, vars, report)
-		return
-	case *ast.RangeStmt:
-		vars := loopVars
-		for _, e := range []ast.Expr{v.Key, v.Value} {
-			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-				vars = append(vars, id.Name)
-			}
-		}
-		checkGoroutines(v.Body, vars, report)
-		return
-	case *ast.GoStmt:
-		if fl, ok := v.Call.Fun.(*ast.FuncLit); ok {
-			checkGoLiteral(v, fl, loopVars, report)
-			// Continue into the body for nested go statements; the body's
-			// own loops reset capture tracking.
-			checkGoroutines(fl.Body, nil, report)
-			return
-		}
+			return true // nested go statements are literals of their own
+		})
 	}
-	// Generic descent.
-	children(n, func(c ast.Node) {
-		checkGoroutines(c, loopVars, report)
-	})
 }
 
-// children invokes fn on each direct child node.
-func children(n ast.Node, fn func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c == nil {
-			return false
-		}
-		fn(c)
-		return false
-	})
-}
-
-// checkGoLiteral applies both hygiene checks to one go func literal.
-func checkGoLiteral(g *ast.GoStmt, fl *ast.FuncLit, loopVars []string, report func(token.Pos, string)) {
-	// Parameters of the literal shadow loop variables; so do call args
-	// that rebind them (go func(i int){...}(i) is the sanctioned form).
-	shadowed := make(map[string]bool)
-	if fl.Type.Params != nil {
-		for _, field := range fl.Type.Params.List {
-			for _, name := range field.Names {
-				shadowed[name.Name] = true
-			}
-		}
-	}
-	for _, lv := range loopVars {
-		if shadowed[lv] {
-			continue
-		}
-		if referencesIdent(fl.Body, lv) {
-			report(g.Pos(), fmt.Sprintf("go func literal captures loop variable %q; pass it as an argument", lv))
-		}
-	}
-
-	// Unstoppable loop check.
+// checkGoLiteral reports every conditionless loop of one go func literal
+// that nothing can stop.
+func checkGoLiteral(fl *ast.FuncLit, report func(token.Pos, string)) {
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if inner, ok := n.(*ast.FuncLit); ok && inner != fl {
+		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		loop, ok := n.(*ast.ForStmt)
@@ -135,18 +59,6 @@ func checkGoLiteral(g *ast.GoStmt, fl *ast.FuncLit, loopVars []string, report fu
 		report(loop.Pos(), "infinite loop in goroutine has no shutdown path (no return/break/select/receive or ctx/done/stop reference)")
 		return true
 	})
-}
-
-// referencesIdent reports whether body mentions name as an identifier.
-func referencesIdent(body *ast.BlockStmt, name string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // shutdownNames are identifier substrings that signal a shutdown path.
@@ -175,11 +87,8 @@ func hasExitPath(body *ast.BlockStmt) bool {
 				exit = true // receive: closing the channel unblocks it
 			}
 		case *ast.CallExpr:
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-				// Method calls that can fail and lead to return are
-				// handled by the ReturnStmt case; panics count too.
-				_ = sel
-			}
+			// Method calls that can fail and lead to return are handled by
+			// the ReturnStmt case; panics count too.
 			if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "panic" {
 				exit = true
 			}

@@ -83,35 +83,37 @@ type ignoreDirective struct {
 	used     bool
 }
 
-// Analyzer checks one file and reports findings via report.
+// Analyzer is one named check. Besides its name and doc line it has
+// whichever of three hooks its analysis needs, and Run calls those it
+// finds: Check sees one file, CheckPackage (PackageAnalyzer) one package's
+// shared summary, CheckCorpus (CorpusAnalyzer) the whole parsed tree.
+// Scoping — which packages a check applies to — is each hook's own job.
 type Analyzer interface {
 	// Name is the analyzer identifier used in findings, suppression
 	// comments and the allowlist.
 	Name() string
 	// Doc is a one-line description of the enforced invariant.
 	Doc() string
-	// Check inspects the file. Implementations call report for each
-	// violation; scoping (which packages the analyzer applies to) is the
-	// analyzer's own responsibility.
+}
+
+// fileAnalyzer is the per-file hook.
+type fileAnalyzer interface {
 	Check(f *File, report func(pos token.Pos, msg string))
 }
 
-// PackageAnalyzer is the interprocedural extension of Analyzer: Run
-// hands it every file of one package (grouped by directory) in a single
-// call, so it can build call graphs and propagate facts across function
-// boundaries. Check is never called on a PackageAnalyzer; implementers
-// satisfy it with a no-op.
+// PackageAnalyzer is the interprocedural hook: it reads the summary of a
+// package's functions, field types, call graph, lock and blocking sites
+// (pkggraph.go) that Run builds once and hands to every PackageAnalyzer.
 type PackageAnalyzer interface {
 	Analyzer
-	// CheckPackage inspects one package's files together. report may be
-	// called with positions from any of the files.
-	CheckPackage(files []*File, report func(pos token.Pos, msg string))
+	// CheckPackage inspects one package. report may be called with
+	// positions from any of its files.
+	CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string))
 }
 
 // CorpusAnalyzer sees the whole parsed tree at once, for analyses that
 // need cross-package facts (e.g. the wire frame-type constant set while
-// checking a switch in shim). Check is never called on a CorpusAnalyzer;
-// implementers satisfy it with a no-op.
+// checking a switch in shim).
 type CorpusAnalyzer interface {
 	Analyzer
 	// CheckCorpus inspects every parsed file together. report may be
@@ -224,10 +226,11 @@ func (f *File) suppressed(analyzer string, line int) bool {
 }
 
 // Run applies the analyzers to the files and returns surviving findings
-// sorted by file, line, column, analyzer. File-scoped analyzers see one
-// file at a time, PackageAnalyzers see each directory's files together,
-// and CorpusAnalyzers see everything at once. //lint:ignore suppressions
-// are applied here; allowlist filtering is the caller's concern.
+// sorted by file, line, column, analyzer. Per-file hooks see one file at
+// a time, PackageAnalyzers see each directory's summary — built once
+// per Run, however many of them read it — and CorpusAnalyzers see
+// everything at once. //lint:ignore suppressions are applied here;
+// allowlist filtering is the caller's concern.
 func Run(files []*File, analyzers []Analyzer) []Finding {
 	var out []Finding
 
@@ -254,32 +257,19 @@ func Run(files []*File, analyzers []Analyzer) []Finding {
 		}
 	}
 
-	// Package groups, keyed by directory, in first-seen order.
-	var dirs []string
-	groups := make(map[string][]*File)
-	for _, f := range files {
-		dir := filepath.Dir(f.Path)
-		if _, ok := groups[dir]; !ok {
-			dirs = append(dirs, dir)
-		}
-		groups[dir] = append(groups[dir], f)
-	}
-
+	pkgs := summarise(files)
 	for _, a := range analyzers {
-		switch an := a.(type) {
-		case CorpusAnalyzer:
-			if len(files) > 0 {
-				an.CheckCorpus(files, reporter(files[0].Fset, a.Name()))
+		if an, ok := a.(CorpusAnalyzer); ok && len(files) > 0 {
+			an.CheckCorpus(files, reporter(files[0].Fset, a.Name()))
+		}
+		if an, ok := a.(PackageAnalyzer); ok {
+			for _, p := range pkgs {
+				an.CheckPackage(p, reporter(p.files[0].Fset, a.Name()))
 			}
-		case PackageAnalyzer:
-			for _, dir := range dirs {
-				pkg := groups[dir]
-				an.CheckPackage(pkg, reporter(pkg[0].Fset, a.Name()))
-			}
-		default:
-			for _, file := range files {
-				f := file // pin for the closure
-				a.Check(f, reporter(f.Fset, a.Name()))
+		}
+		if an, ok := a.(fileAnalyzer); ok {
+			for _, f := range files {
+				an.Check(f, reporter(f.Fset, a.Name()))
 			}
 		}
 	}
@@ -297,6 +287,28 @@ func Run(files []*File, analyzers []Analyzer) []Finding {
 		return a.Analyzer < b.Analyzer
 	})
 	return out
+}
+
+// summarise groups the files by directory, in first-seen order, and
+// builds each package's summary — the one buildPackage call per package
+// per Run. Directories with only test files have none.
+func summarise(files []*File) []*pkgSummary {
+	var dirs []string
+	groups := make(map[string][]*File)
+	for _, f := range files {
+		dir := filepath.Dir(f.Path)
+		if _, ok := groups[dir]; !ok {
+			dirs = append(dirs, dir)
+		}
+		groups[dir] = append(groups[dir], f)
+	}
+	var pkgs []*pkgSummary
+	for _, dir := range dirs {
+		if p := buildPackage(groups[dir]); p != nil {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs
 }
 
 // UnusedIgnores reports //lint:ignore directives in the files that

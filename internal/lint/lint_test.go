@@ -265,6 +265,53 @@ func (q *q) take() {
 			want: nil,
 		},
 		{
+			name: "typed sync.Cond field not named cond exempt",
+			path: "internal/transport/x.go",
+			src: `package transport
+import "sync"
+type sendq struct{ mu sync.Mutex; notFull *sync.Cond; n int }
+func (q *sendq) admit() {
+	q.mu.Lock()
+	for q.n > 0 {
+		q.notFull.Wait()
+	}
+	q.mu.Unlock()
+}
+`,
+			want: nil,
+		},
+		{
+			name: "WaitGroup.Wait under lock flagged whatever its name",
+			path: "internal/core/x.go",
+			src: `package core
+import "sync"
+type box struct{ mu sync.Mutex; wg, condWG sync.WaitGroup }
+func (b *box) stop() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.wg.Wait()
+	b.condWG.Wait()
+}
+`,
+			want: []string{"b.wg.Wait while holding b.mu", "b.condWG.Wait while holding b.mu"},
+		},
+		{
+			name: "unresolved receiver keeps the cond spelling rule",
+			path: "internal/core/x.go",
+			src: `package core
+import "sync"
+func wait(mu *sync.Mutex, ready func() bool) {
+	cond := sync.NewCond(mu)
+	mu.Lock()
+	for !ready() {
+		cond.Wait()
+	}
+	mu.Unlock()
+}
+`,
+			want: nil,
+		},
+		{
 			name: "time.Sleep under lock flagged",
 			path: "internal/cluster/x.go",
 			src: `package cluster
@@ -312,6 +359,24 @@ func spawn(mu *sync.Mutex, ch chan int) {
 }
 `,
 			want: nil,
+		},
+		{
+			name: "blocking call in goroutine started under lock is not under it",
+			path: "internal/shim/x.go",
+			src: `package shim
+import "sync"
+type conn struct{}
+func (conn) Send(v int) error { return nil }
+func spawn(mu *sync.Mutex, c conn) {
+	mu.Lock()
+	go func() {
+		_ = c.Send(1)
+	}()
+	_ = c.Send(2)
+	mu.Unlock()
+}
+`,
+			want: []string{"c.Send while holding mu"},
 		},
 		{
 			name: "out-of-scope package ignored",
@@ -459,20 +524,6 @@ func TestGoroutineHygiene(t *testing.T) {
 		want []string
 	}{
 		{
-			name: "range variable captured",
-			path: "internal/core/x.go",
-			src: `package core
-func fanout(items []int, f func(int)) {
-	for _, it := range items {
-		go func() {
-			f(it)
-		}()
-	}
-}
-`,
-			want: []string{`captures loop variable "it"`},
-		},
-		{
 			name: "variable passed as argument allowed",
 			path: "internal/core/x.go",
 			src: `package core
@@ -485,20 +536,6 @@ func fanout(items []int, f func(int)) {
 }
 `,
 			want: nil,
-		},
-		{
-			name: "classic for loop variable captured",
-			path: "internal/shim/x.go",
-			src: `package shim
-func fanout(n int, f func(int)) {
-	for i := 0; i < n; i++ {
-		go func() {
-			f(i)
-		}()
-	}
-}
-`,
-			want: []string{`captures loop variable "i"`},
 		},
 		{
 			name: "unstoppable infinite loop flagged",

@@ -41,10 +41,6 @@ func (LockOrder) Doc() string {
 	return "mutex acquisition order must be acyclic across each data-plane package's call graph"
 }
 
-// Check implements Analyzer; LockOrder is package-scoped, so the
-// per-file hook is a no-op.
-func (LockOrder) Check(f *File, report func(pos token.Pos, msg string)) {}
-
 // lockEdge is one "to acquired while holding from" observation.
 type lockEdge struct {
 	from, to string
@@ -52,17 +48,10 @@ type lockEdge struct {
 }
 
 // CheckPackage implements PackageAnalyzer.
-func (LockOrder) CheckPackage(files []*File, report func(pos token.Pos, msg string)) {
-	var src []*File
-	for _, f := range files {
-		if !f.Test && inScope(f, "core", "wire", "shim", "cluster", "transport") {
-			src = append(src, f)
-		}
-	}
-	if len(src) == 0 {
+func (LockOrder) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
+	if !p.inScope(dataPlanePackages...) {
 		return
 	}
-	p := buildPackage(src)
 	acq := p.transitiveAcquires()
 
 	// Allowed edges, declared as "//netagg:lockorder-allow L M reason".
@@ -76,12 +65,6 @@ func (LockOrder) CheckPackage(files []*File, report func(pos token.Pos, msg stri
 
 	// Collect edges deterministically: functions in sorted key order, so
 	// the position recorded for a repeated edge is stable.
-	keys := make([]string, 0, len(p.funcs))
-	for key := range p.funcs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-
 	edges := make(map[string]map[string]token.Pos)
 	addEdge := func(from, to string, pos token.Pos) {
 		if from == to || allowed[from+"\t"+to] {
@@ -94,7 +77,7 @@ func (LockOrder) CheckPackage(files []*File, report func(pos token.Pos, msg stri
 			edges[from][to] = pos
 		}
 	}
-	for _, key := range keys {
+	for _, key := range p.keys {
 		fs := p.funcs[key]
 		for _, a := range fs.acquires {
 			for _, h := range a.held {

@@ -3,13 +3,16 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 )
 
-// This file is the shared interprocedural substrate of the lockorder and
-// ctxflow analyzers: a syntactic per-package model of functions, struct
-// field types, a call-graph approximation, and per-function summaries of
-// lock acquisitions and blocking operations.
+// This file is the substrate every PackageAnalyzer reads — lockdiscipline,
+// lockorder, ctxflow, bufown, protocheck: a syntactic per-package model of
+// functions, struct field types, a call-graph approximation, and
+// per-function summaries of lock acquisitions and blocking operations,
+// built once per package per Run. summaryScan is the suite's only
+// statement walker that tracks held locks.
 //
 // Resolution is deliberately conservative. A call is an edge only when
 // the callee is identifiable without type checking: a package-level
@@ -22,13 +25,19 @@ import (
 
 // pkgSummary is the per-package model.
 type pkgSummary struct {
-	files []*File
+	files []*File // the package's non-test files
 	// funcs maps "Type.Method" (or "Func" for package-level functions)
 	// to its summary.
 	funcs map[string]*funcSummary
+	// keys is funcs' keys, sorted: the order analyzers visit functions in.
+	keys []string
+	// all lists every function in file and declaration order, including
+	// the ones funcs keeps one of (a key under two build tags, inits).
+	all []*funcSummary
 	// fieldTypes maps a struct type name to its fields' resolved type
-	// names: fieldTypes["Box"]["pool"] == "Pool". Map- and slice-typed
-	// fields resolve to their element type (what a range yields).
+	// names: fieldTypes["Box"]["pool"] == "Pool", and "sync.Cond" for a
+	// field of another package's type. Map- and slice-typed fields
+	// resolve to their element type (what a range yields).
 	fieldTypes map[string]map[string]string
 	// ctxFields is the set of struct types carrying a context.Context
 	// field — their methods are considered cancellation-aware.
@@ -47,10 +56,13 @@ type funcSummary struct {
 	ctxParam string // name of the context.Context parameter ("" if none)
 	usesCtx  bool   // body references the context parameter
 
-	acquires []lockAcq  // direct lock acquisitions
-	calls    []callRef  // resolvable same-package calls
-	blocks   []blockOp  // direct blocking operations
-	typeEnv  typeEnv    // identifier -> type name, for the analyzers
+	acquires []lockAcq // direct lock acquisitions
+	calls    []callRef // resolvable same-package calls
+	blocks   []blockOp // direct blocking operations
+	typeEnv  typeEnv   // identifier -> type name, for the analyzers
+	// lockText maps a normalized lock name to the expression it was last
+	// acquired through ("conn.mu" -> "c.mu"), which messages quote.
+	lockText map[string]string
 }
 
 // lockAcq is one x.Lock()/x.RLock() site.
@@ -67,41 +79,52 @@ type callRef struct {
 	pos    token.Pos
 }
 
-// blockKind classifies a blocking operation for ctxflow.
+// blockKind classifies a blocking operation.
 type blockKind int
 
 const (
-	blockSend    blockKind = iota // naked channel send
-	blockRecv                     // naked channel receive
-	blockSelect                   // select with no default and no ctx.Done case
-	blockSleep                    // time.Sleep
+	blockSend   blockKind = iota // naked channel send
+	blockRecv                    // naked channel receive
+	blockSelect                  // select with no default and no ctx.Done or timer case
+	blockSleep                   // time.Sleep
+
+	// The two below block for a bounded time or on a peer, not on a missing
+	// cancel signal: lockdiscipline reads them, ctxflow's rules do not.
+	blockSelectBounded // select with no default but a ctx.Done or timer case
+	blockCall          // call through one of the blockingMethods names
 )
 
-// blockOp is one potentially unbounded blocking site.
+// blockOp is one blocking site.
 type blockOp struct {
 	kind blockKind
 	pos  token.Pos
-	desc string // expression rendering for the message
+	desc string   // expression rendering for the message
+	held []string // locks held at the site
 }
 
 // typeEnv maps local identifiers to (package-local) type names.
 type typeEnv map[string]string
 
-// buildPackage summarises one package's files.
+// buildPackage summarises the non-test files of one package directory;
+// nil when there are none.
 func buildPackage(files []*File) *pkgSummary {
 	p := &pkgSummary{
-		files:      files,
 		funcs:      make(map[string]*funcSummary),
 		fieldTypes: make(map[string]map[string]string),
 		ctxFields:  make(map[string]bool),
 	}
 	for _, f := range files {
-		p.collectTypes(f)
+		if !f.Test {
+			p.files = append(p.files, f)
+			p.collectTypes(f)
+		}
+	}
+	if len(p.files) == 0 {
+		return nil
 	}
 	// Two phases: register every function key first, then scan bodies, so
 	// calls to functions declared later (or in another file) resolve.
-	var all []*funcSummary
-	for _, f := range files {
+	for _, f := range p.files {
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -109,14 +132,21 @@ func buildPackage(files []*File) *pkgSummary {
 			}
 			fs := p.newSummary(f, fn)
 			p.funcs[fs.key] = fs
-			all = append(all, fs)
+			p.all = append(p.all, fs)
 		}
 	}
-	for _, fs := range all {
+	for _, fs := range p.all {
 		p.scanBody(fs)
 	}
+	for key := range p.funcs {
+		p.keys = append(p.keys, key)
+	}
+	sort.Strings(p.keys)
 	return p
 }
+
+// inScope reports whether the package's directory is in the set.
+func (p *pkgSummary) inScope(dirs ...string) bool { return inScope(p.files[0], dirs...) }
 
 // collectTypes records struct field types and context-carrying structs.
 func (p *pkgSummary) collectTypes(f *File) {
@@ -152,14 +182,20 @@ func (p *pkgSummary) collectTypes(f *File) {
 	}
 }
 
-// typeName resolves an in-package type expression to a bare name:
-// `T`, `*T`, `[]T`, `[]*T`, `map[K]T`, `map[K]*T`. Map and slice types
-// resolve to the element type (the interesting name when ranging).
-// Qualified (other-package) and more exotic types yield "".
+// typeName resolves a type expression to a name: `T`, `*T`, `[]T`,
+// `[]*T`, `map[K]T`, `map[K]*T` to the bare T, and another package's
+// `pkg.T` to "pkg.T" — which matches no function key, so it resolves no
+// call; it tells a receiver's declared type from its spelling. Map and
+// slice types resolve to the element type (the interesting name when
+// ranging). More exotic types yield "".
 func typeName(e ast.Expr) string {
 	switch v := e.(type) {
 	case *ast.Ident:
 		return v.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := v.X.(*ast.Ident); ok {
+			return pkg.Name + "." + v.Sel.Name
+		}
 	case *ast.StarExpr:
 		return typeName(v.X)
 	case *ast.ArrayType:
@@ -184,7 +220,7 @@ func isCtxType(e ast.Expr) bool {
 // receiver, parameter type bindings); the body is scanned in scanBody
 // once every key is registered.
 func (p *pkgSummary) newSummary(f *File, fn *ast.FuncDecl) *funcSummary {
-	fs := &funcSummary{file: f, decl: fn, typeEnv: make(typeEnv)}
+	fs := &funcSummary{file: f, decl: fn, typeEnv: make(typeEnv), lockText: make(map[string]string)}
 	if fn.Recv != nil && len(fn.Recv.List) == 1 {
 		fs.recvType = typeName(fn.Recv.List[0].Type)
 		if len(fn.Recv.List[0].Names) == 1 {
@@ -294,8 +330,9 @@ type summaryScan struct {
 }
 
 // block scans statements sequentially, threading held through
-// straight-line code and copying it into branches (same discipline as
-// lockdiscipline's scanner).
+// straight-line code and copying it into branches, so the common
+// `if cond { mu.Unlock(); return }` early exit does not leak state into
+// the fallthrough path.
 func (s *summaryScan) block(stmts []ast.Stmt, held []string) []string {
 	for _, stmt := range stmts {
 		held = s.stmt(stmt, held)
@@ -310,20 +347,20 @@ func cloneHeld(held []string) []string {
 func (s *summaryScan) stmt(stmt ast.Stmt, held []string) []string {
 	switch v := stmt.(type) {
 	case *ast.ExprStmt:
-		if name, kind := s.lockCallName(v.X); kind != 0 {
-			if kind > 0 {
-				s.fs.acquires = append(s.fs.acquires, lockAcq{lock: name, held: cloneHeld(held), pos: v.Pos()})
-				return append(held, name)
+		if recv, kind := mutexCall(v.X); kind != 0 {
+			name := s.pkg.lockName(s.fs.typeEnv, recv)
+			if kind < 0 {
+				return releaseHeld(held, name)
 			}
-			return releaseHeld(held, name)
+			s.fs.acquires = append(s.fs.acquires, lockAcq{lock: name, held: cloneHeld(held), pos: v.Pos()})
+			s.fs.lockText[name] = exprString(recv)
+			return append(held, name)
 		}
 		s.expr(v.X, held)
 
 	case *ast.DeferStmt:
-		// defer x.Unlock() keeps the lock to function end: do not release.
-		if _, kind := s.lockCallName(v.Call); kind != 0 {
-			return held
-		}
+		// defer x.Unlock() keeps the lock to function end, and what other
+		// deferred calls block on at return is outside region tracking.
 
 	case *ast.AssignStmt:
 		for _, rhs := range v.Rhs {
@@ -365,7 +402,7 @@ func (s *summaryScan) stmt(stmt ast.Stmt, held []string) []string {
 
 	case *ast.SendStmt:
 		s.expr(v.Value, held)
-		s.fs.blocks = append(s.fs.blocks, blockOp{kind: blockSend, pos: v.Pos(), desc: exprString(v.Chan)})
+		s.blocked(blockSend, v.Pos(), exprString(v.Chan), held)
 
 	case *ast.IfStmt:
 		if v.Init != nil {
@@ -437,8 +474,12 @@ func (s *summaryScan) stmt(stmt ast.Stmt, held []string) []string {
 				hasDone = true
 			}
 		}
-		if !hasDefault && !hasDone {
-			s.fs.blocks = append(s.fs.blocks, blockOp{kind: blockSelect, pos: v.Pos(), desc: "select"})
+		if !hasDefault {
+			kind := blockSelect
+			if hasDone {
+				kind = blockSelectBounded
+			}
+			s.blocked(kind, v.Pos(), "select", held)
 		}
 		for _, c := range v.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
@@ -473,14 +514,16 @@ func (s *summaryScan) expr(e ast.Expr, held []string) {
 			return false
 		case *ast.UnaryExpr:
 			if v.Op == token.ARROW {
-				s.fs.blocks = append(s.fs.blocks, blockOp{kind: blockRecv, pos: v.Pos(), desc: exprString(v.X)})
+				s.blocked(blockRecv, v.Pos(), exprString(v.X), held)
 			}
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
 				if recv, ok := sel.X.(*ast.Ident); ok && recv.Name == "time" && sel.Sel.Name == "Sleep" {
 					if importName(s.fs.file.AST, "time") == "time" {
-						s.fs.blocks = append(s.fs.blocks, blockOp{kind: blockSleep, pos: v.Pos(), desc: "time.Sleep"})
+						s.blocked(blockSleep, v.Pos(), "time.Sleep", held)
 					}
+				} else if blockingMethods[sel.Sel.Name] && !s.neverBlocks(sel.X) {
+					s.blocked(blockCall, v.Pos(), exprString(sel.X)+"."+sel.Sel.Name, held)
 				}
 			}
 			if callee := s.pkg.resolveCallee(s.fs.typeEnv, v); callee != "" {
@@ -491,24 +534,45 @@ func (s *summaryScan) expr(e ast.Expr, held []string) {
 	})
 }
 
-// lockCallName recognises x.Lock()/x.RLock() (+1) and x.Unlock()/
-// x.RUnlock() (-1), returning the normalized lock name.
-func (s *summaryScan) lockCallName(e ast.Expr) (string, int) {
+// blocked records one blocking site with the locks held there.
+func (s *summaryScan) blocked(kind blockKind, pos token.Pos, desc string, held []string) {
+	s.fs.blocks = append(s.fs.blocks, blockOp{kind: kind, pos: pos, desc: desc, held: cloneHeld(held)})
+}
+
+// neverBlocks exempts two receivers of a blockingMethods name: the repo's
+// in-memory append buffers, by their `.buf` field convention, and a
+// *sync.Cond, whose Wait releases the mutex by contract. The receiver's
+// declared type decides what is a Cond; only one that does not resolve
+// falls back to its spelling mentioning "cond".
+func (s *summaryScan) neverBlocks(recv ast.Expr) bool {
+	text := exprString(recv)
+	if text == "buf" || strings.HasSuffix(text, ".buf") {
+		return true
+	}
+	if t := s.pkg.resolveType(s.fs.typeEnv, recv); t != "" {
+		return t == "sync.Cond"
+	}
+	return strings.Contains(strings.ToLower(text), "cond")
+}
+
+// mutexCall recognises x.Lock()/x.RLock() (+1) and x.Unlock()/x.RUnlock()
+// (-1), returning the receiver x.
+func mutexCall(e ast.Expr) (ast.Expr, int) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
-		return "", 0
+		return nil, 0
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", 0
+		return nil, 0
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
-		return s.pkg.lockName(s.fs.typeEnv, sel.X), 1
+		return sel.X, 1
 	case "Unlock", "RUnlock":
-		return s.pkg.lockName(s.fs.typeEnv, sel.X), -1
+		return sel.X, -1
 	}
-	return "", 0
+	return nil, 0
 }
 
 // releaseHeld removes the most recent acquisition of name.
@@ -610,13 +674,24 @@ func (p *pkgSummary) transitiveAcquires() map[string]map[string]bool {
 	return acq
 }
 
+// blocksUnbounded reports whether the function itself contains a
+// naked send or receive, a done-less select or a sleep.
+func (fs *funcSummary) blocksUnbounded() bool {
+	for _, b := range fs.blocks {
+		if b.kind <= blockSleep {
+			return true
+		}
+	}
+	return false
+}
+
 // transitiveBlocking computes the set of functions that may block
 // (directly or through resolvable calls) without consulting a context:
 // naked sends/receives, done-less selects, sleeps.
 func (p *pkgSummary) transitiveBlocking() map[string]bool {
 	blocking := make(map[string]bool, len(p.funcs))
 	for key, fs := range p.funcs {
-		if len(fs.blocks) > 0 {
+		if fs.blocksUnbounded() {
 			blocking[key] = true
 		}
 	}

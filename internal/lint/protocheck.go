@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 
 	"netagg/internal/wire"
@@ -70,21 +69,12 @@ func (Protocheck) Doc() string {
 	return "frame-dispatch switches must conform to the wire protocol table (internal/wire/protocol.go)"
 }
 
-// Check implements Analyzer; Protocheck is package-scoped, so the
-// per-file hook is a no-op.
-func (Protocheck) Check(f *File, report func(pos token.Pos, msg string)) {}
-
 const protoHandlerDirective = "netagg:proto-handler"
 
 // CheckPackage implements PackageAnalyzer.
-func (Protocheck) CheckPackage(files []*File, report func(pos token.Pos, msg string)) {
-	var src []*File
+func (Protocheck) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
 	hasDirective := false
-	for _, f := range files {
-		if f.Test {
-			continue
-		}
-		src = append(src, f)
+	for _, f := range p.files {
 		if strings.Contains(string(f.Src), "//"+protoHandlerDirective) {
 			hasDirective = true
 		}
@@ -93,7 +83,6 @@ func (Protocheck) CheckPackage(files []*File, report func(pos token.Pos, msg str
 		return
 	}
 
-	p := buildPackage(src)
 	pc := &protoPkg{
 		pkg:       p,
 		rules:     make(map[string]wire.Rule),
@@ -106,12 +95,7 @@ func (Protocheck) CheckPackage(files []*File, report func(pos token.Pos, msg str
 		pc.paramAnns[key] = bufownParamAnns(fs.decl)
 	}
 
-	keys := make([]string, 0, len(p.funcs))
-	for key := range p.funcs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range p.keys {
 		fs := p.funcs[key]
 		roleName, ok := protoHandlerRole(fs.decl)
 		if !ok {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"path/filepath"
 	"testing"
 )
 
@@ -315,6 +316,25 @@ func deliver(ctx context.Context, c chan int) {
 		"channel send on c cannot be cancelled")
 }
 
+// The summary's two bounded kinds — a blockingMethods call, a select with
+// a Done case — are lockdiscipline's: no ctxflow rule may read them.
+func TestCtxFlowIgnoresBoundedBlockKinds(t *testing.T) {
+	got := runOn(t, "internal/shim/x.go", `package shim
+import "context"
+type conn struct{ ctx context.Context }
+func (conn) Send(v int) error { return nil }
+func (c conn) push() error { return c.Send(1) }
+func relay(ctx context.Context, c conn) error { return c.Send(2) }
+func wait(ctx context.Context, stop interface{ Done() <-chan struct{} }, a chan int) {
+	select {
+	case <-a:
+	case <-stop.Done():
+	}
+}
+`, "ctxflow")
+	expectMessages(t, got)
+}
+
 func TestExhaustiveMissingMembers(t *testing.T) {
 	got := runMulti(t, map[string]string{
 		"internal/wire/w.go": `package wire
@@ -554,6 +574,45 @@ func (b *B) two() { b.mu.Lock(); b.a.mu.Lock(); b.a.mu.Unlock(); b.mu.Unlock() }
 	for _, f := range got {
 		if f.File != "internal/core/a.go" && f.File != "internal/core/b.go" {
 			t.Fatalf("finding attributed to wrong file: %v", f)
+		}
+	}
+}
+
+// summarySpy is a PackageAnalyzer that only records what Run hands it.
+type summarySpy struct{ seen *[]*pkgSummary }
+
+func (summarySpy) Name() string { return "spy" }
+func (summarySpy) Doc() string  { return "records the summaries Run hands out" }
+func (s summarySpy) CheckPackage(p *pkgSummary, _ func(token.Pos, string)) {
+	*s.seen = append(*s.seen, p)
+}
+
+// TestRunSharesOneSummaryPerPackage proves the substrate is built once
+// per package per Run: every PackageAnalyzer in the suite is handed the
+// identical summary for a directory, test files never enter it, and a
+// directory of only test files has none.
+func TestRunSharesOneSummaryPerPackage(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*File
+	for _, path := range []string{
+		"internal/core/a.go", "internal/core/b.go", "internal/core/a_test.go",
+		"internal/shim/x.go", "internal/wire/only_test.go",
+	} {
+		pkg := filepath.Base(filepath.Dir(path))
+		f, err := ParseSource(fset, path, []byte("package "+pkg+"\nfunc f() {}\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	var first, second []*pkgSummary
+	Run(files, append(All(), summarySpy{&first}, summarySpy{&second}))
+	if len(first) != 2 || len(first[0].files) != 2 || len(first[1].files) != 1 {
+		t.Fatalf("summaries = %d, want core (2 non-test files) and shim (1)", len(first))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("package %d: the two analyzers were handed different summaries", i)
 		}
 	}
 }

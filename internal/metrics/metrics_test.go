@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPercentileKnownValues(t *testing.T) {
@@ -166,5 +167,51 @@ func TestTableAlignsColumns(t *testing.T) {
 		if strings.TrimRight(l, " ") != l {
 			t.Fatalf("line %d has trailing spaces:\n%s", i, out)
 		}
+	}
+}
+
+// TestRegenerateRunsEachRowOnce pins what both figure CLIs are a loop
+// over: reports come out in the order asked, a row that yields several
+// of them runs once (the later ones cost nothing), a row nobody asked
+// for does not run, and an unknown id is refused before anything runs.
+func TestRegenerateRunsEachRowOnce(t *testing.T) {
+	runs := map[string]int{}
+	row := func(ids ...string) Figure[int] {
+		return Figure[int]{IDs: ids, Run: func(int) []*Report {
+			runs[ids[0]]++
+			time.Sleep(time.Millisecond)
+			var out []*Report
+			for _, id := range ids {
+				out = append(out, &Report{ID: id})
+			}
+			return out
+		}}
+	}
+	table := []Figure[int]{row("a"), row("b", "c", "e"), One("d", func(int) *Report { return &Report{ID: "d"} })}
+
+	var got []string
+	var free []string
+	err := Regenerate(table, []string{"c", "d", "b"}, 0, func(r *Report, took time.Duration) {
+		got = append(got, r.ID)
+		if took == 0 {
+			free = append(free, r.ID)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != "c d b" || strings.Join(free, " ") != "b" {
+		t.Fatalf("emitted %v (at no cost: %v), want c d b with only b free", got, free)
+	}
+	if runs["a"] != 0 || runs["b"] != 1 {
+		t.Fatalf("row runs = %v, want the shared row once and the unasked row never", runs)
+	}
+
+	err = Regenerate(table, []string{"a", "nofig"}, 0, func(*Report, time.Duration) { t.Error("emitted before validation") })
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "nofig"`) || runs["a"] != 0 {
+		t.Fatalf("err = %v, runs = %v; want the unknown id refused before any run", err, runs)
+	}
+	if ids := FigureIDs(table); strings.Join(ids, " ") != "a b c e d" {
+		t.Fatalf("FigureIDs = %v, want table order", ids)
 	}
 }

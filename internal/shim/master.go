@@ -557,8 +557,11 @@ func (m *Master) handle(msg *wire.Msg) {
 	p.mu.Unlock()
 	if final != nil {
 		m.observeComplete(p, final)
-		p.c <- *final
+		// Deregister before delivering, as redirect does: a caller that
+		// resubmits the id on reading the result must not be told it is
+		// still pending.
 		m.remove(p)
+		p.c <- *final
 	}
 }
 

@@ -1,6 +1,7 @@
 package shim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"netagg/internal/agg"
 	"netagg/internal/cluster"
 	"netagg/internal/core"
+	"netagg/internal/wire"
 )
 
 // rig is a complete in-process NetAgg deployment: two racks, one box per
@@ -146,6 +148,13 @@ func TestEndToEndAggregation(t *testing.T) {
 	// A full deployment aggregates everything into a single result.
 	if len(res.Parts) != 1 {
 		t.Fatalf("parts = %d, want 1 fully aggregated result", len(res.Parts))
+	}
+	// A part no frame can carry is the application's error, returned by the
+	// send that offered it over the by now established connection — not
+	// accepted and left to wedge the worker's connection to its box.
+	huge := [][]byte{make([]byte, wire.MaxPayload+1)}
+	if err := r.workers["w0"].SendPartials("wc", 2, 0, "master", huge, 1); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversize part = %v, want wire.ErrTooLarge", err)
 	}
 }
 

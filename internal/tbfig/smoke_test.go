@@ -30,9 +30,18 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16And17Shape(t *testing.T) {
-	r16 := Fig16(quick)
+	both := Fig16And17(quick)
+	if len(both) != 2 || both[0].ID != "fig16" || both[1].ID != "fig17" {
+		t.Fatalf("the sweep row yielded %d reports, want fig16 and fig17", len(both))
+	}
+	r16, r17 := both[0], both[1]
 	t.Log("\n" + r16.String())
+	t.Log("\n" + r17.String())
 	rows := r16.Table.Rows()
+	// One sweep, two views: each table has the sweep's six client counts.
+	if lat := r17.Table.Rows(); len(rows) != 6 || len(lat) != 6 || lat[5][0] != rows[5][0] {
+		t.Fatalf("fig16 has %d rows and fig17 %d, want the sweep's six in both", len(rows), len(lat))
+	}
 	// At saturation netagg must clearly beat plain Solr (paper: 9.3×).
 	lastRow := rows[len(rows)-1]
 	solr := parseCell(t, lastRow[1])
@@ -117,12 +126,21 @@ func TestFig23And24Shape(t *testing.T) {
 	}
 }
 
+// TestFig18Through21Run is 40 measurement points, so it runs them at the
+// shortest window that still fills every cell and asserts exactly that.
 func TestFig18Through21Run(t *testing.T) {
 	for _, fn := range []func(Options) *metrics.Report{Fig18, Fig19, Fig20, Fig21} {
-		r := fn(Options{Window: 500 * time.Millisecond, Seed: 1})
+		r := fn(Options{Window: 150 * time.Millisecond, Seed: 1})
 		t.Log("\n" + r.String())
 		if len(r.Table.Rows()) == 0 {
 			t.Fatalf("figure %s has no rows", r.ID)
+		}
+		for _, row := range r.Table.Rows() {
+			for _, cell := range row[1:] {
+				if parseCell(t, cell) <= 0 {
+					t.Fatalf("figure %s measured no throughput at %s:\n%s", r.ID, row[0], r)
+				}
+			}
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // serialisation, aggregation wrapper and shim code; this repository's
 // analogues are the per-application codec + aggregation functions and the
 // deployment glue that wires the application's servers to the shim layers.
-// Counts are taken from the source tree at run time.
-func Tab01() *metrics.Report {
+// Counts are taken from the source tree at run time; no option applies.
+func Tab01(Options) *metrics.Report {
 	root := repoRoot()
 	rows := []struct {
 		app, component string

@@ -27,6 +27,26 @@ import (
 	"netagg/internal/treeplan"
 )
 
+// All declares every testbed figure once: its id and the function that
+// regenerates it, in the order netagg-bench prints them. Figs 16 and 17
+// are the throughput and the latency of the same client sweep, so they
+// are one row.
+var All = []metrics.Figure[Options]{
+	metrics.One("fig15", Fig15),
+	{IDs: []string{"fig16", "fig17"}, Run: Fig16And17},
+	metrics.One("fig18", Fig18),
+	metrics.One("fig19", Fig19),
+	metrics.One("fig20", Fig20),
+	metrics.One("fig21", Fig21),
+	metrics.One("fig22", Fig22),
+	metrics.One("fig23", Fig23),
+	metrics.One("fig24", Fig24),
+	metrics.One("fig25", Fig25),
+	metrics.One("fig26", Fig26),
+	metrics.One("ext-fanout", ExtFanout),
+	metrics.One("tab01", Tab01),
+}
+
 // Options tunes experiment durations so tests can run quick variants.
 type Options struct {
 	// Window is the measurement window per data point (default 3s).
@@ -238,73 +258,50 @@ func workerBytesOut(rig *searchRig) int64 {
 	return rig.tb.Master.ResultBytes()
 }
 
-// searchSweep holds both figures' data for one client sweep: the per-mode
-// throughput in Gbps-equivalent and the 99th-percentile latency.
-type searchSweep struct {
-	clients    []int
-	throughput map[string][]float64
-	p99        map[string][]float64
-}
-
-// runSearchSweep runs the client sweep shared by Figs 16 and 17. The
-// throughput metric is the paper's: backend result data processed per
-// second (the traffic NetAgg aggregates), not the reduced volume reaching
-// the frontend.
-func runSearchSweep(o Options) *searchSweep {
-	sw := &searchSweep{
-		clients:    []int{1, 2, 4, 8, 16, 32},
-		throughput: make(map[string][]float64),
-		p99:        make(map[string][]float64),
+// Fig16And17 regenerates both figures of the client sweep (§4.2.1) from
+// one run of it, plain search and search on NetAgg (sample, α = 5 %) at
+// each client count: Figure 16, network throughput — the paper's metric,
+// backend result data processed per second (the traffic NetAgg
+// aggregates), not the reduced volume reaching the frontend — and Figure
+// 17, 99th-percentile response latency.
+func Fig16And17(o Options) []*metrics.Report {
+	clients := []int{1, 2, 4, 8, 16, 32}
+	fig16 := metrics.NewTable("Fig 16 — network throughput (Gbps-equiv) vs clients (Solr, sample α=5%)",
+		"clients", "solr", "netagg")
+	fig17 := metrics.NewTable("Fig 17 — 99th percentile response latency (s) vs clients (Solr)",
+		"clients", "solr_s", "netagg_s")
+	throughput := make([][]interface{}, len(clients))
+	p99 := make([][]interface{}, len(clients))
+	for i, n := range clients {
+		throughput[i] = []interface{}{n}
+		p99[i] = []interface{}{n}
 	}
-	for _, mode := range []struct {
-		name  string
-		boxes int
-	}{{"solr", 0}, {"netagg", 1}} {
+	for _, boxes := range []int{0, 1} { // the solr column, then the netagg column
 		rig, err := newSearchRig(searchOpts{
-			racks: 1, backends: 8, boxes: mode.boxes, sampleRatio: 0.05, scale: o.scale(),
+			racks: 1, backends: 8, boxes: boxes, sampleRatio: 0.05, scale: o.scale(),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("tbfig: %v", err))
 		}
-		for _, n := range sw.clients {
+		for i, n := range clients {
 			r := runClients(rig, n, 40, true, o.window(), o.seed())
-			sw.throughput[mode.name] = append(sw.throughput[mode.name], gbpsEquiv(r.bytes, r.duration, o.scale()))
-			sw.p99[mode.name] = append(sw.p99[mode.name], r.p99.Seconds())
+			throughput[i] = append(throughput[i], gbpsEquiv(r.bytes, r.duration, o.scale()))
+			p99[i] = append(p99[i], r.p99.Seconds())
 		}
 		rig.close()
 	}
-	return sw
-}
-
-// Fig16 regenerates Figure 16: network throughput against the number of
-// clients for plain search and search on NetAgg (sample, α = 5 %).
-func Fig16(o Options) *metrics.Report {
-	sw := runSearchSweep(o)
-	table := metrics.NewTable("Fig 16 — network throughput (Gbps-equiv) vs clients (Solr, sample α=5%)",
-		"clients", "solr", "netagg")
-	for i, n := range sw.clients {
-		table.AddRow(n, sw.throughput["solr"][i], sw.throughput["netagg"][i])
+	for i := range clients {
+		fig16.AddRow(throughput[i]...)
+		fig17.AddRow(p99[i]...)
 	}
-	return &metrics.Report{
+	return []*metrics.Report{{
 		ID:    "fig16",
 		Title: "Network throughput against number of clients (Solr)",
-		Table: table,
+		Table: fig16,
 		Notes: "1 rack, 8 backends on 1G links, box on 10G; Gbps-equivalent at the netem bandwidth scale",
-	}
-}
-
-// Fig17 regenerates Figure 17: 99th-percentile response latency against
-// the number of clients.
-func Fig17(o Options) *metrics.Report {
-	sw := runSearchSweep(o)
-	table := metrics.NewTable("Fig 17 — 99th percentile response latency (s) vs clients (Solr)",
-		"clients", "solr_s", "netagg_s")
-	for i, n := range sw.clients {
-		table.AddRow(n, sw.p99["solr"][i], sw.p99["netagg"][i])
-	}
-	return &metrics.Report{
+	}, {
 		ID:    "fig17",
 		Title: "Response latency against number of clients (Solr)",
-		Table: table,
-	}
+		Table: fig17,
+	}}
 }

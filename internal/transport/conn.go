@@ -104,7 +104,9 @@ func (c *Conn) Stats() Stats { return c.stats.snapshot() }
 // returns before the frame reaches the wire; delivery failures are
 // recovered through the replay window and the receiver's dedup (§3.1).
 // While disconnected it waits for the flusher's verdict so dial errors
-// and ErrBackingOff surface synchronously.
+// and ErrBackingOff surface synchronously. A frame over the wire limits
+// (wire.CheckFrame) is refused with that error, connected or not, before
+// anything is queued or dialled.
 func (c *Conn) Send(m *wire.Msg) error {
 	one := [1]*wire.Msg{m}
 	return c.enqueue(one[:])

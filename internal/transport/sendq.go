@@ -75,8 +75,16 @@ func (q *sendq) init(stats *counters, wg *sync.WaitGroup, run func()) {
 // admit queues msgs as one group, blocking while the bounded queue is
 // full, and rings the flusher. A non-nil done marks the group
 // synchronous: the flusher reports its outcome there. Once the queue is
-// closed admit refuses with the latched error.
+// closed admit refuses with the latched error. A frame the encoder would
+// refuse is refused here, before any of its group is queued: past this
+// point a frame that cannot be written looks like a connection that
+// cannot be written to, and the flusher would re-dial for it for ever.
 func (q *sendq) admit(msgs []*wire.Msg, done chan error) error {
+	for _, m := range msgs {
+		if err := wire.CheckFrame(m); err != nil {
+			return err
+		}
+	}
 	q.mu.Lock()
 	if !q.started && q.err == nil {
 		q.started = true
@@ -92,7 +100,6 @@ func (q *sendq) admit(msgs []*wire.Msg, done chan error) error {
 	for len(q.queue) > 0 && len(q.queue)+len(msgs) > sendqCap && q.err == nil {
 		q.stats.queueWaits.Add(1)
 		obsQueueWaits.Inc()
-		//lint:ignore lockdiscipline admission back-pressure: mu guards only the queue (no network I/O ever runs under it) and close broadcasts after latching err, so the wait always terminates
 		q.notFull.Wait()
 	}
 	if err := q.err; err != nil {

@@ -165,7 +165,9 @@ type ServerConn struct {
 // Reply queues one frame to go back on the connection. Safe for
 // concurrent use. Replies are written asynchronously by the connection's
 // flusher; an error (this call or a previous flush failing) means the
-// peer is gone and the connection should be abandoned.
+// peer is gone and the connection should be abandoned — unless it is the
+// frame's own (wire.CheckFrame: over the wire limits), which refuses
+// that frame and leaves the connection as it was.
 func (sc *ServerConn) Reply(m *wire.Msg) error {
 	one := [1]*wire.Msg{m}
 	return sc.q.admit(one[:], nil)

@@ -199,6 +199,95 @@ func TestReplyAndOnFrame(t *testing.T) {
 	}
 }
 
+// TestUnencodableFrameRefusedAtAdmission pins where a frame the encoder
+// cannot write is refused: at the hand-over, to the caller that built it,
+// on a connected Conn, a never-connected one and a ServerConn alike. Past
+// admission such a frame used to look like a dead connection — the
+// flusher dropped the healthy socket, kept the frame, re-dialled and
+// failed again, thousands of times a second — so the frames around it
+// must arrive in order over the one connection dialled once.
+func TestUnencodableFrameRefusedAtAdmission(t *testing.T) {
+	oversize := &wire.Msg{Type: wire.TData, App: "t", Payload: make([]byte, wire.MaxPayload+1)}
+	longApp := &wire.Msg{Type: wire.TData, App: string(make([]byte, 256))}
+
+	var mu sync.Mutex
+	var got []uint64
+	replyErr := make(chan error, 1)
+	srv, err := Listen(context.Background(), "127.0.0.1:0", func(sc *ServerConn, m *wire.Msg) {
+		mu.Lock()
+		got = append(got, m.Seq)
+		mu.Unlock()
+		if m.Seq == 1 {
+			replyErr <- sc.Reply(oversize)
+			_ = sc.Reply(&wire.Msg{Type: wire.THeartbeat, Seq: m.Seq})
+		}
+	}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	echoed := make(chan uint64, 1)
+	c := NewConn(context.Background(), srv.Addr(), Options{OnFrame: func(m *wire.Msg) { echoed <- m.Seq }})
+	defer c.Close()
+
+	// Never connected: the refusal is synchronous and dials nothing.
+	if err := c.Send(oversize); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversize send before any dial = %v, want ErrTooLarge", err)
+	}
+	if st := c.Stats(); st.Dials != 0 {
+		t.Fatalf("refused frame dialled: %+v", st)
+	}
+
+	send := func(seq uint64) {
+		t.Helper()
+		if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: []byte("x")}); err != nil {
+			t.Fatalf("send %d: %v", seq, err)
+		}
+	}
+	send(1)
+	send(2)
+	if err := c.Send(oversize); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversize send on a connected conn = %v, want ErrTooLarge", err)
+	}
+	if err := c.Send(longApp); err == nil {
+		t.Fatal("a 256-byte app name was admitted")
+	}
+	// One bad frame refuses its whole group: nothing of it is queued.
+	group := []*wire.Msg{{Type: wire.TData, App: "t", Seq: 99}, oversize}
+	if err := c.SendAll(group); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("group with an oversize frame = %v, want ErrTooLarge", err)
+	}
+	for seq := uint64(3); seq <= 7; seq++ {
+		send(seq)
+	}
+
+	waitFor(t, "the seven good frames", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 7
+	})
+	for i, seq := range got {
+		if seq != uint64(i+1) {
+			t.Fatalf("arrival order = %v, want 1..7", got)
+		}
+	}
+	if err := <-replyErr; !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversize reply = %v, want ErrTooLarge", err)
+	}
+	select {
+	case seq := <-echoed:
+		if seq != 1 {
+			t.Fatalf("echo after the refused reply = %d, want 1", seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reply queued after the refused one never arrived")
+	}
+	if st := c.Stats(); st.Dials != 1 || st.Reconnects != 0 {
+		t.Fatalf("conn stats = %+v, want one dial and no reconnect", st)
+	}
+}
+
 // TestContextCancellation checks that cancelling the constructor context
 // is equivalent to Close on both endpoints.
 func TestContextCancellation(t *testing.T) {

@@ -172,7 +172,7 @@ func Protocol() []Rule {
 			Receivers: []Role{RoleBox, RoleMaster},
 			Guarded:   []Role{RoleBox, RoleMaster},
 			Owner:     map[Role]Ownership{RoleBox: OwnTakes, RoleMaster: OwnTakes},
-			Note:      "partial-result chunk; per-source Seq dedups transport replay (the master also sends TData for §5 fanout distribution, received by the extension's own listener)",
+			Note:      "one canonical part of a partial result — a worker's part or a box's whole aggregate, never a byte range of one; per-source Seq dedups transport replay (the master also sends TData for §5 fanout distribution, received by the extension's own listener)",
 		},
 		{
 			Type: TEnd, Name: "TEnd",

@@ -39,16 +39,28 @@ func NewVectorWriter(w io.Writer) *VectorWriter {
 	return &VectorWriter{w: w}
 }
 
-// appendFrame validates m and encodes its length prefix and header onto
-// the batch scratch.
-//
-//netagg:hotpath
-func (v *VectorWriter) appendFrame(m *Msg) error {
+// CheckFrame reports why m cannot be encoded — ErrTooLarge for a payload
+// over MaxPayload, or an app name over 255 bytes — and nil when it can.
+// It is the encoder's own check, exported so the transport can refuse a
+// frame where it is handed over, to the caller that built it, instead of
+// when a flusher fails to write it.
+func CheckFrame(m *Msg) error {
 	if len(m.Payload) > MaxPayload {
 		return ErrTooLarge
 	}
 	if len(m.App) > maxAppLen {
 		return errAppTooLong(m.App)
+	}
+	return nil
+}
+
+// appendFrame validates m and encodes its length prefix and header onto
+// the batch scratch.
+//
+//netagg:hotpath
+func (v *VectorWriter) appendFrame(m *Msg) error {
+	if err := CheckFrame(m); err != nil {
+		return err
 	}
 	start := len(v.hdr)
 	v.hdr = append(v.hdr, 0, 0, 0, 0) // length prefix, patched below

@@ -20,7 +20,7 @@ type Type uint8
 const (
 	// THello opens a stream: it announces the sender's identity and role.
 	THello Type = iota + 1
-	// TData carries a chunk of a partial result for a request.
+	// TData carries one canonical part of a partial result for a request.
 	TData
 	// TEnd marks the end of one source's partial results for a request.
 	TEnd
@@ -140,8 +140,10 @@ func (m *Msg) attachPayload(b *bufpool.Buf) {
 	m.Payload = b.Bytes()
 }
 
-// MaxPayload is the largest accepted frame payload (16 MiB). Larger partial
-// results must be chunked into multiple TData frames.
+// MaxPayload is the largest accepted frame payload (16 MiB). A worker with
+// a larger partial result sends it as several TData frames, each a
+// canonical payload of its own; a box's aggregate over the limit fails
+// its job with a typed error, because one aggregate is one part.
 const MaxPayload = 16 << 20
 
 // maxAppLen bounds the application name.
