@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vet race escape fuzz-smoke verify profile bench-smoke obs-smoke bufpool-debug protocol-check bench-check
+.PHONY: build test lint vet race escape fuzz-smoke verify profile bench-smoke bufpool-debug protocol-check bench-check
 
 build:
 	$(GO) build ./...
@@ -14,11 +14,10 @@ test:
 # netagg-lint: repo-specific analyzers (determinism, docrule,
 # lockdiscipline, errcheck-wire, goroutine-hygiene, lockorder, ctxflow,
 # exhaustive, bufown, protocheck). Exit 1 on findings; suppress audited
-# false positives with //lint:ignore <analyzer> <reason> or the
-# .netagg-lint-allow file (bufown also honours its own
-# //netagg:bufown-allow <reason> markers, see DESIGN.md §13). Stale
-# suppressions — directives or allowlist entries matching nothing — are
-# findings too (DESIGN.md §17).
+# false positives with //lint:ignore <analyzer> <reason> (bufown also
+# honours its own //netagg:bufown-allow <reason> markers, see DESIGN.md
+# §13). Stale suppressions — directives matching nothing — are findings
+# too (DESIGN.md §17).
 lint:
 	$(GO) run ./cmd/netagg-lint ./...
 
@@ -49,11 +48,13 @@ fuzz-smoke:
 # turning use-after-release into a deterministic panic instead of silent
 # corruption. The same tag arms wire.CheckReceive, the dynamic half of
 # the protocol table (DESIGN.md §17), so the suite also covers the
-# packages with annotated frame handlers. Run under -race so the checker
-# also orders the accesses.
+# packages with annotated frame handlers, and internal/search, whose
+# frontend reads a Result's pooled parts and gives them back. Run under
+# -race so the checker also orders the accesses.
 bufpool-debug:
 	$(GO) test -tags netaggdebug -race ./internal/bufpool ./internal/transport \
-		./internal/wire ./internal/core ./internal/shim ./internal/cluster
+		./internal/wire ./internal/core ./internal/shim ./internal/cluster \
+		./internal/search
 
 # Protocol drift gate (DESIGN.md §17): the matrix embedded in DESIGN.md
 # must be exactly what internal/wire/protocol.go renders, and the lint
@@ -80,13 +81,6 @@ verify: build vet lint protocol-check escape bench-check race
 # `go tool pprof -http=: cpu.prof`.
 profile:
 	$(GO) run ./cmd/netagg-sim -scale full -cpuprofile cpu.prof -memprofile mem.prof fig06
-
-# Observability smoke: run one job through a small testbed with the
-# /debug/netagg endpoint live, then fetch and validate metrics, traces
-# and health over HTTP (exit 1 on malformed JSON or an incomplete
-# trace). See OPERATIONS.md for the endpoints it exercises.
-obs-smoke:
-	$(GO) run ./cmd/obs-smoke
 
 # CI bench smoke: micro-benchmarks (small, seconds) recorded as
 # benchstat-compatible artifacts — each BENCH_*.json holds raw Go

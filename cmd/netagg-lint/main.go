@@ -5,20 +5,16 @@
 //	go run ./cmd/netagg-lint ./...
 //
 // exits 0 when the tree is clean, 1 when any analyzer reports a finding
-// that is neither suppressed at the site (//lint:ignore <analyzer>
-// <reason>) nor recorded in the allowlist, and 2 on usage or parse
-// errors.
+// that is not suppressed at the site (//lint:ignore <analyzer> <reason>),
+// and 2 on usage or parse errors.
 //
 // Usage:
 //
-//	netagg-lint [-json] [-allow file] [-only a,b] [patterns...]
+//	netagg-lint [-json] [-only a,b] [patterns...]
 //	netagg-lint -escape [patterns...]
 //
 // Patterns are package directories relative to the module root; the
-// pattern ./... (the default) walks the whole module. The allowlist
-// defaults to .netagg-lint-allow next to go.mod; each line is the
-// tab-separated key `path<TAB>analyzer<TAB>message` of an audited
-// pre-existing finding (use -json to obtain keys).
+// pattern ./... (the default) walks the whole module.
 //
 // The -escape mode is the hot-path allocation gate: it collects every
 // function annotated //netagg:hotpath, runs `go build -gcflags=-m` over
@@ -50,7 +46,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fl := flag.NewFlagSet("netagg-lint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	jsonOut := fl.Bool("json", false, "emit findings as a JSON array")
-	allowPath := fl.String("allow", "", "allowlist file (default: .netagg-lint-allow next to go.mod)")
 	only := fl.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fl.Bool("analyzers", false, "list analyzers and exit")
 	escape := fl.Bool("escape", false, "run the //netagg:hotpath escape-analysis gate instead of the analyzer suite")
@@ -125,37 +120,12 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	findings := lint.Run(files, analyzers)
 
-	ap := *allowPath
-	if ap == "" {
-		ap = filepath.Join(root, ".netagg-lint-allow")
-	}
-	allow, err := lint.LoadAllowlist(ap)
-	if err != nil {
-		fmt.Fprintf(stderr, "netagg-lint: %v\n", err)
-		return 2
-	}
-	findings = allow.Filter(findings)
-
 	// A suppression that suppresses nothing is itself a finding: a stale
-	// //lint:ignore or allowlist entry claims an audited violation that no
-	// longer exists, so its recorded reason misdocuments the code. Both
-	// scans are scoped to what this run actually checked: ignores naming
-	// analyzers outside -only and allowlist entries for unparsed files are
+	// //lint:ignore claims an audited violation that no longer exists, so
+	// its recorded reason misdocuments the code. The scan is scoped to what
+	// this run actually checked: ignores naming analyzers outside -only are
 	// left alone.
 	findings = append(findings, lint.UnusedIgnores(files, analyzers)...)
-	parsed := make(map[string]bool, len(files))
-	for _, f := range files {
-		parsed[f.Path] = true
-	}
-	for _, key := range allow.UnusedKeys(parsed) {
-		path, rest, _ := strings.Cut(key, "\t")
-		analyzer, _, _ := strings.Cut(rest, "\t")
-		findings = append(findings, lint.Finding{
-			Analyzer: "unusedallow",
-			File:     path,
-			Message:  fmt.Sprintf("allowlist entry for %s matched no finding: remove the stale line from %s", analyzer, ap),
-		})
-	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {

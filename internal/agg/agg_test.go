@@ -379,7 +379,7 @@ func referenceKV(t *testing.T, op KVOp, parts [][]byte) []byte {
 		}
 		for _, kv := range kvs {
 			if old, ok := totals[kv.Key]; ok {
-				totals[kv.Key] = KVCombiner{Op: op}.reduce(old, kv.Val)
+				totals[kv.Key] = op.Reduce(old, kv.Val)
 			} else {
 				totals[kv.Key] = kv.Val
 			}

@@ -97,6 +97,18 @@ func (op KVOp) String() string {
 	}
 }
 
+// Reduce folds two values of one key.
+func (op KVOp) Reduce(a, b int64) int64 {
+	switch op {
+	case OpMax:
+		return max(a, b)
+	case OpMin:
+		return min(a, b)
+	default:
+		return a + b
+	}
+}
+
 // KVCombiner merges sorted key/value payloads with a per-key reduction, the
 // agg box counterpart of a Hadoop combiner (§3.2.1: "a Hadoop aggregation
 // wrapper exposes the standard interface of combiner functions").
@@ -256,7 +268,7 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 			if !bytes.Equal(top.key, key) {
 				break
 			}
-			val = c.reduce(val, top.val)
+			val = c.Op.Reduce(val, top.val)
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(key)))
 		dst = append(dst, key...)
@@ -269,23 +281,6 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	}
 	binary.PutUvarint(dst[start:], count)
 	return dst, nil
-}
-
-func (c KVCombiner) reduce(a, b int64) int64 {
-	switch c.Op {
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		return a + b
-	}
 }
 
 // Concat appends payloads without any reduction: the aggregator of

@@ -11,7 +11,7 @@ package cluster
 import (
 	"fmt"
 	"log"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,37 +55,45 @@ type BoxInfo struct {
 	LastSeen time.Time
 }
 
+// boxState is everything the deployment knows about one box: where it is
+// (info, whose LastSeen the failure monitor keeps current), whether plans
+// may use it, and the load it last reported.
+type boxState struct {
+	info      BoxInfo
+	dead      bool
+	congested bool
+	// load is the smoothed heartbeat RTT plus the queue depth and flush
+	// latency of the box's last echo, all zero until a monitor reports.
+	load treeplan.LoadSignal
+}
+
+// plannerBox is the record as a planner sees it.
+func (s *boxState) plannerBox() treeplan.Box {
+	return treeplan.Box{
+		ID: s.info.ID, Addr: s.info.Addr, Switch: s.info.Switch,
+		Dead: s.dead, Slow: s.congested,
+	}
+}
+
 // Deployment is the cluster configuration: hosts, boxes and liveness.
 // It is safe for concurrent use.
 type Deployment struct {
-	mu       sync.RWMutex
-	hosts    map[string]Host
-	control  map[string]string // host name → worker shim control address
-	results  map[string]string // host name → master shim result address
-	boxes     map[string][]BoxInfo
-	byID      map[uint64]BoxInfo
-	dead      map[uint64]bool
-	congested map[uint64]bool
-	lastSeen  map[uint64]time.Time // box id → last successful heartbeat
-	rttUs     map[uint64]int64     // box id → smoothed heartbeat RTT (µs)
-	queueLen  map[uint64]int64     // box id → last reported sched queue depth
-	flushUs   map[uint64]int64     // box id → last reported flush-latency EWMA (µs)
+	mu      sync.RWMutex
+	hosts   map[string]Host
+	control map[string]string      // host name → worker shim control address
+	results map[string]string      // host name → master shim result address
+	boxes   map[uint64]*boxState   // box id → its one record
+	at      map[string][]*boxState // switch → its boxes, in deployment order
 }
 
 // NewDeployment returns an empty deployment.
 func NewDeployment() *Deployment {
 	return &Deployment{
-		hosts:     make(map[string]Host),
-		control:   make(map[string]string),
-		results:   make(map[string]string),
-		boxes:     make(map[string][]BoxInfo),
-		byID:      make(map[uint64]BoxInfo),
-		dead:      make(map[uint64]bool),
-		congested: make(map[uint64]bool),
-		lastSeen:  make(map[uint64]time.Time),
-		rttUs:     make(map[uint64]int64),
-		queueLen:  make(map[uint64]int64),
-		flushUs:   make(map[uint64]int64),
+		hosts:   make(map[string]Host),
+		control: make(map[string]string),
+		results: make(map[string]string),
+		boxes:   make(map[uint64]*boxState),
+		at:      make(map[string][]*boxState),
 	}
 }
 
@@ -144,73 +152,98 @@ func (d *Deployment) ResultAddr(host string) (string, bool) {
 func (d *Deployment) AddBox(b BoxInfo) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.byID[b.ID]; dup {
+	if _, dup := d.boxes[b.ID]; dup {
 		panic(fmt.Sprintf("cluster: duplicate box id %d", b.ID))
 	}
-	d.boxes[b.Switch] = append(d.boxes[b.Switch], b)
-	d.byID[b.ID] = b
+	s := &boxState{info: b}
+	d.boxes[b.ID] = s
+	d.at[b.Switch] = append(d.at[b.Switch], s)
 }
 
-// Box returns a box by ID, with LastSeen filled in from the monitor's
-// heartbeat record.
-func (d *Deployment) Box(id uint64) (BoxInfo, bool) {
+// read returns a copy of a box's record; ok is false, and the record
+// zero, for an id that was never deployed.
+func (d *Deployment) read(id uint64) (boxState, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	b, ok := d.byID[id]
-	b.LastSeen = d.lastSeen[id]
-	return b, ok
-}
-
-// Boxes lists every deployed box, ordered by ID, with LastSeen filled
-// in from the monitor's heartbeat record.
-func (d *Deployment) Boxes() []BoxInfo {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]BoxInfo, 0, len(d.byID))
-	for _, b := range d.byID {
-		b.LastSeen = d.lastSeen[b.ID]
-		out = append(out, b)
+	if s, ok := d.boxes[id]; ok {
+		return *s, true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return boxState{}, false
+}
+
+// update applies fn to a box's record; an id that was never deployed has
+// no record to update.
+func (d *Deployment) update(id uint64, fn func(*boxState)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s, ok := d.boxes[id]; ok {
+		fn(s)
+	}
+}
+
+// sorted lists every record through view, ordered by box ID.
+func sorted[T any](d *Deployment, view func(*boxState) T) []T {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	ids := make([]uint64, 0, len(d.boxes))
+	for id := range d.boxes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	out := make([]T, len(ids))
+	for i, id := range ids {
+		out[i] = view(d.boxes[id])
+	}
 	return out
+}
+
+// Box returns a box by ID; LastSeen is the monitor's last heartbeat echo.
+func (d *Deployment) Box(id uint64) (BoxInfo, bool) {
+	s, ok := d.read(id)
+	return s.info, ok
+}
+
+// Boxes lists every deployed box, ordered by ID; LastSeen is the
+// monitor's last heartbeat echo.
+func (d *Deployment) Boxes() []BoxInfo {
+	return sorted(d, func(s *boxState) BoxInfo { return s.info })
+}
+
+// PlannerBoxes lists every deployed box as the planner sees it (Dead and
+// Slow flags filled in), ordered by ID — the replanner's per-tick
+// candidate view.
+func (d *Deployment) PlannerBoxes() []treeplan.Box {
+	return sorted(d, (*boxState).plannerBox)
 }
 
 // MarkSeen records a successful heartbeat from a box (the failure
 // monitor calls it), fixing the gap where a box could be declared dead
 // without any record of when it was last healthy.
 func (d *Deployment) MarkSeen(id uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.lastSeen[id] = time.Now()
+	d.update(id, func(s *boxState) { s.info.LastSeen = time.Now() })
 }
 
 // LastSeen returns when the box last answered a heartbeat (zero time if
 // never, or if no monitor is running).
 func (d *Deployment) LastSeen(id uint64) time.Time {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.lastSeen[id]
+	s, _ := d.read(id)
+	return s.info.LastSeen
 }
 
 // MarkDead removes a box from future plans (failure handling, §3.1).
 func (d *Deployment) MarkDead(id uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.dead[id] = true
+	d.update(id, func(s *boxState) { s.dead = true })
 }
 
 // MarkAlive restores a box.
 func (d *Deployment) MarkAlive(id uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.dead, id)
+	d.update(id, func(s *boxState) { s.dead = false })
 }
 
 // Dead reports whether a box has been marked failed.
 func (d *Deployment) Dead(id uint64) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dead[id]
+	s, _ := d.read(id)
+	return s.dead
 }
 
 // MarkCongested flips a box's congestion flag (the replanner calls it as
@@ -218,20 +251,7 @@ func (d *Deployment) Dead(id uint64) bool {
 // treeplan.Box.Slow: congested boxes are avoided when the switch has an
 // alternative, but — unlike dead boxes — stay eligible as a last resort.
 func (d *Deployment) MarkCongested(id uint64, congested bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if congested {
-		d.congested[id] = true
-	} else {
-		delete(d.congested, id)
-	}
-}
-
-// Congested reports whether a box is currently marked congested.
-func (d *Deployment) Congested(id uint64) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.congested[id]
+	d.update(id, func(s *boxState) { s.congested = congested })
 }
 
 // ObserveLoad records a box's self-reported load signal — scheduler
@@ -239,66 +259,37 @@ func (d *Deployment) Congested(id uint64) bool {
 // (wire.DecodeLoad). The failure monitor calls it; together with the
 // RTT EWMA it completes the deployment's treeplan.Telemetry view.
 func (d *Deployment) ObserveLoad(id uint64, queueDepth int, flushUs int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.queueLen[id] = int64(queueDepth)
-	d.flushUs[id] = flushUs
-}
-
-// BoxSignal implements treeplan.Telemetry over the monitor-fed state:
-// heartbeat RTT EWMA plus the box's last self-reported queue depth and
-// flush latency. ok is false until any signal has been observed.
-func (d *Deployment) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	sig := treeplan.LoadSignal{
-		QueueDepth: d.queueLen[id],
-		FlushUs:    d.flushUs[id],
-		RTTUs:      d.rttUs[id],
-	}
-	if sig == (treeplan.LoadSignal{}) {
-		_, seen := d.rttUs[id]
-		return sig, seen
-	}
-	return sig, true
-}
-
-// PlannerBoxes lists every deployed box as the planner sees it (Dead and
-// Slow flags filled in), ordered by ID — the replanner's per-tick
-// candidate view.
-func (d *Deployment) PlannerBoxes() []treeplan.Box {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]treeplan.Box, 0, len(d.byID))
-	for _, b := range d.byID {
-		out = append(out, treeplan.Box{
-			ID: b.ID, Addr: b.Addr, Switch: b.Switch,
-			Dead: d.dead[b.ID], Slow: d.congested[b.ID],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	d.update(id, func(s *boxState) {
+		s.load.QueueDepth, s.load.FlushUs = int64(queueDepth), flushUs
+	})
 }
 
 // ObserveRTT folds one heartbeat round-trip sample into the box's
 // smoothed RTT (EWMA, ⅞ old + ⅛ new). The failure monitor calls it; the
 // smoothed value feeds load-aware planning (treeplan.LoadSignal.RTTUs).
 func (d *Deployment) ObserveRTT(id uint64, rtt time.Duration) {
-	us := rtt.Microseconds()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if old, ok := d.rttUs[id]; ok {
-		us = (old*7 + us) / 8
-	}
-	d.rttUs[id] = us
+	d.update(id, func(s *boxState) {
+		us := rtt.Microseconds()
+		if s.load.RTTUs != 0 { // the first sample seeds the average
+			us = (s.load.RTTUs*7 + us) / 8
+		}
+		s.load.RTTUs = us
+	})
+}
+
+// BoxSignal implements treeplan.Telemetry over the monitor-fed state:
+// heartbeat RTT EWMA plus the box's last self-reported queue depth and
+// flush latency. ok is false until any signal has been observed.
+func (d *Deployment) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
+	s, _ := d.read(id)
+	return s.load, s.load != (treeplan.LoadSignal{})
 }
 
 // BoxRTTUs returns the box's smoothed heartbeat RTT in microseconds
 // (0 until a monitor has observed one).
 func (d *Deployment) BoxRTTUs(id uint64) int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.rttUs[id]
+	s, _ := d.read(id)
+	return s.load.RTTUs
 }
 
 // PathSwitches returns the switches on the up-down path from a worker to
@@ -356,12 +347,9 @@ func (d *Deployment) PathSwitches(worker, master string, _ uint64) []string {
 func (d *Deployment) BoxesAt(sw string) []treeplan.Box {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]treeplan.Box, 0, len(d.boxes[sw]))
-	for _, b := range d.boxes[sw] {
-		out = append(out, treeplan.Box{
-			ID: b.ID, Addr: b.Addr, Switch: b.Switch,
-			Dead: d.dead[b.ID], Slow: d.congested[b.ID],
-		})
+	out := make([]treeplan.Box, len(d.at[sw]))
+	for i, s := range d.at[sw] {
+		out[i] = s.plannerBox()
 	}
 	return out
 }
@@ -378,7 +366,7 @@ func WireReq(req uint64, tree, attempt int) uint64 {
 }
 
 // clampWireField bounds one 4-bit WireReq field, logging overflow: an
-// out-of-range value is a caller bug (shim.Master caps MaxAttempts at 15
+// out-of-range value is a caller bug (shim.Master stops at three attempts
 // and Submit rejects more than 16 trees) that must not pass silently.
 func clampWireField(name string, v int) int {
 	if v >= 0 && v <= 15 {

@@ -199,7 +199,7 @@ func TestMonitorDetectsDeadBox(t *testing.T) {
 
 	failed := make(chan BoxInfo, 1)
 	m := NewMonitor(d, 30*time.Millisecond, 2, func(b BoxInfo) { failed <- b })
-	m.Start()
+	m.StartContext(t.Context())
 	defer m.Stop()
 
 	// Healthy at first.
@@ -270,12 +270,12 @@ func TestMonitorDetectionLatency(t *testing.T) {
 	const misses = 2
 	failed := make(chan BoxInfo, 1)
 	m := NewMonitor(d, interval, misses, func(b BoxInfo) { failed <- b })
-	m.Start()
+	m.StartContext(t.Context())
 	defer m.Stop()
 
 	// Let a few heartbeats land so LastSeen is being maintained.
 	deadline := time.Now().Add(2 * time.Second)
-	for d.LastSeen(1<<32).IsZero() {
+	for d.LastSeen(1 << 32).IsZero() {
 		if time.Now().After(deadline) {
 			t.Fatal("monitor never recorded a successful heartbeat")
 		}
@@ -345,7 +345,7 @@ func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 	d := NewDeployment()
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
 	m := NewMonitor(d, 20*time.Millisecond, 3, func(BoxInfo) {})
-	m.Start()
+	m.StartContext(t.Context())
 	defer m.Stop()
 
 	deadline := time.Now().Add(2 * time.Second)

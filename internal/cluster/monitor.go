@@ -50,13 +50,8 @@ func NewMonitor(dep *Deployment, interval time.Duration, misses int, onFail func
 	}
 }
 
-// Start launches one prober per currently deployed box.
-//
-//lint:ignore ctxflow Start is the documented no-lifetime entry point: it is defined as StartContext(Background) and Stop is the cancellation path. Callers wanting a bounded monitor use StartContext.
-func (m *Monitor) Start() { m.StartContext(context.Background()) }
-
-// StartContext is Start with a lifetime bound: cancelling ctx is
-// equivalent to Stop (Stop still waits for the drain).
+// StartContext launches one prober per currently deployed box. Cancelling
+// ctx is equivalent to Stop (Stop still waits for the drain).
 func (m *Monitor) StartContext(ctx context.Context) {
 	m.mu.Lock()
 	if m.ctx != nil {

@@ -32,17 +32,10 @@ type Config struct {
 	FixedWeights bool
 	// Registry supplies each application's aggregation function.
 	Registry *agg.Registry
-	// Shares are per-application target resource shares s_i; missing
-	// applications default to 1.
-	Shares map[string]float64
 	// NIC optionally emulates the box's access link (10 Gbps in the paper).
 	NIC *netem.NIC
 	// SchedSeed seeds the WFQ random pick (0 = time-based).
 	SchedSeed int64
-	// MaxCrashes quarantines an application after this many aggregation
-	// panics (default 3); the paper leaves fault isolation to future work,
-	// this is the straightforward realisation.
-	MaxCrashes int
 	// Context optionally bounds the box's lifetime: cancelling it is
 	// equivalent to Close (nil = Background).
 	Context context.Context
@@ -150,16 +143,12 @@ func Start(cfg Config) (*Box, error) {
 			Adaptive: !cfg.FixedWeights,
 			Seed:     cfg.SchedSeed,
 		}),
-		guard:    newFaultGuard(cfg.MaxCrashes),
+		guard:    newFaultGuard(),
 		requests: make(map[reqKey]*boxRequest),
 		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
 	}
 	for _, app := range cfg.Registry.Apps() {
-		share := cfg.Shares[app]
-		if share <= 0 {
-			share = 1
-		}
-		b.sched.Register(app, share)
+		b.sched.Register(app, 1)
 	}
 	// The box must be fully initialised before the listener goes live:
 	// frames can arrive the moment Listen returns.
@@ -287,13 +276,23 @@ func (b *Box) handle(m *wire.Msg) error {
 			return nil
 		}
 		aggregator, found := b.cfg.Registry.Lookup(m.App)
+		var refusal error
 		if !found {
-			b.mu.Unlock()
-			return fmt.Errorf("unknown application %q", m.App)
+			refusal = fmt.Errorf("unknown application %q", m.App)
+		} else if b.guard.Quarantined(m.App) {
+			refusal = fmt.Errorf("application %q is quarantined", m.App)
 		}
-		if b.guard.Quarantined(m.App) {
+		if refusal != nil {
 			b.mu.Unlock()
-			return fmt.Errorf("application %q is quarantined", m.App)
+			// A refused request still owes its job an answer. A THello names
+			// the master at the end of its route; a TExpect carries no route,
+			// but every request also sends each of its boxes a THello.
+			if m.Type == wire.THello {
+				if route, err := wire.DecodeStrings(m.Payload); err == nil && len(route) > 0 {
+					b.sendError(key, route, refusal)
+				}
+			}
+			return refusal
 		}
 		req = &boxRequest{
 			key:       key,
@@ -384,28 +383,33 @@ func (b *Box) handle(m *wire.Msg) error {
 	}
 }
 
-// handleCancel tears down a request whose epoch a subtree migration
-// superseded: the master's new attempt carries a different wire request
-// id, so this box's partial state can never contribute again. Discarding
-// promptly releases the buffered partials' pool buffers instead of
-// pinning them until the janitor's idle timeout. Unknown requests are a
-// no-op — the cancel may race the request's own completion, which is
-// fine because the master drops stale-attempt results anyway.
+// drop takes a request out of the table — the only place one leaves it —
+// and returns it, nil if it was not there. The caller holds b.mu and,
+// unless the request's tree has already delivered, Discards the tree once
+// b.mu is released: Discard takes the tree lock, and releasing the
+// buffered parts is what lets the request's pool buffers recycle.
+func (b *Box) drop(key reqKey) *boxRequest {
+	req := b.requests[key]
+	delete(b.requests, key)
+	return req
+}
+
+// handleCancel tears down a request its master has no further use for: a
+// re-arm or subtree migration superseded its epoch, or the request ended
+// in an error or was cancelled. Either way this box's partial state can
+// never contribute again, and discarding it promptly releases the buffered
+// partials' pool buffers instead of pinning them until the janitor's idle
+// timeout. Unknown requests are a no-op — the cancel may race the
+// request's own completion, which is fine because the master drops stale
+// results anyway.
 func (b *Box) handleCancel(m *wire.Msg) {
-	key := reqKey{app: m.App, req: m.Req}
 	b.mu.Lock()
-	req, ok := b.requests[key]
-	if ok {
-		delete(b.requests, key)
-	}
+	req := b.drop(reqKey{app: m.App, req: m.Req})
 	b.mu.Unlock()
-	if !ok {
-		return
+	if req != nil {
+		obsBoxCancelled.Inc()
+		req.tree.Discard()
 	}
-	obsBoxCancelled.Inc()
-	// Discard outside b.mu: it takes the tree lock and releases the
-	// buffered parts (same discipline as the janitor).
-	req.tree.Discard()
 }
 
 // maybeCloseInputsLocked closes the local tree when every expected source
@@ -437,7 +441,7 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 	aggDone := time.Now()
 	b.mu.Lock()
 	route := req.route
-	delete(b.requests, req.key)
+	b.drop(req.key)
 	b.stats.Requests++
 	b.stats.Combines += req.tree.Combines()
 	if err == nil {
@@ -539,14 +543,10 @@ func (b *Box) sweep(now time.Time) {
 	b.mu.Lock()
 	for key, req := range b.requests {
 		if now.Sub(req.lastSeen) > idleTimeout {
-			delete(b.requests, key)
-			stale = append(stale, req)
+			stale = append(stale, b.drop(key))
 		}
 	}
 	b.mu.Unlock()
-	// Discard outside b.mu: it takes the tree lock, and releasing the
-	// buffered parts here is what lets an abandoned request's pool
-	// buffers recycle instead of sitting pinned in its tree.
 	for _, req := range stale {
 		req.tree.Discard()
 	}

@@ -15,20 +15,18 @@ import (
 // stops accepting its requests and reports errors upstream instead of
 // taking the whole middlebox down with it.
 
+// maxCrashes is how many aggregation panics quarantine an application.
+const maxCrashes = 3
+
 // faultGuard tracks per-application crash counts.
 type faultGuard struct {
 	mu          sync.Mutex
-	maxCrashes  int
 	crashes     map[string]int
 	quarantined map[string]bool
 }
 
-func newFaultGuard(maxCrashes int) *faultGuard {
-	if maxCrashes <= 0 {
-		maxCrashes = 3
-	}
+func newFaultGuard() *faultGuard {
 	return &faultGuard{
-		maxCrashes:  maxCrashes,
 		crashes:     make(map[string]int),
 		quarantined: make(map[string]bool),
 	}
@@ -50,7 +48,7 @@ func (g *faultGuard) recordCrash(app string) bool {
 		return false
 	}
 	g.crashes[app]++
-	if g.crashes[app] >= g.maxCrashes {
+	if g.crashes[app] >= maxCrashes {
 		g.quarantined[app] = true
 		return true
 	}

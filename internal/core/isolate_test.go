@@ -23,10 +23,10 @@ func (p panicAggregator) Combine(a, b []byte) ([]byte, error) {
 }
 
 // A panicking Merge becomes an error on the request, through Combine (the
-// two-part Merge) as well, and the crash that reaches MaxCrashes
+// two-part Merge) as well, and the crash that reaches maxCrashes
 // quarantines the application.
 func TestGuardedAggregatorConvertsPanicToError(t *testing.T) {
-	g := guardedAggregator{app: "x", inner: panicAggregator{}, guard: newFaultGuard(3)}
+	g := guardedAggregator{app: "x", inner: panicAggregator{}, guard: newFaultGuard()}
 	if _, err := g.Merge(nil, [][]byte{nil, nil, nil}); err == nil {
 		t.Fatal("expected error from panicking merge")
 	}
@@ -34,7 +34,7 @@ func TestGuardedAggregatorConvertsPanicToError(t *testing.T) {
 		t.Fatal("expected error from panicking combine")
 	}
 	if g.guard.Quarantined("x") {
-		t.Fatal("quarantined before MaxCrashes")
+		t.Fatal("quarantined before maxCrashes")
 	}
 	_, err := g.Merge(nil, [][]byte{nil})
 	if err == nil || !strings.Contains(err.Error(), "quarantined") || !g.guard.Quarantined("x") {
@@ -43,12 +43,12 @@ func TestGuardedAggregatorConvertsPanicToError(t *testing.T) {
 }
 
 func TestFaultGuardQuarantineThreshold(t *testing.T) {
-	g := newFaultGuard(2)
-	if g.recordCrash("app") {
-		t.Fatal("first crash should not quarantine")
+	g := newFaultGuard()
+	if g.recordCrash("app") || g.recordCrash("app") {
+		t.Fatal("the first two crashes should not quarantine")
 	}
 	if !g.recordCrash("app") {
-		t.Fatal("second crash should quarantine")
+		t.Fatal("third crash should quarantine")
 	}
 	if !g.Quarantined("app") {
 		t.Fatal("app should be quarantined")
@@ -67,7 +67,7 @@ func TestBoxQuarantinesCrashingApp(t *testing.T) {
 	reg := agg.NewRegistry()
 	reg.Register("boom", panicAggregator{})
 	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
-	box, err := Start(Config{ID: 1 << 32, Registry: reg, Workers: 2, SchedSeed: 1, MaxCrashes: 2})
+	box, err := Start(Config{ID: 1 << 32, Registry: reg, Workers: 2, SchedSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the flagged line or the line above it, or globally via an allowlist
-// file (see Allowlist) that records audited pre-existing findings.
+// on the flagged line or the line above it.
 package lint
 
 import (
@@ -45,13 +44,6 @@ type Finding struct {
 // String formats a finding like a compiler diagnostic.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-}
-
-// Key is the finding's stable identity used by allowlist matching. It
-// deliberately excludes line/column so audited findings survive unrelated
-// edits to the file.
-func (f Finding) Key() string {
-	return f.File + "\t" + f.Analyzer + "\t" + f.Message
 }
 
 // File is one parsed source file presented to analyzers.
@@ -350,85 +342,6 @@ func UnusedIgnores(files []*File, analyzers []Analyzer) []Finding {
 		}
 		return a.Line < b.Line
 	})
-	return out
-}
-
-// Allowlist is the set of audited pre-existing findings tolerated by the
-// gate. The file format is one Finding.Key per line — tab-separated
-// path, analyzer, message — with '#' comments and blank lines skipped.
-type Allowlist struct {
-	// keys maps each entry to whether it has matched a finding since load.
-	keys map[string]bool
-}
-
-// LoadAllowlist reads an allowlist file. A missing file yields an empty
-// (non-nil) allowlist.
-func LoadAllowlist(path string) (*Allowlist, error) {
-	al := &Allowlist{keys: make(map[string]bool)}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return al, nil
-		}
-		return nil, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimRight(line, "\r")
-		if strings.TrimSpace(line) == "" || strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
-		}
-		al.keys[line] = false
-	}
-	return al, nil
-}
-
-// Allowed reports whether the finding is on the allowlist, marking the
-// matching entry as used.
-func (al *Allowlist) Allowed(f Finding) bool {
-	if al == nil {
-		return false
-	}
-	if _, ok := al.keys[f.Key()]; !ok {
-		return false
-	}
-	al.keys[f.Key()] = true
-	return true
-}
-
-// UnusedKeys returns allowlist entries that matched no finding in the
-// preceding Filter/Allowed calls, restricted to entries whose file was
-// actually linted (paths holds the display paths that were parsed): an
-// entry for a file outside this run's scope may still be load-bearing.
-func (al *Allowlist) UnusedKeys(paths map[string]bool) []string {
-	if al == nil {
-		return nil
-	}
-	var out []string
-	for key, used := range al.keys {
-		if used {
-			continue
-		}
-		file, _, _ := strings.Cut(key, "\t")
-		if !paths[file] {
-			continue
-		}
-		out = append(out, key)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Filter drops allowlisted findings.
-func (al *Allowlist) Filter(fs []Finding) []Finding {
-	if al == nil || len(al.keys) == 0 {
-		return fs
-	}
-	out := fs[:0]
-	for _, f := range fs {
-		if !al.Allowed(f) {
-			out = append(out, f)
-		}
-	}
 	return out
 }
 

@@ -634,33 +634,6 @@ func fire(c client) {
 	expectMessages(t, runOn(t, "internal/shim/x.go", src, "errcheck-wire"))
 }
 
-func TestAllowlist(t *testing.T) {
-	src := `package shim
-type client struct{}
-func (client) Send(v int) error { return nil }
-func fire(c client) {
-	c.Send(1)
-}
-`
-	got := runOn(t, "internal/shim/x.go", src, "errcheck-wire")
-	if len(got) != 1 {
-		t.Fatalf("got %d findings, want 1", len(got))
-	}
-
-	al := &Allowlist{keys: map[string]bool{got[0].Key(): true}}
-	if rest := al.Filter(got); len(rest) != 0 {
-		t.Errorf("allowlisted finding survived: %v", rest)
-	}
-
-	// The key is position-independent: a finding with a different line
-	// but same file/analyzer/message still matches.
-	moved := got[0]
-	moved.Line += 10
-	if !al.Allowed(moved) {
-		t.Error("allowlist key should not depend on line numbers")
-	}
-}
-
 func TestFindingString(t *testing.T) {
 	f := Finding{Analyzer: "determinism", File: "internal/simnet/x.go", Line: 3, Col: 7, Message: "m"}
 	want := "internal/simnet/x.go:3:7: determinism: m"

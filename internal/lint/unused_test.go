@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -80,47 +78,6 @@ func f() {
 	Run([]*File{scoped}, subset)
 	if unused := UnusedIgnores([]*File{scoped}, subset); len(unused) != 0 {
 		t.Fatalf("out-of-suite directive reported: %v", unused)
-	}
-}
-
-// TestAllowlistSuppressesExactlyOneAndUnusedFires proves the allowlist
-// life cycle: an entry matching a real finding filters exactly that one
-// and is not unused; a stale entry for a linted file is reported; an
-// entry for a file outside the run's scope is left alone.
-func TestAllowlistSuppressesExactlyOneAndUnusedFires(t *testing.T) {
-	// Two findings with distinct messages: allowlist keys exclude line
-	// numbers, so same-message findings would share one entry.
-	f := parseFixture(t, "internal/shim/x.go", `package shim
-type client struct{}
-func (client) Send(v int) error { return nil }
-func fire(c, d client) {
-	c.Send(1)
-	d.Send(2)
-}
-`)
-	findings := Run([]*File{f}, All())
-	if len(findings) != 2 {
-		t.Fatalf("fixture produced %d findings, want 2", len(findings))
-	}
-	allowedKey := findings[0].Key() // Filter reuses the slice's backing array
-	body := "# audited\n" + allowedKey + "\n" +
-		"internal/shim/x.go\terrcheck-wire\tstale message that matches nothing\n" +
-		"internal/core/unparsed.go\terrcheck-wire\tout-of-scope entry\n"
-	path := filepath.Join(t.TempDir(), "allow")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	allow, err := LoadAllowlist(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	left := allow.Filter(findings)
-	if len(left) != 1 || left[0].Key() == allowedKey {
-		t.Fatalf("filter left %v, want only the unallowed finding", left)
-	}
-	unused := allow.UnusedKeys(map[string]bool{"internal/shim/x.go": true})
-	if len(unused) != 1 || !strings.Contains(unused[0], "stale message") {
-		t.Fatalf("unused keys = %v, want only the stale in-scope entry", unused)
 	}
 }
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/token"
 	"path/filepath"
 	"testing"
@@ -614,15 +613,5 @@ func TestRunSharesOneSummaryPerPackage(t *testing.T) {
 		if first[i] != second[i] {
 			t.Errorf("package %d: the two analyzers were handed different summaries", i)
 		}
-	}
-}
-
-func TestFindingKeyStability(t *testing.T) {
-	f := Finding{Analyzer: "lockorder", File: "internal/core/x.go", Line: 3, Col: 2, Message: "m"}
-	if f.Key() != "internal/core/x.go\tlockorder\tm" {
-		t.Fatalf("key = %q", f.Key())
-	}
-	if f.String() != fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message) {
-		t.Fatalf("string = %q", f.String())
 	}
 }

@@ -9,6 +9,7 @@
 package mapred
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,15 +31,14 @@ type JobConfig struct {
 	// MapSideCombine pre-combines each mapper's output, Hadoop's default
 	// behaviour; when false, raw pairs are shuffled.
 	MapSideCombine bool
-	// Trees is the number of aggregation trees for the shuffle.
-	Trees int
-	// ChunkPairs splits a mapper's output into parts of this many pairs so
-	// boxes aggregate the stream chunk by chunk (0 = 4096).
-	ChunkPairs int
 	// ReducerCost emulates per-KB CPU cost at the reducer (AdPredictor's
 	// compute-heavy reduce); zero means none.
 	ReducerCost time.Duration
 }
+
+// chunkPairs splits a mapper's output into parts of this many pairs, so
+// boxes aggregate the stream chunk by chunk.
+const chunkPairs = 4096
 
 // Result is a completed job.
 type Result struct {
@@ -63,13 +63,6 @@ func Run(tb *testbed.Testbed, jobID uint64, cfg JobConfig, inputs [][]string, ma
 		return nil, fmt.Errorf("mapred: %d splits but only %d worker hosts", len(inputs), len(hosts))
 	}
 	hosts = hosts[:len(inputs)]
-	if cfg.Trees < 1 {
-		cfg.Trees = 1
-	}
-	chunk := cfg.ChunkPairs
-	if chunk <= 0 {
-		chunk = 4096
-	}
 
 	// Map phase (in-process: the map computation is not on NetAgg's path).
 	mapStart := time.Now()
@@ -83,8 +76,8 @@ func Run(tb *testbed.Testbed, jobID uint64, cfg JobConfig, inputs [][]string, ma
 			defer wg.Done()
 			pairs := runMapper(inputs[i], mapper, cfg)
 			var encoded [][]byte
-			for off := 0; off < len(pairs) || off == 0; off += chunk {
-				end := off + chunk
+			for off := 0; off < len(pairs) || off == 0; off += chunkPairs {
+				end := off + chunkPairs
 				if end > len(pairs) {
 					end = len(pairs)
 				}
@@ -103,10 +96,11 @@ func Run(tb *testbed.Testbed, jobID uint64, cfg JobConfig, inputs [][]string, ma
 	wg.Wait()
 	mapTime := time.Since(mapStart)
 
-	// Shuffle + reduce: register the request, ship every mapper's chunks
-	// through its worker shim, and reduce what arrives.
+	// Shuffle + reduce: register the request (one aggregation tree, as in
+	// the paper's deployment), ship every mapper's chunks through its
+	// worker shim, and reduce what arrives.
 	shuffleStart := time.Now()
-	pending, err := tb.Master.Submit(cfg.App, jobID, hosts, cfg.Trees)
+	pending, err := tb.Master.Submit(cfg.App, jobID, hosts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -115,13 +109,16 @@ func Run(tb *testbed.Testbed, jobID uint64, cfg JobConfig, inputs [][]string, ma
 		wg.Add(1)
 		go func(i int, host string) {
 			defer wg.Done()
-			errs <- tb.Workers[host].SendPartials(cfg.App, jobID, i, testbed.MasterHost, parts[i], cfg.Trees)
+			errs <- tb.Workers[host].SendPartials(cfg.App, jobID, i, testbed.MasterHost, parts[i], 1)
 		}(i, host)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
+			// The shuffle cannot complete: give the request up rather than
+			// leave it registered with its partial buffers pinned.
+			pending.Cancel()
 			return nil, err
 		}
 	}
@@ -150,15 +147,12 @@ func Run(tb *testbed.Testbed, jobID uint64, cfg JobConfig, inputs [][]string, ma
 func runMapper(split []string, mapper MapFunc, cfg JobConfig) []agg.KV {
 	if cfg.MapSideCombine {
 		combined := make(map[string]int64)
-		has := make(map[string]bool)
 		for _, rec := range split {
 			mapper(rec, func(k string, v int64) {
-				if !has[k] {
-					has[k] = true
-					combined[k] = v
-					return
+				if old, seen := combined[k]; seen {
+					v = cfg.Op.Reduce(old, v)
 				}
-				combined[k] = reduceVal(cfg.Op, combined[k], v)
+				combined[k] = v
 			})
 		}
 		out := make([]agg.KV, 0, len(combined))
@@ -187,8 +181,7 @@ func runMapper(split []string, mapper MapFunc, cfg JobConfig) []agg.KV {
 // regardless, reads them again").
 func reduce(parts [][]byte, cfg JobConfig) ([]agg.KV, int64, error) {
 	var received int64
-	totals := make(map[string]int64)
-	seen := make(map[string]bool)
+	nonEmpty := make([][]byte, 0, len(parts))
 	for _, part := range parts {
 		if len(part) == 0 {
 			continue
@@ -197,40 +190,15 @@ func reduce(parts [][]byte, cfg JobConfig) ([]agg.KV, int64, error) {
 		if cfg.ReducerCost > 0 {
 			time.Sleep(time.Duration(float64(len(part)) / 1024 * float64(cfg.ReducerCost)))
 		}
-		kvs, err := agg.DecodeKVs(part)
-		if err != nil {
-			return nil, 0, fmt.Errorf("mapred: reduce: %w", err)
-		}
-		for _, kv := range kvs {
-			if !seen[kv.Key] {
-				seen[kv.Key] = true
-				totals[kv.Key] = kv.Val
-				continue
-			}
-			totals[kv.Key] = reduceVal(cfg.Op, totals[kv.Key], kv.Val)
-		}
+		nonEmpty = append(nonEmpty, part)
 	}
-	out := make([]agg.KV, 0, len(totals))
-	for k, v := range totals {
-		out = append(out, agg.KV{Key: k, Val: v})
+	var out []agg.KV
+	merged, err := agg.KVCombiner{Op: cfg.Op}.Merge(make([]byte, 0, received+binary.MaxVarintLen64), nonEmpty)
+	if err == nil {
+		out, err = agg.DecodeKVs(merged)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	if err != nil {
+		return nil, 0, fmt.Errorf("mapred: reduce: %w", err)
+	}
 	return out, received, nil
-}
-
-func reduceVal(op agg.KVOp, a, b int64) int64 {
-	switch op {
-	case agg.OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case agg.OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		return a + b
-	}
 }

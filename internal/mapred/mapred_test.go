@@ -199,3 +199,17 @@ func TestRunRejectsTooManySplits(t *testing.T) {
 		t.Fatal("expected error for more splits than workers")
 	}
 }
+
+// A job whose shuffle cannot be sent gives its request up: the id is free
+// for the retry, not "already pending" with its partials pinned.
+func TestFailedShuffleFreesItsRequest(t *testing.T) {
+	tb := newTB(t, 1)
+	tb.Workers[tb.WorkerHosts()[2]].Close()
+	_, err := Run(tb, 7, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: true}, wordCountInputs(), WordCount().Map)
+	if err == nil || !strings.Contains(err.Error(), "worker closed") {
+		t.Fatalf("Run error = %v, want the closed worker shim's", err)
+	}
+	if _, err := tb.Master.Submit("job", 7, tb.WorkerHosts(), 1); err != nil {
+		t.Fatalf("the failed job's request is still registered: %v", err)
+	}
+}

@@ -7,7 +7,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -166,10 +165,4 @@ func Relative(s, base *Sample, p float64) float64 {
 		return math.NaN()
 	}
 	return s.Percentile(p) / b
-}
-
-// Summary formats the headline statistics of a sample.
-func (s *Sample) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g",
-		s.Len(), s.Mean(), s.Median(), s.P99(), s.Max())
 }

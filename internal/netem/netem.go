@@ -57,13 +57,6 @@ func NewLimiter(rate float64, burst float64) *Limiter {
 	return &Limiter{rate: rate, burst: burst, tokens: burst, last: time.Now()}
 }
 
-// Rate returns the configured rate in bytes per second.
-func (l *Limiter) Rate() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rate
-}
-
 // Wait blocks until n bytes of budget are available and consumes them.
 // Requests larger than the burst are admitted in burst-sized instalments by
 // letting the balance go negative, which preserves the long-run rate.

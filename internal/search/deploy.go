@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 
 	"netagg/internal/agg"
 	"netagg/internal/corpus"
@@ -25,9 +24,6 @@ type DeployConfig struct {
 	Trees int
 	// ChunkDocs splits backend results into parts of this many documents.
 	ChunkDocs int
-	// Hosts optionally restricts backends to these testbed worker hosts
-	// (default: all).
-	Hosts []string
 	// Context optionally bounds the deployment's lifetime; it is passed
 	// to every backend and the frontend (usually the same context the
 	// testbed was built with).
@@ -54,29 +50,18 @@ func (c *Cluster) Close() {
 // Deploy builds indices, starts one backend per worker host, and wires a
 // frontend on the master host.
 func Deploy(tb *testbed.Testbed, cfg DeployConfig) (*Cluster, error) {
-	hosts := cfg.Hosts
-	if len(hosts) == 0 {
-		hosts = tb.WorkerHosts()
-	}
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("search: no backend hosts")
-	}
+	hosts := tb.WorkerHosts()
 	docs := corpus.Generate(cfg.Corpus)
 	shards := corpus.Shard(docs, len(hosts))
 
 	c := &Cluster{}
 	refs := make([]BackendRef, 0, len(hosts))
 	for i, host := range hosts {
-		ws, ok := tb.Workers[host]
-		if !ok {
-			c.Close()
-			return nil, fmt.Errorf("search: host %q has no worker shim", host)
-		}
 		b, err := StartBackend(BackendConfig{
 			App:        cfg.App,
 			WorkerIdx:  i,
 			Master:     testbed.MasterHost,
-			Shim:       ws,
+			Shim:       tb.Workers[host],
 			Index:      NewIndex(shards[i]),
 			NIC:        tb.NIC(host),
 			Categorise: cfg.Categorise,

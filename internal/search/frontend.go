@@ -30,8 +30,6 @@ type FrontendConfig struct {
 	Trees int
 	// NIC optionally paces the frontend's outgoing sub-requests.
 	NIC *netem.NIC
-	// Timeout bounds one query (default 30s).
-	Timeout time.Duration
 	// Context optionally bounds the frontend's lifetime: cancelling it
 	// tears the backend connection pool down. nil means the frontend
 	// lives until Close.
@@ -44,19 +42,20 @@ type BackendRef struct {
 	Addr string
 }
 
+// queryTimeout bounds one query.
+const queryTimeout = 30 * time.Second
+
 // Frontend scatters queries to the backends and returns the aggregated
 // result.
 type Frontend struct {
-	cfg   FrontendConfig
-	pool  *transport.Pool
-	reqID atomic.Uint64
+	cfg     FrontendConfig
+	pool    *transport.Pool
+	reqID   atomic.Uint64
+	timeout time.Duration // queryTimeout; a field so a test can shorten it
 }
 
 // NewFrontend returns a frontend.
 func NewFrontend(cfg FrontendConfig) *Frontend {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
 	if cfg.Trees < 1 {
 		cfg.Trees = 1
 	}
@@ -64,7 +63,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f := &Frontend{cfg: cfg}
+	f := &Frontend{cfg: cfg, timeout: queryTimeout}
 	f.pool = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC})
 	return f
 }
@@ -104,6 +103,9 @@ func (f *Frontend) Query(terms []string, limit int, withText bool) (*Response, e
 	for _, b := range f.cfg.Backends {
 		err := f.pool.Send(b.Addr, &wire.Msg{Type: wire.TData, App: f.cfg.App, Req: req, Payload: payload})
 		if err != nil {
+			// The query cannot complete: give the request up rather than
+			// leave it registered with its partial buffers pinned.
+			pending.Cancel()
 			return nil, fmt.Errorf("search: sub-request to %s: %w", b.Host, err)
 		}
 	}
@@ -116,7 +118,8 @@ func (f *Frontend) Query(terms []string, limit int, withText bool) (*Response, e
 		// buffers can go back as soon as it returns.
 		defer res.Release()
 		return f.merge(res.Parts, start)
-	case <-time.After(f.cfg.Timeout):
+	case <-time.After(f.timeout):
+		pending.Cancel()
 		return nil, fmt.Errorf("search: query %d timed out", req)
 	}
 }
@@ -136,7 +139,8 @@ func (f *Frontend) merge(parts [][]byte, start time.Time) (*Response, error) {
 	switch len(nonEmpty) {
 	case 0:
 	case 1:
-		merged = nonEmpty[0]
+		// Raw outlives the result's pooled buffers, which Query releases.
+		merged = append([]byte(nil), nonEmpty[0]...)
 	default:
 		var err error
 		if merged, err = f.cfg.Aggregator.Merge(make([]byte, 0, bytes), nonEmpty); err != nil {

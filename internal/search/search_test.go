@@ -1,7 +1,9 @@
 package search
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"netagg/internal/agg"
 	"netagg/internal/corpus"
@@ -236,5 +238,46 @@ func TestMultipleTreesSearch(t *testing.T) {
 	}
 	if len(resp.Docs) == 0 {
 		t.Fatal("no results over multiple trees")
+	}
+}
+
+// TestAbandonedQueryFreesItsRequest pins what a query that gives up leaves
+// behind at the master shim: nothing. Whether a sub-request could not be
+// sent or the deadline passed, the request is cancelled, so its id can be
+// submitted again at once instead of answering "already pending" (with its
+// partial buffers pinned) for as long as the master lives.
+func TestAbandonedQueryFreesItsRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// sabotage makes the next query fail in the named way.
+		sabotage func(tb *testbed.Testbed, cl *Cluster)
+		want     string
+	}{{
+		name:     "sub-request cannot be sent",
+		sabotage: func(_ *testbed.Testbed, cl *Cluster) { cl.Backends[0].Close() },
+		want:     "sub-request to",
+	}, {
+		// The backends take the query but their shims are gone, so no
+		// partial result is ever sent.
+		name: "backends never answer",
+		sabotage: func(tb *testbed.Testbed, cl *Cluster) {
+			for _, w := range tb.Workers {
+				w.Close()
+			}
+			cl.Frontend.timeout = 50 * time.Millisecond
+		},
+		want: "timed out",
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, cl := newSearchRig(t, 1)
+			tc.sabotage(tb, cl)
+			_, err := cl.Frontend.Query([]string{"w1"}, 10, false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Query error = %v, want one naming %q", err, tc.want)
+			}
+			if _, err := tb.Master.Submit("search", cl.Frontend.reqID.Load(), tb.WorkerHosts(), 1); err != nil {
+				t.Fatalf("the abandoned query's request is still registered: %v", err)
+			}
+		})
 	}
 }

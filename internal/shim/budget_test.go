@@ -13,7 +13,7 @@ import (
 
 // TestRedirectBudgetExhausted pins the recovery exit path: when no worker
 // ever delivers and every straggler timer fires, the master must fail the
-// pending request cleanly after MaxAttempts redirects — an error Result
+// pending request cleanly after maxAttempts redirects — an error Result
 // with the attempt count, the request deregistered, and no timer left
 // running (the leak checker in TestMain would catch a stray one).
 func TestRedirectBudgetExhausted(t *testing.T) {
@@ -25,7 +25,6 @@ func TestRedirectBudgetExhausted(t *testing.T) {
 		Host:             cluster.Host{Name: "master", Rack: 0, Pod: 0},
 		Deployment:       dep,
 		StragglerTimeout: 30 * time.Millisecond,
-		MaxAttempts:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +39,8 @@ func TestRedirectBudgetExhausted(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("request with a silent worker must fail once the attempt budget is spent")
 	}
-	if res.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2 (MaxAttempts)", res.Attempts)
+	if res.Attempts != 3 {
+		t.Fatalf("Attempts = %d, want 3 (maxAttempts)", res.Attempts)
 	}
 	// The failed request must be fully deregistered: the same ID is
 	// submittable again.

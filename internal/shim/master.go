@@ -2,6 +2,7 @@ package shim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -36,13 +37,20 @@ type MasterConfig struct {
 	// StragglerTimeout redirects a request that has not completed in time
 	// (§3.1 "Handling stragglers"); 0 disables recovery.
 	StragglerTimeout time.Duration
-	// MaxAttempts bounds recovery attempts per request (default 3; the wire
-	// encoding supports at most 16).
-	MaxAttempts int
 	// Context optionally bounds the shim's lifetime: cancelling it is
 	// equivalent to Close (nil = Background).
 	Context context.Context
 }
+
+// maxAttempts bounds the recovery attempts per request (the wire encoding
+// has room for 15).
+const maxAttempts = 3
+
+// ErrCancelled is the Result.Err of a request its caller gave up on
+// (Pending.Cancel).
+var ErrCancelled = errors.New("shim: request cancelled")
+
+var errMasterClosed = errors.New("shim: master closed")
 
 // Result is a completed request's aggregated data.
 type Result struct {
@@ -77,6 +85,7 @@ type Pending struct {
 	C <-chan Result
 
 	c       chan Result
+	m       *Master
 	req     uint64
 	workers []string
 	trees   int
@@ -89,7 +98,6 @@ type Pending struct {
 	needed      int // sources that must deliver before completion
 	sourcesDone int
 	received    [][]byte
-	partsBy     map[srcKey][][]byte
 	// nextSeq is the next expected sequence number per source stream.
 	// The attempt guard drops cross-epoch replays, but a transport
 	// reconnect within one attempt rewrites the replay window on the
@@ -97,9 +105,9 @@ type Pending struct {
 	// and a replayed TEnd/TResult double-counts sourcesDone. Same
 	// discipline as boxRequest.nextSeq on the box side.
 	nextSeq map[srcKey]uint64
-	// bufs tracks every pooled buffer reference taken for received and
-	// partsBy payloads; they move into the Result on completion and are
-	// released on re-arm or failure.
+	// bufs tracks every pooled buffer reference taken for received
+	// payloads; finish moves them into a successful Result and releases
+	// them on any other ending, arm releases them on re-arm.
 	bufs  []*bufpool.Buf
 	timer *time.Timer
 	boxes map[uint64]bool // boxes used by the current attempt's plan
@@ -136,12 +144,6 @@ type pendKey struct {
 func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("shim: master requires a deployment")
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.MaxAttempts > 15 {
-		cfg.MaxAttempts = 15
 	}
 	if cfg.Planner == nil {
 		cfg.Planner = treeplan.OnPath{}
@@ -189,10 +191,9 @@ func (m *Master) Close() {
 	for _, p := range m.pending {
 		pend = append(pend, p)
 	}
-	m.pending = map[pendKey]*Pending{}
 	m.mu.Unlock()
 	for _, p := range pend {
-		p.fail(fmt.Errorf("shim: master closed"))
+		m.finish(p, errMasterClosed)
 	}
 	m.cancel()
 	m.srv.Close()
@@ -213,11 +214,11 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	}
 	p := &Pending{
 		c:           make(chan Result, 1),
+		m:           m,
 		req:         req,
 		app:         app,
 		workers:     workers,
 		trees:       trees,
-		partsBy:     make(map[srcKey][][]byte),
 		nextSeq:     make(map[srcKey]uint64),
 		submittedAt: time.Now(),
 	}
@@ -225,7 +226,7 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("shim: master closed")
+		return nil, errMasterClosed
 	}
 	key := pendKey{app, req}
 	if _, dup := m.pending[key]; dup {
@@ -236,11 +237,9 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	m.mu.Unlock()
 
 	if err := m.arm(p, 0); err != nil {
-		// arm may have started the straggler timer before the announce
-		// failed: fail the pending first (stopping the timer for good) so
-		// the dead request cannot keep redirecting in the background.
-		p.fail(err)
-		m.remove(p)
+		// arm may have started the straggler timer and reached some boxes
+		// before the announce failed: end the request so neither outlives it.
+		m.finish(p, err)
 		return nil, err
 	}
 	return p, nil
@@ -273,7 +272,6 @@ func (m *Master) arm(p *Pending, attempt int) error {
 		b.Release()
 	}
 	p.bufs = nil
-	p.partsBy = make(map[srcKey][][]byte)
 	p.nextSeq = make(map[srcKey]uint64)
 	p.boxes = make(map[uint64]bool)
 	for _, t := range trees {
@@ -319,9 +317,8 @@ func (m *Master) arm(p *Pending, attempt int) error {
 
 // redirect advances a pending request to the next recovery attempt: it
 // replans around dead boxes and tells every worker shim to resend (§3.1).
-// When the attempt budget is exhausted the pending request fails cleanly
-// — the error Result is delivered, the request is deregistered, and no
-// further straggler timer is armed.
+// When the attempt budget is exhausted, or the new attempt cannot be
+// announced, the request ends in an error.
 func (m *Master) redirect(p *Pending) {
 	p.mu.Lock()
 	if p.done {
@@ -330,17 +327,13 @@ func (m *Master) redirect(p *Pending) {
 	}
 	attempt := p.attempt + 1
 	p.mu.Unlock()
-	// Deregister before delivering the error: a caller that resubmits the
-	// same id the moment it reads the Result must not find it pending.
-	if attempt > m.cfg.MaxAttempts {
-		m.remove(p)
-		p.fail(fmt.Errorf("shim: request %d failed after %d attempts", p.req, attempt-1))
+	if attempt > maxAttempts {
+		m.finish(p, fmt.Errorf("shim: request %d failed after %d attempts", p.req, attempt-1))
 		return
 	}
 	obsRedirectsSent.Inc()
 	if err := m.arm(p, attempt); err != nil {
-		m.remove(p)
-		p.fail(err)
+		m.finish(p, err)
 		return
 	}
 	for _, worker := range p.workers {
@@ -360,10 +353,10 @@ func (m *Master) redirect(p *Pending) {
 	}
 }
 
-// cancelAttempt sends TCancel for every (tree, box) of a superseded
-// attempt, best-effort: an unreachable box keeps its stale state until
-// the janitor collects it, which costs buffer residency, not
-// correctness.
+// cancelAttempt sends TCancel for every (tree, box) of an attempt that
+// was superseded or ended in an error, best-effort: an unreachable box
+// keeps its stale state until the janitor collects it, which costs
+// buffer residency, not correctness.
 func (m *Master) cancelAttempt(p *Pending, boxes map[uint64]bool, attempt int) {
 	for boxID := range boxes {
 		box, ok := m.cfg.Deployment.Box(boxID)
@@ -442,11 +435,21 @@ func (m *Master) remove(p *Pending) {
 	m.mu.Unlock()
 }
 
-// fail delivers an error result once, releasing any partial deliveries
-// buffered for the aborted request.
-func (p *Pending) fail(err error) {
+// finish is the one place a request ends, whatever ends it. A nil err is
+// the successful ending and takes effect only once every source of the
+// current attempt has delivered: handle calls it after each source it
+// counts, and a re-arm that slipped in between finds the new attempt
+// incomplete. Any other err ends the request now: the partial deliveries
+// go back to the pool and the attempt's boxes are told to drop theirs
+// (except at Close, whose pool is going away) — before the id is released,
+// so that a resubmission's TExpect, which travels the same connections,
+// cannot be overtaken by this request's TCancel. done flips under p.mu, so
+// exactly one caller gets past it; the request is deregistered before the
+// result is delivered, outside the lock, so a caller that resubmits the
+// id the moment it reads the Result never finds it still pending.
+func (m *Master) finish(p *Pending, err error) {
 	p.mu.Lock()
-	if p.done {
+	if p.done || (err == nil && p.sourcesDone < p.needed) {
 		p.mu.Unlock()
 		return
 	}
@@ -454,18 +457,34 @@ func (p *Pending) fail(err error) {
 	if p.timer != nil {
 		p.timer.Stop()
 	}
-	for _, b := range p.bufs {
-		b.Release()
+	res := Result{Err: err, Attempts: p.attempt}
+	if err == nil {
+		// The buffer references move into the Result; the application
+		// releases them (Result.Release) when done.
+		res.Parts, res.bufs = p.received, p.bufs
+	} else {
+		for _, b := range p.bufs {
+			b.Release()
+		}
 	}
-	p.bufs = nil
-	p.received = nil
-	p.partsBy = nil
-	attempts := p.attempt
+	p.received, p.bufs = nil, nil
+	boxes := p.boxes
 	p.mu.Unlock()
-	// done flipped under the lock, so exactly one goroutine reaches this
-	// send; deliver outside the lock.
-	p.c <- Result{Err: err, Attempts: attempts}
+
+	if err == nil {
+		m.observeComplete(p, &res)
+	} else if err != errMasterClosed {
+		m.cancelAttempt(p, boxes, res.Attempts)
+	}
+	m.remove(p)
+	p.c <- res
 }
+
+// Cancel ends the request with ErrCancelled: whatever it had collected
+// goes back to the pool, its boxes are told to drop their state, and the
+// id is free for Submit the moment Cancel returns. It is idempotent and a
+// no-op on a request that has already ended.
+func (p *Pending) Cancel() { p.m.finish(p, ErrCancelled) }
 
 // ResultBytes reports the total payload bytes the result listener has
 // received, for throughput measurements.
@@ -510,8 +529,7 @@ func (m *Master) handle(msg *wire.Msg) {
 		}
 		p.nextSeq[k] = msg.Seq + 1
 	}
-	complete := false
-	var final *Result // set when this frame finishes the request
+	var failure error // set when this frame ends the request in an error
 	switch msg.Type {
 	case wire.TResult:
 		// A fully aggregated result from an agg box chain root.
@@ -520,18 +538,16 @@ func (m *Master) handle(msg *wire.Msg) {
 			p.bufs = append(p.bufs, msg.TakeBuf())
 		}
 		p.sourcesDone++
-		complete = p.sourcesDone >= p.needed
 	case wire.TData:
-		// A chunk from a worker with no on-path box.
-		p.partsBy[k] = append(p.partsBy[k], msg.Payload)
+		// A chunk from a worker with no on-path box. The final merge is
+		// commutative and a request completes only when every source has
+		// ended, so chunks join the parts as they arrive.
+		p.received = append(p.received, msg.Payload)
 		p.bufs = append(p.bufs, msg.TakeBuf())
 	case wire.TEnd:
-		p.received = append(p.received, p.partsBy[k]...)
-		delete(p.partsBy, k)
 		p.sourcesDone++
-		complete = p.sourcesDone >= p.needed
 	case wire.TError:
-		final = &Result{Err: fmt.Errorf("shim: aggregation failed: %s", msg.Payload), Attempts: p.attempt}
+		failure = fmt.Errorf("shim: aggregation failed: %s", msg.Payload)
 	default:
 		// A frame type this switch does not know must not vanish silently:
 		// it means protocol skew between shim and box, which should be
@@ -540,33 +556,12 @@ func (m *Master) handle(msg *wire.Msg) {
 		log.Printf("shim: master dropping unhandled frame type %v for request %d", msg.Type, msg.Req)
 		return
 	}
-	if complete {
-		// The buffer references move into the Result; the application
-		// releases them (Result.Release) when done.
-		final = &Result{Parts: p.received, Attempts: p.attempt, bufs: p.bufs}
-		p.bufs = nil
-	}
-	if final != nil {
-		// Flip done under the lock so exactly one frame completes the
-		// request, then deliver outside it.
-		p.done = true
-		if p.timer != nil {
-			p.timer.Stop()
-		}
-	}
 	p.mu.Unlock()
-	if final != nil {
-		m.observeComplete(p, final)
-		// Deregister before delivering, as redirect does: a caller that
-		// resubmits the id on reading the result must not be told it is
-		// still pending.
-		m.remove(p)
-		p.c <- *final
-	}
+	m.finish(p, failure)
 }
 
-// observeComplete records the request's master-side metrics and trace
-// spans: result size, the completion span of each tree's trace, and —
+// observeComplete records a successful request's master-side metrics and
+// trace spans: result size, the completion span of each tree's trace, and —
 // when the worker shims share this process (testbed) — the observed
 // per-job aggregation ratio α (received bytes over shim-sent bytes).
 func (m *Master) observeComplete(p *Pending, res *Result) {
@@ -586,7 +581,7 @@ func (m *Master) observeComplete(p *Pending, res *Result) {
 			Parts: len(res.Parts), BytesIn: bytes,
 		})
 	}
-	if sent > 0 && res.Err == nil {
+	if sent > 0 {
 		obsAlphaPct.Observe(bytes * 100 / sent)
 	}
 }

@@ -20,7 +20,7 @@ func TestMonitorDrivenRecovery(t *testing.T) {
 	mon := cluster.NewMonitor(r.dep, 30*time.Millisecond, 2, func(b cluster.BoxInfo) {
 		r.master.OnBoxFailure(b.ID)
 	})
-	mon.Start()
+	mon.StartContext(t.Context())
 	defer mon.Stop()
 
 	p, err := r.master.Submit("wc", 50, workers, 1)

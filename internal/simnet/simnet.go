@@ -356,9 +356,6 @@ func (s *Sim) ResourceKindOf(id ResourceID) ResourceKind { return s.resources[id
 // ResourceRef returns the external reference a resource was created with.
 func (s *Sim) ResourceRef(id ResourceID) int { return s.resources[id].ref }
 
-// NumResources reports the number of resources.
-func (s *Sim) NumResources() int { return len(s.resources) }
-
 // Stats returns the run summary. Valid after Run.
 func (s *Sim) Stats() RunStats { return s.report }
 

@@ -53,7 +53,6 @@ func broadcastOnce(o Options, boxes bool, size int) time.Duration {
 		BoxesPerSwitch: per,
 		EdgeGbps:       1,
 		BoxGbps:        10,
-		Scale:          o.scale(),
 		Registry:       reg,
 		Planner:        treeplan.OnPath{},
 		Seed:           1,

@@ -14,7 +14,7 @@ import (
 // newHadoopTB builds the Hadoop experiment deployment (§4.2.2): one rack of
 // mapper hosts on 1 Gbps links, the reducer on the master host, one 10 Gbps
 // agg box when boxes > 0.
-func newHadoopTB(mappers, boxes int, scale float64, reducerCost time.Duration) (*testbed.Testbed, error) {
+func newHadoopTB(mappers, boxes int, reducerCost time.Duration) (*testbed.Testbed, error) {
 	reg := agg.NewRegistry()
 	combiner := agg.Aggregator(agg.KVCombiner{Op: agg.OpSum})
 	if reducerCost > 0 {
@@ -31,7 +31,6 @@ func newHadoopTB(mappers, boxes int, scale float64, reducerCost time.Duration) (
 		BoxesPerSwitch: boxes,
 		EdgeGbps:       1,
 		BoxGbps:        10,
-		Scale:          scale,
 		Registry:       reg,
 		// The paper's boxes are 16-core servers; the reducer is a single
 		// task. The pool size carries that asymmetry (compute emulated with
@@ -44,7 +43,7 @@ func newHadoopTB(mappers, boxes int, scale float64, reducerCost time.Duration) (
 
 // runHadoop executes one benchmark job plain and on NetAgg and returns the
 // two results.
-func runHadoop(o Options, b mapred.Benchmark, gen mapred.GenConfig, jobID uint64) (plain, boxed *mapred.Result, err error) {
+func runHadoop(b mapred.Benchmark, gen mapred.GenConfig, jobID uint64) (plain, boxed *mapred.Result, err error) {
 	inputs := b.Gen(gen)
 	cfg := mapred.JobConfig{
 		App:            "hadoop",
@@ -53,7 +52,7 @@ func runHadoop(o Options, b mapred.Benchmark, gen mapred.GenConfig, jobID uint64
 		ReducerCost:    b.ReducerCost,
 	}
 	for _, boxes := range []int{0, 1} {
-		tb, terr := newHadoopTB(gen.Splits, boxes, o.scale(), b.ReducerCost)
+		tb, terr := newHadoopTB(gen.Splits, boxes, b.ReducerCost)
 		if terr != nil {
 			return nil, nil, terr
 		}
@@ -93,12 +92,12 @@ func Fig22(o Options) *metrics.Report {
 		if b.Name == "TS" {
 			gen.RecordsPerSplit = 8000 // unique keys: keep volumes comparable
 		}
-		plain, boxed, err := runHadoop(o, b, gen, uint64(100+i))
+		plain, boxed, err := runHadoop(b, gen, uint64(100+i))
 		if err != nil {
 			panic(fmt.Sprintf("tbfig: %s: %v", b.Name, err))
 		}
 		rel := boxed.ShuffleReduceTime.Seconds() / plain.ShuffleReduceTime.Seconds()
-		boxRate := gbpsEquiv(boxed.IntermediateBytes, boxed.ShuffleReduceTime, o.scale())
+		boxRate := gbpsEquiv(boxed.IntermediateBytes, boxed.ShuffleReduceTime)
 		table.AddRow(b.Name, rel, 1/rel, boxRate)
 	}
 	return &metrics.Report{
@@ -125,7 +124,7 @@ func Fig23(o Options) *metrics.Report {
 		// mapper's word count, mappers' outputs stop overlapping and
 		// cross-mapper aggregation stops shrinking the data.
 		gen.Keys = keys
-		plain, boxed, err := runHadoop(o, b, gen, uint64(200+i))
+		plain, boxed, err := runHadoop(b, gen, uint64(200+i))
 		if err != nil {
 			panic(fmt.Sprintf("tbfig: %v", err))
 		}
@@ -156,7 +155,7 @@ func Fig24(o Options) *metrics.Report {
 		// intermediate volume grows too (real text keeps finding new words);
 		// the output ratio stays roughly constant across the sweep.
 		gen.Keys = records
-		plain, boxed, err := runHadoop(o, b, gen, uint64(300+i))
+		plain, boxed, err := runHadoop(b, gen, uint64(300+i))
 		if err != nil {
 			panic(fmt.Sprintf("tbfig: %v", err))
 		}

@@ -81,7 +81,7 @@ func localTreeRate(leaves, threads int, aggregator agg.Aggregator, part []byte, 
 	close(stop)
 	tree.CloseInputs()
 	<-done
-	return gbpsEquiv(bytes, dur, o.scale())
+	return gbpsEquiv(bytes, dur)
 }
 
 func makeKVs(n int) []agg.KV {

@@ -20,13 +20,13 @@ func Fig18(o Options) *metrics.Report {
 		row := []interface{}{ratio}
 		for _, boxes := range []int{0, 1} {
 			rig, err := newSearchRig(searchOpts{
-				racks: 1, backends: 8, boxes: boxes, sampleRatio: ratio, scale: o.scale(),
+				racks: 1, backends: 8, boxes: boxes, sampleRatio: ratio,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("tbfig: %v", err))
 			}
 			r := runClients(rig, 16, 40, true, o.window(), o.seed())
-			row = append(row, gbpsEquiv(r.bytes, r.duration, o.scale()))
+			row = append(row, gbpsEquiv(r.bytes, r.duration))
 			rig.close()
 		}
 		table.AddRow(row...)
@@ -53,13 +53,13 @@ func Fig19(o Options) *metrics.Report {
 		row := []interface{}{n}
 		for _, racks := range []int{1, 2} {
 			rig, err := newSearchRig(searchOpts{
-				racks: racks, backends: n, boxes: 1, sampleRatio: 0.05, scale: o.scale(),
+				racks: racks, backends: n, boxes: 1, sampleRatio: 0.05,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("tbfig: %v", err))
 			}
 			r := runClients(rig, 16, 40, true, o.window(), o.seed())
-			row = append(row, gbpsEquiv(r.bytes, r.duration, o.scale()))
+			row = append(row, gbpsEquiv(r.bytes, r.duration))
 			rig.close()
 		}
 		table.AddRow(row...)
@@ -88,14 +88,14 @@ func Fig20(o Options) *metrics.Report {
 	for _, boxes := range []int{1, 2} {
 		rig, err := newSearchRig(searchOpts{
 			racks: 1, backends: 8, boxes: boxes, categorise: true,
-			boxWorkers: 2, scale: o.scale(),
+			boxWorkers: 2,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("tbfig: %v", err))
 		}
 		for _, n := range clientCounts {
 			r := runClients(rig, n, 40, true, o.window(), o.seed())
-			rows[n] = append(rows[n], gbpsEquiv(r.bytes, r.duration, o.scale()))
+			rows[n] = append(rows[n], gbpsEquiv(r.bytes, r.duration))
 		}
 		rig.close()
 	}
@@ -130,13 +130,13 @@ func Fig21(o Options) *metrics.Report {
 		for _, w := range poolSizes {
 			rig, err := newSearchRig(searchOpts{
 				racks: 1, backends: 8, boxes: 1, boxWorkers: w,
-				sampleRatio: 0.05, categorise: mode.categorise, scale: o.scale(),
+				sampleRatio: 0.05, categorise: mode.categorise,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("tbfig: %v", err))
 			}
 			r := runClients(rig, 16, 40, true, o.window(), o.seed())
-			rows[w] = append(rows[w], gbpsEquiv(r.bytes, r.duration, o.scale()))
+			rows[w] = append(rows[w], gbpsEquiv(r.bytes, r.duration))
 			rig.close()
 		}
 	}

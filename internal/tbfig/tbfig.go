@@ -53,8 +53,6 @@ type Options struct {
 	Window time.Duration
 	// Seed for query generation.
 	Seed int64
-	// Scale is the bandwidth emulation scale (default netem.DefaultScale).
-	Scale float64
 	// Context optionally bounds every testbed and transport endpoint an
 	// experiment deploys, so the driver can cancel a long figure run.
 	Context context.Context
@@ -83,19 +81,13 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-func (o Options) scale() float64 {
-	if o.Scale <= 0 {
-		return netem.DefaultScale
-	}
-	return o.Scale
-}
-
-// gbpsEquiv converts emulated bytes over a duration to Gbps-equivalent.
-func gbpsEquiv(bytes int64, dur time.Duration, scale float64) float64 {
+// gbpsEquiv converts emulated bytes over a duration to Gbps-equivalent at
+// the bandwidth emulation scale every testbed here runs at.
+func gbpsEquiv(bytes int64, dur time.Duration) float64 {
 	if dur <= 0 {
 		return 0
 	}
-	return float64(bytes) * 8 * scale / dur.Seconds() / 1e9
+	return float64(bytes) * 8 * netem.DefaultScale / dur.Seconds() / 1e9
 }
 
 // searchRig is a deployed search cluster plus its testbed.
@@ -118,7 +110,6 @@ type searchOpts struct {
 	sampleRatio  float64
 	categorise   bool
 	trees        int
-	scale        float64
 	registryOnly *agg.Registry // override aggregator registry
 }
 
@@ -148,7 +139,6 @@ func newSearchRig(o searchOpts) (*searchRig, error) {
 		BoxesPerSwitch: o.boxes,
 		EdgeGbps:       1,
 		BoxGbps:        10,
-		Scale:          o.scale,
 		Registry:       reg,
 		BoxWorkers:     o.boxWorkers,
 		Planner:        treeplan.OnPath{},
@@ -278,14 +268,14 @@ func Fig16And17(o Options) []*metrics.Report {
 	}
 	for _, boxes := range []int{0, 1} { // the solr column, then the netagg column
 		rig, err := newSearchRig(searchOpts{
-			racks: 1, backends: 8, boxes: boxes, sampleRatio: 0.05, scale: o.scale(),
+			racks: 1, backends: 8, boxes: boxes, sampleRatio: 0.05,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("tbfig: %v", err))
 		}
 		for i, n := range clients {
 			r := runClients(rig, n, 40, true, o.window(), o.seed())
-			throughput[i] = append(throughput[i], gbpsEquiv(r.bytes, r.duration, o.scale()))
+			throughput[i] = append(throughput[i], gbpsEquiv(r.bytes, r.duration))
 			p99[i] = append(p99[i], r.p99.Seconds())
 		}
 		rig.close()

@@ -142,3 +142,59 @@ func TestAggregateOverFrameLimitFailsTheJob(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// boom is an aggregation function that panics on every merge.
+type boom struct{}
+
+func (boom) Name() string { return "boom" }
+
+func (boom) Merge([]byte, [][]byte) ([]byte, error) { panic("malicious aggregation function") }
+
+func (b boom) Combine(x, y []byte) ([]byte, error) { return b.Merge(nil, [][]byte{x, y}) }
+
+// TestRefusedRequestFailsTheJob pins fault isolation end to end (§3.2.1):
+// a box that will not run a request — its application quarantined after
+// repeated crashes, or never registered — says so to the master, so the
+// job ends in an error naming the reason at once, where it used to get no
+// answer at all (there is no straggler timer here to rescue it).
+func TestRefusedRequestFailsTheJob(t *testing.T) {
+	reg := agg.NewRegistry()
+	reg.Register("boom", boom{})
+	tb, err := New(Config{Racks: 1, WorkersPerRack: 2, BoxesPerSwitch: 1, Registry: reg, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+
+	for _, tc := range []struct {
+		app  string
+		req  uint64
+		want string
+	}{
+		{"boom", 1, "panicked"},
+		{"boom", 2, "panicked"},
+		{"boom", 3, "quarantined after repeated crashes"},
+		{"boom", 4, `application "boom" is quarantined`},
+		{"nobody-registered-this", 5, `unknown application "nobody-registered-this"`},
+	} {
+		workers := tb.WorkerHosts()
+		pending, err := tb.Master.Submit(tc.app, tc.req, workers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, host := range workers {
+			part := agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}})
+			if err := tb.Workers[host].SendPartials(tc.app, tc.req, i, MasterHost, [][]byte{part}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case res := <-pending.C:
+			if res.Err == nil || !strings.Contains(res.Err.Error(), tc.want) {
+				t.Fatalf("request %d: err = %v, want one naming %q", tc.req, res.Err, tc.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("request %d (%s): no result after a second", tc.req, tc.app)
+		}
+	}
+}

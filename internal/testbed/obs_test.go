@@ -11,29 +11,28 @@ import (
 	"netagg/internal/agg"
 	"netagg/internal/cluster"
 	"netagg/internal/obs"
+	"netagg/internal/shim"
+	"netagg/internal/treeplan"
 )
 
-// TestTraceCompleteness runs one job through a boxed deployment and
-// asserts the request's trace covers every hop exactly once: one
-// shim.send span per worker, one box span per box on the aggregation
-// tree, and one master span (the tentpole's acceptance criterion).
-func TestTraceCompleteness(t *testing.T) {
-	reg := agg.NewRegistry()
-	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
-	tb, err := New(Config{Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 1, Registry: reg})
+// wcTestbed deploys cfg with the word-count combiner registered as "wc".
+func wcTestbed(t *testing.T, cfg Config) *Testbed {
+	t.Helper()
+	cfg.Registry = agg.NewRegistry()
+	cfg.Registry.Register("wc", agg.KVCombiner{Op: agg.OpSum})
+	tb, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tb.Close()
+	t.Cleanup(tb.Close)
+	return tb
+}
 
-	// A req id no other test uses: the DefaultTracer is process-global.
-	const reqID = 0xABC123
-	workers := tb.WorkerHosts()
-	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, host := range workers {
+// finishJob has every worker send one partial for the submitted request
+// and waits for its successful result.
+func finishJob(t *testing.T, tb *Testbed, reqID uint64, pending *shim.Pending) shim.Result {
+	t.Helper()
+	for i, host := range tb.WorkerHosts() {
 		part := agg.EncodeKVs([]agg.KV{{Key: "k", Val: int64(i + 1)}})
 		if err := tb.Workers[host].SendPartials("wc", reqID, i, MasterHost, [][]byte{part}, 1); err != nil {
 			t.Fatal(err)
@@ -44,9 +43,28 @@ func TestTraceCompleteness(t *testing.T) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
+		return res
 	case <-time.After(10 * time.Second):
 		t.Fatal("job did not complete")
+		return shim.Result{}
 	}
+}
+
+// TestTraceCompleteness runs one job through a boxed deployment and
+// asserts the request's trace covers every hop exactly once: one
+// shim.send span per worker, one box span per box on the aggregation
+// tree, and one master span (the tentpole's acceptance criterion).
+func TestTraceCompleteness(t *testing.T) {
+	tb := wcTestbed(t, Config{Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 1})
+
+	// A req id no other test uses: the DefaultTracer is process-global.
+	const reqID = 0xABC123
+	workers := tb.WorkerHosts()
+	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishJob(t, tb, reqID, pending)
 
 	// 2 racks × 1 box/switch: tor:0, tor:1 and agg:0 all sit on some
 	// worker→master path, so all three boxes aggregate.
@@ -148,6 +166,154 @@ func TestDebugEndpointServes(t *testing.T) {
 	client := &http.Client{Timeout: 500 * time.Millisecond}
 	if _, err := client.Get(fmt.Sprintf("http://%s/debug/netagg/health", addr)); err == nil {
 		t.Fatal("debug endpoint still serving after Close")
+	}
+}
+
+// TestDebugEndpointCoversEveryLayer is what an operator sees after one
+// plain job and one forced subtree migration (DESIGN.md §16, OPERATIONS.md
+// §9), read the way an operator reads it — over HTTP from a live
+// deployment: every instrumented layer reports into /metrics, the batched
+// write path was exercised, and the migration left its span on the
+// request's trace. It catches what the in-process tests cannot: a layer
+// that silently goes dark, or an export that breaks JSON consumers.
+func TestDebugEndpointCoversEveryLayer(t *testing.T) {
+	// One switch with two boxes: a request uses one of them, so once it has
+	// run a job that box has a load signal and its sibling has none.
+	tb := wcTestbed(t, Config{
+		Racks: 1, WorkersPerRack: 2, BoxesPerSwitch: 2,
+		// The workers below send at the epoch the migration superseded; the
+		// straggler timer re-syncs them.
+		StragglerTimeout: 300 * time.Millisecond,
+		DebugAddr:        "127.0.0.1:0",
+	})
+	base := "http://" + tb.DebugAddr() + "/debug/netagg"
+	workers := tb.WorkerHosts()
+	boxOf := func(req uint64) uint64 {
+		tree := treeplan.OnPath{}.Plan(tb.Dep, treeplan.NewRequest(req, 0, 0, MasterHost, workers))
+		for id := range tree.Expect {
+			return id
+		}
+		t.Fatalf("request %d planned through no box", req)
+		return 0
+	}
+
+	// One complete job so every layer has something to report.
+	const reqID = 0xABC124
+	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := finishJob(t, tb, reqID, pending)
+	res.Release()
+
+	// A second request through the same box, then the replanner as
+	// StartReplanner wires it — real telemetry, a threshold any finished job
+	// crosses: the first tick finds the box hot and migrates the pending
+	// request onto its idle sibling. It is stopped after that one migration
+	// so the replacement box cannot trip too and burn the attempt budget.
+	hot := boxOf(reqID)
+	migReq := uint64(reqID + 1)
+	for boxOf(migReq) != hot {
+		migReq++
+	}
+	pending, err = tb.Master.Submit("wc", migReq, workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type metricsDoc struct {
+		Counters   map[string]int64           `json:"counters"`
+		Gauges     map[string]int64           `json:"gauges"`
+		Histograms map[string]json.RawMessage `json:"histograms"`
+	}
+	var before, m metricsDoc
+	getJSON(t, base+"/metrics", &before)
+	rp := tb.StartReplanner(t.Context(), time.Millisecond, treeplan.ReplanPolicy{
+		HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20,
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		getJSON(t, base+"/metrics", &m)
+		if m.Counters["replan.migrated_requests"] > before.Counters["replan.migrated_requests"] {
+			break
+		}
+		if time.Now().After(deadline) {
+			rp.Stop()
+			t.Fatal("replanner never migrated the pending request off its hot box")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rp.Stop()
+	if res := finishJob(t, tb, migReq, pending); res.Attempts < 1 {
+		t.Fatalf("migrated job reports %d attempts, want >= 1", res.Attempts)
+	}
+
+	getJSON(t, base+"/metrics", &m)
+	for _, want := range []string{
+		"transport.frames_out", "transport.writev_calls", "transport.batch_frames",
+		"box.frames_aggregated", "box.cutthrough_merges",
+		"plan.replans", "plan.dead_boxes_skipped", "plan.slow_boxes_avoided",
+		"replan.ticks", "replan.migrations", "replan.migrated_requests",
+		"replan.cooldown_holds", "box.requests_cancelled", "transport.replay_trimmed",
+	} {
+		if _, ok := m.Counters[want]; !ok {
+			t.Errorf("/metrics missing counter %q (got %d counters)", want, len(m.Counters))
+		}
+	}
+	for _, want := range []string{"shim.partial_bytes", "box.flush_latency_us", "box.fanin_parts", "plan.compute_us", "transport.batch_size"} {
+		if _, ok := m.Histograms[want]; !ok {
+			t.Errorf("/metrics missing histogram %q (got %d histograms)", want, len(m.Histograms))
+		}
+	}
+	if _, ok := m.Gauges["replan.congested_boxes"]; !ok {
+		t.Error("/metrics missing gauge replan.congested_boxes")
+	}
+	for _, name := range []string{"box.frames_aggregated", "replan.ticks", "replan.migrations"} {
+		if m.Counters[name] == 0 {
+			t.Errorf("%s is 0 after a completed job and a forced migration", name)
+		}
+	}
+	// The batched write path must actually have been exercised: every
+	// frame the jobs pushed went through a flusher's vectored write.
+	if calls, frames := m.Counters["transport.writev_calls"], m.Counters["transport.batch_frames"]; calls == 0 || frames < calls {
+		t.Errorf("transport.batch_frames = %d, transport.writev_calls = %d, want batch_frames >= writev_calls > 0", frames, calls)
+	}
+
+	// The migration span lands on the trace of the attempt it created.
+	var traces struct {
+		Active, Recent []struct {
+			Req   uint64 `json:"req"`
+			Spans []struct {
+				Hop string `json:"hop"`
+			} `json:"spans"`
+		}
+	}
+	getJSON(t, base+"/traces", &traces)
+	migrateSpan := false
+	for _, tr := range append(traces.Recent, traces.Active...) {
+		for _, s := range tr.Spans {
+			if tr.Req == cluster.WireReq(migReq, 0, 1) && s.Hop == "migrate" {
+				migrateSpan = true
+			}
+		}
+	}
+	if !migrateSpan {
+		t.Error("/traces has no migrate span on the migrated request's trace")
+	}
+}
+
+// getJSON fetches url and decodes its body into v.
+func getJSON(t *testing.T, url string, v interface{}) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: malformed JSON: %v", url, err)
 	}
 }
 

@@ -39,12 +39,8 @@ type Config struct {
 	// Registry supplies the aggregation functions; required when boxes are
 	// deployed.
 	Registry *agg.Registry
-	// Shares sets per-application target scheduler shares on the boxes.
-	Shares map[string]float64
 	// BoxWorkers is each box's scheduler pool size (0 = 4).
 	BoxWorkers int
-	// FixedWeights disables the adaptive WFQ correction (Fig 25).
-	FixedWeights bool
 	// Planner selects the tree planner every shim uses (nil = the
 	// paper's treeplan.OnPath). Master and workers always share it.
 	Planner treeplan.Planner
@@ -136,14 +132,12 @@ func New(cfg Config) (*Testbed, error) {
 		for _, sw := range switches {
 			for k := 0; k < cfg.BoxesPerSwitch; k++ {
 				box, err := core.Start(core.Config{
-					ID:           id,
-					Registry:     cfg.Registry,
-					Workers:      cfg.BoxWorkers,
-					FixedWeights: cfg.FixedWeights,
-					Shares:       cfg.Shares,
-					NIC:          nic(fmt.Sprintf("box-%s-%d", sw, k), cfg.BoxGbps),
-					SchedSeed:    cfg.Seed + int64(id>>32),
-					Context:      cfg.Context,
+					ID:        id,
+					Registry:  cfg.Registry,
+					Workers:   cfg.BoxWorkers,
+					NIC:       nic(fmt.Sprintf("box-%s-%d", sw, k), cfg.BoxGbps),
+					SchedSeed: cfg.Seed + int64(id>>32),
+					Context:   cfg.Context,
 				})
 				if err != nil {
 					tb.Close()

@@ -167,9 +167,6 @@ func (t *Topology) Node(id NodeID) Node { return t.nodes[int(id)] }
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) Link { return t.links[int(id)] }
 
-// NumNodes reports the number of nodes.
-func (t *Topology) NumNodes() int { return len(t.nodes) }
-
 // NumLinks reports the number of directed links.
 func (t *Topology) NumLinks() int { return len(t.links) }
 

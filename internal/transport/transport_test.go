@@ -191,6 +191,9 @@ func TestReplyAndOnFrame(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no heartbeat echo")
 	}
+	// The server counts a frame out once its write returns, which the echo
+	// can overtake on its way back.
+	waitFor(t, "the server to count its reply", func() bool { return srv.Stats().FramesOut == 1 })
 	if st := srv.Stats(); st.FramesIn != 1 || st.FramesOut != 1 || st.Accepted != 1 {
 		t.Fatalf("server stats = %+v, want 1 in / 1 out / 1 accepted", st)
 	}

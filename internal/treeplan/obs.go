@@ -2,9 +2,10 @@ package treeplan
 
 import "netagg/internal/obs"
 
-// Planner observability (obs-smoke validates these after a job): how long
-// planning takes, how often requests are replanned after the first
-// attempt, and how many dead boxes plans had to route around.
+// Planner observability (testbed's TestDebugEndpointCoversEveryLayer
+// validates these after a job): how long planning takes, how often
+// requests are replanned after the first attempt, and how many dead boxes
+// plans had to route around.
 var (
 	// obsPlanComputeUs is the latency of one Plan call in microseconds.
 	obsPlanComputeUs = obs.H("plan.compute_us")
@@ -16,7 +17,7 @@ var (
 	obsPlanSlowAvoided = obs.C("plan.slow_boxes_avoided")
 )
 
-// Replanner observability (obs-smoke validates these after a forced
+// Replanner observability (the same test validates these after a forced
 // migration): tick cadence, how many boxes are currently marked
 // congested, and how migration activity breaks down.
 var (

@@ -115,12 +115,6 @@ func (t *HotTracker) Observe(id uint64, loadUs int64) (hot, changed bool) {
 	return true, false
 }
 
-// Hot reports whether a box is currently marked congested.
-func (t *HotTracker) Hot(id uint64) bool {
-	s := t.boxes[id]
-	return s != nil && s.hot
-}
-
 // CoolingDown reports whether a box is inside its post-migration
 // cooldown window, during which further migrations off it are held.
 func (t *HotTracker) CoolingDown(id uint64) bool {
@@ -241,11 +235,11 @@ func (r *Replanner) loop(ctx context.Context, done chan struct{}) {
 	}
 }
 
-// Tick runs one scoring pass. It is exported so tests and the
-// observability smoke can drive the replanner deterministically without
-// racing the wall-clock loop; the loop goroutine and external callers
-// must not tick concurrently (the tracker is single-threaded by
-// design — stop the loop first, or never start it).
+// Tick runs one scoring pass. It is exported so tests can drive the
+// replanner deterministically without racing the wall-clock loop; the
+// loop goroutine and external callers must not tick concurrently (the
+// tracker is single-threaded by design — stop the loop first, or never
+// start it).
 func (r *Replanner) Tick() {
 	obsReplanTicks.Inc()
 	hotCount := 0
