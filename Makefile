@@ -48,13 +48,15 @@ fuzz-smoke:
 # turning use-after-release into a deterministic panic instead of silent
 # corruption. The same tag arms wire.CheckReceive, the dynamic half of
 # the protocol table (DESIGN.md §17), so the suite also covers the
-# packages with annotated frame handlers, and internal/search, whose
-# frontend reads a Result's pooled parts and gives them back. Run under
-# -race so the checker also orders the accesses.
+# packages with annotated frame handlers, internal/search, whose
+# frontend reads a Result's pooled parts and gives them back, and the two
+# packages whose tests say "also under netaggdebug": internal/testbed (the
+# exactly-once migration, the over-1-MiB emit, the refusals) and
+# internal/mapred. Run under -race so the checker also orders the accesses.
 bufpool-debug:
 	$(GO) test -tags netaggdebug -race ./internal/bufpool ./internal/transport \
 		./internal/wire ./internal/core ./internal/shim ./internal/cluster \
-		./internal/search
+		./internal/search ./internal/testbed ./internal/mapred
 
 # Protocol drift gate (DESIGN.md §17): the matrix embedded in DESIGN.md
 # must be exactly what internal/wire/protocol.go renders, and the lint

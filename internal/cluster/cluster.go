@@ -210,8 +210,7 @@ func (d *Deployment) Boxes() []BoxInfo {
 }
 
 // PlannerBoxes lists every deployed box as the planner sees it (Dead and
-// Slow flags filled in), ordered by ID — the replanner's per-tick
-// candidate view.
+// Slow flags filled in), ordered by ID.
 func (d *Deployment) PlannerBoxes() []treeplan.Box {
 	return sorted(d, (*boxState).plannerBox)
 }
@@ -285,13 +284,6 @@ func (d *Deployment) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
 	return s.load, s.load != (treeplan.LoadSignal{})
 }
 
-// BoxRTTUs returns the box's smoothed heartbeat RTT in microseconds
-// (0 until a monitor has observed one).
-func (d *Deployment) BoxRTTUs(id uint64) int64 {
-	s, _ := d.read(id)
-	return s.load.RTTUs
-}
-
 // PathSwitches returns the switches on the up-down path from a worker to
 // the master: up the worker's side to the lowest tier shared with the
 // master, then down the master's side.
@@ -319,7 +311,8 @@ func PathSwitches(worker, master Host) []string {
 // the deployment's single up-down path per host pair and see every
 // deployed box with its current liveness. It is also the live fabric's
 // treeplan.Telemetry: the monitor feeds RTT and heartbeat-carried load
-// into it, and LoadAware/Replanner read the combined signal back out.
+// into it, LoadAware reads the combined signal back out on every plan, and
+// the Replanner reads each box's sample once, from the monitor's hook.
 var (
 	_ treeplan.Topology  = (*Deployment)(nil)
 	_ treeplan.Telemetry = (*Deployment)(nil)

@@ -198,7 +198,11 @@ func TestMonitorDetectsDeadBox(t *testing.T) {
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
 
 	failed := make(chan BoxInfo, 1)
-	m := NewMonitor(d, 30*time.Millisecond, 2, func(b BoxInfo) { failed <- b })
+	m := NewMonitor(d, 30*time.Millisecond, 2, func(b BoxInfo, died bool) {
+		if died {
+			failed <- b
+		}
+	})
 	m.StartContext(t.Context())
 	defer m.Stop()
 
@@ -269,7 +273,11 @@ func TestMonitorDetectionLatency(t *testing.T) {
 	const interval = 100 * time.Millisecond
 	const misses = 2
 	failed := make(chan BoxInfo, 1)
-	m := NewMonitor(d, interval, misses, func(b BoxInfo) { failed <- b })
+	m := NewMonitor(d, interval, misses, func(b BoxInfo, died bool) {
+		if died {
+			failed <- b
+		}
+	})
 	m.StartContext(t.Context())
 	defer m.Stop()
 
@@ -313,26 +321,33 @@ func TestMonitorDetectionLatency(t *testing.T) {
 	}
 }
 
+// rttUs reads a box's smoothed heartbeat RTT out of its load signal.
+func rttUs(d *Deployment, id uint64) int64 {
+	sig, _ := d.BoxSignal(id)
+	return sig.RTTUs
+}
+
 func TestObserveRTTEWMA(t *testing.T) {
 	d := twoRackDeployment()
-	if got := d.BoxRTTUs(1 << 32); got != 0 {
+	if got := rttUs(d, 1<<32); got != 0 {
 		t.Fatalf("unseen box RTT = %d, want 0", got)
 	}
 	d.ObserveRTT(1<<32, 800*time.Microsecond)
-	if got := d.BoxRTTUs(1 << 32); got != 800 {
+	if got := rttUs(d, 1<<32); got != 800 {
 		t.Fatalf("first RTT observation = %dus, want 800", got)
 	}
 	// The EWMA (⅞ old + ⅛ new) must move toward a new level without
 	// jumping to it.
 	d.ObserveRTT(1<<32, 8800*time.Microsecond)
-	if got := d.BoxRTTUs(1 << 32); got != 1800 {
+	if got := rttUs(d, 1<<32); got != 1800 {
 		t.Fatalf("EWMA after 800→8800 = %dus, want 1800", got)
 	}
 }
 
 // TestMonitorFeedsRTTTelemetry checks the live path behind LoadAware
-// planning: the failure monitor's successful heartbeats populate the
-// deployment's per-box RTT estimate.
+// planning and the replanner: every probe outcome reaches the hook, and
+// by then the sample it produced — the RTT, and the load the echo
+// carried — is already in the deployment.
 func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 	reg := agg.NewRegistry()
 	reg.Register("x", agg.Concat{})
@@ -344,15 +359,27 @@ func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 
 	d := NewDeployment()
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
-	m := NewMonitor(d, 20*time.Millisecond, 3, func(BoxInfo) {})
+	seen := make(chan int64, 64)
+	m := NewMonitor(d, 20*time.Millisecond, 3, func(b BoxInfo, died bool) {
+		if died {
+			t.Errorf("healthy box %d declared dead", b.ID)
+		}
+		select {
+		case seen <- rttUs(d, b.ID):
+		default:
+		}
+	})
 	m.StartContext(t.Context())
 	defer m.Stop()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for d.BoxRTTUs(1<<32) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeats never produced an RTT estimate")
+	for i := 0; i < 3; i++ {
+		select {
+		case rtt := <-seen:
+			if rtt == 0 {
+				t.Fatal("hook ran before the probe's RTT sample was in the deployment")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("monitor never reported a probe outcome")
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

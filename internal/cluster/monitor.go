@@ -13,8 +13,11 @@ import (
 // Monitor is the lightweight failure detection service (§3.1 "Handling
 // failures"): it keeps a heartbeat connection to every agg box and marks a
 // box dead in the deployment — removing it from future plans — after a run
-// of missed heartbeats, notifying the registered callback so in-flight
-// requests can be redirected.
+// of missed heartbeats. Every probe outcome, echo or miss, is written into
+// the deployment (liveness, RTT, the load the echo carried) and then
+// reported to the one registered hook, which is therefore the control
+// plane's only loop: the hook redirects in-flight requests when a probe
+// declares the box dead and scores the fresh sample for congestion.
 //
 // The heartbeat connections ride on transport.Conn, so probing a dead box
 // costs one bounded dial per backoff window instead of one unbounded dial
@@ -24,7 +27,7 @@ type Monitor struct {
 	dep      *Deployment
 	interval time.Duration
 	misses   int
-	onFail   func(BoxInfo)
+	onProbe  func(b BoxInfo, died bool)
 
 	mu     sync.Mutex
 	ctx    context.Context
@@ -33,9 +36,10 @@ type Monitor struct {
 }
 
 // NewMonitor creates a monitor probing every box each interval and
-// declaring failure after `misses` consecutive missed heartbeats. onFail
-// may be nil.
-func NewMonitor(dep *Deployment, interval time.Duration, misses int, onFail func(BoxInfo)) *Monitor {
+// declaring failure after `misses` consecutive missed heartbeats. onProbe
+// runs on the box's prober goroutine after each probe's outcome is in the
+// deployment; died is true for the one probe that declared the box dead.
+func NewMonitor(dep *Deployment, interval time.Duration, misses int, onProbe func(b BoxInfo, died bool)) *Monitor {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
@@ -46,7 +50,7 @@ func NewMonitor(dep *Deployment, interval time.Duration, misses int, onFail func
 		dep:      dep,
 		interval: interval,
 		misses:   misses,
-		onFail:   onFail,
+		onProbe:  onProbe,
 	}
 }
 
@@ -107,7 +111,12 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 		case <-ticker.C:
 		}
 		seq++
-		if rtt, ok := m.heartbeat(ctx, conn, replies, seq); ok {
+		died := false
+		rtt, ok := m.heartbeat(ctx, conn, replies, seq)
+		if ctx.Err() != nil {
+			return // a probe the shutdown interrupted is not an outcome
+		}
+		if ok {
 			missed = 0
 			m.dep.MarkSeen(b.ID)
 			m.dep.ObserveRTT(b.ID, rtt)
@@ -116,28 +125,26 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 				m.dep.MarkAlive(b.ID)
 				obsRevivals.Inc()
 			}
-			continue
-		}
-		missed++
-		obsHBMisses.Inc()
-		// A missed heartbeat is still an RTT observation: the true
-		// round-trip exceeded the probe interval. Folding the interval in
-		// as a penalized sample makes a degrading box's smoothed RTT — and
-		// with it its load-aware planning score — rise while the box is
-		// merely slow, instead of staying frozen at its last healthy value
-		// until the box is declared dead.
-		m.dep.ObserveRTT(b.ID, m.interval)
-		if missed >= m.misses && !dead {
-			dead = true
-			if last := m.dep.LastSeen(b.ID); !last.IsZero() {
-				obsDetectMs.Observe(time.Since(last).Milliseconds())
-			}
-			m.dep.MarkDead(b.ID)
-			obsFailures.Inc()
-			if m.onFail != nil {
-				m.onFail(b)
+		} else {
+			missed++
+			obsHBMisses.Inc()
+			// A missed heartbeat is still an RTT observation: the true
+			// round-trip exceeded the probe interval. Folding the interval in
+			// as a penalized sample makes a degrading box's smoothed RTT — and
+			// with it its load-aware planning score — rise while the box is
+			// merely slow, instead of staying frozen at its last healthy value
+			// until the box is declared dead.
+			m.dep.ObserveRTT(b.ID, m.interval)
+			if missed >= m.misses && !dead {
+				dead, died = true, true
+				if last := m.dep.LastSeen(b.ID); !last.IsZero() {
+					obsDetectMs.Observe(time.Since(last).Milliseconds())
+				}
+				m.dep.MarkDead(b.ID)
+				obsFailures.Inc()
 			}
 		}
+		m.onProbe(b, died)
 	}
 }
 

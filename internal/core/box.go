@@ -409,7 +409,18 @@ func (b *Box) handleCancel(m *wire.Msg) {
 	if req != nil {
 		obsBoxCancelled.Inc()
 		req.tree.Discard()
+		b.recordSpan(req, 0, 0, "cancelled")
 	}
+}
+
+// recordSpan puts this box's hop on the request's trace, whichever way
+// the request left the table: errText is empty for a result forwarded.
+func (b *Box) recordSpan(req *boxRequest, aggNs, bytesOut int64, errText string) {
+	obs.DefaultTracer.Record(req.key.req, req.key.app, obs.Span{
+		Hop: "box", Node: b.obsNode,
+		Start: req.firstSeen.UnixNano(), Agg: aggNs, End: time.Now().UnixNano(),
+		Parts: req.frames, BytesIn: req.bytesIn, BytesOut: bytesOut, Err: errText,
+	})
 }
 
 // maybeCloseInputsLocked closes the local tree when every expected source
@@ -471,15 +482,11 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 	// The box hop's trace span is recorded after the result has been
 	// forwarded, so End covers the emit (see defer below).
 	defer func() {
-		out := int64(len(result))
 		if err != nil {
-			out = 0
+			b.recordSpan(req, aggDone.UnixNano(), 0, err.Error())
+		} else {
+			b.recordSpan(req, aggDone.UnixNano(), int64(len(result)), "")
 		}
-		obs.DefaultTracer.Record(req.key.req, req.key.app, obs.Span{
-			Hop: "box", Node: b.obsNode,
-			Start: req.firstSeen.UnixNano(), Agg: aggDone.UnixNano(), End: time.Now().UnixNano(),
-			Parts: req.frames, BytesIn: req.bytesIn, BytesOut: out,
-		})
 	}()
 	if route == nil {
 		b.logf("box %d: request %d completed without a route", b.cfg.ID, req.key.req)
@@ -549,6 +556,7 @@ func (b *Box) sweep(now time.Time) {
 	b.mu.Unlock()
 	for _, req := range stale {
 		req.tree.Discard()
+		b.recordSpan(req, 0, 0, "idle")
 	}
 }
 

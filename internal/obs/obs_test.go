@@ -200,7 +200,7 @@ func TestTracerRecordFinishLookup(t *testing.T) {
 	tr := NewTracer(4, 4)
 	tr.Record(10, "wc", Span{Hop: "shim.send", Node: "w0", Start: 100, End: 200, BytesOut: 50})
 	tr.Record(10, "wc", Span{Hop: "box", Node: "box:1", Start: 150, Agg: 180, End: 220})
-	got, ok := tr.Lookup(10)
+	got, ok := tr.Lookup(10, "wc")
 	if !ok || len(got.Spans) != 2 || got.Done {
 		t.Fatalf("active lookup = %+v, %v", got, ok)
 	}
@@ -214,7 +214,7 @@ func TestTracerRecordFinishLookup(t *testing.T) {
 	if len(tr.Active()) != 0 {
 		t.Fatal("finish must clear the active set")
 	}
-	got, ok = tr.Lookup(10)
+	got, ok = tr.Lookup(10, "wc")
 	if !ok || !got.Done || len(got.Spans) != 3 {
 		t.Fatalf("ring lookup = %+v, %v", got, ok)
 	}
@@ -228,6 +228,37 @@ func TestTracerRecordFinishLookup(t *testing.T) {
 	}
 }
 
+// TestTracerKeyedByAppAndRequest pins the trace key: wire request ids are
+// unique per application only, so two applications (or two deployments in
+// one process) using the same id keep separate traces, active and in the
+// ring, and an errored ending is readable from the span.
+func TestTracerKeyedByAppAndRequest(t *testing.T) {
+	tr := NewTracer(4, 4)
+	tr.Record(7, "wc", Span{Hop: "shim.send", Node: "w0", Start: 1, BytesOut: 10})
+	tr.Record(7, "topk", Span{Hop: "shim.send", Node: "w0", Start: 2, BytesOut: 99})
+	if n := len(tr.Active()); n != 2 {
+		t.Fatalf("%d active traces for two applications sharing a request id, want 2", n)
+	}
+	tr.Finish(7, "wc", Span{Hop: "master", Start: 1, End: 5, Err: "boom"})
+	wc, _ := tr.Lookup(7, "wc")
+	topk, _ := tr.Lookup(7, "topk")
+	if !wc.Done || len(wc.Spans) != 2 || topk.Done || len(topk.Spans) != 1 {
+		t.Fatalf("wc = %+v, topk = %+v: finishing one application's trace touched the other's", wc, topk)
+	}
+	if sum := tr.SumBytesOut(7, "wc", "shim.send"); sum != 10 {
+		t.Fatalf("SumBytesOut(wc) = %d, want 10", sum)
+	}
+	// A late span merges into its own application's ring entry.
+	tr.Finish(7, "topk", Span{Hop: "master", Start: 2, End: 6})
+	tr.Record(7, "wc", Span{Hop: "box", Start: 3, Err: "cancelled"})
+	if wc, _ = tr.Lookup(7, "wc"); len(wc.Spans) != 3 {
+		t.Fatalf("late wc span landed elsewhere: %+v", wc)
+	}
+	if log := tr.TraceLog(); !strings.Contains(log, `err="boom"`) || !strings.Contains(log, `err="cancelled"`) {
+		t.Fatalf("trace log does not show the error endings:\n%s", log)
+	}
+}
+
 func TestTracerEvictionBounds(t *testing.T) {
 	tr := NewTracer(2, 3)
 	for req := uint64(1); req <= 5; req++ {
@@ -237,14 +268,14 @@ func TestTracerEvictionBounds(t *testing.T) {
 	if got := len(tr.Active()); got != 2 {
 		t.Fatalf("active = %d, want 2", got)
 	}
-	if _, ok := tr.Lookup(1); !ok {
+	if _, ok := tr.Lookup(1, "wc"); !ok {
 		t.Fatal("evicted trace must remain findable in the ring")
 	}
 	for req := uint64(6); req <= 12; req++ {
 		tr.Record(req, "wc", Span{Hop: "box", Start: int64(req)})
 	}
 	// The ring holds at most 3; the oldest evictions are gone for good.
-	if _, ok := tr.Lookup(1); ok {
+	if _, ok := tr.Lookup(1, "wc"); ok {
 		t.Fatal("ring must be bounded")
 	}
 	if got := tr.Recent(0); len(got) != 3 {
@@ -257,15 +288,15 @@ func TestTracerSortedAndSumBytes(t *testing.T) {
 	tr.Record(1, "wc", Span{Hop: "box", Node: "b", Start: 300, End: 400})
 	tr.Record(1, "wc", Span{Hop: "shim.send", Node: "w1", Start: 100, End: 150, BytesOut: 30})
 	tr.Record(1, "wc", Span{Hop: "shim.send", Node: "w0", Start: 100, End: 160, BytesOut: 20})
-	got, _ := tr.Lookup(1)
+	got, _ := tr.Lookup(1, "wc")
 	sorted := got.Sorted()
 	if sorted[0].Node != "w0" || sorted[1].Node != "w1" || sorted[2].Hop != "box" {
 		t.Fatalf("sorted order wrong: %+v", sorted)
 	}
-	if sum := tr.SumBytesOut(1, "shim.send"); sum != 50 {
+	if sum := tr.SumBytesOut(1, "wc", "shim.send"); sum != 50 {
 		t.Fatalf("SumBytesOut = %d, want 50", sum)
 	}
-	if sum := tr.SumBytesOut(99, "shim.send"); sum != 0 {
+	if sum := tr.SumBytesOut(99, "wc", "shim.send"); sum != 0 {
 		t.Fatalf("unknown req SumBytesOut = %d, want 0", sum)
 	}
 }
@@ -284,7 +315,7 @@ func TestTracerConcurrency(t *testing.T) {
 				if i%8 == 0 {
 					tr.Finish(req, "wc", Span{Hop: "master", Start: int64(i)})
 				}
-				_, _ = tr.Lookup(req)
+				_, _ = tr.Lookup(req, "wc")
 				if i%64 == 0 {
 					_ = tr.TraceLog()
 				}
@@ -418,7 +449,7 @@ func TestTracerLateRecordMergesIntoRing(t *testing.T) {
 	if n := len(tr.Active()); n != 0 {
 		t.Fatalf("late record opened %d active traces, want 0", n)
 	}
-	got, ok := tr.Lookup(5)
+	got, ok := tr.Lookup(5, "wc")
 	if !ok || !got.Done || len(got.Spans) != 3 {
 		t.Fatalf("merged trace = %+v, %v", got, ok)
 	}
@@ -434,7 +465,7 @@ func TestTracerSpanCap(t *testing.T) {
 	for i := 0; i < maxSpansPerTrace+10; i++ {
 		tr.Record(1, "wc", Span{Hop: "box", Start: int64(i + 1)})
 	}
-	got, _ := tr.Lookup(1)
+	got, _ := tr.Lookup(1, "wc")
 	if len(got.Spans) != maxSpansPerTrace {
 		t.Fatalf("spans = %d, want cap %d", len(got.Spans), maxSpansPerTrace)
 	}

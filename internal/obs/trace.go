@@ -34,6 +34,9 @@ type Span struct {
 	// ratio is the observed aggregation ratio α at this hop (§4.1).
 	BytesIn  int64 `json:"bytes_in"`
 	BytesOut int64 `json:"bytes_out"` // BytesOut the hop emitted downstream.
+	// Err is why the hop ended without an output: the request's error at
+	// the master, "cancelled" or "idle" at a box that dropped its state.
+	Err string `json:"err,omitempty"`
 }
 
 // Duration returns the hop's wall-clock time.
@@ -50,8 +53,9 @@ type Trace struct {
 	App string `json:"app"`
 	// First is the earliest span start (unix nanoseconds).
 	First int64 `json:"first_ns"`
-	// Done marks traces completed by the master shim; traces evicted
-	// from the active set by capacity pressure stay not-done.
+	// Done marks traces the master shim ended, in a result or an error;
+	// traces evicted from the active set by capacity pressure stay
+	// not-done.
 	Done bool `json:"done"`
 	// Spans are the recorded hops, in arrival order, capped at
 	// maxSpansPerTrace; Dropped counts spans discarded past the cap
@@ -93,9 +97,16 @@ type Tracer struct {
 	mu        sync.Mutex
 	maxActive int
 	ringSize  int
-	active    map[uint64]*Trace
-	order     []uint64 // active trace keys, oldest first
-	ring      []*Trace // completed/evicted traces, oldest first
+	active    map[traceKey]*Trace
+	order     []traceKey // active trace keys, oldest first
+	ring      []*Trace   // completed/evicted traces, oldest first
+}
+
+// traceKey identifies a trace: wire request ids are unique per
+// application only, and two deployments in one process share the tracer.
+type traceKey struct {
+	app string
+	req uint64
 }
 
 // NewTracer returns a tracer bounding the active set and completed ring
@@ -110,7 +121,7 @@ func NewTracer(maxActive, ring int) *Tracer {
 	return &Tracer{
 		maxActive: maxActive,
 		ringSize:  ring,
-		active:    make(map[uint64]*Trace),
+		active:    make(map[traceKey]*Trace),
 	}
 }
 
@@ -127,18 +138,19 @@ func (t *Tracer) Record(req uint64, app string, s Span) {
 }
 
 // Finish appends the final span and moves the trace to the completed
-// ring (the master shim calls it when a request completes).
+// ring (the master shim calls it when a request ends, however it ends).
 func (t *Tracer) Finish(req uint64, app string, s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tr := t.recordLocked(req, app, s)
 	tr.Done = true
-	if _, wasActive := t.active[req]; !wasActive {
+	key := traceKey{app, req}
+	if _, wasActive := t.active[key]; !wasActive {
 		return // recordLocked merged into a ring entry; it is already there
 	}
-	delete(t.active, req)
+	delete(t.active, key)
 	for i, k := range t.order {
-		if k == req {
+		if k == key {
 			t.order = append(t.order[:i], t.order[i+1:]...)
 			break
 		}
@@ -147,19 +159,14 @@ func (t *Tracer) Finish(req uint64, app string, s Span) {
 }
 
 func (t *Tracer) recordLocked(req uint64, app string, s Span) *Trace {
-	tr, ok := t.active[req]
+	key := traceKey{app, req}
+	tr, ok := t.active[key]
 	if !ok {
 		// A hop can report after the master already finished the trace
 		// (boxes record their span once the emit completes, and the
 		// master may win that race): merge into the completed ring
 		// entry instead of opening a spurious new trace.
-		for i := len(t.ring) - 1; i >= 0; i-- {
-			if t.ring[i].Req == req {
-				tr = t.ring[i]
-				ok = true
-				break
-			}
-		}
+		tr, ok = t.ringLocked(key)
 	}
 	if !ok {
 		if len(t.active) >= t.maxActive {
@@ -169,8 +176,8 @@ func (t *Tracer) recordLocked(req uint64, app string, s Span) *Trace {
 			delete(t.active, oldest)
 		}
 		tr = &Trace{Req: req, App: app, First: s.Start}
-		t.active[req] = tr
-		t.order = append(t.order, req)
+		t.active[key] = tr
+		t.order = append(t.order, key)
 	}
 	if tr.First == 0 || (s.Start != 0 && s.Start < tr.First) {
 		tr.First = s.Start
@@ -198,20 +205,30 @@ func (t *Tracer) pushRingLocked(tr *Trace) {
 	}
 }
 
-// Lookup returns a copy of the request's trace, searching the active
-// set first and then the completed ring (newest match wins).
-func (t *Tracer) Lookup(req uint64) (Trace, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tr, ok := t.active[req]; ok {
-		return copyTrace(tr), true
-	}
+// ringLocked finds a trace in the completed ring (newest match wins).
+func (t *Tracer) ringLocked(key traceKey) (*Trace, bool) {
 	for i := len(t.ring) - 1; i >= 0; i-- {
-		if t.ring[i].Req == req {
-			return copyTrace(t.ring[i]), true
+		if tr := t.ring[i]; tr.Req == key.req && tr.App == key.app {
+			return tr, true
 		}
 	}
-	return Trace{}, false
+	return nil, false
+}
+
+// Lookup returns a copy of the application's trace of a request,
+// searching the active set first and then the completed ring.
+func (t *Tracer) Lookup(req uint64, app string) (Trace, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	key := traceKey{app, req}
+	tr, ok := t.active[key]
+	if !ok {
+		tr, ok = t.ringLocked(key)
+	}
+	if !ok {
+		return Trace{}, false
+	}
+	return copyTrace(tr), true
 }
 
 // Recent returns up to n completed traces, newest first (n < 1 returns
@@ -246,8 +263,8 @@ func (t *Tracer) Active() []Trace {
 // aggregation ratio α = master bytes in / shim bytes out; in a
 // multi-process deployment the shim spans live in other processes and
 // the sum is 0, which callers treat as "α unobservable".
-func (t *Tracer) SumBytesOut(req uint64, hop string) int64 {
-	tr, ok := t.Lookup(req)
+func (t *Tracer) SumBytesOut(req uint64, app, hop string) int64 {
+	tr, ok := t.Lookup(req, app)
 	if !ok {
 		return 0
 	}
@@ -287,8 +304,12 @@ func writeTrace(b *strings.Builder, tr Trace) {
 	fmt.Fprintf(b, "trace req=%d app=%s spans=%d %s\n", tr.Req, tr.App, len(tr.Spans), state)
 	for _, s := range tr.Sorted() {
 		rel := time.Duration(s.Start - tr.First).Round(time.Microsecond)
-		fmt.Fprintf(b, "  +%-12v %-10s %-16s parts=%-4d in=%-8d out=%-8d took=%v\n",
+		fmt.Fprintf(b, "  +%-12v %-10s %-16s parts=%-4d in=%-8d out=%-8d took=%v",
 			rel, s.Hop, s.Node, s.Parts, s.BytesIn, s.BytesOut,
 			s.Duration().Round(time.Microsecond))
+		if s.Err != "" {
+			fmt.Fprintf(b, " err=%q", s.Err)
+		}
+		b.WriteByte('\n')
 	}
 }

@@ -65,6 +65,8 @@ func TestErrorAfterDeliveryReleasesBuffers(t *testing.T) {
 // — and, for the error endings of a master that lives on, every box of
 // the request told to drop its state at once (the boxes count a TCancel
 // that found something to drop) instead of holding it for the janitor.
+// And whatever ends it, its trace is complete by the time the Result can
+// be read: Done, with the error on the master span.
 func TestEveryEndingEndsOnce(t *testing.T) {
 	workers := []string{"w0", "w1", "w2", "w3"}
 	for _, tc := range []struct {
@@ -79,9 +81,9 @@ func TestEveryEndingEndsOnce(t *testing.T) {
 		closed    bool
 	}{{
 		name: "success",
-		end: func(t *testing.T, r *rig, _ *Pending) {
+		end: func(t *testing.T, r *rig, p *Pending) {
 			for i, w := range workers {
-				if err := r.workers[w].SendPartials("wc", 1, i, "master", [][]byte{kvPart("k", 1)}, 1); err != nil {
+				if err := r.workers[w].SendPartials("wc", p.req, i, "master", [][]byte{kvPart("k", 1)}, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -96,12 +98,12 @@ func TestEveryEndingEndsOnce(t *testing.T) {
 		// before the others have sent anything: tor:0 reports the error
 		// while tor:1 and agg:0 still hold the request.
 		name: "TError",
-		end: func(t *testing.T, r *rig, _ *Pending) {
+		end: func(t *testing.T, r *rig, p *Pending) {
 			bad := make([][]byte, 16)
 			for i := range bad {
 				bad[i] = []byte{0xff}
 			}
-			if err := r.workers["w0"].SendPartials("wc", 1, 0, "master", bad, 1); err != nil {
+			if err := r.workers["w0"].SendPartials("wc", p.req, 0, "master", bad, 1); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -135,7 +137,7 @@ func TestEveryEndingEndsOnce(t *testing.T) {
 			l.Close()
 			r.dep.AddBox(cluster.BoxInfo{ID: 9 << 32, Addr: l.Addr().String(), Switch: "tor:0"})
 			r.dep.MarkDead(1 << 32)
-			r.master.OnBoxFailure(1 << 32)
+			r.master.Supersede(1<<32, "failover")
 			// The request has ended by now; heal the deployment so the
 			// resubmit below is refused only if the id is still taken.
 			r.dep.MarkDead(9 << 32)
@@ -166,19 +168,34 @@ func TestEveryEndingEndsOnce(t *testing.T) {
 		},
 		closed: true,
 	}} {
+		req := nextTracedReq()
 		t.Run(tc.name, func(t *testing.T) {
 			before := bufpool.ReadStats()
 			cancels := obs.C("box.requests_cancelled")
 			cancelsBefore := cancels.Value()
 			r := newRig(t, tc.straggler)
-			p, err := r.master.Submit("wc", 1, workers, 1)
+			p, err := r.master.Submit("wc", req, workers, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.end(t, r, p)
 			res := waitResult2(t, p)
+			tr, _ := obs.DefaultTracer.Lookup(cluster.WireReq(req, 0, res.Attempts), "wc")
+			var ending []string
+			for _, s := range tr.Spans {
+				if s.Hop == "master" {
+					ending = append(ending, s.Err)
+				}
+			}
+			wantErr := ""
+			if res.Err != nil {
+				wantErr = res.Err.Error()
+			}
+			if !tr.Done || len(ending) != 1 || ending[0] != wantErr {
+				t.Fatalf("trace done = %v with master span errors %q, want a completed trace whose one master span says %q", tr.Done, ending, wantErr)
+			}
 			// The id is free the moment the Result is read.
-			again, err := r.master.Submit("wc", 1, workers, 1)
+			again, err := r.master.Submit("wc", req, workers, 1)
 			if tc.closed == (err == nil) {
 				t.Fatalf("resubmit of the ended id: err = %v, master closed = %v", err, tc.closed)
 			}

@@ -236,7 +236,7 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	m.pending[key] = p
 	m.mu.Unlock()
 
-	if err := m.arm(p, 0); err != nil {
+	if _, err := m.arm(p, 0, 0); err != nil {
 		// arm may have started the straggler timer and reached some boxes
 		// before the announce failed: end the request so neither outlives it.
 		m.finish(p, err)
@@ -248,18 +248,25 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 // arm plans an attempt through the configured planner, announces
 // expectations to the boxes, and starts the straggler timer. A request
 // that completed (or failed) while the attempt was being planned is left
-// untouched: arming must never resurrect a finished request's timer.
-func (m *Master) arm(p *Pending, attempt int) error {
+// untouched: arming must never resurrect a finished request's timer. So
+// is one whose fresh plan still routes through avoid, the box this attempt
+// exists to get away from (0 = none): a congested box that is its switch's
+// only live one stays in the plan as the last resort, and moving a request
+// from it onto itself would spend an attempt and a full resend on nothing.
+func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err error) {
 	trees := make([]treeplan.Tree, p.trees)
 	for tr := range trees {
 		trees[tr] = m.planner.Plan(m.cfg.Deployment,
 			treeplan.NewRequest(p.req, tr, attempt, m.cfg.Host.Name, p.workers))
+		if _, still := trees[tr].Expect[avoid]; still {
+			return false, nil
+		}
 	}
 
 	p.mu.Lock()
 	if p.done {
 		p.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	oldAttempt, oldBoxes := p.attempt, p.boxes
 	p.attempt = attempt
@@ -283,7 +290,7 @@ func (m *Master) arm(p *Pending, attempt int) error {
 		p.timer.Stop()
 	}
 	if m.cfg.StragglerTimeout > 0 {
-		p.timer = time.AfterFunc(m.cfg.StragglerTimeout, func() { m.redirect(p) })
+		p.timer = time.AfterFunc(m.cfg.StragglerTimeout, func() { m.redirect(p, "straggler", 0) })
 	}
 	p.mu.Unlock()
 
@@ -308,33 +315,55 @@ func (m *Master) arm(p *Pending, attempt int) error {
 				Payload: wire.EncodeCount(count),
 			})
 			if err != nil {
-				return fmt.Errorf("shim: expect to box %d: %w", boxID, err)
+				return true, fmt.Errorf("shim: expect to box %d: %w", boxID, err)
 			}
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// redirect advances a pending request to the next recovery attempt: it
-// replans around dead boxes and tells every worker shim to resend (§3.1).
-// When the attempt budget is exhausted, or the new attempt cannot be
-// announced, the request ends in an error.
-func (m *Master) redirect(p *Pending) {
+// redirect supersedes a pending request's attempt with the next one: it
+// replans around dead and congested boxes and tells every worker shim to
+// resend (§3.1), reporting whether the request moved. When the attempt
+// budget is exhausted, or the new attempt cannot be announced, the request
+// ends in an error. cause is why — the "straggler" timer (box 0), a box's
+// "failover" or a "migrate" off a congested box — and goes on the new
+// attempt's trace with the box, so an operator reading
+// /debug/netagg/traces sees what moved the request and when
+// (OPERATIONS.md §9).
+func (m *Master) redirect(p *Pending, cause string, box uint64) bool {
+	start := time.Now()
 	p.mu.Lock()
 	if p.done {
 		p.mu.Unlock()
-		return
+		return false
 	}
 	attempt := p.attempt + 1
 	p.mu.Unlock()
 	if attempt > maxAttempts {
 		m.finish(p, fmt.Errorf("shim: request %d failed after %d attempts", p.req, attempt-1))
-		return
+		return false
+	}
+	armed, err := m.arm(p, attempt, box)
+	if err != nil {
+		m.finish(p, err)
+		return false
+	}
+	if !armed {
+		return false
 	}
 	obsRedirectsSent.Inc()
-	if err := m.arm(p, attempt); err != nil {
-		m.finish(p, err)
-		return
+	// The span covers replanning and the announce, and is on the trace
+	// before any worker can answer the redirect.
+	node := m.cfg.Host.Name
+	if box != 0 {
+		node = fmt.Sprintf("box:%d", box)
+	}
+	for tree := 0; tree < p.trees; tree++ {
+		obs.DefaultTracer.Record(cluster.WireReq(p.req, tree, attempt), p.app, obs.Span{
+			Hop: cause, Node: node,
+			Start: start.UnixNano(), End: time.Now().UnixNano(),
+		})
 	}
 	for _, worker := range p.workers {
 		addr, ok := m.cfg.Deployment.ControlAddr(worker)
@@ -351,6 +380,7 @@ func (m *Master) redirect(p *Pending) {
 			log.Printf("shim: redirect request %d attempt %d to %s: %v", p.req, attempt, addr, err)
 		}
 	}
+	return true
 }
 
 // cancelAttempt sends TCancel for every (tree, box) of an attempt that
@@ -373,11 +403,18 @@ func (m *Master) cancelAttempt(p *Pending, boxes map[uint64]bool, attempt int) {
 	}
 }
 
-// routedThrough returns the pending requests whose current attempt's
-// plan includes the box.
-func (m *Master) routedThrough(boxID uint64) []*Pending {
+// Supersede moves every pending request whose current attempt routes
+// through the box onto a freshly planned attempt that does not, and
+// returns how many it moved. It is the one verb behind failure recovery
+// and congestion migration alike: the caller has already marked the box
+// in the deployment — dead for cause "failover", congested for "migrate" —
+// so the new attempt routes around it; the old attempt's boxes receive
+// TCancel and drain their partials; and the attempt epoch in every wire
+// request id guarantees nothing is lost or double-combined — the new
+// attempt is complete on its own, and stale frames from the old epoch are
+// dropped by the master's attempt check.
+func (m *Master) Supersede(boxID uint64, cause string) int {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	var affected []*Pending
 	for _, p := range m.pending {
 		p.mu.Lock()
@@ -386,47 +423,14 @@ func (m *Master) routedThrough(boxID uint64) []*Pending {
 		}
 		p.mu.Unlock()
 	}
-	return affected
-}
-
-// OnBoxFailure triggers immediate recovery of every pending request whose
-// current plan includes the failed box, instead of waiting for the
-// straggler timeout. Wire it to a cluster.Monitor.
-func (m *Master) OnBoxFailure(boxID uint64) {
-	for _, p := range m.routedThrough(boxID) {
-		m.redirect(p)
-	}
-}
-
-// MigrateAway migrates every pending request whose current plan routes
-// through the named box onto a freshly planned attempt, and returns how
-// many requests it moved. The replanner calls it when a box crosses the
-// congestion hysteresis (DESIGN.md §16): the box is already marked Slow
-// in the deployment, so the replanned attempt routes around it; the old
-// attempt's boxes receive TCancel and drain their partials; and the
-// attempt epoch in every wire request id guarantees nothing is lost or
-// double-combined — the new attempt is complete on its own, and stale
-// frames from the old epoch are dropped by the master's attempt check.
-func (m *Master) MigrateAway(boxID uint64) int {
-	affected := m.routedThrough(boxID)
-	node := fmt.Sprintf("box:%d", boxID)
+	m.mu.Unlock()
+	moved := 0
 	for _, p := range affected {
-		start := time.Now()
-		m.redirect(p)
-		// The migration span lands on the new attempt's trace, so an
-		// operator reading /debug/netagg/traces sees which box the
-		// request was moved off and when (OPERATIONS.md §9).
-		p.mu.Lock()
-		attempt := p.attempt
-		p.mu.Unlock()
-		for tree := 0; tree < p.trees; tree++ {
-			obs.DefaultTracer.Record(cluster.WireReq(p.req, tree, attempt), p.app, obs.Span{
-				Hop: "migrate", Node: node,
-				Start: start.UnixNano(), End: time.Now().UnixNano(),
-			})
+		if m.redirect(p, cause, boxID) {
+			moved++
 		}
 	}
-	return len(affected)
+	return moved
 }
 
 func (m *Master) remove(p *Pending) {
@@ -435,8 +439,9 @@ func (m *Master) remove(p *Pending) {
 	m.mu.Unlock()
 }
 
-// finish is the one place a request ends, whatever ends it. A nil err is
-// the successful ending and takes effect only once every source of the
+// finish is the one place a request ends, whatever ends it, and so the
+// one place its trace is completed. A nil err is the successful ending
+// and takes effect only once every source of the
 // current attempt has delivered: handle calls it after each source it
 // counts, and a re-arm that slipped in between finds the new attempt
 // incomplete. Any other err ends the request now: the partial deliveries
@@ -471,9 +476,8 @@ func (m *Master) finish(p *Pending, err error) {
 	boxes := p.boxes
 	p.mu.Unlock()
 
-	if err == nil {
-		m.observeComplete(p, &res)
-	} else if err != errMasterClosed {
+	m.observeEnding(p, &res)
+	if err != nil && err != errMasterClosed {
 		m.cancelAttempt(p, boxes, res.Attempts)
 	}
 	m.remove(p)
@@ -560,28 +564,34 @@ func (m *Master) handle(msg *wire.Msg) {
 	m.finish(p, failure)
 }
 
-// observeComplete records a successful request's master-side metrics and
-// trace spans: result size, the completion span of each tree's trace, and —
-// when the worker shims share this process (testbed) — the observed
-// per-job aggregation ratio α (received bytes over shim-sent bytes).
-func (m *Master) observeComplete(p *Pending, res *Result) {
-	now := time.Now().UnixNano()
-	var bytes int64
-	for _, part := range res.Parts {
-		bytes += int64(len(part))
+// observeEnding completes each tree's trace with the master span, carrying
+// the error of a request that ended in one, and records a successful
+// request's metrics: result size and — when the worker shims share this
+// process (testbed) — the observed per-job aggregation ratio α (received
+// bytes over shim-sent bytes).
+func (m *Master) observeEnding(p *Pending, res *Result) {
+	span := obs.Span{
+		Hop: "master", Node: m.cfg.Host.Name,
+		Start: p.submittedAt.UnixNano(), End: time.Now().UnixNano(),
+		Parts: len(res.Parts),
 	}
-	obsResultBytes.Observe(bytes)
+	if res.Err != nil {
+		span.Err = res.Err.Error()
+	}
+	for _, part := range res.Parts {
+		span.BytesIn += int64(len(part))
+	}
 	var sent int64
 	for tree := 0; tree < p.trees; tree++ {
 		wr := cluster.WireReq(p.req, tree, res.Attempts)
-		sent += obs.DefaultTracer.SumBytesOut(wr, "shim.send")
-		obs.DefaultTracer.Finish(wr, p.app, obs.Span{
-			Hop: "master", Node: m.cfg.Host.Name,
-			Start: p.submittedAt.UnixNano(), End: now,
-			Parts: len(res.Parts), BytesIn: bytes,
-		})
+		sent += obs.DefaultTracer.SumBytesOut(wr, p.app, "shim.send")
+		obs.DefaultTracer.Finish(wr, p.app, span)
 	}
+	if res.Err != nil {
+		return
+	}
+	obsResultBytes.Observe(span.BytesIn)
 	if sent > 0 {
-		obsAlphaPct.Observe(bytes * 100 / sent)
+		obsAlphaPct.Observe(span.BytesIn * 100 / sent)
 	}
 }

@@ -5,50 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"netagg/internal/cluster"
 	"netagg/internal/transport"
 	"netagg/internal/wire"
 )
-
-// Full failure pipeline: a cluster.Monitor detects a crashed box, marks it
-// dead, and the master shim immediately redirects the affected pending
-// request instead of waiting for the straggler timeout.
-func TestMonitorDrivenRecovery(t *testing.T) {
-	r := newRig(t, 5*time.Second) // long straggler timeout: recovery must come from the monitor
-	workers := []string{"w2", "w3"}
-
-	mon := cluster.NewMonitor(r.dep, 30*time.Millisecond, 2, func(b cluster.BoxInfo) {
-		r.master.OnBoxFailure(b.ID)
-	})
-	mon.StartContext(t.Context())
-	defer mon.Stop()
-
-	p, err := r.master.Submit("wc", 50, workers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill the aggregation-switch box after submission; the workers send
-	// into the now-broken chain.
-	r.boxes[2].Close()
-	for i, name := range workers {
-		r.workers[name].SendPartials("wc", 50, i, "master", [][]byte{kvPart("m", 3)}, 1)
-	}
-
-	res := waitResult2(t, p)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Attempts == 0 {
-		t.Fatal("monitor-driven recovery should have bumped the attempt")
-	}
-	totals := sumResult(t, res)
-	if totals["m"] != 6 {
-		t.Fatalf("m = %d, want 6 (no loss, no duplication)", totals["m"])
-	}
-	if !r.dep.Dead(3 << 32) {
-		t.Fatal("monitor should have marked the box dead")
-	}
-}
 
 // Duplicate redirects for the same attempt (straggler timer and failure
 // monitor racing) must not make the worker replay the data twice.

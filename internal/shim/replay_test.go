@@ -87,7 +87,7 @@ func TestMasterReplayMarksResetOnRearm(t *testing.T) {
 	m, p := newDirectMaster(t)
 	m.handle(&wire.Msg{Type: wire.TData, App: "app", Req: cluster.WireReq(7, 0, 0),
 		Source: 0, Seq: 0, Payload: []byte("old")})
-	if err := m.arm(p, 1); err != nil {
+	if _, err := m.arm(p, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	wireReq := cluster.WireReq(7, 0, 1)

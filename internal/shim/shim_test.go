@@ -3,6 +3,7 @@ package shim
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +84,12 @@ func (r *rig) close() {
 		b.Close()
 	}
 }
+
+// tracedReq hands out request ids for tests that read the process-wide
+// tracer: a reused id would find the previous run's trace (-count=3).
+var tracedReq atomic.Uint64
+
+func nextTracedReq() uint64 { return 0x7E5700 + tracedReq.Add(1) }
 
 func kvPart(key string, val int64) []byte {
 	return agg.EncodeKVs([]agg.KV{{Key: key, Val: val}})

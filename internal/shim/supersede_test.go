@@ -1,0 +1,232 @@
+package shim
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"netagg/internal/agg"
+	"netagg/internal/cluster"
+	"netagg/internal/core"
+	"netagg/internal/obs"
+	"netagg/internal/treeplan"
+	"netagg/internal/wire"
+)
+
+// addBox starts one more box at a switch of the rig's deployment.
+func (r *rig) addBox(t *testing.T, id uint64, sw string) {
+	t.Helper()
+	reg := agg.NewRegistry()
+	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
+	box, err := core.Start(core.Config{ID: id, Registry: reg, Workers: 2, SchedSeed: int64(id >> 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.boxes = append(r.boxes, box)
+	r.dep.AddBox(cluster.BoxInfo{ID: id, Addr: box.Addr(), Switch: sw})
+}
+
+// TestSupersedeCauses is the table over the three things that supersede an
+// attempt — the straggler timer, a failed box, a congested box. All three
+// are the same verb: the request moves onto attempt 1 and completes there
+// exactly, Supersede reports how many requests it moved (none for a box no
+// request uses), and the new attempt's trace says why it exists, once.
+func TestSupersedeCauses(t *testing.T) {
+	workers := []string{"w0", "w1"} // rack 0, like the master: tor:0 is their whole path
+	for _, tc := range []struct {
+		cause     string
+		straggler time.Duration
+		mark      func(dep *cluster.Deployment, box uint64)
+		supersede bool
+	}{
+		// Nobody tells the master: the box is only marked, and the timer moves the request.
+		{"straggler", 200 * time.Millisecond, (*cluster.Deployment).MarkDead, false},
+		{"failover", 5 * time.Second, (*cluster.Deployment).MarkDead, true},
+		{"migrate", 5 * time.Second, func(d *cluster.Deployment, box uint64) { d.MarkCongested(box, true) }, true},
+	} {
+		t.Run(tc.cause, func(t *testing.T) {
+			r := newRig(t, tc.straggler)
+			r.addBox(t, 4<<32, "tor:0") // a sibling, so a plan can avoid a congested box
+			req := nextTracedReq()
+			p, err := r.master.Submit("wc", req, workers, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.mu.Lock()
+			var used uint64
+			for id := range p.boxes {
+				used = id
+			}
+			p.mu.Unlock()
+			// The box stops answering before the workers send, so attempt 0
+			// cannot complete whatever the timing.
+			for _, b := range r.boxes {
+				if b.Addr() == mustBox(t, r.dep, used).Addr {
+					b.Close()
+				}
+			}
+			for i, w := range workers {
+				// The send may or may not see the closed socket; either way the
+				// partials are retained for the redirect.
+				_ = r.workers[w].SendPartials("wc", req, i, "master", [][]byte{kvPart("k", int64(i+1))}, 1)
+			}
+			tc.mark(r.dep, used)
+			if n := r.master.Supersede(2<<32, tc.cause); n != 0 {
+				t.Fatalf("Supersede of a box no request uses moved %d requests", n)
+			}
+			node := "master"
+			if tc.supersede {
+				node = fmt.Sprintf("box:%d", used)
+				if n := r.master.Supersede(used, tc.cause); n != 1 {
+					t.Fatalf("Supersede moved %d requests, want 1", n)
+				}
+			}
+			res := waitResult2(t, p)
+			if got := sumResult(t, res)["k"]; got != 3 || res.Attempts != 1 {
+				t.Fatalf("k = %d after %d attempts, want exactly 3 on attempt 1", got, res.Attempts)
+			}
+			tr, _ := obs.DefaultTracer.Lookup(cluster.WireReq(req, 0, 1), "wc")
+			var why []string
+			for _, s := range tr.Spans {
+				switch s.Hop {
+				case "straggler", "failover", "migrate":
+					why = append(why, s.Hop+"@"+s.Node)
+				}
+			}
+			if len(why) != 1 || why[0] != tc.cause+"@"+node {
+				t.Fatalf("attempt 1's trace explains itself as %q, want exactly [%s@%s]", why, tc.cause, node)
+			}
+		})
+	}
+}
+
+// TestSupersedeNeedsSomewhereToGo pins the migration that is none: a
+// congested box that is its switch's only live one stays in every plan as
+// the last resort, so superseding the requests on it would spend an
+// attempt and a full resend to land them on the same box — or, when the
+// box is congested because it is dying, end them in the error of a re-arm
+// that cannot reach it, one heartbeat before failover would have saved
+// them. The request stays where it is.
+func TestSupersedeNeedsSomewhereToGo(t *testing.T) {
+	r := newRig(t, 0) // one box a switch
+	workers := []string{"w0", "w1"}
+	p, err := r.master.Submit("wc", 0x5F0, workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.dep.MarkCongested(1<<32, true)
+	if n := r.master.Supersede(1<<32, "migrate"); n != 0 {
+		t.Fatalf("Supersede moved %d requests off a box with no alternative", n)
+	}
+	for i, w := range workers {
+		if err := r.workers[w].SendPartials("wc", 0x5F0, i, "master", [][]byte{kvPart("k", 1)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := waitResult2(t, p)
+	if got := sumResult(t, res)["k"]; got != 2 || res.Attempts != 0 {
+		t.Fatalf("k = %d after %d attempts, want 2 on the attempt it was submitted at", got, res.Attempts)
+	}
+}
+
+func mustBox(t *testing.T, dep *cluster.Deployment, id uint64) cluster.BoxInfo {
+	t.Helper()
+	b, ok := dep.Box(id)
+	if !ok {
+		t.Fatalf("box %d not deployed", id)
+	}
+	return b
+}
+
+// countingPlanner counts the plans a shim asks for.
+type countingPlanner struct {
+	treeplan.OnPath
+	plans atomic.Int64
+}
+
+func (c *countingPlanner) Plan(topo treeplan.Topology, req treeplan.Request) treeplan.Tree {
+	c.plans.Add(1)
+	return c.OnPath.Plan(topo, req)
+}
+
+// TestRedirectRemembersTargets pins the worker's memory: an applied
+// redirect plans each tree once — for the new attempt — and drops the
+// replay window of exactly the connections the superseded attempt used and
+// the new one does not. The old code re-planned the superseded attempt
+// against the deployment as it is now (3 × trees plans a redirect), so
+// whenever the marks that caused the redirect had moved since the send —
+// that is, always — it looked for the old route in the wrong place.
+func TestRedirectRemembersTargets(t *testing.T) {
+	const trees = 2
+	r := newRig(t, 0)
+	r.addBox(t, 4<<32, "tor:0")
+	planner := &countingPlanner{}
+	w, err := NewWorker(WorkerConfig{Host: cluster.Host{Name: "w0"}, Deployment: r.dep, Planner: planner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	// The marks decide the route whatever the trees hash to: tor:0 has one
+	// box that is not congested, and every tree starts there.
+	const req = 0x7A00
+	first, other := mustBox(t, r.dep, 1<<32), mustBox(t, r.dep, 4<<32)
+	r.dep.MarkCongested(other.ID, true)
+	trimmed := func(addr string) int64 { return w.pool.Get(addr).Stats().ReplayTrimmed }
+	waitTrim := func(addr string, before int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for trimmed(addr) == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("the replay window of %s, which left the route, was never dropped", addr)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	redirect := func(attempt int) (plans int64) {
+		before := planner.plans.Load()
+		w.applyRedirect(&wire.Msg{Type: wire.TRedirect, App: "wc", Req: req, Payload: wire.EncodeCount(attempt)})
+		return planner.plans.Load() - before
+	}
+
+	if err := w.SendPartials("wc", req, 0, "master", [][]byte{kvPart("a", 1), kvPart("b", 1), kvPart("c", 1)}, trees); err != nil {
+		t.Fatal(err)
+	}
+	if n := planner.plans.Load(); n != trees {
+		t.Fatalf("the first send planned %d times, want once per tree (%d)", n, trees)
+	}
+
+	// The marks swap after the send: attempt 1 goes to the other box. The
+	// deployment no longer says where attempt 0 went; the worker does.
+	r.dep.MarkCongested(other.ID, false)
+	r.dep.MarkCongested(first.ID, true)
+	if n := redirect(1); n != trees {
+		t.Fatalf("redirect 1 planned %d times, want once per tree (%d)", n, trees)
+	}
+	waitTrim(first.Addr, 0)
+	if n := redirect(1); n != 0 {
+		t.Fatalf("a duplicate redirect planned %d times, want 0", n)
+	}
+
+	// They swap back: attempt 2 returns to the first box, and it is the
+	// other box's window that must go.
+	firstTrimmed := trimmed(first.Addr)
+	r.dep.MarkCongested(first.ID, false)
+	r.dep.MarkCongested(other.ID, true)
+	if n := redirect(2); n != trees {
+		t.Fatalf("redirect 2 planned %d times, want once per tree (%d)", n, trees)
+	}
+	waitTrim(other.Addr, 0)
+
+	// A redirect that keeps the route drops nothing.
+	otherTrimmed := trimmed(other.Addr)
+	if n := redirect(3); n != trees {
+		t.Fatalf("redirect 3 planned %d times, want once per tree (%d)", n, trees)
+	}
+	time.Sleep(50 * time.Millisecond) // DropReplay is asynchronous: give a wrong one time to land
+	if a, b := trimmed(first.Addr), trimmed(other.Addr); a != firstTrimmed || b != otherTrimmed {
+		t.Fatalf("replay_trimmed moved (%d → %d, %d → %d) for connections still on, or long off, the route",
+			firstTrimmed, a, otherTrimmed, b)
+	}
+}

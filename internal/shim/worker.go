@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,6 +65,9 @@ type Worker struct {
 
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
+	// hops lists the addresses this shim has sent streams to; a retained
+	// send remembers where it went as a set of indexes into it.
+	hops []string
 	// expiry holds the retained sends in sentAt order (sends are stamped
 	// under mu), so ageing them out pops a prefix instead of scanning
 	// buffered on every send.
@@ -92,6 +96,13 @@ type bufferedSend struct {
 	// failure monitor may both request the same attempt, and replaying it
 	// twice would double-count the data at the boxes.
 	lastAttempt int
+	// sentTo is where lastAttempt's streams went first (boxes, or the
+	// master): bit i stands for Worker.hops[i]. A redirect drops the replay
+	// windows of the ones the new attempt no longer uses. A set in a word,
+	// not a slice of addresses: a busy shim retains a million of these, and
+	// every byte and pointer here is paid for that many times in heap and
+	// collector time (a []string cost search_topk a tenth of its CPU).
+	sentTo uint64
 }
 
 // NewWorker starts the worker shim, including its control listener for
@@ -193,7 +204,8 @@ func (w *Worker) expireLocked(now time.Time) {
 // send transmits the buffered request at the given recovery attempt,
 // planning this worker's route through the configured planner (the
 // planner sees only this worker; per-worker decomposability guarantees
-// the route matches the master's view of the same attempt).
+// the route matches the master's view of the same attempt), and remembers
+// where each tree's stream went.
 func (w *Worker) send(b *bufferedSend, attempt int) error {
 	dep := w.cfg.Deployment
 	if _, ok := dep.Host(b.master); !ok {
@@ -203,6 +215,8 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 	if !ok {
 		return fmt.Errorf("shim: master %q has no result address", b.master)
 	}
+	sentTo := make([]string, 0, 16) // one a tree; on the stack up to the protocol's 16
+	var err error
 	for tree := 0; tree < b.trees; tree++ {
 		wireReq := cluster.WireReq(b.req, tree, attempt)
 		plan := w.planner.Plan(dep, treeplan.NewRequest(b.req, tree, attempt, b.master, w.self))
@@ -217,6 +231,7 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 				Payload: wire.EncodeStrings(treeplan.RouteAddrs(chain[1:], resultAddr)),
 			})
 		}
+		sentTo = append(sentTo, target)
 		seq := uint64(0)
 		var treeBytes int64
 		treeParts := 0
@@ -240,8 +255,9 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 			Type: wire.TEnd, App: b.app, Req: wireReq, Source: uint64(b.workerIdx), Seq: seq,
 		})
 		start := time.Now()
-		if err := w.pool.Get(target).SendAll(msgs); err != nil {
-			return fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)
+		if err = w.pool.Get(target).SendAll(msgs); err != nil {
+			err = fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)
+			break
 		}
 		obs.DefaultTracer.Record(wireReq, b.app, obs.Span{
 			Hop: "shim.send", Node: w.cfg.Host.Name,
@@ -249,7 +265,32 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 			Parts: treeParts, BytesOut: treeBytes,
 		})
 	}
-	return nil
+	// A redirect that overtook this send has already recorded where the
+	// newer attempt went.
+	w.mu.Lock()
+	if b.lastAttempt == attempt {
+		b.sentTo = 0
+		for _, addr := range sentTo {
+			b.sentTo |= w.hopBitLocked(addr)
+		}
+	}
+	w.mu.Unlock()
+	return err
+}
+
+// hopBitLocked returns the bit that stands for addr in a
+// bufferedSend.sentTo. The 65th address a shim sends to gets none, so its
+// connection's replay window is never trimmed early — which holds buffers
+// longer, and nothing else.
+func (w *Worker) hopBitLocked(addr string) uint64 {
+	i := slices.Index(w.hops, addr)
+	if i < 0 {
+		if i = len(w.hops); i == 64 {
+			return 0
+		}
+		w.hops = append(w.hops, addr)
+	}
+	return 1 << i
 }
 
 // treeOf partitions partial results across trees by hashing the part index
@@ -280,7 +321,14 @@ func (w *Worker) control(_ *transport.ServerConn, m *wire.Msg) {
 // for the redirect's attempt, unless the redirect is a duplicate or
 // stale (the straggler timer and the failure monitor may both request
 // the same attempt, and replaying it twice would double-count the data
-// at the boxes).
+// at the boxes). Connections the superseded attempt used and the new one
+// does not then drop their transport replay windows: every frame they
+// retain carries the old (tree, attempt) epoch, which the new attempt has
+// resent in full, so replaying them after a reconnect could only deliver
+// frames the receivers drop as stale. An untrimmed window could not
+// double-combine either (the box's epoch and sequence checks hold);
+// trimming releases the retained buffers and avoids pointless replay
+// traffic.
 func (w *Worker) applyRedirect(m *wire.Msg) {
 	attempt, err := wire.DecodeCount(m.Payload)
 	if err != nil {
@@ -292,47 +340,22 @@ func (w *Worker) applyRedirect(m *wire.Msg) {
 		w.mu.Unlock()
 		return
 	}
-	prevAttempt := b.lastAttempt
 	b.lastAttempt = attempt
+	old := b.sentTo
 	w.mu.Unlock()
 	obsRedirectsApplied.Inc()
-	w.trimStaleReplay(b, prevAttempt, attempt)
 	// Replan happens inside send: dead boxes are excluded from chains,
 	// and the new attempt id keeps the replayed streams distinct at
 	// every box.
-	_ = w.send(b, attempt)
-}
-
-// trimStaleReplay drops the transport replay windows of connections to
-// boxes on the superseded attempt's routes but not the new one: every
-// frame those windows retain carries the old (tree, attempt) epoch,
-// which the new attempt resends in full, so replaying them after a
-// reconnect could only deliver frames the receivers drop as stale. The
-// trim is best-effort — re-planning the old attempt against today's
-// deployment may differ from the plan at send time if liveness or
-// congestion marks moved since, and an untrimmed window still cannot
-// double-combine (the box's epoch and sequence checks hold either way);
-// trimming just releases the retained buffers and avoids pointless
-// replay traffic.
-func (w *Worker) trimStaleReplay(b *bufferedSend, oldAttempt, newAttempt int) {
-	dep := w.cfg.Deployment
-	stale := make(map[string]bool)
-	for tree := 0; tree < b.trees; tree++ {
-		plan := w.planner.Plan(dep, treeplan.NewRequest(b.req, tree, oldAttempt, b.master, w.self))
-		for _, box := range plan.Routes[w.cfg.Host.Name] {
-			stale[box.Addr] = true
+	if err := w.send(b, attempt); err != nil {
+		log.Printf("shim: worker %s resending request %d attempt %d: %v", w.cfg.Host.Name, m.Req, attempt, err)
+	}
+	w.mu.Lock()
+	gone, hops := old&^b.sentTo, w.hops
+	w.mu.Unlock()
+	for i, addr := range hops {
+		if gone>>i&1 != 0 {
+			w.pool.DropReplay(addr)
 		}
-	}
-	if len(stale) == 0 {
-		return
-	}
-	for tree := 0; tree < b.trees; tree++ {
-		plan := w.planner.Plan(dep, treeplan.NewRequest(b.req, tree, newAttempt, b.master, w.self))
-		for _, box := range plan.Routes[w.cfg.Host.Name] {
-			delete(stale, box.Addr)
-		}
-	}
-	for addr := range stale {
-		w.pool.DropReplay(addr)
 	}
 }

@@ -185,7 +185,7 @@ func (n *DynamicNetAgg) tick(st *dynState) bool {
 // migrate moves every incomplete job off a congested box: the current
 // attempt's flows are truncated and the trees re-planned and re-sent in
 // full from the current time — the simulator analogue of the live
-// master's MigrateAway → TRedirect → attempt-epoch full resend.
+// master's Supersede → TRedirect → attempt-epoch full resend.
 func (n *DynamicNetAgg) migrate(st *dynState, box topology.NodeID) {
 	sim := st.net.Sim
 	now := sim.Now()

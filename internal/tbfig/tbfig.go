@@ -103,14 +103,12 @@ func (r *searchRig) close() {
 
 // searchOpts configures a search deployment for one experiment point.
 type searchOpts struct {
-	racks        int
-	backends     int // per rack
-	boxes        int // per switch; 0 = plain
-	boxWorkers   int
-	sampleRatio  float64
-	categorise   bool
-	trees        int
-	registryOnly *agg.Registry // override aggregator registry
+	racks       int
+	backends    int // per rack
+	boxes       int // per switch; 0 = plain
+	boxWorkers  int
+	sampleRatio float64
+	categorise  bool
 }
 
 // newSearchRig deploys the Solr-analogue experiment set-up (§4.2.1): 1 Gbps
@@ -128,11 +126,8 @@ func newSearchRig(o searchOpts) (*searchRig, error) {
 		app = "solr-sample"
 		aggregator = agg.Sample{Ratio: o.sampleRatio}
 	}
-	reg := o.registryOnly
-	if reg == nil {
-		reg = agg.NewRegistry()
-		reg.Register(app, aggregator)
-	}
+	reg := agg.NewRegistry()
+	reg.Register(app, aggregator)
 	tb, err := testbed.New(testbed.Config{
 		Racks:          o.racks,
 		WorkersPerRack: o.backends,
@@ -155,7 +150,6 @@ func newSearchRig(o searchOpts) (*searchRig, error) {
 		},
 		Aggregator: aggregator,
 		Categorise: o.categorise,
-		Trees:      o.trees,
 		ChunkDocs:  25,
 	})
 	if err != nil {

@@ -42,7 +42,7 @@ func sumParts(t *testing.T, res shim.Result) map[string]int64 {
 // TestMigrationExactlyOnceUnderCongestion is the tentpole's end-to-end
 // proof on the live fabric: a request streams partials through
 // netem-paced (congested) boxes; mid-stream, a replanner wired exactly
-// like Testbed.StartReplanner detects the load through the deployment's
+// like Testbed.StartControl detects the load through the deployment's
 // own telemetry and migrates the request off the hot boxes. The
 // attempt-epoch protocol must make the migration exactly-once — every
 // buffered partial combined exactly once, none lost, none doubled — so
@@ -67,22 +67,28 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 	}
 	defer tb.Close()
 
-	// The replanner is wired exactly as StartReplanner does, but ticked
-	// from the test so detection is deterministic and migration stops
-	// after the first congested tick (a wall-clock loop could re-trip the
+	// The replanner is wired exactly as StartControl does, but fed from
+	// the test — the sample a heartbeat echo would have carried, then one
+	// Observe per box — so detection is deterministic and migration stops
+	// after the first congested pass (the live loop could re-trip the
 	// replacement boxes and burn through the attempt budget).
 	var migrated atomic.Int64
 	rp := treeplan.NewReplanner(treeplan.ReplannerConfig{
 		Policy:    treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20},
-		Boxes:     tb.Dep.PlannerBoxes,
-		Telemetry: tb.Telemetry(),
+		Telemetry: tb.Dep,
 		Mark:      tb.Dep.MarkCongested,
 		Migrate: func(id uint64) int {
-			n := tb.Master.MigrateAway(id)
+			n := tb.Master.Supersede(id, "migrate")
 			migrated.Add(int64(n))
 			return n
 		},
 	})
+	heartbeat := func() {
+		for i, b := range tb.Dep.PlannerBoxes() { // ordered by id, like tb.Boxes
+			tb.Dep.ObserveLoad(b.ID, tb.Boxes[i].QueueDepth(), tb.Boxes[i].FlushLatencyUs())
+			rp.Observe(b)
+		}
+	}
 
 	const reqID = 0xD11A
 	workers := tb.WorkerHosts()
@@ -112,9 +118,9 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 		}(host, i)
 	}
 
-	// Tick until the telemetry-driven hysteresis fires a migration. The
+	// Beat until the telemetry-driven hysteresis fires a migration. The
 	// paced boxes report queue depth and flush latency as soon as frames
-	// arrive, so with a 1-unit threshold the first loaded tick trips.
+	// arrive, so with a 1-unit threshold the first loaded sample trips.
 	deadline := time.Now().Add(10 * time.Second)
 	var res shim.Result
 	completed := false
@@ -128,9 +134,9 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 		default:
 		}
 		if completed {
-			t.Fatal("request completed before any loaded tick; widen the pacing window")
+			t.Fatal("request completed before any loaded sample; widen the pacing window")
 		}
-		rp.Tick()
+		heartbeat()
 		time.Sleep(2 * time.Millisecond)
 	}
 
@@ -190,49 +196,4 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Logf("migrations=%d attempts=%d", migrated.Load(), res.Attempts)
-}
-
-// TestStartReplannerQuietNoMigration covers the StartReplanner glue and
-// the hysteresis' quiet side on the live fabric: with a sane threshold, a
-// lightly loaded deployment completes a request with zero migrations and
-// the replanner stops cleanly.
-func TestStartReplannerQuietNoMigration(t *testing.T) {
-	reg := agg.NewRegistry()
-	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
-	tb, err := New(Config{Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 2, Registry: reg, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-
-	rp := tb.StartReplanner(t.Context(), time.Millisecond, treeplan.ReplanPolicy{})
-	defer rp.Stop()
-
-	const reqID = 0xD11B
-	workers := tb.WorkerHosts()
-	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, host := range workers {
-		part := agg.EncodeKVs([]agg.KV{{Key: "q", Val: int64(i + 1)}})
-		if err := tb.Workers[host].SendPartials("wc", reqID, i, MasterHost, [][]byte{part}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case res := <-pending.C:
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Attempts != 0 {
-			t.Fatalf("quiet run used %d recovery attempts", res.Attempts)
-		}
-		if got := sumParts(t, res)["q"]; got != 10 {
-			t.Fatalf("q total = %d, want 10", got)
-		}
-		res.Release()
-	case <-time.After(10 * time.Second):
-		t.Fatal("request did not complete")
-	}
 }

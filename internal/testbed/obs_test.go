@@ -78,7 +78,7 @@ func TestTraceCompleteness(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		var ok bool
-		tr, ok = obs.DefaultTracer.Lookup(wireReq)
+		tr, ok = obs.DefaultTracer.Lookup(wireReq, "wc")
 		if ok && spanCount(tr, "shim.send") == wantShims &&
 			spanCount(tr, "box") == wantBoxes && spanCount(tr, "master") == 1 {
 			break
@@ -178,7 +178,7 @@ func TestDebugEndpointServes(t *testing.T) {
 // that silently goes dark, or an export that breaks JSON consumers.
 func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 	// One switch with two boxes: a request uses one of them, so once it has
-	// run a job that box has a load signal and its sibling has none.
+	// run a slow job that box reports a load and its sibling none.
 	tb := wcTestbed(t, Config{
 		Racks: 1, WorkersPerRack: 2, BoxesPerSwitch: 2,
 		// The workers below send at the epoch the migration superseded; the
@@ -197,20 +197,37 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 		return 0
 	}
 
-	// One complete job so every layer has something to report.
+	// One complete job so every layer has something to report — a slow one:
+	// the second worker sends 60 ms after the first, so the box's flush
+	// latency, the load its heartbeat echoes carry from now on, is 60,000 µs
+	// or more.
 	const reqID = 0xABC124
 	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := finishJob(t, tb, reqID, pending)
+	part := agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}})
+	if err := tb.Workers[workers[0]].SendPartials("wc", reqID, 0, MasterHost, [][]byte{part}, 1); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if err := tb.Workers[workers[1]].SendPartials("wc", reqID, 1, MasterHost, [][]byte{part}, 1); err != nil {
+		t.Fatal(err)
+	}
+	res := <-pending.C
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
 	res.Release()
 
-	// A second request through the same box, then the replanner as
-	// StartReplanner wires it — real telemetry, a threshold any finished job
-	// crosses: the first tick finds the box hot and migrates the pending
-	// request onto its idle sibling. It is stopped after that one migration
-	// so the replacement box cannot trip too and burn the attempt budget.
+	// A second request through the same box, then the control loop as an
+	// operator starts it. The threshold sits between the two boxes whatever
+	// the host is doing: an RTT sample never exceeds the 20 ms interval (a
+	// slower echo is a miss, costed at the interval), so the idle sibling
+	// cannot reach 30,000 µs, and the box that ran the slow job cannot fall
+	// below it. Two heartbeats in, the loop finds that box hot and migrates
+	// the pending request onto the sibling; the cooldown outlasts the test,
+	// so nothing moves twice.
 	hot := boxOf(reqID)
 	migReq := uint64(reqID + 1)
 	for boxOf(migReq) != hot {
@@ -227,8 +244,8 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 	}
 	var before, m metricsDoc
 	getJSON(t, base+"/metrics", &before)
-	rp := tb.StartReplanner(t.Context(), time.Millisecond, treeplan.ReplanPolicy{
-		HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20,
+	stop := tb.StartControl(t.Context(), 20*time.Millisecond, treeplan.ReplanPolicy{
+		HotLoadUs: 30000, CooldownTicks: 1 << 20,
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -237,12 +254,12 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			rp.Stop()
-			t.Fatal("replanner never migrated the pending request off its hot box")
+			stop()
+			t.Fatal("the control loop never migrated the pending request off its hot box")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rp.Stop()
+	stop()
 	if res := finishJob(t, tb, migReq, pending); res.Attempts < 1 {
 		t.Fatalf("migrated job reports %d attempts, want >= 1", res.Attempts)
 	}

@@ -66,11 +66,11 @@ type Testbed struct {
 	Workers map[string]*shim.Worker
 	Master  *shim.Master
 
-	nics      map[string]*netem.NIC
-	boxByID   map[uint64]*core.Box
-	workers   []string // worker host names in order
-	debugAddr string
-	debugStop func()
+	nics        map[string]*netem.NIC
+	workers     []string // worker host names in order
+	debugAddr   string
+	debugStop   func()
+	controlStop func() // set by StartControl
 }
 
 // MasterHost is the frontend/master host name.
@@ -96,7 +96,6 @@ func New(cfg Config) (*Testbed, error) {
 		Dep:     cluster.NewDeployment(),
 		Workers: make(map[string]*shim.Worker),
 		nics:    make(map[string]*netem.NIC),
-		boxByID: make(map[uint64]*core.Box),
 	}
 	nic := func(name string, gbps float64) *netem.NIC {
 		if gbps <= 0 {
@@ -144,7 +143,6 @@ func New(cfg Config) (*Testbed, error) {
 					return nil, err
 				}
 				tb.Boxes = append(tb.Boxes, box)
-				tb.boxByID[id] = box
 				tb.Dep.AddBox(cluster.BoxInfo{ID: id, Addr: box.Addr(), Switch: sw})
 				id += 1 << 32
 			}
@@ -230,51 +228,32 @@ func (tb *Testbed) health() map[string]interface{} {
 // WorkerHosts lists worker host names in deployment order.
 func (tb *Testbed) WorkerHosts() []string { return tb.workers }
 
-// Telemetry returns live per-box load signals — scheduler queue depth,
-// flush-latency EWMA, heartbeat RTT — for load-aware tree planning and
-// the replanner.
-func (tb *Testbed) Telemetry() treeplan.Telemetry {
-	return tbTelemetry{dep: tb.Dep, boxes: tb.boxByID}
-}
-
-// tbTelemetry adapts the in-process boxes and the deployment's heartbeat
-// record to treeplan.Telemetry. Reads are lock-light (an atomic and one
-// RLock), cheap enough to run on every Plan call.
-type tbTelemetry struct {
-	dep   *cluster.Deployment
-	boxes map[uint64]*core.Box
-}
-
-// BoxSignal implements treeplan.Telemetry.
-func (t tbTelemetry) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
-	b, ok := t.boxes[id]
-	if !ok {
-		return treeplan.LoadSignal{}, false
-	}
-	return treeplan.LoadSignal{
-		QueueDepth: int64(b.QueueDepth()),
-		FlushUs:    b.FlushLatencyUs(),
-		RTTUs:      t.dep.BoxRTTUs(id),
-	}, true
-}
-
-// StartReplanner wires a dynamic-tree replanner (treeplan.Replanner,
-// DESIGN.md §16) over this deployment and starts it: boxes are scored
-// from the in-process telemetry every interval, boxes crossing the
-// congestion hysteresis are marked in the deployment so new plans avoid
-// them, and pending requests are migrated off them through the master
-// shim. Cancel ctx or call Stop on the returned replanner to stop it.
-func (tb *Testbed) StartReplanner(ctx context.Context, interval time.Duration, policy treeplan.ReplanPolicy) *treeplan.Replanner {
-	r := treeplan.NewReplanner(treeplan.ReplannerConfig{
-		Interval:  interval,
+// StartControl starts the deployment's control plane, which is one loop —
+// the failure monitor's heartbeat (DESIGN.md §16) — and returns the
+// function that stops it (Close stops it too). Every interval each box is
+// probed; the outcome lands in the deployment, which is the telemetry, and
+// then in the one hook below: a probe that declares its box dead
+// supersedes the requests routed through it ("failover"), and every
+// sample steps the replanner, which marks a box crossing the congestion
+// hysteresis so new plans avoid it and supersedes the requests on it
+// ("migrate"). New starts none of this, so no heartbeat connection enters
+// a run that did not ask for one.
+func (tb *Testbed) StartControl(ctx context.Context, interval time.Duration, policy treeplan.ReplanPolicy) (stop func()) {
+	scorer := treeplan.NewReplanner(treeplan.ReplannerConfig{
 		Policy:    policy,
-		Boxes:     tb.Dep.PlannerBoxes,
-		Telemetry: tb.Telemetry(),
+		Telemetry: tb.Dep,
 		Mark:      tb.Dep.MarkCongested,
-		Migrate:   tb.Master.MigrateAway,
+		Migrate:   func(id uint64) int { return tb.Master.Supersede(id, "migrate") },
 	})
-	r.StartContext(ctx)
-	return r
+	mon := cluster.NewMonitor(tb.Dep, interval, 0, func(b cluster.BoxInfo, died bool) {
+		if died {
+			tb.Master.Supersede(b.ID, "failover")
+		}
+		scorer.Observe(treeplan.Box{ID: b.ID, Dead: tb.Dep.Dead(b.ID)})
+	})
+	mon.StartContext(ctx)
+	tb.controlStop = mon.Stop
+	return mon.Stop
 }
 
 // NIC returns a host's emulated NIC (nil when pacing is off), so
@@ -296,6 +275,9 @@ func (tb *Testbed) BoxStats() core.BoxStats {
 
 // Close tears the deployment down.
 func (tb *Testbed) Close() {
+	if tb.controlStop != nil {
+		tb.controlStop()
+	}
 	if tb.debugStop != nil {
 		tb.debugStop()
 		tb.debugStop = nil

@@ -66,9 +66,10 @@ type Conn struct {
 	conn       net.Conn
 	vw         *wire.VectorWriter
 	everUp     bool       // a connection has been established before
+	wrote      bool       // the current connection has completed a write
 	needReplay bool       // the previous connection died with frames possibly unread
 	replay     []wire.Msg // last ReplayWindow frames written; owns one payload ref each
-	dialFails  int        // consecutive dial failures
+	dialFails  int        // consecutive dials that failed, or led to no completed write
 	nextDial   time.Time  // start of the next allowed dial (backoff)
 	writeFails int        // consecutive vectored-write failures
 
@@ -242,6 +243,7 @@ func (c *Conn) writePending() {
 			return
 		}
 		c.writeFails = 0
+		c.wrote, c.dialFails = true, 0
 		c.finishBatch(n)
 	}
 }
@@ -380,7 +382,7 @@ func (c *Conn) ensure() error {
 	c.vw = wire.NewVectorWriter(nc)
 	h := &connHandle{nc: nc}
 	c.live.Store(h)
-	c.dialFails = 0
+	c.wrote = false
 	c.nextDial = time.Time{}
 	c.stats.dials.Add(1)
 	obsDials.Inc()
@@ -402,6 +404,7 @@ func (c *Conn) ensure() error {
 			c.dropConn()
 			return err
 		}
+		c.wrote, c.dialFails = true, 0
 	}
 	c.needReplay = false
 	c.connected.Store(true)
@@ -444,6 +447,15 @@ func (c *Conn) dropConn() {
 	c.live.Store(nil)
 	if c.opts.ReplayWindow > 0 {
 		c.needReplay = true
+	}
+	if !c.wrote {
+		// A connection that never completed a write was worth no more than
+		// a failed dial, and its successor waits like one: a peer that
+		// accepts and then fails every write would otherwise be re-dialled
+		// as fast as the flusher loops (8,000 dials in 300 ms). One that
+		// did write and then broke is re-dialled at once.
+		c.dialFails++
+		c.nextDial = time.Now().Add(c.opts.Backoff.Delay(c.dialFails))
 	}
 }
 

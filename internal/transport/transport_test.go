@@ -160,6 +160,70 @@ func TestDialBackoffWindow(t *testing.T) {
 	}
 }
 
+// brokenWrites is a connection whose writes fail while broken is set.
+type brokenWrites struct {
+	net.Conn
+	broken *atomic.Bool
+}
+
+func (b brokenWrites) Write(p []byte) (int, error) {
+	if b.broken.Load() {
+		return 0, errors.New("write refused")
+	}
+	return b.Conn.Write(p)
+}
+
+// TestWriteFailuresPaceRedial pins the re-dial storm shut: a destination
+// that accepts every dial and then fails every write used to be re-dialled
+// as fast as the flusher could loop — the dial succeeded, so no backoff
+// window opened — 8,187 times in 300 ms with four frames queued. A
+// connection that never completed a write now counts as a failed dial.
+// The queued frames wait out the outage and are delivered once.
+func TestWriteFailuresPaceRedial(t *testing.T) {
+	sink := newDedupSink()
+	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var dials atomic.Int32
+	var broken atomic.Bool
+	c := NewConn(context.Background(), srv.Addr(), Options{
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			dials.Add(1)
+			var d net.Dialer
+			nc, err := d.DialContext(ctx, "tcp", addr)
+			return brokenWrites{nc, &broken}, err
+		},
+	})
+	defer c.Close()
+
+	// The first batch goes through; then every write fails, on this
+	// connection and on each one dialled after it.
+	if err := c.Send(&wire.Msg{Type: wire.TData, Seq: 0}); err != nil {
+		t.Fatal(err)
+	}
+	broken.Store(true)
+	for seq := uint64(1); seq <= 4; seq++ {
+		if err := c.Send(&wire.Msg{Type: wire.TData, Seq: seq}); err != nil {
+			t.Fatalf("send %d on an established connection: %v", seq, err)
+		}
+	}
+	time.Sleep(300 * time.Millisecond)
+	// One dial before the outage, one at once when the connection that had
+	// written broke, then the default backoff: 50, 100, 200 ms (± 20 %).
+	if got := dials.Load(); got > 6 {
+		t.Fatalf("%d dials in 300 ms of failing writes, want a handful", got)
+	}
+	broken.Store(false)
+	waitFor(t, "the queued frames", func() bool { return sink.appliedCount() == 5 })
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if sink.raw != 5 {
+		t.Fatalf("%d deliveries of 5 frames", sink.raw)
+	}
+}
+
 // TestReplyAndOnFrame round-trips a heartbeat: handler replies through
 // the ServerConn, the client's reader delivers the echo to OnFrame, and
 // both endpoints count the frames.

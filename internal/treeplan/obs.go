@@ -18,10 +18,10 @@ var (
 )
 
 // Replanner observability (the same test validates these after a forced
-// migration): tick cadence, how many boxes are currently marked
-// congested, and how migration activity breaks down.
+// migration): how many samples were scored, how many boxes are currently
+// marked congested, and how migration activity breaks down.
 var (
-	// obsReplanTicks counts replanner scoring passes.
+	// obsReplanTicks counts heartbeat samples the replanner scored.
 	obsReplanTicks = obs.C("replan.ticks")
 	// obsReplanCongested is the number of boxes currently congested.
 	obsReplanCongested = obs.G("replan.congested_boxes")

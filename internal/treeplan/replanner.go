@@ -1,10 +1,6 @@
 package treeplan
 
-import (
-	"context"
-	"sync"
-	"time"
-)
+import "sync"
 
 // ReplanPolicy is the hysteresis/cooldown policy of the dynamic-tree
 // replanner (DESIGN.md §16). All thresholds are in the LoadUs scalar's
@@ -53,7 +49,6 @@ type hotState struct {
 	hot      bool
 	streak   int // consecutive ticks beyond the active threshold
 	cooldown int // ticks left before another migration may fire
-	seen     bool
 }
 
 // HotTracker is the tick-driven hysteresis state machine shared by the
@@ -67,7 +62,7 @@ type hotState struct {
 // ticks at or below the lower exit threshold.
 //
 // HotTracker is not safe for concurrent use; the Replanner serialises
-// access from its single loop goroutine.
+// access under its mutex.
 type HotTracker struct {
 	policy ReplanPolicy
 	boxes  map[uint64]*hotState
@@ -87,7 +82,6 @@ func (t *HotTracker) Observe(id uint64, loadUs int64) (hot, changed bool) {
 		s = &hotState{}
 		t.boxes[id] = s
 	}
-	s.seen = true
 	if s.cooldown > 0 {
 		s.cooldown--
 	}
@@ -130,152 +124,84 @@ func (t *HotTracker) StartCooldown(id uint64) {
 	}
 }
 
-// Forget drops a box's state (box removed from the deployment or
-// declared dead — the failure path owns it now).
-func (t *HotTracker) Forget(id uint64) { delete(t.boxes, id) }
-
-// sweep deletes state for boxes not observed since the last sweep and
-// resets the seen marks, so departed boxes do not leak tracker entries.
-func (t *HotTracker) sweep() {
-	for id, s := range t.boxes {
-		if !s.seen {
-			delete(t.boxes, id)
-			continue
-		}
-		s.seen = false
-	}
+// Forget drops a box's state (declared dead — the failure path owns it
+// now) and reports whether the box was congested when it went.
+func (t *HotTracker) Forget(id uint64) (wasHot bool) {
+	s := t.boxes[id]
+	delete(t.boxes, id)
+	return s != nil && s.hot
 }
 
-// ReplannerConfig wires a Replanner to the deployment it scores. Boxes,
-// Telemetry, and Mark are required; Migrate may be nil for a
-// mark-only replanner (new plans avoid congested boxes, in-flight
-// requests stay put).
+// ReplannerConfig wires a Replanner to the deployment it scores.
+// Telemetry and Mark are required; Migrate may be nil for a mark-only
+// replanner (new plans avoid congested boxes, in-flight requests stay
+// put).
 type ReplannerConfig struct {
-	// Interval is the scoring tick period (default 500ms).
-	Interval time.Duration
 	// Policy is the hysteresis/cooldown policy (zero fields defaulted).
 	Policy ReplanPolicy
-	// Boxes lists the candidate boxes each tick — typically
-	// cluster.Deployment.PlannerBoxes. Dead boxes are skipped and their
-	// tracker state dropped (revival restarts the streak from scratch).
-	Boxes func() []Box
 	// Telemetry supplies the load signals to score boxes with.
 	Telemetry Telemetry
 	// Mark flips the deployment's congested flag for a box, which
 	// planners see as Box.Slow on the next plan.
 	Mark func(id uint64, congested bool)
 	// Migrate moves pending requests off a newly congested box
-	// (typically shim.Master.MigrateAway) and returns how many requests
-	// it redirected.
+	// (shim.Master.Supersede with cause "migrate") and returns how many
+	// requests it redirected.
 	Migrate func(id uint64) int
 }
 
-// Replanner is the dynamic re-planning loop (ROADMAP item 1, DESIGN.md
-// §16): every tick it scores the deployment's boxes against live
-// telemetry through a HotTracker, marks boxes crossing the congestion
-// hysteresis so new plans route around them, and — once per cooldown
-// window — migrates in-flight requests off a box that turned hot
-// mid-job. Epoch tagging in the shim/transport layers makes the
-// migration exactly-once (see MigrateAway).
+// Replanner is the dynamic re-planning scorer (DESIGN.md §16). It has no
+// loop of its own: the failure monitor calls Observe after every
+// heartbeat outcome, so each sample a box reports steps that box's
+// HotTracker exactly once — a streak counts samples, never reads of the
+// same sample. A box crossing the congestion hysteresis is marked so new
+// plans route around it, and — once per cooldown window — in-flight
+// requests are migrated off it. Epoch tagging in the shim/transport
+// layers makes the migration exactly-once (see shim.Master.Supersede).
 type Replanner struct {
-	cfg     ReplannerConfig
-	tracker *HotTracker
+	cfg ReplannerConfig
 
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	done   chan struct{}
+	mu      sync.Mutex // the monitor observes from one prober goroutine per box
+	tracker *HotTracker
 }
 
-// NewReplanner creates a stopped replanner; StartContext begins ticking.
+// NewReplanner creates a replanner; it acts only when Observe is called.
 func NewReplanner(cfg ReplannerConfig) *Replanner {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
-	}
 	return &Replanner{cfg: cfg, tracker: NewHotTracker(cfg.Policy)}
 }
 
-// StartContext launches the scoring loop; cancelling ctx is equivalent
-// to Stop (Stop still waits for the loop to exit).
-func (r *Replanner) StartContext(ctx context.Context) {
+// Observe scores one box against the sample Telemetry currently holds
+// for it: the decision is taken under the mutex, Mark and Migrate run
+// outside it. Only b.ID and b.Dead are read. A dead box belongs to the
+// failure path: its state is dropped (a revived box re-enters cold) and
+// a congested mark it died with is cleared.
+func (r *Replanner) Observe(b Box) {
+	var hot, changed, migrate bool
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done != nil {
-		return // already started
+	if b.Dead {
+		changed = r.tracker.Forget(b.ID)
+	} else {
+		sig, _ := r.cfg.Telemetry.BoxSignal(b.ID)
+		hot, changed = r.tracker.Observe(b.ID, LoadUs(sig))
+		if migrate = changed && hot && !r.tracker.CoolingDown(b.ID); migrate {
+			r.tracker.StartCooldown(b.ID)
+		}
+		obsReplanTicks.Inc()
 	}
-	ctx, r.cancel = context.WithCancel(ctx)
-	r.done = make(chan struct{})
-	go r.loop(ctx, r.done)
-}
-
-// Stop terminates the loop and waits for it to exit. Safe to call on a
-// never-started replanner.
-func (r *Replanner) Stop() {
-	r.mu.Lock()
-	cancel, done := r.cancel, r.done
 	r.mu.Unlock()
-	if cancel == nil {
+	if !changed {
 		return
 	}
-	cancel()
-	<-done
-}
-
-// loop ticks until ctx is cancelled.
-func (r *Replanner) loop(ctx context.Context, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(r.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			r.Tick()
-		}
+	r.cfg.Mark(b.ID, hot)
+	if !hot {
+		obsReplanCongested.Add(-1)
+		return
 	}
-}
-
-// Tick runs one scoring pass. It is exported so tests can drive the
-// replanner deterministically without racing the wall-clock loop; the
-// loop goroutine and external callers must not tick concurrently (the
-// tracker is single-threaded by design — stop the loop first, or never
-// start it).
-func (r *Replanner) Tick() {
-	obsReplanTicks.Inc()
-	hotCount := 0
-	for _, b := range r.cfg.Boxes() {
-		if b.Dead {
-			// The failure monitor owns dead boxes; a revived box
-			// re-enters the state machine cold.
-			r.tracker.Forget(b.ID)
-			continue
-		}
-		var sig LoadSignal
-		if r.cfg.Telemetry != nil {
-			sig, _ = r.cfg.Telemetry.BoxSignal(b.ID)
-		}
-		hot, changed := r.tracker.Observe(b.ID, LoadUs(sig))
-		if hot {
-			hotCount++
-		}
-		if !changed {
-			continue
-		}
-		r.cfg.Mark(b.ID, hot)
-		if !hot {
-			continue
-		}
-		if r.tracker.CoolingDown(b.ID) {
-			obsReplanCooldownHolds.Inc()
-			continue
-		}
-		if r.cfg.Migrate != nil {
-			moved := r.cfg.Migrate(b.ID)
-			obsReplanMigrations.Inc()
-			obsReplanMigratedReqs.Add(int64(moved))
-		}
-		r.tracker.StartCooldown(b.ID)
+	obsReplanCongested.Add(1)
+	if !migrate {
+		obsReplanCooldownHolds.Inc()
+	} else if r.cfg.Migrate != nil {
+		obsReplanMigrations.Inc()
+		obsReplanMigratedReqs.Add(int64(r.cfg.Migrate(b.ID)))
 	}
-	r.tracker.sweep()
-	obsReplanCongested.Set(int64(hotCount))
 }

@@ -1,10 +1,8 @@
 package treeplan_test
 
 import (
-	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"netagg/internal/treeplan"
 )
@@ -131,13 +129,17 @@ func TestReplannerTicks(t *testing.T) {
 	boxes := []treeplan.Box{{ID: 1, Switch: "tor:0"}, {ID: 2, Switch: "tor:0"}}
 	r := treeplan.NewReplanner(treeplan.ReplannerConfig{
 		Policy:    treeplan.ReplanPolicy{HotLoadUs: 20000, HotStreak: 2, CooldownTicks: 100},
-		Boxes:     func() []treeplan.Box { return boxes },
 		Telemetry: tel,
 		Mark:      rec.mark,
 		Migrate:   rec.migrate,
 	})
+	tick := func() {
+		for _, b := range boxes {
+			r.Observe(b)
+		}
+	}
 	for i := 0; i < 10; i++ {
-		r.Tick()
+		tick()
 	}
 	rec.mu.Lock()
 	marks, migrated := append([]uint64(nil), rec.marks...), append([]uint64(nil), rec.migrated...)
@@ -152,7 +154,7 @@ func TestReplannerTicks(t *testing.T) {
 	// Cool the box: after HotStreak cold ticks the mark clears.
 	tel[1] = treeplan.LoadSignal{}
 	for i := 0; i < 5; i++ {
-		r.Tick()
+		tick()
 	}
 	rec.mu.Lock()
 	clears := append([]uint64(nil), rec.clears...)
@@ -169,13 +171,14 @@ func TestReplannerDeadBoxSkipped(t *testing.T) {
 	boxes := []treeplan.Box{{ID: 1, Switch: "tor:0", Dead: true}}
 	r := treeplan.NewReplanner(treeplan.ReplannerConfig{
 		Policy:    treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1},
-		Boxes:     func() []treeplan.Box { return boxes },
 		Telemetry: treeplan.StaticTelemetry{1: {QueueDepth: 1 << 20}},
 		Mark:      rec.mark,
 		Migrate:   rec.migrate,
 	})
 	for i := 0; i < 5; i++ {
-		r.Tick()
+		for _, b := range boxes {
+			r.Observe(b)
+		}
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -184,39 +187,71 @@ func TestReplannerDeadBoxSkipped(t *testing.T) {
 	}
 }
 
-// TestReplannerLoop exercises the ticker-driven loop end to end: start,
-// observe at least one migration, stop (the leak gate verifies the loop
-// goroutine exits).
-func TestReplannerLoop(t *testing.T) {
+// TestReplannerStreakCountsSamples pins what a streak means: the scorer
+// steps a box once per Observe — once per sample the heartbeat delivered —
+// so one hot reading followed by cold ones never satisfies HotStreak 2,
+// however much happens to other boxes in between. (The polling loop this
+// replaced read the deployment on its own ticker, and a ticker faster than
+// the heartbeat counted one hot sample twice.)
+func TestReplannerStreakCountsSamples(t *testing.T) {
+	tel := treeplan.StaticTelemetry{1: {QueueDepth: 100}, 2: {}}
 	rec := &replanRecorder{}
-	boxes := []treeplan.Box{{ID: 9, Switch: "tor:0"}}
 	r := treeplan.NewReplanner(treeplan.ReplannerConfig{
-		Interval:  time.Millisecond,
-		Policy:    treeplan.ReplanPolicy{HotLoadUs: 1000, HotStreak: 1, CooldownTicks: 1000},
-		Boxes:     func() []treeplan.Box { return boxes },
-		Telemetry: treeplan.StaticTelemetry{9: {FlushUs: 5000}},
+		Policy:    treeplan.ReplanPolicy{HotLoadUs: 20000, HotStreak: 2},
+		Telemetry: tel,
 		Mark:      rec.mark,
 		Migrate:   rec.migrate,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r.StartContext(ctx)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec.mu.Lock()
-		n := len(rec.migrated)
-		rec.mu.Unlock()
-		if n >= 1 {
-			break
+	hot, idle := treeplan.Box{ID: 1}, treeplan.Box{ID: 2}
+	r.Observe(hot) // the one hot sample
+	tel[1] = treeplan.LoadSignal{}
+	for i := 0; i < 50; i++ {
+		r.Observe(idle) // other boxes' heartbeats do not advance box 1
+		if i%10 == 9 {
+			r.Observe(hot) // box 1's next samples are cold
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("replanner loop never migrated the hot box")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	r.Stop()
-	// Stop is idempotent and must not hang on a second call.
-	r.Stop()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.marks) != 0 || len(rec.migrated) != 0 {
+		t.Fatalf("one hot sample satisfied a two-sample streak: marks=%v migrated=%v", rec.marks, rec.migrated)
+	}
+}
+
+// TestReplannerConcurrentProbers scores from one goroutine per box, as
+// the monitor's probers do: every hot box is marked and migrated exactly
+// once, and a box that dies congested has its mark cleared (a revived box
+// re-enters cold, so nothing else would ever clear it).
+func TestReplannerConcurrentProbers(t *testing.T) {
+	const n = 8
+	tel := treeplan.StaticTelemetry{}
+	for id := uint64(1); id <= n; id++ {
+		tel[id] = treeplan.LoadSignal{QueueDepth: 100}
+	}
+	rec := &replanRecorder{}
+	r := treeplan.NewReplanner(treeplan.ReplannerConfig{
+		Policy:    treeplan.ReplanPolicy{HotLoadUs: 20000, HotStreak: 2, CooldownTicks: 100},
+		Telemetry: tel,
+		Mark:      rec.mark,
+		Migrate:   rec.migrate,
+	})
+	var wg sync.WaitGroup
+	for id := uint64(1); id <= n; id++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				r.Observe(treeplan.Box{ID: id})
+			}
+			r.Observe(treeplan.Box{ID: id, Dead: true})
+		}(id)
+	}
+	wg.Wait()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.marks) != n || len(rec.migrated) != n || len(rec.clears) != n {
+		t.Fatalf("marks=%v migrated=%v clears=%v, want each of the %d boxes once in each", rec.marks, rec.migrated, rec.clears, n)
+	}
 }
 
 // TestPlanAvoidsSlowBoxes verifies the planner skeleton's congestion
