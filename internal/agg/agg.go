@@ -13,7 +13,13 @@
 // number of parts must be byte-equal to any pairwise fold of the same
 // parts, in any grouping and order. That is what lets a box fold whatever
 // has arrived — two parts or sixty — in one call, and a later hop fold the
-// results again.
+// results again. It holds only if the canonical order is a total one: two
+// records that differ in any byte must have a place relative to each
+// other that no grouping can change. Key/value pairs order on the key's
+// bytes and equal keys are reduced to one; search results order on
+// compareDocs — score descending (NaN last), ID ascending, then the
+// encoded record — and the merges that read encoded parts in place
+// (KVCombiner, TopK, Sample) refuse a part that is not in that order.
 package agg
 
 import "fmt"

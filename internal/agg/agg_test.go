@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -238,6 +239,23 @@ func randomDocsPayload(rn *stats.Rand, tagged bool) []byte {
 	return enc
 }
 
+// tiedDocsPayload draws from a handful of IDs, scores and texts, so that
+// records tie on score, on score and ID, and on everything — and the
+// scores include the ones a careless comparison mishandles: both zeros
+// and NaN.
+func tiedDocsPayload(rn *stats.Rand) []byte {
+	scores := []float64{1, 0.5, 0, math.Copysign(0, -1), math.NaN()}
+	docs := make([]Doc, rn.Intn(6))
+	for i := range docs {
+		docs[i] = Doc{
+			ID:    uint64(rn.Intn(3)),
+			Score: scores[rn.Intn(len(scores))],
+			Text:  []string{"", "atom", "goal team"}[rn.Intn(3)],
+		}
+	}
+	return EncodeDocs(docs)
+}
+
 // foldPairwise and foldLeft are the two by-hand folds of parts with
 // Combine: in pairwise rounds, and one part at a time into a running
 // aggregate.
@@ -296,6 +314,12 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 		}},
 		{"topk", TopK{K: 4}, docs},
 		{"sample", Sample{Ratio: 0.5}, docs},
+		// K below, around and above the size of the union, over records
+		// that tie: the order must not depend on the grouping.
+		{"topk-1-tied", TopK{K: 1}, tiedDocsPayload},
+		{"topk-7-tied", TopK{K: 7}, tiedDocsPayload},
+		{"topk-all-tied", TopK{}, tiedDocsPayload},
+		{"sample-tied", Sample{Ratio: 0.7}, tiedDocsPayload},
 		{"categorise", testCategorise(), func(rn *stats.Rand) []byte {
 			raw := randomDocsPayload(rn, true)
 			if rn.Intn(2) == 0 {
@@ -364,6 +388,127 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// referenceDocs is the decode-sort-encode fold TopK.Merge and Sample.Merge
+// were before they streamed, kept as the oracle: every part decoded into
+// one slice, filtered, sorted, cut at k (0 = all), encoded.
+func referenceDocs(parts [][]byte, k int, keep func(id uint64) bool) ([]byte, error) {
+	var docs []Doc
+	for _, p := range parts {
+		part, err := DecodeDocs(p)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range part {
+			if keep == nil || keep(d.ID) {
+				docs = append(docs, d)
+			}
+		}
+	}
+	sortDocs(docs)
+	if k > 0 && len(docs) > k {
+		docs = docs[:k]
+	}
+	return EncodeDocs(docs), nil
+}
+
+// The streaming merge against the reference, with K one below, equal to
+// and one above the number of records in the union, and at the extremes.
+func TestDocsMergeMatchesReference(t *testing.T) {
+	rn := stats.NewRand(11)
+	for trial := 0; trial < 300; trial++ {
+		gen := tiedDocsPayload
+		if trial%2 == 0 {
+			gen = func(rn *stats.Rand) []byte { return randomDocsPayload(rn, false) }
+		}
+		parts := make([][]byte, 1+rn.Intn(70)) // past kvStackCursors now and then
+		union := 0
+		for i := range parts {
+			parts[i] = gen(rn)
+			docs, _ := DecodeDocs(parts[i])
+			union += len(docs)
+		}
+		for _, k := range []int{0, 1, union - 1, union, union + 1} {
+			if k < 0 {
+				continue
+			}
+			got, err := TopK{K: k}.Merge(nil, parts)
+			want, _ := referenceDocs(parts, k, nil)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("TopK{%d} over %d parts, %d records: %v, differs from the reference: %v", k, len(parts), union, err, !bytes.Equal(got, want))
+			}
+		}
+		s := Sample{Ratio: 0.5}
+		got, err := s.Merge(nil, parts)
+		want, _ := referenceDocs(parts, 0, s.keep)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Sample over %d parts: %v, differs from the reference: %v", len(parts), err, !bytes.Equal(got, want))
+		}
+	}
+}
+
+// The docs merge reads its inputs without decoding them, so it carries
+// DecodeDocs' checks itself — and two more a merge-join needs: records
+// that go backwards, and a varint written longer than it need be.
+// Whatever DecodeDocs rejects Merge rejects, wherever the bad part sits
+// among good ones and whether or not the fault sits in a record that
+// makes the cut, with ErrBadPayload and without panicking.
+func TestDocsMergeRejectsMalformedParts(t *testing.T) {
+	valid := EncodeDocs([]Doc{{ID: 7, Score: 0.9, Text: "atom"}, {ID: 300, Score: 0.8}, {ID: 2, Score: 0.5, Text: "goal team"}, {ID: 9, Score: 0.1, Text: "x"}})
+	other := EncodeDocs([]Doc{{ID: 5, Score: 0.7, Text: "energy"}, {ID: 6, Score: 0.2}})
+	setCount := func(p []byte, count uint64) []byte {
+		_, n := binary.Uvarint(p)
+		return append(binary.AppendUvarint(nil, count), p[n:]...)
+	}
+	record := func(id []byte, score float64, tlen []byte, text string) []byte {
+		rec := binary.LittleEndian.AppendUint64(bytes.Clone(id), math.Float64bits(score))
+		return append(append(rec, tlen...), text...)
+	}
+	// What DecodeDocs takes and a merge-join cannot.
+	accepted := map[string]bool{
+		"scores go backwards": true, "ids go backwards": true, "texts go backwards": true,
+		"number after the NaN": true, "fault after the cut": true,
+		"padded id": true, "padded text length": true,
+	}
+	bad := map[string][]byte{
+		"empty":                nil,
+		"trailing byte":        append(bytes.Clone(valid), 0),
+		"count too low":        setCount(valid, 3),
+		"count too high":       setCount(valid, 5),
+		"count absurd":         setCount(valid, 1<<50),
+		"count overflows":      append(bytes.Repeat([]byte{0xff}, 10), valid[1:]...),
+		"truncated id":         append([]byte{1}, 0x80),
+		"short score":          append([]byte{1, 7}, 1, 2, 3, 4, 5, 6, 7),
+		"text past the end":    append([]byte{1}, record([]byte{7}, 0.5, []byte{9}, "short")...),
+		"text length absurd":   append([]byte{1}, record([]byte{7}, 0.5, bytes.Repeat([]byte{0xff}, 9), "")...),
+		"scores go backwards":  setCount(append(bytes.Clone(valid), other[1:]...), 6), // …, 0.1, 0.7, 0.2
+		"fault after the cut":  setCount(append(bytes.Clone(valid), valid[1:]...), 8), // in order for four records, then 0.1, 0.9
+		"padded id":            append([]byte{1}, record([]byte{0x87, 0}, 0.5, []byte{0}, "")...),
+		"padded text length":   append([]byte{1}, record([]byte{7}, 0.5, []byte{0x81, 0}, "x")...),
+		"ids go backwards":     append([]byte{2}, append(record([]byte{9}, 0.5, []byte{0}, ""), record([]byte{8}, 0.5, []byte{0}, "")...)...),
+		"texts go backwards":   append([]byte{2}, append(record([]byte{9}, 0.5, []byte{1}, "b"), record([]byte{9}, 0.5, []byte{1}, "a")...)...),
+		"number after the NaN": append([]byte{2}, append(record([]byte{9}, math.NaN(), []byte{0}, ""), record([]byte{9}, 0.5, []byte{0}, "")...)...),
+	}
+	for i := 1; i < len(valid); i++ {
+		bad[fmt.Sprintf("truncated at %d", i)] = valid[:i]
+	}
+	for name, p := range bad {
+		if _, err := DecodeDocs(p); (err == nil) != accepted[name] {
+			t.Fatalf("%s: DecodeDocs returned %v; the case does not test what it says", name, err)
+		}
+		for _, a := range []Aggregator{TopK{K: 2}, TopK{}, Sample{Ratio: 1}, Sample{Ratio: 0.3}} {
+			for _, parts := range [][][]byte{{p}, {p, valid, other}, {valid, p, other}, {valid, other, p}} {
+				if _, err := a.Merge(nil, parts); !errors.Is(err, ErrBadPayload) {
+					t.Fatalf("%s: %s.Merge returned %v, want ErrBadPayload", name, a.Name(), err)
+				}
+			}
+		}
+	}
+	// The table's building blocks are sound: in order, they merge.
+	if _, err := (TopK{K: 2}).Merge(nil, [][]byte{valid, other, append([]byte{1}, record([]byte{7}, 0.5, []byte{1}, "x")...)}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -501,6 +646,42 @@ func FuzzKVMerge(f *testing.F) {
 		}
 		if sum != 0 {
 			t.Fatalf("values do not add up: off by %d", sum)
+		}
+	})
+}
+
+// FuzzDocsMerge feeds TopK.Merge and Sample.Merge two arbitrary payloads
+// around a valid one. They must never panic, they accept nothing
+// DecodeDocs rejects, and what they accept they merge into exactly the
+// bytes of the decode-sort-encode reference.
+func FuzzDocsMerge(f *testing.F) {
+	valid := EncodeDocs([]Doc{{ID: 4, Score: 0.75, Text: "atom"}, {ID: 4, Score: 0.75, Text: "goal"}, {ID: 1, Score: 0.25}})
+	f.Add(EncodeDocs([]Doc{{ID: 3, Score: 0.5}, {ID: 2, Score: 0.75, Text: "x"}}), EncodeDocs(nil))
+	f.Add(EncodeDocs([]Doc{{ID: 4, Score: 0.75, Text: "atom"}, {ID: 9, Score: math.NaN()}}), valid)
+	// Malformed seeds (records going backwards, padded varints, bad counts,
+	// truncation) are checked in under testdata/fuzz/FuzzDocsMerge.
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		parts := [][]byte{a, valid, b}
+		s := Sample{Ratio: 0.5}
+		for _, c := range []struct {
+			agg  Aggregator
+			k    int
+			keep func(uint64) bool
+		}{{TopK{K: 3}, 3, nil}, {TopK{}, 0, nil}, {s, 0, s.keep}} {
+			out, err := c.agg.Merge(nil, parts)
+			if err != nil {
+				if !errors.Is(err, ErrBadPayload) {
+					t.Fatalf("unexpected error %v", err)
+				}
+				continue
+			}
+			want, err := referenceDocs(parts, c.k, c.keep)
+			if err != nil {
+				t.Fatalf("%s.Merge accepted a part DecodeDocs rejects: %v", c.agg.Name(), err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("%s.Merge: %x, reference %x", c.agg.Name(), out, want)
+			}
 		}
 	})
 }

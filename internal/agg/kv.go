@@ -2,12 +2,12 @@ package agg
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // KV is one key/value pair of a map/reduce-style partial result.
@@ -23,7 +23,7 @@ var ErrBadPayload = errors.New("agg: malformed payload")
 // count followed by length-prefixed keys and zig-zag varint values. The
 // input is sorted in place.
 func EncodeKVs(kvs []KV) []byte {
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
+	slices.SortFunc(kvs, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 	size := binary.MaxVarintLen64
 	for i := range kvs {
 		size += binary.MaxVarintLen64*2 + len(kvs[i].Key)

@@ -75,11 +75,18 @@ func (s *boxState) plannerBox() treeplan.Box {
 	}
 }
 
+// hostState is a registered host and its UpPath, named once: every plan
+// walks it for every worker.
+type hostState struct {
+	Host
+	up []string
+}
+
 // Deployment is the cluster configuration: hosts, boxes and liveness.
 // It is safe for concurrent use.
 type Deployment struct {
 	mu      sync.RWMutex
-	hosts   map[string]Host
+	hosts   map[string]hostState
 	control map[string]string      // host name → worker shim control address
 	results map[string]string      // host name → master shim result address
 	boxes   map[uint64]*boxState   // box id → its one record
@@ -89,7 +96,7 @@ type Deployment struct {
 // NewDeployment returns an empty deployment.
 func NewDeployment() *Deployment {
 	return &Deployment{
-		hosts:   make(map[string]Host),
+		hosts:   make(map[string]hostState),
 		control: make(map[string]string),
 		results: make(map[string]string),
 		boxes:   make(map[uint64]*boxState),
@@ -104,7 +111,7 @@ func (d *Deployment) AddHost(h Host) {
 	if _, dup := d.hosts[h.Name]; dup {
 		panic(fmt.Sprintf("cluster: duplicate host %q", h.Name))
 	}
-	d.hosts[h.Name] = h
+	d.hosts[h.Name] = hostState{Host: h, up: h.UpPath()}
 }
 
 // Host looks a server up by name.
@@ -112,7 +119,7 @@ func (d *Deployment) Host(name string) (Host, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	h, ok := d.hosts[name]
-	return h, ok
+	return h.Host, ok
 }
 
 // SetControlAddr records the control address of a host's worker shim, used
@@ -291,8 +298,11 @@ func PathSwitches(worker, master Host) []string {
 	if worker.Name == master.Name {
 		return nil
 	}
-	wu, mu := worker.UpPath(), master.UpPath()
-	// Find the first tier at which the two paths meet.
+	return upDown(worker.UpPath(), master.UpPath())
+}
+
+// upDown joins two hosts' up-paths where they first meet.
+func upDown(wu, mu []string) []string {
 	meet := len(wu) - 1
 	for i := range wu {
 		if wu[i] == mu[i] {
@@ -300,7 +310,7 @@ func PathSwitches(worker, master Host) []string {
 			break
 		}
 	}
-	path := append([]string(nil), wu[:meet+1]...)
+	path := append(make([]string, 0, 2*meet+1), wu[:meet+1]...)
 	for i := meet - 1; i >= 0; i-- {
 		path = append(path, mu[i])
 	}
@@ -323,15 +333,20 @@ var (
 // testbed fabric has one path per host pair. It panics on unknown hosts,
 // which indicates a deployment configuration error.
 func (d *Deployment) PathSwitches(worker, master string, _ uint64) []string {
-	w, ok := d.Host(worker)
-	if !ok {
+	d.mu.RLock()
+	w, wok := d.hosts[worker]
+	m, mok := d.hosts[master]
+	d.mu.RUnlock()
+	if !wok {
 		panic(fmt.Sprintf("cluster: unknown worker host %q", worker))
 	}
-	m, ok := d.Host(master)
-	if !ok {
+	if !mok {
 		panic(fmt.Sprintf("cluster: unknown master host %q", master))
 	}
-	return PathSwitches(w, m)
+	if worker == master {
+		return nil
+	}
+	return upDown(w.up, m.up)
 }
 
 // BoxesAt implements treeplan.Topology: the boxes attached to a switch in

@@ -83,6 +83,43 @@ func BenchmarkKVMerge(b *testing.B) {
 	}
 }
 
+// benchDocParts builds k parts in the fabric benchmark's search_topk
+// shape: 25 scored documents without text a part (~340 B), two parts a
+// worker, so k = 16 is one job's worth.
+func benchDocParts(k int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	parts := make([][]byte, k)
+	for p := range parts {
+		docs := make([]agg.Doc, 25)
+		for d := range docs {
+			docs[d] = agg.Doc{ID: uint64(rng.Int63n(1 << 32)), Score: rng.Float64()}
+		}
+		parts[p] = agg.EncodeDocs(docs)
+	}
+	return parts
+}
+
+// BenchmarkTopKMerge is the box's merge step of one search_topk job: the
+// best 40 of sixteen sorted lists of 25. 0 allocs/op, like the KV merge.
+func BenchmarkTopKMerge(b *testing.B) {
+	b.Run("k=16", func(b *testing.B) {
+		parts := benchDocParts(16)
+		size := totalLen(parts)
+		dst := make([]byte, 0, size+16)
+		c := agg.TopK{K: 40}
+		b.SetBytes(int64(size))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := c.Merge(dst, parts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = out
+		}
+	})
+}
+
 // BenchmarkLocalTreeKV is one mapred_kv job through a box's local tree:
 // 224 pooled parts added as fast as the tree takes them, merged on a
 // 4-worker scheduler, until onDone fires.

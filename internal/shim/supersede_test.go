@@ -139,19 +139,27 @@ func mustBox(t *testing.T, dep *cluster.Deployment, id uint64) cluster.BoxInfo {
 	return b
 }
 
-// countingPlanner counts the plans a shim asks for.
+// countingPlanner counts what a shim asks its planner for: a worker's
+// routes in plans, whole trees — which a worker shim has no use for — in
+// trees.
 type countingPlanner struct {
 	treeplan.OnPath
-	plans atomic.Int64
+	plans, trees atomic.Int64
 }
 
 func (c *countingPlanner) Plan(topo treeplan.Topology, req treeplan.Request) treeplan.Tree {
-	c.plans.Add(1)
+	c.trees.Add(1)
 	return c.OnPath.Plan(topo, req)
 }
 
+func (c *countingPlanner) Route(topo treeplan.Topology, req treeplan.Request, worker string) []treeplan.Box {
+	c.plans.Add(1)
+	return c.OnPath.Route(topo, req, worker)
+}
+
 // TestRedirectRemembersTargets pins the worker's memory: an applied
-// redirect plans each tree once — for the new attempt — and drops the
+// redirect asks for its route once a tree — for the new attempt, and never
+// for the tree around it — and drops the
 // replay window of exactly the connections the superseded attempt used and
 // the new one does not. The old code re-planned the superseded attempt
 // against the deployment as it is now (3 × trees plans a redirect), so
@@ -228,5 +236,8 @@ func TestRedirectRemembersTargets(t *testing.T) {
 	if a, b := trimmed(first.Addr), trimmed(other.Addr); a != firstTrimmed || b != otherTrimmed {
 		t.Fatalf("replay_trimmed moved (%d → %d, %d → %d) for connections still on, or long off, the route",
 			firstTrimmed, a, otherTrimmed, b)
+	}
+	if n := planner.trees.Load(); n != 0 {
+		t.Fatalf("the worker shim built %d whole trees; it only ever needs its own route", n)
 	}
 }

@@ -55,13 +55,9 @@ const (
 type Worker struct {
 	cfg     WorkerConfig
 	planner treeplan.Planner
-	// self is the one-element worker list this shim plans with: planning
-	// is per-worker decomposable (treeplan package doc), so the shim only
-	// ever needs its own route.
-	self   []string
-	pool   *transport.Pool
-	ctl    *transport.Server
-	cancel context.CancelFunc
+	pool    *transport.Pool
+	ctl     *transport.Server
+	cancel  context.CancelFunc
 
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
@@ -122,7 +118,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		cfg:      cfg,
 		planner:  cfg.Planner,
-		self:     []string{cfg.Host.Name},
 		cancel:   cancel,
 		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, ReplayWindow: replayWindow}),
 		buffered: make(map[bufKey]*bufferedSend),
@@ -202,10 +197,9 @@ func (w *Worker) expireLocked(now time.Time) {
 }
 
 // send transmits the buffered request at the given recovery attempt,
-// planning this worker's route through the configured planner (the
-// planner sees only this worker; per-worker decomposability guarantees
-// the route matches the master's view of the same attempt), and remembers
-// where each tree's stream went.
+// asking the configured planner for this worker's route alone (per-worker
+// decomposability guarantees it is the chain the master's tree holds for
+// the same attempt), and remembers where each tree's stream went.
 func (w *Worker) send(b *bufferedSend, attempt int) error {
 	dep := w.cfg.Deployment
 	if _, ok := dep.Host(b.master); !ok {
@@ -216,34 +210,34 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 		return fmt.Errorf("shim: master %q has no result address", b.master)
 	}
 	sentTo := make([]string, 0, 16) // one a tree; on the stack up to the protocol's 16
+	// A tree's stream is at most a THello, every part and a TEnd: the
+	// frames live in one array, SendAll's pointers in another.
+	frames := make([]wire.Msg, 0, len(b.parts)+2)
+	msgs := make([]*wire.Msg, 0, len(b.parts)+2)
 	var err error
 	for tree := 0; tree < b.trees; tree++ {
 		wireReq := cluster.WireReq(b.req, tree, attempt)
-		plan := w.planner.Plan(dep, treeplan.NewRequest(b.req, tree, attempt, b.master, w.self))
-		chain := plan.Routes[w.cfg.Host.Name]
+		chain := w.planner.Route(dep, treeplan.NewRequest(b.req, tree, attempt, b.master, nil), w.cfg.Host.Name)
+		frame := wire.Msg{App: b.app, Req: wireReq, Source: uint64(b.workerIdx)}
 		target := resultAddr
-		var msgs []*wire.Msg
+		frames = frames[:0]
 		if len(chain) > 0 {
 			target = chain[0].Addr
-			msgs = append(msgs, &wire.Msg{
-				Type: wire.THello, App: b.app, Req: wireReq,
-				Source:  uint64(b.workerIdx),
-				Payload: wire.EncodeStrings(treeplan.RouteAddrs(chain[1:], resultAddr)),
-			})
+			hello := frame
+			hello.Type, hello.Payload = wire.THello, wire.EncodeStrings(treeplan.RouteAddrs(chain[1:], resultAddr))
+			frames = append(frames, hello)
 		}
 		sentTo = append(sentTo, target)
-		seq := uint64(0)
 		var treeBytes int64
 		treeParts := 0
+		frame.Type = wire.TData
 		for pi, part := range b.parts {
 			if b.trees > 1 && treeOf(b.req, pi, b.trees) != tree {
 				continue
 			}
-			msgs = append(msgs, &wire.Msg{
-				Type: wire.TData, App: b.app, Req: wireReq,
-				Source: uint64(b.workerIdx), Seq: seq, Payload: part,
-			})
-			seq++
+			frame.Payload = part
+			frames = append(frames, frame)
+			frame.Seq++
 			treeBytes += int64(len(part))
 			treeParts++
 		}
@@ -251,9 +245,12 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 		// the master's per-source replay guard covers it: a reconnect
 		// replays the whole window, and an unnumbered TEnd would
 		// double-count the source.
-		msgs = append(msgs, &wire.Msg{
-			Type: wire.TEnd, App: b.app, Req: wireReq, Source: uint64(b.workerIdx), Seq: seq,
-		})
+		frame.Type, frame.Payload = wire.TEnd, nil
+		frames = append(frames, frame)
+		msgs = msgs[:0]
+		for i := range frames {
+			msgs = append(msgs, &frames[i])
+		}
 		start := time.Now()
 		if err = w.pool.Get(target).SendAll(msgs); err != nil {
 			err = fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)

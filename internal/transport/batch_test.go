@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,5 +267,95 @@ func TestSyncSendFailsAtomically(t *testing.T) {
 			t.Fatalf("group frame %d refs = %d after failed SendAll, want 1", i+1, got)
 		}
 		buf.Release()
+	}
+}
+
+// TestReplayRingWrapsAround drives the replay window round its ring: with
+// four slots, eleven frames overwrite the oldest seven in place, a severed
+// connection gets exactly the last four again and in order, DropReplay
+// gives back exactly the four references held, and the emptied ring wraps
+// again the same way. Every payload reference is back by Close.
+func TestReplayRingWrapsAround(t *testing.T) {
+	before, trimmed := bufpool.ReadStats(), obsReplayTrimmed.Value()
+	var mu sync.Mutex
+	var seen []uint64
+	var peer *ServerConn
+	srv, err := Listen(context.Background(), "127.0.0.1:0", func(sc *ServerConn, m *wire.Msg) {
+		mu.Lock()
+		seen, peer = append(seen, m.Seq), sc
+		mu.Unlock()
+		m.Release()
+	}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := NewConn(context.Background(), srv.Addr(), Options{
+		ReplayWindow: 4,
+		Backoff:      Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+	})
+	defer c.Close()
+
+	var bufs []*bufpool.Buf
+	var want []uint64
+	// sendThenSever sends frames from..to, cuts the connection from the
+	// far side once they have all arrived, and waits for the replay.
+	sendThenSever := func(from, to uint64) {
+		t.Helper()
+		for seq := from; seq <= to; seq++ {
+			buf := bufpool.Get(64)
+			bufs = append(bufs, buf)
+			if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: buf.Bytes(), Buf: buf}); err != nil {
+				t.Fatalf("send %d: %v", seq, err)
+			}
+			want = append(want, seq)
+		}
+		arrived := func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(seen) == len(want)
+		}
+		waitFor(t, "frames to arrive", arrived)
+		mu.Lock()
+		peer.Close()
+		mu.Unlock()
+		want = append(want, to-3, to-2, to-1, to)
+		waitFor(t, "the window to be replayed", arrived)
+	}
+	heldOnlyByTest := func(when string) {
+		t.Helper()
+		for i, buf := range bufs {
+			if got := buf.Refs(); got != 1 {
+				t.Fatalf("%s: frame %d payload refs = %d, want 1 (the test's own)", when, i+1, got)
+			}
+		}
+	}
+
+	sendThenSever(1, 11)
+	c.DropReplay()
+	waitFor(t, "the trim", func() bool { return c.Stats().ReplayTrimmed == 4 })
+	if got := obsReplayTrimmed.Value() - trimmed; got != 4 {
+		t.Fatalf("transport.replay_trimmed moved by %d, want 4", got)
+	}
+	heldOnlyByTest("after DropReplay")
+	sendThenSever(12, 17)
+
+	c.Close()
+	heldOnlyByTest("after Close")
+	for _, buf := range bufs {
+		buf.Release()
+	}
+	srv.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(seen, want) {
+		t.Fatalf("server saw  %v\nwant        %v", seen, want)
+	}
+	if st := c.Stats(); st.Replayed != 8 || st.Reconnects != 2 {
+		t.Fatalf("replayed %d frames over %d reconnects, want 8 over 2", st.Replayed, st.Reconnects)
+	}
+	if after := bufpool.ReadStats(); after.Acquires()-before.Acquires() != after.Releases-before.Releases {
+		t.Fatalf("bufpool unbalanced: %d acquires vs %d releases",
+			after.Acquires()-before.Acquires(), after.Releases-before.Releases)
 	}
 }

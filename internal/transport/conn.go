@@ -68,7 +68,7 @@ type Conn struct {
 	everUp     bool       // a connection has been established before
 	wrote      bool       // the current connection has completed a write
 	needReplay bool       // the previous connection died with frames possibly unread
-	replay     []wire.Msg // last ReplayWindow frames written; owns one payload ref each
+	replay     replayRing // last ReplayWindow frames written; owns one payload ref each
 	dialFails  int        // consecutive dials that failed, or led to no completed write
 	nextDial   time.Time  // start of the next allowed dial (backoff)
 	writeFails int        // consecutive vectored-write failures
@@ -172,7 +172,7 @@ func (c *Conn) flusher() {
 			return
 		}
 		if len(c.q.pending) == 0 {
-			if c.needReplay && len(c.replay) > 0 {
+			if c.needReplay && c.replay.n > 0 {
 				// Eager §3.1 recovery: the window may hold frames the dead
 				// peer never processed, and no future send is guaranteed to
 				// arrive and trigger the rewrite lazily. Reconnect now
@@ -295,26 +295,51 @@ func (c *Conn) failWaiters(err error) {
 	c.q.pending = kept
 }
 
-// retainReplay moves the queue's payload reference on m into the replay
-// window, trimming the oldest frames beyond the configured size.
-func (c *Conn) retainReplay(m wire.Msg) {
-	c.replay = append(c.replay, m) //netagg:owns m — the window's reference, released on trim/Close
-	if n := c.opts.ReplayWindow; len(c.replay) > n {
-		drop := c.replay[:len(c.replay)-n]
-		for i := range drop {
-			drop[i].Buf.Release()
-		}
-		c.replay = append(c.replay[:0], c.replay[len(c.replay)-n:]...)
-	}
+// replayRing is the replay window: the last len(slots) frames written,
+// oldest first from head, each slot holding one payload reference. A
+// frame written to a full window overwrites the oldest in place — nothing
+// moves and, after the first frame, nothing is allocated.
+type replayRing struct {
+	slots []wire.Msg // ReplayWindow of them, made by the first retain
+	head  int        // index of the oldest held frame
+	n     int        // frames held
 }
 
-// releaseReplay drops the window's payload references; called once on
-// shutdown, when no further replay can happen.
-func (c *Conn) releaseReplay() {
-	for i := range c.replay {
-		c.replay[i].Buf.Release()
+// at returns the i-th held frame, oldest first.
+func (r *replayRing) at(i int) *wire.Msg {
+	if i += r.head; i >= len(r.slots) {
+		i -= len(r.slots)
 	}
-	c.replay = nil
+	return &r.slots[i]
+}
+
+// retainReplay moves the queue's payload reference on m into the replay
+// window, in place of the oldest frame's once the window is full.
+func (c *Conn) retainReplay(m wire.Msg) {
+	r := &c.replay
+	if r.slots == nil {
+		r.slots = make([]wire.Msg, c.opts.ReplayWindow)
+	}
+	slot := r.at(r.n) // of a full window, the oldest frame's
+	if r.n < len(r.slots) {
+		r.n++
+	} else {
+		slot.Buf.Release()
+		if r.head++; r.head == len(r.slots) {
+			r.head = 0
+		}
+	}
+	*slot = m //netagg:owns m — the window's reference, released on overwrite/trim/Close
+}
+
+// releaseReplay empties the window, dropping its payload references.
+func (c *Conn) releaseReplay() {
+	r := &c.replay
+	for i := 0; i < r.n; i++ {
+		r.at(i).Buf.Release()
+	}
+	clear(r.slots)
+	r.head, r.n = 0, 0
 }
 
 // trimReplay is the flusher-side half of DropReplay: it releases the
@@ -322,7 +347,7 @@ func (c *Conn) releaseReplay() {
 // reconnect starts clean instead of resending frames of a superseded
 // epoch.
 func (c *Conn) trimReplay() {
-	if n := len(c.replay); n > 0 {
+	if n := c.replay.n; n > 0 {
 		c.stats.replayTrimmed.Add(int64(n))
 		obsReplayTrimmed.Add(int64(n))
 	}
@@ -397,9 +422,9 @@ func (c *Conn) ensure() error {
 	// wait forever for a failure that cannot surface.
 	c.wg.Add(1)
 	go c.readLoop(nc, h)
-	if c.needReplay && len(c.replay) > 0 {
-		c.stats.replayed.Add(int64(len(c.replay)))
-		obsReplayed.Add(int64(len(c.replay)))
+	if c.needReplay && c.replay.n > 0 {
+		c.stats.replayed.Add(int64(c.replay.n))
+		obsReplayed.Add(int64(c.replay.n))
 		if err := c.writeReplay(); err != nil {
 			c.dropConn()
 			return err
@@ -416,14 +441,11 @@ func (c *Conn) ensure() error {
 // peer's socket buffer is indistinguishable from a delivered one, so
 // recovery must resend; receivers dedup (§3.1).
 func (c *Conn) writeReplay() error {
-	for off := 0; off < len(c.replay); {
-		n := len(c.replay) - off
-		if n > batchMaxFrames {
-			n = batchMaxFrames
-		}
+	for off := 0; off < c.replay.n; {
+		n := min(c.replay.n-off, batchMaxFrames)
 		c.q.batch = c.q.batch[:0]
 		for i := 0; i < n; i++ {
-			c.q.batch = append(c.q.batch, &c.replay[off+i])
+			c.q.batch = append(c.q.batch, c.replay.at(off+i))
 		}
 		if err := c.q.writeVec(c.vw); err != nil {
 			return err

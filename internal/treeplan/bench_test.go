@@ -50,6 +50,20 @@ func benchPlan(b *testing.B, p treeplan.Planner) {
 func BenchmarkPlanOnPath(b *testing.B)    { benchPlan(b, treeplan.OnPath{}) }
 func BenchmarkPlanLoadAware(b *testing.B) { benchPlan(b, treeplan.LoadAware{Telemetry: benchTel()}) }
 
+// BenchmarkPlanOnPathRoute is what a worker shim asks for once a tree: its
+// own route, from the rack furthest from the master's.
+func BenchmarkPlanOnPathRoute(b *testing.B) {
+	d, workers := benchDeployment()
+	worker := workers[len(workers)-1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if chain := (treeplan.OnPath{}).Route(d, treeplan.NewRequest(uint64(i), 0, 0, "master", nil), worker); len(chain) == 0 {
+			b.Fatal("empty route")
+		}
+	}
+}
+
 // benchTel gives every benchmark box a telemetry signal so LoadAware pays
 // its full per-pick weighting cost.
 func benchTel() treeplan.StaticTelemetry {

@@ -3,7 +3,6 @@ package treeplan
 import (
 	"math"
 	"math/bits"
-	"time"
 
 	"netagg/internal/topology"
 )
@@ -67,12 +66,12 @@ func (LoadAware) Name() string { return "loadaware" }
 
 // Plan implements Planner.
 func (l LoadAware) Plan(topo Topology, req Request) Tree {
-	start := time.Now()
-	t, deadSkipped, slowAvoided := plan(topo, req, func(_ string, alive []Box) Box {
-		return l.pick(alive, req.Hash)
-	})
-	observePlan(start, req, deadSkipped, slowAvoided)
-	return t
+	return planWith(topo, req, l.pick)
+}
+
+// Route implements Planner.
+func (l LoadAware) Route(topo Topology, req Request, worker string) []Box {
+	return routeWith(topo, req, worker, l.pick)
 }
 
 // pick runs the weighted rendezvous election among the live boxes at one

@@ -18,12 +18,17 @@ func (OnPath) Name() string { return "onpath" }
 
 // Plan implements Planner.
 func (OnPath) Plan(topo Topology, req Request) Tree {
-	start := time.Now()
-	t, deadSkipped, slowAvoided := plan(topo, req, func(_ string, alive []Box) Box {
-		return alive[req.Hash%uint64(len(alive))]
-	})
-	observePlan(start, req, deadSkipped, slowAvoided)
-	return t
+	return planWith(topo, req, pickByHash)
+}
+
+// Route implements Planner.
+func (OnPath) Route(topo Topology, req Request, worker string) []Box {
+	return routeWith(topo, req, worker, pickByHash)
+}
+
+// pickByHash is the paper's choice: the hash modulo the live boxes.
+func pickByHash(alive []Box, hash uint64) Box {
+	return alive[hash%uint64(len(alive))]
 }
 
 // observePlan records the planner metrics shared by all implementations:

@@ -6,14 +6,16 @@
 // ROADMAP items 1 (congestion-aware dynamic trees) and 2 (bounded
 // placement) plug into.
 //
-// Planning must be per-worker decomposable: a worker shim plans with only
-// itself in Request.Workers and must get the same route the master
-// computed for it, because shims and masters coordinate purely through
-// the hashed request identifier (§3.1: "The next agg box on-path is
-// determined by hashing an application/request identifier"), never by
+// Planning must be per-worker decomposable: a worker shim asks for its own
+// route (Planner.Route) and must get the chain the master's tree
+// (Planner.Plan) holds for it, because shims and masters coordinate purely
+// through the hashed request identifier (§3.1: "The next agg box on-path
+// is determined by hashing an application/request identifier"), never by
 // exchanging plans. Both built-in planners — OnPath (the paper's pure
 // hash) and LoadAware (telemetry-weighted rendezvous hashing) — have this
-// property; new planners must preserve it.
+// property by construction: each is a choice among the boxes at one
+// switch, and Plan and Route are the same walk over it (see walk). A new
+// planner must preserve it.
 //
 // The same Planner serves the live fabric (cluster.Deployment implements
 // Topology over hosts and deployed boxes) and the simulator
@@ -21,7 +23,11 @@
 // run unchanged in both worlds.
 package treeplan
 
-import "netagg/internal/topology"
+import (
+	"time"
+
+	"netagg/internal/topology"
+)
 
 // Box is one candidate aggregation box as the planner sees it.
 type Box struct {
@@ -59,9 +65,10 @@ type Request struct {
 	Hash uint64
 	// Master is the master host's name (the tree root's destination).
 	Master string
-	// Workers lists the worker hosts to plan routes for. A worker shim
-	// passes only itself; the master passes all workers. Per-worker
-	// decomposability (see the package comment) makes both views agree.
+	// Workers lists the worker hosts Plan builds the tree over. A worker
+	// shim asks for its own chain with Route, which does not read it;
+	// per-worker decomposability (see the package comment) makes both
+	// views agree.
 	Workers []string
 }
 
@@ -140,63 +147,89 @@ type Topology interface {
 type Planner interface {
 	// Name identifies the planner in experiment output and logs.
 	Name() string
-	// Plan computes the request's aggregation tree.
+	// Plan computes the request's aggregation tree: the master's view.
 	Plan(topo Topology, req Request) Tree
+	// Route computes one worker's box chain — Plan(topo, req).Routes[worker]
+	// for any req.Workers that lists the worker — without building the
+	// tree around it: the worker shim's view. req.Workers is not read.
+	Route(topo Topology, req Request, worker string) []Box
 }
 
-// plan builds a Tree by walking each worker's path and asking pick to
-// choose among the live boxes at every equipped switch. It is the shared
-// skeleton of OnPath and LoadAware: the tree-shape bookkeeping (expected
-// fan-in per box, finals at the master) is planner-independent. It
-// returns the number of dead boxes skipped and slow boxes avoided for
-// the planner to report.
+// walk is the planner-independent skeleton of OnPath and LoadAware: one
+// worker's chain is a walk along its path that asks pick to choose among
+// the live boxes at every equipped switch (route), and a tree is the
+// bookkeeping over the workers' chains (tree). Both built-in planners
+// answer Plan and Route from the same route, so for them per-worker
+// decomposability holds by construction; a planner whose choice for one
+// worker depends on the others cannot be written as a pick, and has to
+// keep the package comment's contract by other means.
+type walk struct {
+	topo Topology
+	req  Request
+	// pick chooses among the candidate boxes (never empty) at one switch.
+	pick func(alive []Box, hash uint64) Box
+
+	alive                    []Box // filtered candidates, reused across switches
+	deadSkipped, slowAvoided int   // for the planner to report
+}
+
+// route walks one worker's path to the master.
 //
 // Slow boxes are excluded from the candidate set only when the switch
 // offers a non-slow alternative — a switch whose every live box is
 // congested still gets its best-effort box. Because the filter is
 // deterministic and runs before pick, congestion marks shift every
-// shim's choice identically, preserving per-worker decomposability.
-func plan(topo Topology, req Request, pick func(sw string, alive []Box) Box) (Tree, int, int) {
+// shim's choice identically.
+func (w *walk) route(worker string) []Box {
+	var chain []Box
+	for _, sw := range w.topo.PathSwitches(worker, w.req.Master, w.req.Hash) {
+		boxes := w.topo.BoxesAt(sw)
+		dead, slow := 0, 0
+		for _, b := range boxes {
+			if b.Dead {
+				dead++
+			} else if b.Slow {
+				slow++
+			}
+		}
+		w.deadSkipped += dead
+		live := len(boxes) - dead
+		if live == 0 {
+			continue
+		}
+		avoid := slow > 0 && slow < live
+		if avoid {
+			w.slowAvoided += slow
+		}
+		// A switch with nothing to leave out — the usual case — offers
+		// its boxes as they are.
+		alive := boxes
+		if dead > 0 || avoid {
+			alive = w.alive[:0]
+			for _, b := range boxes {
+				if !b.Dead && !(avoid && b.Slow) {
+					alive = append(alive, b)
+				}
+			}
+			w.alive = alive
+		}
+		chain = append(chain, w.pick(alive, w.req.Hash))
+	}
+	return chain
+}
+
+// tree routes every worker of the request and derives the tree's shape
+// from the chains: expected fan-in per box, finals at the master.
+func (w *walk) tree() Tree {
 	t := Tree{
-		Routes: make(map[string][]Box, len(req.Workers)),
+		Routes: make(map[string][]Box, len(w.req.Workers)),
 		Expect: make(map[uint64]int),
 	}
-	deadSkipped, slowAvoided := 0, 0
 	type edge struct{ up, down uint64 }
 	boxEdges := make(map[edge]bool)
 	roots := make(map[uint64]bool)
-	var alive []Box // reused across switches; Routes gets fresh slices
-	for _, wname := range req.Workers {
-		var chain []Box
-		for _, sw := range topo.PathSwitches(wname, req.Master, req.Hash) {
-			alive = alive[:0]
-			slowHere := 0
-			for _, b := range topo.BoxesAt(sw) {
-				if b.Dead {
-					deadSkipped++
-					continue
-				}
-				if b.Slow {
-					slowHere++
-				}
-				alive = append(alive, b)
-			}
-			if len(alive) == 0 {
-				continue
-			}
-			if slowHere > 0 && slowHere < len(alive) {
-				n := 0
-				for _, b := range alive {
-					if !b.Slow {
-						alive[n] = b
-						n++
-					}
-				}
-				alive = alive[:n]
-				slowAvoided += slowHere
-			}
-			chain = append(chain, pick(sw, alive))
-		}
+	for _, wname := range w.req.Workers {
+		chain := w.route(wname)
 		t.Routes[wname] = chain
 		if len(chain) == 0 {
 			t.Finals++
@@ -212,5 +245,23 @@ func plan(topo Topology, req Request, pick func(sw string, alive []Box) Box) (Tr
 		t.Expect[e.down]++
 	}
 	t.Finals += len(roots)
-	return t, deadSkipped, slowAvoided
+	return t
+}
+
+// planWith and routeWith are Plan and Route for a planner that is a pick:
+// the walk, timed and reported.
+func planWith(topo Topology, req Request, pick func([]Box, uint64) Box) Tree {
+	start := time.Now()
+	w := walk{topo: topo, req: req, pick: pick}
+	t := w.tree()
+	observePlan(start, req, w.deadSkipped, w.slowAvoided)
+	return t
+}
+
+func routeWith(topo Topology, req Request, worker string, pick func([]Box, uint64) Box) []Box {
+	start := time.Now()
+	w := walk{topo: topo, req: req, pick: pick}
+	chain := w.route(worker)
+	observePlan(start, req, w.deadSkipped, w.slowAvoided)
+	return chain
 }

@@ -226,22 +226,30 @@ func TestPlanConsistencyProperties(t *testing.T) {
 }
 
 // TestPerWorkerDecomposability pins the contract worker shims depend on
-// (§3.1, package doc): planning a single worker under the same request
-// hash yields exactly the route the master's full plan assigned it.
+// (§3.1, package doc), under dead and congested marks and any attempt: the
+// route a worker asks for, and the route of a tree planned for that worker
+// alone, are exactly the chain the master's full tree holds for it.
 func TestPerWorkerDecomposability(t *testing.T) {
 	rn := rand.New(rand.NewSource(0xDEC0))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		d, all := randDeployment(rn)
+		for _, b := range d.Boxes() {
+			d.MarkCongested(b.ID, rn.Intn(3) == 0)
+		}
 		workers := randWorkers(rn, all)
-		req := treeplan.NewRequest(rn.Uint64()>>8, rn.Intn(4), 0, "master", workers)
+		req := treeplan.NewRequest(rn.Uint64()>>8, rn.Intn(4), rn.Intn(3), "master", workers)
 		for _, p := range planners(rn) {
 			full := p.Plan(d, req)
 			for _, w := range workers {
 				solo := req
 				solo.Workers = []string{w}
-				got := p.Plan(d, solo).Routes[w]
-				if !reflect.DeepEqual(got, full.Routes[w]) {
+				if got := p.Plan(d, solo).Routes[w]; !reflect.DeepEqual(got, full.Routes[w]) {
 					t.Fatalf("trial %d %s: worker %s solo route %v != master route %v",
+						trial, p.Name(), w, got, full.Routes[w])
+				}
+				solo.Workers = nil
+				if got := p.Route(d, solo, w); !reflect.DeepEqual(got, full.Routes[w]) {
+					t.Fatalf("trial %d %s: worker %s asked for route %v, the master's tree holds %v",
 						trial, p.Name(), w, got, full.Routes[w])
 				}
 			}
