@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vet race escape fuzz-smoke verify profile bench-smoke bufpool-debug protocol-check bench-check
+.PHONY: build test fmt-check lint vet race escape fuzz-smoke verify profile bench-smoke bufpool-debug protocol-check bench-check
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ lint:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt is a gate: a file it would rewrite fails the target. The analyzer
+# fixtures under internal/lint/testdata are inputs, not code, and exempt.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -77,7 +83,7 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The tier-1 gate: everything CI and pre-commit should run.
-verify: build vet lint protocol-check escape bench-check race
+verify: build fmt-check vet lint protocol-check escape bench-check race
 
 # Flamegraph entry point for the next perf PR: profile the full-scale Fig 6
 # regeneration (the allocator-bound path). Inspect with

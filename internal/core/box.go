@@ -204,9 +204,9 @@ func (b *Box) Close() {
 	b.srv.Close()
 	b.pool.Close()
 	b.sched.Close()
-	b.wg.Wait()
 	// All readers and the scheduler are drained: discard whatever
-	// requests remain so their trees give buffered parts back.
+	// requests remain so their trees give buffered parts back, then wait
+	// for the ones already finishing to let go of their results.
 	b.mu.Lock()
 	remaining := make([]*boxRequest, 0, len(b.requests))
 	for _, req := range b.requests {
@@ -214,7 +214,18 @@ func (b *Box) Close() {
 	}
 	b.mu.Unlock()
 	for _, req := range remaining {
-		req.tree.Discard()
+		b.discard(req)
+	}
+	b.wg.Wait()
+}
+
+// discard tears down a request's tree. A request is counted in b.wg from
+// the moment it enters the table until its tree's callback has returned;
+// a tree discarded before it fired the callback never will, so the count
+// is given back here.
+func (b *Box) discard(req *boxRequest) {
+	if req.tree.Discard() {
+		b.wg.Done()
 	}
 }
 
@@ -304,8 +315,10 @@ func (b *Box) handle(m *wire.Msg) error {
 		}
 		guarded := guardedAggregator{app: m.App, inner: aggregator, guard: b.guard}
 		req.tree = NewLocalTree(b.sched, m.App, guarded, maxPending, func(result *bufpool.Buf, err error) {
+			defer b.wg.Done() // after the result's last Release: Close waits for it
 			b.finishRequest(req, result, err)
 		})
+		b.wg.Add(1)
 		b.requests[key] = req
 	}
 
@@ -385,7 +398,7 @@ func (b *Box) handle(m *wire.Msg) error {
 
 // drop takes a request out of the table — the only place one leaves it —
 // and returns it, nil if it was not there. The caller holds b.mu and,
-// unless the request's tree has already delivered, Discards the tree once
+// unless the request's tree has already delivered, discards the tree once
 // b.mu is released: Discard takes the tree lock, and releasing the
 // buffered parts is what lets the request's pool buffers recycle.
 func (b *Box) drop(key reqKey) *boxRequest {
@@ -408,7 +421,7 @@ func (b *Box) handleCancel(m *wire.Msg) {
 	b.mu.Unlock()
 	if req != nil {
 		obsBoxCancelled.Inc()
-		req.tree.Discard()
+		b.discard(req)
 		b.recordSpan(req, 0, 0, "cancelled")
 	}
 }
@@ -430,7 +443,11 @@ func (b *Box) maybeCloseInputsLocked(req *boxRequest) {
 		return
 	}
 	req.closed = true
-	go req.tree.CloseInputs()
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		req.tree.CloseInputs()
+	}()
 }
 
 // finishRequest forwards the aggregated result down the route. It owns
@@ -555,7 +572,7 @@ func (b *Box) sweep(now time.Time) {
 	}
 	b.mu.Unlock()
 	for _, req := range stale {
-		req.tree.Discard()
+		b.discard(req)
 		b.recordSpan(req, 0, 0, "idle")
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"log"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -316,5 +318,69 @@ func TestJanitorSweepCollectsIdleRequest(t *testing.T) {
 	after := bufpool.ReadStats()
 	if acq, rel := after.Acquires()-before.Acquires(), after.Releases-before.Releases; acq != rel {
 		t.Fatalf("bufpool unbalanced after the sweep: %d acquires vs %d releases", acq, rel)
+	}
+}
+
+// blockingWriter parks its first Write until released, and says when it
+// has been entered.
+type blockingWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return len(p), nil
+}
+
+// Close must outlast a request that is already finishing: once the tree
+// has fired its callback the request is in nobody's table walk, but it
+// holds the result buffer until finishRequest returns. The stall here is
+// the log line of a request that completes without a route.
+func TestCloseWaitsForFinishingRequest(t *testing.T) {
+	box, err := Start(Config{ID: 1 << 32, Registry: testRegistry(), Workers: 1, SchedSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer box.Close()
+	stall := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(stall)
+
+	before := bufpool.ReadStats()
+	part := agg.EncodeKVs([]agg.KV{{Key: "k", Val: 1}})
+	buf := bufpool.Get(len(part))
+	copy(buf.Bytes(), part)
+	box.serveFrame(nil, &wire.Msg{Type: wire.TExpect, App: "wc", Req: 23, Payload: wire.EncodeCount(1)})
+	box.serveFrame(nil, &wire.Msg{Type: wire.TData, App: "wc", Req: 23, Payload: buf.Bytes(), Buf: buf})
+	box.serveFrame(nil, &wire.Msg{Type: wire.TEnd, App: "wc", Req: 23})
+	select {
+	case <-stall.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never finished")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		box.Close()
+		close(closed)
+	}()
+	var early bool
+	select {
+	case <-closed:
+		early = true
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(stall.release)
+	<-closed
+	if early {
+		t.Fatal("Close returned while a finishing request still held its result buffer")
+	}
+	after := bufpool.ReadStats()
+	if acq, rel := after.Acquires()-before.Acquires(), after.Releases-before.Releases; acq != rel {
+		t.Fatalf("bufpool unbalanced after Close: %d acquires vs %d releases", acq, rel)
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"netagg/internal/wire"
-)
+import "netagg/internal/wire"
 
 // handleFanout implements the box side of the one-to-many extension (§5):
 // the box forwards exactly one copy of the payload towards each distinct
@@ -16,24 +12,9 @@ func (b *Box) handleFanout(m *wire.Msg) error {
 	if err != nil {
 		return err
 	}
-	byNext := make(map[string][][]string)
-	for _, route := range f.Routes {
-		if len(route) == 0 {
-			return errors.New("fanout route is empty")
-		}
-		byNext[route[0]] = append(byNext[route[0]], route[1:])
-	}
-	for next, rests := range byNext {
-		// A target is a route that ends at this hop.
-		var onward [][]string
-		deliver := false
-		for _, rest := range rests {
-			if len(rest) == 0 {
-				deliver = true
-			} else {
-				onward = append(onward, rest)
-			}
-		}
+	copies := 0
+	err = f.Split(func(next string, deliver bool, onward [][]string) error {
+		copies++
 		if deliver {
 			// f.Inner borrows from m.Payload (DecodeFanout is zero-copy),
 			// so the frame's buffer rides along for the replay window; the
@@ -50,9 +31,13 @@ func (b *Box) handleFanout(m *wire.Msg) error {
 				Source: b.cfg.ID, Payload: sub.Encode(),
 			})
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	b.mu.Lock()
-	b.stats.FanoutCopies += int64(len(byNext))
+	b.stats.FanoutCopies += int64(copies)
 	b.mu.Unlock()
 	return nil
 }

@@ -124,13 +124,17 @@ func (t *LocalTree) CloseInputs() {
 // are released, waiters are unblocked, and running merges release their
 // inputs and output as they drain. The janitor and box shutdown use it to
 // reclaim pool buffers held by abandoned requests, which previously
-// pinned them until process exit.
-func (t *LocalTree) Discard() {
+// pinned them until process exit. It reports whether it pre-empted onDone,
+// which will then never run; false means the callback has been fired (or
+// an earlier Discard took it) and whoever waits for it still must.
+func (t *LocalTree) Discard() bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	preempted := t.onDone != nil
 	t.onDone = nil
 	t.closed = true
 	t.failLocked(errDiscarded)
-	t.mu.Unlock()
+	return preempted
 }
 
 // dueLocked reports whether the buffered parts make a batch for a caller

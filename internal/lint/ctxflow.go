@@ -14,13 +14,9 @@ import (
 //
 //  1. context.Background() / context.TODO() outside package main is a
 //     severed cancellation chain: callers can never cancel what runs
-//     under it. The one exempt idiom is the nil-parameter fallback
-//
-//	if ctx == nil {
-//		ctx = context.Background()
-//	}
-//
-//     which only fires when the caller explicitly opted out.
+//     under it. The one exempt idiom is the nil-parameter fallback,
+//     if ctx == nil { ctx = context.Background() }, which only fires
+//     when the caller explicitly opted out.
 //
 //  2. In data-plane packages, a function that HAS a context available —
 //     a context.Context parameter, or a receiver struct carrying a

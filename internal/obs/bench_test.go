@@ -37,3 +37,27 @@ func BenchmarkObsCounterParallel(b *testing.B) {
 		}
 	})
 }
+
+// traceJob records what one search_topk-shaped job leaves in the tracer:
+// eight workers' send spans, the box's span, and the master's finish
+// reading back the bytes the shims sent.
+func traceJob(tr *Tracer, req uint64) int64 {
+	for w := 0; w < 8; w++ {
+		tr.Record(req, "topk", Span{Hop: "shim.send", Node: "r0-h1", Start: int64(req + 1), End: int64(req + 2), Parts: 1, BytesOut: 640})
+	}
+	tr.Record(req, "topk", Span{Hop: "box", Node: "box:4294967296", Start: int64(req + 1), End: int64(req + 3), Parts: 8, BytesIn: 5120, BytesOut: 640})
+	return tr.Finish(req, "topk", Span{Hop: "master", Node: "master", Start: int64(req + 1), End: int64(req + 4), Parts: 1, BytesIn: 640}, "shim.send")
+}
+
+// BenchmarkTracerJob measures the tracer's share of a small job over
+// rolling request ids (DESIGN.md §11 quotes it): every job begins a trace
+// and overwrites the oldest.
+func BenchmarkTracerJob(b *testing.B) {
+	tr := NewTracer(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if traceJob(tr, uint64(i)) != 8*640 {
+			b.Fatal("a job's shim.send bytes went missing")
+		}
+	}
+}

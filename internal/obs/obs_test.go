@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -197,7 +198,7 @@ func TestTableRendersAllKinds(t *testing.T) {
 }
 
 func TestTracerRecordFinishLookup(t *testing.T) {
-	tr := NewTracer(4, 4)
+	tr := NewTracer(8)
 	tr.Record(10, "wc", Span{Hop: "shim.send", Node: "w0", Start: 100, End: 200, BytesOut: 50})
 	tr.Record(10, "wc", Span{Hop: "box", Node: "box:1", Start: 150, Agg: 180, End: 220})
 	got, ok := tr.Lookup(10, "wc")
@@ -210,7 +211,7 @@ func TestTracerRecordFinishLookup(t *testing.T) {
 	if len(tr.Active()) != 1 {
 		t.Fatal("want one active trace")
 	}
-	tr.Finish(10, "wc", Span{Hop: "master", Node: "m", Start: 90, End: 300})
+	tr.Finish(10, "wc", Span{Hop: "master", Node: "m", Start: 90, End: 300}, "shim.send")
 	if len(tr.Active()) != 0 {
 		t.Fatal("finish must clear the active set")
 	}
@@ -233,23 +234,22 @@ func TestTracerRecordFinishLookup(t *testing.T) {
 // one process) using the same id keep separate traces, active and in the
 // ring, and an errored ending is readable from the span.
 func TestTracerKeyedByAppAndRequest(t *testing.T) {
-	tr := NewTracer(4, 4)
+	tr := NewTracer(8)
 	tr.Record(7, "wc", Span{Hop: "shim.send", Node: "w0", Start: 1, BytesOut: 10})
 	tr.Record(7, "topk", Span{Hop: "shim.send", Node: "w0", Start: 2, BytesOut: 99})
 	if n := len(tr.Active()); n != 2 {
 		t.Fatalf("%d active traces for two applications sharing a request id, want 2", n)
 	}
-	tr.Finish(7, "wc", Span{Hop: "master", Start: 1, End: 5, Err: "boom"})
+	if sum := tr.Finish(7, "wc", Span{Hop: "master", Start: 1, End: 5, Err: "boom"}, "shim.send"); sum != 10 {
+		t.Fatalf("Finish(wc) = %d shim.send bytes, want 10: the other application's 99 are not its own", sum)
+	}
 	wc, _ := tr.Lookup(7, "wc")
 	topk, _ := tr.Lookup(7, "topk")
 	if !wc.Done || len(wc.Spans) != 2 || topk.Done || len(topk.Spans) != 1 {
 		t.Fatalf("wc = %+v, topk = %+v: finishing one application's trace touched the other's", wc, topk)
 	}
-	if sum := tr.SumBytesOut(7, "wc", "shim.send"); sum != 10 {
-		t.Fatalf("SumBytesOut(wc) = %d, want 10", sum)
-	}
 	// A late span merges into its own application's ring entry.
-	tr.Finish(7, "topk", Span{Hop: "master", Start: 2, End: 6})
+	tr.Finish(7, "topk", Span{Hop: "master", Start: 2, End: 6}, "shim.send")
 	tr.Record(7, "wc", Span{Hop: "box", Start: 3, Err: "cancelled"})
 	if wc, _ = tr.Lookup(7, "wc"); len(wc.Spans) != 3 {
 		t.Fatalf("late wc span landed elsewhere: %+v", wc)
@@ -259,33 +259,56 @@ func TestTracerKeyedByAppAndRequest(t *testing.T) {
 	}
 }
 
+// TestTracerEvictionBounds pins the one capacity: the tracer holds the
+// last n traces begun, a finished and an unfinished one are overwritten
+// alike, in the order they began, and a span for an overwritten trace
+// begins a new one.
 func TestTracerEvictionBounds(t *testing.T) {
-	tr := NewTracer(2, 3)
-	for req := uint64(1); req <= 5; req++ {
-		tr.Record(req, "wc", Span{Hop: "box", Start: int64(req)})
+	tr := NewTracer(3)
+	tr.Record(1, "wc", Span{Hop: "box", Start: 1})
+	tr.Finish(2, "wc", Span{Hop: "master", Start: 2}, "")
+	tr.Record(3, "wc", Span{Hop: "box", Start: 3})
+	tr.Finish(1, "wc", Span{Hop: "master", Start: 4}, "") // finishing moves nothing: 1 is still the oldest
+	reqs := func(ts []Trace) (out []uint64) {
+		for _, tr := range ts {
+			out = append(out, tr.Req)
+		}
+		return out
 	}
-	// Capacity 2: reqs 1-3 were evicted into the ring, 4 and 5 active.
-	if got := len(tr.Active()); got != 2 {
-		t.Fatalf("active = %d, want 2", got)
+	if a, r := reqs(tr.Active()), reqs(tr.Recent(0)); !slices.Equal(a, []uint64{3}) || !slices.Equal(r, []uint64{2, 1}) {
+		t.Fatalf("active = %v, recent = %v; want [3] and [2 1] (newest begun first)", a, r)
 	}
-	if _, ok := tr.Lookup(1, "wc"); !ok {
-		t.Fatal("evicted trace must remain findable in the ring")
+	if r := reqs(tr.Recent(1)); !slices.Equal(r, []uint64{2}) {
+		t.Fatalf("Recent(1) = %v, want [2]", r)
 	}
-	for req := uint64(6); req <= 12; req++ {
-		tr.Record(req, "wc", Span{Hop: "box", Start: int64(req)})
-	}
-	// The ring holds at most 3; the oldest evictions are gone for good.
+	tr.Record(4, "wc", Span{Hop: "box", Start: 5}) // overwrites 1, done
+	tr.Record(5, "wc", Span{Hop: "box", Start: 6}) // overwrites 2, done
 	if _, ok := tr.Lookup(1, "wc"); ok {
-		t.Fatal("ring must be bounded")
+		t.Fatal("trace 1 outlived three newer traces")
 	}
-	if got := tr.Recent(0); len(got) != 3 {
-		t.Fatalf("ring size = %d, want 3", len(got))
+	if _, ok := tr.Lookup(3, "wc"); !ok {
+		t.Fatal("trace 3 overwritten before its turn")
+	}
+	tr.Record(6, "wc", Span{Hop: "box", Start: 7}) // overwrites 3, never finished
+	if _, ok := tr.Lookup(3, "wc"); ok {
+		t.Fatal("an unfinished trace must be overwritten in its turn too")
+	}
+	// A span for an overwritten trace begins a new one, in 4's slot, with
+	// none of 4's spans.
+	tr.Record(3, "wc", Span{Hop: "box", Start: 8})
+	if got, ok := tr.Lookup(3, "wc"); !ok || len(got.Spans) != 1 || got.First != 8 || got.Done {
+		t.Fatalf("late span for an overwritten trace = %+v, %v; want a fresh one-span trace", got, ok)
+	}
+	if a := reqs(tr.Active()); !slices.Equal(a, []uint64{5, 6, 3}) || len(tr.Recent(0)) != 0 {
+		t.Fatalf("active = %v, recent = %v; want [5 6 3] and none", a, reqs(tr.Recent(0)))
 	}
 }
 
+// TestTracerSortedAndSumBytes pins Sorted's order and the sum Finish
+// returns: the named hop's BytesOut and no other's.
 func TestTracerSortedAndSumBytes(t *testing.T) {
-	tr := NewTracer(4, 4)
-	tr.Record(1, "wc", Span{Hop: "box", Node: "b", Start: 300, End: 400})
+	tr := NewTracer(8)
+	tr.Record(1, "wc", Span{Hop: "box", Node: "b", Start: 300, End: 400, BytesOut: 7})
 	tr.Record(1, "wc", Span{Hop: "shim.send", Node: "w1", Start: 100, End: 150, BytesOut: 30})
 	tr.Record(1, "wc", Span{Hop: "shim.send", Node: "w0", Start: 100, End: 160, BytesOut: 20})
 	got, _ := tr.Lookup(1, "wc")
@@ -293,17 +316,34 @@ func TestTracerSortedAndSumBytes(t *testing.T) {
 	if sorted[0].Node != "w0" || sorted[1].Node != "w1" || sorted[2].Hop != "box" {
 		t.Fatalf("sorted order wrong: %+v", sorted)
 	}
-	if sum := tr.SumBytesOut(1, "wc", "shim.send"); sum != 50 {
-		t.Fatalf("SumBytesOut = %d, want 50", sum)
+	if sum := tr.Finish(1, "wc", Span{Hop: "master", Start: 90, End: 500}, "shim.send"); sum != 50 {
+		t.Fatalf("Finish = %d shim.send bytes, want 50", sum)
 	}
-	if sum := tr.SumBytesOut(99, "wc", "shim.send"); sum != 0 {
-		t.Fatalf("unknown req SumBytesOut = %d, want 0", sum)
+	if sum := tr.Finish(99, "wc", Span{Hop: "master", Start: 90, End: 500}, "shim.send"); sum != 0 {
+		t.Fatalf("Finish of a request no shim recorded = %d, want 0", sum)
+	}
+}
+
+// TestTracerJobAllocationFree: once the ring has wrapped, a job's spans
+// go into a slot (and a span array) an older trace left behind, so a
+// steady stream of requests costs the allocator nothing.
+func TestTracerJobAllocationFree(t *testing.T) {
+	tr := NewTracer(64)
+	req := uint64(0)
+	for ; req < 128; req++ {
+		traceJob(tr, req)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		traceJob(tr, req)
+		req++
+	}); n != 0 {
+		t.Fatalf("a traced job allocates %v times, want 0", n)
 	}
 }
 
 func TestTracerConcurrency(t *testing.T) {
 	defer testutil.CheckLeaks(t)
-	tr := NewTracer(16, 16)
+	tr := NewTracer(32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -313,7 +353,7 @@ func TestTracerConcurrency(t *testing.T) {
 				req := uint64(w*1000 + i)
 				tr.Record(req, "wc", Span{Hop: "box", Start: int64(i)})
 				if i%8 == 0 {
-					tr.Finish(req, "wc", Span{Hop: "master", Start: int64(i)})
+					tr.Finish(req, "wc", Span{Hop: "master", Start: int64(i)}, "shim.send")
 				}
 				_, _ = tr.Lookup(req, "wc")
 				if i%64 == 0 {
@@ -332,10 +372,10 @@ func TestTracerConcurrency(t *testing.T) {
 }
 
 func TestTraceLogFormat(t *testing.T) {
-	tr := NewTracer(4, 4)
+	tr := NewTracer(8)
 	base := time.Now().UnixNano()
 	tr.Record(42, "wc", Span{Hop: "shim.send", Node: "w0", Start: base, End: base + 1000, Parts: 2, BytesOut: 64})
-	tr.Finish(42, "wc", Span{Hop: "master", Node: "m", Start: base, End: base + 5000, Parts: 1, BytesIn: 16})
+	tr.Finish(42, "wc", Span{Hop: "master", Node: "m", Start: base, End: base + 5000, Parts: 1, BytesIn: 16}, "shim.send")
 	out := tr.TraceLog()
 	for _, want := range []string{"req=42", "app=wc", "done", "shim.send", "master", "parts=2"} {
 		if !strings.Contains(out, want) {
@@ -348,8 +388,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	defer testutil.CheckLeaks(t)
 	reg := NewRegistry()
 	reg.Counter("h.test").Add(7)
-	tr := NewTracer(4, 4)
-	tr.Finish(3, "wc", Span{Hop: "master", Node: "m", Start: 1, End: 2})
+	tr := NewTracer(8)
+	tr.Finish(3, "wc", Span{Hop: "master", Node: "m", Start: 1, End: 2}, "shim.send")
 	health := func() map[string]interface{} {
 		return map[string]interface{}{"boxes": 3}
 	}
@@ -425,7 +465,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestServeStopIdempotentAndCtxCancel(t *testing.T) {
 	defer testutil.CheckLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	addr, stop, err := Serve(ctx, "127.0.0.1:0", Handler(NewRegistry(), NewTracer(1, 1), nil))
+	addr, stop, err := Serve(ctx, "127.0.0.1:0", Handler(NewRegistry(), NewTracer(1), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +481,9 @@ func TestServeStopIdempotentAndCtxCancel(t *testing.T) {
 // hop that reports after the master finished the trace must land in
 // the completed ring entry, not open a spurious active trace.
 func TestTracerLateRecordMergesIntoRing(t *testing.T) {
-	tr := NewTracer(4, 4)
+	tr := NewTracer(8)
 	tr.Record(5, "wc", Span{Hop: "shim.send", Node: "w0", Start: 10, End: 20})
-	tr.Finish(5, "wc", Span{Hop: "master", Node: "m", Start: 5, End: 40})
+	tr.Finish(5, "wc", Span{Hop: "master", Node: "m", Start: 5, End: 40}, "shim.send")
 	// The box's deferred record arrives after Finish.
 	tr.Record(5, "wc", Span{Hop: "box", Node: "box:1", Start: 12, End: 30})
 	if n := len(tr.Active()); n != 0 {
@@ -454,14 +494,14 @@ func TestTracerLateRecordMergesIntoRing(t *testing.T) {
 		t.Fatalf("merged trace = %+v, %v", got, ok)
 	}
 	// A late Finish on the merged trace must not duplicate it in the ring.
-	tr.Finish(5, "wc", Span{Hop: "master", Node: "m2", Start: 6, End: 41})
+	tr.Finish(5, "wc", Span{Hop: "master", Node: "m2", Start: 6, End: 41}, "shim.send")
 	if n := len(tr.Recent(0)); n != 1 {
 		t.Fatalf("ring holds %d copies of the trace, want 1", n)
 	}
 }
 
 func TestTracerSpanCap(t *testing.T) {
-	tr := NewTracer(4, 4)
+	tr := NewTracer(8)
 	for i := 0; i < maxSpansPerTrace+10; i++ {
 		tr.Record(1, "wc", Span{Hop: "box", Start: int64(i + 1)})
 	}

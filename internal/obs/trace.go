@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,9 +54,9 @@ type Trace struct {
 	App string `json:"app"`
 	// First is the earliest span start (unix nanoseconds).
 	First int64 `json:"first_ns"`
-	// Done marks traces the master shim ended, in a result or an error;
-	// traces evicted from the active set by capacity pressure stay
-	// not-done.
+	// Done marks traces the master shim ended, in a result or an error.
+	// A trace no master finishes — a box's, in a process of its own — is
+	// never done.
 	Done bool `json:"done"`
 	// Spans are the recorded hops, in arrival order, capped at
 	// maxSpansPerTrace; Dropped counts spans discarded past the cap
@@ -87,19 +88,20 @@ func (t Trace) Sorted() []Span {
 	return out
 }
 
-// Tracer keeps a bounded set of active traces plus a ring buffer of
-// recently completed ones. Recording is mutex-guarded (hops are
-// per-request events, orders of magnitude rarer than the per-frame
-// counter path, so a lock is fine here). When the active set is full
-// the oldest active trace is evicted into the ring, so an aggbox whose
-// master never reports completion still retains its recent history.
+// Tracer keeps the last n traces begun, finished or not, in one fixed
+// ring: a new trace takes the oldest slot (whatever is there, done or not,
+// is overwritten), and a trace never moves once it has a slot — Finish
+// marks it done where it lies, and a hop that reports after the finish
+// finds it through the index like any other. A slot's Spans array outlives
+// the traces that pass through it, so a steady stream of requests
+// allocates nothing. Recording is mutex-guarded (hops are per-request
+// events, orders of magnitude rarer than the per-frame counter path, so a
+// lock is fine here).
 type Tracer struct {
-	mu        sync.Mutex
-	maxActive int
-	ringSize  int
-	active    map[traceKey]*Trace
-	order     []traceKey // active trace keys, oldest first
-	ring      []*Trace   // completed/evicted traces, oldest first
+	mu    sync.Mutex
+	ring  []Trace          // slot begun%len(ring) is the next to be taken
+	index map[traceKey]int // held trace → its slot
+	begun int              // traces begun since the tracer was made
 }
 
 // traceKey identifies a trace: wire request ids are unique per
@@ -109,27 +111,20 @@ type traceKey struct {
 	req uint64
 }
 
-// NewTracer returns a tracer bounding the active set and completed ring
-// to the given sizes (values < 1 default to 256).
-func NewTracer(maxActive, ring int) *Tracer {
-	if maxActive < 1 {
-		maxActive = 256
+// NewTracer returns a tracer holding the last n traces begun (n < 1
+// defaults to 512).
+func NewTracer(n int) *Tracer {
+	if n < 1 {
+		n = 512
 	}
-	if ring < 1 {
-		ring = 256
-	}
-	return &Tracer{
-		maxActive: maxActive,
-		ringSize:  ring,
-		active:    make(map[traceKey]*Trace),
-	}
+	return &Tracer{ring: make([]Trace, n), index: make(map[traceKey]int, n)}
 }
 
 // DefaultTracer is the process-wide tracer every instrumented layer
 // records into.
-var DefaultTracer = NewTracer(256, 256)
+var DefaultTracer = NewTracer(0)
 
-// Record appends one span to the request's trace, creating the trace on
+// Record appends one span to the request's trace, beginning the trace on
 // first use.
 func (t *Tracer) Record(req uint64, app string, s Span) {
 	t.mu.Lock()
@@ -137,48 +132,41 @@ func (t *Tracer) Record(req uint64, app string, s Span) {
 	t.recordLocked(req, app, s)
 }
 
-// Finish appends the final span and moves the trace to the completed
-// ring (the master shim calls it when a request ends, however it ends).
-func (t *Tracer) Finish(req uint64, app string, s Span) {
+// Finish appends the final span and marks the trace done (the master shim
+// calls it when a request ends, however it ends). It returns the total
+// BytesOut of the trace's spans whose hop matches: the master shim's
+// observed per-job aggregation ratio α is its bytes in over the
+// "shim.send" bytes out. In a multi-process deployment the shim spans
+// live in other processes and the sum is 0, which callers treat as "α
+// unobservable".
+func (t *Tracer) Finish(req uint64, app string, s Span, hop string) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tr := t.recordLocked(req, app, s)
 	tr.Done = true
-	key := traceKey{app, req}
-	if _, wasActive := t.active[key]; !wasActive {
-		return // recordLocked merged into a ring entry; it is already there
-	}
-	delete(t.active, key)
-	for i, k := range t.order {
-		if k == key {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
+	var sum int64
+	for i := range tr.Spans {
+		if tr.Spans[i].Hop == hop {
+			sum += tr.Spans[i].BytesOut
 		}
 	}
-	t.pushRingLocked(tr)
+	return sum
 }
 
 func (t *Tracer) recordLocked(req uint64, app string, s Span) *Trace {
 	key := traceKey{app, req}
-	tr, ok := t.active[key]
+	i, ok := t.index[key]
 	if !ok {
-		// A hop can report after the master already finished the trace
-		// (boxes record their span once the emit completes, and the
-		// master may win that race): merge into the completed ring
-		// entry instead of opening a spurious new trace.
-		tr, ok = t.ringLocked(key)
-	}
-	if !ok {
-		if len(t.active) >= t.maxActive {
-			oldest := t.order[0]
-			t.order = t.order[1:]
-			t.pushRingLocked(t.active[oldest])
-			delete(t.active, oldest)
+		i = t.begun % len(t.ring)
+		old := &t.ring[i]
+		if t.begun >= len(t.ring) {
+			delete(t.index, traceKey{old.App, old.Req})
 		}
-		tr = &Trace{Req: req, App: app, First: s.Start}
-		t.active[key] = tr
-		t.order = append(t.order, key)
+		t.begun++
+		t.index[key] = i
+		*old = Trace{Req: req, App: app, First: s.Start, Spans: old.Spans[:0]}
 	}
+	tr := &t.ring[i]
 	if tr.First == 0 || (s.Start != 0 && s.Start < tr.First) {
 		tr.First = s.Start
 	}
@@ -198,84 +186,47 @@ func copyTrace(tr *Trace) Trace {
 	return out
 }
 
-func (t *Tracer) pushRingLocked(tr *Trace) {
-	t.ring = append(t.ring, tr)
-	if len(t.ring) > t.ringSize {
-		t.ring = append(t.ring[:0], t.ring[len(t.ring)-t.ringSize:]...)
-	}
-}
-
-// ringLocked finds a trace in the completed ring (newest match wins).
-func (t *Tracer) ringLocked(key traceKey) (*Trace, bool) {
-	for i := len(t.ring) - 1; i >= 0; i-- {
-		if tr := t.ring[i]; tr.Req == key.req && tr.App == key.app {
-			return tr, true
-		}
-	}
-	return nil, false
-}
-
-// Lookup returns a copy of the application's trace of a request,
-// searching the active set first and then the completed ring.
+// Lookup returns a copy of the application's trace of a request, if the
+// tracer still holds it.
 func (t *Tracer) Lookup(req uint64, app string) (Trace, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := traceKey{app, req}
-	tr, ok := t.active[key]
-	if !ok {
-		tr, ok = t.ringLocked(key)
-	}
+	i, ok := t.index[traceKey{app, req}]
 	if !ok {
 		return Trace{}, false
 	}
-	return copyTrace(tr), true
+	return copyTrace(&t.ring[i]), true
 }
 
-// Recent returns up to n completed traces, newest first (n < 1 returns
-// all).
-func (t *Tracer) Recent(n int) []Trace {
+// held returns copies of the held traces whose Done matches, oldest begun
+// first.
+func (t *Tracer) held(done bool) []Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n < 1 || n > len(t.ring) {
-		n = len(t.ring)
-	}
-	out := make([]Trace, 0, n)
-	for i := len(t.ring) - 1; i >= len(t.ring)-n; i-- {
-		out = append(out, copyTrace(t.ring[i]))
-	}
-	return out
-}
-
-// Active returns a copy of every in-flight (not yet completed) trace,
-// oldest first.
-func (t *Tracer) Active() []Trace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Trace, 0, len(t.order))
-	for _, k := range t.order {
-		out = append(out, copyTrace(t.active[k]))
-	}
-	return out
-}
-
-// SumBytesOut totals the BytesOut of the request's spans whose hop
-// matches. The master shim uses it to compute the observed per-job
-// aggregation ratio α = master bytes in / shim bytes out; in a
-// multi-process deployment the shim spans live in other processes and
-// the sum is 0, which callers treat as "α unobservable".
-func (t *Tracer) SumBytesOut(req uint64, app, hop string) int64 {
-	tr, ok := t.Lookup(req, app)
-	if !ok {
-		return 0
-	}
-	var sum int64
-	for _, s := range tr.Spans {
-		if s.Hop == hop {
-			sum += s.BytesOut
+	out := make([]Trace, 0, len(t.index))
+	for b := t.begun - len(t.index); b < t.begun; b++ {
+		if tr := &t.ring[b%len(t.ring)]; tr.Done == done {
+			out = append(out, copyTrace(tr))
 		}
 	}
-	return sum
+	return out
 }
+
+// Recent returns up to n done traces, the newest begun first (n < 1
+// returns all).
+func (t *Tracer) Recent(n int) []Trace {
+	out := t.held(true)
+	slices.Reverse(out)
+	if n >= 1 && n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
+// Active returns a copy of every held trace not done — in flight, or
+// recorded in a process whose master never finishes it (an aggbox) —
+// oldest first.
+func (t *Tracer) Active() []Trace { return t.held(false) }
 
 // TraceLog renders every trace the tracer holds (active then completed,
 // oldest first) as an indented text log, one line per span with
@@ -283,17 +234,10 @@ func (t *Tracer) SumBytesOut(req uint64, app, hop string) int64 {
 // request spent its time.
 func (t *Tracer) TraceLog() string {
 	var b strings.Builder
-	for _, tr := range append(t.Active(), reverse(t.Recent(0))...) {
+	for _, tr := range append(t.held(false), t.held(true)...) {
 		writeTrace(&b, tr)
 	}
 	return b.String()
-}
-
-func reverse(ts []Trace) []Trace {
-	for i, j := 0, len(ts)-1; i < j; i, j = i+1, j-1 {
-		ts[i], ts[j] = ts[j], ts[i]
-	}
-	return ts
 }
 
 func writeTrace(b *strings.Builder, tr Trace) {

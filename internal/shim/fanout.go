@@ -30,43 +30,27 @@ func (m *Master) Fanout(app string, req uint64, inner []byte, targets map[string
 	// worker's partials would traverse towards the master, flipped, is
 	// the master's replication route towards that worker.
 	plan := m.planner.Plan(dep, treeplan.NewRequest(req, 0, 0, m.cfg.Host.Name, workers))
-	byFirst := make(map[string][][]string)
+	f := wire.FanoutPayload{Inner: inner}
 	for _, worker := range workers {
-		addr := targets[worker]
 		chain := plan.Routes[worker]
 		route := make([]string, 0, len(chain)+1)
 		for i := len(chain) - 1; i >= 0; i-- {
 			route = append(route, chain[i].Addr)
 		}
-		route = append(route, addr)
-		byFirst[route[0]] = append(byFirst[route[0]], route[1:])
+		f.Routes = append(f.Routes, append(route, targets[worker]))
 	}
-	for first, rests := range byFirst {
-		var direct bool
-		var onward [][]string
-		for _, rest := range rests {
-			if len(rest) == 0 {
-				direct = true
-			} else {
-				onward = append(onward, rest)
-			}
-		}
+	wireReq := cluster.WireReq(req, 0, 0)
+	return f.Split(func(first string, direct bool, onward [][]string) error {
 		if direct {
 			// The first hop is the target itself (no boxes on the path).
-			if err := m.pool.Send(first, &wire.Msg{
-				Type: wire.TData, App: app, Req: cluster.WireReq(req, 0, 0), Payload: inner,
-			}); err != nil {
+			if err := m.pool.Send(first, &wire.Msg{Type: wire.TData, App: app, Req: wireReq, Payload: inner}); err != nil {
 				return err
 			}
 		}
-		if len(onward) > 0 {
-			f := wire.FanoutPayload{Inner: inner, Routes: onward}
-			if err := m.pool.Send(first, &wire.Msg{
-				Type: wire.TFanout, App: app, Req: cluster.WireReq(req, 0, 0), Payload: f.Encode(),
-			}); err != nil {
-				return err
-			}
+		if len(onward) == 0 {
+			return nil
 		}
-	}
-	return nil
+		sub := wire.FanoutPayload{Inner: inner, Routes: onward}
+		return m.pool.Send(first, &wire.Msg{Type: wire.TFanout, App: app, Req: wireReq, Payload: sub.Encode()})
+	})
 }

@@ -110,7 +110,7 @@ type Pending struct {
 	// them on any other ending, arm releases them on re-arm.
 	bufs  []*bufpool.Buf
 	timer *time.Timer
-	boxes map[uint64]bool // boxes used by the current attempt's plan
+	boxes map[uint64]bool // boxes used by the current attempt's plan; nil until the first arm
 	done  bool
 }
 
@@ -248,7 +248,12 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 // arm plans an attempt through the configured planner, announces
 // expectations to the boxes, and starts the straggler timer. A request
 // that completed (or failed) while the attempt was being planned is left
-// untouched: arming must never resurrect a finished request's timer. So
+// untouched: arming must never resurrect a finished request's timer. So is
+// one that is not on the attempt before this one: the straggler timer and a
+// Supersede may both ask for the successor of the attempt they saw, and
+// arming it a second time would cancel at the boxes what the workers have
+// delivered for it, while arming it after something else has moved the
+// request on would move it for a reason that no longer holds. And so
 // is one whose fresh plan still routes through avoid, the box this attempt
 // exists to get away from (0 = none): a congested box that is its switch's
 // only live one stays in the plan as the last resort, and moving a request
@@ -264,7 +269,7 @@ func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err err
 	}
 
 	p.mu.Lock()
-	if p.done {
+	if p.done || (p.boxes != nil && attempt != p.attempt+1) {
 		p.mu.Unlock()
 		return false, nil
 	}
@@ -290,7 +295,7 @@ func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err err
 		p.timer.Stop()
 	}
 	if m.cfg.StragglerTimeout > 0 {
-		p.timer = time.AfterFunc(m.cfg.StragglerTimeout, func() { m.redirect(p, "straggler", 0) })
+		p.timer = time.AfterFunc(m.cfg.StragglerTimeout, func() { m.redirect(p, attempt, "straggler", 0) })
 	}
 	p.mu.Unlock()
 
@@ -322,24 +327,20 @@ func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err err
 	return true, nil
 }
 
-// redirect supersedes a pending request's attempt with the next one: it
-// replans around dead and congested boxes and tells every worker shim to
-// resend (§3.1), reporting whether the request moved. When the attempt
-// budget is exhausted, or the new attempt cannot be announced, the request
-// ends in an error. cause is why — the "straggler" timer (box 0), a box's
-// "failover" or a "migrate" off a congested box — and goes on the new
-// attempt's trace with the box, so an operator reading
-// /debug/netagg/traces sees what moved the request and when
-// (OPERATIONS.md §9).
-func (m *Master) redirect(p *Pending, cause string, box uint64) bool {
+// redirect supersedes a pending request's attempt from with the next one:
+// it replans around dead and congested boxes and tells every worker shim
+// to resend (§3.1), reporting whether the request moved. It has not if the
+// request is no longer on from (arm declines): whatever the caller wanted
+// to get away from — a timeout that ran on that attempt, a box in its plan
+// — something else already has. When the attempt budget is exhausted, or
+// the new attempt cannot be announced, the request ends in an error. cause
+// is why — the "straggler" timer (box 0), a box's "failover" or a
+// "migrate" off a congested box — and goes on the new attempt's trace with
+// the box, so an operator reading /debug/netagg/traces sees what moved the
+// request and when (OPERATIONS.md §9).
+func (m *Master) redirect(p *Pending, from int, cause string, box uint64) bool {
 	start := time.Now()
-	p.mu.Lock()
-	if p.done {
-		p.mu.Unlock()
-		return false
-	}
-	attempt := p.attempt + 1
-	p.mu.Unlock()
+	attempt := from + 1
 	if attempt > maxAttempts {
 		m.finish(p, fmt.Errorf("shim: request %d failed after %d attempts", p.req, attempt-1))
 		return false
@@ -415,18 +416,18 @@ func (m *Master) cancelAttempt(p *Pending, boxes map[uint64]bool, attempt int) {
 // dropped by the master's attempt check.
 func (m *Master) Supersede(boxID uint64, cause string) int {
 	m.mu.Lock()
-	var affected []*Pending
+	affected := make(map[*Pending]int) // the attempt that uses the box
 	for _, p := range m.pending {
 		p.mu.Lock()
 		if p.boxes[boxID] && !p.done {
-			affected = append(affected, p)
+			affected[p] = p.attempt
 		}
 		p.mu.Unlock()
 	}
 	m.mu.Unlock()
 	moved := 0
-	for _, p := range affected {
-		if m.redirect(p, cause, boxID) {
+	for p, attempt := range affected {
+		if m.redirect(p, attempt, cause, boxID) {
 			moved++
 		}
 	}
@@ -583,9 +584,7 @@ func (m *Master) observeEnding(p *Pending, res *Result) {
 	}
 	var sent int64
 	for tree := 0; tree < p.trees; tree++ {
-		wr := cluster.WireReq(p.req, tree, res.Attempts)
-		sent += obs.DefaultTracer.SumBytesOut(wr, p.app, "shim.send")
-		obs.DefaultTracer.Finish(wr, p.app, span)
+		sent += obs.DefaultTracer.Finish(cluster.WireReq(p.req, tree, res.Attempts), p.app, span, "shim.send")
 	}
 	if res.Err != nil {
 		return

@@ -1,21 +1,27 @@
 package shim
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netagg/internal/agg"
 	"netagg/internal/cluster"
 	"netagg/internal/core"
 	"netagg/internal/obs"
+	"netagg/internal/transport"
 	"netagg/internal/treeplan"
 	"netagg/internal/wire"
 )
 
-// addBox starts one more box at a switch of the rig's deployment.
-func (r *rig) addBox(t *testing.T, id uint64, sw string) {
+// startBox starts one more box for the rig to close; addBox also deploys
+// it at a switch, under its own address.
+func (r *rig) startBox(t *testing.T, id uint64) *core.Box {
 	t.Helper()
 	reg := agg.NewRegistry()
 	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
@@ -24,7 +30,12 @@ func (r *rig) addBox(t *testing.T, id uint64, sw string) {
 		t.Fatal(err)
 	}
 	r.boxes = append(r.boxes, box)
-	r.dep.AddBox(cluster.BoxInfo{ID: id, Addr: box.Addr(), Switch: sw})
+	return box
+}
+
+func (r *rig) addBox(t *testing.T, id uint64, sw string) {
+	t.Helper()
+	r.dep.AddBox(cluster.BoxInfo{ID: id, Addr: r.startBox(t, id).Addr(), Switch: sw})
 }
 
 // TestSupersedeCauses is the table over the three things that supersede an
@@ -139,6 +150,109 @@ func mustBox(t *testing.T, dep *cluster.Deployment, id uint64) cluster.BoxInfo {
 	return b
 }
 
+// TestAttemptArmedOnce pins arm's refusal of an attempt that is not newer
+// than the one in force: the second arm of attempt 1 returns false and the
+// box hears nothing of it. Armed twice, attempt 1 would be cancelled at the
+// box — with whatever the workers had delivered for it — just ahead of its
+// own second TExpect.
+func TestAttemptArmedOnce(t *testing.T) {
+	var mu sync.Mutex
+	var heard []string
+	box, err := transport.Listen(context.Background(), "127.0.0.1:0", func(_ *transport.ServerConn, m *wire.Msg) {
+		_, _, attempt := cluster.DecodeWireReq(m.Req)
+		mu.Lock()
+		heard = append(heard, fmt.Sprintf("%v %d", m.Type, attempt))
+		mu.Unlock()
+		m.Release()
+	}, transport.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer box.Close()
+	dep := cluster.NewDeployment()
+	dep.AddHost(cluster.Host{Name: "master"})
+	dep.AddHost(cluster.Host{Name: "w0"})
+	dep.AddBox(cluster.BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
+	m, err := NewMaster(MasterConfig{Host: cluster.Host{Name: "master"}, Deployment: dep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	p, err := m.Submit("wc", 7, []string{"w0"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false} {
+		if armed, err := m.arm(p, 1, 0); err != nil || armed != want {
+			t.Fatalf("arm %d of attempt 1 = %v, %v; want %v", i+1, armed, err, want)
+		}
+	}
+	// Attempt 2's announce travels the connection the others did: once it
+	// is in, so is everything the two arms of attempt 1 sent.
+	if armed, err := m.arm(p, 2, 0); err != nil || !armed {
+		t.Fatalf("arm of attempt 2 = %v, %v", armed, err)
+	}
+	want := []string{"expect 0", "cancel 0", "expect 1", "cancel 1", "expect 2"}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		got := slices.Clone(heard)
+		mu.Unlock()
+		if len(got) >= len(want) || time.Now().After(deadline) {
+			if !slices.Equal(got, want) {
+				t.Fatalf("the box heard %q, want %q", got, want)
+			}
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStragglerAndSupersedeRace runs the two things that ask for attempt
+// n+1 — the straggler timer's redirect and a Supersede of the same request
+// — at the same moment, fifty times: one of them arms it, the request
+// completes on it exactly, and no further attempt is spent.
+func TestStragglerAndSupersedeRace(t *testing.T) {
+	workers := []string{"w0", "w1"}
+	for i := 0; i < 50; i++ {
+		r := newRig(t, 5*time.Second)
+		r.addBox(t, 4<<32, "tor:0")
+		p, err := r.master.Submit("wc", 0x5AC0, workers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.mu.Lock()
+		var used uint64
+		for id := range p.boxes {
+			used = id
+		}
+		p.mu.Unlock()
+		// As in TestSupersedeCauses: the box is gone before the workers
+		// send, so attempt 0 cannot complete.
+		for _, b := range r.boxes {
+			if b.Addr() == mustBox(t, r.dep, used).Addr {
+				b.Close()
+			}
+		}
+		for wi, w := range workers {
+			_ = r.workers[w].SendPartials("wc", 0x5AC0, wi, "master", [][]byte{kvPart("k", int64(wi+1))}, 1)
+		}
+		r.dep.MarkDead(used)
+		timer := make(chan bool)
+		go func() { timer <- r.master.redirect(p, 0, "straggler", 0) }()
+		moved := r.master.Supersede(used, "failover")
+		if byTimer := <-timer; byTimer == (moved == 1) {
+			t.Fatalf("run %d: the timer moved the request: %v, Supersede moved %d: want exactly one of them", i, byTimer, moved)
+		}
+		res := waitResult2(t, p)
+		if got := sumResult(t, res)["k"]; got != 3 || res.Attempts != 1 {
+			t.Fatalf("run %d: k = %d after %d attempts, want exactly 3 on attempt 1", i, got, res.Attempts)
+		}
+		res.Release()
+		r.close()
+	}
+}
+
 // countingPlanner counts what a shim asks its planner for: a worker's
 // routes in plans, whole trees — which a worker shim has no use for — in
 // trees.
@@ -157,14 +271,10 @@ func (c *countingPlanner) Route(topo treeplan.Topology, req treeplan.Request, wo
 	return c.OnPath.Route(topo, req, worker)
 }
 
-// TestRedirectRemembersTargets pins the worker's memory: an applied
-// redirect asks for its route once a tree — for the new attempt, and never
-// for the tree around it — and drops the
-// replay window of exactly the connections the superseded attempt used and
-// the new one does not. The old code re-planned the superseded attempt
-// against the deployment as it is now (3 × trees plans a redirect), so
-// whenever the marks that caused the redirect had moved since the send —
-// that is, always — it looked for the old route in the wrong place.
+// TestRedirectRemembersTargets pins what a redirect costs the planner: an
+// applied redirect asks for its route once a tree — for the new attempt,
+// never for the superseded one and never for the tree around it — and a
+// duplicate, which the remembered lastAttempt turns away, asks for nothing.
 func TestRedirectRemembersTargets(t *testing.T) {
 	const trees = 2
 	r := newRig(t, 0)
@@ -181,17 +291,6 @@ func TestRedirectRemembersTargets(t *testing.T) {
 	const req = 0x7A00
 	first, other := mustBox(t, r.dep, 1<<32), mustBox(t, r.dep, 4<<32)
 	r.dep.MarkCongested(other.ID, true)
-	trimmed := func(addr string) int64 { return w.pool.Get(addr).Stats().ReplayTrimmed }
-	waitTrim := func(addr string, before int64) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for trimmed(addr) == before {
-			if time.Now().After(deadline) {
-				t.Fatalf("the replay window of %s, which left the route, was never dropped", addr)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	redirect := func(attempt int) (plans int64) {
 		before := planner.plans.Load()
 		w.applyRedirect(&wire.Msg{Type: wire.TRedirect, App: "wc", Req: req, Payload: wire.EncodeCount(attempt)})
@@ -205,39 +304,35 @@ func TestRedirectRemembersTargets(t *testing.T) {
 		t.Fatalf("the first send planned %d times, want once per tree (%d)", n, trees)
 	}
 
-	// The marks swap after the send: attempt 1 goes to the other box. The
-	// deployment no longer says where attempt 0 went; the worker does.
+	// The marks swap after the send: attempt 1 goes to the other box.
 	r.dep.MarkCongested(other.ID, false)
 	r.dep.MarkCongested(first.ID, true)
 	if n := redirect(1); n != trees {
 		t.Fatalf("redirect 1 planned %d times, want once per tree (%d)", n, trees)
 	}
-	waitTrim(first.Addr, 0)
 	if n := redirect(1); n != 0 {
 		t.Fatalf("a duplicate redirect planned %d times, want 0", n)
 	}
 
-	// They swap back: attempt 2 returns to the first box, and it is the
-	// other box's window that must go.
-	firstTrimmed := trimmed(first.Addr)
+	// They swap back, and then a redirect keeps the route: each is one
+	// Route a tree all the same.
 	r.dep.MarkCongested(first.ID, false)
 	r.dep.MarkCongested(other.ID, true)
-	if n := redirect(2); n != trees {
-		t.Fatalf("redirect 2 planned %d times, want once per tree (%d)", n, trees)
-	}
-	waitTrim(other.Addr, 0)
-
-	// A redirect that keeps the route drops nothing.
-	otherTrimmed := trimmed(other.Addr)
-	if n := redirect(3); n != trees {
-		t.Fatalf("redirect 3 planned %d times, want once per tree (%d)", n, trees)
-	}
-	time.Sleep(50 * time.Millisecond) // DropReplay is asynchronous: give a wrong one time to land
-	if a, b := trimmed(first.Addr), trimmed(other.Addr); a != firstTrimmed || b != otherTrimmed {
-		t.Fatalf("replay_trimmed moved (%d → %d, %d → %d) for connections still on, or long off, the route",
-			firstTrimmed, a, otherTrimmed, b)
+	for attempt := 2; attempt <= 3; attempt++ {
+		if n := redirect(attempt); n != trees {
+			t.Fatalf("redirect %d planned %d times, want once per tree (%d)", attempt, n, trees)
+		}
 	}
 	if n := planner.trees.Load(); n != 0 {
 		t.Fatalf("the worker shim built %d whole trees; it only ever needs its own route", n)
+	}
+}
+
+// TestBufferedSendSize pins the retained record to its 112-byte size
+// class: a busy shim holds over a million of them for the retention
+// window, so a word more is a size class (128) more on each.
+func TestBufferedSendSize(t *testing.T) {
+	if got := unsafe.Sizeof(bufferedSend{}); got != 112 {
+		t.Fatalf("unsafe.Sizeof(bufferedSend{}) = %d, want 112", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"slices"
 	"sync"
 	"time"
 
@@ -61,9 +60,6 @@ type Worker struct {
 
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
-	// hops lists the addresses this shim has sent streams to; a retained
-	// send remembers where it went as a set of indexes into it.
-	hops []string
 	// expiry holds the retained sends in sentAt order (sends are stamped
 	// under mu), so ageing them out pops a prefix instead of scanning
 	// buffered on every send.
@@ -92,13 +88,6 @@ type bufferedSend struct {
 	// failure monitor may both request the same attempt, and replaying it
 	// twice would double-count the data at the boxes.
 	lastAttempt int
-	// sentTo is where lastAttempt's streams went first (boxes, or the
-	// master): bit i stands for Worker.hops[i]. A redirect drops the replay
-	// windows of the ones the new attempt no longer uses. A set in a word,
-	// not a slice of addresses: a busy shim retains a million of these, and
-	// every byte and pointer here is paid for that many times in heap and
-	// collector time (a []string cost search_topk a tenth of its CPU).
-	sentTo uint64
 }
 
 // NewWorker starts the worker shim, including its control listener for
@@ -199,7 +188,7 @@ func (w *Worker) expireLocked(now time.Time) {
 // send transmits the buffered request at the given recovery attempt,
 // asking the configured planner for this worker's route alone (per-worker
 // decomposability guarantees it is the chain the master's tree holds for
-// the same attempt), and remembers where each tree's stream went.
+// the same attempt).
 func (w *Worker) send(b *bufferedSend, attempt int) error {
 	dep := w.cfg.Deployment
 	if _, ok := dep.Host(b.master); !ok {
@@ -209,12 +198,10 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 	if !ok {
 		return fmt.Errorf("shim: master %q has no result address", b.master)
 	}
-	sentTo := make([]string, 0, 16) // one a tree; on the stack up to the protocol's 16
 	// A tree's stream is at most a THello, every part and a TEnd: the
 	// frames live in one array, SendAll's pointers in another.
 	frames := make([]wire.Msg, 0, len(b.parts)+2)
 	msgs := make([]*wire.Msg, 0, len(b.parts)+2)
-	var err error
 	for tree := 0; tree < b.trees; tree++ {
 		wireReq := cluster.WireReq(b.req, tree, attempt)
 		chain := w.planner.Route(dep, treeplan.NewRequest(b.req, tree, attempt, b.master, nil), w.cfg.Host.Name)
@@ -227,7 +214,6 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 			hello.Type, hello.Payload = wire.THello, wire.EncodeStrings(treeplan.RouteAddrs(chain[1:], resultAddr))
 			frames = append(frames, hello)
 		}
-		sentTo = append(sentTo, target)
 		var treeBytes int64
 		treeParts := 0
 		frame.Type = wire.TData
@@ -252,9 +238,8 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 			msgs = append(msgs, &frames[i])
 		}
 		start := time.Now()
-		if err = w.pool.Get(target).SendAll(msgs); err != nil {
-			err = fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)
-			break
+		if err := w.pool.Get(target).SendAll(msgs); err != nil {
+			return fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)
 		}
 		obs.DefaultTracer.Record(wireReq, b.app, obs.Span{
 			Hop: "shim.send", Node: w.cfg.Host.Name,
@@ -262,32 +247,7 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 			Parts: treeParts, BytesOut: treeBytes,
 		})
 	}
-	// A redirect that overtook this send has already recorded where the
-	// newer attempt went.
-	w.mu.Lock()
-	if b.lastAttempt == attempt {
-		b.sentTo = 0
-		for _, addr := range sentTo {
-			b.sentTo |= w.hopBitLocked(addr)
-		}
-	}
-	w.mu.Unlock()
-	return err
-}
-
-// hopBitLocked returns the bit that stands for addr in a
-// bufferedSend.sentTo. The 65th address a shim sends to gets none, so its
-// connection's replay window is never trimmed early — which holds buffers
-// longer, and nothing else.
-func (w *Worker) hopBitLocked(addr string) uint64 {
-	i := slices.Index(w.hops, addr)
-	if i < 0 {
-		if i = len(w.hops); i == 64 {
-			return 0
-		}
-		w.hops = append(w.hops, addr)
-	}
-	return 1 << i
+	return nil
 }
 
 // treeOf partitions partial results across trees by hashing the part index
@@ -318,14 +278,10 @@ func (w *Worker) control(_ *transport.ServerConn, m *wire.Msg) {
 // for the redirect's attempt, unless the redirect is a duplicate or
 // stale (the straggler timer and the failure monitor may both request
 // the same attempt, and replaying it twice would double-count the data
-// at the boxes). Connections the superseded attempt used and the new one
-// does not then drop their transport replay windows: every frame they
-// retain carries the old (tree, attempt) epoch, which the new attempt has
-// resent in full, so replaying them after a reconnect could only deliver
-// frames the receivers drop as stale. An untrimmed window could not
-// double-combine either (the box's epoch and sequence checks hold);
-// trimming releases the retained buffers and avoids pointless replay
-// traffic.
+// at the boxes). The connections the superseded attempt used keep their
+// transport replay windows: a reconnect replays frames of the old (tree,
+// attempt) epoch, which the receivers' epoch and sequence checks drop —
+// as they drop the completed requests' frames any reconnect replays.
 func (w *Worker) applyRedirect(m *wire.Msg) {
 	attempt, err := wire.DecodeCount(m.Payload)
 	if err != nil {
@@ -338,7 +294,6 @@ func (w *Worker) applyRedirect(m *wire.Msg) {
 		return
 	}
 	b.lastAttempt = attempt
-	old := b.sentTo
 	w.mu.Unlock()
 	obsRedirectsApplied.Inc()
 	// Replan happens inside send: dead boxes are excluded from chains,
@@ -346,13 +301,5 @@ func (w *Worker) applyRedirect(m *wire.Msg) {
 	// every box.
 	if err := w.send(b, attempt); err != nil {
 		log.Printf("shim: worker %s resending request %d attempt %d: %v", w.cfg.Host.Name, m.Req, attempt, err)
-	}
-	w.mu.Lock()
-	gone, hops := old&^b.sentTo, w.hops
-	w.mu.Unlock()
-	for i, addr := range hops {
-		if gone>>i&1 != 0 {
-			w.pool.DropReplay(addr)
-		}
 	}
 }

@@ -461,7 +461,7 @@ func (s *Sim) waterfillTouched(flows []FlowID, touched []ResourceID) {
 	deadInHeap := 0
 
 	freeze := func(id FlowID, rate float64) {
-			f := &s.flows[id]
+		f := &s.flows[id]
 		f.frozen = true
 		f.rate = rate
 		for _, r := range f.spec.Resources {

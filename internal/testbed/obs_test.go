@@ -270,7 +270,7 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 		"box.frames_aggregated", "box.cutthrough_merges",
 		"plan.replans", "plan.dead_boxes_skipped", "plan.slow_boxes_avoided",
 		"replan.ticks", "replan.migrations", "replan.migrated_requests",
-		"replan.cooldown_holds", "box.requests_cancelled", "transport.replay_trimmed",
+		"replan.cooldown_holds", "box.requests_cancelled",
 	} {
 		if _, ok := m.Counters[want]; !ok {
 			t.Errorf("/metrics missing counter %q (got %d counters)", want, len(m.Counters))

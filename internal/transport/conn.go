@@ -57,7 +57,6 @@ type Conn struct {
 
 	connected atomic.Bool                // an established connection is believed healthy
 	resetReq  atomic.Bool                // Reset asked the flusher to drop the connection
-	trimReq   atomic.Bool                // DropReplay asked the flusher to discard the replay window
 	live      atomic.Pointer[connHandle] // the established socket, for Close/Reset teardown
 	dead      atomic.Pointer[connHandle] // reader's death notice for one specific connection
 
@@ -157,9 +156,6 @@ func (c *Conn) flusher() {
 		closed := c.q.moveQueued()
 		if c.resetReq.Swap(false) {
 			c.dropConn()
-		}
-		if c.trimReq.Swap(false) {
-			c.trimReplay()
 		}
 		// A death notice names one specific connection; honour it only if
 		// that connection is still current, so a stale reader cannot kill
@@ -329,7 +325,7 @@ func (c *Conn) retainReplay(m wire.Msg) {
 			r.head = 0
 		}
 	}
-	*slot = m //netagg:owns m — the window's reference, released on overwrite/trim/Close
+	*slot = m //netagg:owns m — the window's reference, released on overwrite/Close
 }
 
 // releaseReplay empties the window, dropping its payload references.
@@ -340,32 +336,6 @@ func (c *Conn) releaseReplay() {
 	}
 	clear(r.slots)
 	r.head, r.n = 0, 0
-}
-
-// trimReplay is the flusher-side half of DropReplay: it releases the
-// window's payload references and clears the pending-replay mark so a
-// reconnect starts clean instead of resending frames of a superseded
-// epoch.
-func (c *Conn) trimReplay() {
-	if n := c.replay.n; n > 0 {
-		c.stats.replayTrimmed.Add(int64(n))
-		obsReplayTrimmed.Add(int64(n))
-	}
-	c.releaseReplay()
-	c.needReplay = false
-}
-
-// DropReplay asks the flusher to discard the replay window, releasing
-// the buffer references it retains. A subtree migration calls it on
-// connections to boxes removed from a route: everything the window
-// holds belongs to a superseded (tree, attempt) epoch that the new
-// attempt resends in full, so replaying it after a reconnect would only
-// deliver frames the receivers drop as stale (§3.1 dedup). The trim is
-// asynchronous — frames already admitted or in flight are unaffected,
-// which is safe for exactly the same epoch reason.
-func (c *Conn) DropReplay() {
-	c.trimReq.Store(true)
-	c.q.doorbell()
 }
 
 // ensure establishes the connection if needed, honouring the backoff

@@ -8,18 +8,17 @@ import "netagg/internal/obs"
 // (DESIGN.md §11), which is what the /debug/netagg/metrics endpoint
 // serves.
 var (
-	obsFramesIn      = obs.C("transport.frames_in")
-	obsBytesIn       = obs.C("transport.bytes_in")
-	obsFramesOut     = obs.C("transport.frames_out")
-	obsBytesOut      = obs.C("transport.bytes_out")
-	obsDials         = obs.C("transport.dials")
-	obsDialFailures  = obs.C("transport.dial_failures")
-	obsReconnects    = obs.C("transport.reconnects")
-	obsBackoffSkips  = obs.C("transport.backoff_skips")
-	obsReplayed      = obs.C("transport.replayed")
-	obsReplayTrimmed = obs.C("transport.replay_trimmed")
-	obsAccepted      = obs.C("transport.accepted")
-	obsActiveConns   = obs.G("transport.active_conns")
+	obsFramesIn     = obs.C("transport.frames_in")
+	obsBytesIn      = obs.C("transport.bytes_in")
+	obsFramesOut    = obs.C("transport.frames_out")
+	obsBytesOut     = obs.C("transport.bytes_out")
+	obsDials        = obs.C("transport.dials")
+	obsDialFailures = obs.C("transport.dial_failures")
+	obsReconnects   = obs.C("transport.reconnects")
+	obsBackoffSkips = obs.C("transport.backoff_skips")
+	obsReplayed     = obs.C("transport.replayed")
+	obsAccepted     = obs.C("transport.accepted")
+	obsActiveConns  = obs.G("transport.active_conns")
 
 	// Batched write path (DESIGN.md §15): one writev per flush, frames
 	// and payload bytes it coalesced, and the admission/teardown events

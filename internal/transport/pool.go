@@ -50,20 +50,6 @@ func (p *Pool) SendAll(addr string, msgs []*wire.Msg) error {
 	return p.Get(addr).SendAll(msgs)
 }
 
-// DropReplay discards the replay window of the pooled connection for
-// addr, if one exists — it never creates a connection, because a box
-// this endpoint has not talked to cannot hold stale frames. Worker shims
-// call it for boxes a migration removed from their route (see
-// Conn.DropReplay for the epoch argument).
-func (p *Pool) DropReplay(addr string) {
-	p.mu.Lock()
-	c := p.conns[addr]
-	p.mu.Unlock()
-	if c != nil {
-		c.DropReplay()
-	}
-}
-
 // Stats sums the counters of every pooled connection.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()

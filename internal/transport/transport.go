@@ -114,10 +114,6 @@ type Stats struct {
 	// Replayed counts frames rewritten from the replay window after a
 	// reconnect.
 	Replayed int64
-	// ReplayTrimmed counts frames released from the replay window by
-	// DropReplay (subtree migration invalidated their epoch) without
-	// crossing the wire again.
-	ReplayTrimmed int64
 	// Accepted counts inbound connections accepted (Server only).
 	Accepted int64
 	// Active is the number of currently open inbound connections
@@ -147,7 +143,6 @@ func (s Stats) merge(o Stats) Stats {
 	s.Reconnects += o.Reconnects
 	s.BackoffSkips += o.BackoffSkips
 	s.Replayed += o.Replayed
-	s.ReplayTrimmed += o.ReplayTrimmed
 	s.Accepted += o.Accepted
 	s.Active += o.Active
 	s.WritevCalls += o.WritevCalls
@@ -165,7 +160,6 @@ type counters struct {
 	reconnects          atomic.Int64
 	backoffSkips        atomic.Int64
 	replayed            atomic.Int64
-	replayTrimmed       atomic.Int64
 	accepted, active    atomic.Int64
 	writevCalls         atomic.Int64
 	batchedFrames       atomic.Int64
@@ -194,7 +188,6 @@ func (c *counters) snapshot() Stats {
 		Reconnects:    c.reconnects.Load(),
 		BackoffSkips:  c.backoffSkips.Load(),
 		Replayed:      c.replayed.Load(),
-		ReplayTrimmed: c.replayTrimmed.Load(),
 		Accepted:      c.accepted.Load(),
 		Active:        c.active.Load(),
 		WritevCalls:   c.writevCalls.Load(),

@@ -86,3 +86,30 @@ func DecodeFanout(p []byte) (*FanoutPayload, error) {
 	}
 	return out, nil
 }
+
+// Split is what a sender of the payload owes each distinct first address
+// of its routes, one call to hop apiece: deliver says a route ends there —
+// the address is a target's own listener and gets Inner as a TData frame —
+// and onward holds the remainders of the routes that go on through it, for
+// one TFanout envelope. An empty route is corrupt, and then no hop is called.
+func (f *FanoutPayload) Split(hop func(next string, deliver bool, onward [][]string) error) error {
+	byNext := make(map[string][][]string)
+	for _, route := range f.Routes {
+		if len(route) == 0 {
+			return ErrCorrupt
+		}
+		byNext[route[0]] = append(byNext[route[0]], route[1:])
+	}
+	for next, rests := range byNext {
+		var onward [][]string
+		for _, rest := range rests {
+			if len(rest) > 0 {
+				onward = append(onward, rest)
+			}
+		}
+		if err := hop(next, len(onward) < len(rests), onward); err != nil {
+			return err
+		}
+	}
+	return nil
+}
