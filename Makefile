@@ -40,15 +40,16 @@ escape:
 	$(GO) run ./cmd/netagg-lint -escape ./...
 
 # Fuzzers of everything that parses bytes from the network, bounded for
-# CI: the wire codec and the k-way KV and docs merges, which read partial
-# results without decoding them. Each target runs its checked-in seed corpus
-# (internal/{wire,agg}/testdata/fuzz) plus 10s of mutation. Local deep
-# runs: `go test ./internal/wire -fuzz FuzzDecodeFrame -fuzztime=5m`.
+# CI: the wire codec and the k-way KV, docs and items merges, which read
+# partial results without decoding them. Each target runs its checked-in
+# seed corpus (internal/{wire,agg}/testdata/fuzz) plus 10s of mutation.
+# Local deep runs: `go test ./internal/wire -fuzz FuzzDecodeFrame -fuzztime=5m`.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzKVMerge$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzDocsMerge$$' -fuzztime=10s
+	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzConcatMerge$$' -fuzztime=10s
 
 # Runtime half of the buffer-ownership contract: the netaggdebug build
 # tag poisons released buffers (0xDB) and verifies the poison on reuse,
@@ -104,15 +105,16 @@ profile:
 # and only a passing run replaces it, so regressions break CI instead of
 # silently re-baselining (the BenchmarkTransportEcho 1488 B/op drift,
 # CHANGES.md). A new artifact's first run is checked in by hand.
-# BENCH_agg.json is the box's merge path: the k-way KV merge and one
-# search_topk job's top-k merge alone (both 0 allocs/op) and a whole
-# mapred_kv job through a local tree.
+# BENCH_agg.json is the box's merge path: the k-way KV merge, one
+# search_topk job's top-k merge and a sort_concat job's items merge at its
+# three shapes alone (0 allocs/op but for the index of raw parts), and a
+# whole mapred_kv and a whole sort_concat job through a local tree.
 #
 #                  package               -bench                                   -benchtime
 bench_simnet    = ./internal/simnet     BenchmarkAllocate                        200x
 bench_bufpool   = ./internal/bufpool    BenchmarkBufpool                         200x
 bench_transport = ./internal/transport  BenchmarkTransport                       2000x
-bench_agg       = ./internal/core       'Benchmark(KV|TopK)Merge|BenchmarkLocalTreeKV'  100x
+bench_agg       = ./internal/core       'Benchmark(KV|TopK|Concat)Merge|BenchmarkLocalTree(KV|Concat)'  100x
 bench_treeplan  = ./internal/treeplan   BenchmarkPlan                            200x
 bench_replan    = ./internal/strategies BenchmarkReplan                          20x
 

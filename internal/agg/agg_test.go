@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,6 +314,8 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 			}
 			return EncodeItems(items)
 		}},
+		// Items the prefix word cannot tell apart, in and out of order.
+		{"concat-padded", Concat{}, func(rn *stats.Rand) []byte { return trapItemsPayload(rn, 5) }},
 		{"topk", TopK{K: 4}, docs},
 		{"sample", Sample{Ratio: 0.5}, docs},
 		// K below, around and above the size of the union, over records
@@ -512,6 +516,210 @@ func TestDocsMergeRejectsMalformedParts(t *testing.T) {
 	}
 }
 
+// referenceConcat is the collect-and-sort fold Concat.Merge was before it
+// streamed, kept as the oracle: every item of every part as a view in one
+// slice, sorted, encoded.
+func referenceConcat(parts [][]byte) ([]byte, error) {
+	var items [][]byte
+	for _, p := range parts {
+		var err error
+		if items, err = appendItemViews(items, p); err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(items, bytes.Compare)
+	return EncodeItems(items), nil
+}
+
+// trapItems are the items a prefix word misorders if it is taken for the
+// order: zero padding makes the first six one word or two, and the rest
+// differ only past the eighth byte.
+var trapItems = [][]byte{
+	[]byte(""), []byte("\x00"), []byte("ab"), []byte("ab\x00"),
+	[]byte("ab\x00\x00\x00\x00\x00\x00"), []byte("ab\x00\x00\x00\x00\x00\x00\x00"),
+	[]byte("12345678a"), []byte("12345678b"), []byte("12345678"),
+	[]byte("00000000-a"), []byte("00000000-b"),
+}
+
+// itemsPayload encodes items as drawn or, every other time, in byte order
+// first, as a box's own run is.
+func itemsPayload(rn *stats.Rand, items [][]byte) []byte {
+	if rn.Intn(2) == 0 {
+		slices.SortFunc(items, bytes.Compare)
+	}
+	return EncodeItems(items)
+}
+
+// trapItemsPayload draws up to n-1 items from trapItems.
+func trapItemsPayload(rn *stats.Rand, n int) []byte {
+	items := make([][]byte, rn.Intn(n))
+	for i := range items {
+		items[i] = trapItems[rn.Intn(len(trapItems))]
+	}
+	return itemsPayload(rn, items)
+}
+
+// randomItems draws n items of up to maxLen bytes (exactly maxLen if
+// fixed), each byte one of values values.
+func randomItems(rn *stats.Rand, n, maxLen int, fixed bool, values int) [][]byte {
+	items := make([][]byte, n)
+	for i := range items {
+		size := maxLen
+		if !fixed {
+			size = rn.Intn(maxLen + 1)
+		}
+		items[i] = make([]byte, size)
+		for j := range items[i] {
+			items[i][j] = byte(rn.Intn(values))
+		}
+	}
+	return items
+}
+
+// The streaming merge against the reference, byte for byte: parts in and
+// out of order mixed, part counts on both sides of the batch size and of
+// the stack frame's cursors, items short enough to be all padding, long
+// enough to be all prefix, and drawn from few enough values to repeat.
+func TestConcatMergeMatchesReference(t *testing.T) {
+	rn := stats.NewRand(24)
+	gens := []struct {
+		name string
+		gen  func() []byte
+	}{
+		{"traps", func() []byte { return trapItemsPayload(rn, 12) }},
+		// Lengths 0-12 over two byte values: heavy duplicates.
+		{"short", func() []byte { return itemsPayload(rn, randomItems(rn, rn.Intn(20), 12, false, 2)) }},
+		// The benchmark's shape.
+		{"rows", func() []byte { return itemsPayload(rn, randomItems(rn, rn.Intn(8), 100, true, 256)) }},
+	}
+	for _, g := range gens {
+		for _, k := range []int{1, 2, 16, 17, 64, 65} {
+			for trial := 0; trial < 20; trial++ {
+				parts := make([][]byte, k)
+				for i := range parts {
+					parts[i] = g.gen()
+				}
+				got, err := Concat{}.Merge([]byte("dst"), parts)
+				want, _ := referenceConcat(parts)
+				if err != nil || !bytes.Equal(got, append([]byte("dst"), want...)) {
+					t.Fatalf("%s, %d parts: %v, differs from the reference: %x, want %x", g.name, k, err, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The items merge reads its inputs without decoding them, so it carries
+// DecodeItems' checks itself. Whatever DecodeItems rejects Merge rejects,
+// wherever the bad part sits among good ones — in order or not — with
+// ErrBadPayload, without panicking and before it writes anything.
+func TestConcatMergeRejectsMalformedParts(t *testing.T) {
+	valid := EncodeItems([][]byte{[]byte("apple"), []byte("banana"), []byte(""), bytes.Repeat([]byte("c"), 200)})
+	other := EncodeItems([][]byte{[]byte("aardvark"), []byte("zebra")})
+	setCount := func(p []byte, count uint64) []byte {
+		_, n := binary.Uvarint(p)
+		return append(binary.AppendUvarint(nil, count), p[n:]...)
+	}
+	bad := map[string][]byte{
+		"empty":                 nil,
+		"trailing byte":         append(bytes.Clone(valid), 0),
+		"count too low":         setCount(valid, 3),
+		"count too high":        setCount(valid, 5),
+		"count absurd":          setCount(valid, 1<<50),
+		"count overflows":       append(bytes.Repeat([]byte{0xff}, 10), valid[1:]...),
+		"count truncated":       {0x80},
+		"length past the end":   {1, 9, 's', 'h', 'o', 'r', 't'},
+		"length absurd":         append([]byte{1}, bytes.Repeat([]byte{0xff}, 9)...),
+		"length truncated":      {2, 1, 'a', 0x80},
+		"fault after a descent": append(setCount(other, 3), 0x80), // zebra, then a bad varint
+	}
+	for i := 1; i < len(valid); i++ {
+		bad[fmt.Sprintf("truncated at %d", i)] = valid[:i]
+	}
+	for name, p := range bad {
+		if _, err := DecodeItems(p); err == nil {
+			t.Fatalf("%s: DecodeItems accepts it; the case tests nothing", name)
+		}
+		for _, parts := range [][][]byte{{p}, {p, valid, other}, {valid, p, other}, {valid, other, p}} {
+			out, err := Concat{}.Merge([]byte("dst"), parts)
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("%s: Merge returned %v, want ErrBadPayload", name, err)
+			}
+			if string(out) != "dst" {
+				t.Fatalf("%s: Merge wrote %x before it refused", name, out)
+			}
+		}
+	}
+	if _, err := (Concat{}).Merge(nil, [][]byte{valid, other, EncodeItems(nil)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocatedBy is the bytes fn allocated, by the runtime's own count.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// What the merge keeps beside the parts' own bytes is bounded by their
+// bytes, not by 24 of its own for each of theirs: a part in order costs
+// nothing however many items it holds, a part out of order sixteen bytes
+// an item. (A view an item, the merge's first shape, made sixteen legal
+// frames of empty items 400 MB.)
+func TestConcatMergeMemoryIsBounded(t *testing.T) {
+	mustMerge := func(dst []byte, parts [][]byte) {
+		if _, err := (Concat{}).Merge(dst, parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const items = 1 << 20
+	empties := append(binary.AppendUvarint(nil, items), make([]byte, items)...)
+	parts := make([][]byte, 16)
+	for i := range parts {
+		parts[i] = empties
+	}
+	dst := make([]byte, 0, 16*len(empties))
+	if got := allocatedBy(func() { mustMerge(dst, parts) }); got > 64<<10 {
+		t.Errorf("merging sixteen 1 MiB parts of empty items allocated %d bytes, want under 64 kB", got)
+	}
+
+	// Two-byte items, descending.
+	const pairs = (1 << 20) / 3
+	backwards := binary.AppendUvarint(nil, pairs)
+	for i := pairs; i > 0; i-- {
+		backwards = append(backwards, 2, byte(i>>8), byte(i))
+	}
+	if got := allocatedBy(func() { mustMerge(dst, [][]byte{backwards}) }); got > 16*pairs+64<<10 {
+		t.Errorf("merging a 1 MiB out-of-order part of %d items allocated %d bytes, want 16 an item", pairs, got)
+	}
+}
+
+// The final merge of a sort_concat job — eight runs the box sorted itself,
+// 1,600 rows of 100 bytes each — allocates nothing: the cursors and the
+// heap are on Merge's stack frame and a part in order needs no index.
+func TestConcatMergeOfRunsDoesNotAllocate(t *testing.T) {
+	rn := stats.NewRand(8)
+	runs := make([][]byte, 8)
+	size := 0
+	for r := range runs {
+		rows := randomItems(rn, 1600, 100, true, 256)
+		slices.SortFunc(rows, bytes.Compare)
+		runs[r] = EncodeItems(rows)
+		size += len(runs[r])
+	}
+	dst := make([]byte, 0, size+binary.MaxVarintLen64)
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := (Concat{}).Merge(dst, runs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("merging eight sorted runs: %v allocs per run, want 0", n)
+	}
+}
+
 // referenceKV is the decode-everything reduction Merge must agree with:
 // every pair of every part into a map, then the canonical encoding.
 func referenceKV(t *testing.T, op KVOp, parts [][]byte) []byte {
@@ -682,6 +890,63 @@ func FuzzDocsMerge(f *testing.F) {
 			if !bytes.Equal(out, want) {
 				t.Fatalf("%s.Merge: %x, reference %x", c.agg.Name(), out, want)
 			}
+		}
+	})
+}
+
+// splitFuzzParts cuts fuzz bytes into parts: a length byte, then that many
+// bytes (or what is left) as one part.
+func splitFuzzParts(data []byte) [][]byte {
+	var parts [][]byte
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		parts = append(parts, data[1:1+n:1+n])
+		data = data[1+n:]
+	}
+	return parts
+}
+
+// FuzzConcatMerge cuts arbitrary bytes into parts and feeds them to
+// Concat.Merge. It must never panic or touch a part, it refuses exactly
+// what the collect-and-sort reference refuses, and what it accepts it
+// merges into exactly the reference's bytes.
+func FuzzConcatMerge(f *testing.F) {
+	frame := func(parts ...[]byte) (data []byte) {
+		for _, p := range parts {
+			data = append(append(data, byte(len(p))), p...)
+		}
+		return data
+	}
+	f.Add(frame(EncodeItems([][]byte{[]byte("b"), []byte("a")}), EncodeItems([][]byte{[]byte("c")})))
+	f.Add(frame(EncodeItems(trapItems)))
+	// More seeds (padded prefixes that tie, lying counts, trailing bytes,
+	// parts in and out of order, empty items and empty parts) are checked
+	// in under testdata/fuzz/FuzzConcatMerge.
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts := splitFuzzParts(data)
+		if len(parts) == 0 {
+			return
+		}
+		before := bytes.Clone(data)
+		out, err := Concat{}.Merge(nil, parts)
+		if !bytes.Equal(data, before) {
+			t.Fatal("Merge modified its input")
+		}
+		want, wantErr := referenceConcat(parts)
+		if err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			if wantErr == nil {
+				t.Fatalf("Merge refuses parts the reference merges into %x", want)
+			}
+			return
+		}
+		if wantErr != nil {
+			t.Fatalf("Merge accepted a part DecodeItems rejects: %v", wantErr)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("Merge: %x, reference %x", out, want)
 		}
 	})
 }

@@ -282,92 +282,3 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	binary.PutUvarint(dst[start:], count)
 	return dst, nil
 }
-
-// Concat appends payloads without any reduction: the aggregator of
-// non-reducible data such as TeraSort rows (identity reduce, Fig 22's TS
-// bar shows no benefit). Payload format: varint count + length-prefixed
-// items, in byte order once merged.
-type Concat struct{}
-
-// Name implements Aggregator.
-func (Concat) Name() string { return "concat" }
-
-// Combine implements Aggregator.
-func (c Concat) Combine(a, b []byte) ([]byte, error) {
-	return c.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
-}
-
-// Merge implements Aggregator: the parts' items are collected as
-// sub-slices of the input, put in canonical (byte) order — which keeps
-// the fold commutative — and encoded once.
-func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
-	var items [][]byte
-	for _, p := range parts {
-		var err error
-		if items, err = appendItemViews(items, p); err != nil {
-			return dst, err
-		}
-	}
-	if !slices.IsSortedFunc(items, bytes.Compare) {
-		slices.SortFunc(items, bytes.Compare)
-	}
-	return appendItems(dst, items), nil
-}
-
-// EncodeItems serialises opaque items: varint count + length-prefixed blobs.
-func EncodeItems(items [][]byte) []byte {
-	size := binary.MaxVarintLen64
-	for _, it := range items {
-		size += binary.MaxVarintLen64 + len(it)
-	}
-	return appendItems(make([]byte, 0, size), items)
-}
-
-func appendItems(dst []byte, items [][]byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(items)))
-	for _, it := range items {
-		dst = binary.AppendUvarint(dst, uint64(len(it)))
-		dst = append(dst, it...)
-	}
-	return dst
-}
-
-// DecodeItems parses a payload produced by EncodeItems. The items are
-// copies: they stay valid after p's buffer is released.
-func DecodeItems(p []byte) ([][]byte, error) {
-	items, err := appendItemViews([][]byte{}, p)
-	if err != nil {
-		return nil, err
-	}
-	for i, it := range items {
-		items[i] = bytes.Clone(it)
-	}
-	return items, nil
-}
-
-// appendItemViews parses an EncodeItems payload and appends its items to
-// items as sub-slices of p.
-func appendItemViews(items [][]byte, p []byte) ([][]byte, error) {
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, ErrBadPayload
-	}
-	p = p[n:]
-	if count > uint64(len(p))+1 {
-		return nil, ErrBadPayload
-	}
-	items = slices.Grow(items, int(count))
-	for i := uint64(0); i < count; i++ {
-		ilen, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p[n:])) < ilen {
-			return nil, ErrBadPayload
-		}
-		end := n + int(ilen)
-		items = append(items, p[n:end:end])
-		p = p[end:]
-	}
-	if len(p) != 0 {
-		return nil, ErrBadPayload
-	}
-	return items, nil
-}

@@ -120,11 +120,78 @@ func BenchmarkTopKMerge(b *testing.B) {
 	})
 }
 
+// benchItemParts builds k parts in the fabric benchmark's sort_concat
+// shape: 100 opaque items of 100 random bytes a part (~10 kB), in the order
+// drawn — a worker's raw part, not in byte order.
+func benchItemParts(k int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	parts := make([][]byte, k)
+	for p := range parts {
+		items := make([][]byte, 100)
+		for i := range items {
+			items[i] = make([]byte, 100)
+			rng.Read(items[i])
+		}
+		parts[p] = agg.EncodeItems(items)
+	}
+	return parts
+}
+
+// BenchmarkConcatMerge is the box's merge step of a sort_concat job at
+// its three shapes: a first-level batch of sixteen raw worker parts (each
+// indexed and sorted), the final batch of eight runs the box merged itself
+// (read in place), and one such result alone, as the master folds it. The
+// target is 0 allocs/op on the two sorted shapes and one allocation — the
+// index — on the raw one.
+func BenchmarkConcatMerge(b *testing.B) {
+	raw := benchItemParts(128)
+	runs := make([][]byte, 8)
+	for i := range runs {
+		run, err := agg.Concat{}.Merge(nil, raw[16*i:16*i+16])
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs[i] = run
+	}
+	whole, err := agg.Concat{}.Merge(nil, runs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		parts [][]byte
+	}{{"unsorted-k=16", raw[:16]}, {"runs-k=8", runs}, {"one", [][]byte{whole}}} {
+		b.Run(c.name, func(b *testing.B) {
+			size := totalLen(c.parts)
+			dst := make([]byte, 0, size+16)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := agg.Concat{}.Merge(dst, c.parts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = out
+			}
+		})
+	}
+}
+
 // BenchmarkLocalTreeKV is one mapred_kv job through a box's local tree:
 // 224 pooled parts added as fast as the tree takes them, merged on a
 // 4-worker scheduler, until onDone fires.
 func BenchmarkLocalTreeKV(b *testing.B) {
-	parts := benchKVParts(224)
+	benchLocalTree(b, agg.KVCombiner{Op: agg.OpSum}, benchKVParts(224))
+}
+
+// BenchmarkLocalTreeConcat is one sort_concat job the same way: 128 raw
+// parts, eight first-level merges and the merge of their eight runs.
+func BenchmarkLocalTreeConcat(b *testing.B) {
+	benchLocalTree(b, agg.Concat{}, benchItemParts(128))
+}
+
+func benchLocalTree(b *testing.B, a agg.Aggregator, parts [][]byte) {
 	s := NewScheduler(SchedulerConfig{Workers: 4, Seed: 1})
 	defer s.Close()
 	s.Register("bench", 1)
@@ -134,7 +201,7 @@ func BenchmarkLocalTreeKV(b *testing.B) {
 		done <- err
 	}
 	job := func() {
-		tree := NewLocalTree(s, "bench", agg.KVCombiner{Op: agg.OpSum}, maxPending, onDone)
+		tree := NewLocalTree(s, "bench", a, maxPending, onDone)
 		for _, p := range parts {
 			tree.Add(pooled(p))
 		}
