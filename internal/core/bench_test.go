@@ -139,10 +139,11 @@ func benchItemParts(k int) [][]byte {
 
 // BenchmarkConcatMerge is the box's merge step of a sort_concat job at
 // its three shapes: a first-level batch of sixteen raw worker parts (each
-// indexed and sorted), the final batch of eight runs the box merged itself
-// (read in place), and one such result alone, as the master folds it. The
-// target is 0 allocs/op on the two sorted shapes and one allocation — the
-// index — on the raw one.
+// indexed and sorted), the final batch of the eight runs the box merged
+// itself (read in place; the tree batches its runs apart from the parts, so
+// this is every job's last merge), and one such result alone, as the
+// master folds it. The target is 0 allocs/op on the two sorted shapes and
+// one allocation — the index — on the raw one.
 func BenchmarkConcatMerge(b *testing.B) {
 	raw := benchItemParts(128)
 	runs := make([][]byte, 8)
@@ -179,14 +180,16 @@ func BenchmarkConcatMerge(b *testing.B) {
 }
 
 // BenchmarkLocalTreeKV is one mapred_kv job through a box's local tree:
-// 224 pooled parts added as fast as the tree takes them, merged on a
-// 4-worker scheduler, until onDone fires.
+// 224 pooled parts merged on a 4-worker scheduler, until onDone fires.
+// /burst adds them as fast as the tree takes them; /trickle waits after
+// each Add until the tree is idle, which is how parts reach a box in the
+// e2e pass — more slowly than a batch merges.
 func BenchmarkLocalTreeKV(b *testing.B) {
 	benchLocalTree(b, agg.KVCombiner{Op: agg.OpSum}, benchKVParts(224))
 }
 
-// BenchmarkLocalTreeConcat is one sort_concat job the same way: 128 raw
-// parts, eight first-level merges and the merge of their eight runs.
+// BenchmarkLocalTreeConcat is one sort_concat job the same two ways: 128
+// raw parts, eight first-level merges and the merge of their eight runs.
 func BenchmarkLocalTreeConcat(b *testing.B) {
 	benchLocalTree(b, agg.Concat{}, benchItemParts(128))
 }
@@ -200,21 +203,29 @@ func benchLocalTree(b *testing.B, a agg.Aggregator, parts [][]byte) {
 		res.Release()
 		done <- err
 	}
-	job := func() {
-		tree := NewLocalTree(s, "bench", a, maxPending, onDone)
-		for _, p := range parts {
-			tree.Add(pooled(p))
-		}
-		tree.CloseInputs()
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-	}
-	job() // fills the buffer pool's size classes before the clock starts
-	b.SetBytes(int64(totalLen(parts)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		job()
+	for _, mode := range []string{"burst", "trickle"} {
+		trickle := mode == "trickle"
+		b.Run(mode, func(b *testing.B) {
+			job := func() {
+				tree := NewLocalTree(s, "bench", a, maxPending, onDone)
+				for _, p := range parts {
+					tree.Add(pooled(p))
+					if trickle {
+						waitIdle(tree)
+					}
+				}
+				tree.CloseInputs()
+				if err := <-done; err != nil {
+					b.Fatal(err)
+				}
+			}
+			job() // fills the buffer pool's size classes before the clock starts
+			b.SetBytes(int64(totalLen(parts)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				job()
+			}
+		})
 	}
 }

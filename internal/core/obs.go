@@ -14,6 +14,10 @@ var (
 	// out/in is the observed aggregation ratio α at the box tier (§4.1).
 	obsBoxBytesIn  = obs.C("box.bytes_in")
 	obsBoxBytesOut = obs.C("box.bytes_out")
+	// obsMergedBytes counts the bytes local trees hand to Merge:
+	// merged_bytes/bytes_in is how many times a box merges each byte on
+	// its way through (twice, up to fanIn² parts a request).
+	obsMergedBytes = obs.C("box.merged_bytes")
 	// obsBoxRequests counts requests completed (result emitted or error).
 	obsBoxRequests = obs.C("box.requests")
 	// obsBoxCombines counts aggregation tasks executed (§3.2.1).

@@ -13,19 +13,23 @@ import (
 // it never reaches a master because Discard detaches onDone first.
 var errDiscarded = errors.New("core: aggregation tree discarded")
 
-// fanIn is how many waiting parts make a merge batch: enough that each
-// byte is merged about twice on its way through a box, few enough that
-// several batches of one request run as parallel tasks while it streams in.
+// fanIn is how many waiting parts, or how many waiting runs, make a merge
+// batch: with parts and runs batched apart, each byte of a request of up
+// to fanIn² parts is merged exactly twice on its way through a box, and
+// batches are few enough parts that several of one request run as
+// parallel tasks while it streams in.
 const fanIn = 16
 
 // LocalTree is the in-box aggregation structure for one request (§3.2.1
 // "Local aggregation trees"): partial results stream in from the network
 // layer, batches of them are merged by aggregation tasks running in
-// parallel on the scheduler, and the merged runs go back among the parts
-// until a single final result remains. Because the aggregation function is
-// associative and commutative, greedily merging whatever parts are
-// available executes the same computation as a static tree with maximal
-// pipelining. A bounded pending-part buffer provides back-pressure: Add
+// parallel on the scheduler, and the merged runs wait in a list of their
+// own, batched among themselves, until a single final result remains.
+// Because the aggregation function is associative and commutative, any
+// grouping of the merges yields the same result as a static tree; the
+// cost is the grouping's, which is why a run never rides in a batch of
+// parts (that would make the tree a chain, re-merging every earlier byte
+// with each batch). A bounded buffer provides back-pressure: Add
 // blocks when the tree cannot keep up, which in turn stops the network
 // reader and lets TCP throttle the sender ("a back-pressure mechanism
 // ensures that the workers reduce the rate at which they produce partial
@@ -35,15 +39,18 @@ type LocalTree struct {
 	aggregator agg.Aggregator
 	sched      *Scheduler
 	maxPending int
-	// batchMin is how many buffered parts make a batch due:
-	// min(fanIn, maxPending/2). The cap keeps it inside the back-pressure
-	// budget, which it must be or Add would block with nothing to merge.
+	// batchMin is how many buffered parts, or buffered runs, make a batch
+	// due: min(fanIn, maxPending/2). The cap keeps both lists together
+	// inside the back-pressure budget while neither is due — at most
+	// 2(batchMin−1) ≤ maxPending−2 — which they must be or Add would block
+	// with nothing to merge.
 	batchMin int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	parts    []*bufpool.Buf // buffered, not yet in a task's batch
-	held     int            // parts in the batches of queued or running tasks
+	parts    []*bufpool.Buf // external parts, not yet in a task's batch
+	runs     []*bufpool.Buf // outputs of the tree's own merges, not yet in a batch
+	held     int            // inputs in the batches of queued or running tasks
 	tasks    int            // merge tasks queued or running
 	closed   bool
 	finished bool
@@ -92,10 +99,11 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 //netagg:owns part
 func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	t.mu.Lock()
-	// The budget counts buffered parts and the batch of every merge still
-	// queued or running, so a slow aggregator applies back-pressure instead
-	// of letting the scheduler queue grow without bound.
-	for len(t.parts)+t.held >= t.maxPending && t.err == nil && !t.closed {
+	// The budget counts buffered parts and runs and the batch of every
+	// merge still queued or running, so a slow aggregator applies
+	// back-pressure instead of letting the scheduler queue grow without
+	// bound.
+	for len(t.parts)+len(t.runs)+t.held >= t.maxPending && t.err == nil && !t.closed {
 		t.cond.Wait()
 	}
 	if t.err != nil || t.closed {
@@ -137,31 +145,39 @@ func (t *LocalTree) Discard() bool {
 	return preempted
 }
 
-// dueLocked reports whether the buffered parts make a batch for a caller
-// that accounts for self of t.tasks (1 inside a task, else 0): batchMin
-// are waiting, or inputs are closed and nobody else can still add a run —
-// then whatever remains is the final batch.
-func (t *LocalTree) dueLocked(self int) bool {
-	n := len(t.parts)
-	return t.err == nil && n >= 2 && (n >= t.batchMin || (t.closed && t.tasks == self))
-}
-
-// takeBatchLocked moves every buffered part into a batch for one merge.
-// The parts stay in the back-pressure budget (held) until merged.
-func (t *LocalTree) takeBatchLocked() []*bufpool.Buf {
-	batch := t.parts
-	t.parts = make([]*bufpool.Buf, 0, len(batch))
+// takeBatchLocked moves the next due batch out of the buffers, for a
+// caller that accounts for self of t.tasks (1 inside a task, else 0), or
+// returns nil if none is due. A batch is one kind: batchMin parts are
+// waiting, or batchMin runs are — a list due is taken whole. Once inputs
+// are closed and nobody else can still add a run, whatever remains of
+// both is the final batch. The batch stays in the back-pressure budget
+// (held) until merged.
+func (t *LocalTree) takeBatchLocked(self int) []*bufpool.Buf {
+	if t.err != nil {
+		return nil
+	}
+	var batch []*bufpool.Buf
+	switch {
+	case len(t.parts) >= t.batchMin:
+		batch, t.parts = t.parts, make([]*bufpool.Buf, 0, len(t.parts))
+	case len(t.runs) >= t.batchMin:
+		batch, t.runs = t.runs, make([]*bufpool.Buf, 0, len(t.runs))
+	case t.closed && t.tasks == self && len(t.parts)+len(t.runs) >= 2:
+		batch = append(t.parts, t.runs...)
+		t.parts, t.runs = nil, nil
+	default:
+		return nil
+	}
 	t.held += len(batch)
 	return batch
 }
 
-// scheduleLocked submits a merge task for the buffered parts if they make
-// a batch.
+// scheduleLocked submits a merge task for the next due batch, if any.
 func (t *LocalTree) scheduleLocked() {
-	if !t.dueLocked(0) {
+	batch := t.takeBatchLocked(0)
+	if batch == nil {
 		return
 	}
-	batch := t.takeBatchLocked()
 	t.tasks++
 	if err := t.sched.Submit(t.app, func() { t.mergeTask(batch) }); err != nil {
 		t.tasks--
@@ -174,15 +190,16 @@ func (t *LocalTree) scheduleLocked() {
 }
 
 // mergeTask is the body of one aggregation task: it merges its batch in
-// one call and puts the run back among the parts. Every batch of a request
-// gets a task of its own, so independent batches merge in parallel,
-// pipelined with arrival.
+// one call and adds the run to the runs. Every batch of a request gets a
+// task of its own, so independent batches merge in parallel, pipelined
+// with arrival: a first-level batch holds no run, so it never waits for
+// another task.
 //
 // The task runs cut-through (§3.2.1 pipelined aggregation): if its run
-// makes another batch due — enough parts were already waiting, or inputs
-// are closed and this is the last task — it merges that one too instead
-// of sending it round through the scheduler. Associativity and
-// commutativity make any grouping equivalent to a static tree.
+// makes another batch due — it completes batchMin runs, or inputs are
+// closed and this is the last task — it merges that one too instead of
+// sending it round through the scheduler. Associativity and commutativity
+// make any grouping give the same result.
 func (t *LocalTree) mergeTask(batch []*bufpool.Buf) {
 	for {
 		run, err := t.merge(batch)
@@ -190,7 +207,7 @@ func (t *LocalTree) mergeTask(batch []*bufpool.Buf) {
 		t.merges++
 		t.held -= len(batch)
 		if err == nil && t.err == nil {
-			t.parts = append(t.parts, run) //netagg:owns run
+			t.runs = append(t.runs, run) //netagg:owns run
 		} else {
 			// A failed merge has no run (Release of nil is a no-op); a
 			// run that outlived its tree is nobody's input any more.
@@ -200,10 +217,9 @@ func (t *LocalTree) mergeTask(batch []*bufpool.Buf) {
 			}
 		}
 		t.cond.Broadcast() // the batch left the budget
-		if !t.dueLocked(1) {
+		if batch = t.takeBatchLocked(1); batch == nil {
 			break
 		}
-		batch = t.takeBatchLocked()
 		t.cutThrough++
 		obsCutThrough.Inc()
 		t.mu.Unlock()
@@ -219,12 +235,14 @@ func (t *LocalTree) mergeTask(batch []*bufpool.Buf) {
 // moment it returns.
 func (t *LocalTree) merge(batch []*bufpool.Buf) (*bufpool.Buf, error) {
 	views := make([][]byte, len(batch))
-	size := binary.MaxVarintLen64 // slack for a count prefix wider than any input's
+	size := 0
 	for i, p := range batch {
 		views[i] = p.Bytes()
 		size += p.Len()
 	}
-	buf := bufpool.Get(size)
+	obsMergedBytes.Add(int64(size))
+	// Slack for a count prefix wider than any input's.
+	buf := bufpool.Get(size + binary.MaxVarintLen64)
 	out, err := t.aggregator.Merge(buf.Bytes()[:0], views)
 	for _, p := range batch {
 		p.Release()
@@ -243,9 +261,9 @@ func (t *LocalTree) merge(batch []*bufpool.Buf) (*bufpool.Buf, error) {
 	return buf, nil
 }
 
-// failLocked records the first error, releases the buffered parts (they
-// can never be merged now; running tasks release their own batches) and
-// wakes waiters.
+// failLocked records the first error, releases the buffered parts and
+// runs (they can never be merged now; running tasks release their own
+// batches) and wakes waiters.
 func (t *LocalTree) failLocked(err error) {
 	if t.err == nil {
 		t.err = err
@@ -253,7 +271,10 @@ func (t *LocalTree) failLocked(err error) {
 	for _, p := range t.parts {
 		p.Release()
 	}
-	t.parts = nil
+	for _, r := range t.runs {
+		r.Release()
+	}
+	t.parts, t.runs = nil, nil
 	t.cond.Broadcast()
 	t.maybeFinishLocked()
 }
@@ -263,14 +284,18 @@ func (t *LocalTree) maybeFinishLocked() {
 	if t.finished || t.tasks > 0 {
 		return
 	}
-	if t.err == nil && (!t.closed || len(t.parts) > 1) {
+	if t.err == nil && (!t.closed || len(t.parts)+len(t.runs) > 1) {
 		return
 	}
 	t.finished = true
-	if len(t.parts) == 1 {
+	// At most one input is left, of either kind (an error released both).
+	switch {
+	case len(t.parts) == 1:
 		t.result = t.parts[0]
+	case len(t.runs) == 1:
+		t.result = t.runs[0]
 	}
-	t.parts = nil
+	t.parts, t.runs = nil, nil
 	if t.onDone != nil {
 		// Fire on a fresh goroutine so the callback can safely use the
 		// scheduler or take locks without risking re-entrancy. The result

@@ -284,7 +284,7 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 	if _, ok := m.Gauges["replan.congested_boxes"]; !ok {
 		t.Error("/metrics missing gauge replan.congested_boxes")
 	}
-	for _, name := range []string{"box.frames_aggregated", "replan.ticks", "replan.migrations"} {
+	for _, name := range []string{"box.frames_aggregated", "box.merged_bytes", "replan.ticks", "replan.migrations"} {
 		if m.Counters[name] == 0 {
 			t.Errorf("%s is 0 after a completed job and a forced migration", name)
 		}
