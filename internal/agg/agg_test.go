@@ -559,6 +559,13 @@ func trapItemsPayload(rn *stats.Rand, n int) []byte {
 	return itemsPayload(rn, items)
 }
 
+// outOfOrder encodes items in descending byte order, so that the part is
+// indexed unless its items are all equal.
+func outOfOrder(items [][]byte) []byte {
+	slices.SortFunc(items, func(a, b []byte) int { return bytes.Compare(b, a) })
+	return EncodeItems(items)
+}
+
 // randomItems draws n items of up to maxLen bytes (exactly maxLen if
 // fixed), each byte one of values values.
 func randomItems(rn *stats.Rand, n, maxLen int, fixed bool, values int) [][]byte {
@@ -579,16 +586,43 @@ func randomItems(rn *stats.Rand, n, maxLen int, fixed bool, values int) [][]byte
 // The streaming merge against the reference, byte for byte: parts in and
 // out of order mixed, part counts on both sides of the batch size and of
 // the stack frame's cursors, items short enough to be all padding, long
-// enough to be all prefix, and drawn from few enough values to repeat.
+// enough to be all prefix, and drawn from few enough values to repeat. The
+// out-of-order parts of one call share one index, so ties on the word meet
+// across parts there ("traps-unsorted"), and its top-byte buckets are
+// sorted two ways: by insertion up to smallBucket entries, past it by
+// slices.SortFunc ("one-bucket": every item shares its first byte; and
+// "cutoff", buckets of exactly smallBucket and smallBucket + 1).
 func TestConcatMergeMatchesReference(t *testing.T) {
 	rn := stats.NewRand(24)
+	check := func(name string, parts [][]byte) {
+		t.Helper()
+		got, err := Concat{}.Merge([]byte("dst"), parts)
+		want, _ := referenceConcat(parts)
+		if err != nil || !bytes.Equal(got, append([]byte("dst"), want...)) {
+			t.Fatalf("%s, %d parts: %v, differs from the reference: %x, want %x", name, len(parts), err, got, want)
+		}
+	}
 	gens := []struct {
 		name string
 		gen  func() []byte
 	}{
 		{"traps", func() []byte { return trapItemsPayload(rn, 12) }},
+		{"traps-unsorted", func() []byte {
+			items := make([][]byte, 2+rn.Intn(10))
+			for i := range items {
+				items[i] = trapItems[rn.Intn(len(trapItems))]
+			}
+			return outOfOrder(items)
+		}},
 		// Lengths 0-12 over two byte values: heavy duplicates.
 		{"short", func() []byte { return itemsPayload(rn, randomItems(rn, rn.Intn(20), 12, false, 2)) }},
+		{"one-bucket", func() []byte {
+			items := randomItems(rn, 2+rn.Intn(20), 12, false, 2)
+			for i := range items {
+				items[i] = append([]byte{'A'}, items[i]...)
+			}
+			return outOfOrder(items)
+		}},
 		// The benchmark's shape.
 		{"rows", func() []byte { return itemsPayload(rn, randomItems(rn, rn.Intn(8), 100, true, 256)) }},
 	}
@@ -599,12 +633,32 @@ func TestConcatMergeMatchesReference(t *testing.T) {
 				for i := range parts {
 					parts[i] = g.gen()
 				}
-				got, err := Concat{}.Merge([]byte("dst"), parts)
-				want, _ := referenceConcat(parts)
-				if err != nil || !bytes.Equal(got, append([]byte("dst"), want...)) {
-					t.Fatalf("%s, %d parts: %v, differs from the reference: %x, want %x", g.name, k, err, got, want)
+				check(g.name, parts)
+			}
+		}
+	}
+	// Items distinct by construction — the bucket's byte, a serial, up to
+	// eight bytes over two values, so words still tie on padding — dealt
+	// round-robin over parts of at least six, each strictly descending, so
+	// that every item is in the index and the buckets are exactly the sizes.
+	for _, k := range []int{1, 2, 8} {
+		for trial := 0; trial < 20; trial++ {
+			var items [][]byte
+			for b, n := range []int{smallBucket, smallBucket + 1} {
+				for i := 0; i < n; i++ {
+					tail := randomItems(rn, 1, 8, false, 2)[0]
+					items = append(items, append([]byte{byte('a' + b), byte(i)}, tail...))
 				}
 			}
+			dealt := make([][][]byte, k)
+			for i, it := range items {
+				dealt[i%k] = append(dealt[i%k], it)
+			}
+			parts := make([][]byte, k)
+			for i := range parts {
+				parts[i] = outOfOrder(dealt[i])
+			}
+			check("cutoff", parts)
 		}
 	}
 }
@@ -694,6 +748,19 @@ func TestConcatMergeMemoryIsBounded(t *testing.T) {
 	}
 	if got := allocatedBy(func() { mustMerge(dst, [][]byte{backwards}) }); got > 16*pairs+64<<10 {
 		t.Errorf("merging a 1 MiB out-of-order part of %d items allocated %d bytes, want 16 an item", pairs, got)
+	}
+
+	// The same items dealt over sixteen out-of-order parts share one index,
+	// partitioned in place: still sixteen bytes an item, no scratch array.
+	dealt := make([][]byte, 16)
+	for i := range dealt {
+		dealt[i] = binary.AppendUvarint(nil, pairs/16)
+	}
+	for i := pairs / 16 * 16; i > 0; i-- {
+		dealt[i%16] = append(dealt[i%16], 2, byte(i>>8), byte(i))
+	}
+	if got := allocatedBy(func() { mustMerge(dst, dealt) }); got > 16*pairs+64<<10 {
+		t.Errorf("merging sixteen out-of-order parts of %d items allocated %d bytes, want 16 an item", pairs, got)
 	}
 }
 

@@ -98,27 +98,38 @@ func prefixWord(item []byte) uint64 {
 	return w
 }
 
-// itemRef is one entry of an out-of-order part's index, sixteen bytes an
-// item: the item is body[off:end].
+// itemRef is one entry of a merge's index of out-of-order items, sixteen
+// bytes an item: the item's record — its length varint, then its bytes —
+// starts at parts[part][off].
 type itemRef struct {
-	word     uint64
-	off, end uint32
+	word      uint64
+	part, off uint32
+}
+
+// itemAt is the item whose record starts at part[off], a record scan has
+// validated.
+func itemAt(part []byte, off uint32) []byte {
+	ilen, n := binary.Uvarint(part[off:])
+	start := int(off) + n
+	return part[start : start+int(ilen)]
 }
 
 // itemCursor reads one encoded items payload item by item, in byte order,
 // without decoding it. A part whose items are already in order — every run
 // a box hands on, every result a master folds — is read in place: rest
-// shrinks past each item and nothing is kept beside the bytes. A part that
-// is not (a worker's raw part: EncodeItems promises no order, so unlike the
-// KV and docs merges this one cannot refuse it) is read through an index of
-// its own items, sorted once. Either way item is a sub-slice of the part.
+// shrinks past each item and nothing is kept beside the bytes. The parts
+// that are not (a worker's raw parts: EncodeItems promises no order, so
+// unlike the KV and docs merges this one cannot refuse them) are read
+// together through one index of all their items, sorted once, which the
+// first of them walks and the others leave empty. Either way item is a
+// sub-slice of a part.
 type itemCursor struct {
 	item  []byte    // current item
-	rest  []byte    // in place: the encoded items after it; indexed: the part's items
-	index []itemRef // indexed: the entries after the current one
+	rest  []byte    // in place: the encoded items after it
+	index []itemRef // the index: the entries after the current one
 	left  uint64    // items after the current one
 	// indexed is set by scan on a part out of order; indexItems then
-	// builds index.
+	// builds the index.
 	indexed bool
 }
 
@@ -157,10 +168,11 @@ func (c *itemCursor) scan(part []byte) error {
 }
 
 // next steps to the following item in byte order and returns its prefix
-// word; ok is false once the part is exhausted.
+// word; ok is false once the part is exhausted. parts are the merge's,
+// which the index points into.
 //
 //netagg:hotpath
-func (c *itemCursor) next() (word uint64, ok bool) {
+func (c *itemCursor) next(parts [][]byte) (word uint64, ok bool) {
 	if c.left == 0 {
 		return 0, false
 	}
@@ -168,7 +180,7 @@ func (c *itemCursor) next() (word uint64, ok bool) {
 	if c.indexed {
 		ref := c.index[0]
 		c.index = c.index[1:]
-		c.item = c.rest[ref.off:ref.end]
+		c.item = itemAt(parts[ref.part], ref.off)
 		return ref.word, true
 	}
 	ilen, n := binary.Uvarint(c.rest)
@@ -177,35 +189,109 @@ func (c *itemCursor) next() (word uint64, ok bool) {
 	return prefixWord(c.item), true
 }
 
-// indexItems gives every out-of-order cursor its index, all of them cut
-// from one allocation of total entries, each sorted in the merge's own
-// two-step order. It is Merge's slow path, kept out of the hot function
-// like moreItemCursors.
+// indexItems puts every item of every out-of-order cursor into one index of
+// total entries, sorts it, and hands it to the first such cursor; the
+// others are left empty. It is Merge's slow path, kept out of the hot
+// function like moreItemCursors: the one allocation is here, the sort in
+// sortItemRefs.
 //
 //go:noinline
-func indexItems(cursors []itemCursor, total uint64) {
-	refs := make([]itemRef, total)
+func indexItems(cursors []itemCursor, parts [][]byte, total uint64) {
+	refs := make([]itemRef, 0, total)
+	var head *itemCursor
 	for i := range cursors {
 		c := &cursors[i]
 		if !c.indexed {
 			continue
 		}
-		body := c.rest
-		c.index, refs = refs[:c.left:c.left], refs[c.left:]
-		off := 0
-		for j := range c.index {
-			ilen, n := binary.Uvarint(body[off:])
+		part := parts[i]
+		off := len(part) - len(c.rest)
+		for range c.left {
+			ilen, n := binary.Uvarint(part[off:])
 			end := off + n + int(ilen)
-			c.index[j] = itemRef{word: prefixWord(body[off+n : end]), off: uint32(off + n), end: uint32(end)}
+			refs = append(refs, itemRef{word: prefixWord(part[off+n : end]), part: uint32(i), off: uint32(off)})
 			off = end
 		}
-		slices.SortFunc(c.index, func(a, b itemRef) int {
+		if head == nil {
+			head = c
+		} else {
+			c.left = 0
+		}
+	}
+	sortItemRefs(refs, parts)
+	head.index, head.left = refs, total
+}
+
+// smallBucket is the largest bucket sortItemRefs sorts by insertion; a
+// larger one goes to slices.SortFunc.
+const smallBucket = 24
+
+// sortItemRefs sorts an index in the merge's two-step order. One in-place
+// pass partitions it on the word's top byte (American flag sort: count the
+// buckets, place their starts, cycle each entry into its bucket), so that
+// no scratch array is needed and an entry stays the only cost of an item;
+// then each bucket is sorted on its own. Random rows leave buckets of a
+// few entries each; if every entry shares its top byte the partition was
+// one linear pass before an ordinary sort.
+//
+//netagg:hotpath
+func sortItemRefs(refs []itemRef, parts [][]byte) {
+	var next, end [256]int
+	for _, r := range refs {
+		end[r.word>>56]++
+	}
+	sum := 0
+	for b, n := range end {
+		next[b] = sum
+		sum += n
+		end[b] = sum
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			r := refs[next[b]]
+			for d := r.word >> 56; d != uint64(b); d = r.word >> 56 {
+				r, refs[next[d]] = refs[next[d]], r
+				next[d]++
+			}
+			refs[next[b]] = r
+			next[b]++
+		}
+	}
+	start := 0
+	for _, e := range end {
+		bucket := refs[start:e]
+		start = e
+		if len(bucket) <= smallBucket {
+			for i := 1; i < len(bucket); i++ {
+				r, j := bucket[i], i
+				for ; j > 0 && lessRef(parts, r, bucket[j-1]); j-- {
+					bucket[j] = bucket[j-1]
+				}
+				bucket[j] = r
+			}
+			continue
+		}
+		slices.SortFunc(bucket, func(a, b itemRef) int {
 			if a.word != b.word {
 				return cmp.Compare(a.word, b.word)
 			}
-			return bytes.Compare(body[a.off:a.end], body[b.off:b.end])
+			return compareRefItems(parts, a, b)
 		})
 	}
+}
+
+// lessRef orders two index entries: on the word, and on a tie — inside one
+// part or across two — on the items.
+func lessRef(parts [][]byte, a, b itemRef) bool {
+	return a.word < b.word || a.word == b.word && compareRefItems(parts, a, b) < 0
+}
+
+// compareRefItems compares the items of two entries, the second step of
+// both of sortItemRefs' orders, out of line as tieLess is.
+//
+//go:noinline
+func compareRefItems(parts [][]byte, a, b itemRef) int {
+	return bytes.Compare(itemAt(parts[a.part], a.off), itemAt(parts[b.part], b.off))
 }
 
 // itemHead is one heap entry of the merge: a cursor's current word beside
@@ -266,8 +352,9 @@ func moreItemCursors(n int) ([]itemCursor, []itemHead) {
 // sub-slices of the input they are, the output written once. Every part
 // is validated before the first byte is written, so the merge itself
 // cannot fail; parts already in byte order are read in place and only the
-// others are indexed and sorted. Equal items are all kept, side by side.
-// The byte order is what keeps the fold commutative.
+// others are indexed, together, and sorted — a first-level batch of raw
+// parts is one cursor, a heap of one. Equal items are all kept, side by
+// side. The byte order is what keeps the fold commutative.
 //
 //netagg:hotpath
 func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
@@ -290,11 +377,11 @@ func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 		}
 	}
 	if unsorted > 0 {
-		indexItems(cursors, unsorted)
+		indexItems(cursors, parts, unsorted)
 	}
 	live := 0
 	for i := range cursors {
-		if word, ok := cursors[i].next(); ok {
+		if word, ok := cursors[i].next(parts); ok {
 			heap[live] = itemHead{word: word, cur: i}
 			live++
 		}
@@ -308,7 +395,7 @@ func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	for len(heap) > 0 {
 		c := &cursors[heap[0].cur]
 		dst = appendItem(dst, c.item)
-		if word, ok := c.next(); ok {
+		if word, ok := c.next(parts); ok {
 			heap[0].word = word
 		} else {
 			heap[0] = heap[len(heap)-1]

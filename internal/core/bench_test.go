@@ -12,8 +12,11 @@ import (
 // benchKVParts builds k parts in the fabric benchmark's mapred_kv shape:
 // eight workers each draw 200k keys Zipf(1.1) from 20k, combine map-side,
 // sort and chunk at 512 pairs (28-29 parts of ~6 kB a worker); the parts
-// are taken round-robin across the workers, the order a box sees them in,
-// so their key ranges overlap.
+// are taken round-robin across the workers, so their key ranges overlap.
+// That is not the order the e2e pass sends them in: its client calls each
+// worker's SendPartials in turn, so a box sees one worker's disjoint,
+// ascending chunks after another's, and most first-level batches reduce no
+// key (ROADMAP item 5).
 func benchKVParts(k int) [][]byte {
 	const workers, keys, draws, chunk = 8, 20_000, 200_000, 512
 	perWorker := make([][][]byte, workers)
@@ -138,12 +141,13 @@ func benchItemParts(k int) [][]byte {
 }
 
 // BenchmarkConcatMerge is the box's merge step of a sort_concat job at
-// its three shapes: a first-level batch of sixteen raw worker parts (each
-// indexed and sorted), the final batch of the eight runs the box merged
-// itself (read in place; the tree batches its runs apart from the parts, so
-// this is every job's last merge), and one such result alone, as the
-// master folds it. The target is 0 allocs/op on the two sorted shapes and
-// one allocation — the index — on the raw one.
+// its three shapes: a first-level batch of sixteen raw worker parts (one
+// shared index of all their items, partitioned on the top byte of each
+// item's prefix word and read as one cursor), the final batch of the eight
+// runs the box merged itself (read in place; the tree batches its runs
+// apart from the parts, so this is every job's last merge), and one such
+// result alone, as the master folds it. The target is 0 allocs/op on the
+// two sorted shapes and one allocation — the index — on the raw one.
 func BenchmarkConcatMerge(b *testing.B) {
 	raw := benchItemParts(128)
 	runs := make([][]byte, 8)
