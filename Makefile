@@ -14,10 +14,9 @@ test:
 # netagg-lint: repo-specific analyzers (determinism, docrule,
 # lockdiscipline, errcheck-wire, goroutine-hygiene, lockorder, ctxflow,
 # exhaustive, bufown, protocheck). Exit 1 on findings; suppress audited
-# false positives with //lint:ignore <analyzer> <reason> (bufown also
-# honours its own //netagg:bufown-allow <reason> markers, see DESIGN.md
-# §13). Stale suppressions — directives matching nothing — are findings
-# too (DESIGN.md §17).
+# false positives with //lint:ignore <analyzer> <reason>, the one
+# suppression every analyzer takes. Stale suppressions — directives
+# matching nothing — are findings too (DESIGN.md §17).
 lint:
 	$(GO) run ./cmd/netagg-lint ./...
 

@@ -31,8 +31,6 @@ import "fmt"
 
 // Aggregator folds serialised partial results into one.
 type Aggregator interface {
-	// Name identifies the function in logs and scheduling stats.
-	Name() string
 	// Merge folds len(parts) >= 1 canonical payloads into one and appends
 	// the result to dst (append-style: the return value is dst extended,
 	// reallocated only if dst's spare capacity was too small). The result

@@ -505,7 +505,7 @@ func TestDocsMergeRejectsMalformedParts(t *testing.T) {
 		for _, a := range []Aggregator{TopK{K: 2}, TopK{}, Sample{Ratio: 1}, Sample{Ratio: 0.3}} {
 			for _, parts := range [][][]byte{{p}, {p, valid, other}, {valid, p, other}, {valid, other, p}} {
 				if _, err := a.Merge(nil, parts); !errors.Is(err, ErrBadPayload) {
-					t.Fatalf("%s: %s.Merge returned %v, want ErrBadPayload", name, a.Name(), err)
+					t.Fatalf("%s: %T.Merge returned %v, want ErrBadPayload", name, a, err)
 				}
 			}
 		}
@@ -820,7 +820,7 @@ func TestKVMergeReducesKeysInsideAndAcrossParts(t *testing.T) {
 	rn := stats.NewRand(7)
 	for _, op := range []KVOp{OpSum, OpMax, OpMin} {
 		for trial := 0; trial < 200; trial++ {
-			parts := make([][]byte, 1+rn.Intn(40))
+			parts := make([][]byte, 1+rn.Intn(70)) // past kvStackCursors now and then
 			total := 0
 			for i := range parts {
 				kvs := make([]KV, rn.Intn(12))
@@ -952,10 +952,10 @@ func FuzzDocsMerge(f *testing.F) {
 			}
 			want, err := referenceDocs(parts, c.k, c.keep)
 			if err != nil {
-				t.Fatalf("%s.Merge accepted a part DecodeDocs rejects: %v", c.agg.Name(), err)
+				t.Fatalf("%T.Merge accepted a part DecodeDocs rejects: %v", c.agg, err)
 			}
 			if !bytes.Equal(out, want) {
-				t.Fatalf("%s.Merge: %x, reference %x", c.agg.Name(), out, want)
+				t.Fatalf("%T.Merge: %x, reference %x", c.agg, out, want)
 			}
 		}
 	})

@@ -14,9 +14,6 @@ import (
 // items, in byte order once merged.
 type Concat struct{}
 
-// Name implements Aggregator.
-func (Concat) Name() string { return "concat" }
-
 // Combine implements Aggregator.
 func (c Concat) Combine(a, b []byte) ([]byte, error) {
 	return c.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})

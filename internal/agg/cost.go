@@ -20,9 +20,6 @@ type VirtualCost struct {
 	PerKB time.Duration
 }
 
-// Name implements Aggregator.
-func (v VirtualCost) Name() string { return v.Inner.Name() + "+cost" }
-
 // Combine implements Aggregator.
 func (v VirtualCost) Combine(a, b []byte) ([]byte, error) {
 	return v.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})

@@ -292,9 +292,6 @@ type TopK struct {
 	K int
 }
 
-// Name implements Aggregator.
-func (t TopK) Name() string { return "topk" }
-
 // Combine implements Aggregator.
 func (t TopK) Combine(a, b []byte) ([]byte, error) {
 	return t.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
@@ -315,9 +312,6 @@ func (t TopK) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 type Sample struct {
 	Ratio float64
 }
-
-// Name implements Aggregator.
-func (Sample) Name() string { return "sample" }
 
 // keep reports whether a document survives the sample.
 func (s Sample) keep(id uint64) bool {
@@ -356,9 +350,6 @@ type Categorise struct {
 	K          int
 	Categories []Category
 }
-
-// Name implements Aggregator.
-func (Categorise) Name() string { return "categorise" }
 
 const (
 	tagRawDocs byte = 0

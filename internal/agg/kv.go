@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -83,20 +82,6 @@ const (
 	OpMin
 )
 
-// String names the operation.
-func (op KVOp) String() string {
-	switch op {
-	case OpSum:
-		return "sum"
-	case OpMax:
-		return "max"
-	case OpMin:
-		return "min"
-	default:
-		return fmt.Sprintf("op(%d)", int(op))
-	}
-}
-
 // Reduce folds two values of one key.
 func (op KVOp) Reduce(a, b int64) int64 {
 	switch op {
@@ -115,9 +100,6 @@ func (op KVOp) Reduce(a, b int64) int64 {
 type KVCombiner struct {
 	Op KVOp
 }
-
-// Name implements Aggregator.
-func (c KVCombiner) Name() string { return "kv-" + c.Op.String() }
 
 // Combine implements Aggregator.
 func (c KVCombiner) Combine(a, b []byte) ([]byte, error) {

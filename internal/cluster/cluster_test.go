@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,6 +227,82 @@ func TestMonitorDetectsDeadBox(t *testing.T) {
 	}
 	if !d.Dead(1 << 32) {
 		t.Fatal("box should be marked dead in the deployment")
+	}
+}
+
+// TestMonitorDeclaresWedgedBoxDead covers the stall a closed box never
+// shows: a box that accepts and reads heartbeats but never echoes one.
+// Every send succeeds, so each probe must time out, drop its connection
+// and re-dial on the next probe, and the third miss declares the box dead
+// — once.
+func TestMonitorDeclaresWedgedBoxDead(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				io.Copy(io.Discard, c) // reads every heartbeat, answers none
+				c.Close()
+			}()
+		}
+	}()
+	defer wg.Wait()
+	defer ln.Close()
+
+	d := NewDeployment()
+	d.AddBox(BoxInfo{ID: 1 << 32, Addr: ln.Addr().String(), Switch: "tor:0"})
+	// One outcome per probe, read as they come: the buffer only has to
+	// absorb the probes between the last read and Stop.
+	outcomes := make(chan bool, 16)
+	m := NewMonitor(d, 30*time.Millisecond, 3, func(b BoxInfo, died bool) {
+		select {
+		case outcomes <- died:
+		default:
+		}
+	})
+	m.StartContext(t.Context())
+	defer m.Stop()
+	next := func() bool {
+		select {
+		case died := <-outcomes:
+			return died
+		case <-time.After(2 * time.Second):
+			t.Fatal("monitor stopped probing the wedged box")
+			return false
+		}
+	}
+
+	probes := 1
+	for !next() {
+		probes++
+	}
+	if probes != 3 {
+		t.Fatalf("declared dead at probe %d, want the third miss", probes)
+	}
+	if !d.Dead(1 << 32) {
+		t.Fatal("wedged box should be marked dead in the deployment")
+	}
+	for ; probes < 6; probes++ {
+		if next() {
+			t.Fatal("wedged box declared dead twice")
+		}
+	}
+	m.Stop()
+	if n := accepted.Load(); n < int64(probes) {
+		t.Fatalf("%d connections for %d timed-out probes: a probe that times out must drop its connection so the next re-dials", n, probes)
 	}
 }
 

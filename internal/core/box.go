@@ -168,10 +168,6 @@ func Start(cfg Config) (*Box, error) {
 // Addr returns the box's listen address.
 func (b *Box) Addr() string { return b.srv.Addr() }
 
-// Scheduler exposes the task scheduler for resource-share measurements
-// (Figs 25-26).
-func (b *Box) Scheduler() *Scheduler { return b.sched }
-
 // QueueDepth reports the scheduler's current pending task count — the
 // box's primary load signal for load-aware tree planning
 // (treeplan.LoadSignal.QueueDepth).

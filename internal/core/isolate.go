@@ -64,9 +64,6 @@ type guardedAggregator struct {
 	guard *faultGuard
 }
 
-// Name implements agg.Aggregator.
-func (g guardedAggregator) Name() string { return g.inner.Name() }
-
 // Merge implements agg.Aggregator with panic isolation.
 func (g guardedAggregator) Merge(dst []byte, parts [][]byte) (out []byte, err error) {
 	defer func() {

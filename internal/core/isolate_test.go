@@ -12,8 +12,6 @@ import (
 // panicAggregator panics on every merge.
 type panicAggregator struct{}
 
-func (panicAggregator) Name() string { return "boom" }
-
 func (panicAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	panic("malicious aggregation function")
 }

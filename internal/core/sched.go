@@ -19,32 +19,6 @@ import (
 // completion on a pool thread (§3.2.1 "Task scheduler").
 type Task func()
 
-// Policy names the scheduler's weighting policy (§3.2.1). The constant
-// set is exhaustiveness-checked by netagg-lint: every switch over Policy
-// must cover each member or fail loudly.
-type Policy uint8
-
-const (
-	// PolicyFixed uses the statically configured shares: w_i = s_i.
-	PolicyFixed Policy = iota
-	// PolicyAdaptive corrects weights by measured mean task time,
-	// w_i = s_i/t̄_i, so CPU time rather than task count is shared
-	// proportionally (Figs 25-26).
-	PolicyAdaptive
-)
-
-// String names the policy for logs and metrics.
-func (p Policy) String() string {
-	switch p {
-	case PolicyFixed:
-		return "fixed"
-	case PolicyAdaptive:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("Policy(%d)", uint8(p))
-	}
-}
-
 // SchedulerConfig configures the task scheduler.
 type SchedulerConfig struct {
 	// Workers is the fixed thread pool size; 0 defaults to 4.
@@ -256,14 +230,6 @@ func (s *Scheduler) weightLocked(st *appState, fallbackAvg float64) float64 {
 		avg = st.avg.Value()
 	}
 	return st.share / avg
-}
-
-// Policy reports the weighting policy in effect.
-func (s *Scheduler) Policy() Policy {
-	if s.cfg.Adaptive {
-		return PolicyAdaptive
-	}
-	return PolicyFixed
 }
 
 // CPUTime returns the accumulated task execution time of an application,

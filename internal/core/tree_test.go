@@ -367,8 +367,6 @@ type scriptedAggregator struct {
 	before func(call int64) error
 }
 
-func (*scriptedAggregator) Name() string { return "scripted" }
-
 func (a *scriptedAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	if err := a.before(a.calls.Add(1)); err != nil {
 		return dst, err
@@ -383,8 +381,6 @@ func (a *scriptedAggregator) Combine(x, y []byte) ([]byte, error) {
 // growingAggregator returns more bytes than it was given, so its output
 // cannot fit the buffer the tree sized from the inputs.
 type growingAggregator struct{}
-
-func (growingAggregator) Name() string { return "growing" }
 
 func (growingAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	for _, p := range parts {
@@ -620,8 +616,6 @@ func TestLocalTreeBackpressure(t *testing.T) {
 type slowAggregator struct {
 	delay time.Duration
 }
-
-func (slowAggregator) Name() string { return "slow" }
 
 func (sa slowAggregator) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	time.Sleep(sa.delay)

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Bufown is the payload-buffer ownership analyzer. internal/bufpool
@@ -48,8 +47,9 @@ import (
 //
 // and, trailing a statement (or standalone on the line above it):
 //
-//	//netagg:owns <var>            sanctions a store/send/go hand-off
-//	//netagg:bufown-allow <reason> suppresses bufown findings on the line
+//	//netagg:owns <var>  sanctions a store/send/go hand-off
+//
+// An audited violation takes //lint:ignore bufown <reason>.
 //
 // Scope: non-test files that import netagg/internal/bufpool or
 // netagg/internal/wire (the wire layer re-exports pool references as
@@ -94,14 +94,8 @@ func (Bufown) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)
 		return
 	}
 
-	bo := &bufownPkg{
-		pkg:        p,
-		paramAnns:  make(map[string]map[string]string),
-		returnsBuf: make(map[string]bool),
-		lines:      make(map[*File]bufownLines),
-	}
+	bo := &bufownPkg{pkg: p, returnsBuf: make(map[string]bool)}
 	for key, fs := range p.funcs {
-		bo.paramAnns[key] = bufownParamAnns(fs.decl)
 		bo.returnsBuf[key] = returnsBufPtr(fs)
 	}
 
@@ -119,126 +113,18 @@ func (Bufown) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)
 			fs:          fs,
 			f:           f,
 			bufpoolName: importName(f.AST, bufpoolPath),
-			lines:       bo.lineDirectives(f),
 			report:      report,
 		}
 		w.checkFunc()
-	}
-
-	// A //netagg:bufown-allow that suppressed nothing is stale: it claims
-	// an audited violation that no longer exists, so its recorded reason
-	// misdocuments the line. Only files the walk actually analyzed are
-	// scanned (bo.lines is populated per analyzed file).
-	checked := make([]*File, 0, len(bo.lines))
-	for f := range bo.lines {
-		checked = append(checked, f)
-	}
-	sort.Slice(checked, func(i, j int) bool { return checked[i].Path < checked[j].Path })
-	for _, f := range checked {
-		allow := bo.lines[f].allow
-		lines := make([]int, 0, len(allow))
-		for line := range allow {
-			lines = append(lines, line)
-		}
-		sort.Ints(lines)
-		seen := make(map[*bufownAllow]bool)
-		for _, line := range lines {
-			a := allow[line]
-			if seen[a] || a.used {
-				continue
-			}
-			seen[a] = true
-			report(a.pos, "//netagg:bufown-allow suppresses nothing: the finding it audited is gone, so the directive (and its reason) should go too")
-		}
 	}
 }
 
 // bufownPkg is the per-package analysis context.
 type bufownPkg struct {
 	pkg *pkgSummary
-	// paramAnns maps a function key to its parameters' doc-comment
-	// annotations: "owns" or "borrows".
-	paramAnns map[string]map[string]string
 	// returnsBuf marks functions whose results include *bufpool.Buf:
 	// calling them acquires a reference.
 	returnsBuf map[string]bool
-	lines      map[*File]bufownLines
-}
-
-// bufownLines indexes the statement-level directives of one file.
-type bufownLines struct {
-	// owns marks lines whose stores/sends/discards are declared
-	// ownership hand-offs.
-	owns map[int]bool
-	// allow maps lines whose bufown findings are suppressed with a
-	// recorded reason to the suppressing directive (shared between the
-	// comment's own line and the next for standalone comments, so usage
-	// marks land on the one directive).
-	allow map[int]*bufownAllow
-}
-
-// bufownAllow is one //netagg:bufown-allow comment, tracked so
-// suppressions that no longer suppress anything are reported as stale.
-type bufownAllow struct {
-	pos  token.Pos
-	used bool
-}
-
-// lineDirectives scans (once per file) for trailing //netagg:owns and
-// //netagg:bufown-allow comments. A standalone comment applies to the
-// next code line, a trailing comment to its own line — the same
-// convention as //lint:ignore.
-func (bo *bufownPkg) lineDirectives(f *File) bufownLines {
-	if l, ok := bo.lines[f]; ok {
-		return l
-	}
-	l := bufownLines{owns: make(map[int]bool), allow: make(map[int]*bufownAllow)}
-	for _, cg := range f.AST.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			pos := f.Fset.Position(c.Pos())
-			switch {
-			case strings.HasPrefix(text, "netagg:owns"):
-				l.owns[pos.Line] = true
-				if f.standalone(pos) {
-					l.owns[pos.Line+1] = true
-				}
-			case strings.HasPrefix(text, "netagg:bufown-allow"):
-				if len(strings.Fields(text)) < 2 {
-					continue // a suppression without a reason is ignored
-				}
-				a := &bufownAllow{pos: c.Pos()}
-				l.allow[pos.Line] = a
-				if f.standalone(pos) {
-					l.allow[pos.Line+1] = a
-				}
-			}
-		}
-	}
-	bo.lines[f] = l
-	return l
-}
-
-// bufownParamAnns parses //netagg:owns and //netagg:borrows parameter
-// annotations from a function's doc comment.
-func bufownParamAnns(decl *ast.FuncDecl) map[string]string {
-	anns := make(map[string]string)
-	if decl.Doc == nil {
-		return anns
-	}
-	for _, c := range decl.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		for _, kind := range []string{"owns", "borrows"} {
-			prefix := "netagg:" + kind + " "
-			if strings.HasPrefix(text, prefix) {
-				fields := strings.Fields(strings.TrimPrefix(text, prefix))
-				if len(fields) > 0 {
-					anns[fields[0]] = kind
-				}
-			}
-		}
-	}
-	return anns
 }
 
 // returnsBufPtr reports whether the function's results include a
@@ -362,29 +248,18 @@ type bufownWalk struct {
 	fs          *funcSummary
 	f           *File
 	bufpoolName string // this file's import name for bufpool ("" if none)
-	lines       bufownLines
 	report      func(pos token.Pos, msg string)
 }
 
 func (w *bufownWalk) line(p token.Pos) int { return w.f.Fset.Position(p).Line }
 
-// emit reports unless the line carries a //netagg:bufown-allow.
-func (w *bufownWalk) emit(pos token.Pos, msg string) {
-	if a := w.lines.allow[w.line(pos)]; a != nil {
-		a.used = true
-		return
-	}
-	w.report(pos, msg)
-}
-
 // ownsLine reports whether the statement's line sanctions hand-offs.
-func (w *bufownWalk) ownsLine(pos token.Pos) bool { return w.lines.owns[w.line(pos)] }
+func (w *bufownWalk) ownsLine(pos token.Pos) bool { return w.f.owns[w.line(pos)] }
 
 func (w *bufownWalk) checkFunc() {
 	env := make(ownEnv)
-	anns := w.bo.paramAnns[w.fs.key]
 	for _, name := range paramNames(w.fs.decl) {
-		switch anns[name] {
+		switch w.fs.paramAnns[name] {
 		case "owns":
 			env[name] = &ownVar{state: stOwned, pos: w.fs.decl.Pos(), what: "//netagg:owns parameter"}
 		case "borrows":
@@ -408,9 +283,9 @@ func (w *bufownWalk) checkExit(env ownEnv, pos token.Pos) {
 		v := env[name]
 		switch v.state {
 		case stOwned:
-			w.emit(pos, fmt.Sprintf("reference %q (%s, line %d) leaks on this path: Release it, return it, or hand it off with //netagg:owns", name, v.what, w.line(v.pos)))
+			w.report(pos, fmt.Sprintf("reference %q (%s, line %d) leaks on this path: Release it, return it, or hand it off with //netagg:owns", name, v.what, w.line(v.pos)))
 		case stMaybe:
-			w.emit(pos, fmt.Sprintf("reference %q (%s, line %d) is released on some paths but not this one", name, v.what, w.line(v.pos)))
+			w.report(pos, fmt.Sprintf("reference %q (%s, line %d) is released on some paths but not this one", name, v.what, w.line(v.pos)))
 		case stDone, stBorrowed:
 			// Discharged, or never ours to release.
 		}
@@ -441,7 +316,7 @@ func (w *bufownWalk) walkBlock(b *ast.BlockStmt, env ownEnv) bool {
 			continue
 		}
 		if !term && (v.state == stOwned || v.state == stMaybe) {
-			w.emit(b.Rbrace, fmt.Sprintf("reference %q (%s, line %d) goes out of scope without Release", name, v.what, w.line(v.pos)))
+			w.report(b.Rbrace, fmt.Sprintf("reference %q (%s, line %d) goes out of scope without Release", name, v.what, w.line(v.pos)))
 		}
 		delete(env, name)
 	}
@@ -524,7 +399,7 @@ func (w *bufownWalk) assign(s *ast.AssignStmt, env ownEnv) {
 	for _, lhs := range s.Lhs {
 		if id, ok := lhs.(*ast.Ident); ok {
 			if v := env[id.Name]; v != nil && v.state == stOwned {
-				w.emit(s.Pos(), fmt.Sprintf("%q is reassigned while still owning its reference (%s, line %d)", id.Name, v.what, w.line(v.pos)))
+				w.report(s.Pos(), fmt.Sprintf("%q is reassigned while still owning its reference (%s, line %d)", id.Name, v.what, w.line(v.pos)))
 			}
 			delete(env, id.Name)
 		}
@@ -540,12 +415,12 @@ func (w *bufownWalk) bind(id *ast.Ident, rhs ast.Expr, env ownEnv) {
 	if desc, ok := w.acquireDesc(rhs); ok {
 		if name == "_" {
 			if !w.ownsLine(id.Pos()) {
-				w.emit(id.Pos(), fmt.Sprintf("result of %s is discarded: the reference can never be released (mark the hand-off with //netagg:owns if intended)", desc))
+				w.report(id.Pos(), fmt.Sprintf("result of %s is discarded: the reference can never be released (mark the hand-off with //netagg:owns if intended)", desc))
 			}
 			return
 		}
 		if v := env[name]; v != nil && v.state == stOwned {
-			w.emit(id.Pos(), fmt.Sprintf("%q is rebound while still owning its reference (%s, line %d)", name, v.what, w.line(v.pos)))
+			w.report(id.Pos(), fmt.Sprintf("%q is rebound while still owning its reference (%s, line %d)", name, v.what, w.line(v.pos)))
 		}
 		env[name] = &ownVar{state: stOwned, pos: id.Pos(), what: desc}
 		return
@@ -568,7 +443,7 @@ func (w *bufownWalk) bind(id *ast.Ident, rhs ast.Expr, env ownEnv) {
 	// vars sunk into a locally-bound container transfer silently (the
 	// container's fate is out of reach, see the false-negative notes).
 	if v := env[name]; v != nil && v.state == stOwned {
-		w.emit(id.Pos(), fmt.Sprintf("%q is reassigned while still owning its reference (%s, line %d)", name, v.what, w.line(v.pos)))
+		w.report(id.Pos(), fmt.Sprintf("%q is reassigned while still owning its reference (%s, line %d)", name, v.what, w.line(v.pos)))
 		delete(env, name)
 	}
 	for _, tracked := range w.storedVars(rhs, env) {
@@ -588,10 +463,10 @@ func (w *bufownWalk) storeCheck(pos token.Pos, rhs ast.Expr, env ownEnv, how str
 		v := env[name]
 		switch v.state {
 		case stBorrowed:
-			w.emit(pos, fmt.Sprintf("borrowed %q escapes (%s): the caller owns its backing buffer only for this call", name, how))
+			w.report(pos, fmt.Sprintf("borrowed %q escapes (%s): the caller owns its backing buffer only for this call", name, how))
 		case stOwned, stMaybe:
 			if !w.ownsLine(pos) {
-				w.emit(pos, fmt.Sprintf("owned reference %q is %s without an ownership marker: annotate the line with //netagg:owns %s", name, how, name))
+				w.report(pos, fmt.Sprintf("owned reference %q is %s without an ownership marker: annotate the line with //netagg:owns %s", name, how, name))
 			}
 			v.state = stDone
 		case stDone:
@@ -620,10 +495,10 @@ func (w *bufownWalk) handOff(pos token.Pos, e ast.Expr, env ownEnv, how string) 
 		v := env[name]
 		switch v.state {
 		case stBorrowed:
-			w.emit(pos, fmt.Sprintf("borrowed %q is %s: the caller owns its backing buffer only for this call", name, how))
+			w.report(pos, fmt.Sprintf("borrowed %q is %s: the caller owns its backing buffer only for this call", name, how))
 		case stOwned, stMaybe:
 			if !w.ownsLine(pos) {
-				w.emit(pos, fmt.Sprintf("owned reference %q is %s without an ownership marker: annotate the line with //netagg:owns %s", name, how, name))
+				w.report(pos, fmt.Sprintf("owned reference %q is %s without an ownership marker: annotate the line with //netagg:owns %s", name, how, name))
 			}
 			v.state = stDone
 		case stDone:
@@ -646,15 +521,15 @@ func (w *bufownWalk) exprStmt(e ast.Expr, env ownEnv) {
 		case stOwned, stMaybe:
 			v.state = stDone
 		case stDone:
-			w.emit(call.Pos(), fmt.Sprintf("double Release of %q: its reference (%s, line %d) was already released or handed off", name, v.what, w.line(v.pos)))
+			w.report(call.Pos(), fmt.Sprintf("double Release of %q: its reference (%s, line %d) was already released or handed off", name, v.what, w.line(v.pos)))
 		case stBorrowed:
-			w.emit(call.Pos(), fmt.Sprintf("Release of borrowed %q: the caller owns this reference", name))
+			w.report(call.Pos(), fmt.Sprintf("Release of borrowed %q: the caller owns this reference", name))
 		}
 		return
 	}
 	if desc, ok := w.acquireDesc(e); ok {
 		if !w.ownsLine(e.Pos()) {
-			w.emit(e.Pos(), fmt.Sprintf("result of %s is discarded: the reference can never be released (mark the hand-off with //netagg:owns if intended)", desc))
+			w.report(e.Pos(), fmt.Sprintf("result of %s is discarded: the reference can never be released (mark the hand-off with //netagg:owns if intended)", desc))
 		}
 		return
 	}
@@ -680,11 +555,11 @@ func (w *bufownWalk) callEffects(e ast.Expr, env ownEnv) {
 }
 
 func (w *bufownWalk) callArgs(call *ast.CallExpr, env ownEnv) {
-	key := w.bo.pkg.resolveCallee(w.fs.typeEnv, call)
+	var callee *funcSummary
 	var calleeParams []string
-	if key != "" {
-		if fs := w.bo.pkg.funcs[key]; fs != nil {
-			calleeParams = paramNames(fs.decl)
+	if key := w.bo.pkg.resolveCallee(w.fs.typeEnv, call); key != "" {
+		if callee = w.bo.pkg.funcs[key]; callee != nil {
+			calleeParams = paramNames(callee.decl)
 		}
 	}
 	for i, arg := range call.Args {
@@ -700,10 +575,8 @@ func (w *bufownWalk) callArgs(call *ast.CallExpr, env ownEnv) {
 			v.state = stDone
 			continue
 		}
-		if key != "" && i < len(calleeParams) {
-			if w.bo.paramAnns[key][calleeParams[i]] == "owns" {
-				v.state = stDone
-			}
+		if i < len(calleeParams) && callee.paramAnns[calleeParams[i]] == "owns" {
+			v.state = stDone
 		}
 	}
 }
@@ -719,9 +592,9 @@ func (w *bufownWalk) deferStmt(s *ast.DeferStmt, env ownEnv) {
 			// The deferred Release covers every exit from here on.
 			v.state = stDone
 		case stDone:
-			w.emit(s.Pos(), fmt.Sprintf("deferred double Release of %q: its reference (%s, line %d) was already released or handed off", name, v.what, w.line(v.pos)))
+			w.report(s.Pos(), fmt.Sprintf("deferred double Release of %q: its reference (%s, line %d) was already released or handed off", name, v.what, w.line(v.pos)))
 		case stBorrowed:
-			w.emit(s.Pos(), fmt.Sprintf("deferred Release of borrowed %q: the caller owns this reference", name))
+			w.report(s.Pos(), fmt.Sprintf("deferred Release of borrowed %q: the caller owns this reference", name))
 		}
 		return
 	}

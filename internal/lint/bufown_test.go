@@ -337,7 +337,7 @@ func TestBufownAllowSuppression(t *testing.T) {
 func f(n int) {
 	b := bufpool.Get(n)
 	b.Release()
-	b.Release() //netagg:bufown-allow intentional fixture for recycling tests
+	b.Release() //lint:ignore bufown intentional fixture for recycling tests
 }
 `))
 }
@@ -347,7 +347,7 @@ func TestBufownAllowWithoutReasonIsIgnored(t *testing.T) {
 func f(n int) {
 	b := bufpool.Get(n)
 	b.Release()
-	b.Release() //netagg:bufown-allow
+	b.Release() //lint:ignore bufown
 }
 `), `double Release of "b"`)
 }

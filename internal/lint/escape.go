@@ -52,7 +52,7 @@ func HotFuncs(files []*File) []HotFunc {
 		}
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !hasHotpathDirective(fn.Doc) {
+			if !ok || fn.Body == nil || docDirectives(fn, "hotpath") == nil {
 				continue
 			}
 			name := fn.Name.Name
@@ -76,21 +76,6 @@ func HotFuncs(files []*File) []HotFunc {
 		return out[i].Start < out[j].Start
 	})
 	return out
-}
-
-// hasHotpathDirective reports whether a doc comment contains the
-// //netagg:hotpath marker line.
-func hasHotpathDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == "netagg:hotpath" || strings.HasPrefix(text, "netagg:hotpath ") {
-			return true
-		}
-	}
-	return false
 }
 
 // EscapeDiag is one parsed heap-allocation diagnostic.

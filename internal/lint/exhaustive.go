@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// Exhaustive is the enum-coverage analyzer. The wire frame-type and
-// scheduler-policy constant sets (and every other typed iota block in
-// the corpus) gain members as the protocol grows; a switch that silently
+// Exhaustive is the enum-coverage analyzer. The wire frame-type constant
+// set (and every other typed iota block in the corpus) gains members as
+// the protocol grows; a switch that silently
 // drops an unhandled constant turns a new frame type into a hang or a
 // lost result instead of a diagnosable error. The analyzer is
 // corpus-scoped because the constants and the switches live in

@@ -17,7 +17,9 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the flagged line or the line above it.
+// on the flagged line or the line above it; it is the one suppression
+// mechanism. Every comment directive — that one, and the //netagg:
+// annotations the analyzers read — is parsed in this file.
 package lint
 
 import (
@@ -65,6 +67,9 @@ type File struct {
 	// standalone directive appears under two lines (its own and the next)
 	// through the same pointer, so usage marks land on the one directive.
 	ignores map[int][]*ignoreDirective
+	// owns marks the lines a //netagg:owns <var> hand-off marker covers
+	// (bufown, DESIGN.md §13).
+	owns map[int]bool
 }
 
 // ignoreDirective is one //lint:ignore comment, tracked so directives
@@ -81,8 +86,8 @@ type ignoreDirective struct {
 // shared summary, CheckCorpus (CorpusAnalyzer) the whole parsed tree.
 // Scoping — which packages a check applies to — is each hook's own job.
 type Analyzer interface {
-	// Name is the analyzer identifier used in findings, suppression
-	// comments and the allowlist.
+	// Name is the analyzer identifier used in findings and suppression
+	// comments.
 	Name() string
 	// Doc is a one-line description of the enforced invariant.
 	Doc() string
@@ -153,36 +158,69 @@ func ParseSource(fset *token.FileSet, displayPath string, src []byte) (*File, er
 		Test:   strings.HasSuffix(displayPath, "_test.go"),
 		Src:    src,
 	}
-	f.collectIgnores()
+	f.indexLines()
 	return f, nil
 }
 
-// collectIgnores indexes //lint:ignore comments by line.
-func (f *File) collectIgnores() {
+// directive splits a `//lint:<name> args...` or `//netagg:<name> args...`
+// comment into its name ("lint:ignore") and arguments; name is "" for
+// any other comment.
+func directive(c *ast.Comment) (name string, args []string) {
+	text, ok := strings.CutPrefix(c.Text, "//")
+	text = strings.TrimSpace(text)
+	if !ok || !(strings.HasPrefix(text, "lint:") || strings.HasPrefix(text, "netagg:")) {
+		return "", nil
+	}
+	fields := strings.Fields(text)
+	return fields[0], fields[1:]
+}
+
+// docDirectives returns the arguments of each //netagg:<name> line in
+// the function's doc comment: //netagg:hotpath, //netagg:proto-handler
+// <role>, //netagg:owns and //netagg:borrows <param>.
+func docDirectives(decl *ast.FuncDecl, name string) [][]string {
+	if decl.Doc == nil {
+		return nil
+	}
+	var out [][]string
+	for _, c := range decl.Doc.List {
+		if n, args := directive(c); n == "netagg:"+name {
+			out = append(out, args)
+		}
+	}
+	return out
+}
+
+// indexLines indexes the line-scoped directives, //lint:ignore and
+// //netagg:owns <var>, by the lines they cover: a standalone comment
+// (only whitespace before it on the line) covers its own line and the
+// next code line, a trailing comment its own line.
+func (f *File) indexLines() {
 	f.ignores = make(map[int][]*ignoreDirective)
+	f.owns = make(map[int]bool)
 	for _, cg := range f.AST.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "lint:ignore") {
-				continue
-			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:ignore"))
-			fields := strings.Fields(rest)
-			if len(fields) < 2 {
-				// An ignore without a reason is itself ignored: the reason
-				// is the audit trail.
+			name, args := directive(c)
+			if name != "lint:ignore" && name != "netagg:owns" {
 				continue
 			}
 			pos := f.Fset.Position(c.Pos())
-			d := &ignoreDirective{analyzer: fields[0], pos: pos}
-			// A standalone comment (only whitespace before it on the
-			// line) suppresses the next code line; a trailing comment
-			// suppresses its own line.
 			lines := []int{pos.Line}
 			if f.standalone(pos) {
 				lines = append(lines, pos.Line+1)
 			}
+			if name == "netagg:owns" {
+				for _, line := range lines {
+					f.owns[line] = true
+				}
+				continue
+			}
+			if len(args) < 2 {
+				// An ignore without a reason is itself ignored: the reason
+				// is the audit trail.
+				continue
+			}
+			d := &ignoreDirective{analyzer: args[0], pos: pos}
 			for _, line := range lines {
 				f.ignores[line] = append(f.ignores[line], d)
 			}
@@ -221,8 +259,7 @@ func (f *File) suppressed(analyzer string, line int) bool {
 // sorted by file, line, column, analyzer. Per-file hooks see one file at
 // a time, PackageAnalyzers see each directory's summary — built once
 // per Run, however many of them read it — and CorpusAnalyzers see
-// everything at once. //lint:ignore suppressions are applied here;
-// allowlist filtering is the caller's concern.
+// everything at once. //lint:ignore suppressions are applied here.
 func Run(files []*File, analyzers []Analyzer) []Finding {
 	var out []Finding
 

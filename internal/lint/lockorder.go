@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // LockOrder is the interprocedural deadlock analyzer. For each data-plane
@@ -25,12 +24,8 @@ import (
 // Cycles spanning packages are likewise invisible because the graph is
 // per-package.
 //
-// An intentional ordering exception is declared with
-//
-//	//netagg:lockorder-allow L M <reason>
-//
-// anywhere in the package, which removes the L -> M edge. The reason is
-// mandatory; a directive without one is ignored.
+// An audited cycle takes //lint:ignore lockorder <reason> at each site
+// it is reported at.
 type LockOrder struct{}
 
 // Name implements Analyzer.
@@ -54,20 +49,11 @@ func (LockOrder) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg stri
 	}
 	acq := p.transitiveAcquires()
 
-	// Allowed edges, declared as "//netagg:lockorder-allow L M reason".
-	allowed := make(map[string]bool)
-	for _, d := range p.directives("lockorder-allow") {
-		fields := strings.Fields(d)
-		if len(fields) >= 3 {
-			allowed[fields[0]+"\t"+fields[1]] = true
-		}
-	}
-
 	// Collect edges deterministically: functions in sorted key order, so
 	// the position recorded for a repeated edge is stable.
 	edges := make(map[string]map[string]token.Pos)
 	addEdge := func(from, to string, pos token.Pos) {
-		if from == to || allowed[from+"\t"+to] {
+		if from == to {
 			return
 		}
 		if edges[from] == nil {
@@ -118,8 +104,8 @@ func (LockOrder) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg stri
 				continue
 			}
 			report(edges[from][to], fmt.Sprintf(
-				"lock order cycle: %s acquired while holding %s, but elsewhere %s is acquired while holding %s (potential deadlock); pick one canonical order or declare //netagg:lockorder-allow %s %s <reason>",
-				to, from, from, to, from, to))
+				"lock order cycle: %s acquired while holding %s, but elsewhere %s is acquired while holding %s (potential deadlock); pick one canonical order or audit it with //lint:ignore lockorder <reason> at each site of the cycle",
+				to, from, from, to))
 		}
 	}
 }

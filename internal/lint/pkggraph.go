@@ -55,6 +55,9 @@ type funcSummary struct {
 
 	ctxParam string // name of the context.Context parameter ("" if none)
 	usesCtx  bool   // body references the context parameter
+	// paramAnns maps a parameter to its doc-comment ownership annotation,
+	// "owns" or "borrows" (bufown and protocheck read it).
+	paramAnns map[string]string
 
 	acquires []lockAcq // direct lock acquisitions
 	calls    []callRef // resolvable same-package calls
@@ -217,10 +220,23 @@ func isCtxType(e ast.Expr) bool {
 }
 
 // newSummary builds one function's signature-level summary (key,
-// receiver, parameter type bindings); the body is scanned in scanBody
-// once every key is registered.
+// receiver, parameter type bindings and annotations); the body is
+// scanned in scanBody once every key is registered.
 func (p *pkgSummary) newSummary(f *File, fn *ast.FuncDecl) *funcSummary {
-	fs := &funcSummary{file: f, decl: fn, typeEnv: make(typeEnv), lockText: make(map[string]string)}
+	fs := &funcSummary{
+		file:      f,
+		decl:      fn,
+		typeEnv:   make(typeEnv),
+		lockText:  make(map[string]string),
+		paramAnns: make(map[string]string),
+	}
+	for _, kind := range []string{"owns", "borrows"} {
+		for _, args := range docDirectives(fn, kind) {
+			if len(args) > 0 {
+				fs.paramAnns[args[0]] = kind
+			}
+		}
+	}
 	if fn.Recv != nil && len(fn.Recv.List) == 1 {
 		fs.recvType = typeName(fn.Recv.List[0].Type)
 		if len(fn.Recv.List[0].Names) == 1 {
@@ -711,22 +727,4 @@ func (p *pkgSummary) transitiveBlocking() map[string]bool {
 		}
 	}
 	return blocking
-}
-
-// directive scans the package's comments for `//netagg:<name> <rest>`
-// lines and returns each rest string.
-func (p *pkgSummary) directives(name string) []string {
-	var out []string
-	prefix := "netagg:" + name
-	for _, f := range p.files {
-		for _, cg := range f.AST.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if strings.HasPrefix(text, prefix) {
-					out = append(out, strings.TrimSpace(strings.TrimPrefix(text, prefix)))
-				}
-			}
-		}
-	}
-	return out
 }

@@ -57,8 +57,7 @@ import (
 // analyzer errs towards silence: what it cannot resolve it does not
 // report.
 //
-// Suppression: //lint:ignore protocheck <reason> on the flagged line,
-// or the shared allowlist.
+// Suppression: //lint:ignore protocheck <reason> on the flagged line.
 type Protocheck struct{}
 
 // Name implements Analyzer.
@@ -69,32 +68,12 @@ func (Protocheck) Doc() string {
 	return "frame-dispatch switches must conform to the wire protocol table (internal/wire/protocol.go)"
 }
 
-const protoHandlerDirective = "netagg:proto-handler"
-
 // CheckPackage implements PackageAnalyzer.
 func (Protocheck) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
-	hasDirective := false
-	for _, f := range p.files {
-		if strings.Contains(string(f.Src), "//"+protoHandlerDirective) {
-			hasDirective = true
-		}
-	}
-	if !hasDirective {
-		return
-	}
-
-	pc := &protoPkg{
-		pkg:       p,
-		rules:     make(map[string]wire.Rule),
-		paramAnns: make(map[string]map[string]string),
-	}
+	pc := &protoPkg{pkg: p, rules: make(map[string]wire.Rule)}
 	for _, r := range wire.Protocol() {
 		pc.rules[r.Name] = r
 	}
-	for key, fs := range p.funcs {
-		pc.paramAnns[key] = bufownParamAnns(fs.decl)
-	}
-
 	for _, key := range p.keys {
 		fs := p.funcs[key]
 		roleName, ok := protoHandlerRole(fs.decl)
@@ -110,29 +89,19 @@ type protoPkg struct {
 	pkg *pkgSummary
 	// rules indexes the protocol table by frame constant name ("TData").
 	rules map[string]wire.Rule
-	// paramAnns maps function keys to //netagg:owns///netagg:borrows
-	// parameter annotations (shared grammar with bufown).
-	paramAnns map[string]map[string]string
 }
 
-// protoHandlerRole extracts the //netagg:proto-handler role name from a
-// function's doc comment.
-func protoHandlerRole(decl *ast.FuncDecl) (string, bool) {
-	if decl.Doc == nil {
+// protoHandlerRole returns the role a function's //netagg:proto-handler
+// doc directive names ("" if it names none); ok is false without one.
+func protoHandlerRole(decl *ast.FuncDecl) (role string, ok bool) {
+	ds := docDirectives(decl, "proto-handler")
+	if ds == nil {
 		return "", false
 	}
-	for _, c := range decl.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text != protoHandlerDirective && !strings.HasPrefix(text, protoHandlerDirective+" ") {
-			continue
-		}
-		fields := strings.Fields(strings.TrimPrefix(text, protoHandlerDirective))
-		if len(fields) == 0 {
-			return "", true
-		}
-		return fields[0], true
+	if len(ds[0]) > 0 {
+		role = ds[0][0]
 	}
-	return "", false
+	return role, true
 }
 
 // msgParamName finds the name of the function's *wire.Msg parameter
@@ -621,7 +590,7 @@ func (t *protoTrace) followCall(fr *traceFrame, call *ast.CallExpr, st traceStat
 		if !ok || id.Name != fr.msgName || i >= len(params) {
 			continue
 		}
-		if t.pc.paramAnns[key][params[i]] == "owns" {
+		if callee.paramAnns[params[i]] == "owns" {
 			t.take(call.Pos())
 		}
 		if t.visited[key] {

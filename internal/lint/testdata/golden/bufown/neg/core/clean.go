@@ -106,5 +106,5 @@ func aliasTransfer(n int) {
 func allowedDouble(n int) {
 	b := bufpool.Get(n)
 	b.Release()
-	b.Release() //netagg:bufown-allow recycling fixture exercises the pool's double-free panic
+	b.Release() //lint:ignore bufown recycling fixture exercises the pool's double-free panic
 }

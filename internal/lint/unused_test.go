@@ -81,38 +81,40 @@ func f() {
 	}
 }
 
-// TestBufownAllowSuppressesExactlyOneAndUnusedFires proves the
-// //netagg:bufown-allow life cycle: an allow over a real leak suppresses
-// exactly that diagnostic; an allow over clean code is reported stale.
+// TestBufownAllowSuppressesExactlyOneAndUnusedFires proves the same life
+// cycle for bufown's package-scoped findings: an ignore over a real leak
+// suppresses exactly that diagnostic; one over clean code is stale.
 func TestBufownAllowSuppressesExactlyOneAndUnusedFires(t *testing.T) {
-	got := runBufown(t, bufownHeader+`
+	bufown := []Analyzer{Bufown{}}
+	used := parseFixture(t, "internal/core/x.go", bufownHeader+`
 func f(n int, err error) error {
 	b := bufpool.Get(n)
 	if err != nil {
-		//netagg:bufown-allow the caller parks the ref, audited 2026-08
+		//lint:ignore bufown the caller parks the ref, audited 2026-08
 		return err
 	}
 	return nil
 }
 `)
-	if len(got) != 1 || got[0].Line != 10 {
-		t.Fatalf("got %v, want exactly the unallowed leak at the final return (line 10)", got)
+	if got := Run([]*File{used}, bufown); len(got) != 1 || got[0].Line != 10 {
+		t.Fatalf("got %v, want exactly the unsuppressed leak at the final return (line 10)", got)
+	}
+	if unused := UnusedIgnores([]*File{used}, bufown); len(unused) != 0 {
+		t.Fatalf("used directive reported as unused: %v", unused)
 	}
 
-	got = runBufown(t, bufownHeader+`
+	stale := parseFixture(t, "internal/core/x.go", bufownHeader+`
 func f(n int) {
 	b := bufpool.Get(n)
-	//netagg:bufown-allow nothing leaks here any more
+	//lint:ignore bufown nothing leaks here any more
 	b.Release()
 }
 `)
-	if len(got) != 1 {
-		t.Fatalf("got %v, want exactly one stale-allow report", got)
+	if got := Run([]*File{stale}, bufown); len(got) != 0 {
+		t.Fatalf("clean fixture produced findings: %v", got)
 	}
-	if !strings.Contains(got[0].Message, "bufown-allow suppresses nothing") {
-		t.Errorf("message = %q, want stale bufown-allow report", got[0].Message)
-	}
-	if got[0].Line != 6 {
-		t.Errorf("stale allow reported at line %d, want 6 (the comment)", got[0].Line)
+	unused := UnusedIgnores([]*File{stale}, bufown)
+	if len(unused) != 1 || unused[0].Line != 6 || !strings.Contains(unused[0].Message, "bufown suppresses nothing") {
+		t.Fatalf("unused = %v, want one stale bufown ignore at line 6 (the comment)", unused)
 	}
 }

@@ -147,17 +147,16 @@ type B struct {
 	mu sync.Mutex
 	a  *A
 }
-// The B->A order only runs during shutdown, when no A->B path is live.
-//netagg:lockorder-allow B.mu A.mu shutdown-only path, A->B never concurrent
 func (a *A) one() {
 	a.mu.Lock()
+	//lint:ignore lockorder B->A runs only during shutdown, when no A->B path is live
 	a.b.mu.Lock()
 	a.b.mu.Unlock()
 	a.mu.Unlock()
 }
 func (b *B) two() {
 	b.mu.Lock()
-	b.a.mu.Lock()
+	b.a.mu.Lock() //lint:ignore lockorder shutdown-only path, A->B never concurrent
 	b.a.mu.Unlock()
 	b.mu.Unlock()
 }

@@ -176,9 +176,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	return m, nil
 }
 
-// ResultAddr returns the listener address results arrive on.
-func (m *Master) ResultAddr() string { return m.srv.Addr() }
-
 // Close stops the shim. Outstanding requests fail with an error.
 func (m *Master) Close() {
 	m.mu.Lock()

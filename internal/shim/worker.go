@@ -125,9 +125,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// ControlAddr returns the shim's control listener address.
-func (w *Worker) ControlAddr() string { return w.ctl.Addr() }
-
 // Close stops the shim.
 func (w *Worker) Close() {
 	w.mu.Lock()

@@ -146,8 +146,6 @@ func TestAggregateOverFrameLimitFailsTheJob(t *testing.T) {
 // boom is an aggregation function that panics on every merge.
 type boom struct{}
 
-func (boom) Name() string { return "boom" }
-
 func (boom) Merge([]byte, [][]byte) ([]byte, error) { panic("malicious aggregation function") }
 
 func (b boom) Combine(x, y []byte) ([]byte, error) { return b.Merge(nil, [][]byte{x, y}) }

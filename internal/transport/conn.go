@@ -93,9 +93,6 @@ func NewConn(ctx context.Context, addr string, opts Options) *Conn {
 	return c
 }
 
-// Addr returns the destination address.
-func (c *Conn) Addr() string { return c.addr }
-
 // Stats returns a snapshot of the connection's counters.
 func (c *Conn) Stats() Stats { return c.stats.snapshot() }
 

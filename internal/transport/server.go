@@ -217,9 +217,6 @@ func (sc *ServerConn) fail(err error) {
 	sc.drop(len(sc.q.pending))
 }
 
-// RemoteAddr identifies the peer.
-func (sc *ServerConn) RemoteAddr() net.Addr { return sc.conn.RemoteAddr() }
-
 // Close tears this one connection down; its reader goroutine exits and
 // is reaped by the server's WaitGroup.
 func (sc *ServerConn) Close() error { return sc.conn.Close() }

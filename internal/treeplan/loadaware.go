@@ -61,9 +61,6 @@ type LoadAware struct {
 	Telemetry Telemetry
 }
 
-// Name implements Planner.
-func (LoadAware) Name() string { return "loadaware" }
-
 // Plan implements Planner.
 func (l LoadAware) Plan(topo Topology, req Request) Tree {
 	return planWith(topo, req, l.pick)

@@ -13,9 +13,6 @@ import "time"
 // (the oracle test pins this), so swapping planners is purely additive.
 type OnPath struct{}
 
-// Name implements Planner.
-func (OnPath) Name() string { return "onpath" }
-
 // Plan implements Planner.
 func (OnPath) Plan(topo Topology, req Request) Tree {
 	return planWith(topo, req, pickByHash)

@@ -145,8 +145,6 @@ type Topology interface {
 // consume, deterministic, and per-worker decomposable (see the package
 // comment); they are called concurrently from many shims.
 type Planner interface {
-	// Name identifies the planner in experiment output and logs.
-	Name() string
 	// Plan computes the request's aggregation tree: the master's view.
 	Plan(topo Topology, req Request) Tree
 	// Route computes one worker's box chain — Plan(topo, req).Routes[worker]

@@ -180,7 +180,7 @@ func TestPlanConsistencyProperties(t *testing.T) {
 		for _, p := range planners(rn) {
 			tree := p.Plan(d, req)
 			if len(tree.Routes) != len(workers) {
-				t.Fatalf("trial %d %s: %d routes for %d workers", trial, p.Name(), len(tree.Routes), len(workers))
+				t.Fatalf("trial %d %T: %d routes for %d workers", trial, p, len(tree.Routes), len(workers))
 			}
 
 			type edge struct{ up, down uint64 }
@@ -190,11 +190,11 @@ func TestPlanConsistencyProperties(t *testing.T) {
 			for _, w := range workers {
 				chain, ok := tree.Routes[w]
 				if !ok {
-					t.Fatalf("trial %d %s: no route for worker %s", trial, p.Name(), w)
+					t.Fatalf("trial %d %T: no route for worker %s", trial, p, w)
 				}
 				for _, b := range chain {
 					if b.Dead {
-						t.Fatalf("trial %d %s: dead box %d planned for %s", trial, p.Name(), b.ID, w)
+						t.Fatalf("trial %d %T: dead box %d planned for %s", trial, p, b.ID, w)
 					}
 				}
 				if len(chain) == 0 {
@@ -213,13 +213,13 @@ func TestPlanConsistencyProperties(t *testing.T) {
 				gotExpect += n
 			}
 			if gotExpect != wantExpect {
-				t.Fatalf("trial %d %s: Expect total %d, want %d direct + %d edges", trial, p.Name(), gotExpect, directStreams, len(edges))
+				t.Fatalf("trial %d %T: Expect total %d, want %d direct + %d edges", trial, p, gotExpect, directStreams, len(edges))
 			}
 			if want := len(roots) + boxless; tree.Finals != want {
-				t.Fatalf("trial %d %s: Finals %d, want %d roots + %d boxless", trial, p.Name(), tree.Finals, len(roots), boxless)
+				t.Fatalf("trial %d %T: Finals %d, want %d roots + %d boxless", trial, p, tree.Finals, len(roots), boxless)
 			}
 			if again := p.Plan(d, req); !reflect.DeepEqual(tree, again) {
-				t.Fatalf("trial %d %s: replanning produced a different tree", trial, p.Name())
+				t.Fatalf("trial %d %T: replanning produced a different tree", trial, p)
 			}
 		}
 	}
@@ -244,13 +244,13 @@ func TestPerWorkerDecomposability(t *testing.T) {
 				solo := req
 				solo.Workers = []string{w}
 				if got := p.Plan(d, solo).Routes[w]; !reflect.DeepEqual(got, full.Routes[w]) {
-					t.Fatalf("trial %d %s: worker %s solo route %v != master route %v",
-						trial, p.Name(), w, got, full.Routes[w])
+					t.Fatalf("trial %d %T: worker %s solo route %v != master route %v",
+						trial, p, w, got, full.Routes[w])
 				}
 				solo.Workers = nil
 				if got := p.Route(d, solo, w); !reflect.DeepEqual(got, full.Routes[w]) {
-					t.Fatalf("trial %d %s: worker %s asked for route %v, the master's tree holds %v",
-						trial, p.Name(), w, got, full.Routes[w])
+					t.Fatalf("trial %d %T: worker %s asked for route %v, the master's tree holds %v",
+						trial, p, w, got, full.Routes[w])
 				}
 			}
 		}
