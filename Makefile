@@ -106,9 +106,8 @@ profile:
 # CHANGES.md). A new artifact's first run is checked in by hand.
 # BENCH_agg.json is the box's merge path: the k-way KV merge, one
 # search_topk job's top-k merge and a sort_concat job's items merge at its
-# three shapes alone (0 allocs/op but for the one shared index of a
-# batch's raw parts), and a
-# whole mapred_kv and a whole sort_concat job through a local tree.
+# three shapes alone (0 allocs/op at every one), and a whole mapred_kv and
+# a whole sort_concat job through a local tree.
 #
 #                  package               -bench                                   -benchtime
 bench_simnet    = ./internal/simnet     BenchmarkAllocate                        200x

@@ -19,12 +19,9 @@
 // bytes and equal keys are reduced to one; search results order on
 // compareDocs — score descending (NaN last), ID ascending, then the
 // encoded record; opaque items order on their bytes and equal items are
-// all kept. The merges read encoded parts in place (KVCombiner, TopK,
-// Sample, Concat). The first three refuse a part that is not in its
-// order, as their encoders write it. Concat cannot: EncodeItems keeps the
-// order it is given and a worker's raw part has none, so Concat reads a
-// part that is in byte order in place and sorts an index of one that is
-// not — that part only, never a run a box already merged.
+// all kept. Every encoder writes its canonical order, and all four merges
+// (KVCombiner, TopK, Sample, Concat) read encoded parts in place and
+// refuse a part that is out of their order.
 package agg
 
 import "fmt"

@@ -91,12 +91,13 @@ func TestKVCombinerMaxMin(t *testing.T) {
 }
 
 func TestItemsRoundTrip(t *testing.T) {
-	in := [][]byte{[]byte("row1"), []byte(""), []byte("row2")}
+	in := [][]byte{[]byte("row2"), []byte(""), []byte("row1")}
 	out, err := DecodeItems(EncodeItems(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 || string(out[0]) != "row1" || len(out[1]) != 0 {
+	// Canonical order: byte order.
+	if len(out) != 3 || len(out[0]) != 0 || string(out[1]) != "row1" || string(out[2]) != "row2" {
 		t.Fatalf("round trip mismatch: %q", out)
 	}
 }
@@ -314,7 +315,7 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 			}
 			return EncodeItems(items)
 		}},
-		// Items the prefix word cannot tell apart, in and out of order.
+		// Items the prefix word cannot tell apart.
 		{"concat-padded", Concat{}, func(rn *stats.Rand) []byte { return trapItemsPayload(rn, 5) }},
 		{"topk", TopK{K: 4}, docs},
 		{"sample", Sample{Ratio: 0.5}, docs},
@@ -392,6 +393,40 @@ func TestAggregatorsAssociativeCommutative(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// Every encoder writes the order its merge takes: a part fresh from
+// EncodeKVs (distinct keys), EncodeDocs or EncodeItems, from inputs in the
+// order drawn, is accepted by its merge and, merged alone, comes back byte
+// for byte — the "single part comes back in canonical form" of Aggregator.
+func TestEncodersWriteWhatMergeAccepts(t *testing.T) {
+	docs := func(rn *stats.Rand) []byte { return randomDocsPayload(rn, false) }
+	items := func(rn *stats.Rand) []byte {
+		return EncodeItems(randomItems(rn, rn.Intn(20), 12, false, 2))
+	}
+	cases := []struct {
+		name string
+		gen  func(*stats.Rand) []byte
+		aggs []Aggregator
+	}{
+		{"kvs", randomKVPayload, []Aggregator{KVCombiner{Op: OpSum}}},
+		{"docs", docs, []Aggregator{TopK{}, Sample{Ratio: 1}}},
+		{"tied-docs", tiedDocsPayload, []Aggregator{TopK{}, Sample{Ratio: 1}}},
+		{"items", items, []Aggregator{Concat{}}},
+		{"trap-items", func(rn *stats.Rand) []byte { return trapItemsPayload(rn, 12) }, []Aggregator{Concat{}}},
+	}
+	rn := stats.NewRand(29)
+	for _, c := range cases {
+		for trial := 0; trial < 200; trial++ {
+			part := c.gen(rn)
+			for _, a := range c.aggs {
+				got, err := a.Merge(nil, [][]byte{part})
+				if err != nil || !bytes.Equal(got, part) {
+					t.Fatalf("%s: %T.Merge of one encoded part: %v, %x, want it back: %x", c.name, a, err, got, part)
+				}
+			}
+		}
 	}
 }
 
@@ -517,17 +552,20 @@ func TestDocsMergeRejectsMalformedParts(t *testing.T) {
 }
 
 // referenceConcat is the collect-and-sort fold Concat.Merge was before it
-// streamed, kept as the oracle: every item of every part as a view in one
-// slice, sorted, encoded.
+// streamed, kept as the oracle: every part decoded and checked to be in
+// byte order, then every item of every part sorted together and encoded.
 func referenceConcat(parts [][]byte) ([]byte, error) {
 	var items [][]byte
 	for _, p := range parts {
-		var err error
-		if items, err = appendItemViews(items, p); err != nil {
+		part, err := DecodeItems(p)
+		if err != nil {
 			return nil, err
 		}
+		if !slices.IsSortedFunc(part, bytes.Compare) {
+			return nil, ErrBadPayload
+		}
+		items = append(items, part...)
 	}
-	slices.SortFunc(items, bytes.Compare)
 	return EncodeItems(items), nil
 }
 
@@ -541,28 +579,12 @@ var trapItems = [][]byte{
 	[]byte("00000000-a"), []byte("00000000-b"),
 }
 
-// itemsPayload encodes items as drawn or, every other time, in byte order
-// first, as a box's own run is.
-func itemsPayload(rn *stats.Rand, items [][]byte) []byte {
-	if rn.Intn(2) == 0 {
-		slices.SortFunc(items, bytes.Compare)
-	}
-	return EncodeItems(items)
-}
-
 // trapItemsPayload draws up to n-1 items from trapItems.
 func trapItemsPayload(rn *stats.Rand, n int) []byte {
 	items := make([][]byte, rn.Intn(n))
 	for i := range items {
 		items[i] = trapItems[rn.Intn(len(trapItems))]
 	}
-	return itemsPayload(rn, items)
-}
-
-// outOfOrder encodes items in descending byte order, so that the part is
-// indexed unless its items are all equal.
-func outOfOrder(items [][]byte) []byte {
-	slices.SortFunc(items, func(a, b []byte) int { return bytes.Compare(b, a) })
 	return EncodeItems(items)
 }
 
@@ -583,15 +605,10 @@ func randomItems(rn *stats.Rand, n, maxLen int, fixed bool, values int) [][]byte
 	return items
 }
 
-// The streaming merge against the reference, byte for byte: parts in and
-// out of order mixed, part counts on both sides of the batch size and of
-// the stack frame's cursors, items short enough to be all padding, long
-// enough to be all prefix, and drawn from few enough values to repeat. The
-// out-of-order parts of one call share one index, so ties on the word meet
-// across parts there ("traps-unsorted"), and its top-byte buckets are
-// sorted two ways: by insertion up to smallBucket entries, past it by
-// slices.SortFunc ("one-bucket": every item shares its first byte; and
-// "cutoff", buckets of exactly smallBucket and smallBucket + 1).
+// The streaming merge against the reference, byte for byte: part counts on
+// both sides of the batch size and of the stack frame's cursors, items
+// short enough to be all padding, long enough to be all prefix, and drawn
+// from few enough values to repeat.
 func TestConcatMergeMatchesReference(t *testing.T) {
 	rn := stats.NewRand(24)
 	check := func(name string, parts [][]byte) {
@@ -607,24 +624,10 @@ func TestConcatMergeMatchesReference(t *testing.T) {
 		gen  func() []byte
 	}{
 		{"traps", func() []byte { return trapItemsPayload(rn, 12) }},
-		{"traps-unsorted", func() []byte {
-			items := make([][]byte, 2+rn.Intn(10))
-			for i := range items {
-				items[i] = trapItems[rn.Intn(len(trapItems))]
-			}
-			return outOfOrder(items)
-		}},
 		// Lengths 0-12 over two byte values: heavy duplicates.
-		{"short", func() []byte { return itemsPayload(rn, randomItems(rn, rn.Intn(20), 12, false, 2)) }},
-		{"one-bucket", func() []byte {
-			items := randomItems(rn, 2+rn.Intn(20), 12, false, 2)
-			for i := range items {
-				items[i] = append([]byte{'A'}, items[i]...)
-			}
-			return outOfOrder(items)
-		}},
+		{"short", func() []byte { return EncodeItems(randomItems(rn, rn.Intn(20), 12, false, 2)) }},
 		// The benchmark's shape.
-		{"rows", func() []byte { return itemsPayload(rn, randomItems(rn, rn.Intn(8), 100, true, 256)) }},
+		{"rows", func() []byte { return EncodeItems(randomItems(rn, rn.Intn(8), 100, true, 256)) }},
 	}
 	for _, g := range gens {
 		for _, k := range []int{1, 2, 16, 17, 64, 65} {
@@ -637,36 +640,13 @@ func TestConcatMergeMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// Items distinct by construction — the bucket's byte, a serial, up to
-	// eight bytes over two values, so words still tie on padding — dealt
-	// round-robin over parts of at least six, each strictly descending, so
-	// that every item is in the index and the buckets are exactly the sizes.
-	for _, k := range []int{1, 2, 8} {
-		for trial := 0; trial < 20; trial++ {
-			var items [][]byte
-			for b, n := range []int{smallBucket, smallBucket + 1} {
-				for i := 0; i < n; i++ {
-					tail := randomItems(rn, 1, 8, false, 2)[0]
-					items = append(items, append([]byte{byte('a' + b), byte(i)}, tail...))
-				}
-			}
-			dealt := make([][][]byte, k)
-			for i, it := range items {
-				dealt[i%k] = append(dealt[i%k], it)
-			}
-			parts := make([][]byte, k)
-			for i := range parts {
-				parts[i] = outOfOrder(dealt[i])
-			}
-			check("cutoff", parts)
-		}
-	}
 }
 
 // The items merge reads its inputs without decoding them, so it carries
-// DecodeItems' checks itself. Whatever DecodeItems rejects Merge rejects,
-// wherever the bad part sits among good ones — in order or not — with
-// ErrBadPayload, without panicking and before it writes anything.
+// DecodeItems' checks itself — and one more, items that go backwards.
+// Whatever DecodeItems rejects Merge rejects, wherever the bad part sits
+// among good ones, with ErrBadPayload, without panicking and before it
+// writes anything.
 func TestConcatMergeRejectsMalformedParts(t *testing.T) {
 	valid := EncodeItems([][]byte{[]byte("apple"), []byte("banana"), []byte(""), bytes.Repeat([]byte("c"), 200)})
 	other := EncodeItems([][]byte{[]byte("aardvark"), []byte("zebra")})
@@ -674,25 +654,30 @@ func TestConcatMergeRejectsMalformedParts(t *testing.T) {
 		_, n := binary.Uvarint(p)
 		return append(binary.AppendUvarint(nil, count), p[n:]...)
 	}
+	// What DecodeItems takes and a merge-join cannot.
+	accepted := map[string]bool{"items go backwards": true, "backwards on a word tie": true, "backwards after the first": true}
 	bad := map[string][]byte{
-		"empty":                 nil,
-		"trailing byte":         append(bytes.Clone(valid), 0),
-		"count too low":         setCount(valid, 3),
-		"count too high":        setCount(valid, 5),
-		"count absurd":          setCount(valid, 1<<50),
-		"count overflows":       append(bytes.Repeat([]byte{0xff}, 10), valid[1:]...),
-		"count truncated":       {0x80},
-		"length past the end":   {1, 9, 's', 'h', 'o', 'r', 't'},
-		"length absurd":         append([]byte{1}, bytes.Repeat([]byte{0xff}, 9)...),
-		"length truncated":      {2, 1, 'a', 0x80},
-		"fault after a descent": append(setCount(other, 3), 0x80), // zebra, then a bad varint
+		"empty":                     nil,
+		"trailing byte":             append(bytes.Clone(valid), 0),
+		"count too low":             setCount(valid, 3),
+		"count too high":            setCount(valid, 5),
+		"count absurd":              setCount(valid, 1<<50),
+		"count overflows":           append(bytes.Repeat([]byte{0xff}, 10), valid[1:]...),
+		"count truncated":           {0x80},
+		"length past the end":       {1, 9, 's', 'h', 'o', 'r', 't'},
+		"length absurd":             append([]byte{1}, bytes.Repeat([]byte{0xff}, 9)...),
+		"length truncated":          {2, 1, 'a', 0x80},
+		"fault after the last item": append(setCount(other, 3), 0x80), // zebra, then a bad varint
+		"items go backwards":        {2, 1, 'b', 1, 'a'},
+		"backwards on a word tie":   {2, 3, 'a', 'b', 0, 2, 'a', 'b'},                      // one prefix word
+		"backwards after the first": setCount(append(bytes.Clone(valid), other[1:]...), 6), // …, ccc…, aardvark, zebra
 	}
 	for i := 1; i < len(valid); i++ {
 		bad[fmt.Sprintf("truncated at %d", i)] = valid[:i]
 	}
 	for name, p := range bad {
-		if _, err := DecodeItems(p); err == nil {
-			t.Fatalf("%s: DecodeItems accepts it; the case tests nothing", name)
+		if _, err := DecodeItems(p); (err == nil) != accepted[name] {
+			t.Fatalf("%s: DecodeItems returned %v; the case does not test what it says", name, err)
 		}
 		for _, parts := range [][][]byte{{p}, {p, valid, other}, {valid, p, other}, {valid, other, p}} {
 			out, err := Concat{}.Merge([]byte("dst"), parts)
@@ -718,17 +703,11 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// What the merge keeps beside the parts' own bytes is bounded by their
-// bytes, not by 24 of its own for each of theirs: a part in order costs
-// nothing however many items it holds, a part out of order sixteen bytes
-// an item. (A view an item, the merge's first shape, made sixteen legal
-// frames of empty items 400 MB.)
+// What the merge keeps beside the parts' own bytes is nothing, however
+// many items they hold: the cursors and the heap are on its stack frame.
+// (A view an item, the merge's first shape, made sixteen legal frames of
+// empty items 400 MB.) Refusing a part costs nothing either.
 func TestConcatMergeMemoryIsBounded(t *testing.T) {
-	mustMerge := func(dst []byte, parts [][]byte) {
-		if _, err := (Concat{}).Merge(dst, parts); err != nil {
-			t.Fatal(err)
-		}
-	}
 	const items = 1 << 20
 	empties := append(binary.AppendUvarint(nil, items), make([]byte, items)...)
 	parts := make([][]byte, 16)
@@ -736,45 +715,40 @@ func TestConcatMergeMemoryIsBounded(t *testing.T) {
 		parts[i] = empties
 	}
 	dst := make([]byte, 0, 16*len(empties))
-	if got := allocatedBy(func() { mustMerge(dst, parts) }); got > 64<<10 {
+	if got := allocatedBy(func() {
+		if _, err := (Concat{}).Merge(dst, parts); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 64<<10 {
 		t.Errorf("merging sixteen 1 MiB parts of empty items allocated %d bytes, want under 64 kB", got)
 	}
 
-	// Two-byte items, descending.
-	const pairs = (1 << 20) / 3
-	backwards := binary.AppendUvarint(nil, pairs)
-	for i := pairs; i > 0; i-- {
-		backwards = append(backwards, 2, byte(i>>8), byte(i))
+	// A 1 MiB part of three-byte items in order but for the last, which
+	// goes back to the first: refused after a scan of the whole part.
+	const n = (1 << 20) / 4
+	late := binary.AppendUvarint(nil, n)
+	for i := 1; i < n; i++ {
+		late = append(late, 3, byte(i>>16), byte(i>>8), byte(i))
 	}
-	if got := allocatedBy(func() { mustMerge(dst, [][]byte{backwards}) }); got > 16*pairs+64<<10 {
-		t.Errorf("merging a 1 MiB out-of-order part of %d items allocated %d bytes, want 16 an item", pairs, got)
-	}
-
-	// The same items dealt over sixteen out-of-order parts share one index,
-	// partitioned in place: still sixteen bytes an item, no scratch array.
-	dealt := make([][]byte, 16)
-	for i := range dealt {
-		dealt[i] = binary.AppendUvarint(nil, pairs/16)
-	}
-	for i := pairs / 16 * 16; i > 0; i-- {
-		dealt[i%16] = append(dealt[i%16], 2, byte(i>>8), byte(i))
-	}
-	if got := allocatedBy(func() { mustMerge(dst, dealt) }); got > 16*pairs+64<<10 {
-		t.Errorf("merging sixteen out-of-order parts of %d items allocated %d bytes, want 16 an item", pairs, got)
+	parts[7] = append(late, 3, 0, 0, 0)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if out, err := (Concat{}).Merge(dst, parts); !errors.Is(err, ErrBadPayload) || len(out) != 0 {
+			t.Fatalf("a part that goes back: Merge returned %v and wrote %d bytes, want ErrBadPayload and none", err, len(out))
+		}
+	}); allocs != 0 {
+		t.Errorf("refusing a part that goes back: %v allocs per run, want 0", allocs)
 	}
 }
 
-// The final merge of a sort_concat job — eight runs the box sorted itself,
+// The final merge of a sort_concat job — eight runs the box merged itself,
 // 1,600 rows of 100 bytes each — allocates nothing: the cursors and the
-// heap are on Merge's stack frame and a part in order needs no index.
+// heap are on Merge's stack frame.
 func TestConcatMergeOfRunsDoesNotAllocate(t *testing.T) {
 	rn := stats.NewRand(8)
 	runs := make([][]byte, 8)
 	size := 0
 	for r := range runs {
-		rows := randomItems(rn, 1600, 100, true, 256)
-		slices.SortFunc(rows, bytes.Compare)
-		runs[r] = EncodeItems(rows)
+		runs[r] = EncodeItems(randomItems(rn, 1600, 100, true, 256))
 		size += len(runs[r])
 	}
 	dst := make([]byte, 0, size+binary.MaxVarintLen64)
@@ -985,10 +959,10 @@ func FuzzConcatMerge(f *testing.F) {
 		return data
 	}
 	f.Add(frame(EncodeItems([][]byte{[]byte("b"), []byte("a")}), EncodeItems([][]byte{[]byte("c")})))
-	f.Add(frame(EncodeItems(trapItems)))
+	f.Add(frame(EncodeItems(slices.Clone(trapItems))))
 	// More seeds (padded prefixes that tie, lying counts, trailing bytes,
-	// parts in and out of order, empty items and empty parts) are checked
-	// in under testdata/fuzz/FuzzConcatMerge.
+	// empty items and empty parts, and parts out of order, which both sides
+	// refuse) are checked in under testdata/fuzz/FuzzConcatMerge.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parts := splitFuzzParts(data)
 		if len(parts) == 0 {

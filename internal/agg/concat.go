@@ -2,16 +2,14 @@ package agg
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
-	"math"
 	"slices"
 )
 
 // Concat appends payloads without any reduction: the aggregator of
 // non-reducible data such as TeraSort rows (identity reduce, Fig 22's TS
 // bar shows no benefit). Payload format: varint count + length-prefixed
-// items, in byte order once merged.
+// items in byte order.
 type Concat struct{}
 
 // Combine implements Aggregator.
@@ -19,9 +17,10 @@ func (c Concat) Combine(a, b []byte) ([]byte, error) {
 	return c.Merge(make([]byte, 0, len(a)+len(b)+binary.MaxVarintLen64), [][]byte{a, b})
 }
 
-// EncodeItems serialises opaque items: varint count + length-prefixed blobs,
-// in the order given.
+// EncodeItems serialises opaque items in canonical (byte) order: a varint
+// count followed by length-prefixed blobs. The input is sorted in place.
 func EncodeItems(items [][]byte) []byte {
+	slices.SortFunc(items, bytes.Compare)
 	size := binary.MaxVarintLen64
 	for _, it := range items {
 		size += binary.MaxVarintLen64 + len(it)
@@ -42,19 +41,6 @@ func appendItem(dst, item []byte) []byte {
 // DecodeItems parses a payload produced by EncodeItems. The items are
 // copies: they stay valid after p's buffer is released.
 func DecodeItems(p []byte) ([][]byte, error) {
-	items, err := appendItemViews([][]byte{}, p)
-	if err != nil {
-		return nil, err
-	}
-	for i, it := range items {
-		items[i] = bytes.Clone(it)
-	}
-	return items, nil
-}
-
-// appendItemViews parses an EncodeItems payload and appends its items to
-// items as sub-slices of p.
-func appendItemViews(items [][]byte, p []byte) ([][]byte, error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, ErrBadPayload
@@ -63,14 +49,14 @@ func appendItemViews(items [][]byte, p []byte) ([][]byte, error) {
 	if count > uint64(len(p))+1 {
 		return nil, ErrBadPayload
 	}
-	items = slices.Grow(items, int(count))
+	items := make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
 		ilen, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p[n:])) < ilen {
 			return nil, ErrBadPayload
 		}
 		end := n + int(ilen)
-		items = append(items, p[n:end:end])
+		items = append(items, bytes.Clone(p[n:end]))
 		p = p[end:]
 	}
 	if len(p) != 0 {
@@ -95,48 +81,21 @@ func prefixWord(item []byte) uint64 {
 	return w
 }
 
-// itemRef is one entry of a merge's index of out-of-order items, sixteen
-// bytes an item: the item's record — its length varint, then its bytes —
-// starts at parts[part][off].
-type itemRef struct {
-	word      uint64
-	part, off uint32
-}
-
-// itemAt is the item whose record starts at part[off], a record scan has
-// validated.
-func itemAt(part []byte, off uint32) []byte {
-	ilen, n := binary.Uvarint(part[off:])
-	start := int(off) + n
-	return part[start : start+int(ilen)]
-}
-
-// itemCursor reads one encoded items payload item by item, in byte order,
-// without decoding it. A part whose items are already in order — every run
-// a box hands on, every result a master folds — is read in place: rest
-// shrinks past each item and nothing is kept beside the bytes. The parts
-// that are not (a worker's raw parts: EncodeItems promises no order, so
-// unlike the KV and docs merges this one cannot refuse them) are read
-// together through one index of all their items, sorted once, which the
-// first of them walks and the others leave empty. Either way item is a
-// sub-slice of a part.
+// itemCursor reads one encoded items payload item by item without decoding
+// it: item is a sub-slice of the part and rest shrinks past each item, so
+// advancing allocates nothing and nothing is kept beside the bytes.
 type itemCursor struct {
-	item  []byte    // current item
-	rest  []byte    // in place: the encoded items after it
-	index []itemRef // the index: the entries after the current one
-	left  uint64    // items after the current one
-	// indexed is set by scan on a part out of order; indexItems then
-	// builds the index.
-	indexed bool
+	item []byte // current item
+	rest []byte // the encoded items after it
+	left uint64 // items after the current one
 }
 
 // scan validates the whole part — it rejects exactly what DecodeItems
-// rejects — and positions the cursor before its first item. After it next
-// cannot fail. A part an index's 32-bit offsets could not address is no
-// payload either (wire.MaxPayload is 16 MiB).
+// rejects, plus items that go backwards — and positions the cursor before
+// its first item. After it next cannot fail.
 func (c *itemCursor) scan(part []byte) error {
 	count, n := binary.Uvarint(part)
-	if n <= 0 || count > uint64(len(part)-n)+1 || uint64(len(part)) > math.MaxUint32 {
+	if n <= 0 || count > uint64(len(part)-n)+1 {
 		return ErrBadPayload
 	}
 	p := part[n:]
@@ -151,11 +110,10 @@ func (c *itemCursor) scan(part []byte) error {
 		end := n + int(ilen)
 		item := p[n:end]
 		p = p[end:]
-		if c.indexed {
-			continue
-		}
 		word := prefixWord(item)
-		c.indexed = word < lastWord || word == lastWord && bytes.Compare(item, last) < 0
+		if word < lastWord || word == lastWord && bytes.Compare(item, last) < 0 {
+			return ErrBadPayload
+		}
 		last, lastWord = item, word
 	}
 	if len(p) != 0 {
@@ -164,131 +122,19 @@ func (c *itemCursor) scan(part []byte) error {
 	return nil
 }
 
-// next steps to the following item in byte order and returns its prefix
-// word; ok is false once the part is exhausted. parts are the merge's,
-// which the index points into.
+// next steps to the following item and returns its prefix word; ok is
+// false once the part is exhausted.
 //
 //netagg:hotpath
-func (c *itemCursor) next(parts [][]byte) (word uint64, ok bool) {
+func (c *itemCursor) next() (word uint64, ok bool) {
 	if c.left == 0 {
 		return 0, false
 	}
 	c.left--
-	if c.indexed {
-		ref := c.index[0]
-		c.index = c.index[1:]
-		c.item = itemAt(parts[ref.part], ref.off)
-		return ref.word, true
-	}
 	ilen, n := binary.Uvarint(c.rest)
 	end := n + int(ilen)
 	c.item, c.rest = c.rest[n:end], c.rest[end:]
 	return prefixWord(c.item), true
-}
-
-// indexItems puts every item of every out-of-order cursor into one index of
-// total entries, sorts it, and hands it to the first such cursor; the
-// others are left empty. It is Merge's slow path, kept out of the hot
-// function like moreItemCursors: the one allocation is here, the sort in
-// sortItemRefs.
-//
-//go:noinline
-func indexItems(cursors []itemCursor, parts [][]byte, total uint64) {
-	refs := make([]itemRef, 0, total)
-	var head *itemCursor
-	for i := range cursors {
-		c := &cursors[i]
-		if !c.indexed {
-			continue
-		}
-		part := parts[i]
-		off := len(part) - len(c.rest)
-		for range c.left {
-			ilen, n := binary.Uvarint(part[off:])
-			end := off + n + int(ilen)
-			refs = append(refs, itemRef{word: prefixWord(part[off+n : end]), part: uint32(i), off: uint32(off)})
-			off = end
-		}
-		if head == nil {
-			head = c
-		} else {
-			c.left = 0
-		}
-	}
-	sortItemRefs(refs, parts)
-	head.index, head.left = refs, total
-}
-
-// smallBucket is the largest bucket sortItemRefs sorts by insertion; a
-// larger one goes to slices.SortFunc.
-const smallBucket = 24
-
-// sortItemRefs sorts an index in the merge's two-step order. One in-place
-// pass partitions it on the word's top byte (American flag sort: count the
-// buckets, place their starts, cycle each entry into its bucket), so that
-// no scratch array is needed and an entry stays the only cost of an item;
-// then each bucket is sorted on its own. Random rows leave buckets of a
-// few entries each; if every entry shares its top byte the partition was
-// one linear pass before an ordinary sort.
-//
-//netagg:hotpath
-func sortItemRefs(refs []itemRef, parts [][]byte) {
-	var next, end [256]int
-	for _, r := range refs {
-		end[r.word>>56]++
-	}
-	sum := 0
-	for b, n := range end {
-		next[b] = sum
-		sum += n
-		end[b] = sum
-	}
-	for b := range next {
-		for next[b] < end[b] {
-			r := refs[next[b]]
-			for d := r.word >> 56; d != uint64(b); d = r.word >> 56 {
-				r, refs[next[d]] = refs[next[d]], r
-				next[d]++
-			}
-			refs[next[b]] = r
-			next[b]++
-		}
-	}
-	start := 0
-	for _, e := range end {
-		bucket := refs[start:e]
-		start = e
-		if len(bucket) <= smallBucket {
-			for i := 1; i < len(bucket); i++ {
-				r, j := bucket[i], i
-				for ; j > 0 && lessRef(parts, r, bucket[j-1]); j-- {
-					bucket[j] = bucket[j-1]
-				}
-				bucket[j] = r
-			}
-			continue
-		}
-		slices.SortFunc(bucket, func(a, b itemRef) int {
-			if a.word != b.word {
-				return cmp.Compare(a.word, b.word)
-			}
-			return compareRefItems(parts, a, b)
-		})
-	}
-}
-
-// lessRef orders two index entries: on the word, and on a tie — inside one
-// part or across two — on the items.
-func lessRef(parts [][]byte, a, b itemRef) bool {
-	return a.word < b.word || a.word == b.word && compareRefItems(parts, a, b) < 0
-}
-
-// compareRefItems compares the items of two entries, the second step of
-// both of sortItemRefs' orders, out of line as tieLess is.
-//
-//go:noinline
-func compareRefItems(parts [][]byte, a, b itemRef) int {
-	return bytes.Compare(itemAt(parts[a.part], a.off), itemAt(parts[b.part], b.off))
 }
 
 // itemHead is one heap entry of the merge: a cursor's current word beside
@@ -348,10 +194,9 @@ func moreItemCursors(n int) ([]itemCursor, []itemHead) {
 // part, items compared on their prefix word and only on a tie as the
 // sub-slices of the input they are, the output written once. Every part
 // is validated before the first byte is written, so the merge itself
-// cannot fail; parts already in byte order are read in place and only the
-// others are indexed, together, and sorted — a first-level batch of raw
-// parts is one cursor, a heap of one. Equal items are all kept, side by
-// side. The byte order is what keeps the fold commutative.
+// cannot fail; a part whose items go backwards is rejected with
+// ErrBadPayload, as the other merges reject theirs. Equal items are all
+// kept, side by side. The byte order is what keeps the fold commutative.
 //
 //netagg:hotpath
 func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
@@ -362,23 +207,17 @@ func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 		cursors, heap = moreItemCursors(len(parts))
 	}
 	cursors = cursors[:len(parts)]
-	var count, unsorted uint64
+	var count uint64
 	for i, part := range parts {
 		c := &cursors[i]
 		if err := c.scan(part); err != nil {
 			return dst, err
 		}
 		count += c.left
-		if c.indexed {
-			unsorted += c.left
-		}
-	}
-	if unsorted > 0 {
-		indexItems(cursors, parts, unsorted)
 	}
 	live := 0
 	for i := range cursors {
-		if word, ok := cursors[i].next(parts); ok {
+		if word, ok := cursors[i].next(); ok {
 			heap[live] = itemHead{word: word, cur: i}
 			live++
 		}
@@ -392,7 +231,7 @@ func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	for len(heap) > 0 {
 		c := &cursors[heap[0].cur]
 		dst = appendItem(dst, c.item)
-		if word, ok := c.next(parts); ok {
+		if word, ok := c.next(); ok {
 			heap[0].word = word
 		} else {
 			heap[0] = heap[len(heap)-1]

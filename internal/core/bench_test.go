@@ -124,8 +124,8 @@ func BenchmarkTopKMerge(b *testing.B) {
 }
 
 // benchItemParts builds k parts in the fabric benchmark's sort_concat
-// shape: 100 opaque items of 100 random bytes a part (~10 kB), in the order
-// drawn — a worker's raw part, not in byte order.
+// shape: 100 opaque items of 100 random bytes a part (~10 kB), in byte
+// order as EncodeItems writes them — a worker's part.
 func benchItemParts(k int) [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	parts := make([][]byte, k)
@@ -141,18 +141,16 @@ func benchItemParts(k int) [][]byte {
 }
 
 // BenchmarkConcatMerge is the box's merge step of a sort_concat job at
-// its three shapes: a first-level batch of sixteen raw worker parts (one
-// shared index of all their items, partitioned on the top byte of each
-// item's prefix word and read as one cursor), the final batch of the eight
-// runs the box merged itself (read in place; the tree batches its runs
+// its three shapes: a first-level batch of sixteen worker parts, the final
+// batch of the eight runs the box merged itself (the tree batches its runs
 // apart from the parts, so this is every job's last merge), and one such
-// result alone, as the master folds it. The target is 0 allocs/op on the
-// two sorted shapes and one allocation — the index — on the raw one.
+// result alone, as the master folds it. Every part is read in place; the
+// target is 0 allocs/op at every shape.
 func BenchmarkConcatMerge(b *testing.B) {
-	raw := benchItemParts(128)
+	parts := benchItemParts(128)
 	runs := make([][]byte, 8)
 	for i := range runs {
-		run, err := agg.Concat{}.Merge(nil, raw[16*i:16*i+16])
+		run, err := agg.Concat{}.Merge(nil, parts[16*i:16*i+16])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +163,7 @@ func BenchmarkConcatMerge(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		parts [][]byte
-	}{{"unsorted-k=16", raw[:16]}, {"runs-k=8", runs}, {"one", [][]byte{whole}}} {
+	}{{"parts-k=16", parts[:16]}, {"runs-k=8", runs}, {"one", [][]byte{whole}}} {
 		b.Run(c.name, func(b *testing.B) {
 			size := totalLen(c.parts)
 			dst := make([]byte, 0, size+16)
@@ -193,7 +191,7 @@ func BenchmarkLocalTreeKV(b *testing.B) {
 }
 
 // BenchmarkLocalTreeConcat is one sort_concat job the same two ways: 128
-// raw parts, eight first-level merges and the merge of their eight runs.
+// worker parts, eight first-level merges and the merge of their eight runs.
 func BenchmarkLocalTreeConcat(b *testing.B) {
 	benchLocalTree(b, agg.Concat{}, benchItemParts(128))
 }

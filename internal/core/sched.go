@@ -36,14 +36,12 @@ type SchedulerConfig struct {
 const ewmaAlpha = 0.05
 
 type appState struct {
-	name    string
-	share   float64
-	avg     *stats.EWMA
-	queue   []Task
-	head    int
-	cpu     time.Duration
-	started int64
-	done    int64
+	name  string
+	share float64
+	avg   *stats.EWMA
+	queue []Task
+	head  int
+	cpu   time.Duration
 }
 
 func (a *appState) pending() int { return len(a.queue) - a.head }
@@ -151,7 +149,6 @@ func (s *Scheduler) worker() {
 		task := st.pop()
 		s.queued--
 		obsSchedQueue.Add(-1)
-		st.started++
 		s.mu.Unlock()
 
 		t0 := time.Now()
@@ -161,7 +158,6 @@ func (s *Scheduler) worker() {
 		s.mu.Lock()
 		st.avg.Observe(dt.Seconds())
 		st.cpu += dt
-		st.done++
 		s.mu.Unlock()
 	}
 }
@@ -241,16 +237,6 @@ func (s *Scheduler) CPUTime(app string) time.Duration {
 		return st.cpu
 	}
 	return 0
-}
-
-// TaskCounts returns (started, completed) task counts for an application.
-func (s *Scheduler) TaskCounts(app string) (int64, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.apps[app]; ok {
-		return st.started, st.done
-	}
-	return 0, 0
 }
 
 // Pending reports the number of queued (not yet started) tasks.

@@ -26,13 +26,6 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	if n != 100 {
 		t.Fatalf("ran %d tasks, want 100", n)
 	}
-	// A worker records a task as done after the task body (and so its
-	// wg.Done) returns: read the counts only once the pool has drained.
-	s.Close()
-	started, done := s.TaskCounts("app")
-	if started != 100 || done != 100 {
-		t.Fatalf("counts = (%d, %d), want (100, 100)", started, done)
-	}
 }
 
 func TestSchedulerRejectsUnknownApp(t *testing.T) {

@@ -307,8 +307,8 @@ func (c *countingConcat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	return c.Concat.Merge(dst, parts)
 }
 
-// randomItemsPart encodes up to 20 random items of up to 30 bytes, in the
-// order drawn, as a worker's raw sort_concat part is.
+// randomItemsPart encodes up to 20 random items of up to 30 bytes, a
+// worker's sort_concat part.
 func randomItemsPart(rng *rand.Rand) []byte {
 	items := make([][]byte, rng.Intn(21))
 	for i := range items {

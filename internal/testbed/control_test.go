@@ -12,13 +12,15 @@ import (
 	"netagg/internal/treeplan"
 )
 
+// runs numbers this process's runs of the tests that read a request's
+// trace: the tracer is process-wide, so -count reruns must not share one.
+var runs atomic.Uint64
+
 // TestControlLoopRecoversFromBoxFailure is the full failure pipeline, as
 // StartControl wires it: the heartbeat stops being answered, the monitor
 // declares the box dead, and its hook supersedes the request routed
 // through it at once — long before the straggler timer — leaving the
 // reason on the new attempt's trace.
-var failoverRuns atomic.Uint64
-
 func TestControlLoopRecoversFromBoxFailure(t *testing.T) {
 	tb := wcTestbed(t, Config{
 		Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 1,
@@ -26,8 +28,7 @@ func TestControlLoopRecoversFromBoxFailure(t *testing.T) {
 	})
 	stop := tb.StartControl(t.Context(), 30*time.Millisecond, treeplan.ReplanPolicy{})
 
-	// The tracer is process-wide: -count reruns must not share a trace.
-	reqID := 0xC0A100 + failoverRuns.Add(1)
+	reqID := 0xC0A100 + runs.Add(1)
 	workers := tb.WorkerHosts()[2:] // rack 1: tor:1, then agg:0, then tor:0
 	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
 	if err != nil {
@@ -73,14 +74,17 @@ func TestControlLoopRecoversFromBoxFailure(t *testing.T) {
 }
 
 // TestControlLoopQuietFleet covers the hysteresis' quiet side on the live
-// loop: under the default policy a lightly loaded deployment is scored on
-// every heartbeat, completes a request with zero migrations, and Close
-// alone stops the loop.
+// loop: a deployment whose boxes stay under the congestion threshold is
+// scored on every heartbeat, completes a request with zero migrations, and
+// Close alone stops the loop. The threshold is not the default 20 ms: a
+// box's load is its last flush latency plus its heartbeat RTT, and on a
+// busy two-core host under -race one job leaves boxes reading 22-28 ms
+// (flush 13-16 ms, RTT 8-12 ms), which the default policy migrates.
 func TestControlLoopQuietFleet(t *testing.T) {
 	tb := wcTestbed(t, Config{Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 2, Seed: 3})
 	scored, migrations := obs.C("replan.ticks"), obs.C("replan.migrations")
 	scoredBefore, migrationsBefore := scored.Value(), migrations.Value()
-	tb.StartControl(t.Context(), 20*time.Millisecond, treeplan.ReplanPolicy{})
+	tb.StartControl(t.Context(), 20*time.Millisecond, treeplan.ReplanPolicy{HotLoadUs: 500_000})
 
 	const reqID = 0xD11B
 	pending, err := tb.Master.Submit("wc", reqID, tb.WorkerHosts(), 1)
@@ -102,6 +106,11 @@ func TestControlLoopQuietFleet(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := migrations.Value() - migrationsBefore; n != 0 {
-		t.Fatalf("a quiet fleet migrated %d times", n)
+		var loads []int64
+		for _, b := range tb.Dep.Boxes() {
+			sig, _ := tb.Dep.BoxSignal(b.ID)
+			loads = append(loads, treeplan.LoadUs(sig))
+		}
+		t.Fatalf("a quiet fleet migrated %d times (box loads now %v µs)", n, loads)
 	}
 }

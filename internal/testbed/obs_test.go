@@ -57,8 +57,9 @@ func finishJob(t *testing.T, tb *Testbed, reqID uint64, pending *shim.Pending) s
 func TestTraceCompleteness(t *testing.T) {
 	tb := wcTestbed(t, Config{Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 1})
 
-	// A req id no other test uses: the DefaultTracer is process-global.
-	const reqID = 0xABC123
+	// A req id no other test or run uses: the DefaultTracer is
+	// process-global.
+	reqID := 0xABC200 + runs.Add(1)
 	workers := tb.WorkerHosts()
 	pending, err := tb.Master.Submit("wc", reqID, workers, 1)
 	if err != nil {

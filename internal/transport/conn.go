@@ -521,18 +521,16 @@ func (c *Conn) Reset() {
 // Close tears the connection down: the flusher completes or drops every
 // queued frame, releases the replay window, and exits; reader goroutines
 // drain. It is idempotent and is also invoked by cancellation of the
-// constructor's context.
+// constructor's context; every call returns only once the teardown is
+// done, whichever call (or the flusher, seeing the cancellation) started
+// it.
 func (c *Conn) Close() {
-	if !c.q.close(ErrClosed) {
-		if c.stop != nil {
-			c.stop()
+	if c.q.close(ErrClosed) {
+		c.connected.Store(false)
+		c.q.doorbell()
+		if h := c.live.Load(); h != nil {
+			h.nc.Close() // unblock an in-flight write so the flusher can exit
 		}
-		return
-	}
-	c.connected.Store(false)
-	c.q.doorbell()
-	if h := c.live.Load(); h != nil {
-		h.nc.Close() // unblock an in-flight write so the flusher can exit
 	}
 	if c.stop != nil {
 		c.stop()

@@ -266,6 +266,52 @@ func TestReplyAndOnFrame(t *testing.T) {
 	}
 }
 
+// Close returns once the connection's goroutines are gone, whichever call
+// started the teardown. Owners cancel their context, whose hook starts a
+// Close, and then close their pool; that second Close used to return at
+// once, so a frame the flusher had yet to release came back to the pool
+// after its owner had closed. Here the reader is held inside OnFrame, so
+// the teardown the cancellation started cannot finish until it is let go.
+func TestCloseWaitsForTeardownStartedElsewhere(t *testing.T) {
+	srv, err := Listen(context.Background(), "127.0.0.1:0", func(sc *ServerConn, m *wire.Msg) {
+		_ = sc.Reply(&wire.Msg{Type: wire.THeartbeat, Seq: m.Seq})
+	}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	c := NewConn(ctx, srv.Addr(), Options{OnFrame: func(m *wire.Msg) {
+		m.Release()
+		close(entered)
+		<-release
+	}})
+	if err := c.Send(&wire.Msg{Type: wire.THeartbeat, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	cancel()
+	waitFor(t, "the cancellation to close the queue", func() bool {
+		c.q.mu.Lock()
+		defer c.q.mu.Unlock()
+		return c.q.err != nil
+	})
+	returned := make(chan struct{})
+	go func() {
+		c.Close()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("Close returned while the connection's reader was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-returned
+}
+
 // TestUnencodableFrameRefusedAtAdmission pins where a frame the encoder
 // cannot write is refused: at the hand-over, to the caller that built it,
 // on a connected Conn, a never-connected one and a ServerConn alike. Past
