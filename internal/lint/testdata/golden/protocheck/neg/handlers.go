@@ -80,10 +80,12 @@ func (s *boxState) handleBox(m *wire.Msg) {
 
 type sender struct {
 	lastAttempt uint64
+	ended       int
 }
 
 // control applies a redirect only when its attempt is newer than the
-// last one applied (the straggler-timer/monitor race dedup).
+// last one applied (the straggler-timer/monitor race dedup), and counts
+// the ended requests a done notice lists.
 //
 //netagg:proto-handler worker
 func (s *sender) control(m *wire.Msg) {
@@ -94,6 +96,9 @@ func (s *sender) control(m *wire.Msg) {
 			return
 		}
 		s.lastAttempt = attempt
+	case wire.TDone:
+		ids, _ := wire.DecodeIDs(m.Payload)
+		s.ended += len(ids)
 	default:
 		log.Printf("worker: unexpected frame %v", m.Type)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,11 @@ type MasterConfig struct {
 // maxAttempts bounds the recovery attempts per request (the wire encoding
 // has room for 15).
 const maxAttempts = 3
+
+// noticeBatch is how many ended requests of one application the master
+// collects for a worker before it sends them in one TDone: a frame per
+// request and worker cost a job more than the retained sends it freed.
+const noticeBatch = 64
 
 // ErrCancelled is the Result.Err of a request its caller gave up on
 // (Pending.Cancel).
@@ -129,6 +135,9 @@ type Master struct {
 
 	mu      sync.Mutex
 	pending map[pendKey]*Pending
+	// notices holds, per worker and application, the ended requests the
+	// worker has not been sent a TDone for yet.
+	notices map[noticeKey]*[]uint64
 	closed  bool
 
 	bytesIn atomic.Int64
@@ -137,6 +146,17 @@ type Master struct {
 type pendKey struct {
 	app string
 	req uint64
+}
+
+type noticeKey struct {
+	worker string
+	app    string
+}
+
+// notice is one full batch on its way to a worker: a TDone payload.
+type notice struct {
+	noticeKey
+	ids []byte
 }
 
 // NewMaster starts the master shim's result listener and registers its
@@ -159,6 +179,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		cancel:  cancel,
 		pool:    transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
 		pending: make(map[pendKey]*Pending),
+		notices: make(map[noticeKey]*[]uint64),
 	}
 	// The result listener: every frame lands in handle on its
 	// connection's reader goroutine; the transport server owns the accept
@@ -231,6 +252,15 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 		return nil, fmt.Errorf("shim: request %d already pending", req)
 	}
 	m.pending[key] = p
+	// A reused id must not be noticed to its workers after they have sent
+	// for this incarnation: take it out of the batches not yet sent.
+	for _, w := range workers {
+		if ids := m.notices[noticeKey{w, app}]; ids != nil {
+			if i := slices.Index(*ids, req); i >= 0 {
+				*ids = slices.Delete(*ids, i, i+1)
+			}
+		}
+	}
 	m.mu.Unlock()
 
 	if _, err := m.arm(p, 0, 0); err != nil {
@@ -431,12 +461,6 @@ func (m *Master) Supersede(boxID uint64, cause string) int {
 	return moved
 }
 
-func (m *Master) remove(p *Pending) {
-	m.mu.Lock()
-	delete(m.pending, pendKey{p.app, p.req})
-	m.mu.Unlock()
-}
-
 // finish is the one place a request ends, whatever ends it, and so the
 // one place its trace is completed. A nil err is the successful ending
 // and takes effect only once every source of the
@@ -450,6 +474,13 @@ func (m *Master) remove(p *Pending) {
 // exactly one caller gets past it; the request is deregistered before the
 // result is delivered, outside the lock, so a caller that resubmits the
 // id the moment it reads the Result never finds it still pending.
+//
+// Every ending but Close also queues the request for a TDone to each of
+// its workers, in the same critical section as the deregistration, so a
+// resubmission of the id finds it there (Submit takes it out). A batch
+// that fills is sent after the result is delivered: the send is
+// synchronous while a worker's connection is down, and a notice must
+// never hold up a result.
 func (m *Master) finish(p *Pending, err error) {
 	p.mu.Lock()
 	if p.done || (err == nil && p.sourcesDone < p.needed) {
@@ -478,8 +509,49 @@ func (m *Master) finish(p *Pending, err error) {
 	if err != nil && err != errMasterClosed {
 		m.cancelAttempt(p, boxes, res.Attempts)
 	}
-	m.remove(p)
+	m.mu.Lock()
+	delete(m.pending, pendKey{p.app, p.req})
+	var full []notice
+	if !m.closed {
+		full = m.noteEndedLocked(p)
+	}
+	m.mu.Unlock()
 	p.c <- res
+	for _, n := range full {
+		m.sendNotice(n)
+	}
+}
+
+// noteEndedLocked adds an ended request to the batch of each of its
+// workers and returns the batches it filled, encoded and emptied.
+func (m *Master) noteEndedLocked(p *Pending) []notice {
+	var full []notice
+	for _, w := range p.workers {
+		k := noticeKey{w, p.app}
+		ids := m.notices[k]
+		if ids == nil {
+			ids = new([]uint64)
+			m.notices[k] = ids
+		}
+		if *ids = append(*ids, p.req); len(*ids) >= noticeBatch {
+			full = append(full, notice{k, wire.EncodeIDs(*ids)})
+			*ids = (*ids)[:0]
+		}
+	}
+	return full
+}
+
+// sendNotice sends a full batch to its worker's control address, the path
+// TRedirect takes. A lost notice costs the worker memory until retention
+// ages the sends out, never correctness.
+func (m *Master) sendNotice(n notice) {
+	addr, ok := m.cfg.Deployment.ControlAddr(n.worker)
+	if !ok {
+		return
+	}
+	if err := m.pool.Send(addr, &wire.Msg{Type: wire.TDone, App: n.app, Payload: n.ids}); err != nil {
+		log.Printf("shim: done notice to worker %s: %v", n.worker, err)
+	}
 }
 
 // Cancel ends the request with ErrCancelled: whatever it had collected

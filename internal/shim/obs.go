@@ -11,6 +11,13 @@ var (
 	// obsRedirectsApplied counts redirects worker shims actually
 	// replayed (duplicates and stale attempts are dropped).
 	obsRedirectsApplied = obs.C("shim.redirects_applied")
+	// obsRetainedSends is how many sends the worker shims hold for
+	// recovery resends: queued for expiry and not yet popped, whether a
+	// TDone has ended them or not.
+	obsRetainedSends = obs.G("shim.retained_sends")
+	// obsEndedNotices counts the ended requests worker shims were told of
+	// in TDone frames.
+	obsEndedNotices = obs.C("shim.ended_notices")
 	// obsDupAtMaster counts transport-replay duplicates the master shim
 	// dropped via the per-source sequence mark (same-epoch replays the
 	// attempt guard cannot see).

@@ -329,8 +329,11 @@ func TestRedirectRemembersTargets(t *testing.T) {
 }
 
 // TestBufferedSendSize pins the retained record to its 112-byte size
-// class: a busy shim holds over a million of them for the retention
-// window, so a word more is a size class (128) more on each.
+// class. A shim holds one per request it has sent for and not yet been
+// told has ended — a notice batch's worth, or, if notices are lost, the
+// retention window's, over a million on a busy shim — so a word more is a
+// size class (128) more on each. Ending a send needs no field of its own:
+// the map entry going is the mark.
 func TestBufferedSendSize(t *testing.T) {
 	if got := unsafe.Sizeof(bufferedSend{}); got != 112 {
 		t.Fatalf("unsafe.Sizeof(bufferedSend{}) = %d, want 112", got)

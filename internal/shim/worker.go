@@ -41,7 +41,8 @@ type WorkerConfig struct {
 
 const (
 	// retention bounds how long sent partial results stay buffered for
-	// recovery resends.
+	// recovery resends when no TDone says the request has ended — the
+	// bound for a notice that is lost.
 	retention = 30 * time.Second
 	// replayWindow is the per-box-connection transport replay window: the
 	// last N frames written are rewritten after a reconnect, so partials
@@ -61,8 +62,8 @@ type Worker struct {
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
 	// expiry holds the retained sends in sentAt order (sends are stamped
-	// under mu), so ageing them out pops a prefix instead of scanning
-	// buffered on every send.
+	// under mu), so letting go of ended and aged ones pops a prefix
+	// instead of scanning buffered on every send.
 	expiry []*bufferedSend
 	closed bool
 }
@@ -133,6 +134,8 @@ func (w *Worker) Close() {
 		return
 	}
 	w.closed = true
+	obsRetainedSends.Add(-int64(len(w.expiry)))
+	w.buffered, w.expiry = nil, nil
 	w.mu.Unlock()
 	w.cancel()
 	w.ctl.Close()
@@ -162,24 +165,33 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 	b.sentAt = time.Now()
 	w.buffered[bufKey{app, req}] = b
 	w.expiry = append(w.expiry, b)
+	obsRetainedSends.Add(1)
 	w.expireLocked(b.sentAt)
 	w.mu.Unlock()
 	return w.send(b, 0)
 }
 
-// expireLocked drops every retained send older than retention as of now.
-// A re-sent (app, req) overwrites its map entry, so the map entry goes
-// only if it still is the send being popped.
+// expireLocked pops from the head of the queue every send that is no
+// longer retained: one that is no longer the map's entry for its key — a
+// TDone deleted it, or a re-send of its (app, req) overwrote it — and one
+// older than retention as of now, whose entry goes with it. It stops at
+// the first send still retained and younger than retention, so a send
+// that has ended behind one that has not waits for it.
 func (w *Worker) expireLocked(now time.Time) {
 	cutoff := now.Add(-retention)
-	for len(w.expiry) > 0 && w.expiry[0].sentAt.Before(cutoff) {
-		old := w.expiry[0]
-		w.expiry[0] = nil // the backing array must not pin what the map let go
-		w.expiry = w.expiry[1:]
+	n := 0
+	for ; n < len(w.expiry); n++ {
+		old := w.expiry[n]
 		if key := (bufKey{old.app, old.req}); w.buffered[key] == old {
+			if !old.sentAt.Before(cutoff) {
+				break
+			}
 			delete(w.buffered, key)
 		}
+		w.expiry[n] = nil // the backing array must not pin what the map let go
 	}
+	w.expiry = w.expiry[n:]
+	obsRetainedSends.Add(-int64(n))
 }
 
 // send transmits the buffered request at the given recovery attempt,
@@ -261,10 +273,12 @@ func treeOf(req uint64, partIdx, trees int) int {
 //netagg:proto-handler worker
 func (w *Worker) control(_ *transport.ServerConn, m *wire.Msg) {
 	wire.CheckReceive(wire.RoleWorker, m)
-	defer m.Release() // DecodeCount copies the attempt out of the payload
+	defer m.Release() // DecodeCount and DecodeIDs copy out of the payload
 	switch m.Type {
 	case wire.TRedirect:
 		w.applyRedirect(m)
+	case wire.TDone:
+		w.applyDone(m)
 	default:
 		log.Printf("shim: worker %s dropping unhandled frame type %v for request %d",
 			w.cfg.Host.Name, m.Type, m.Req)
@@ -299,4 +313,25 @@ func (w *Worker) applyRedirect(m *wire.Msg) {
 	if err := w.send(b, attempt); err != nil {
 		log.Printf("shim: worker %s resending request %d attempt %d: %v", w.cfg.Host.Name, m.Req, attempt, err)
 	}
+}
+
+// applyDone lets go of the retained sends of requests the master has
+// ended: their map entries go now, so a later redirect finds nothing, and
+// the queue pops them once nothing older is still retained. An id with no
+// retained send — unknown, expired, or noticed before — is a no-op. A
+// notice can arrive after a reused id's next incarnation has sent; it
+// then takes that send's recovery copy (DESIGN.md §16).
+func (w *Worker) applyDone(m *wire.Msg) {
+	ids, err := wire.DecodeIDs(m.Payload)
+	if err != nil {
+		log.Printf("shim: worker %s dropping malformed done notice for %s: %v", w.cfg.Host.Name, m.App, err)
+		return
+	}
+	obsEndedNotices.Add(int64(len(ids)))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, id := range ids {
+		delete(w.buffered, bufKey{m.App, id})
+	}
+	w.expireLocked(time.Now())
 }

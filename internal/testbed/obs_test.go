@@ -271,7 +271,7 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 		"box.frames_aggregated", "box.cutthrough_merges",
 		"plan.replans", "plan.dead_boxes_skipped", "plan.slow_boxes_avoided",
 		"replan.ticks", "replan.migrations", "replan.migrated_requests",
-		"replan.cooldown_holds", "box.requests_cancelled",
+		"replan.cooldown_holds", "box.requests_cancelled", "shim.ended_notices",
 	} {
 		if _, ok := m.Counters[want]; !ok {
 			t.Errorf("/metrics missing counter %q (got %d counters)", want, len(m.Counters))
@@ -282,8 +282,14 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 			t.Errorf("/metrics missing histogram %q (got %d histograms)", want, len(m.Histograms))
 		}
 	}
-	if _, ok := m.Gauges["replan.congested_boxes"]; !ok {
-		t.Error("/metrics missing gauge replan.congested_boxes")
+	for _, want := range []string{"replan.congested_boxes", "shim.retained_sends"} {
+		if _, ok := m.Gauges[want]; !ok {
+			t.Errorf("/metrics missing gauge %q", want)
+		}
+	}
+	// Two jobs are fewer than a notice batch: their sends are still held.
+	if m.Gauges["shim.retained_sends"] <= 0 {
+		t.Errorf("shim.retained_sends = %d after two jobs, want them held", m.Gauges["shim.retained_sends"])
 	}
 	for _, name := range []string{"box.frames_aggregated", "box.merged_bytes", "replan.ticks", "replan.migrations"} {
 		if m.Counters[name] == 0 {

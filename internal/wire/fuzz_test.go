@@ -22,11 +22,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Add([]byte{0, 0, 0, 2, 9, 0})
-	// The recovery/migration control frames (TExpect, TRedirect, TCancel)
-	// and a fanout frame carrying nested routes.
+	// The recovery/migration control frames (TExpect, TRedirect, TCancel),
+	// a completion notice and a fanout frame carrying nested routes.
 	f.Add(encode(f, &Msg{Type: TExpect, App: "search", Req: 7, Payload: EncodeCount(3)}))
 	f.Add(encode(f, &Msg{Type: TRedirect, App: "search", Req: 7, Payload: EncodeCount(2)}))
 	f.Add(encode(f, &Msg{Type: TCancel, App: "search", Req: 7}))
+	f.Add(encode(f, &Msg{Type: TDone, App: "search", Payload: EncodeIDs([]uint64{7, 8, 1 << 40})}))
 	fanout := &FanoutPayload{Inner: []byte("part"), Routes: [][]string{{"127.0.0.1:1", "127.0.0.1:2"}, {"127.0.0.1:3"}}}
 	f.Add(encode(f, &Msg{Type: TFanout, App: "search", Req: 7, Payload: fanout.Encode()}))
 	// A batched stream the shape SendAll's vectored write path produces:
@@ -55,6 +56,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			if len(m.Payload) > MaxPayload {
 				t.Fatalf("decoded payload exceeds MaxPayload: %d", len(m.Payload))
 			}
+			// A worker decodes a TDone's id list straight off the frame:
+			// whatever the payload, no panic and no more ids than bytes.
+			if ids, err := DecodeIDs(m.Payload); err == nil && len(ids) > len(m.Payload) {
+				t.Fatalf("%d ids decoded from a %d-byte payload", len(ids), len(m.Payload))
+			}
 		}
 	})
 }
@@ -72,6 +78,7 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Add(byte(TExpect), "search", uint64(7), uint64(0), uint64(0), EncodeCount(3))
 	f.Add(byte(TRedirect), "search", uint64(7), uint64(0), uint64(0), EncodeCount(2))
 	f.Add(byte(TCancel), "mapred", uint64(7), uint64(0), uint64(0), []byte{})
+	f.Add(byte(TDone), "mapred", uint64(0), uint64(0), uint64(0), EncodeIDs([]uint64{7, 8, 1 << 40}))
 	fanout := &FanoutPayload{Inner: []byte("part"), Routes: [][]string{{"127.0.0.1:1"}, {"127.0.0.1:2", "127.0.0.1:3"}}}
 	f.Add(byte(TFanout), "search", uint64(7), uint64(0), uint64(0), fanout.Encode())
 

@@ -226,6 +226,13 @@ func Protocol() []Rule {
 			Note:      "discard a superseded epoch's partial state; idempotent (unknown requests are a no-op)",
 		},
 		{
+			Type: TDone, Name: "TDone",
+			Senders:   []Role{RoleMaster},
+			Receivers: []Role{RoleWorker},
+			Owner:     map[Role]Ownership{RoleWorker: OwnBorrows},
+			Note:      "ended requests of one application, batched per worker (varint count + ids); the worker drops their retained sends; idempotent (unknown or expired ids are a no-op)",
+		},
+		{
 			Type: TFanout, Name: "TFanout",
 			Senders:   []Role{RoleMaster, RoleBox},
 			Receivers: []Role{RoleBox},

@@ -28,6 +28,7 @@ func TestCheckReceiveAllowsLegalFrames(t *testing.T) {
 	CheckReceive(RoleBox, &Msg{Type: TData})
 	CheckReceive(RoleMaster, &Msg{Type: TResult})
 	CheckReceive(RoleWorker, &Msg{Type: TRedirect})
+	CheckReceive(RoleWorker, &Msg{Type: TDone})
 	CheckReceive(RoleMonitor, &Msg{Type: THeartbeat})
 	CheckReceive(RoleBox, nil)
 }

@@ -18,6 +18,7 @@ var allTypes = map[Type]string{
 	TRedirect:  "TRedirect",
 	TError:     "TError",
 	TCancel:    "TCancel",
+	TDone:      "TDone",
 	TFanout:    "TFanout",
 }
 
@@ -26,7 +27,7 @@ var allTypes = map[Type]string{
 func TestFrameTypeValuesPinned(t *testing.T) {
 	want := map[Type]uint8{
 		THello: 1, TData: 2, TEnd: 3, TExpect: 4, TResult: 5, THeartbeat: 6,
-		TRedirect: 7, TError: 9, TCancel: 10, TFanout: 100,
+		TRedirect: 7, TError: 9, TCancel: 10, TDone: 11, TFanout: 100,
 	}
 	for ft := range allTypes {
 		if v, ok := want[ft]; !ok || uint8(ft) != v {
@@ -122,6 +123,9 @@ func TestMaySendMayReceive(t *testing.T) {
 		{RoleBox, TResult, true, false},
 		{RoleWorker, TRedirect, false, true},
 		{RoleMaster, TRedirect, true, false},
+		{RoleWorker, TDone, false, true},
+		{RoleMaster, TDone, true, false},
+		{RoleBox, TDone, false, false},
 		{RoleMonitor, THeartbeat, true, true},
 		{RoleWorker, Type(8), false, false},   // the retired slot after TRedirect
 		{RoleMaster, Type(200), false, false}, // unknown frame type

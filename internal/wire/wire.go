@@ -45,6 +45,10 @@ const (
 	// the janitor, and the master ignores any result the stale epoch
 	// still produces via its attempt check.
 	TCancel
+	// TDone tells a worker shim that requests of the frame's App have
+	// ended, so the sends it retains for their recovery can go. The
+	// payload is an id list (EncodeIDs); the master batches it per worker.
+	TDone
 )
 
 // String names the frame type.
@@ -68,6 +72,8 @@ func (t Type) String() string {
 		return "error"
 	case TCancel:
 		return "cancel"
+	case TDone:
+		return "done"
 	case TFanout:
 		return "fanout"
 	default:
@@ -329,6 +335,41 @@ func DecodeCount(p []byte) (int, error) {
 		return 0, ErrCorrupt
 	}
 	return int(v), nil
+}
+
+// EncodeIDs encodes a TDone payload: the number of request ids, then
+// each id, all uvarints.
+func EncodeIDs(ids []uint64) []byte {
+	p := make([]byte, 0, binary.MaxVarintLen64*(len(ids)+1))
+	p = binary.AppendUvarint(p, uint64(len(ids)))
+	for _, id := range ids {
+		p = binary.AppendUvarint(p, id)
+	}
+	return p
+}
+
+// DecodeIDs decodes a TDone payload. A count the payload cannot hold,
+// a truncated id or a trailing byte is ErrCorrupt.
+func DecodeIDs(p []byte) ([]uint64, error) {
+	count, n := binary.Uvarint(p)
+	if n <= 0 {
+		return nil, ErrCorrupt
+	}
+	p = p[n:]
+	if count > uint64(len(p)) { // every id takes at least one byte
+		return nil, ErrCorrupt
+	}
+	ids := make([]uint64, count)
+	for i := range ids {
+		if ids[i], n = binary.Uvarint(p); n <= 0 {
+			return nil, ErrCorrupt
+		}
+		p = p[n:]
+	}
+	if len(p) != 0 {
+		return nil, ErrCorrupt
+	}
+	return ids, nil
 }
 
 // EncodeLoad encodes a box's load signal — scheduler queue depth and

@@ -169,6 +169,36 @@ func TestCountCodec(t *testing.T) {
 	}
 }
 
+// The TDone id list round-trips at every varint width, and a payload
+// that is not exactly a count and that many ids is refused — including a
+// count the payload could not hold, before anything is allocated for it.
+func TestIDsCodec(t *testing.T) {
+	for _, ids := range [][]uint64{{}, {7}, {0, 127, 128, 1 << 40, ^uint64(0)}} {
+		got, err := DecodeIDs(EncodeIDs(ids))
+		if err != nil || len(got) != len(ids) {
+			t.Fatalf("%v round trip: got %v err %v", ids, got, err)
+		}
+		for i := range ids {
+			if got[i] != ids[i] {
+				t.Fatalf("%v round trip: got %v", ids, got)
+			}
+		}
+	}
+	good := EncodeIDs([]uint64{1, 300})
+	for name, p := range map[string][]byte{
+		"empty":          nil,
+		"count too big":  {0xff, 0xff, 0xff, 0xff, 0x0f, 1},
+		"truncated id":   good[:len(good)-1],
+		"trailing byte":  append(append([]byte{}, good...), 0),
+		"bad count":      {0x80},
+		"count over ids": {3, 1, 2},
+	} {
+		if ids, err := DecodeIDs(p); err != ErrCorrupt {
+			t.Errorf("%s: DecodeIDs = %v, %v; want ErrCorrupt", name, ids, err)
+		}
+	}
+}
+
 func TestStringsCodec(t *testing.T) {
 	cases := [][]string{nil, {}, {"one"}, {"a", "", "c:9000"}}
 	for _, c := range cases {
