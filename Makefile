@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt-check lint vet race escape fuzz-smoke verify profile bench-smoke bufpool-debug protocol-check bench-check
+.PHONY: build test fmt-check lint vet race escape fuzz-smoke verify profile bench-smoke bufpool-debug recovery-stress protocol-check bench-check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,18 @@ bufpool-debug:
 	$(GO) test -tags netaggdebug -race ./internal/bufpool ./internal/transport \
 		./internal/wire ./internal/core ./internal/shim ./internal/cluster \
 		./internal/search ./internal/testbed ./internal/mapred
+
+# The recovery tests (DESIGN.md §15, §16) under -race, twenty runs each:
+# a connection cut with frames unread, a server or box restarted on its
+# own address, a stream with a gap, a lost connection to a box a request
+# has left. They race real sockets against goroutines, so an interleaving
+# that breaks them shows only across repeated runs.
+recovery-stress:
+	$(GO) test -race -count=20 ./internal/transport \
+		-run '^(TestServerRestartReplayDedup|TestQueuedFramesReplayedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher)$$'
+	$(GO) test -race -count=20 ./internal/core -run '^TestBoxTakesEachSourceInOrder$$'
+	$(GO) test -race -count=20 ./internal/shim \
+		-run '^(TestUnreadFramesPastAnyWindowAreResent|TestBoxRestartRecoversWithoutNewAttempt|TestBoxOutboundHopStaysWithStragglerTimer|TestLostConnectionToAbandonedBoxResendsNothing|TestReannounceSendsTheArmedCounts|TestLostConnectionAfterReuseResendsTheNewRequest)$$'
 
 # Protocol drift gate (DESIGN.md §17): the matrix embedded in DESIGN.md
 # must be exactly what internal/wire/protocol.go renders, and the lint

@@ -80,7 +80,7 @@ func TestBoxShutdownLeavesNoGoroutines(t *testing.T) {
 		{Type: wire.THello, App: "concat", Req: 7, Source: 1, Payload: route},
 		{Type: wire.TExpect, App: "concat", Req: 7, Payload: wire.EncodeCount(1)},
 		{Type: wire.TData, App: "concat", Req: 7, Source: 1, Payload: []byte("hello")},
-		{Type: wire.TEnd, App: "concat", Req: 7, Source: 1},
+		{Type: wire.TEnd, App: "concat", Req: 7, Source: 1, Seq: 1},
 	}
 	if _, err := w.WriteBatch(frames); err != nil {
 		t.Fatal(err)

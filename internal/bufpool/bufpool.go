@@ -9,12 +9,12 @@
 // Get and Adopt return a buffer with one reference, owned by the
 // caller. Every reference must be balanced by exactly one Release;
 // Retain mints a new reference for a hand-off (a send queue, a combine
-// tree, a replay window). Releasing the last reference recycles the
-// buffer into its size-class pool, after which its bytes must not be
-// touched — the pool will hand the same backing array to an unrelated
-// frame. Forgetting a Release is safe (the garbage collector reclaims
-// the buffer; the pool just refills by allocating) but defeats
-// recycling; releasing twice is a bug and panics.
+// tree). Releasing the last reference recycles the buffer into its
+// size-class pool, after which its bytes must not be touched — the pool
+// will hand the same backing array to an unrelated frame. Forgetting a
+// Release is safe (the garbage collector reclaims the buffer; the pool
+// just refills by allocating) but defeats recycling; releasing twice is a
+// bug and panics.
 //
 // The contract is machine-checked two ways: statically by the `bufown`
 // analyzer in internal/lint (//netagg:owns / //netagg:borrows

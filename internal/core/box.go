@@ -103,12 +103,13 @@ type boxRequest struct {
 	tree     *LocalTree
 	route    []string // remaining hops; last entry is the master
 	expected int      // direct sources; -1 until TExpect arrives
-	ends     map[uint64]bool
-	// nextSeq is the next expected TData sequence number per source.
-	// Frames arrive in order per source over one TCP stream, so a frame
-	// below the mark is a transport-replay duplicate (§3.1 at-least-once
-	// delivery after a reconnect) and must be dropped, not combined
-	// twice.
+	ended    int      // sources whose TEnd has been taken
+	// nextSeq is the next sequence number taken from each source: a
+	// source's TData and TEnd are taken strictly in order. Anything else
+	// is a duplicate of what was taken, or follows a gap a lost
+	// connection left, and is dropped: the sender's re-send of the whole
+	// stream fills the gap (§3.1), and a gap nobody fills stalls the
+	// request until the straggler timer moves it, never a short count.
 	nextSeq  map[uint64]uint64
 	lastSeen time.Time
 	closed   bool
@@ -304,7 +305,6 @@ func (b *Box) handle(m *wire.Msg) error {
 		req = &boxRequest{
 			key:       key,
 			expected:  -1,
-			ends:      make(map[uint64]bool),
 			nextSeq:   make(map[uint64]uint64),
 			lastSeen:  time.Now(),
 			firstSeen: time.Now(),
@@ -318,9 +318,18 @@ func (b *Box) handle(m *wire.Msg) error {
 		b.requests[key] = req
 	}
 
-	// The liveness refresh happens per arm, after each frame's replay
-	// guard: a transport-replay duplicate must not keep a request alive
-	// (or double-count anything) just by arriving.
+	// The liveness refresh happens after a stream frame's order guard: a
+	// dropped frame must not keep a request alive (or count anything)
+	// just by arriving.
+	if m.Type == wire.TData || m.Type == wire.TEnd {
+		if m.Seq != req.nextSeq[m.Source] {
+			b.mu.Unlock()
+			obsDupFrames.Inc()
+			return nil
+		}
+		req.nextSeq[m.Source] = m.Seq + 1
+		req.lastSeen = time.Now()
+	}
 	switch m.Type {
 	case wire.THello:
 		req.lastSeen = time.Now()
@@ -355,24 +364,12 @@ func (b *Box) handle(m *wire.Msg) error {
 		return nil
 
 	case wire.TEnd:
-		req.lastSeen = time.Now()
-		req.ends[m.Source] = true
+		req.ended++
 		b.maybeCloseInputsLocked(req)
 		b.mu.Unlock()
 		return nil
 
 	case wire.TData:
-		if m.Seq < req.nextSeq[m.Source] {
-			// A transport-replay duplicate: the sender's replay window
-			// rewrote frames the box already consumed. Dropping here is
-			// what turns the replay path's at-least-once into the tree's
-			// exactly-once.
-			b.mu.Unlock()
-			obsDupFrames.Inc()
-			return nil
-		}
-		req.lastSeen = time.Now()
-		req.nextSeq[m.Source] = m.Seq + 1
 		b.stats.BytesIn += int64(len(m.Payload))
 		req.frames++
 		req.bytesIn += int64(len(m.Payload))
@@ -435,7 +432,7 @@ func (b *Box) recordSpan(req *boxRequest, aggNs, bytesOut int64, errText string)
 // maybeCloseInputsLocked closes the local tree when every expected source
 // has delivered its end-of-stream.
 func (b *Box) maybeCloseInputsLocked(req *boxRequest) {
-	if req.closed || req.expected < 0 || len(req.ends) < req.expected {
+	if req.closed || req.expected < 0 || req.ended < req.expected {
 		return
 	}
 	req.closed = true
@@ -448,8 +445,10 @@ func (b *Box) maybeCloseInputsLocked(req *boxRequest) {
 
 // finishRequest forwards the aggregated result down the route. It owns
 // resultBuf's reference (handed over by the tree's onDone) and releases
-// it after the sends complete on every path; the transport replay
-// window takes its own references through the outbound Msg.Buf fields.
+// it after the sends complete on every path; the transport's send queue
+// takes its own references through the outbound Msg.Buf fields. Nothing
+// is kept once it is sent: a result lost with the connection to the next
+// hop is recovered by the master's straggler timer.
 //
 //netagg:owns resultBuf
 func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) {
@@ -517,7 +516,8 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 		})
 		return
 	}
-	// Forward to the next box: one well-formed part for its merge.
+	// Forward to the next box: one well-formed part for its merge, Seq 0,
+	// and the stream's end, Seq 1.
 	next := route[0]
 	b.send(next, &wire.Msg{
 		Type: wire.THello, App: req.key.app, Req: req.key.req,
@@ -528,7 +528,7 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 		Source: b.cfg.ID, Payload: result, Buf: resultBuf,
 	})
 	b.send(next, &wire.Msg{
-		Type: wire.TEnd, App: req.key.app, Req: req.key.req, Source: b.cfg.ID,
+		Type: wire.TEnd, App: req.key.app, Req: req.key.req, Source: b.cfg.ID, Seq: 1,
 	})
 }
 

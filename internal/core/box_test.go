@@ -82,7 +82,7 @@ func sendStream(t *testing.T, addr string, app string, req, source uint64, route
 	for i, p := range parts {
 		msgs = append(msgs, &wire.Msg{Type: wire.TData, App: app, Req: req, Source: source, Seq: uint64(i), Payload: p})
 	}
-	msgs = append(msgs, &wire.Msg{Type: wire.TEnd, App: app, Req: req, Source: source})
+	msgs = append(msgs, &wire.Msg{Type: wire.TEnd, App: app, Req: req, Source: source, Seq: uint64(len(parts))})
 	if _, err := wire.NewVectorWriter(conn).WriteBatch(msgs); err != nil {
 		t.Error(err)
 	}
@@ -356,7 +356,7 @@ func TestCloseWaitsForFinishingRequest(t *testing.T) {
 	copy(buf.Bytes(), part)
 	box.serveFrame(nil, &wire.Msg{Type: wire.TExpect, App: "wc", Req: 23, Payload: wire.EncodeCount(1)})
 	box.serveFrame(nil, &wire.Msg{Type: wire.TData, App: "wc", Req: 23, Payload: buf.Bytes(), Buf: buf})
-	box.serveFrame(nil, &wire.Msg{Type: wire.TEnd, App: "wc", Req: 23})
+	box.serveFrame(nil, &wire.Msg{Type: wire.TEnd, App: "wc", Req: 23, Seq: 1})
 	select {
 	case <-stall.entered:
 	case <-time.After(5 * time.Second):

@@ -17,7 +17,7 @@ func (b *Box) handleFanout(m *wire.Msg) error {
 		copies++
 		if deliver {
 			// f.Inner borrows from m.Payload (DecodeFanout is zero-copy),
-			// so the frame's buffer rides along for the replay window; the
+			// so the frame's buffer rides along for the send queue; the
 			// caller (serveFrame) keeps the frame alive until we return.
 			b.send(next, &wire.Msg{
 				Type: wire.TData, App: m.App, Req: m.Req,

@@ -40,8 +40,8 @@ var (
 	// obsBoxCancelled counts requests torn down by TCancel (subtree
 	// migration superseded their epoch before they completed).
 	obsBoxCancelled = obs.C("box.requests_cancelled")
-	// obsDupFrames counts transport-replay duplicate TData frames dropped
-	// by the per-source sequence check (at-least-once delivery made
-	// exactly-once at the tree).
+	// obsDupFrames counts TData and TEnd frames dropped because their Seq
+	// was not their source's next: duplicates of a re-sent stream, or
+	// frames behind a gap a lost connection left.
 	obsDupFrames = obs.C("box.dup_frames_dropped")
 )

@@ -12,7 +12,7 @@ import (
 // Protocheck is the wire-protocol conformance analyzer. The protocol
 // contract lives in one declarative table (internal/wire/protocol.go):
 // per frame type, which roles may send and receive it, whether the
-// receiving handler must pass an epoch/replay guard before mutating
+// receiving handler must pass an epoch/sequence guard before mutating
 // request state, and how payload-buffer ownership transfers. This
 // analyzer checks every annotated frame-dispatch switch against that
 // table — the lint package imports the table directly, so the spec and
@@ -39,8 +39,8 @@ import (
 //   - unguarded state mutation: for frames the table marks epoch-
 //     guarded at this role, a mutation of non-local state (field or
 //     element assignment, ++/--, delete) reachable before an
-//     attempt/sequence guard — the at-least-once transport replays
-//     frames on reconnect, so such a mutation double-counts;
+//     attempt/sequence guard — recovery re-sends deliver a frame more
+//     than once, so such a mutation double-counts;
 //   - ownership contradictions: a handler that never takes the payload
 //     buffer of a frame the table says it owns (Msg.TakeBuf or a bare
 //     hand-off to a //netagg:owns callee parameter), or that takes the
@@ -244,7 +244,7 @@ func (pc *protoPkg) checkHandler(fs *funcSummary, roleName string, report func(p
 		tr := pc.trace(fs, msgName, r)
 		if r.GuardedAt(role) {
 			for _, m := range tr.mutations {
-				report(m.pos, fmt.Sprintf("state mutation of %s on epoch-guarded frame %s is reachable before the attempt/seq guard: transport replay double-counts it", m.desc, r.Name))
+				report(m.pos, fmt.Sprintf("state mutation of %s on epoch-guarded frame %s is reachable before the attempt/seq guard: a re-sent frame double-counts it", m.desc, r.Name))
 			}
 		}
 		switch own := r.OwnershipAt(role); own {
@@ -486,7 +486,7 @@ func (t *protoTrace) ifStmt(fr *traceFrame, s *ast.IfStmt, st traceState) traceS
 		return st
 	}
 	if s.Else == nil && isEpochGuard(s.Cond) && bodyTerminates(s.Body) {
-		// The canonical replay guard: mutations inside its (terminating)
+		// The canonical epoch guard: mutations inside its (terminating)
 		// body are the unlock-and-bail epilogue, not state changes.
 		st.guarded = true
 		return st
@@ -665,7 +665,7 @@ func (t *protoTrace) typeTest(fr *traceFrame, e ast.Expr) int {
 }
 
 // isEpochGuard reports whether the condition mentions an attempt,
-// sequence, or epoch name — the vocabulary of the replay guards.
+// sequence, or epoch name — the vocabulary of the epoch guards.
 func isEpochGuard(cond ast.Expr) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {

@@ -51,7 +51,7 @@ type boxState struct {
 }
 
 // handleBox covers all seven box-receivable frames and guards the TData
-// mutations behind the per-source sequence check.
+// and TEnd mutations behind the per-source sequence check.
 //
 //netagg:proto-handler box
 func (s *boxState) handleBox(m *wire.Msg) {
@@ -59,12 +59,16 @@ func (s *boxState) handleBox(m *wire.Msg) {
 	case wire.THello:
 		s.route = append(s.route[:0], m.Payload...)
 	case wire.TData:
-		if m.Seq < s.nextSeq[m.Source] {
+		if m.Seq != s.nextSeq[m.Source] {
 			return
 		}
 		s.nextSeq[m.Source] = m.Seq + 1
 		s.bufs = append(s.bufs, m.TakeBuf())
 	case wire.TEnd:
+		if m.Seq != s.nextSeq[m.Source] {
+			return
+		}
+		s.nextSeq[m.Source] = m.Seq + 1
 		s.frames++
 	case wire.TExpect:
 		s.expect++

@@ -72,7 +72,7 @@ type boxState struct {
 }
 
 // ingest counts the frame before checking the per-source sequence
-// number, so a replayed frame double-counts.
+// number, so a re-sent frame double-counts.
 func (s *boxState) ingest(m *wire.Msg) {
 	s.frames++
 	if m.Seq < s.nextSeq[m.Source] {
@@ -95,6 +95,10 @@ func (s *boxState) handleBox(m *wire.Msg) {
 	case wire.TData:
 		s.ingest(m)
 	case wire.TEnd:
+		if m.Seq != s.nextSeq[m.Source] {
+			return
+		}
+		s.nextSeq[m.Source] = m.Seq + 1
 		s.frames++
 	case wire.TExpect:
 		s.route = m.TakeBuf()

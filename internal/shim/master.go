@@ -104,11 +104,12 @@ type Pending struct {
 	needed      int // sources that must deliver before completion
 	sourcesDone int
 	received    [][]byte
-	// nextSeq is the next expected sequence number per source stream.
-	// The attempt guard drops cross-epoch replays, but a transport
-	// reconnect within one attempt rewrites the replay window on the
-	// same epoch: without this mark a replayed TData duplicates its part
-	// and a replayed TEnd/TResult double-counts sourcesDone. Same
+	// nextSeq is the next sequence number taken from each source stream.
+	// The attempt guard drops other epochs' frames, but a worker re-sends
+	// a whole stream at the same attempt when its connection is lost: a
+	// source's frames are taken strictly in order, so the re-sent TData
+	// do not duplicate their parts, a re-sent TEnd or TResult does not
+	// double-count sourcesDone, and a stream with a gap never ends. Same
 	// discipline as boxRequest.nextSeq on the box side.
 	nextSeq map[srcKey]uint64
 	// bufs tracks every pooled buffer reference taken for received
@@ -116,7 +117,10 @@ type Pending struct {
 	// them on any other ending, arm releases them on re-arm.
 	bufs  []*bufpool.Buf
 	timer *time.Timer
-	boxes map[uint64]bool // boxes used by the current attempt's plan; nil until the first arm
+	// boxes holds, for each box of the current attempt's plan, the count
+	// its TExpect announced for each tree (0 where the box is not in the
+	// tree); nil until the first arm. It is replaced whole, never changed.
+	boxes map[uint64][]int
 	done  bool
 }
 
@@ -130,7 +134,8 @@ type Master struct {
 	cfg     MasterConfig
 	planner treeplan.Planner
 	srv     *transport.Server
-	pool    *transport.Pool
+	pool    *transport.Pool // to the boxes
+	ctl     *transport.Pool // to the workers' control listeners
 	cancel  context.CancelFunc
 
 	mu      sync.Mutex
@@ -177,10 +182,14 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		cfg:     cfg,
 		planner: cfg.Planner,
 		cancel:  cancel,
-		pool:    transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
 		pending: make(map[pendKey]*Pending),
 		notices: make(map[noticeKey]*[]uint64),
 	}
+	// Only the box hop answers a lost connection: OnLost also makes the
+	// flusher re-dial at once, and a worker host that has gone away is
+	// dialled again on the next TRedirect or TDone, not for ever.
+	m.pool = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, OnLost: m.reannounce})
+	m.ctl = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC})
 	// The result listener: every frame lands in handle on its
 	// connection's reader goroutine; the transport server owns the accept
 	// loop, reader lifecycle, and drain.
@@ -190,6 +199,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if err != nil {
 		cancel()
 		m.pool.Close()
+		m.ctl.Close()
 		return nil, err
 	}
 	m.srv = srv
@@ -216,13 +226,18 @@ func (m *Master) Close() {
 	m.cancel()
 	m.srv.Close()
 	m.pool.Close()
+	m.ctl.Close()
 }
 
 // Submit registers a request: it plans the aggregation trees, announces the
 // expected source counts to every box involved (§3.2.2 "Partial result
 // collection"), and returns a Pending whose channel delivers the result.
 // The workers' shims must be told to SendPartials separately (normally by
-// the application's sub-requests).
+// the application's sub-requests). Submit accepts the id of a request that
+// has ended, but a worker may still hold that request's send and, if a
+// connection is lost before it sends for the new one, re-send the old
+// stream into it: reuse an id no sooner than the workers' retention after
+// its end (DESIGN.md §16).
 func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*Pending, error) {
 	if trees < 1 {
 		trees = 1
@@ -312,12 +327,8 @@ func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err err
 	}
 	p.bufs = nil
 	p.nextSeq = make(map[srcKey]uint64)
-	p.boxes = make(map[uint64]bool)
-	for _, t := range trees {
-		for id := range t.Expect {
-			p.boxes[id] = true
-		}
-	}
+	boxes := expectations(trees)
+	p.boxes = boxes
 	if p.timer != nil {
 		p.timer.Stop()
 	}
@@ -334,24 +345,94 @@ func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err err
 	if attempt > 0 && len(oldBoxes) > 0 {
 		m.cancelAttempt(p, oldBoxes, oldAttempt)
 	}
+	return true, m.announce(p, boxes, attempt, "")
+}
 
-	for tree := range trees {
-		wireReq := cluster.WireReq(p.req, tree, attempt)
-		for boxID, count := range trees[tree].Expect {
-			box, ok := m.cfg.Deployment.Box(boxID)
-			if !ok {
+// expectations turns a plan's per-tree counts into Pending.boxes.
+func expectations(trees []treeplan.Tree) map[uint64][]int {
+	boxes := make(map[uint64][]int)
+	for tree, t := range trees {
+		for id, count := range t.Expect {
+			if boxes[id] == nil {
+				boxes[id] = make([]int, len(trees))
+			}
+			boxes[id][tree] = count
+		}
+	}
+	return boxes
+}
+
+// announce tells each box of an attempt how many direct sources to expect
+// in each of its trees (TExpect) — with only set, just the box at that
+// address.
+func (m *Master) announce(p *Pending, boxes map[uint64][]int, attempt int, only string) error {
+	for boxID, counts := range boxes {
+		box, ok := m.cfg.Deployment.Box(boxID)
+		if !ok || (only != "" && box.Addr != only) {
+			continue
+		}
+		for tree, count := range counts {
+			if count == 0 {
 				continue
 			}
 			err := m.pool.Send(box.Addr, &wire.Msg{
-				Type: wire.TExpect, App: p.app, Req: wireReq,
+				Type: wire.TExpect, App: p.app, Req: cluster.WireReq(p.req, tree, attempt),
 				Payload: wire.EncodeCount(count),
 			})
 			if err != nil {
-				return true, fmt.Errorf("shim: expect to box %d: %w", boxID, err)
+				return fmt.Errorf("shim: expect to box %d: %w", boxID, err)
 			}
 		}
 	}
-	return true, nil
+	return nil
+}
+
+// reannounce answers the loss of the connection to a box's address
+// (transport's OnLost): every pending request whose current attempt uses
+// the box is announced to it again. A TExpect the dead connection took
+// unread, or a box restarted on its address, would otherwise leave the
+// request waiting for its straggler timer, or for ever without one. The
+// counts are the ones the attempt was armed with, never a fresh plan's: the
+// deployment may have changed since, and a smaller count would let the box
+// close on the sources it has and forward a short aggregate as the tree's
+// final. The same counts again change nothing at a box that had them.
+func (m *Master) reannounce(addr string) {
+	var at []uint64
+	for _, b := range m.cfg.Deployment.Boxes() {
+		if b.Addr == addr {
+			at = append(at, b.ID)
+		}
+	}
+	for p, a := range m.attemptsUsing(at...) {
+		if err := m.announce(p, a.boxes, a.attempt, addr); err != nil {
+			log.Printf("shim: re-announce request %d attempt %d: %v", p.req, a.attempt, err)
+		}
+	}
+}
+
+// armedAttempt is a pending request's current attempt and its
+// Pending.boxes.
+type armedAttempt struct {
+	attempt int
+	boxes   map[uint64][]int
+}
+
+// attemptsUsing returns every pending request whose current attempt routes
+// through one of the boxes, with that attempt.
+func (m *Master) attemptsUsing(boxes ...uint64) map[*Pending]armedAttempt {
+	affected := make(map[*Pending]armedAttempt)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, p := range m.pending {
+		p.mu.Lock()
+		for _, id := range boxes {
+			if _, used := p.boxes[id]; used && !p.done {
+				affected[p] = armedAttempt{p.attempt, p.boxes}
+			}
+		}
+		p.mu.Unlock()
+	}
+	return affected
 }
 
 // redirect supersedes a pending request's attempt from with the next one:
@@ -401,7 +482,7 @@ func (m *Master) redirect(p *Pending, from int, cause string, box uint64) bool {
 		// Redirects are best-effort: a worker shim we cannot reach simply
 		// misses this attempt and the straggler timer fires again, but the
 		// failure must not be silent.
-		if err := m.pool.Send(addr, &wire.Msg{
+		if err := m.ctl.Send(addr, &wire.Msg{
 			Type: wire.TRedirect, App: p.app, Req: p.req,
 			Payload: wire.EncodeCount(attempt),
 		}); err != nil {
@@ -415,7 +496,7 @@ func (m *Master) redirect(p *Pending, from int, cause string, box uint64) bool {
 // was superseded or ended in an error, best-effort: an unreachable box
 // keeps its stale state until the janitor collects it, which costs
 // buffer residency, not correctness.
-func (m *Master) cancelAttempt(p *Pending, boxes map[uint64]bool, attempt int) {
+func (m *Master) cancelAttempt(p *Pending, boxes map[uint64][]int, attempt int) {
 	for boxID := range boxes {
 		box, ok := m.cfg.Deployment.Box(boxID)
 		if !ok {
@@ -442,19 +523,9 @@ func (m *Master) cancelAttempt(p *Pending, boxes map[uint64]bool, attempt int) {
 // attempt is complete on its own, and stale frames from the old epoch are
 // dropped by the master's attempt check.
 func (m *Master) Supersede(boxID uint64, cause string) int {
-	m.mu.Lock()
-	affected := make(map[*Pending]int) // the attempt that uses the box
-	for _, p := range m.pending {
-		p.mu.Lock()
-		if p.boxes[boxID] && !p.done {
-			affected[p] = p.attempt
-		}
-		p.mu.Unlock()
-	}
-	m.mu.Unlock()
 	moved := 0
-	for p, attempt := range affected {
-		if m.redirect(p, attempt, cause, boxID) {
+	for p, a := range m.attemptsUsing(boxID) {
+		if m.redirect(p, a.attempt, cause, boxID) {
 			moved++
 		}
 	}
@@ -549,7 +620,7 @@ func (m *Master) sendNotice(n notice) {
 	if !ok {
 		return
 	}
-	if err := m.pool.Send(addr, &wire.Msg{Type: wire.TDone, App: n.app, Payload: n.ids}); err != nil {
+	if err := m.ctl.Send(addr, &wire.Msg{Type: wire.TDone, App: n.app, Payload: n.ids}); err != nil {
 		log.Printf("shim: done notice to worker %s: %v", n.worker, err)
 	}
 }
@@ -590,13 +661,13 @@ func (m *Master) handle(msg *wire.Msg) {
 		p.mu.Unlock()
 		return
 	}
-	// Same-epoch replay guard: a worker's direct stream numbers its TData
+	// Same-epoch order guard: a worker's direct stream numbers its TData
 	// frames 0..n-1 and its TEnd n, and a box's TResult arrives as Seq 0,
-	// so any frame below the per-source mark is a transport-replay
-	// duplicate the attempt check cannot see.
+	// so a frame that is not its source's next is a re-sent duplicate, or
+	// follows a gap, and the attempt check cannot see either.
 	k := srcKey{msg.Req, msg.Source}
 	if msg.Type == wire.TResult || msg.Type == wire.TData || msg.Type == wire.TEnd {
-		if msg.Seq < p.nextSeq[k] {
+		if msg.Seq != p.nextSeq[k] {
 			p.mu.Unlock()
 			obsDupAtMaster.Inc()
 			return

@@ -9,8 +9,11 @@ var (
 	// to worker shims (§3.1 straggler/failure handling).
 	obsRedirectsSent = obs.C("shim.redirects_sent")
 	// obsRedirectsApplied counts redirects worker shims actually
-	// replayed (duplicates and stale attempts are dropped).
+	// applied (duplicates and stale attempts are dropped).
 	obsRedirectsApplied = obs.C("shim.redirects_applied")
+	// obsResentStreams counts the streams worker shims sent again
+	// because the connection that had carried them was lost.
+	obsResentStreams = obs.C("shim.resent_streams")
 	// obsRetainedSends is how many sends the worker shims hold for
 	// recovery resends: queued for expiry and not yet popped, whether a
 	// TDone has ended them or not.
@@ -18,9 +21,10 @@ var (
 	// obsEndedNotices counts the ended requests worker shims were told of
 	// in TDone frames.
 	obsEndedNotices = obs.C("shim.ended_notices")
-	// obsDupAtMaster counts transport-replay duplicates the master shim
-	// dropped via the per-source sequence mark (same-epoch replays the
-	// attempt guard cannot see).
+	// obsDupAtMaster counts the TData, TEnd and TResult frames the master
+	// shim dropped because their Seq was not their source's next: a
+	// re-sent stream's duplicates, or frames behind a gap, of the current
+	// attempt.
 	obsDupAtMaster = obs.C("shim.dup_frames_dropped")
 	// obsPartialBytes is the size distribution of the partial results
 	// workers hand to their shim (the input side of Fig 16's traffic

@@ -338,17 +338,17 @@ func TestNoticeToUnreachableWorker(t *testing.T) {
 	r := newRig(t, 0)
 	// A backoff that outlasts the test, so the second and third notices
 	// are refused whatever the host's speed.
-	r.master.pool.Close()
-	r.master.pool = transport.NewPool(t.Context(), transport.Options{Backoff: transport.Backoff{Min: time.Hour}})
+	r.master.ctl.Close()
+	r.master.ctl = transport.NewPool(t.Context(), transport.Options{Backoff: transport.Backoff{Min: time.Hour}})
 	r.workers["w0"].ctl.Close()
 	addr, _ := r.dep.ControlAddr("w0")
 	runJobs(t, r, 0xF200, 3*noticeBatch, []string{"w0", "w1"})
 	// The last batch goes after the last result was delivered.
 	deadline := time.Now().Add(5 * time.Second)
-	st := r.master.pool.Get(addr).Stats()
+	st := r.master.ctl.Get(addr).Stats()
 	for st.DialFailures+st.BackoffSkips < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
-		st = r.master.pool.Get(addr).Stats()
+		st = r.master.ctl.Get(addr).Stats()
 	}
 	if st.DialFailures != 1 || st.BackoffSkips != 2 {
 		t.Fatalf("three notices to a closed listener cost %d dials and %d backoff refusals, want 1 and 2", st.DialFailures, st.BackoffSkips)

@@ -39,17 +39,10 @@ type WorkerConfig struct {
 	Context context.Context
 }
 
-const (
-	// retention bounds how long sent partial results stay buffered for
-	// recovery resends when no TDone says the request has ended — the
-	// bound for a notice that is lost.
-	retention = 30 * time.Second
-	// replayWindow is the per-box-connection transport replay window: the
-	// last N frames written are rewritten after a reconnect, so partials
-	// buffered in a dying box's socket survive the reconnect (§3.1
-	// at-least-once; boxes dedup replayed frames per source sequence).
-	replayWindow = 128
-)
+// retention bounds how long sent partial results stay buffered for
+// recovery resends when no TDone says the request has ended — the bound
+// for a notice that is lost.
+const retention = 30 * time.Second
 
 // Worker is a worker host's shim layer.
 type Worker struct {
@@ -73,8 +66,9 @@ type bufKey struct {
 	req uint64
 }
 
-// bufferedSend remembers a sent request so a TRedirect can replay it along
-// a freshly planned route (§3.1: recovery resends redirect "future partial
+// bufferedSend remembers a sent request so a TRedirect can send it again
+// along a freshly planned route, and a lost connection can send it again
+// along the same one (§3.1: recovery resends redirect "future partial
 // results"; we keep the already produced ones since workers in the paper
 // equally hold their outputs until fetched).
 type bufferedSend struct {
@@ -85,9 +79,10 @@ type bufferedSend struct {
 	parts     [][]byte
 	trees     int
 	sentAt    time.Time
-	// lastAttempt dedups redirects: the master's straggler timer and the
-	// failure monitor may both request the same attempt, and replaying it
-	// twice would double-count the data at the boxes.
+	// lastAttempt is the attempt the request was last sent at: a redirect
+	// to it or an older one is a duplicate (the master's straggler timer
+	// and the failure monitor may both request the same attempt), and a
+	// lost connection is recovered at it.
 	lastAttempt int
 }
 
@@ -109,9 +104,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:      cfg,
 		planner:  cfg.Planner,
 		cancel:   cancel,
-		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, ReplayWindow: replayWindow}),
 		buffered: make(map[bufKey]*bufferedSend),
 	}
+	w.pool = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, OnLost: w.resend})
 	// The control listener carries only tiny redirect frames, so it is
 	// deliberately not NIC-paced (recovery signalling should not queue
 	// behind a congested emulated edge link).
@@ -168,7 +163,8 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 	obsRetainedSends.Add(1)
 	w.expireLocked(b.sentAt)
 	w.mu.Unlock()
-	return w.send(b, 0)
+	_, err := w.send(b, 0, "")
+	return err
 }
 
 // expireLocked pops from the head of the queue every send that is no
@@ -197,28 +193,35 @@ func (w *Worker) expireLocked(now time.Time) {
 // send transmits the buffered request at the given recovery attempt,
 // asking the configured planner for this worker's route alone (per-worker
 // decomposability guarantees it is the chain the master's tree holds for
-// the same attempt).
-func (w *Worker) send(b *bufferedSend, attempt int) error {
+// the same attempt). With only set, it sends just the trees whose route
+// starts at that address. It reports how many trees it sent.
+func (w *Worker) send(b *bufferedSend, attempt int, only string) (int, error) {
 	dep := w.cfg.Deployment
 	if _, ok := dep.Host(b.master); !ok {
-		return fmt.Errorf("shim: unknown master host %q", b.master)
+		return 0, fmt.Errorf("shim: unknown master host %q", b.master)
 	}
 	resultAddr, ok := dep.ResultAddr(b.master)
 	if !ok {
-		return fmt.Errorf("shim: master %q has no result address", b.master)
+		return 0, fmt.Errorf("shim: master %q has no result address", b.master)
 	}
 	// A tree's stream is at most a THello, every part and a TEnd: the
 	// frames live in one array, SendAll's pointers in another.
 	frames := make([]wire.Msg, 0, len(b.parts)+2)
 	msgs := make([]*wire.Msg, 0, len(b.parts)+2)
+	sent := 0
 	for tree := 0; tree < b.trees; tree++ {
 		wireReq := cluster.WireReq(b.req, tree, attempt)
 		chain := w.planner.Route(dep, treeplan.NewRequest(b.req, tree, attempt, b.master, nil), w.cfg.Host.Name)
-		frame := wire.Msg{App: b.app, Req: wireReq, Source: uint64(b.workerIdx)}
 		target := resultAddr
-		frames = frames[:0]
 		if len(chain) > 0 {
 			target = chain[0].Addr
+		}
+		if only != "" && target != only {
+			continue
+		}
+		frame := wire.Msg{App: b.app, Req: wireReq, Source: uint64(b.workerIdx)}
+		frames = frames[:0]
+		if len(chain) > 0 {
 			hello := frame
 			hello.Type, hello.Payload = wire.THello, wire.EncodeStrings(treeplan.RouteAddrs(chain[1:], resultAddr))
 			frames = append(frames, hello)
@@ -236,10 +239,10 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 			treeBytes += int64(len(part))
 			treeParts++
 		}
-		// TEnd carries the next sequence number after the data frames so
-		// the master's per-source replay guard covers it: a reconnect
-		// replays the whole window, and an unnumbered TEnd would
-		// double-count the source.
+		// TEnd carries the next sequence number after the data frames:
+		// receivers take a source's frames strictly in order, so a re-sent
+		// stream's TEnd is dropped like its TData, and a stream with a gap
+		// never ends.
 		frame.Type, frame.Payload = wire.TEnd, nil
 		frames = append(frames, frame)
 		msgs = msgs[:0]
@@ -248,15 +251,16 @@ func (w *Worker) send(b *bufferedSend, attempt int) error {
 		}
 		start := time.Now()
 		if err := w.pool.Get(target).SendAll(msgs); err != nil {
-			return fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)
+			return sent, fmt.Errorf("shim: send tree %d to %s: %w", tree, target, err)
 		}
+		sent++
 		obs.DefaultTracer.Record(wireReq, b.app, obs.Span{
 			Hop: "shim.send", Node: w.cfg.Host.Name,
 			Start: start.UnixNano(), End: time.Now().UnixNano(),
 			Parts: treeParts, BytesOut: treeBytes,
 		})
 	}
-	return nil
+	return sent, nil
 }
 
 // treeOf partitions partial results across trees by hashing the part index
@@ -285,14 +289,11 @@ func (w *Worker) control(_ *transport.ServerConn, m *wire.Msg) {
 	}
 }
 
-// applyRedirect replays a buffered request along a freshly planned route
-// for the redirect's attempt, unless the redirect is a duplicate or
+// applyRedirect sends a buffered request again along a freshly planned
+// route for the redirect's attempt, unless the redirect is a duplicate or
 // stale (the straggler timer and the failure monitor may both request
-// the same attempt, and replaying it twice would double-count the data
-// at the boxes). The connections the superseded attempt used keep their
-// transport replay windows: a reconnect replays frames of the old (tree,
-// attempt) epoch, which the receivers' epoch and sequence checks drop —
-// as they drop the completed requests' frames any reconnect replays.
+// the same attempt, and sending it twice would double-count the data at
+// the boxes).
 func (w *Worker) applyRedirect(m *wire.Msg) {
 	attempt, err := wire.DecodeCount(m.Payload)
 	if err != nil {
@@ -308,10 +309,37 @@ func (w *Worker) applyRedirect(m *wire.Msg) {
 	w.mu.Unlock()
 	obsRedirectsApplied.Inc()
 	// Replan happens inside send: dead boxes are excluded from chains,
-	// and the new attempt id keeps the replayed streams distinct at
-	// every box.
-	if err := w.send(b, attempt); err != nil {
+	// and the new attempt id keeps the re-sent streams distinct at every
+	// box.
+	if _, err := w.send(b, attempt, ""); err != nil {
 		log.Printf("shim: worker %s resending request %d attempt %d: %v", w.cfg.Host.Name, m.Req, attempt, err)
+	}
+}
+
+// resend answers the loss of the connection to addr (transport's OnLost):
+// every retained stream whose route, planned again at the attempt the
+// request was last sent at, starts at addr is sent again whole. Whatever
+// the dead connection took unread is among them; the receiver takes a
+// source's frames strictly in order, so it drops what it already has and
+// a gap is filled. A stream its request has since been redirected off
+// routes elsewhere at the new attempt, and is not sent.
+func (w *Worker) resend(addr string) {
+	w.mu.Lock()
+	w.expireLocked(time.Now())
+	sends := make([]bufferedSend, 0, len(w.expiry)) // copies: lastAttempt is read under mu
+	for _, b := range w.expiry {
+		if w.buffered[bufKey{b.app, b.req}] == b {
+			sends = append(sends, *b)
+		}
+	}
+	w.mu.Unlock()
+	for i := range sends {
+		s := &sends[i]
+		n, err := w.send(s, s.lastAttempt, addr)
+		obsResentStreams.Add(int64(n))
+		if err != nil {
+			log.Printf("shim: worker %s resending request %d to %s: %v", w.cfg.Host.Name, s.req, addr, err)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -322,6 +325,49 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 	}
 	if !migrateSpan {
 		t.Error("/traces has no migrate span on the migrated request's trace")
+	}
+}
+
+// TestMetricCatalogueIsRegistered reads the metric catalogue in DESIGN.md
+// §11 and requires every metric a row names to be registered, as the type
+// the row gives. The table is written by hand, and a row naming a metric
+// that nothing registers has gone unnoticed before.
+func TestMetricCatalogueIsRegistered(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(doc), "### Metric catalogue\n")
+	table, _, _ = strings.Cut(table, "\n#")
+	snap := obs.Default.Snapshot()
+	name := regexp.MustCompile("`([^`]+)`")
+	rows := 0
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.Contains(cells[1], "`") {
+			continue // the header, the rule, the prose around the table
+		}
+		rows++
+		kind := strings.TrimSpace(cells[2])
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			var found bool
+			switch kind {
+			case "counter":
+				_, found = snap.Counters[m[1]]
+			case "gauge":
+				_, found = snap.Gauges[m[1]]
+			case "histogram":
+				_, found = snap.Histograms[m[1]]
+			default:
+				t.Fatalf("catalogue row %q has type %q", line, kind)
+			}
+			if !found {
+				t.Errorf("DESIGN.md §11 lists the %s %s, which nothing registers", kind, m[1])
+			}
+		}
+	}
+	if rows < 20 {
+		t.Fatalf("read %d catalogue rows from DESIGN.md, want the whole table", rows)
 	}
 }
 

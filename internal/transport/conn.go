@@ -40,12 +40,12 @@ type connHandle struct {
 //
 // The flusher also owns the connection lifecycle: it dials lazily with a
 // bounded timeout, paces re-dials to a dead peer with jittered
-// exponential backoff, and optionally replays recent frames after a
-// reconnect. While a healthy connection is established, Send blocks only
-// on queue admission; while disconnected, Send degrades to synchronous
-// so dial errors and backoff refusals surface to the caller exactly as
-// they did before the queue existed. Cancelling the constructor's
-// context closes the connection.
+// exponential backoff, and tells the owner (Options.OnLost) when a
+// connection that had written was replaced. While a healthy connection is
+// established, Send blocks only on queue admission; while disconnected,
+// Send degrades to synchronous so dial errors and backoff refusals surface
+// to the caller exactly as they did before the queue existed. Cancelling
+// the constructor's context closes the connection.
 type Conn struct {
 	addr string
 	opts Options
@@ -64,15 +64,14 @@ type Conn struct {
 	// goroutine, so none of it needs a lock.
 	conn       net.Conn
 	vw         *wire.VectorWriter
-	everUp     bool       // a connection has been established before
-	wrote      bool       // the current connection has completed a write
-	needReplay bool       // the previous connection died with frames possibly unread
-	replay     replayRing // last ReplayWindow frames written; owns one payload ref each
-	dialFails  int        // consecutive dials that failed, or led to no completed write
-	nextDial   time.Time  // start of the next allowed dial (backoff)
-	writeFails int        // consecutive vectored-write failures
+	everUp     bool      // a connection has been established before
+	wrote      bool      // the current connection has completed a write
+	lost       bool      // a connection that wrote was dropped; OnLost is owed
+	dialFails  int       // consecutive dials that failed, or led to no completed write
+	nextDial   time.Time // start of the next allowed dial (backoff)
+	writeFails int       // consecutive vectored-write failures
 
-	wg sync.WaitGroup // flusher + reader goroutines
+	wg sync.WaitGroup // flusher, reader and OnLost goroutines
 }
 
 // NewConn returns a connection to addr. Nothing is dialled until the
@@ -98,8 +97,8 @@ func (c *Conn) Stats() Stats { return c.stats.snapshot() }
 
 // Send queues one frame for the flusher. With a healthy connection
 // established it blocks only on send-queue admission (back-pressure) and
-// returns before the frame reaches the wire; delivery failures are
-// recovered through the replay window and the receiver's dedup (§3.1).
+// returns before the frame reaches the wire; a frame lost with a dead
+// connection is re-sent by the owner that OnLost tells (§3.1).
 // While disconnected it waits for the flusher's verdict so dial errors
 // and ErrBackingOff surface synchronously. A frame over the wire limits
 // (wire.CheckFrame) is refused with that error, connected or not, before
@@ -165,12 +164,12 @@ func (c *Conn) flusher() {
 			return
 		}
 		if len(c.q.pending) == 0 {
-			if c.needReplay && c.replay.n > 0 {
-				// Eager §3.1 recovery: the window may hold frames the dead
-				// peer never processed, and no future send is guaranteed to
-				// arrive and trigger the rewrite lazily. Reconnect now
-				// (ensure replays before reporting success), pacing retries
-				// with the dial backoff.
+			if c.lost {
+				// Eager §3.1 recovery: the dead connection may have taken
+				// frames the peer never read, and no future send is
+				// guaranteed to arrive and reconnect lazily. Reconnect now
+				// (ensure tells the owner), pacing retries with the dial
+				// backoff.
 				if err := c.ensure(); err != nil {
 					if c.ctx.Err() != nil {
 						c.q.close(ErrClosed)
@@ -221,8 +220,8 @@ func (c *Conn) waitRetry() {
 
 // writePending drains the pending frames into batch-bounded vectored
 // writes. On a write error the connection is dropped and pending frames
-// are kept for the post-reconnect rewrite; repeated failures surface the
-// error to synchronous waiters.
+// are kept for the next connection; repeated failures surface the error
+// to synchronous waiters.
 func (c *Conn) writePending() {
 	for len(c.q.pending) > 0 {
 		n := c.q.stagePending()
@@ -242,16 +241,12 @@ func (c *Conn) writePending() {
 }
 
 // finishBatch completes the first n pending frames after a successful
-// write: the queue's payload reference moves to the replay window (or is
-// released), and synchronous waiters are woken with success.
+// write: the queue's payload reference is released, and synchronous
+// waiters are woken with success.
 func (c *Conn) finishBatch(n int) {
 	for i := 0; i < n; i++ {
 		req := &c.q.pending[i]
-		if c.opts.ReplayWindow > 0 {
-			c.retainReplay(req.m)
-		} else {
-			req.m.Buf.Release()
-		}
+		req.m.Buf.Release()
 		if req.done != nil {
 			select {
 			case req.done <- nil:
@@ -288,55 +283,9 @@ func (c *Conn) failWaiters(err error) {
 	c.q.pending = kept
 }
 
-// replayRing is the replay window: the last len(slots) frames written,
-// oldest first from head, each slot holding one payload reference. A
-// frame written to a full window overwrites the oldest in place — nothing
-// moves and, after the first frame, nothing is allocated.
-type replayRing struct {
-	slots []wire.Msg // ReplayWindow of them, made by the first retain
-	head  int        // index of the oldest held frame
-	n     int        // frames held
-}
-
-// at returns the i-th held frame, oldest first.
-func (r *replayRing) at(i int) *wire.Msg {
-	if i += r.head; i >= len(r.slots) {
-		i -= len(r.slots)
-	}
-	return &r.slots[i]
-}
-
-// retainReplay moves the queue's payload reference on m into the replay
-// window, in place of the oldest frame's once the window is full.
-func (c *Conn) retainReplay(m wire.Msg) {
-	r := &c.replay
-	if r.slots == nil {
-		r.slots = make([]wire.Msg, c.opts.ReplayWindow)
-	}
-	slot := r.at(r.n) // of a full window, the oldest frame's
-	if r.n < len(r.slots) {
-		r.n++
-	} else {
-		slot.Buf.Release()
-		if r.head++; r.head == len(r.slots) {
-			r.head = 0
-		}
-	}
-	*slot = m //netagg:owns m — the window's reference, released on overwrite/Close
-}
-
-// releaseReplay empties the window, dropping its payload references.
-func (c *Conn) releaseReplay() {
-	r := &c.replay
-	for i := 0; i < r.n; i++ {
-		r.at(i).Buf.Release()
-	}
-	clear(r.slots)
-	r.head, r.n = 0, 0
-}
-
 // ensure establishes the connection if needed, honouring the backoff
-// window, and rewrites retained frames after a reconnect.
+// window, and starts the owner's OnLost once a lost connection is
+// replaced.
 func (c *Conn) ensure() error {
 	if err := c.ctx.Err(); err != nil {
 		return err
@@ -385,46 +334,27 @@ func (c *Conn) ensure() error {
 	c.everUp = true
 	// The reader runs even without OnFrame: a write-only flusher with an
 	// empty queue would otherwise never notice a dead peer (the last batch
-	// "succeeds" into the dead socket's buffer), and the §3.1 replay would
+	// "succeeds" into the dead socket's buffer), and the §3.1 re-send would
 	// wait forever for a failure that cannot surface.
 	c.wg.Add(1)
 	go c.readLoop(nc, h)
-	if c.needReplay && c.replay.n > 0 {
-		c.stats.replayed.Add(int64(c.replay.n))
-		obsReplayed.Add(int64(c.replay.n))
-		if err := c.writeReplay(); err != nil {
-			c.dropConn()
-			return err
-		}
-		c.wrote, c.dialFails = true, 0
-	}
-	c.needReplay = false
 	c.connected.Store(true)
-	return nil
-}
-
-// writeReplay rewrites the replay window onto a fresh connection, in
-// batch-bounded vectored writes. A write that "succeeded" into a dead
-// peer's socket buffer is indistinguishable from a delivered one, so
-// recovery must resend; receivers dedup (§3.1).
-func (c *Conn) writeReplay() error {
-	for off := 0; off < c.replay.n; {
-		n := min(c.replay.n-off, batchMaxFrames)
-		c.q.batch = c.q.batch[:0]
-		for i := 0; i < n; i++ {
-			c.q.batch = append(c.q.batch, c.replay.at(off+i))
-		}
-		if err := c.q.writeVec(c.vw); err != nil {
-			return err
-		}
-		off += n
+	if c.lost {
+		// The owner re-sends through this connection, so it must not run
+		// on the flusher, whose queue it may have to wait for.
+		c.lost = false
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.opts.OnLost(c.addr)
+		}()
 	}
 	return nil
 }
 
 // dropConn tears down the current connection so the next attempt
-// re-dials. With a replay window configured, retained frames are marked
-// for rewrite on the next connection.
+// re-dials. A connection that had written is lost: its replacement owes
+// the owner an OnLost.
 func (c *Conn) dropConn() {
 	c.connected.Store(false)
 	if c.conn == nil {
@@ -434,10 +364,9 @@ func (c *Conn) dropConn() {
 	c.conn = nil
 	c.vw = nil
 	c.live.Store(nil)
-	if c.opts.ReplayWindow > 0 {
-		c.needReplay = true
-	}
-	if !c.wrote {
+	if c.wrote {
+		c.lost = c.opts.OnLost != nil
+	} else {
 		// A connection that never completed a write was worth no more than
 		// a failed dial, and its successor waits like one: a peer that
 		// accepts and then fails every write would otherwise be re-dialled
@@ -450,8 +379,7 @@ func (c *Conn) dropConn() {
 
 // shutdown is the flusher's exit path: every queued and pending frame is
 // completed (waiters get ErrClosed, fire-and-forget frames are counted
-// dropped), all queue and replay references are released, and the socket
-// is closed.
+// dropped), all queue references are released, and the socket is closed.
 func (c *Conn) shutdown() {
 	for i := range c.q.pending {
 		req := c.q.pending[i]
@@ -469,17 +397,15 @@ func (c *Conn) shutdown() {
 		c.q.pending[i] = sendReq{}
 	}
 	c.q.pending = nil
-	c.releaseReplay()
 	c.dropConn()
 }
 
 // readLoop delivers inbound frames to OnFrame (discarding them when none
 // is set — it still runs as the connection's death watcher) until the
 // connection dies, then posts a death notice naming its connection so the
-// flusher drops it and the next send re-dials and replays. Each frame's
-// pooled payload reference transfers to OnFrame (see Options.OnFrame):
-// the handler releases it, and a handler that forgets merely falls back
-// to the GC.
+// flusher drops it and re-dials. Each frame's pooled payload reference
+// transfers to OnFrame (see Options.OnFrame): the handler releases it, and
+// a handler that forgets merely falls back to the GC.
 func (c *Conn) readLoop(nc net.Conn, h *connHandle) {
 	defer c.wg.Done()
 	r := wire.NewReader(nc)
@@ -519,11 +445,10 @@ func (c *Conn) Reset() {
 }
 
 // Close tears the connection down: the flusher completes or drops every
-// queued frame, releases the replay window, and exits; reader goroutines
-// drain. It is idempotent and is also invoked by cancellation of the
-// constructor's context; every call returns only once the teardown is
-// done, whichever call (or the flusher, seeing the cancellation) started
-// it.
+// queued frame and exits; reader and OnLost goroutines drain. It is
+// idempotent and is also invoked by cancellation of the constructor's
+// context; every call returns only once the teardown is done, whichever
+// call (or the flusher, seeing the cancellation) started it.
 func (c *Conn) Close() {
 	if c.q.close(ErrClosed) {
 		c.connected.Store(false)

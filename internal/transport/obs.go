@@ -16,7 +16,6 @@ var (
 	obsDialFailures = obs.C("transport.dial_failures")
 	obsReconnects   = obs.C("transport.reconnects")
 	obsBackoffSkips = obs.C("transport.backoff_skips")
-	obsReplayed     = obs.C("transport.replayed")
 	obsAccepted     = obs.C("transport.accepted")
 	obsActiveConns  = obs.G("transport.active_conns")
 

@@ -44,27 +44,6 @@ func (p *Pool) Send(addr string, m *wire.Msg) error {
 	return p.Get(addr).Send(m)
 }
 
-// SendAll routes several frames, flushed once, through the pooled
-// connection for addr.
-func (p *Pool) SendAll(addr string, msgs []*wire.Msg) error {
-	return p.Get(addr).SendAll(msgs)
-}
-
-// Stats sums the counters of every pooled connection.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	conns := make([]*Conn, 0, len(p.conns))
-	for _, c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.mu.Unlock()
-	var s Stats
-	for _, c := range conns {
-		s = s.merge(c.Stats())
-	}
-	return s
-}
-
 // Close closes every pooled connection and forgets them. The drain
 // (reader goroutines) happens outside the pool lock.
 func (p *Pool) Close() {

@@ -24,9 +24,9 @@ const (
 // sendReq is one frame staged in a send queue. m is a value copy of the
 // sender's Msg, taken at admission so the sender may reuse its Msg
 // struct the moment the send returns; m.Buf carries the queue's own
-// payload reference (retained at admission, released or moved to the
-// replay window by the flusher). done, when non-nil, is where a
-// synchronous sender waits for the outcome of its frame's flush.
+// payload reference (retained at admission, released by the flusher).
+// done, when non-nil, is where a synchronous sender waits for the
+// outcome of its frame's flush.
 type sendReq struct {
 	m    wire.Msg
 	done chan error
@@ -41,8 +41,8 @@ type sendReq struct {
 // admission queue with a doorbell on the sender side, and on the flusher
 // side the claimed frames, the batch bound and the one vectored write
 // that accounts for itself in both the endpoint counters and the obs
-// series. Connection lifecycle, replay, synchronous waiters (Conn) and
-// what a failed write means (both) stay with the owner.
+// series. Connection lifecycle, loss notices, synchronous waiters (Conn)
+// and what a failed write means (both) stay with the owner.
 type sendq struct {
 	stats *counters // the owning endpoint's counters
 	// run is the owner's flusher loop, started on the first admission
@@ -108,7 +108,7 @@ func (q *sendq) admit(msgs []*wire.Msg, done chan error) error {
 	}
 	for i, m := range msgs {
 		cp := *m
-		cp.Buf = m.Buf.Retain() //netagg:owns cp — the queue's reference, released or moved to the replay window by the flusher
+		cp.Buf = m.Buf.Retain() //netagg:owns cp — the queue's reference, released by the flusher
 		var d chan error
 		if i == len(msgs)-1 {
 			d = done // the group's waiter rides its last frame

@@ -12,9 +12,10 @@
 //     connection, all tracked in a WaitGroup and cancelled through a
 //     context.Context, delivering frames to a handler callback.
 //   - Conn: persistent outbound connection with bounded dials, jittered
-//     exponential reconnect backoff, bounded write retry, an optional
-//     replay window for §3.1 recovery resends, and optional netem.NIC
-//     pacing injected once instead of per call site.
+//     exponential reconnect backoff, bounded write retry, a notice to its
+//     owner when a connection that carried frames was lost (the owner
+//     re-sends from its own copies, §3.1), and optional netem.NIC pacing
+//     injected once instead of per call site.
 //   - Pool: one Conn per destination address, sharing a context.
 //
 // Every endpoint keeps per-connection counters (frames/bytes in and out,
@@ -45,7 +46,7 @@ const (
 
 // Options configure an outbound Conn (and every Conn a Pool creates).
 // The zero value is usable: plain TCP, 5s dial timeout, one retry, the
-// default backoff, no reader, no replay.
+// default backoff, no reader, no loss notice.
 type Options struct {
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
@@ -71,12 +72,15 @@ type Options struct {
 	// Release it when done; forgetting one costs pool recycling, not
 	// correctness.
 	OnFrame func(m *wire.Msg)
-	// ReplayWindow > 0 retains the last N frames written and rewrites
-	// them after a reconnect. Frames buffered in a dead peer's socket are
-	// thereby delivered at-least-once; receivers dedup by the attempt id
-	// carried in the wire request (§3.1 recovery). The window holds its
-	// own reference on each frame's pooled payload, so senders must not
-	// recycle or mutate a sent Msg's payload buffer out from under it.
+	// OnLost, when set, is told the address of a lost connection that had
+	// completed a write, once its replacement is up: the dead socket may
+	// have taken frames unread, and only their sender can re-send them
+	// (§3.1). It runs once per lost connection on a goroutine of its own,
+	// so it may Send here, and Close waits for it. A lost connection is
+	// re-dialled at once, not on the next Send.
+	OnLost func(addr string)
+	// Deprecated: read by nothing; a lost connection is recovered through
+	// OnLost. Its only setters are benchmark/layers.go:188,324.
 	ReplayWindow int
 }
 
@@ -93,13 +97,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats is a point-in-time snapshot of an endpoint's counters. Conn and
-// Server fill the fields that apply to them; Pool sums across its
-// connections.
+// Server fill the fields that apply to them.
 type Stats struct {
 	// FramesIn / BytesIn count inbound frames and their payload bytes.
 	FramesIn, BytesIn int64
 	// FramesOut / BytesOut count outbound frames and their payload bytes
-	// (replayed frames are counted again — they cross the wire again).
+	// (re-sent frames are counted again — they cross the wire again).
 	FramesOut, BytesOut int64
 	// Dials counts successful connection establishments.
 	Dials int64
@@ -111,9 +114,6 @@ type Stats struct {
 	// BackoffSkips counts sends refused inside a backoff window without
 	// a dial being attempted.
 	BackoffSkips int64
-	// Replayed counts frames rewritten from the replay window after a
-	// reconnect.
-	Replayed int64
 	// Accepted counts inbound connections accepted (Server only).
 	Accepted int64
 	// Active is the number of currently open inbound connections
@@ -132,26 +132,6 @@ type Stats struct {
 	Dropped int64
 }
 
-// merge adds o into s (Pool aggregation).
-func (s Stats) merge(o Stats) Stats {
-	s.FramesIn += o.FramesIn
-	s.BytesIn += o.BytesIn
-	s.FramesOut += o.FramesOut
-	s.BytesOut += o.BytesOut
-	s.Dials += o.Dials
-	s.DialFailures += o.DialFailures
-	s.Reconnects += o.Reconnects
-	s.BackoffSkips += o.BackoffSkips
-	s.Replayed += o.Replayed
-	s.Accepted += o.Accepted
-	s.Active += o.Active
-	s.WritevCalls += o.WritevCalls
-	s.BatchedFrames += o.BatchedFrames
-	s.QueueWaits += o.QueueWaits
-	s.Dropped += o.Dropped
-	return s
-}
-
 // counters is the lock-free mutable backing of Stats.
 type counters struct {
 	framesIn, bytesIn   atomic.Int64
@@ -159,7 +139,6 @@ type counters struct {
 	dials, dialFailures atomic.Int64
 	reconnects          atomic.Int64
 	backoffSkips        atomic.Int64
-	replayed            atomic.Int64
 	accepted, active    atomic.Int64
 	writevCalls         atomic.Int64
 	batchedFrames       atomic.Int64
@@ -187,7 +166,6 @@ func (c *counters) snapshot() Stats {
 		DialFailures:  c.dialFailures.Load(),
 		Reconnects:    c.reconnects.Load(),
 		BackoffSkips:  c.backoffSkips.Load(),
-		Replayed:      c.replayed.Load(),
 		Accepted:      c.accepted.Load(),
 		Active:        c.active.Load(),
 		WritevCalls:   c.writevCalls.Load(),

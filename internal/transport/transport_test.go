@@ -9,24 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"netagg/internal/testutil"
 	"netagg/internal/wire"
 )
 
-// waitFor polls cond until it holds or the test deadline expires.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // dedupSink models a §3.1 receiver: it applies each frame once, keyed by
 // the sequence number that carries the attempt identity, and counts raw
-// deliveries separately so tests can see replay duplicates arriving.
+// deliveries separately so tests can see re-sent duplicates arriving.
 type dedupSink struct {
 	mu      sync.Mutex
 	applied map[uint64]bool
@@ -50,10 +39,11 @@ func (s *dedupSink) appliedCount() int {
 	return len(s.applied)
 }
 
-// TestServerRestartReplayDedup kills a server mid-stream, restarts it on
-// the same address, and checks that the client's buffered replay
-// redelivers everything the dead server may not have processed — applied
-// exactly once after dedup — while Stats counts exactly one reconnect.
+// TestServerRestartReplayDedup kills a server mid-stream and restarts it
+// on the same address. The connection's OnLost fires exactly once, after
+// its replacement is up and with nothing more sent, and the owner's
+// re-send of what it had sent is applied once through the receiver's
+// dedup, beside the frames sent after the restart.
 func TestServerRestartReplayDedup(t *testing.T) {
 	sink := newDedupSink()
 	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
@@ -62,10 +52,25 @@ func TestServerRestartReplayDedup(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	c := NewConn(context.Background(), addr, Options{
-		ReplayWindow: 32,
-		DialTimeout:  2 * time.Second,
-		Backoff:      Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+	var c *Conn
+	var lost atomic.Int32
+	c = NewConn(context.Background(), addr, Options{
+		DialTimeout: 2 * time.Second,
+		Backoff:     Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+		OnLost: func(got string) {
+			defer lost.Add(1) // counted once it has returned
+			if got != addr {
+				t.Errorf("OnLost(%q), want the connection's address %q", got, addr)
+			}
+			if st := c.Stats(); st.Reconnects != 1 {
+				t.Errorf("OnLost ran with %d reconnects, want it after the replacement is up", st.Reconnects)
+			}
+			for seq := uint64(1); seq <= 5; seq++ {
+				if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: []byte("x")}); err != nil {
+					t.Errorf("re-send %d: %v", seq, err)
+				}
+			}
+		},
 	})
 	defer c.Close()
 
@@ -74,49 +79,172 @@ func TestServerRestartReplayDedup(t *testing.T) {
 			t.Fatalf("send %d: %v", seq, err)
 		}
 	}
-	waitFor(t, "first batch", func() bool { return sink.appliedCount() == 5 })
+	testutil.WaitFor(t, "first batch", func() bool { return sink.appliedCount() == 5 })
 
-	// Kill the server mid-stream and restart it on the same address.
+	// Kill the server mid-stream and restart it on the same address. The
+	// flusher reconnects by itself: no send follows until OnLost is done.
 	srv.Close()
 	srv2, err := Listen(context.Background(), addr, sink.handle, ServerOptions{})
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer srv2.Close()
-
-	// The client discovers the death on write: the first send after the
-	// kill may land in the dead socket's buffer or fail outright, so keep
-	// sending until the transport has reconnected and accepted the frame.
+	testutil.WaitFor(t, "the loss to be told", func() bool { return lost.Load() == 1 })
 	for seq := uint64(6); seq <= 10; seq++ {
-		var err error
-		for try := 0; try < 400; try++ {
-			if err = c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: []byte("x")}); err == nil {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if err != nil {
-			t.Fatalf("send %d never succeeded: %v", seq, err)
+		if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: []byte("x")}); err != nil {
+			t.Fatalf("send %d: %v", seq, err)
 		}
 	}
-
-	waitFor(t, "all 10 frames applied", func() bool { return sink.appliedCount() == 10 })
+	testutil.WaitFor(t, "all 10 frames applied", func() bool { return sink.appliedCount() == 10 })
 
 	st := c.Stats()
-	if st.Reconnects != 1 {
-		t.Fatalf("Stats.Reconnects = %d, want exactly 1 (dials=%d, failures=%d)",
-			st.Reconnects, st.Dials, st.DialFailures)
-	}
-	if st.Replayed == 0 {
-		t.Fatalf("expected the replay window to rewrite frames after the reconnect, Stats.Replayed = 0")
+	if st.Reconnects != 1 || lost.Load() != 1 {
+		t.Fatalf("%d reconnects, OnLost ran %d times; want exactly 1 of each (dials=%d, failures=%d)",
+			st.Reconnects, lost.Load(), st.Dials, st.DialFailures)
 	}
 	sink.mu.Lock()
 	raw, applied := sink.raw, len(sink.applied)
 	sink.mu.Unlock()
-	if raw < applied {
-		t.Fatalf("raw deliveries %d < applied %d", raw, applied)
+	if raw < 10 || raw < applied {
+		t.Fatalf("raw deliveries %d, applied %d", raw, applied)
 	}
-	t.Logf("raw deliveries %d, applied after dedup %d, replayed %d", raw, applied, st.Replayed)
+	t.Logf("raw deliveries %d, applied after dedup %d", raw, applied)
+}
+
+// peerSink is a server handler that remembers the connection of the last
+// frame it read, so a test can sever it from the server's side.
+type peerSink struct {
+	mu     sync.Mutex
+	frames int
+	peer   *ServerConn
+}
+
+func (s *peerSink) handle(sc *ServerConn, m *wire.Msg) {
+	s.mu.Lock()
+	s.frames, s.peer = s.frames+1, sc
+	s.mu.Unlock()
+	m.Release()
+}
+
+func (s *peerSink) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frames
+}
+
+func (s *peerSink) sever() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.peer.Close()
+}
+
+// TestOnLostOnlyForConnectionsThatWrote: a connection that never completed
+// a write cannot have lost a frame, and its loss is not told; each
+// connection that did write and was lost is told of exactly once, however
+// its replacement is reached.
+func TestOnLostOnlyForConnectionsThatWrote(t *testing.T) {
+	sink := &peerSink{}
+	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var broken atomic.Bool
+	broken.Store(true)
+	var lost atomic.Int32
+	var c *Conn
+	c = NewConn(context.Background(), srv.Addr(), Options{
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			nc, err := d.DialContext(ctx, "tcp", addr)
+			return brokenWrites{nc, &broken}, err
+		},
+		Backoff: Backoff{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+		OnLost: func(string) {
+			lost.Add(1)
+			// The owner's re-send is the replacement's first write.
+			if err := c.Send(&wire.Msg{Type: wire.TData, Seq: 99}); err != nil {
+				t.Errorf("re-send: %v", err)
+			}
+		},
+	})
+	defer c.Close()
+
+	// Every connection dialled now fails its first write.
+	if err := c.Send(&wire.Msg{Type: wire.TData, Seq: 0}); err == nil {
+		t.Fatal("a send over a connection that cannot write succeeded")
+	}
+	time.Sleep(50 * time.Millisecond)
+	if st := c.Stats(); st.Dials == 0 || lost.Load() != 0 {
+		t.Fatalf("after %d dials that never wrote, OnLost ran %d times, want none", st.Dials, lost.Load())
+	}
+
+	broken.Store(false)
+	testutil.WaitFor(t, "a send to succeed", func() bool { return c.Send(&wire.Msg{Type: wire.TData, Seq: 1}) == nil })
+	testutil.WaitFor(t, "the frame", func() bool { return sink.count() == 1 })
+	for i := int32(1); i <= 2; i++ {
+		sink.sever()
+		testutil.WaitFor(t, "the loss to be told and the re-send to arrive", func() bool {
+			return lost.Load() == i && sink.count() == int(i)+1
+		})
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := lost.Load(); got != 2 {
+		t.Fatalf("two lost connections told %d times, want 2", got)
+	}
+}
+
+// TestOnLostRunsOffTheFlusher: OnLost may send on its own connection,
+// more than the send queue holds, which on the flusher goroutine would
+// wait for itself; and Close waits for an OnLost still running.
+func TestOnLostRunsOffTheFlusher(t *testing.T) {
+	sink := &peerSink{}
+	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var c *Conn
+	c = NewConn(context.Background(), srv.Addr(), Options{OnLost: func(string) {
+		group := make([]*wire.Msg, sendqCap)
+		for i := range group {
+			group[i] = &wire.Msg{Type: wire.TData, Seq: uint64(i)}
+		}
+		// The second group is admitted only once the flusher has taken
+		// the first off the queue.
+		for g := 0; g < 2; g++ {
+			if err := c.SendAll(group); err != nil {
+				t.Errorf("re-send group %d: %v", g, err)
+			}
+		}
+		close(entered)
+		<-release
+	}})
+	if err := c.Send(&wire.Msg{Type: wire.TData}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, "the first frame", func() bool { return sink.count() == 1 })
+	sink.sever()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnLost never got its two groups admitted")
+	}
+	testutil.WaitFor(t, "the re-sent groups", func() bool { return sink.count() == 1+2*sendqCap })
+
+	returned := make(chan struct{})
+	go func() {
+		c.Close()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("Close returned while OnLost was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-returned
 }
 
 // TestDialBackoffWindow checks that a dead destination costs one dial
@@ -216,7 +344,7 @@ func TestWriteFailuresPaceRedial(t *testing.T) {
 		t.Fatalf("%d dials in 300 ms of failing writes, want a handful", got)
 	}
 	broken.Store(false)
-	waitFor(t, "the queued frames", func() bool { return sink.appliedCount() == 5 })
+	testutil.WaitFor(t, "the queued frames", func() bool { return sink.appliedCount() == 5 })
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	if sink.raw != 5 {
@@ -257,7 +385,7 @@ func TestReplyAndOnFrame(t *testing.T) {
 	}
 	// The server counts a frame out once its write returns, which the echo
 	// can overtake on its way back.
-	waitFor(t, "the server to count its reply", func() bool { return srv.Stats().FramesOut == 1 })
+	testutil.WaitFor(t, "the server to count its reply", func() bool { return srv.Stats().FramesOut == 1 })
 	if st := srv.Stats(); st.FramesIn != 1 || st.FramesOut != 1 || st.Accepted != 1 {
 		t.Fatalf("server stats = %+v, want 1 in / 1 out / 1 accepted", st)
 	}
@@ -293,7 +421,7 @@ func TestCloseWaitsForTeardownStartedElsewhere(t *testing.T) {
 	}
 	<-entered
 	cancel()
-	waitFor(t, "the cancellation to close the queue", func() bool {
+	testutil.WaitFor(t, "the cancellation to close the queue", func() bool {
 		c.q.mu.Lock()
 		defer c.q.mu.Unlock()
 		return c.q.err != nil
@@ -375,7 +503,7 @@ func TestUnencodableFrameRefusedAtAdmission(t *testing.T) {
 		send(seq)
 	}
 
-	waitFor(t, "the seven good frames", func() bool {
+	testutil.WaitFor(t, "the seven good frames", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == 7
@@ -414,14 +542,14 @@ func TestContextCancellation(t *testing.T) {
 	if err := c.Send(&wire.Msg{Type: wire.TData, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "frame delivery", func() bool { return sink.appliedCount() == 1 })
+	testutil.WaitFor(t, "frame delivery", func() bool { return sink.appliedCount() == 1 })
 
 	cancel()
 	srv.Close() // waits for the drain the cancellation started
 
 	// The context hook closes the Conn asynchronously; once it lands,
 	// sends fail permanently.
-	waitFor(t, "conn to observe cancellation", func() bool {
+	testutil.WaitFor(t, "conn to observe cancellation", func() bool {
 		return c.Send(&wire.Msg{Type: wire.TData, Seq: 2}) != nil
 	})
 	if err := c.Send(&wire.Msg{Type: wire.TData, Seq: 3}); err == nil {
@@ -438,7 +566,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestPoolSharesConnections checks the pool caches one Conn per address
-// and aggregates stats across them.
+// and routes its sends through it.
 func TestPoolSharesConnections(t *testing.T) {
 	sink := newDedupSink()
 	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
@@ -455,13 +583,11 @@ func TestPoolSharesConnections(t *testing.T) {
 	if err := p.Send(srv.Addr(), &wire.Msg{Type: wire.TData, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SendAll(srv.Addr(), []*wire.Msg{
-		{Type: wire.TData, Seq: 2}, {Type: wire.TData, Seq: 3},
-	}); err != nil {
+	if err := p.Send(srv.Addr(), &wire.Msg{Type: wire.TData, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "three frames", func() bool { return sink.appliedCount() == 3 })
-	if st := p.Stats(); st.FramesOut != 3 || st.Dials != 1 {
-		t.Fatalf("pool stats = %+v, want FramesOut=3 Dials=1", st)
+	testutil.WaitFor(t, "two frames", func() bool { return sink.appliedCount() == 2 })
+	if st := p.Get(srv.Addr()).Stats(); st.FramesOut != 2 || st.Dials != 1 {
+		t.Fatalf("conn stats = %+v, want FramesOut=2 Dials=1", st)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // This file is the declarative wire-protocol specification: one table
 // (Protocol) mapping every frame type to the roles that may send and
-// receive it, whether the receiving handler must pass an epoch/replay
+// receive it, whether the receiving handler must pass an epoch/sequence
 // guard before mutating request state, and how payload-buffer ownership
 // transfers at the receiver. Three consumers keep the table honest:
 //
@@ -118,10 +118,10 @@ type Rule struct {
 	// Receivers lists the roles whose dispatch switches must handle the
 	// frame; a frame arriving anywhere else is a protocol violation.
 	Receivers []Role
-	// Guarded lists the receivers that must pass an epoch/replay guard
+	// Guarded lists the receivers that must pass an epoch/sequence guard
 	// (attempt check or per-source sequence check) before mutating
-	// request state on this frame: at-least-once transport replay and
-	// recovery resends make unguarded mutation a double-count.
+	// request state on this frame: recovery re-sends deliver a frame
+	// more than once, and unguarded mutation would count it twice.
 	Guarded []Role
 	// Owner maps each receiver to its payload-buffer ownership mode;
 	// receivers absent from the map default to OwnNone.
@@ -137,7 +137,7 @@ func (r Rule) MaySend(role Role) bool { return containsRole(r.Senders, role) }
 // handle this frame type.
 func (r Rule) MayReceive(role Role) bool { return containsRole(r.Receivers, role) }
 
-// GuardedAt reports whether the role must epoch/replay-guard its state
+// GuardedAt reports whether the role must epoch/sequence-guard its state
 // mutations for this frame type.
 func (r Rule) GuardedAt(role Role) bool { return containsRole(r.Guarded, role) }
 
@@ -172,21 +172,21 @@ func Protocol() []Rule {
 			Receivers: []Role{RoleBox, RoleMaster},
 			Guarded:   []Role{RoleBox, RoleMaster},
 			Owner:     map[Role]Ownership{RoleBox: OwnTakes, RoleMaster: OwnTakes},
-			Note:      "one canonical part of a partial result — a worker's part or a box's whole aggregate, never a byte range of one; per-source Seq dedups transport replay (the master also sends TData for §5 fanout distribution, received by the extension's own listener)",
+			Note:      "one canonical part of a partial result — a worker's part or a box's whole aggregate, never a byte range of one; taken only at its source's next Seq, so a re-sent stream's duplicates and the frames behind a gap are dropped (the master also sends TData for §5 fanout distribution, received by the extension's own listener)",
 		},
 		{
 			Type: TEnd, Name: "TEnd",
 			Senders:   []Role{RoleWorker, RoleBox},
 			Receivers: []Role{RoleBox, RoleMaster},
-			Guarded:   []Role{RoleMaster},
-			Note:      "end of one source's stream; carries Seq so the master's replay guard covers it (the box's ends-set is idempotent by construction)",
+			Guarded:   []Role{RoleBox, RoleMaster},
+			Note:      "end of one source's stream; carries the Seq after its last TData (a box's forwarded aggregate ends at 1) and is taken only at that Seq, so a stream with a gap never ends",
 		},
 		{
 			Type: TExpect, Name: "TExpect",
 			Senders:   []Role{RoleMaster},
 			Receivers: []Role{RoleBox},
 			Owner:     map[Role]Ownership{RoleBox: OwnBorrows},
-			Note:      "announces the direct-source count for a request (varint payload); idempotent",
+			Note:      "announces the direct-source count for a request (varint payload); idempotent, and sent again when the master's connection to the box is lost",
 		},
 		{
 			Type: TResult, Name: "TResult",
@@ -194,7 +194,7 @@ func Protocol() []Rule {
 			Receivers: []Role{RoleMaster},
 			Guarded:   []Role{RoleMaster},
 			Owner:     map[Role]Ownership{RoleMaster: OwnTakes},
-			Note:      "fully aggregated result from a chain root; the master's attempt+Seq checks drop stale and replayed deliveries",
+			Note:      "fully aggregated result from a chain root (Seq 0); the master's attempt+Seq checks drop stale and repeated deliveries",
 		},
 		{
 			Type: THeartbeat, Name: "THeartbeat",
@@ -284,7 +284,7 @@ func receiverNames(t Type) string {
 // protogen markers and CI fails when the committed copy drifts.
 func ProtocolMatrix() string {
 	var b strings.Builder
-	b.WriteString("| frame | sent by | received by | epoch/replay guard | payload ownership | notes |\n")
+	b.WriteString("| frame | sent by | received by | epoch/sequence guard | payload ownership | notes |\n")
 	b.WriteString("|---|---|---|---|---|---|\n")
 	for _, r := range Protocol() {
 		fmt.Fprintf(&b, "| `%s` (%s) | %s | %s | %s | %s | %s |\n",

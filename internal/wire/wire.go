@@ -102,7 +102,7 @@ type Msg struct {
 	// Retain it to keep the bytes longer (a forgotten Release is
 	// reclaimed by the GC — it costs recycling, never correctness). On
 	// an outbound frame Buf is a non-owning pointer that lets the
-	// transport's replay window take references of its own; senders keep
+	// transport's send queue take a reference of its own; senders keep
 	// their reference until Send returns and must not call Release
 	// through the Msg.
 	Buf *bufpool.Buf
