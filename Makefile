@@ -68,12 +68,15 @@ bufpool-debug:
 # The recovery tests (DESIGN.md §15, §16) under -race, twenty runs each:
 # a connection cut with frames unread, a server or box restarted on its
 # own address, a stream with a gap, a lost connection to a box a request
-# has left. They race real sockets against goroutines, so an interleaving
-# that breaks them shows only across repeated runs.
+# has left; and the box's request state under its one lock: the idle
+# load signal's decay, a crashing application's quarantine, and a panic
+# in the local tree. They race real sockets against goroutines, so an
+# interleaving that breaks them shows only across repeated runs.
 recovery-stress:
 	$(GO) test -race -count=20 ./internal/transport \
-		-run '^(TestServerRestartReplayDedup|TestQueuedFramesReplayedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher)$$'
-	$(GO) test -race -count=20 ./internal/core -run '^TestBoxTakesEachSourceInOrder$$'
+		-run '^(TestServerRestartResendAppliedOnce|TestQueuedFramesAppliedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher)$$'
+	$(GO) test -race -count=20 ./internal/core \
+		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeBoundsPanicFailsRequest)$$'
 	$(GO) test -race -count=20 ./internal/shim \
 		-run '^(TestUnreadFramesPastAnyWindowAreResent|TestBoxRestartRecoversWithoutNewAttempt|TestBoxOutboundHopStaysWithStragglerTimer|TestLostConnectionToAbandonedBoxResendsNothing|TestReannounceSendsTheArmedCounts|TestLostConnectionAfterReuseResendsTheNewRequest)$$'
 

@@ -362,10 +362,15 @@ func (d *Deployment) BoxesAt(sw string) []treeplan.Box {
 	return out
 }
 
-// WireReq encodes a request identifier, aggregation tree index, and
-// recovery attempt into the request id carried on the wire, so every
-// (tree, attempt) is an independent aggregation at the boxes. Trees and
-// attempts are limited to 16 each; out-of-range values are clamped to the
+// MaxReq is the largest request identifier WireReq can carry: the wire
+// id keeps it in its top 56 bits, and a larger one would lose its top bits
+// on the way. shim.Master.Submit and shim.Worker.SendPartials refuse one.
+const MaxReq uint64 = 1<<56 - 1
+
+// WireReq encodes a request identifier (at most MaxReq), aggregation tree
+// index, and recovery attempt into the request id carried on the wire, so
+// every (tree, attempt) is an independent aggregation at the boxes. Trees
+// and attempts are limited to 16 each; out-of-range values are clamped to the
 // nearest bound with a logged error, because silent truncation (the old
 // behaviour) would alias a 17th attempt onto attempt 1's in-flight
 // aggregation state at the boxes.

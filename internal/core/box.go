@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netagg/internal/agg"
@@ -48,6 +48,10 @@ const (
 	// idleTimeout is how long a request may see no traffic before the
 	// janitor garbage-collects it.
 	idleTimeout = 30 * time.Second
+	// maxCrashes is how many requests an application's aggregation code
+	// may fail with a panic before the box quarantines it: it refuses the
+	// application's requests from then on, and keeps serving the others.
+	maxCrashes = 3
 )
 
 // Box is a running agg box.
@@ -57,8 +61,6 @@ type Box struct {
 	sched   *Scheduler
 	obsNode string // trace span node label ("box:<id>")
 
-	guard *faultGuard
-
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -66,16 +68,18 @@ type Box struct {
 	requests map[reqKey]*boxRequest
 	pool     *transport.Pool
 	closed   bool
+	// crashes counts each application's requests failed by a panic in
+	// its aggregation code; at maxCrashes it is quarantined.
+	crashes map[string]int
 
 	stats BoxStats
 	// requestsAtReply is stats.Requests as the last heartbeat reply saw
 	// it (see decayIdleFlush).
 	requestsAtReply int64
-
 	// flushUs is the EWMA of recent request flush latencies (first
 	// partial seen → result emitted) in microseconds, exported through
 	// FlushLatencyUs as a load signal for planners.
-	flushUs atomic.Int64
+	flushUs int64
 
 	wg sync.WaitGroup
 }
@@ -147,8 +151,8 @@ func Start(cfg Config) (*Box, error) {
 			Adaptive: !cfg.FixedWeights,
 			Seed:     cfg.SchedSeed,
 		}),
-		guard:    newFaultGuard(),
 		requests: make(map[reqKey]*boxRequest),
+		crashes:  make(map[string]int),
 		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
 	}
 	for _, app := range cfg.Registry.Apps() {
@@ -180,7 +184,19 @@ func (b *Box) QueueDepth() int { return b.sched.Pending() }
 // FlushLatencyUs reports the EWMA of recent request flush latencies in
 // microseconds (0 until the first request completes) — the box's
 // service-time load signal for load-aware tree planning.
-func (b *Box) FlushLatencyUs() int64 { return b.flushUs.Load() }
+func (b *Box) FlushLatencyUs() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.flushUs
+}
+
+// Quarantined reports whether the box has disabled an application's
+// aggregation function after repeated crashes.
+func (b *Box) Quarantined(app string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.crashes[app] >= maxCrashes
+}
 
 // decayIdleFlush takes the flush-latency average to ⅞ of itself — the
 // weight an old sample keeps when a request finishes — if the box holds no
@@ -191,13 +207,11 @@ func (b *Box) FlushLatencyUs() int64 { return b.flushUs.Load() }
 // is not idle, however long that request takes, so its signal stays.
 func (b *Box) decayIdleFlush() {
 	b.mu.Lock()
-	idle := len(b.requests) == 0 && b.stats.Requests == b.requestsAtReply
-	b.requestsAtReply = b.stats.Requests
-	b.mu.Unlock()
-	// A sample stored meanwhile wins over the decay.
-	if old := b.flushUs.Load(); idle {
-		b.flushUs.CompareAndSwap(old, old*7/8)
+	defer b.mu.Unlock()
+	if len(b.requests) == 0 && b.stats.Requests == b.requestsAtReply {
+		b.flushUs = b.flushUs * 7 / 8
 	}
+	b.requestsAtReply = b.stats.Requests
 }
 
 // Stats returns a snapshot of the box counters.
@@ -309,7 +323,7 @@ func (b *Box) handle(m *wire.Msg) error {
 		var refusal error
 		if !found {
 			refusal = fmt.Errorf("unknown application %q", m.App)
-		} else if b.guard.Quarantined(m.App) {
+		} else if b.crashes[m.App] >= maxCrashes {
 			refusal = fmt.Errorf("application %q is quarantined", m.App)
 		}
 		if refusal != nil {
@@ -331,7 +345,7 @@ func (b *Box) handle(m *wire.Msg) error {
 			lastSeen:  time.Now(),
 			firstSeen: time.Now(),
 		}
-		req.tree = NewLocalTree(b.sched, m.App, guard(m.App, aggregator, b.guard), maxPending, func(result *bufpool.Buf, err error) {
+		req.tree = NewLocalTree(b.sched, m.App, aggregator, maxPending, func(result *bufpool.Buf, err error) {
 			defer b.wg.Done() // after the result's last Release: Close waits for it
 			b.finishRequest(req, result, err)
 		})
@@ -365,7 +379,7 @@ func (b *Box) handle(m *wire.Msg) error {
 		}
 		if req.route == nil {
 			req.route = route
-		} else if !equalRoute(req.route, route) {
+		} else if !slices.Equal(req.route, route) {
 			b.mu.Unlock()
 			return fmt.Errorf("conflicting routes for request %d", m.Req)
 		}
@@ -380,15 +394,9 @@ func (b *Box) handle(m *wire.Msg) error {
 			return err
 		}
 		req.expected = count
-		b.maybeCloseInputsLocked(req)
-		b.mu.Unlock()
-		return nil
 
 	case wire.TEnd:
 		req.ended++
-		b.maybeCloseInputsLocked(req)
-		b.mu.Unlock()
-		return nil
 
 	case wire.TData:
 		b.stats.BytesIn += int64(len(m.Payload))
@@ -408,6 +416,15 @@ func (b *Box) handle(m *wire.Msg) error {
 		b.mu.Unlock()
 		return fmt.Errorf("unexpected frame %s", m.Type)
 	}
+	// A TExpect or TEnd: once every expected source has ended, the tree's
+	// inputs close, after b.mu is released.
+	closing := !req.closed && req.expected >= 0 && req.ended >= req.expected
+	req.closed = req.closed || closing
+	b.mu.Unlock()
+	if closing {
+		req.tree.CloseInputs()
+	}
+	return nil
 }
 
 // drop takes a request out of the table — the only place one leaves it —
@@ -450,20 +467,6 @@ func (b *Box) recordSpan(req *boxRequest, aggNs, bytesOut int64, errText string)
 	})
 }
 
-// maybeCloseInputsLocked closes the local tree when every expected source
-// has delivered its end-of-stream.
-func (b *Box) maybeCloseInputsLocked(req *boxRequest) {
-	if req.closed || req.expected < 0 || req.ended < req.expected {
-		return
-	}
-	req.closed = true
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		req.tree.CloseInputs()
-	}()
-}
-
 // finishRequest forwards the aggregated result down the route. It owns
 // resultBuf's reference (handed over by the tree's onDone) and releases
 // it after the sends complete on every path; the transport's send queue
@@ -483,6 +486,7 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 		err = fmt.Errorf("core: aggregate of %d bytes exceeds the frame limit of %d", len(result), wire.MaxPayload)
 	}
 	aggDone := time.Now()
+	flushUs := aggDone.Sub(req.firstSeen).Microseconds()
 	b.mu.Lock()
 	route := req.route
 	b.drop(req.key)
@@ -490,6 +494,20 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 	b.stats.Combines += req.tree.Combines()
 	if err == nil {
 		b.stats.BytesOut += int64(len(result))
+	}
+	// The flush latency's EWMA: ⅞ old + ⅛ new.
+	if b.flushUs == 0 {
+		b.flushUs = flushUs
+	} else {
+		b.flushUs = (b.flushUs*7 + flushUs) / 8
+	}
+	// A panic in the application's code, which the tree reports unwrapped,
+	// is one crash, however many of the request's merges it hit.
+	if crash, ok := err.(*appPanic); ok {
+		b.crashes[crash.app]++
+		if b.crashes[crash.app] == maxCrashes {
+			err = fmt.Errorf("core: application %q quarantined after repeated crashes (last: %v)", crash.app, crash.value)
+		}
 	}
 	closed := b.closed
 	b.mu.Unlock()
@@ -499,16 +517,7 @@ func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) 
 	obsBoxRequests.Inc()
 	obsBoxCombines.Add(req.tree.Combines())
 	obsFanIn.Observe(int64(req.frames))
-	flushUs := aggDone.Sub(req.firstSeen).Microseconds()
 	obsFlushLatency.Observe(flushUs)
-	// Approximate EWMA (⅞ old + ⅛ new): concurrent finishes may lose an
-	// update between Load and Store, which only costs one sample of
-	// smoothing — fine for a load signal.
-	if old := b.flushUs.Load(); old == 0 {
-		b.flushUs.Store(flushUs)
-	} else {
-		b.flushUs.Store((old*7 + flushUs) / 8)
-	}
 	if err == nil {
 		obsBoxBytesOut.Add(int64(len(result)))
 	}
@@ -596,16 +605,4 @@ func (b *Box) sweep(now time.Time) {
 
 func (b *Box) logf(format string, args ...interface{}) {
 	log.Printf(format, args...)
-}
-
-func equalRoute(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -14,6 +15,20 @@ import (
 // errDiscarded marks a tree torn down by the janitor or box shutdown;
 // it never reaches a master because Discard detaches onDone first.
 var errDiscarded = errors.New("core: aggregation tree discarded")
+
+// appPanic is the error a panic in the application's aggregation code
+// becomes. The paper leaves "isolating faulty or malicious aggregation
+// tasks" to future work (§3.2.1); here a crash fails its request instead
+// of the box, and the box quarantines an application that keeps crashing.
+type appPanic struct {
+	app   string
+	value any
+}
+
+// Error implements error.
+func (p *appPanic) Error() string {
+	return fmt.Sprintf("core: aggregation function %q panicked: %v", p.app, p.value)
+}
 
 // fanIn is how many waiting parts and chains, or how many waiting runs,
 // make a merge batch: with parts and runs batched apart, each byte of a
@@ -130,21 +145,22 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 // buffer reference in every outcome — including rejection — so callers
 // hand their reference over and walk away. It blocks while the tree's
 // buffer is full (back-pressure) and returns false if the tree already
-// failed or was closed.
+// failed or was closed, or if the part failed it.
 //
 //netagg:owns part
 func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	// The part's keys are read before the lock: a part Bounds refuses, or
 	// that holds no record, waits alone and reaches Merge, which reports
-	// what is wrong with it.
+	// what is wrong with it. A Bounds that panics fails the request.
 	var first, last []byte
+	var err error
 	if t.ordered != nil {
-		var ok bool
-		if first, last, ok = t.ordered.Bounds(part.Bytes()); !ok {
-			first, last = nil, nil
-		}
+		first, last, err = t.bounds(part.Bytes())
 	}
 	t.mu.Lock()
+	if err != nil {
+		t.failLocked(err)
+	}
 	// The budget counts buffered parts, chains and runs and the batch of
 	// every merge still queued or running, so a slow aggregator applies
 	// back-pressure instead of letting the scheduler queue grow without
@@ -176,6 +192,15 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	t.scheduleLocked()
 	t.mu.Unlock()
 	return true
+}
+
+// bounds is the application's Bounds, with a refusal as no keys.
+func (t *LocalTree) bounds(part []byte) (first, last []byte, err error) {
+	defer t.recovered(&err)
+	if first, last, ok := t.ordered.Bounds(part); ok {
+		return first, last, nil
+	}
+	return nil, nil, nil
 }
 
 // followedLocked returns the index of the waiting part or chain that a
@@ -366,7 +391,22 @@ func (t *LocalTree) merge(batch []link) (*bufpool.Buf, error) {
 		size += len(views[i])
 	}
 	obsMergedBytes.Add(int64(size))
-	return pooledFold(t.aggregator.Merge, views, size)
+	return pooledFold(t.applyMerge, views, size)
+}
+
+// applyMerge is the application's Merge.
+func (t *LocalTree) applyMerge(dst []byte, parts [][]byte) (out []byte, err error) {
+	defer t.recovered(&err)
+	return t.aggregator.Merge(dst, parts)
+}
+
+// recovered turns a panic of the application's code into *err. It is
+// deferred directly by bounds and applyMerge, the tree's only calls into
+// that code.
+func (t *LocalTree) recovered(err *error) {
+	if r := recover(); r != nil {
+		*err = &appPanic{app: t.app, value: r}
+	}
 }
 
 // pooledFold runs an append-style fold of views, size bytes together,

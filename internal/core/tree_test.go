@@ -706,6 +706,58 @@ func TestLocalTreeReleasesEveryBuffer(t *testing.T) {
 	}
 }
 
+// panicOrdered is a KV sum whose Bounds panics.
+type panicOrdered struct{ agg.KVCombiner }
+
+func (panicOrdered) Bounds([]byte) ([]byte, []byte, bool) { panic("malicious bounds") }
+
+// checkPanicFailsOnce feeds a tree over the aggregator a batch of parts
+// and checks that the panic in its code fails the request once, with the
+// panic's text: onDone fires one time, every later Add is refused, and
+// every buffer goes back to the pool.
+func checkPanicFailsOnce(t *testing.T, a agg.Aggregator, text string) {
+	t.Helper()
+	s := NewScheduler(SchedulerConfig{Workers: 2, Seed: 1})
+	s.Register("x", 1)
+	before := bufpool.ReadStats()
+	var calls atomic.Int64
+	wr := newWaitResult()
+	tree := NewLocalTree(s, "x", a, 8, func(res *bufpool.Buf, err error) {
+		calls.Add(1)
+		wr.done(res, err)
+	})
+	for i := 0; i < 4; i++ { // a batch is due at the fourth
+		tree.Add(pooled(lonePart()))
+	}
+	_, err := wr.wait(t)
+	if want := `core: aggregation function "x" panicked: ` + text; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if tree.Add(pooled(lonePart())) {
+		t.Fatal("Add accepted a part after the panic")
+	}
+	tree.CloseInputs()
+	s.Close() // drains: every merge task has returned
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("onDone fired %d times, want once", n)
+	}
+	after := bufpool.ReadStats()
+	if acq, rel := after.Acquires()-before.Acquires(), after.Releases-before.Releases; acq != rel {
+		t.Fatalf("bufpool unbalanced: %d acquires vs %d releases", acq, rel)
+	}
+}
+
+// A panic in the application's Merge fails the request, not the box.
+func TestLocalTreeMergePanicFailsRequest(t *testing.T) {
+	checkPanicFailsOnce(t, panicAggregator{}, "malicious aggregation function")
+}
+
+// So does a panic in an agg.Ordered's Bounds, which the tree calls on
+// every part it is given.
+func TestLocalTreeBoundsPanicFailsRequest(t *testing.T) {
+	checkPanicFailsOnce(t, panicOrdered{}, "malicious bounds")
+}
+
 func TestLocalTreeSinglePartPassesThrough(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, Seed: 1})
 	defer s.Close()

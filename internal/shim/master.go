@@ -245,6 +245,9 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	if trees > 16 {
 		return nil, fmt.Errorf("shim: at most 16 trees, got %d", trees)
 	}
+	if req > cluster.MaxReq {
+		return nil, fmt.Errorf("shim: request id %d exceeds the wire's limit of %d", req, cluster.MaxReq)
+	}
 	p := &Pending{
 		c:           make(chan Result, 1),
 		m:           m,

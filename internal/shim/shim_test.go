@@ -319,6 +319,33 @@ func TestSubmitDuplicateRejected(t *testing.T) {
 	}
 }
 
+// The wire id keeps a request id in 56 bits. A larger one would reach the
+// master's table with its top bits lost, under an id that matches no
+// request, so both ends of the shim refuse it; the largest that fits
+// completes.
+func TestRequestIDsBeyondTheWireAreRefused(t *testing.T) {
+	r := newRig(t, 0)
+	workers := []string{"w0", "w1"}
+	if _, err := r.master.Submit("wc", cluster.MaxReq+1, workers, 1); err == nil {
+		t.Fatal("Submit accepted a request id the wire cannot carry")
+	}
+	if err := r.workers["w0"].SendPartials("wc", cluster.MaxReq+1, 0, "master", [][]byte{kvPart("k", 1)}, 1); err == nil {
+		t.Fatal("SendPartials accepted a request id the wire cannot carry")
+	}
+	p, err := r.master.Submit("wc", cluster.MaxReq, workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range workers {
+		if err := r.workers[w].SendPartials("wc", cluster.MaxReq, i, "master", [][]byte{kvPart("k", 1)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if totals := sumResult(t, waitResult2(t, p)); totals["k"] != 2 {
+		t.Fatalf("k total = %d, want 2", totals["k"])
+	}
+}
+
 func TestMasterCloseFailsPending(t *testing.T) {
 	r := newRig(t, 0)
 	p, err := r.master.Submit("wc", 7, []string{"w0", "w1"}, 1)

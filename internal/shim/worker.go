@@ -145,6 +145,9 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 	if trees < 1 {
 		trees = 1
 	}
+	if req > cluster.MaxReq {
+		return fmt.Errorf("shim: request id %d exceeds the wire's limit of %d", req, cluster.MaxReq)
+	}
 	b := &bufferedSend{
 		app: app, req: req, workerIdx: workerIdx,
 		master: master, parts: parts, trees: trees,

@@ -170,14 +170,14 @@ func TestCloseReleasesQueuedFrames(t *testing.T) {
 	}
 }
 
-// TestQueuedFramesReplayedOnceAfterReconnect drives the §3.1 recovery
+// TestQueuedFramesAppliedOnceAfterReconnect drives the §3.1 recovery
 // story through the batched write path on an emulated slow link: frames
 // are still queued (or buffered in the dead peer's socket) when the server
 // dies mid-stream. The queued frames persist to the next connection, the
 // owner sends its own copies again when OnLost tells it the connection was
 // lost, and through the receiver's dedup every frame is applied exactly
 // once, with payload refcounts balanced.
-func TestQueuedFramesReplayedOnceAfterReconnect(t *testing.T) {
+func TestQueuedFramesAppliedOnceAfterReconnect(t *testing.T) {
 	sink := newDedupSink()
 	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
 	if err != nil {

@@ -56,7 +56,6 @@ type Conn struct {
 	q     sendq // send queue + batch writer; closed with ErrClosed
 
 	connected atomic.Bool                // an established connection is believed healthy
-	resetReq  atomic.Bool                // Reset asked the flusher to drop the connection
 	live      atomic.Pointer[connHandle] // the established socket, for Close/Reset teardown
 	dead      atomic.Pointer[connHandle] // reader's death notice for one specific connection
 
@@ -150,9 +149,6 @@ func (c *Conn) enqueue(msgs []*wire.Msg) error {
 func (c *Conn) flusher() {
 	for {
 		closed := c.q.moveQueued()
-		if c.resetReq.Swap(false) {
-			c.dropConn()
-		}
 		// A death notice names one specific connection; honour it only if
 		// that connection is still current, so a stale reader cannot kill
 		// its successor.
@@ -434,14 +430,17 @@ func (c *Conn) readLoop(nc net.Conn, h *connHandle) {
 
 // Reset drops the current connection (if any) so the next Send re-dials.
 // The failure monitor uses it when a peer stops replying without the
-// connection erroring.
+// connection erroring. It closes the live socket, which also unblocks an
+// in-flight write into it, and posts the death notice its reader would:
+// the flusher drops the connection as it does any socket that dies, and
+// the next Send cannot reach it first, while the reader is still waking.
 func (c *Conn) Reset() {
-	c.resetReq.Store(true)
 	c.connected.Store(false)
 	if h := c.live.Load(); h != nil {
-		h.nc.Close() // unblock an in-flight write into the dead socket
+		h.nc.Close()
+		c.dead.Store(h)
+		c.q.doorbell()
 	}
-	c.q.doorbell()
 }
 
 // Close tears the connection down: the flusher completes or drops every

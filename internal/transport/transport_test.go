@@ -39,12 +39,12 @@ func (s *dedupSink) appliedCount() int {
 	return len(s.applied)
 }
 
-// TestServerRestartReplayDedup kills a server mid-stream and restarts it
+// TestServerRestartResendAppliedOnce kills a server mid-stream and restarts it
 // on the same address. The connection's OnLost fires exactly once, after
 // its replacement is up and with nothing more sent, and the owner's
 // re-send of what it had sent is applied once through the receiver's
 // dedup, beside the frames sent after the restart.
-func TestServerRestartReplayDedup(t *testing.T) {
+func TestServerRestartResendAppliedOnce(t *testing.T) {
 	sink := newDedupSink()
 	srv, err := Listen(context.Background(), "127.0.0.1:0", sink.handle, ServerOptions{})
 	if err != nil {
