@@ -69,14 +69,15 @@ bufpool-debug:
 # a connection cut with frames unread, a server or box restarted on its
 # own address, a stream with a gap, a lost connection to a box a request
 # has left; and the box's request state under its one lock: the idle
-# load signal's decay, a crashing application's quarantine, and a panic
-# in the local tree. They race real sockets against goroutines, so an
+# load signal's decay, a crashing application's quarantine, a panic in
+# the local tree, and the tree's batches and back-pressure by bytes.
+# They race real sockets and merge tasks against goroutines, so an
 # interleaving that breaks them shows only across repeated runs.
 recovery-stress:
 	$(GO) test -race -count=20 ./internal/transport \
 		-run '^(TestServerRestartResendAppliedOnce|TestQueuedFramesAppliedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher)$$'
 	$(GO) test -race -count=20 ./internal/core \
-		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeBoundsPanicFailsRequest)$$'
+		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeBoundsPanicFailsRequest|TestLocalTreeMergesEachByteOnce|TestLocalTreeHoldsBoundedBytes)$$'
 	$(GO) test -race -count=20 ./internal/shim \
 		-run '^(TestUnreadFramesPastAnyWindowAreResent|TestBoxRestartRecoversWithoutNewAttempt|TestBoxOutboundHopStaysWithStragglerTimer|TestLostConnectionToAbandonedBoxResendsNothing|TestReannounceSendsTheArmedCounts|TestLostConnectionAfterReuseResendsTheNewRequest)$$'
 

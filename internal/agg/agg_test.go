@@ -462,7 +462,7 @@ func TestDocsMergeMatchesReference(t *testing.T) {
 		if trial%2 == 0 {
 			gen = func(rn *stats.Rand) []byte { return randomDocsPayload(rn, false) }
 		}
-		parts := make([][]byte, 1+rn.Intn(70)) // past kvStackCursors now and then
+		parts := make([][]byte, 1+rn.Intn(300)) // past kvStackCursors, and a box tree's widest batch, now and then
 		union := 0
 		for i := range parts {
 			parts[i] = gen(rn)
@@ -606,7 +606,8 @@ func randomItems(rn *stats.Rand, n, maxLen int, fixed bool, values int) [][]byte
 }
 
 // The streaming merge against the reference, byte for byte: part counts on
-// both sides of the batch size and of the stack frame's cursors, items
+// both sides of the stack frame's cursors, which a sort_concat job's one
+// batch of 128 fills, and twice that; items
 // short enough to be all padding, long enough to be all prefix, and drawn
 // from few enough values to repeat.
 func TestConcatMergeMatchesReference(t *testing.T) {
@@ -630,7 +631,7 @@ func TestConcatMergeMatchesReference(t *testing.T) {
 		{"rows", func() []byte { return EncodeItems(randomItems(rn, rn.Intn(8), 100, true, 256)) }},
 	}
 	for _, g := range gens {
-		for _, k := range []int{1, 2, 16, 17, 64, 65} {
+		for _, k := range []int{1, 2, 16, 128, 129, 256} {
 			for trial := 0; trial < 20; trial++ {
 				parts := make([][]byte, k)
 				for i := range parts {
@@ -794,7 +795,7 @@ func TestKVMergeReducesKeysInsideAndAcrossParts(t *testing.T) {
 	rn := stats.NewRand(7)
 	for _, op := range []KVOp{OpSum, OpMax, OpMin} {
 		for trial := 0; trial < 200; trial++ {
-			parts := make([][]byte, 1+rn.Intn(70)) // past kvStackCursors now and then
+			parts := make([][]byte, 1+rn.Intn(300)) // past kvStackCursors, and a box tree's widest batch, now and then
 			total := 0
 			for i := range parts {
 				kvs := make([]KV, rn.Intn(12))

@@ -107,8 +107,11 @@ func (c KVCombiner) Combine(a, b []byte) ([]byte, error) {
 }
 
 // kvStackCursors is how many parts Merge reads from cursors on its own
-// stack frame; a box's local tree never hands it more (core.maxPending).
-const kvStackCursors = 64
+// stack frame: a box's widest due batch, an eighth of its local trees'
+// count budget (core.maxPending/8), which a sort_concat job's 128 parts
+// fill. A wider batch, such as the final one of a request of over 128
+// parts too small to fill a batch by their bytes, allocates its cursors.
+const kvStackCursors = 128
 
 // kvCursor reads one encoded KV payload pair by pair without decoding it:
 // key is a sub-slice of the part, so advancing allocates nothing. It

@@ -165,12 +165,12 @@ func benchItemParts(k int) [][]byte {
 	return parts
 }
 
-// BenchmarkConcatMerge is the box's merge step of a sort_concat job at
-// its three shapes: a first-level batch of sixteen worker parts, the final
-// batch of the eight runs the box merged itself (the tree batches its runs
-// apart from the parts, so this is every job's last merge), and one such
-// result alone, as the master folds it. Every part is read in place; the
-// target is 0 allocs/op at every shape.
+// BenchmarkConcatMerge is the items merge of a sort_concat job at three
+// shapes: sixteen worker parts, the eight runs of sixteen parts each, and
+// one whole result alone, as the master folds it. A box merges a job's
+// 128 parts in one batch (BenchmarkLocalTreeConcat); these rows keep the
+// kernel's cost at a fixed width comparable from commit to commit. Every
+// part is read in place; the target is 0 allocs/op at every shape.
 func BenchmarkConcatMerge(b *testing.B) {
 	parts := benchItemParts(128)
 	runs := make([][]byte, 8)
@@ -221,7 +221,7 @@ func BenchmarkLocalTreeKV(b *testing.B) {
 }
 
 // BenchmarkLocalTreeConcat is one sort_concat job the same two ways: 128
-// worker parts, eight first-level merges and the merge of their eight runs.
+// worker parts, one batch under batchBytes, so one 128-way merge.
 func BenchmarkLocalTreeConcat(b *testing.B) {
 	benchLocalTree(b, "", agg.Concat{}, benchItemParts(128))
 }

@@ -42,9 +42,11 @@ type Config struct {
 }
 
 const (
-	// maxPending bounds the buffered parts per request before the local
-	// tree back-pressures its senders.
-	maxPending = 64
+	// maxPending bounds the inputs a request's local tree holds before it
+	// back-pressures its senders. An eighth of it is the most parts one
+	// batch waits for, a sort_concat job's 128, so a job under the tree's
+	// byte threshold is one merge.
+	maxPending = 1024
 	// idleTimeout is how long a request may see no traffic before the
 	// janitor garbage-collects it.
 	idleTimeout = 30 * time.Second

@@ -16,8 +16,9 @@ var (
 	obsBoxBytesOut = obs.C("box.bytes_out")
 	// obsMergedBytes counts the bytes local trees hand to Merge:
 	// merged_bytes/bytes_in is how many times a box merges each byte on
-	// its way through (once for parts that arrive as chains, twice for
-	// parts merged in batches of their own, up to fanIn² parts a request).
+	// its way through (once for a request that fits one batch, batchBytes,
+	// and for parts that arrive as chains; at most twice for an α = 1
+	// request whose aggregate fits a frame).
 	obsMergedBytes = obs.C("box.merged_bytes")
 	// obsChainedParts counts parts local trees took into a chain — parts
 	// that follow one another in key order and reach Merge joined, as one

@@ -10,6 +10,7 @@ import (
 
 	"netagg/internal/agg"
 	"netagg/internal/bufpool"
+	"netagg/internal/wire"
 )
 
 // errDiscarded marks a tree torn down by the janitor or box shutdown;
@@ -30,13 +31,25 @@ func (p *appPanic) Error() string {
 	return fmt.Sprintf("core: aggregation function %q panicked: %v", p.app, p.value)
 }
 
-// fanIn is how many waiting parts and chains, or how many waiting runs,
-// make a merge batch: with parts and runs batched apart, each byte of a
-// request of up to fanIn² parts is merged at most twice on its way
-// through a box — once if its parts arrive as fewer than fanIn chains —
-// and batches are few enough parts that several of one request run as
-// parallel tasks while it streams in.
-const fanIn = 16
+// batchBytes is how many bytes of waiting parts and chains make them a
+// merge batch. It is well above a whole job of every workload here (a
+// sort_concat job is 1.3 MB), so a request that fits is one merge, and
+// each of its bytes is merged once; a larger request merges
+// batches of this size in parallel while it streams in. Runs wait until
+// they hold a frame's worth, wire.MaxPayload — an α = 1 request that can
+// be emitted at all then merges each byte at most twice.
+const batchBytes = 4 << 20
+
+// maxHeldBytes bounds the bytes a tree holds — parts, chains and runs,
+// waiting or in a batch — for a request whose lone run fits a frame:
+// while no merge runs, parts hold less than batchBytes plus a part, runs
+// at most a frame, and a part is at most a frame (the proof is on Add).
+const maxHeldBytes = batchBytes + 3*wire.MaxPayload
+
+// listCap is the capacity a new parts list or chain tail starts with.
+// It does not grow with the count budget: a chain's tail or a request's
+// parts list is rarely longer, and a longer one grows by append.
+const listCap = 16
 
 // link is one input waiting for a merge batch: a part, a chain of parts
 // that arrived in key order one after another, which the batch that
@@ -45,6 +58,7 @@ type link struct {
 	head *bufpool.Buf
 	tail []*bufpool.Buf // a chain's later parts, in order; nil otherwise
 	last []byte         // key of the last record, if a part may follow; nil otherwise
+	size int            // bytes of head and tail together
 }
 
 // release gives every buffer of the link back.
@@ -64,19 +78,21 @@ func (l link) release() {
 // grouping of the merges yields the same result as a static tree; the
 // cost is the grouping's, which is why a run never rides in a batch of
 // parts (that would make the tree a left fold, re-merging every earlier
-// byte with each batch).
+// byte with each batch), and why a batch is made by the bytes waiting: a
+// request that fits one batch is merged once.
 //
 // A merge spends CPU to shrink data, and parts that ascend one after
 // another — a mapper's sorted output, cut into chunks — have nothing to
 // merge against each other. For an agg.Ordered aggregator a part whose
 // first key is at or after a waiting part's or chain's last key is linked
-// to it instead of waiting alone: the chain is a run the tree got without
-// merging, it counts once, like a run, and the batch that takes it joins
-// it into one input. It waits among the parts, because its bytes have
-// been merged as often as theirs, never: in a batch of runs it would make
-// a run of runs long before fanIn² parts, and that run would take earlier
-// runs' bytes through Merge a third time. The link is picked by key, not
-// by source, so parts of one source interleaved with others' still chain.
+// to it instead of waiting alone, while the chain is under batchBytes:
+// the chain is a run the tree got without merging, it counts once, like
+// a run, and the batch that takes it joins it into one input. It waits
+// among the parts, because its bytes have been merged as often as theirs,
+// never: in a batch of runs it would make a run of runs, and that run
+// would take earlier runs' bytes through Merge a third time. The link is
+// picked by key, not by source, so parts of one source interleaved with
+// others' still chain.
 //
 // A bounded buffer provides back-pressure: Add blocks when the tree
 // cannot keep up, which in turn stops the network reader and lets TCP
@@ -89,24 +105,27 @@ type LocalTree struct {
 	sched      *Scheduler
 	maxPending int
 	// batchMin is how many buffered parts and chains, or buffered runs,
-	// make a batch due: min(fanIn, maxPending/2). The cap keeps both lists
-	// together inside the back-pressure budget while neither is due — at
-	// most 2(batchMin−1) ≤ maxPending−2 — which they must be or Add would
-	// block with nothing to merge.
+	// make a batch due whatever their bytes: maxPending/8, at least 2. A
+	// backlogged tree of small parts then holds up to eight batches, which
+	// merge in parallel, and both lists together fit the count budget
+	// while neither is due: 2(batchMin−1) ≤ maxPending−2.
 	batchMin int
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	parts    []link // external parts and chains, not yet in a task's batch
-	runs     []link // outputs of the tree's own merges, not yet in a batch
-	spare    []link // a merged batch's array, emptied, for the next parts list
-	held     int    // inputs in the batches of queued or running tasks
-	tasks    int    // merge tasks queued or running
-	closed   bool
-	finished bool
-	err      error
-	result   *bufpool.Buf
-	onDone   func(*bufpool.Buf, error)
+	mu        sync.Mutex
+	cond      *sync.Cond
+	parts     []link // external parts and chains, not yet in a task's batch
+	runs      []link // outputs of the tree's own merges, not yet in a batch
+	partBytes int    // bytes of parts
+	runBytes  int    // bytes of runs
+	spare     []link // a merged batch's array, emptied, for the next parts list
+	held      int    // inputs in the batches of queued or running tasks
+	heldBytes int    // bytes of those batches
+	tasks     int    // merge tasks queued or running
+	closed    bool
+	finished  bool
+	err       error
+	result    *bufpool.Buf
+	onDone    func(*bufpool.Buf, error)
 
 	// BytesIn counts external payload bytes, for throughput measurements.
 	bytesIn int64
@@ -123,7 +142,7 @@ type LocalTree struct {
 // block. The callback owns the result's buffer reference and must
 // Release it. maxPending bounds the inputs the tree holds — parts, runs
 // and chains, buffered or being merged; values < 4 are raised to 4 so a
-// merge can always be scheduled.
+// merge can always be scheduled. maxHeldBytes bounds their bytes.
 func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPending int, onDone func(*bufpool.Buf, error)) *LocalTree {
 	if maxPending < 4 {
 		maxPending = 4
@@ -133,7 +152,7 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 		aggregator: aggregator,
 		sched:      sched,
 		maxPending: maxPending,
-		batchMin:   min(fanIn, maxPending/2),
+		batchMin:   max(2, maxPending/8),
 		onDone:     onDone,
 	}
 	t.ordered, _ = aggregator.(agg.Ordered)
@@ -157,15 +176,23 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	if t.ordered != nil {
 		first, last, err = t.bounds(part.Bytes())
 	}
+	n := part.Len()
 	t.mu.Lock()
 	if err != nil {
 		t.failLocked(err)
 	}
-	// The budget counts buffered parts, chains and runs and the batch of
-	// every merge still queued or running, so a slow aggregator applies
-	// back-pressure instead of letting the scheduler queue grow without
-	// bound.
-	for len(t.parts)+len(t.runs)+t.held >= t.maxPending && t.err == nil && !t.closed {
+	// Add waits while the part would take the tree past a budget — the
+	// inputs or the bytes of what waits and of every batch still queued
+	// or running, so a slow aggregator applies back-pressure instead of
+	// letting the scheduler queue grow — but only while a task is queued
+	// or running: only a merge frees room, and a due batch always has a
+	// task. So Add never waits while no batch is due or running, and the
+	// budgets still hold then, because neither list is due: each holds
+	// under batchMin inputs; parts and chains hold under batchBytes, or
+	// one part or chain under batchBytes plus a part; runs under a frame,
+	// or one run; and the part is at most a frame. For a request whose
+	// lone run fits a frame that is under maxHeldBytes.
+	for t.tasks > 0 && (len(t.parts)+len(t.runs)+t.held >= t.maxPending || t.partBytes+t.runBytes+t.heldBytes+n > maxHeldBytes) && t.err == nil && !t.closed {
 		t.cond.Wait()
 	}
 	if t.err != nil || t.closed {
@@ -173,20 +200,22 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 		part.Release()
 		return false
 	}
-	t.bytesIn += int64(part.Len())
+	t.bytesIn += int64(n)
+	t.partBytes += n
 	if at := t.followedLocked(first); at < 0 {
 		if t.parts == nil {
 			t.parts = t.freshLocked()
 		}
-		t.parts = append(t.parts, link{head: part, last: last}) //netagg:owns part
+		t.parts = append(t.parts, link{head: part, last: last, size: n}) //netagg:owns part
 	} else {
 		in := &t.parts[at]
 		if in.tail == nil {
-			in.tail = make([]*bufpool.Buf, 0, fanIn)
+			in.tail = make([]*bufpool.Buf, 0, listCap)
 			obsChainedParts.Inc() // the part it follows is the chain's head
 		}
 		in.tail = append(in.tail, part) //netagg:owns part
 		in.last = last
+		in.size += n
 		obsChainedParts.Inc()
 	}
 	t.scheduleLocked()
@@ -203,18 +232,20 @@ func (t *LocalTree) bounds(part []byte) (first, last []byte, err error) {
 	return nil, nil, nil
 }
 
-// followedLocked returns the index of the waiting part or chain that a
-// part whose first key is first follows: the one with the greatest last
-// key at or before first — the tightest fit, which leaves looser ones to
-// parts that start earlier — or -1 if there is none, or if first is nil:
-// the part's keys are unknown.
+// followedLocked returns the index of the waiting part or chain under
+// batchBytes that a part whose first key is first follows: the one with
+// the greatest last key at or before first — the tightest fit, which
+// leaves looser ones to parts that start earlier — or -1 if there is
+// none, or if first is nil: the part's keys are unknown. A part that
+// follows only a full chain waits beside it, and the two make the list
+// due.
 func (t *LocalTree) followedLocked(first []byte) int {
 	at := -1
 	if first == nil {
 		return at
 	}
 	for i, in := range t.parts {
-		if in.last != nil && bytes.Compare(in.last, first) <= 0 && (at < 0 || bytes.Compare(in.last, t.parts[at].last) > 0) {
+		if in.last != nil && in.size < batchBytes && bytes.Compare(in.last, first) <= 0 && (at < 0 || bytes.Compare(in.last, t.parts[at].last) > 0) {
 			at = i
 		}
 	}
@@ -262,54 +293,64 @@ func (t *LocalTree) settledLocked() bool {
 	return false
 }
 
-// takeBatchLocked moves the next due batch out of the buffers, for a
-// caller that accounts for self of t.tasks (1 inside a task, else 0), or
-// returns nil if none is due. A batch is one kind: batchMin parts and
-// chains are waiting, or batchMin runs are — a list due is taken whole.
-// Once inputs are closed and nobody else can still add a run, whatever
-// remains of both is the final batch. The batch stays in the
-// back-pressure budget (held) until merged.
-func (t *LocalTree) takeBatchLocked(self int) []link {
+// takeBatchLocked moves the next due batch and its bytes out of the
+// buffers, for a caller that accounts for self of t.tasks (1 inside a
+// task, else 0), or returns nil if none is due. A batch is one kind: a
+// list is due once it holds two inputs and either batchMin of them or
+// its bytes' threshold — batchBytes for parts and chains, a frame for
+// runs — and a list due is taken whole. Once inputs are closed and nobody
+// else can still add a run, whatever remains of both is the final batch.
+// The batch stays in the back-pressure budget (held, heldBytes) until
+// merged.
+func (t *LocalTree) takeBatchLocked(self int) (batch []link, size int) {
 	if t.err != nil {
-		return nil
+		return nil, 0
 	}
-	var batch []link
 	switch {
-	case len(t.parts) >= t.batchMin:
-		batch, t.parts = t.parts, nil
-	case len(t.runs) >= t.batchMin:
-		batch, t.runs = t.runs, nil
+	case t.due(t.parts, t.partBytes, batchBytes):
+		batch, size = t.parts, t.partBytes
+		t.parts, t.partBytes = nil, 0
+	case t.due(t.runs, t.runBytes, wire.MaxPayload):
+		batch, size = t.runs, t.runBytes
+		t.runs, t.runBytes = nil, 0
 	case t.closed && t.tasks == self && !t.settledLocked():
-		batch = append(t.parts, t.runs...)
-		t.parts, t.runs = nil, nil
+		batch, size = append(t.parts, t.runs...), t.partBytes+t.runBytes
+		t.parts, t.runs, t.partBytes, t.runBytes = nil, nil, 0, 0
 	default:
-		return nil
+		return nil, 0
 	}
 	t.held += len(batch)
-	return batch
+	t.heldBytes += size
+	return batch, size
+}
+
+// due reports whether a list of inputs, size bytes together, is a batch
+// under a threshold of that many bytes.
+func (t *LocalTree) due(list []link, size, threshold int) bool {
+	return len(list) >= 2 && (size >= threshold || len(list) >= t.batchMin)
 }
 
 // freshLocked returns an empty parts list: the array a merged batch left,
-// or a new one a batch long. A request allocates its lists once, not
-// once a batch.
+// or a new one. A request allocates its lists once, not once a batch.
 func (t *LocalTree) freshLocked() []link {
 	if s := t.spare; s != nil {
 		t.spare = nil
 		return s
 	}
-	return make([]link, 0, t.batchMin)
+	return make([]link, 0, listCap)
 }
 
 // scheduleLocked submits a merge task for the next due batch, if any.
 func (t *LocalTree) scheduleLocked() {
-	batch := t.takeBatchLocked(0)
+	batch, size := t.takeBatchLocked(0)
 	if batch == nil {
 		return
 	}
 	t.tasks++
-	if err := t.sched.Submit(t.app, func() { t.mergeTask(batch) }); err != nil {
+	if err := t.sched.Submit(t.app, func() { t.mergeTask(batch, size) }); err != nil {
 		t.tasks--
 		t.held -= len(batch)
+		t.heldBytes -= size
 		for _, in := range batch {
 			in.release()
 		}
@@ -317,29 +358,31 @@ func (t *LocalTree) scheduleLocked() {
 	}
 }
 
-// mergeTask is the body of one aggregation task: it merges its batch in
-// one call and adds the run to the runs. Every batch of a request gets a
-// task of its own, so independent batches merge in parallel, pipelined
-// with arrival: a first-level batch holds no run, so it never waits for
-// another task.
+// mergeTask is the body of one aggregation task: it merges its batch of
+// size bytes in one call and adds the run to the runs. Every batch of a
+// request gets a task of its own, so independent batches merge in
+// parallel, pipelined with arrival: a first-level batch holds no run, so
+// it never waits for another task.
 //
 // The task runs cut-through (§3.2.1 pipelined aggregation): if its run
-// makes another batch due — it completes batchMin runs, or inputs are
+// makes another batch due — the runs reach their threshold, or inputs are
 // closed and this is the last task — it merges that one too instead of
 // sending it round through the scheduler. Associativity and commutativity
 // make any grouping give the same result.
-func (t *LocalTree) mergeTask(batch []link) {
+func (t *LocalTree) mergeTask(batch []link, size int) {
 	for {
 		run, err := t.merge(batch)
 		t.mu.Lock()
 		t.merges++
 		t.held -= len(batch)
+		t.heldBytes -= size
 		if t.spare == nil {
 			clear(batch) // for freshLocked
 			t.spare = batch[:0]
 		}
 		if err == nil && t.err == nil {
-			t.runs = append(t.runs, link{head: run}) //netagg:owns run
+			t.runs = append(t.runs, link{head: run, size: run.Len()}) //netagg:owns run
+			t.runBytes += run.Len()
 		} else {
 			// A failed merge has no run (Release of nil is a no-op); a
 			// run that outlived its tree is nobody's input any more.
@@ -349,7 +392,7 @@ func (t *LocalTree) mergeTask(batch []link) {
 			}
 		}
 		t.cond.Broadcast() // the batch left the budget
-		if batch = t.takeBatchLocked(1); batch == nil {
+		if batch, size = t.takeBatchLocked(1); batch == nil {
 			break
 		}
 		t.cutThrough++
@@ -445,7 +488,7 @@ func (t *LocalTree) failLocked(err error) {
 	for _, in := range t.runs {
 		in.release()
 	}
-	t.parts, t.runs = nil, nil
+	t.parts, t.runs, t.partBytes, t.runBytes = nil, nil, 0, 0
 	t.cond.Broadcast()
 	t.maybeFinishLocked()
 }
@@ -466,7 +509,7 @@ func (t *LocalTree) maybeFinishLocked() {
 	case len(t.runs) == 1:
 		t.result = t.runs[0].head
 	}
-	t.parts, t.runs = nil, nil
+	t.parts, t.runs, t.partBytes, t.runBytes = nil, nil, 0, 0
 	if t.onDone != nil {
 		// Fire on a fresh goroutine so the callback can safely use the
 		// scheduler or take locks without risking re-entrancy. The result
