@@ -763,14 +763,14 @@ func TestConcatMergeOfRunsDoesNotAllocate(t *testing.T) {
 }
 
 // referenceKV is the decode-everything reduction Merge must agree with:
-// every pair of every part into a map, then the canonical encoding.
-func referenceKV(t *testing.T, op KVOp, parts [][]byte) []byte {
-	t.Helper()
+// every pair of every part into a map, then the canonical encoding. It
+// refuses what DecodeKVs refuses; keys that go backwards it reduces.
+func referenceKV(op KVOp, parts [][]byte) ([]byte, error) {
 	totals := map[string]int64{}
 	for _, p := range parts {
 		kvs, err := DecodeKVs(p)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		for _, kv := range kvs {
 			if old, ok := totals[kv.Key]; ok {
@@ -784,7 +784,7 @@ func referenceKV(t *testing.T, op KVOp, parts [][]byte) []byte {
 	for k, v := range totals {
 		out = append(out, KV{Key: k, Val: v})
 	}
-	return EncodeKVs(out)
+	return EncodeKVs(out), nil
 }
 
 // Equal keys inside one part (mapred's raw mode keeps them) are reduced by
@@ -810,13 +810,171 @@ func TestKVMergeReducesKeysInsideAndAcrossParts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := referenceKV(t, op, parts); !bytes.Equal(got, want) {
+			if want, err := referenceKV(op, parts); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%v, %d parts: merge differs from the decode-everything reduction", op, len(parts))
 			}
 			if len(got) > total {
 				t.Fatalf("%v: merged %d bytes into %d", op, total, len(got))
 			}
 		}
+	}
+}
+
+// encodeKVsAsIs writes pairs in the order given, as EncodeKVs would if
+// they were sorted: for parts whose keys repeat or go backwards.
+func encodeKVsAsIs(kvs []KV) []byte {
+	p := binary.AppendUvarint(nil, uint64(len(kvs)))
+	for _, kv := range kvs {
+		p = appendKV(p, []byte(kv.Key), kv.Val)
+	}
+	return p
+}
+
+// kvPicker says how Merge picks the keys of parts: "heap" from the start,
+// "scan" all the way, or "switch" from the scan to the heap part-way.
+func kvPicker(parts [][]byte) string {
+	curs := make([]kvCursor, 0, len(parts))
+	for _, p := range parts {
+		var k kvCursor
+		if k.open(p) != nil {
+			panic("kvPicker: bad part")
+		}
+		if ok, _ := k.next(); ok {
+			curs = append(curs, k)
+		}
+	}
+	if len(curs) > kvScanCursors {
+		return "heap"
+	}
+	if _, live, _, _ := (KVCombiner{}).scan(nil, curs); live > 0 {
+		return "switch"
+	}
+	return "scan"
+}
+
+// Merge picks the next key by a scan over a few parts while keys repeat
+// and by a heap otherwise, switching between two records written. Each
+// shape, at every width and op, must come out as the decode-everything
+// reduction's bytes, through the picker it is built for; and a part whose
+// keys go backwards, whichever picker meets it, is refused.
+func TestKVMergeScanHeapAndSwitch(t *testing.T) {
+	rn := stats.NewRand(11)
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	val := func() int64 { return int64(rn.Intn(2000)) - 1000 }
+	// Each shape deals key i to the parts it lists, dup times into each.
+	type shape struct {
+		name  string
+		keys  int
+		holds func(w, i int) []int
+		dup   func(i int) int
+		pick  func(live int) string // the picker for this many non-empty parts
+	}
+	all := func(w, i int) []int {
+		ps := make([]int, w)
+		for p := range ps {
+			ps[p] = p
+		}
+		return ps
+	}
+	one := func(w, i int) []int { return []int{i % w} }
+	once := func(int) int { return 1 }
+	switches := func(live int) string {
+		if live > kvScanCursors {
+			return "heap"
+		}
+		return "switch"
+	}
+	// Keys every part holds are scanned to the end, except in one part,
+	// where a record taken is a key written.
+	scans := func(live int) string {
+		if s := switches(live); live == 1 || s == "heap" {
+			return s
+		}
+		return "scan"
+	}
+	shapes := []shape{
+		{"same-keys", 150, all, once, scans},
+		{"interleaved-distinct", 300, one, once, switches},
+		{"shared-then-distinct", 300, func(w, i int) []int {
+			if i < 100 {
+				return all(w, i)
+			}
+			return one(w, i)
+		}, once, switches},
+		// A run of equal keys inside one part on each side of the switch,
+		// which falls after the 64th key written.
+		{"equal-keys-straddle-switch", 300, one, func(i int) int {
+			if i >= kvScanBlock-2 && i <= kvScanBlock+1 {
+				return 5
+			}
+			return 1
+		}, switches},
+		{"empty-parts", 150, func(w, i int) []int {
+			var ps []int
+			for p := 0; p < w; p += 2 {
+				ps = append(ps, p)
+			}
+			return ps
+		}, once, scans},
+	}
+	build := func(s shape, w int) [][]KV {
+		kvs := make([][]KV, w)
+		for i := 0; i < s.keys; i++ {
+			for _, p := range s.holds(w, i) {
+				for d := 0; d < s.dup(i); d++ {
+					kvs[p] = append(kvs[p], KV{Key: key(i), Val: val()})
+				}
+			}
+		}
+		return kvs
+	}
+	encode := func(kvs [][]KV) [][]byte {
+		parts := make([][]byte, len(kvs))
+		for p := range kvs {
+			parts[p] = encodeKVsAsIs(kvs[p])
+		}
+		return parts
+	}
+	seen := map[string]bool{}
+	for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
+		for _, s := range shapes {
+			parts := encode(build(s, w))
+			live := 0
+			for _, p := range parts {
+				if len(p) > 1 {
+					live++
+				}
+			}
+			want := s.pick(live)
+			if got := kvPicker(parts); got != want {
+				t.Fatalf("%s, width %d: picked by %s, built for %s", s.name, w, got, want)
+			}
+			seen[want] = true
+			for _, op := range []KVOp{OpSum, OpMax, OpMin} {
+				got, err := KVCombiner{Op: op}.Merge(nil, parts)
+				if err != nil {
+					t.Fatalf("%s, width %d, %v: %v", s.name, w, op, err)
+				}
+				if want, _ := referenceKV(op, parts); !bytes.Equal(got, want) {
+					t.Fatalf("%s, width %d, %v: merge differs from the decode-everything reduction", s.name, w, op)
+				}
+			}
+		}
+		// Keys go backwards in the part holding key at: right after it
+		// comes a key below it. Key at is the at-th written, so the scan,
+		// the switch or the heap meets the bad step.
+		for _, at := range []int{5, kvScanBlock - 2, kvScanBlock - 1, kvScanBlock, kvScanBlock + 1, 200} {
+			kvs := build(shapes[1], w)
+			p := at % w
+			i := slices.IndexFunc(kvs[p], func(kv KV) bool { return kv.Key == key(at) })
+			kvs[p] = slices.Insert(kvs[p], i+1, KV{Key: key(at - 1), Val: 1})
+			if _, err := (KVCombiner{Op: OpSum}).Merge(nil, encode(kvs)); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("width %d, keys going backwards after key %d: Merge returned %v, want ErrBadPayload", w, at, err)
+			}
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("the table reaches only %v", seen)
 	}
 }
 
@@ -910,52 +1068,60 @@ func kvKeys(p []byte) ([]string, error) {
 	return keys, err
 }
 
-// FuzzKVMerge feeds Merge two arbitrary payloads around a valid one. It
-// must never panic, and when it accepts the input the output is a
-// canonical payload: it decodes, its keys strictly ascend, and (the values
-// being summed) nothing was lost or counted twice. Bounds agrees with
-// DecodeKVs on every part, and the output, cut at any record boundary,
-// joins and merges back into itself.
+// keysDescend reports whether some decodable part's keys go backwards,
+// which DecodeKVs accepts and Merge refuses.
+func keysDescend(parts [][]byte) bool {
+	for _, p := range parts {
+		kvs, _ := DecodeKVs(p)
+		for i := 1; i < len(kvs); i++ {
+			if kvs[i].Key < kvs[i-1].Key {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FuzzKVMerge cuts arbitrary bytes into up to twelve parts, as
+// FuzzConcatMerge does, so it reaches the scan, the switch to the heap
+// and the heap alone. Merge must never panic; it refuses exactly what the
+// decode-everything reduction refuses, and keys that go backwards, and
+// what it accepts it merges into exactly the reduction's bytes. Bounds
+// agrees with DecodeKVs on every part, and the output, cut at any record
+// boundary, joins and merges back into itself.
 func FuzzKVMerge(f *testing.F) {
 	valid := EncodeKVs([]KV{{"a", 1}, {"b", 2}, {"d", -4}})
-	f.Add(EncodeKVs([]KV{{"a", 5}, {"c", 7}}), EncodeKVs(nil))
-	f.Add(EncodeKVs([]KV{{"b", 1}, {"b", 2}, {"b", 3}}), valid)
-	// Malformed seeds (keys going backwards, bad counts, truncation) are
+	f.Add(frameFuzzParts(EncodeKVs([]KV{{"a", 5}, {"c", 7}}), valid, EncodeKVs(nil)))
+	f.Add(frameFuzzParts(encodeKVsAsIs([]KV{{"b", 1}, {"b", 2}, {"b", 3}}), valid, valid))
+	// More seeds (keys going backwards, bad counts, truncation, and merges
+	// long and wide enough to switch to the heap or start there) are
 	// checked in under testdata/fuzz/FuzzKVMerge.
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		parts := [][]byte{a, valid, b}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts := splitFuzzParts(data)
+		parts = parts[:min(len(parts), 12)]
 		for _, p := range parts {
 			checkBounds(t, KVCombiner{}, p, kvKeys)
 		}
 		out, err := KVCombiner{Op: OpSum}.Merge(nil, parts)
+		want, wantErr := referenceKV(OpSum, parts)
 		if err != nil {
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("unexpected error %v", err)
 			}
+			if wantErr == nil && !keysDescend(parts) {
+				t.Fatalf("Merge refuses parts the reference merges into %x", want)
+			}
 			return
+		}
+		if wantErr != nil {
+			t.Fatalf("Merge accepted a part DecodeKVs rejects: %v", wantErr)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("Merge: %x, reference %x", out, want)
 		}
 		kvs, err := DecodeKVs(out)
 		if err != nil {
 			t.Fatalf("output does not decode: %v", err)
-		}
-		var sum int64
-		for i, kv := range kvs {
-			if i > 0 && kvs[i-1].Key >= kv.Key {
-				t.Fatalf("output keys not strictly ascending: %q then %q", kvs[i-1].Key, kv.Key)
-			}
-			sum += kv.Val
-		}
-		for _, p := range parts {
-			in, err := DecodeKVs(p)
-			if err != nil {
-				t.Fatalf("Merge accepted a part DecodeKVs rejects: %v", err)
-			}
-			for _, kv := range in {
-				sum -= kv.Val
-			}
-		}
-		if sum != 0 {
-			t.Fatalf("values do not add up: off by %d", sum)
 		}
 		checkJoin(t, KVCombiner{Op: OpSum}, out, len(kvs), func(i, j int) []byte {
 			return EncodeKVs(slices.Clone(kvs[i:j]))
@@ -999,6 +1165,14 @@ func FuzzDocsMerge(f *testing.F) {
 	})
 }
 
+// frameFuzzParts is splitFuzzParts' inverse, for parts under 256 bytes.
+func frameFuzzParts(parts ...[]byte) (data []byte) {
+	for _, p := range parts {
+		data = append(append(data, byte(len(p))), p...)
+	}
+	return data
+}
+
 // splitFuzzParts cuts fuzz bytes into parts: a length byte, then that many
 // bytes (or what is left) as one part.
 func splitFuzzParts(data []byte) [][]byte {
@@ -1016,14 +1190,8 @@ func splitFuzzParts(data []byte) [][]byte {
 // what the collect-and-sort reference refuses, and what it accepts it
 // merges into exactly the reference's bytes.
 func FuzzConcatMerge(f *testing.F) {
-	frame := func(parts ...[]byte) (data []byte) {
-		for _, p := range parts {
-			data = append(append(data, byte(len(p))), p...)
-		}
-		return data
-	}
-	f.Add(frame(EncodeItems([][]byte{[]byte("b"), []byte("a")}), EncodeItems([][]byte{[]byte("c")})))
-	f.Add(frame(EncodeItems(slices.Clone(trapItems))))
+	f.Add(frameFuzzParts(EncodeItems([][]byte{[]byte("b"), []byte("a")}), EncodeItems([][]byte{[]byte("c")})))
+	f.Add(frameFuzzParts(EncodeItems(slices.Clone(trapItems))))
 	// More seeds (padded prefixes that tie, lying counts, trailing bytes,
 	// empty items and empty parts, and parts out of order, which both sides
 	// refuse) are checked in under testdata/fuzz/FuzzConcatMerge.

@@ -256,14 +256,30 @@ func (KVCombiner) Bounds(part []byte) (first, last []byte, ok bool) {
 	return first, p[key:end], true
 }
 
-// Merge implements Aggregator as one streaming k-way heap merge over the
+// The scan's limits: Merge scans for the next key while at most
+// kvScanCursors parts are left and, over each block of kvScanBlock
+// records written, it took at least kvScanMinTaken records for each. A
+// scan costs a compare a cursor for every key written, the heap two
+// compares and a swap a level for every record taken, so the scan pays
+// while keys repeat across the parts and the heap once they stop.
+const (
+	kvScanCursors  = 8
+	kvScanBlock    = 64
+	kvScanMinTaken = 2
+)
+
+// Merge implements Aggregator as one streaming k-way merge over the
 // encoded bytes: a cursor per part, keys compared as sub-slices of the
-// input, the output written once. A part whose keys go backwards is
-// rejected with ErrBadPayload (a merge-join over it would silently leave
-// keys unreduced). Equal keys inside one part — mapred's raw mode keeps
-// them — are reduced like equal keys across parts, so the output never
-// holds a key twice; what a reducer computes from it is unchanged and the
-// bytes it receives can only shrink.
+// input, the output written once. It picks the next key one of two ways.
+// Over at most kvScanCursors parts it scans (see scan), which costs a
+// compare a cursor for each key written; where that stops paying, or over
+// more parts, it keeps the cursors in a min-heap, which costs about
+// 2·log₂k compares for each record taken. A part whose keys go backwards
+// is rejected with ErrBadPayload (a merge-join over it would silently
+// leave keys unreduced). Equal keys inside one part — mapred's raw mode
+// keeps them — are reduced like equal keys across parts, so the output
+// never holds a key twice; what a reducer computes from it is unchanged
+// and the bytes it receives can only shrink.
 //
 //netagg:hotpath
 func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
@@ -289,9 +305,6 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 		}
 	}
 	heap = heap[:live]
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
-	}
 
 	// The count goes in front of pairs not merged yet: reserve the widest
 	// prefix it can need, and close the gap once at the end if the merge
@@ -300,6 +313,16 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	start, reserved := len(dst), uvarintLen(bound)
 	dst = append(dst, pad[:reserved]...)
 	var count uint64
+	if len(heap) <= kvScanCursors {
+		var err error
+		if dst, live, count, err = c.scan(dst, heap); err != nil {
+			return dst, err
+		}
+		heap = heap[:live]
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
 	for len(heap) > 0 {
 		top := &heap[0]
 		key, val := top.key, top.val
@@ -321,9 +344,7 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 			}
 			val = c.Op.Reduce(val, top.val)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(key)))
-		dst = append(dst, key...)
-		dst = binary.AppendVarint(dst, val)
+		dst = appendKV(dst, key, val)
 		count++
 	}
 	if n := uvarintLen(count); n < reserved {
@@ -332,4 +353,69 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	}
 	binary.PutUvarint(dst[start:], count)
 	return dst, nil
+}
+
+// scan is Merge's picker for a few parts: one pass over the cursors finds
+// the least key and marks every cursor that holds it, and each marked
+// cursor is reduced and advanced past the key, equal keys inside its part
+// included. Every kvScanBlock records written it stops if it took fewer
+// than kvScanMinTaken records for each, between two keys so none is half
+// reduced, and returns how many cursors are left, moved to the front of
+// curs, for the heap to finish; it returns 0 when it merged everything.
+// count is the number of records it wrote.
+//
+//netagg:hotpath
+func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, live int, count uint64, err error) {
+	taken := 0 // records taken in this block
+	for len(curs) > 0 {
+		if count > 0 && count%kvScanBlock == 0 {
+			if taken < kvScanMinTaken*kvScanBlock {
+				return dst, len(curs), count, nil
+			}
+			taken = 0
+		}
+		key, val, marked := curs[0].key, curs[0].val, uint(1)
+		for i := 1; i < len(curs); i++ {
+			switch d := bytes.Compare(curs[i].key, key); {
+			case d < 0:
+				key, val, marked = curs[i].key, curs[i].val, 1<<i
+			case d == 0:
+				val = c.Op.Reduce(val, curs[i].val)
+				marked |= 1 << i
+			}
+		}
+		// Highest first: a spent cursor's place goes to the last cursor,
+		// which this loop has advanced already or does not touch.
+		for marked != 0 {
+			i := bits.Len(marked) - 1
+			marked &^= 1 << i
+			k := &curs[i]
+			for {
+				taken++
+				ok, err := k.next()
+				if err != nil {
+					return dst, 0, count, err
+				}
+				if !ok {
+					curs[i] = curs[len(curs)-1]
+					curs = curs[:len(curs)-1]
+					break
+				}
+				if !bytes.Equal(k.key, key) {
+					break
+				}
+				val = c.Op.Reduce(val, k.val)
+			}
+		}
+		dst = appendKV(dst, key, val)
+		count++
+	}
+	return dst, 0, count, nil
+}
+
+// appendKV writes one record as EncodeKVs does.
+func appendKV(dst, key []byte, val int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	return binary.AppendVarint(dst, val)
 }

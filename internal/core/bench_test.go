@@ -85,23 +85,66 @@ func totalLen(parts [][]byte) (n int) {
 
 var benchSink []byte
 
-// BenchmarkKVMerge is the box's merge step alone: k parts of the
-// mapred_kv shape folded into a pre-sized dst. It lives here, beside the
+// benchKVStreams is what a mapred_kv box merges: each worker's parts
+// joined by agg.JoinRecords into one sorted stream, eight streams that
+// share their keys (5.7 records a key).
+func benchKVStreams() [][]byte {
+	sources := benchKVSources()
+	streams := make([][]byte, len(sources))
+	for w, parts := range sources {
+		joined, err := agg.JoinRecords(nil, parts)
+		if err != nil {
+			panic(err)
+		}
+		streams[w] = joined
+	}
+	return streams
+}
+
+// benchKVDistinct builds k parts that share no key: the job's 20k keys
+// dealt round-robin, so every record taken is a key written — the merge
+// of interleaved parts at its costliest.
+func benchKVDistinct(k int) [][]byte {
+	const keys = 20_000
+	kvs := make([][]agg.KV, k)
+	for key := 0; key < keys; key++ {
+		kvs[key%k] = append(kvs[key%k], agg.KV{Key: fmt.Sprintf("word%06d", key), Val: int64(key%100 + 1)})
+	}
+	parts := make([][]byte, k)
+	for i := range parts {
+		parts[i] = agg.EncodeKVs(kvs[i])
+	}
+	return parts
+}
+
+// BenchmarkKVMerge is the box's merge step alone, folded into a pre-sized
+// dst: k parts of the mapred_kv shape, taken round-robin; the eight
+// joined worker streams of one mapred_kv job (sources=8), the merge a box
+// makes of it; and eight parts that share no key (distinct-k=8), where
+// the merge gives up its scan for the heap. It lives here, beside the
 // tree benchmark, because both feed on the same parts. The target is
-// 0 allocs/op at every k (the escape gate covers the code,
+// 0 allocs/op on every row (the escape gate covers the code,
 // BENCH_agg.json the number).
 func BenchmarkKVMerge(b *testing.B) {
+	type row struct {
+		name  string
+		parts [][]byte
+	}
+	var rows []row
 	for _, k := range []int{2, 16, 64} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			parts := benchKVParts(k)
-			size := totalLen(parts)
+		rows = append(rows, row{fmt.Sprintf("k=%d", k), benchKVParts(k)})
+	}
+	rows = append(rows, row{"sources=8", benchKVStreams()}, row{"distinct-k=8", benchKVDistinct(8)})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			size := totalLen(r.parts)
 			dst := make([]byte, 0, size+16)
 			c := agg.KVCombiner{Op: agg.OpSum}
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := c.Merge(dst, parts)
+				out, err := c.Merge(dst, r.parts)
 				if err != nil {
 					b.Fatal(err)
 				}
