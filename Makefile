@@ -77,7 +77,7 @@ recovery-stress:
 	$(GO) test -race -count=20 ./internal/transport \
 		-run '^(TestServerRestartResendAppliedOnce|TestQueuedFramesAppliedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher)$$'
 	$(GO) test -race -count=20 ./internal/core \
-		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeBoundsPanicFailsRequest|TestLocalTreeMergesEachByteOnce|TestLocalTreeHoldsBoundedBytes)$$'
+		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeMergesEachByteOnce|TestLocalTreeHoldsBoundedBytes)$$'
 	$(GO) test -race -count=20 ./internal/shim \
 		-run '^(TestUnreadFramesPastAnyWindowAreResent|TestBoxRestartRecoversWithoutNewAttempt|TestBoxOutboundHopStaysWithStragglerTimer|TestLostConnectionToAbandonedBoxResendsNothing|TestReannounceSendsTheArmedCounts|TestLostConnectionAfterReuseResendsTheNewRequest)$$'
 

@@ -24,10 +24,7 @@
 // refuse a part that is out of their order.
 package agg
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Aggregator folds serialised partial results into one.
 type Aggregator interface {
@@ -45,46 +42,6 @@ type Aggregator interface {
 	// callers that fold by hand (applications, reference folds, tests).
 	// Every built-in Combine is the same one-line adapter over Merge.
 	Combine(a, b []byte) ([]byte, error)
-}
-
-// Ordered is implemented by aggregators whose canonical order is
-// bytes.Compare of a record key, framed as a uvarint count followed by the
-// records (KVCombiner). It lets a box take parts that follow one another
-// in that order — a sorted source cut into chunks — as one merge input
-// instead of many (core.LocalTree): their records, one after the other,
-// are already in merge order, and JoinRecords makes them one payload.
-type Ordered interface {
-	Aggregator
-	// Bounds returns the keys of a part's first and last record, as
-	// sub-slices of part. It reads the framing, not the order: ok is false
-	// for a part the codec's decoder refuses and for a part with no record,
-	// and a part whose records go backwards is still Merge's to refuse.
-	Bounds(part []byte) (first, last []byte, ok bool)
-}
-
-// JoinRecords appends parts' records, in the order given, to dst as one
-// payload of an Ordered codec: the sum of their counts, then every part's
-// records. It checks each count as the decoders do, copies the records
-// unread, and reduces and reorders nothing, so Merge refuses the payload
-// unless each part's first key is at or after the previous part's last,
-// and treats equal keys at a boundary as it treats them inside one part.
-//
-//netagg:hotpath
-func JoinRecords(dst []byte, parts [][]byte) ([]byte, error) {
-	var count uint64
-	for _, p := range parts {
-		c, n := binary.Uvarint(p)
-		if n <= 0 || c > uint64(len(p)-n)+1 {
-			return dst, ErrBadPayload
-		}
-		count += c
-	}
-	dst = binary.AppendUvarint(dst, count)
-	for _, p := range parts {
-		_, n := binary.Uvarint(p)
-		dst = append(dst, p[n:]...)
-	}
-	return dst, nil
 }
 
 // Registry maps application names to their aggregator, the box-side

@@ -108,10 +108,11 @@ func (c KVCombiner) Combine(a, b []byte) ([]byte, error) {
 
 // kvStackCursors is how many parts Merge reads from cursors on its own
 // stack frame: a box's widest due batch, an eighth of its local trees'
-// count budget (core.maxPending/8), which a sort_concat job's 128 parts
-// fill. A wider batch, such as the final one of a request of over 128
-// parts too small to fill a batch by their bytes, allocates its cursors.
-const kvStackCursors = 128
+// count budget (core.maxPending/8), which a mapred_kv job's 224–232
+// chunks fit. A wider batch, such as the final one of a request of over
+// 256 parts too small to fill a batch by their bytes, allocates its
+// cursors.
+const kvStackCursors = 256
 
 // kvCursor reads one encoded KV payload pair by pair without decoding it:
 // key is a sub-slice of the part, so advancing allocates nothing. It
@@ -181,6 +182,24 @@ func siftDown(heap []kvCursor, i int) {
 	}
 }
 
+// siftUp restores the min-heap (by current key) above heap[i] after that
+// cursor joined it.
+//
+//netagg:hotpath
+func siftUp(heap []kvCursor, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if bytes.Compare(heap[parent].key, heap[i].key) <= 0 {
+			return
+		}
+		heap[i], heap[parent] = heap[parent], heap[i]
+		i = parent
+	}
+}
+
+// byKey orders cursors by their current key.
+func byKey(a, b kvCursor) int { return bytes.Compare(a.key, b.key) }
+
 // moreKVCursors is Merge's beyond-the-stack-frame slow path, kept out of
 // the hot function so its allocation is not charged to it.
 //
@@ -190,74 +209,8 @@ func moreKVCursors(n int) []kvCursor { return make([]kvCursor, n) }
 // uvarintLen is the encoded size of x as binary.AppendUvarint writes it.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// varintLen is the size of the varint at the start of p, or 0 where
-// binary.Uvarint (and so binary.Varint) would refuse it: a skip that
-// rejects what the decoder rejects without computing the value.
-//
-//netagg:hotpath
-func varintLen(p []byte) int {
-	for i, b := range p {
-		if i == binary.MaxVarintLen64 {
-			return 0
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0
-			}
-			return i + 1
-		}
-	}
-	return 0
-}
-
-// Bounds implements Ordered: the first and last key, with the checks
-// DecodeKVs makes, skipping the values unread.
-//
-//netagg:hotpath
-func (KVCombiner) Bounds(part []byte) (first, last []byte, ok bool) {
-	count, n := binary.Uvarint(part)
-	if n <= 0 || count == 0 || count > uint64(len(part)-n)+1 {
-		return nil, nil, false
-	}
-	// One index walks the records; a one-byte length or value, all but
-	// every record of a worker's chunk, costs a compare.
-	p := part[n:]
-	at, key, end := 0, 0, 0
-	for i := uint64(0); i < count; i++ {
-		if at >= len(p) {
-			return nil, nil, false
-		}
-		klen := uint64(p[at])
-		at++
-		if klen >= 0x80 {
-			if klen, n = binary.Uvarint(p[at-1:]); n <= 0 {
-				return nil, nil, false
-			}
-			at += n - 1
-		}
-		if uint64(len(p)-at) < klen {
-			return nil, nil, false
-		}
-		key, end = at, at+int(klen)
-		if i == 0 {
-			first = p[key:end]
-		}
-		if end < len(p) && p[end] < 0x80 {
-			at = end + 1
-		} else if n = varintLen(p[end:]); n > 0 {
-			at = end + n
-		} else {
-			return nil, nil, false
-		}
-	}
-	if at != len(p) {
-		return nil, nil, false
-	}
-	return first, p[key:end], true
-}
-
 // The scan's limits: Merge scans for the next key while at most
-// kvScanCursors parts are left and, over each block of kvScanBlock
+// kvScanCursors parts are open and, over each block of kvScanBlock
 // records written, it took at least kvScanMinTaken records for each. A
 // scan costs a compare a cursor for every key written, the heap two
 // compares and a swap a level for every record taken, so the scan pays
@@ -270,28 +223,35 @@ const (
 
 // Merge implements Aggregator as one streaming k-way merge over the
 // encoded bytes: a cursor per part, keys compared as sub-slices of the
-// input, the output written once. It picks the next key one of two ways.
-// Over at most kvScanCursors parts it scans (see scan), which costs a
-// compare a cursor for each key written; where that stops paying, or over
-// more parts, it keeps the cursors in a min-heap, which costs about
-// 2·log₂k compares for each record taken. A part whose keys go backwards
-// is rejected with ErrBadPayload (a merge-join over it would silently
-// leave keys unreduced). Equal keys inside one part — mapred's raw mode
-// keeps them — are reduced like equal keys across parts, so the output
-// never holds a key twice; what a reducer computes from it is unchanged
-// and the bytes it receives can only shrink.
+// input, the output written once. Every part's count and first record
+// are read before anything is written. The cursors are then sorted by
+// first key, and a part stays closed until the merge reaches it: it opens
+// once its first key is at or before the least open key, so equal keys
+// at a boundary are reduced together. The chunks of a sorted source, which
+// follow one another, are so read one after another, one of them open at
+// a time, and the merge picks among the parts that overlap only. It picks
+// the next key one of two ways. While at most kvScanCursors parts are
+// open it scans (see scan), which costs a compare a cursor for each key
+// written; where that stops paying, or a part more would open, it keeps
+// the open cursors in a min-heap, which costs about 2·log₂k compares for
+// each record taken. A part whose keys go backwards is rejected with
+// ErrBadPayload (a merge-join over it would silently leave keys
+// unreduced). Equal keys inside one part — mapred's raw mode keeps them —
+// are reduced like equal keys across parts, so the output never holds a
+// key twice; what a reducer computes from it is unchanged and the bytes
+// it receives can only shrink.
 //
 //netagg:hotpath
 func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	var stack [kvStackCursors]kvCursor
-	heap := stack[:]
+	curs := stack[:]
 	if len(parts) > kvStackCursors {
-		heap = moreKVCursors(len(parts))
+		curs = moreKVCursors(len(parts))
 	}
 	live := 0
 	var bound uint64 // the output cannot hold more pairs than the inputs together
 	for _, part := range parts {
-		k := &heap[live]
+		k := &curs[live]
 		if err := k.open(part); err != nil {
 			return dst, err
 		}
@@ -304,7 +264,8 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 			live++
 		}
 	}
-	heap = heap[:live]
+	curs = curs[:live]
+	slices.SortFunc(curs, byKey)
 
 	// The count goes in front of pairs not merged yet: reserve the widest
 	// prefix it can need, and close the gap once at the end if the merge
@@ -312,18 +273,24 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	var pad [binary.MaxVarintLen64]byte
 	start, reserved := len(dst), uvarintLen(bound)
 	dst = append(dst, pad[:reserved]...)
-	var count uint64
-	if len(heap) <= kvScanCursors {
-		var err error
-		if dst, live, count, err = c.scan(dst, heap); err != nil {
-			return dst, err
+	dst, open, next, count, err := c.scan(dst, curs)
+	if err != nil {
+		return dst, err
+	}
+	// The heap finishes what the scan left: the open cursors curs[:open]
+	// and the closed ones curs[next:].
+	for i := open/2 - 1; i >= 0; i-- {
+		siftDown(curs[:open], i)
+	}
+	for open > 0 || next < len(curs) {
+		// Push each closed part that starts at or before the top key.
+		for next < len(curs) && (open == 0 || bytes.Compare(curs[next].key, curs[0].key) <= 0) {
+			curs[open] = curs[next]
+			open++
+			next++
+			siftUp(curs[:open], open-1)
 		}
-		heap = heap[:live]
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
-	}
-	for len(heap) > 0 {
+		heap := curs[:open]
 		top := &heap[0]
 		key, val := top.key, top.val
 		for {
@@ -344,6 +311,7 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 			}
 			val = c.Op.Reduce(val, top.val)
 		}
+		open = len(heap)
 		dst = appendKV(dst, key, val)
 		count++
 	}
@@ -355,27 +323,45 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	return dst, nil
 }
 
-// scan is Merge's picker for a few parts: one pass over the cursors finds
-// the least key and marks every cursor that holds it, and each marked
-// cursor is reduced and advanced past the key, equal keys inside its part
-// included. Every kvScanBlock records written it stops if it took fewer
-// than kvScanMinTaken records for each, between two keys so none is half
-// reduced, and returns how many cursors are left, moved to the front of
-// curs, for the heap to finish; it returns 0 when it merged everything.
-// count is the number of records it wrote.
+// scan is Merge's picker for a few open parts: one pass over the open
+// cursors finds the least key and marks every cursor that holds it, and
+// each marked cursor is reduced and advanced past the key, equal keys
+// inside its part included. curs is sorted by first key and starts
+// closed; the open cursors are curs[:open] and the closed ones curs[next:],
+// and the pass opens each closed part whose first key is at or before the
+// least key. The scan stops between two keys, so none is half reduced: when
+// a part more would open past kvScanCursors, or when over a block of
+// kvScanBlock records written it took fewer than kvScanMinTaken records
+// for each. It returns open and next for the heap to finish, 0 and
+// len(curs) once it merged everything; count is the number of records it
+// wrote.
 //
 //netagg:hotpath
-func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, live int, count uint64, err error) {
+func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, open, next int, count uint64, err error) {
 	taken := 0 // records taken in this block
-	for len(curs) > 0 {
+	for open > 0 || next < len(curs) {
 		if count > 0 && count%kvScanBlock == 0 {
 			if taken < kvScanMinTaken*kvScanBlock {
-				return dst, len(curs), count, nil
+				return dst, open, next, count, nil
 			}
 			taken = 0
 		}
+		if open == 0 {
+			curs[0] = curs[next]
+			open, next = 1, next+1
+		}
 		key, val, marked := curs[0].key, curs[0].val, uint(1)
-		for i := 1; i < len(curs); i++ {
+		for i := 1; ; i++ {
+			if i == open {
+				if next == len(curs) || bytes.Compare(curs[next].key, key) > 0 {
+					break
+				}
+				if open == kvScanCursors {
+					return dst, open, next, count, nil
+				}
+				curs[open] = curs[next]
+				open, next = open+1, next+1
+			}
 			switch d := bytes.Compare(curs[i].key, key); {
 			case d < 0:
 				key, val, marked = curs[i].key, curs[i].val, 1<<i
@@ -384,8 +370,8 @@ func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, live int, count
 				marked |= 1 << i
 			}
 		}
-		// Highest first: a spent cursor's place goes to the last cursor,
-		// which this loop has advanced already or does not touch.
+		// Highest first: a spent cursor's place goes to the last open
+		// cursor, which this loop has advanced already or does not touch.
 		for marked != 0 {
 			i := bits.Len(marked) - 1
 			marked &^= 1 << i
@@ -394,11 +380,11 @@ func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, live int, count
 				taken++
 				ok, err := k.next()
 				if err != nil {
-					return dst, 0, count, err
+					return dst, 0, next, count, err
 				}
 				if !ok {
-					curs[i] = curs[len(curs)-1]
-					curs = curs[:len(curs)-1]
+					open--
+					curs[i] = curs[open]
 					break
 				}
 				if !bytes.Equal(k.key, key) {
@@ -410,7 +396,7 @@ func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, live int, count
 		dst = appendKV(dst, key, val)
 		count++
 	}
-	return dst, 0, count, nil
+	return dst, 0, next, count, nil
 }
 
 // appendKV writes one record as EncodeKVs does.

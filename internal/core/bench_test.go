@@ -85,18 +85,22 @@ func totalLen(parts [][]byte) (n int) {
 
 var benchSink []byte
 
-// benchKVStreams is what a mapred_kv box merges: each worker's parts
-// joined by agg.JoinRecords into one sorted stream, eight streams that
-// share their keys (5.7 records a key).
+// benchKVStreams is each worker's parts of one mapred_kv job as one
+// sorted stream, eight streams that share their keys (5.7 records a key):
+// the merge of the job's chunks with none of them opened late.
 func benchKVStreams() [][]byte {
 	sources := benchKVSources()
 	streams := make([][]byte, len(sources))
 	for w, parts := range sources {
-		joined, err := agg.JoinRecords(nil, parts)
-		if err != nil {
-			panic(err)
+		var kvs []agg.KV
+		for _, p := range parts {
+			chunk, err := agg.DecodeKVs(p)
+			if err != nil {
+				panic(err)
+			}
+			kvs = append(kvs, chunk...)
 		}
-		streams[w] = joined
+		streams[w] = agg.EncodeKVs(kvs)
 	}
 	return streams
 }
@@ -118,10 +122,11 @@ func benchKVDistinct(k int) [][]byte {
 }
 
 // BenchmarkKVMerge is the box's merge step alone, folded into a pre-sized
-// dst: k parts of the mapred_kv shape, taken round-robin; the eight
-// joined worker streams of one mapred_kv job (sources=8), the merge a box
-// makes of it; and eight parts that share no key (distinct-k=8), where
-// the merge gives up its scan for the heap. It lives here, beside the
+// dst: k parts of the mapred_kv shape, taken round-robin; the 224 chunks
+// of one mapred_kv job, round-robin (chunks=224), the merge a box makes
+// of it, which opens each chunk at its first key; the job's eight worker
+// streams, each one part (sources=8); and eight parts that share no key
+// (distinct-k=8), where the merge gives up its scan for the heap. It lives here, beside the
 // tree benchmark, because both feed on the same parts. The target is
 // 0 allocs/op on every row (the escape gate covers the code,
 // BENCH_agg.json the number).
@@ -134,7 +139,7 @@ func BenchmarkKVMerge(b *testing.B) {
 	for _, k := range []int{2, 16, 64} {
 		rows = append(rows, row{fmt.Sprintf("k=%d", k), benchKVParts(k)})
 	}
-	rows = append(rows, row{"sources=8", benchKVStreams()}, row{"distinct-k=8", benchKVDistinct(8)})
+	rows = append(rows, row{"chunks=224", roundRobin(benchKVSources())}, row{"sources=8", benchKVStreams()}, row{"distinct-k=8", benchKVDistinct(8)})
 	for _, r := range rows {
 		b.Run(r.name, func(b *testing.B) {
 			size := totalLen(r.parts)
@@ -255,8 +260,8 @@ func BenchmarkConcatMerge(b *testing.B) {
 // each Add until the tree is idle, which is how parts reach a box in the
 // e2e pass — more slowly than a batch merges. The plain rows take the
 // parts round-robin across the workers; /by-worker-* takes them worker by
-// worker, the order the e2e pass sends them in. Either way each worker's
-// parts chain, and the job is one 8-way merge.
+// worker, the order the e2e pass sends them in. Either way the job is one
+// merge, which reads each worker's parts one after another.
 func BenchmarkLocalTreeKV(b *testing.B) {
 	sources := benchKVSources()
 	benchLocalTree(b, "", agg.KVCombiner{Op: agg.OpSum}, roundRobin(sources))

@@ -43,10 +43,11 @@ type Config struct {
 
 const (
 	// maxPending bounds the inputs a request's local tree holds before it
-	// back-pressures its senders. An eighth of it is the most parts one
-	// batch waits for, a sort_concat job's 128, so a job under the tree's
-	// byte threshold is one merge.
-	maxPending = 1024
+	// back-pressures its senders. An eighth of it, 256, is the most parts
+	// one batch waits for: a mapred_kv job's 224–232 chunks and a
+	// sort_concat job's 128 fit, so a job under the tree's byte threshold
+	// is one merge.
+	maxPending = 2048
 	// idleTimeout is how long a request may see no traffic before the
 	// janitor garbage-collects it.
 	idleTimeout = 30 * time.Second

@@ -115,9 +115,6 @@ func TestBoxAggregatesAndDelivers(t *testing.T) {
 	sink := newResultSink(t)
 	defer sink.close()
 
-	// Each worker's second part follows its first in key order, so the
-	// box chains them: the KV sum reaches the tree as an agg.Ordered.
-	chained := obsChainedParts.Value()
 	route := []string{sink.addr()}
 	sendExpect(t, box.Addr(), "wc", 7, 3)
 	for w := 0; w < 3; w++ {
@@ -140,9 +137,6 @@ func TestBoxAggregatesAndDelivers(t *testing.T) {
 	st := box.Stats()
 	if st.Requests != 1 || st.BytesIn == 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if obsChainedParts.Value() == chained {
-		t.Fatal("box.chained_parts did not move: no part of the request chained")
 	}
 }
 

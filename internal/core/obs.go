@@ -16,14 +16,9 @@ var (
 	obsBoxBytesOut = obs.C("box.bytes_out")
 	// obsMergedBytes counts the bytes local trees hand to Merge:
 	// merged_bytes/bytes_in is how many times a box merges each byte on
-	// its way through (once for a request that fits one batch, batchBytes,
-	// and for parts that arrive as chains; at most twice for an α = 1
-	// request whose aggregate fits a frame).
+	// its way through (once for a request that fits one batch, batchBytes;
+	// at most twice for an α = 1 request whose aggregate fits a frame).
 	obsMergedBytes = obs.C("box.merged_bytes")
-	// obsChainedParts counts parts local trees took into a chain — parts
-	// that follow one another in key order and reach Merge joined, as one
-	// input — out of box.frames_aggregated.
-	obsChainedParts = obs.C("box.chained_parts")
 	// obsBoxRequests counts requests completed (result emitted or error).
 	obsBoxRequests = obs.C("box.requests")
 	// obsBoxCombines counts aggregation tasks executed (§3.2.1).

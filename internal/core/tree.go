@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"netagg/internal/agg"
@@ -31,43 +29,25 @@ func (p *appPanic) Error() string {
 	return fmt.Sprintf("core: aggregation function %q panicked: %v", p.app, p.value)
 }
 
-// batchBytes is how many bytes of waiting parts and chains make them a
-// merge batch. It is well above a whole job of every workload here (a
-// sort_concat job is 1.3 MB), so a request that fits is one merge, and
-// each of its bytes is merged once; a larger request merges
-// batches of this size in parallel while it streams in. Runs wait until
-// they hold a frame's worth, wire.MaxPayload — an α = 1 request that can
-// be emitted at all then merges each byte at most twice.
+// batchBytes is how many bytes of waiting parts make them a merge batch.
+// It is well above a whole job of every workload here (a sort_concat job
+// is 1.3 MB), so a request that fits is one merge, and each of its bytes
+// is merged once; a larger request merges batches of this size in
+// parallel while it streams in. Runs wait until they hold a frame's
+// worth, wire.MaxPayload — an α = 1 request that can be emitted at all
+// then merges each byte at most twice.
 const batchBytes = 4 << 20
 
-// maxHeldBytes bounds the bytes a tree holds — parts, chains and runs,
-// waiting or in a batch — for a request whose lone run fits a frame:
+// maxHeldBytes bounds the bytes a tree holds — parts and runs, waiting
+// or in a batch — for a request whose lone run fits a frame:
 // while no merge runs, parts hold less than batchBytes plus a part, runs
 // at most a frame, and a part is at most a frame (the proof is on Add).
 const maxHeldBytes = batchBytes + 3*wire.MaxPayload
 
-// listCap is the capacity a new parts list or chain tail starts with.
-// It does not grow with the count budget: a chain's tail or a request's
-// parts list is rarely longer, and a longer one grows by append.
+// listCap is the capacity a new parts list starts with. It does not grow
+// with the count budget: a longer list grows by append, and a merged
+// batch's array is kept for the request's next list (spare).
 const listCap = 16
-
-// link is one input waiting for a merge batch: a part, a chain of parts
-// that arrived in key order one after another, which the batch that
-// takes it joins into one input, or a run of the tree's own merges.
-type link struct {
-	head *bufpool.Buf
-	tail []*bufpool.Buf // a chain's later parts, in order; nil otherwise
-	last []byte         // key of the last record, if a part may follow; nil otherwise
-	size int            // bytes of head and tail together
-}
-
-// release gives every buffer of the link back.
-func (l link) release() {
-	l.head.Release()
-	for _, p := range l.tail {
-		p.Release()
-	}
-}
 
 // LocalTree is the in-box aggregation structure for one request (§3.2.1
 // "Local aggregation trees"): partial results stream in from the network
@@ -79,20 +59,9 @@ func (l link) release() {
 // cost is the grouping's, which is why a run never rides in a batch of
 // parts (that would make the tree a left fold, re-merging every earlier
 // byte with each batch), and why a batch is made by the bytes waiting: a
-// request that fits one batch is merged once.
-//
-// A merge spends CPU to shrink data, and parts that ascend one after
-// another — a mapper's sorted output, cut into chunks — have nothing to
-// merge against each other. For an agg.Ordered aggregator a part whose
-// first key is at or after a waiting part's or chain's last key is linked
-// to it instead of waiting alone, while the chain is under batchBytes:
-// the chain is a run the tree got without merging, it counts once, like
-// a run, and the batch that takes it joins it into one input. It waits
-// among the parts, because its bytes have been merged as often as theirs,
-// never: in a batch of runs it would make a run of runs, and that run
-// would take earlier runs' bytes through Merge a third time. The link is
-// picked by key, not by source, so parts of one source interleaved with
-// others' still chain.
+// request that fits one batch is merged once. The tree knows nothing of a
+// codec's order: parts that follow one another, a sorted source cut into
+// chunks, are the merge's to read one after another.
 //
 // A bounded buffer provides back-pressure: Add blocks when the tree
 // cannot keep up, which in turn stops the network reader and lets TCP
@@ -101,26 +70,25 @@ func (l link) release() {
 type LocalTree struct {
 	app        string
 	aggregator agg.Aggregator
-	ordered    agg.Ordered // aggregator, if its parts can chain; else nil
 	sched      *Scheduler
 	maxPending int
-	// batchMin is how many buffered parts and chains, or buffered runs,
-	// make a batch due whatever their bytes: maxPending/8, at least 2. A
-	// backlogged tree of small parts then holds up to eight batches, which
-	// merge in parallel, and both lists together fit the count budget
-	// while neither is due: 2(batchMin−1) ≤ maxPending−2.
+	// batchMin is how many buffered parts, or buffered runs, make a batch
+	// due whatever their bytes: maxPending/8, at least 2. A backlogged
+	// tree of small parts then holds up to eight batches, which merge in
+	// parallel, and both lists together fit the count budget while
+	// neither is due: 2(batchMin−1) ≤ maxPending−2.
 	batchMin int
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	parts     []link // external parts and chains, not yet in a task's batch
-	runs      []link // outputs of the tree's own merges, not yet in a batch
-	partBytes int    // bytes of parts
-	runBytes  int    // bytes of runs
-	spare     []link // a merged batch's array, emptied, for the next parts list
-	held      int    // inputs in the batches of queued or running tasks
-	heldBytes int    // bytes of those batches
-	tasks     int    // merge tasks queued or running
+	parts     []*bufpool.Buf // external parts, not yet in a task's batch
+	runs      []*bufpool.Buf // outputs of the tree's own merges, not yet in a batch
+	partBytes int            // bytes of parts
+	runBytes  int            // bytes of runs
+	spare     []*bufpool.Buf // a merged batch's array, emptied, for the next parts list
+	held      int            // inputs in the batches of queued or running tasks
+	heldBytes int            // bytes of those batches
+	tasks     int            // merge tasks queued or running
 	closed    bool
 	finished  bool
 	err       error
@@ -140,8 +108,8 @@ type LocalTree struct {
 // sched. onDone is called exactly once, with the final aggregated result
 // (nil if no parts were added) or the first merge error; it must not
 // block. The callback owns the result's buffer reference and must
-// Release it. maxPending bounds the inputs the tree holds — parts, runs
-// and chains, buffered or being merged; values < 4 are raised to 4 so a
+// Release it. maxPending bounds the inputs the tree holds — parts and
+// runs, buffered or being merged; values < 4 are raised to 4 so a
 // merge can always be scheduled. maxHeldBytes bounds their bytes.
 func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPending int, onDone func(*bufpool.Buf, error)) *LocalTree {
 	if maxPending < 4 {
@@ -155,7 +123,6 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 		batchMin:   max(2, maxPending/8),
 		onDone:     onDone,
 	}
-	t.ordered, _ = aggregator.(agg.Ordered)
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
@@ -168,19 +135,8 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 //
 //netagg:owns part
 func (t *LocalTree) Add(part *bufpool.Buf) bool {
-	// The part's keys are read before the lock: a part Bounds refuses, or
-	// that holds no record, waits alone and reaches Merge, which reports
-	// what is wrong with it. A Bounds that panics fails the request.
-	var first, last []byte
-	var err error
-	if t.ordered != nil {
-		first, last, err = t.bounds(part.Bytes())
-	}
 	n := part.Len()
 	t.mu.Lock()
-	if err != nil {
-		t.failLocked(err)
-	}
 	// Add waits while the part would take the tree past a budget — the
 	// inputs or the bytes of what waits and of every batch still queued
 	// or running, so a slow aggregator applies back-pressure instead of
@@ -188,10 +144,10 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	// or running: only a merge frees room, and a due batch always has a
 	// task. So Add never waits while no batch is due or running, and the
 	// budgets still hold then, because neither list is due: each holds
-	// under batchMin inputs; parts and chains hold under batchBytes, or
-	// one part or chain under batchBytes plus a part; runs under a frame,
-	// or one run; and the part is at most a frame. For a request whose
-	// lone run fits a frame that is under maxHeldBytes.
+	// under batchMin inputs; parts hold under batchBytes, or one part;
+	// runs under a frame, or one run; and the part is at most a frame.
+	// For a request whose lone run fits a frame that is under
+	// maxHeldBytes.
 	for t.tasks > 0 && (len(t.parts)+len(t.runs)+t.held >= t.maxPending || t.partBytes+t.runBytes+t.heldBytes+n > maxHeldBytes) && t.err == nil && !t.closed {
 		t.cond.Wait()
 	}
@@ -202,54 +158,13 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	}
 	t.bytesIn += int64(n)
 	t.partBytes += n
-	if at := t.followedLocked(first); at < 0 {
-		if t.parts == nil {
-			t.parts = t.freshLocked()
-		}
-		t.parts = append(t.parts, link{head: part, last: last, size: n}) //netagg:owns part
-	} else {
-		in := &t.parts[at]
-		if in.tail == nil {
-			in.tail = make([]*bufpool.Buf, 0, listCap)
-			obsChainedParts.Inc() // the part it follows is the chain's head
-		}
-		in.tail = append(in.tail, part) //netagg:owns part
-		in.last = last
-		in.size += n
-		obsChainedParts.Inc()
+	if t.parts == nil {
+		t.parts = t.freshLocked()
 	}
+	t.parts = append(t.parts, part) //netagg:owns part
 	t.scheduleLocked()
 	t.mu.Unlock()
 	return true
-}
-
-// bounds is the application's Bounds, with a refusal as no keys.
-func (t *LocalTree) bounds(part []byte) (first, last []byte, err error) {
-	defer t.recovered(&err)
-	if first, last, ok := t.ordered.Bounds(part); ok {
-		return first, last, nil
-	}
-	return nil, nil, nil
-}
-
-// followedLocked returns the index of the waiting part or chain under
-// batchBytes that a part whose first key is first follows: the one with
-// the greatest last key at or before first — the tightest fit, which
-// leaves looser ones to parts that start earlier — or -1 if there is
-// none, or if first is nil: the part's keys are unknown. A part that
-// follows only a full chain waits beside it, and the two make the list
-// due.
-func (t *LocalTree) followedLocked(first []byte) int {
-	at := -1
-	if first == nil {
-		return at
-	}
-	for i, in := range t.parts {
-		if in.last != nil && in.size < batchBytes && bytes.Compare(in.last, first) <= 0 && (at < 0 || bytes.Compare(in.last, t.parts[at].last) > 0) {
-			at = i
-		}
-	}
-	return at
 }
 
 // CloseInputs declares that no further parts will be added; once the
@@ -280,29 +195,21 @@ func (t *LocalTree) Discard() bool {
 }
 
 // settledLocked reports whether what waits needs no further merge: at
-// most one input, and not a chain — Merge reads a lone chain once more,
-// so that equal keys at its boundaries are reduced and the result is in
-// canonical form.
+// most one input.
 func (t *LocalTree) settledLocked() bool {
-	switch len(t.parts) + len(t.runs) {
-	case 0:
-		return true
-	case 1:
-		return len(t.parts) == 0 || t.parts[0].tail == nil
-	}
-	return false
+	return len(t.parts)+len(t.runs) <= 1
 }
 
 // takeBatchLocked moves the next due batch and its bytes out of the
 // buffers, for a caller that accounts for self of t.tasks (1 inside a
 // task, else 0), or returns nil if none is due. A batch is one kind: a
 // list is due once it holds two inputs and either batchMin of them or
-// its bytes' threshold — batchBytes for parts and chains, a frame for
-// runs — and a list due is taken whole. Once inputs are closed and nobody
-// else can still add a run, whatever remains of both is the final batch.
-// The batch stays in the back-pressure budget (held, heldBytes) until
+// its bytes' threshold — batchBytes for parts, a frame for runs — and a
+// list due is taken whole. Once inputs are closed and nobody else can
+// still add a run, whatever remains of both is the final batch. The
+// batch stays in the back-pressure budget (held, heldBytes) until
 // merged.
-func (t *LocalTree) takeBatchLocked(self int) (batch []link, size int) {
+func (t *LocalTree) takeBatchLocked(self int) (batch []*bufpool.Buf, size int) {
 	if t.err != nil {
 		return nil, 0
 	}
@@ -326,18 +233,18 @@ func (t *LocalTree) takeBatchLocked(self int) (batch []link, size int) {
 
 // due reports whether a list of inputs, size bytes together, is a batch
 // under a threshold of that many bytes.
-func (t *LocalTree) due(list []link, size, threshold int) bool {
+func (t *LocalTree) due(list []*bufpool.Buf, size, threshold int) bool {
 	return len(list) >= 2 && (size >= threshold || len(list) >= t.batchMin)
 }
 
 // freshLocked returns an empty parts list: the array a merged batch left,
 // or a new one. A request allocates its lists once, not once a batch.
-func (t *LocalTree) freshLocked() []link {
+func (t *LocalTree) freshLocked() []*bufpool.Buf {
 	if s := t.spare; s != nil {
 		t.spare = nil
 		return s
 	}
-	return make([]link, 0, listCap)
+	return make([]*bufpool.Buf, 0, listCap)
 }
 
 // scheduleLocked submits a merge task for the next due batch, if any.
@@ -352,7 +259,7 @@ func (t *LocalTree) scheduleLocked() {
 		t.held -= len(batch)
 		t.heldBytes -= size
 		for _, in := range batch {
-			in.release()
+			in.Release()
 		}
 		t.failLocked(err)
 	}
@@ -369,7 +276,7 @@ func (t *LocalTree) scheduleLocked() {
 // closed and this is the last task — it merges that one too instead of
 // sending it round through the scheduler. Associativity and commutativity
 // make any grouping give the same result.
-func (t *LocalTree) mergeTask(batch []link, size int) {
+func (t *LocalTree) mergeTask(batch []*bufpool.Buf, size int) {
 	for {
 		run, err := t.merge(batch)
 		t.mu.Lock()
@@ -381,7 +288,7 @@ func (t *LocalTree) mergeTask(batch []link, size int) {
 			t.spare = batch[:0]
 		}
 		if err == nil && t.err == nil {
-			t.runs = append(t.runs, link{head: run, size: run.Len()}) //netagg:owns run
+			t.runs = append(t.runs, run) //netagg:owns run
 			t.runBytes += run.Len()
 		} else {
 			// A failed merge has no run (Release of nil is a no-op); a
@@ -404,63 +311,25 @@ func (t *LocalTree) mergeTask(batch []link, size int) {
 	t.mu.Unlock()
 }
 
-// merge folds one batch into a single pooled buffer, joining each chain
-// into one input first, and releases the batch.
-func (t *LocalTree) merge(batch []link) (*bufpool.Buf, error) {
+// merge folds one batch into a single pooled buffer and releases the
+// batch. Merge never aliases its inputs (the contract documented on
+// agg.Aggregator), so they can go back to the pool the moment it returns.
+func (t *LocalTree) merge(batch []*bufpool.Buf) (*bufpool.Buf, error) {
 	defer func() {
 		for _, in := range batch {
-			in.release()
+			in.Release()
 		}
 	}()
 	views := make([][]byte, len(batch))
-	var chain [][]byte // the views of one chain's parts at a time
 	size := 0
 	for i, in := range batch {
-		if in.tail != nil {
-			chain = append(slices.Grow(chain[:0], 1+len(in.tail)), in.head.Bytes())
-			n := in.head.Len()
-			for _, p := range in.tail {
-				chain = append(chain, p.Bytes())
-				n += p.Len()
-			}
-			joined, err := pooledFold(agg.JoinRecords, chain, n)
-			if err != nil {
-				return nil, err
-			}
-			in.release()
-			batch[i] = link{head: joined}
-		}
-		views[i] = batch[i].head.Bytes()
+		views[i] = in.Bytes()
 		size += len(views[i])
 	}
 	obsMergedBytes.Add(int64(size))
-	return pooledFold(t.applyMerge, views, size)
-}
-
-// applyMerge is the application's Merge.
-func (t *LocalTree) applyMerge(dst []byte, parts [][]byte) (out []byte, err error) {
-	defer t.recovered(&err)
-	return t.aggregator.Merge(dst, parts)
-}
-
-// recovered turns a panic of the application's code into *err. It is
-// deferred directly by bounds and applyMerge, the tree's only calls into
-// that code.
-func (t *LocalTree) recovered(err *error) {
-	if r := recover(); r != nil {
-		*err = &appPanic{app: t.app, value: r}
-	}
-}
-
-// pooledFold runs an append-style fold of views, size bytes together,
-// into a pooled buffer and returns the buffer holding its output. Merge
-// and agg.JoinRecords never alias their inputs (the contract documented
-// on agg.Aggregator), so the inputs can go back to the pool the moment it
-// returns.
-func pooledFold(fold func(dst []byte, parts [][]byte) ([]byte, error), views [][]byte, size int) (*bufpool.Buf, error) {
 	// Slack for a count prefix wider than any input's.
 	buf := bufpool.Get(size + binary.MaxVarintLen64)
-	out, err := fold(buf.Bytes()[:0], views)
+	out, err := t.applyMerge(buf.Bytes()[:0], views)
 	if err != nil {
 		buf.Release()
 		return nil, err
@@ -475,18 +344,29 @@ func pooledFold(fold func(dst []byte, parts [][]byte) ([]byte, error), views [][
 	return buf, nil
 }
 
-// failLocked records the first error, releases the buffered parts,
-// chains and runs (they can never be merged now; running tasks release
-// their own batches) and wakes waiters.
+// applyMerge is the application's Merge, the tree's only call into
+// application code: a panic in it becomes the request's error.
+func (t *LocalTree) applyMerge(dst []byte, parts [][]byte) (out []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &appPanic{app: t.app, value: r}
+		}
+	}()
+	return t.aggregator.Merge(dst, parts)
+}
+
+// failLocked records the first error, releases the buffered parts and
+// runs (they can never be merged now; running tasks release their own
+// batches) and wakes waiters.
 func (t *LocalTree) failLocked(err error) {
 	if t.err == nil {
 		t.err = err
 	}
 	for _, in := range t.parts {
-		in.release()
+		in.Release()
 	}
 	for _, in := range t.runs {
-		in.release()
+		in.Release()
 	}
 	t.parts, t.runs, t.partBytes, t.runBytes = nil, nil, 0, 0
 	t.cond.Broadcast()
@@ -505,9 +385,9 @@ func (t *LocalTree) maybeFinishLocked() {
 	// At most one input is left, a part or a run (an error released all).
 	switch {
 	case len(t.parts) == 1:
-		t.result = t.parts[0].head
+		t.result = t.parts[0]
 	case len(t.runs) == 1:
-		t.result = t.runs[0].head
+		t.result = t.runs[0]
 	}
 	t.parts, t.runs, t.partBytes, t.runBytes = nil, nil, 0, 0
 	if t.onDone != nil {

@@ -95,12 +95,12 @@ func TestEveryEndingEndsOnce(t *testing.T) {
 		},
 	}, {
 		// w0 streams enough undecodable parts for its box to merge a batch
-		// — an eighth of a tree's count budget of 1,024 — before the others
+		// — an eighth of a tree's count budget of 2,048 — before the others
 		// have sent anything: tor:0 reports the error while tor:1 and agg:0
 		// still hold the request.
 		name: "TError",
 		end: func(t *testing.T, r *rig, p *Pending) {
-			bad := make([][]byte, 128)
+			bad := make([][]byte, 256)
 			for i := range bad {
 				bad[i] = []byte{0xff}
 			}
