@@ -11,12 +11,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"netagg/internal/metrics"
@@ -35,11 +32,9 @@ func main() {
 	}
 	flag.Parse()
 
-	// Ctrl-C tears down every testbed endpoint the experiments deploy.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	opts := tbfig.Options{Window: *window, Seed: *seed, Context: ctx}
+	// No signal handler: Ctrl-C's default exit ends the run at once, and
+	// the process's exit closes every socket the experiments opened.
+	opts := tbfig.Options{Window: *window, Seed: *seed}
 	targets := flag.Args()
 	if len(targets) == 0 {
 		targets = order

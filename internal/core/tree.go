@@ -45,8 +45,7 @@ const batchBytes = 4 << 20
 const maxHeldBytes = batchBytes + 3*wire.MaxPayload
 
 // listCap is the capacity a new parts list starts with. It does not grow
-// with the count budget: a longer list grows by append, and a merged
-// batch's array is kept for the request's next list (spare).
+// with the count budget: a longer list grows by append.
 const listCap = 16
 
 // LocalTree is the in-box aggregation structure for one request (§3.2.1
@@ -85,14 +84,12 @@ type LocalTree struct {
 	runs      []*bufpool.Buf // outputs of the tree's own merges, not yet in a batch
 	partBytes int            // bytes of parts
 	runBytes  int            // bytes of runs
-	spare     []*bufpool.Buf // a merged batch's array, emptied, for the next parts list
 	held      int            // inputs in the batches of queued or running tasks
 	heldBytes int            // bytes of those batches
 	tasks     int            // merge tasks queued or running
 	closed    bool
 	finished  bool
 	err       error
-	result    *bufpool.Buf
 	onDone    func(*bufpool.Buf, error)
 
 	// BytesIn counts external payload bytes, for throughput measurements.
@@ -159,7 +156,7 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	t.bytesIn += int64(n)
 	t.partBytes += n
 	if t.parts == nil {
-		t.parts = t.freshLocked()
+		t.parts = make([]*bufpool.Buf, 0, listCap)
 	}
 	t.parts = append(t.parts, part) //netagg:owns part
 	t.scheduleLocked()
@@ -237,16 +234,6 @@ func (t *LocalTree) due(list []*bufpool.Buf, size, threshold int) bool {
 	return len(list) >= 2 && (size >= threshold || len(list) >= t.batchMin)
 }
 
-// freshLocked returns an empty parts list: the array a merged batch left,
-// or a new one. A request allocates its lists once, not once a batch.
-func (t *LocalTree) freshLocked() []*bufpool.Buf {
-	if s := t.spare; s != nil {
-		t.spare = nil
-		return s
-	}
-	return make([]*bufpool.Buf, 0, listCap)
-}
-
 // scheduleLocked submits a merge task for the next due batch, if any.
 func (t *LocalTree) scheduleLocked() {
 	batch, size := t.takeBatchLocked(0)
@@ -283,10 +270,6 @@ func (t *LocalTree) mergeTask(batch []*bufpool.Buf, size int) {
 		t.merges++
 		t.held -= len(batch)
 		t.heldBytes -= size
-		if t.spare == nil {
-			clear(batch) // for freshLocked
-			t.spare = batch[:0]
-		}
 		if err == nil && t.err == nil {
 			t.runs = append(t.runs, run) //netagg:owns run
 			t.runBytes += run.Len()
@@ -383,25 +366,24 @@ func (t *LocalTree) maybeFinishLocked() {
 	}
 	t.finished = true
 	// At most one input is left, a part or a run (an error released all).
+	var result *bufpool.Buf
 	switch {
 	case len(t.parts) == 1:
-		t.result = t.parts[0]
+		result = t.parts[0]
 	case len(t.runs) == 1:
-		t.result = t.runs[0]
+		result = t.runs[0]
 	}
 	t.parts, t.runs, t.partBytes, t.runBytes = nil, nil, 0, 0
 	if t.onDone != nil {
 		// Fire on a fresh goroutine so the callback can safely use the
 		// scheduler or take locks without risking re-entrancy. The result
 		// reference travels with the callback.
-		res, err := t.result, t.err
-		cb := t.onDone
+		cb, err := t.onDone, t.err
 		t.onDone = nil
-		go cb(res, err)
+		go cb(result, err)
 	} else {
 		// Discarded tree: nobody is coming for the result.
-		t.result.Release()
-		t.result = nil
+		result.Release()
 	}
 	t.cond.Broadcast()
 }

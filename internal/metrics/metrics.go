@@ -71,9 +71,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.values[lo]*(1-frac) + s.values[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // P99 returns the 99th percentile, the paper's primary FCT metric.
 func (s *Sample) P99() float64 { return s.Percentile(99) }
 

@@ -56,7 +56,6 @@ func broadcastOnce(o Options, boxes bool, size int) time.Duration {
 		Registry:       reg,
 		Planner:        treeplan.OnPath{},
 		Seed:           1,
-		Context:        o.Context,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("tbfig: %v", err))
@@ -67,7 +66,7 @@ func broadcastOnce(o Options, boxes bool, size int) time.Duration {
 	targets := make(map[string]string)
 	var servers []*transport.Server
 	for _, host := range tb.WorkerHosts() {
-		srv, err := transport.Listen(o.ctx(), "127.0.0.1:0",
+		srv, err := transport.Listen(nil, "127.0.0.1:0",
 			func(_ *transport.ServerConn, m *wire.Msg) {
 				m.Release() // only the arrival matters, not the payload
 				if m.Type == wire.TData {

@@ -13,7 +13,6 @@
 package tbfig
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -53,9 +52,6 @@ type Options struct {
 	Window time.Duration
 	// Seed for query generation.
 	Seed int64
-	// Context optionally bounds every testbed and transport endpoint an
-	// experiment deploys, so the driver can cancel a long figure run.
-	Context context.Context
 }
 
 func (o Options) window() time.Duration {
@@ -63,15 +59,6 @@ func (o Options) window() time.Duration {
 		return 3 * time.Second
 	}
 	return o.Window
-}
-
-// ctx is the experiment lifetime (Background when the caller set none).
-func (o Options) ctx() context.Context {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return ctx
 }
 
 func (o Options) seed() int64 {

@@ -48,10 +48,6 @@ type Config struct {
 	StragglerTimeout time.Duration
 	// Seed makes box scheduling deterministic.
 	Seed int64
-	// Context optionally bounds the whole deployment's lifetime: it is
-	// passed to every box and shim, so cancelling it tears the transport
-	// layer down everywhere (Close still drains).
-	Context context.Context
 	// DebugAddr, when non-empty, serves the /debug/netagg observability
 	// endpoint (metrics, traces, health — see internal/obs and
 	// OPERATIONS.md) on that address. Use "127.0.0.1:0" to pick a free
@@ -136,7 +132,6 @@ func New(cfg Config) (*Testbed, error) {
 					Workers:   cfg.BoxWorkers,
 					NIC:       nic(fmt.Sprintf("box-%s-%d", sw, k), cfg.BoxGbps),
 					SchedSeed: cfg.Seed + int64(id>>32),
-					Context:   cfg.Context,
 				})
 				if err != nil {
 					tb.Close()
@@ -157,7 +152,6 @@ func New(cfg Config) (*Testbed, error) {
 			Deployment: tb.Dep,
 			NIC:        nic(name, cfg.EdgeGbps),
 			Planner:    cfg.Planner,
-			Context:    cfg.Context,
 		})
 		if err != nil {
 			tb.Close()
@@ -171,7 +165,6 @@ func New(cfg Config) (*Testbed, error) {
 		NIC:              nic(MasterHost, cfg.EdgeGbps),
 		Planner:          cfg.Planner,
 		StragglerTimeout: cfg.StragglerTimeout,
-		Context:          cfg.Context,
 	})
 	if err != nil {
 		tb.Close()
@@ -180,12 +173,8 @@ func New(cfg Config) (*Testbed, error) {
 	tb.Master = master
 
 	if cfg.DebugAddr != "" {
-		ctx := cfg.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		h := obs.Handler(obs.Default, obs.DefaultTracer, tb.health)
-		addr, stop, err := obs.Serve(ctx, cfg.DebugAddr, h)
+		addr, stop, err := obs.Serve(nil, cfg.DebugAddr, h)
 		if err != nil {
 			tb.Close()
 			return nil, fmt.Errorf("testbed: debug endpoint: %w", err)
@@ -269,6 +258,7 @@ func (tb *Testbed) BoxStats() core.BoxStats {
 		total.BytesOut += st.BytesOut
 		total.Requests += st.Requests
 		total.Combines += st.Combines
+		total.FanoutCopies += st.FanoutCopies
 	}
 	return total
 }

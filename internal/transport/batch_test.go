@@ -126,48 +126,96 @@ func TestSendNoHeadOfLineBlocking(t *testing.T) {
 	t.Logf("%d frames in %d writev calls (%d batched)", st.FramesOut, st.WritevCalls, st.BatchedFrames)
 }
 
-// TestCloseReleasesQueuedFrames wedges the socket with pooled payloads in
-// the send queue and closes the connection: every queued frame's payload
-// reference must be released (refcount back to the caller's own), and the
-// undelivered fire-and-forget frames must be counted as Dropped. Run with
-// -tags netaggdebug to turn any double-release into a panic.
+// TestCloseReleasesQueuedFrames wedges a socket with pooled payloads in
+// the send queue and closes the endpoint, at each end of a connection:
+// every queued frame's payload reference must be released (refcount back
+// to the test's own), and the undelivered fire-and-forget frames must be
+// counted as Dropped. Run with -tags netaggdebug to turn any
+// double-release into a panic.
 func TestCloseReleasesQueuedFrames(t *testing.T) {
-	g := newGateConn()
-	c := NewConn(context.Background(), "stub:0", Options{
-		Dial: func(ctx context.Context, addr string) (net.Conn, error) { return g, nil },
+	t.Run("conn", func(t *testing.T) {
+		g := newGateConn()
+		c := NewConn(context.Background(), "stub:0", Options{
+			Dial: func(ctx context.Context, addr string) (net.Conn, error) { return g, nil },
+		})
+
+		if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: 0, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		g.blockWrites()
+
+		const frames = 16
+		bufs := make([]*bufpool.Buf, 0, frames)
+		for seq := uint64(1); seq <= frames; seq++ {
+			buf := bufpool.Get(512)
+			bufs = append(bufs, buf)
+			m := &wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: buf.Bytes(), Buf: buf}
+			if err := c.Send(m); err != nil {
+				t.Fatalf("send %d: %v", seq, err)
+			}
+		}
+		c.Close()
+
+		for i, buf := range bufs {
+			if got := buf.Refs(); got != 1 {
+				t.Fatalf("frame %d payload refs = %d after Close, want 1 (the test's own)", i+1, got)
+			}
+			buf.Release()
+		}
+		st := c.Stats()
+		if st.Dropped == 0 {
+			t.Fatalf("stats = %+v, want Dropped > 0 for undelivered queued frames", st)
+		}
+		if st.Dropped+st.FramesOut < frames {
+			t.Fatalf("dropped %d + delivered %d frames, want every one of %d accounted",
+				st.Dropped, st.FramesOut, frames)
+		}
 	})
 
-	if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: 0, Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	g.blockWrites()
-
-	const frames = 16
-	bufs := make([]*bufpool.Buf, 0, frames)
-	for seq := uint64(1); seq <= frames; seq++ {
-		buf := bufpool.Get(512)
-		bufs = append(bufs, buf)
-		m := &wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: buf.Bytes(), Buf: buf}
-		if err := c.Send(m); err != nil {
-			t.Fatalf("send %d: %v", seq, err)
+	// The server end: a handler queues 1 MiB replies to a peer that never
+	// reads, far more than the loopback socket buffers hold, so replies
+	// are still queued, or in a write that cannot finish, when Close runs.
+	t.Run("server", func(t *testing.T) {
+		const replies = 32
+		buf := bufpool.Get(1 << 20)
+		queued := make(chan struct{})
+		srv, err := Listen(context.Background(), "127.0.0.1:0", func(sc *ServerConn, m *wire.Msg) {
+			m.Buf.Release()
+			for seq := uint64(1); seq <= replies; seq++ {
+				r := &wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: buf.Bytes(), Buf: buf}
+				if err := sc.Reply(r); err != nil {
+					t.Errorf("reply %d: %v", seq, err)
+				}
+			}
+			close(queued)
+		}, ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	c.Close()
+		peer, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		if _, err := wire.NewVectorWriter(peer).WriteBatch([]*wire.Msg{{Type: wire.TData, App: "t"}}); err != nil {
+			t.Fatal(err)
+		}
+		<-queued
+		srv.Close()
 
-	for i, buf := range bufs {
 		if got := buf.Refs(); got != 1 {
-			t.Fatalf("frame %d payload refs = %d after Close, want 1 (the test's own)", i+1, got)
+			t.Fatalf("reply payload refs = %d after Close, want 1 (the test's own)", got)
 		}
 		buf.Release()
-	}
-	st := c.Stats()
-	if st.Dropped == 0 {
-		t.Fatalf("stats = %+v, want Dropped > 0 for undelivered queued frames", st)
-	}
-	if st.Dropped+st.FramesOut < frames {
-		t.Fatalf("dropped %d + delivered %d frames, want every one of %d accounted",
-			st.Dropped, st.FramesOut, frames)
-	}
+		st := srv.Stats()
+		if st.Dropped == 0 {
+			t.Fatalf("stats = %+v, want Dropped > 0 for undelivered replies", st)
+		}
+		if st.Dropped+st.FramesOut < replies {
+			t.Fatalf("dropped %d + delivered %d replies, want every one of %d accounted",
+				st.Dropped, st.FramesOut, replies)
+		}
+	})
 }
 
 // TestQueuedFramesAppliedOnceAfterReconnect drives the §3.1 recovery

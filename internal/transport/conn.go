@@ -35,8 +35,8 @@ type connHandle struct {
 // buffer pool and the socket). The flush policy is adaptive: a lone
 // frame on an idle connection flushes immediately, concurrent senders
 // are amortised into batched writev calls bounded by batchMaxFrames and
-// batchMaxBytes. The queue, the bound and the write are the sendq core
-// shared with ServerConn.
+// batchMaxBytes. The queue, the bound, the write loop and the completion
+// of a frame are the sendq core shared with ServerConn.
 //
 // The flusher also owns the connection lifecycle: it dials lazily with a
 // bounded timeout, paces re-dials to a dead peer with jittered
@@ -63,7 +63,6 @@ type Conn struct {
 	// goroutine, so none of it needs a lock.
 	conn       net.Conn
 	vw         *wire.VectorWriter
-	everUp     bool      // a connection has been established before
 	wrote      bool      // the current connection has completed a write
 	lost       bool      // a connection that wrote was dropped; OnLost is owed
 	dialFails  int       // consecutive dials that failed, or led to no completed write
@@ -214,43 +213,23 @@ func (c *Conn) waitRetry() {
 	}
 }
 
-// writePending drains the pending frames into batch-bounded vectored
-// writes. On a write error the connection is dropped and pending frames
-// are kept for the next connection; repeated failures surface the error
-// to synchronous waiters.
+// writePending writes the pending frames through the send queue. On a
+// write error the connection is dropped and the unwritten frames are kept
+// for the next connection; repeated failures surface the error to
+// synchronous waiters.
 func (c *Conn) writePending() {
-	for len(c.q.pending) > 0 {
-		n := c.q.stagePending()
-		if err := c.q.writeVec(c.vw); err != nil {
-			c.dropConn()
-			c.writeFails++
-			if c.writeFails >= c.opts.MaxSendAttempts {
-				c.failWaiters(err)
-				c.writeFails = 0
-			}
-			return
-		}
-		c.writeFails = 0
-		c.wrote, c.dialFails = true, 0
-		c.finishBatch(n)
+	n, err := c.q.flush(c.vw)
+	if n > 0 {
+		c.wrote, c.dialFails, c.writeFails = true, 0, 0
 	}
-}
-
-// finishBatch completes the first n pending frames after a successful
-// write: the queue's payload reference is released, and synchronous
-// waiters are woken with success.
-func (c *Conn) finishBatch(n int) {
-	for i := 0; i < n; i++ {
-		req := &c.q.pending[i]
-		req.m.Buf.Release()
-		if req.done != nil {
-			select {
-			case req.done <- nil:
-			default: // cap-1 channel, single verdict per group: never full
-			}
+	if err != nil {
+		c.dropConn()
+		c.writeFails++
+		if c.writeFails >= c.opts.MaxSendAttempts {
+			c.failWaiters(err)
+			c.writeFails = 0
 		}
 	}
-	c.q.pop(n)
 }
 
 // failWaiters reports err to every synchronous sender in pending and
@@ -321,13 +300,11 @@ func (c *Conn) ensure() error {
 	c.live.Store(h)
 	c.wrote = false
 	c.nextDial = time.Time{}
-	c.stats.dials.Add(1)
 	obsDials.Inc()
-	if c.everUp {
+	if c.stats.dials.Add(1) > 1 {
 		c.stats.reconnects.Add(1)
 		obsReconnects.Inc()
 	}
-	c.everUp = true
 	// The reader runs even without OnFrame: a write-only flusher with an
 	// empty queue would otherwise never notice a dead peer (the last batch
 	// "succeeds" into the dead socket's buffer), and the §3.1 re-send would
@@ -373,26 +350,11 @@ func (c *Conn) dropConn() {
 	}
 }
 
-// shutdown is the flusher's exit path: every queued and pending frame is
-// completed (waiters get ErrClosed, fire-and-forget frames are counted
-// dropped), all queue references are released, and the socket is closed.
+// shutdown is the flusher's exit path: every pending frame is completed
+// with ErrClosed (waiters get it, fire-and-forget frames are counted
+// dropped) and the socket is closed.
 func (c *Conn) shutdown() {
-	for i := range c.q.pending {
-		req := c.q.pending[i]
-		req.m.Buf.Release()
-		if req.done != nil {
-			select {
-			case req.done <- ErrClosed:
-			default: // cap-1 channel, single verdict per group: never full
-			}
-		}
-		if !req.sync {
-			c.stats.dropped.Add(1)
-			obsQueueDrops.Inc()
-		}
-		c.q.pending[i] = sendReq{}
-	}
-	c.q.pending = nil
+	c.q.complete(len(c.q.pending), ErrClosed)
 	c.dropConn()
 }
 
@@ -404,28 +366,19 @@ func (c *Conn) shutdown() {
 // a handler that forgets merely falls back to the GC.
 func (c *Conn) readLoop(nc net.Conn, h *connHandle) {
 	defer c.wg.Done()
-	r := wire.NewReader(nc)
-	for {
-		m, err := r.Read()
-		if err != nil {
-			// Ensure the writer side notices promptly even if it is the
-			// peer that went away, then tell the flusher which connection
-			// died.
-			nc.Close()
-			if c.live.Load() == h {
-				c.connected.Store(false)
-			}
-			c.dead.Store(h)
-			c.q.doorbell()
-			return
-		}
-		c.stats.countIn(m)
-		if c.opts.OnFrame != nil {
-			c.opts.OnFrame(m)
-		} else {
-			m.Buf.Release()
-		}
+	deliver := c.opts.OnFrame
+	if deliver == nil {
+		deliver = func(m *wire.Msg) { m.Buf.Release() }
 	}
+	readFrames(nc, &c.stats, deliver)
+	// Ensure the writer side notices promptly even if it is the peer that
+	// went away, then tell the flusher which connection died.
+	nc.Close()
+	if c.live.Load() == h {
+		c.connected.Store(false)
+	}
+	c.dead.Store(h)
+	c.q.doorbell()
 }
 
 // Reset drops the current connection (if any) so the next Send re-dials.

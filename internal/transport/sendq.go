@@ -24,7 +24,8 @@ const (
 // sendReq is one frame staged in a send queue. m is a value copy of the
 // sender's Msg, taken at admission so the sender may reuse its Msg
 // struct the moment the send returns; m.Buf carries the queue's own
-// payload reference (retained at admission, released by the flusher).
+// payload reference (retained at admission, released by complete or by
+// Conn.failWaiters).
 // done, when non-nil, is where a synchronous sender waits for the
 // outcome of its frame's flush.
 type sendReq struct {
@@ -39,10 +40,11 @@ type sendReq struct {
 
 // sendq is the write path Conn and ServerConn share: a bounded
 // admission queue with a doorbell on the sender side, and on the flusher
-// side the claimed frames, the batch bound and the one vectored write
-// that accounts for itself in both the endpoint counters and the obs
-// series. Connection lifecycle, loss notices, synchronous waiters (Conn)
-// and what a failed write means (both) stay with the owner.
+// side the claimed frames, the batch-bounded vectored writes that account
+// for themselves in both the endpoint counters and the obs series
+// (flush), and the one completion that ends a frame, written or not
+// (complete). What a failed write means stays with the owner: Conn
+// re-dials and keeps its fire-and-forget frames, ServerConn gives up.
 type sendq struct {
 	stats *counters // the owning endpoint's counters
 	// run is the owner's flusher loop, started on the first admission
@@ -179,15 +181,25 @@ func (q *sendq) batchBound() int {
 	return n
 }
 
-// stagePending stages the next batch-bounded run of pending frames for
-// writeVec and returns its length.
-func (q *sendq) stagePending() int {
-	n := q.batchBound()
-	q.batch = q.batch[:0]
-	for i := 0; i < n; i++ {
-		q.batch = append(q.batch, &q.pending[i].m)
+// flush writes the pending frames in batch-bounded vectored writes,
+// completing each batch once written, until none is left or a write
+// fails. It reports how many frames it wrote; on a failed write the
+// unwritten frames stay pending for the owner.
+func (q *sendq) flush(vw *wire.VectorWriter) (int, error) {
+	written := 0
+	for len(q.pending) > 0 {
+		n := q.batchBound()
+		q.batch = q.batch[:0]
+		for i := 0; i < n; i++ {
+			q.batch = append(q.batch, &q.pending[i].m)
+		}
+		if err := q.writeVec(vw); err != nil {
+			return written, err
+		}
+		q.complete(n, nil)
+		written += n
 	}
-	return n
+	return written, nil
 }
 
 // writeVec issues one vectored write for the frames staged in q.batch
@@ -220,9 +232,25 @@ func (q *sendq) writeVec(vw *wire.VectorWriter) error {
 	return nil
 }
 
-// pop drops the first n pending frames once their owner has completed
-// them (payload reference released or moved on, waiter told).
-func (q *sendq) pop(n int) {
+// complete ends the first n pending frames: it releases the queue's
+// payload reference and gives a synchronous group's waiter its verdict,
+// err (nil once written). With a non-nil err an unwritten
+// fire-and-forget frame is counted dropped.
+func (q *sendq) complete(n int, err error) {
+	for i := 0; i < n; i++ {
+		req := &q.pending[i]
+		req.m.Buf.Release()
+		if req.done != nil {
+			select {
+			case req.done <- err:
+			default: // cap-1 channel, single verdict per group: never full
+			}
+		}
+		if err != nil && !req.sync {
+			q.stats.dropped.Add(1)
+			obsQueueDrops.Inc()
+		}
+	}
 	m := copy(q.pending, q.pending[n:])
 	for i := m; i < len(q.pending); i++ {
 		q.pending[i] = sendReq{}

@@ -27,13 +27,13 @@ type ServerOptions struct {
 
 // Server is the inbound side of the data plane: a listener whose accept
 // loop hands each connection to a reader goroutine feeding the handler.
-// Every goroutine is tracked in one WaitGroup and cancelled through the
-// constructor's context; Close cancels and drains.
+// Every goroutine is tracked in one WaitGroup; cancelling the
+// constructor's context starts the same teardown as Close, which also
+// waits for the drain.
 type Server struct {
 	ln      net.Listener
 	handler Handler
-	ctx     context.Context
-	cancel  context.CancelFunc
+	stop    func() bool // detaches the context→teardown hook
 
 	stats counters
 
@@ -57,17 +57,14 @@ func Listen(ctx context.Context, addr string, handler Handler, opts ServerOption
 	if opts.NIC != nil {
 		ln = netem.NewListener(ln, opts.NIC)
 	}
-	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
 		ln:      ln,
 		handler: handler,
-		ctx:     sctx,
-		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
 	}
-	s.wg.Add(2)
-	go s.watch()
+	s.wg.Add(1)
 	go s.acceptLoop()
+	s.stop = context.AfterFunc(ctx, s.teardown)
 	return s, nil
 }
 
@@ -77,21 +74,20 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats { return s.stats.snapshot() }
 
-// Close cancels the server's context and waits for the accept loop and
-// every per-connection reader to exit. Idempotent.
+// Close tears the server down and waits for the accept loop, every
+// per-connection reader and every reply flusher to exit. Idempotent.
 func (s *Server) Close() {
-	s.cancel()
+	s.teardown()
+	s.stop()
 	s.wg.Wait()
 }
 
-// watch turns context cancellation into the actual teardown: close the
-// listener (unblocking the accept loop), mark closed, kill open
-// connections (unblocking their readers). The listener goes first so a
-// peer that reconnects the moment its connection dies is refused instead
-// of being accepted by a server that is about to drop it again.
-func (s *Server) watch() {
-	defer s.wg.Done()
-	<-s.ctx.Done()
+// teardown closes the listener (unblocking the accept loop), marks the
+// server closed and kills open connections (unblocking their readers).
+// The listener goes first so a peer that reconnects the moment its
+// connection dies is refused instead of being accepted by a server that
+// is about to drop it again.
+func (s *Server) teardown() {
 	s.ln.Close()
 	s.mu.Lock()
 	s.closed = true
@@ -125,29 +121,21 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve reads frames off one accepted connection into the handler.
+// serve reads frames off one accepted connection into the handler. On
+// exit it closes the reply queue, which ends the reply flusher.
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
-	sc := &ServerConn{conn: conn, srv: s, done: make(chan struct{})}
+	sc := &ServerConn{conn: conn}
 	sc.q.init(&s.stats, &s.wg, sc.flusher)
-	defer func() {
-		close(sc.done) // stop the reply flusher (if one started)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-		s.stats.active.Add(-1)
-		obsActiveConns.Add(-1)
-	}()
-	r := wire.NewReader(conn)
-	for {
-		m, err := r.Read()
-		if err != nil {
-			return
-		}
-		s.stats.countIn(m)
-		s.handler(sc, m)
-	}
+	readFrames(conn, &s.stats, func(m *wire.Msg) { s.handler(sc, m) })
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
+	sc.q.close(ErrClosed)
+	sc.q.doorbell()
+	s.stats.active.Add(-1)
+	obsActiveConns.Add(-1)
 }
 
 // ServerConn is the server's handle on one accepted connection, used by
@@ -157,9 +145,7 @@ func (s *Server) serve(conn net.Conn) {
 // and Reply blocks only on queue admission.
 type ServerConn struct {
 	conn net.Conn
-	srv  *Server
-	done chan struct{} // closed when the reader goroutine exits
-	q    sendq         // reply queue; its latched error means the peer is gone
+	q    sendq // reply queue; its latched error means the peer is gone
 }
 
 // Reply queues one frame to go back on the connection. Safe for
@@ -173,48 +159,26 @@ func (sc *ServerConn) Reply(m *wire.Msg) error {
 	return sc.q.admit(one[:], nil)
 }
 
-// flusher drains queued replies into coalesced vectored writes until the
-// connection dies or the write path fails.
+// flusher drains queued replies into coalesced vectored writes until
+// the reader closes the reply queue or a write fails, then completes
+// whatever is still queued with that error.
 func (sc *ServerConn) flusher() {
 	vw := wire.NewVectorWriter(sc.conn)
-	for {
-		sc.q.moveQueued()
-		if len(sc.q.pending) == 0 {
-			select {
-			case <-sc.q.wake:
-				continue
-			case <-sc.done:
-			case <-sc.srv.ctx.Done():
-			}
-			sc.fail(ErrClosed)
-			return
-		}
-		for len(sc.q.pending) > 0 {
-			n := sc.q.stagePending()
-			if err := sc.q.writeVec(vw); err != nil {
-				sc.fail(err) // the peer is gone
-				return
-			}
-			sc.drop(n)
+	var err error
+	for err == nil {
+		closed := sc.q.moveQueued()
+		switch {
+		case closed:
+			err = ErrClosed
+		case len(sc.q.pending) > 0:
+			_, err = sc.q.flush(vw)
+		default:
+			<-sc.q.wake
 		}
 	}
-}
-
-// drop releases the reply queue's payload references on the first n
-// pending frames and forgets them.
-func (sc *ServerConn) drop(n int) {
-	for i := 0; i < n; i++ {
-		sc.q.pending[i].m.Buf.Release()
-	}
-	sc.q.pop(n)
-}
-
-// fail latches err so blocked and future repliers observe it, and
-// releases every reply still queued or staged.
-func (sc *ServerConn) fail(err error) {
 	sc.q.close(err)
 	sc.q.moveQueued()
-	sc.drop(len(sc.q.pending))
+	sc.q.complete(len(sc.q.pending), err)
 }
 
 // Close tears this one connection down; its reader goroutine exits and

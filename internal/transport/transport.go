@@ -128,7 +128,8 @@ type Stats struct {
 	// QueueWaits counts sends that blocked on send-queue admission
 	// (back-pressure events, not failures).
 	QueueWaits int64
-	// Dropped counts queued frames released undelivered at Close/teardown.
+	// Dropped counts queued fire-and-forget frames released undelivered
+	// at Close or teardown: a Conn's sends and a Server's replies alike.
 	Dropped int64
 }
 
@@ -146,14 +147,23 @@ type counters struct {
 	dropped             atomic.Int64
 }
 
-// countIn records one inbound frame in the endpoint's counters and the
-// process-wide obs series.
-func (c *counters) countIn(m *wire.Msg) {
-	n := int64(len(m.Payload))
-	c.framesIn.Add(1)
-	c.bytesIn.Add(n)
-	obsFramesIn.Inc()
-	obsBytesIn.Add(n)
+// readFrames is both ends' read loop: it reads frames off nc, counts
+// each in stats and the process-wide obs series, and hands it to
+// deliver, which owns its pooled payload reference, until a read fails.
+func readFrames(nc net.Conn, stats *counters, deliver func(m *wire.Msg)) {
+	r := wire.NewReader(nc)
+	for {
+		m, err := r.Read()
+		if err != nil {
+			return
+		}
+		n := int64(len(m.Payload))
+		stats.framesIn.Add(1)
+		stats.bytesIn.Add(n)
+		obsFramesIn.Inc()
+		obsBytesIn.Add(n)
+		deliver(m)
+	}
 }
 
 func (c *counters) snapshot() Stats {

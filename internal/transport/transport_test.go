@@ -545,6 +545,16 @@ func TestContextCancellation(t *testing.T) {
 	testutil.WaitFor(t, "frame delivery", func() bool { return sink.appliedCount() == 1 })
 
 	cancel()
+	// The cancellation alone closes the listener: a fresh dial fails
+	// before srv.Close runs.
+	testutil.WaitFor(t, "listener to close on cancellation", func() bool {
+		nc, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+		if err != nil {
+			return true
+		}
+		nc.Close()
+		return false
+	})
 	srv.Close() // waits for the drain the cancellation started
 
 	// The context hook closes the Conn asynchronously; once it lands,
