@@ -46,6 +46,7 @@ escape:
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime=10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeFanout$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzKVMerge$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzDocsMerge$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzConcatMerge$$' -fuzztime=10s

@@ -63,7 +63,7 @@ func main() {
 	reg := newRegistry()
 
 	// The signal context is the box's lifetime: SIGINT/SIGTERM cancels
-	// it, which tears the transport layer down; Close drains the rest.
+	// it, and Close tears the box down.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -73,7 +73,6 @@ func main() {
 		Workers:      *workers,
 		FixedWeights: *fixed,
 		Registry:     reg,
-		Context:      ctx,
 	})
 	if err != nil {
 		log.Fatalf("aggbox: %v", err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -36,9 +35,6 @@ type Config struct {
 	NIC *netem.NIC
 	// SchedSeed seeds the WFQ random pick (0 = time-based).
 	SchedSeed int64
-	// Context optionally bounds the box's lifetime: cancelling it is
-	// equivalent to Close (nil = Background).
-	Context context.Context
 }
 
 const (
@@ -64,8 +60,7 @@ type Box struct {
 	sched   *Scheduler
 	obsNode string // trace span node label ("box:<id>")
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	done chan struct{} // closed by Close: stops the janitor
 
 	mu       sync.Mutex
 	requests map[reqKey]*boxRequest
@@ -139,16 +134,10 @@ func Start(cfg Config) (*Box, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	parent := cfg.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
 	b := &Box{
 		cfg:     cfg,
 		obsNode: fmt.Sprintf("box:%d", cfg.ID),
-		ctx:     ctx,
-		cancel:  cancel,
+		done:    make(chan struct{}),
 		sched: NewScheduler(SchedulerConfig{
 			Workers:  cfg.Workers,
 			Adaptive: !cfg.FixedWeights,
@@ -156,16 +145,15 @@ func Start(cfg Config) (*Box, error) {
 		}),
 		requests: make(map[reqKey]*boxRequest),
 		crashes:  make(map[string]int),
-		pool:     transport.NewPool(ctx, transport.Options{NIC: cfg.NIC}),
+		pool:     transport.NewPool(transport.Options{NIC: cfg.NIC}),
 	}
 	for _, app := range cfg.Registry.Apps() {
 		b.sched.Register(app, 1)
 	}
 	// The box must be fully initialised before the listener goes live:
 	// frames can arrive the moment Listen returns.
-	srv, err := transport.Listen(ctx, cfg.Addr, b.serveFrame, transport.ServerOptions{NIC: cfg.NIC})
+	srv, err := transport.Listen(nil, cfg.Addr, b.serveFrame, transport.ServerOptions{NIC: cfg.NIC})
 	if err != nil {
-		cancel()
 		b.pool.Close()
 		b.sched.Close()
 		return nil, err
@@ -224,9 +212,9 @@ func (b *Box) Stats() BoxStats {
 	return b.stats
 }
 
-// Close shuts the box down: cancel the context shared by the listener,
-// the inbound connections, the outbound pool, and the janitor, then
-// drain every goroutine.
+// Close shuts the box down: stop the janitor, close the listener with
+// its inbound connections and the outbound pool, then drain every
+// goroutine.
 func (b *Box) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -235,7 +223,7 @@ func (b *Box) Close() {
 	}
 	b.closed = true
 	b.mu.Unlock()
-	b.cancel()
+	close(b.done)
 	b.srv.Close()
 	b.pool.Close()
 	b.sched.Close()
@@ -581,7 +569,7 @@ func (b *Box) janitor() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-b.ctx.Done():
+		case <-b.done:
 			return
 		case <-tick.C:
 			b.sweep(time.Now())

@@ -39,64 +39,15 @@ func TestPercentileEmptyIsNaN(t *testing.T) {
 	if !math.IsNaN(s.Percentile(50)) {
 		t.Fatal("percentile of empty sample must be NaN")
 	}
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
-		t.Fatal("mean/min/max of empty sample must be NaN")
-	}
 }
 
 func TestPercentileClampsRange(t *testing.T) {
 	s := NewSample(0)
-	s.AddAll([]float64{1, 2, 3})
+	for _, v := range []float64{1, 2, 3} {
+		s.Add(v)
+	}
 	if s.Percentile(-10) != 1 || s.Percentile(200) != 3 {
 		t.Fatal("out-of-range percentiles must clamp")
-	}
-}
-
-func TestMeanMinMaxSum(t *testing.T) {
-	s := NewSample(0)
-	s.AddAll([]float64{4, 1, 7})
-	if s.Mean() != 4 || s.Min() != 1 || s.Max() != 7 || s.Sum() != 12 {
-		t.Fatalf("mean=%g min=%g max=%g sum=%g", s.Mean(), s.Min(), s.Max(), s.Sum())
-	}
-}
-
-func TestCDFMonotoneAndComplete(t *testing.T) {
-	s := NewSample(0)
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i % 97))
-	}
-	cdf := s.CDF(50)
-	if len(cdf) != 50 {
-		t.Fatalf("CDF has %d points, want 50", len(cdf))
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].F < cdf[i-1].F || cdf[i].Value < cdf[i-1].Value {
-			t.Fatalf("CDF not monotone at %d", i)
-		}
-	}
-	if last := cdf[len(cdf)-1]; last.F != 1 || last.Value != s.Max() {
-		t.Fatalf("CDF must end at (max, 1), got (%g, %g)", last.Value, last.F)
-	}
-}
-
-func TestCDFEmptyAndSmall(t *testing.T) {
-	s := NewSample(0)
-	if s.CDF(10) != nil {
-		t.Fatal("CDF of empty sample must be nil")
-	}
-	s.Add(3)
-	cdf := s.CDF(10)
-	if len(cdf) != 1 || cdf[0].Value != 3 || cdf[0].F != 1 {
-		t.Fatalf("unexpected CDF %+v", cdf)
-	}
-}
-
-func TestRelative(t *testing.T) {
-	a, b := NewSample(0), NewSample(0)
-	a.AddAll([]float64{2, 4, 6})
-	b.AddAll([]float64{4, 8, 12})
-	if got := Relative(a, b, 50); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Relative = %g, want 0.5", got)
 	}
 }
 
@@ -111,7 +62,9 @@ func TestPercentilePropertyWithinBounds(t *testing.T) {
 			}
 		}
 		s := NewSample(0)
-		s.AddAll(vs)
+		for _, v := range vs {
+			s.Add(v)
+		}
 		sorted := append([]float64(nil), vs...)
 		sort.Float64s(sorted)
 		for _, p := range []float64{0, 10, 50, 90, 99, 100} {

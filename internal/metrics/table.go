@@ -43,9 +43,6 @@ func (t *Table) Rows() [][]string { return t.rows }
 // Header returns the column headers.
 func (t *Table) Header() []string { return t.header }
 
-// Title returns the table title.
-func (t *Table) Title() string { return t.title }
-
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.header)

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"context"
-
 	"netagg/internal/agg"
 	"netagg/internal/netem"
 	"netagg/internal/shim"
@@ -31,10 +29,6 @@ type BackendConfig struct {
 	// ChunkDocs splits results into parts of this many documents (0 = one
 	// part), letting boxes aggregate in a streaming fashion.
 	ChunkDocs int
-	// Context optionally bounds the backend's lifetime: cancelling it
-	// tears the request listener down (Close still drains). nil means the
-	// backend lives until Close.
-	Context context.Context
 }
 
 // Backend serves sub-requests from the frontend: it searches its shard and
@@ -47,12 +41,8 @@ type Backend struct {
 
 // StartBackend launches a backend server.
 func StartBackend(cfg BackendConfig) (*Backend, error) {
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	b := &Backend{cfg: cfg}
-	srv, err := transport.Listen(ctx, "127.0.0.1:0",
+	srv, err := transport.Listen(nil, "127.0.0.1:0",
 		func(_ *transport.ServerConn, m *wire.Msg) {
 			defer m.Release() // DecodeQuery copies the terms out
 			if m.Type != wire.TData {

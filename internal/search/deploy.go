@@ -1,8 +1,6 @@
 package search
 
 import (
-	"context"
-
 	"netagg/internal/agg"
 	"netagg/internal/corpus"
 	"netagg/internal/testbed"
@@ -24,10 +22,6 @@ type DeployConfig struct {
 	Trees int
 	// ChunkDocs splits backend results into parts of this many documents.
 	ChunkDocs int
-	// Context optionally bounds the deployment's lifetime; it is passed
-	// to every backend and the frontend (usually the same context the
-	// testbed was built with).
-	Context context.Context
 }
 
 // Cluster is a running search deployment.
@@ -66,7 +60,6 @@ func Deploy(tb *testbed.Testbed, cfg DeployConfig) (*Cluster, error) {
 			NIC:        tb.NIC(host),
 			Categorise: cfg.Categorise,
 			ChunkDocs:  cfg.ChunkDocs,
-			Context:    cfg.Context,
 		})
 		if err != nil {
 			c.Close()
@@ -82,7 +75,6 @@ func Deploy(tb *testbed.Testbed, cfg DeployConfig) (*Cluster, error) {
 		Aggregator: cfg.Aggregator,
 		Trees:      cfg.Trees,
 		NIC:        tb.NIC(testbed.MasterHost),
-		Context:    cfg.Context,
 	})
 	return c, nil
 }

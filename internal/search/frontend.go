@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -30,10 +29,6 @@ type FrontendConfig struct {
 	Trees int
 	// NIC optionally paces the frontend's outgoing sub-requests.
 	NIC *netem.NIC
-	// Context optionally bounds the frontend's lifetime: cancelling it
-	// tears the backend connection pool down. nil means the frontend
-	// lives until Close.
-	Context context.Context
 }
 
 // BackendRef names one backend.
@@ -59,18 +54,13 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.Trees < 1 {
 		cfg.Trees = 1
 	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	f := &Frontend{cfg: cfg, timeout: queryTimeout}
-	f.pool = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC})
+	f.pool = transport.NewPool(transport.Options{NIC: cfg.NIC})
 	return f
 }
 
 // Close tears down the frontend's backend connection pool (each pooled
-// connection owns a flusher goroutine). Equivalent to cancelling the
-// configured Context; idempotent.
+// connection owns a flusher goroutine); idempotent.
 func (f *Frontend) Close() { f.pool.Close() }
 
 // Response is one completed query.

@@ -1,7 +1,6 @@
 package shim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -38,9 +37,6 @@ type MasterConfig struct {
 	// StragglerTimeout redirects a request that has not completed in time
 	// (§3.1 "Handling stragglers"); 0 disables recovery.
 	StragglerTimeout time.Duration
-	// Context optionally bounds the shim's lifetime: cancelling it is
-	// equivalent to Close (nil = Background).
-	Context context.Context
 }
 
 // maxAttempts bounds the recovery attempts per request (the wire encoding
@@ -136,7 +132,6 @@ type Master struct {
 	srv     *transport.Server
 	pool    *transport.Pool // to the boxes
 	ctl     *transport.Pool // to the workers' control listeners
-	cancel  context.CancelFunc
 
 	mu      sync.Mutex
 	pending map[pendKey]*Pending
@@ -173,31 +168,24 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.Planner == nil {
 		cfg.Planner = treeplan.OnPath{}
 	}
-	parent := cfg.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
 	m := &Master{
 		cfg:     cfg,
 		planner: cfg.Planner,
-		cancel:  cancel,
 		pending: make(map[pendKey]*Pending),
 		notices: make(map[noticeKey]*[]uint64),
 	}
 	// Only the box hop answers a lost connection: OnLost also makes the
 	// flusher re-dial at once, and a worker host that has gone away is
 	// dialled again on the next TRedirect or TDone, not for ever.
-	m.pool = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, OnLost: m.reannounce})
-	m.ctl = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC})
+	m.pool = transport.NewPool(transport.Options{NIC: cfg.NIC, OnLost: m.reannounce})
+	m.ctl = transport.NewPool(transport.Options{NIC: cfg.NIC})
 	// The result listener: every frame lands in handle on its
 	// connection's reader goroutine; the transport server owns the accept
 	// loop, reader lifecycle, and drain.
-	srv, err := transport.Listen(ctx, "127.0.0.1:0",
+	srv, err := transport.Listen(nil, "127.0.0.1:0",
 		func(_ *transport.ServerConn, msg *wire.Msg) { m.handle(msg) },
 		transport.ServerOptions{NIC: cfg.NIC})
 	if err != nil {
-		cancel()
 		m.pool.Close()
 		m.ctl.Close()
 		return nil, err
@@ -223,7 +211,6 @@ func (m *Master) Close() {
 	for _, p := range pend {
 		m.finish(p, errMasterClosed)
 	}
-	m.cancel()
 	m.srv.Close()
 	m.pool.Close()
 	m.ctl.Close()

@@ -67,7 +67,7 @@ func (w *Worker) lastAttemptOf(app string, req uint64) int {
 func toldOfLoss(t *testing.T, w *Worker) <-chan string {
 	told := make(chan string, 1)
 	w.pool.Close()
-	w.pool = transport.NewPool(t.Context(), transport.Options{OnLost: func(addr string) {
+	w.pool = transport.NewPool(transport.Options{OnLost: func(addr string) {
 		w.resend(addr)
 		select {
 		case told <- addr:
@@ -86,7 +86,7 @@ func reannounced(t *testing.T, m *Master) <-chan string {
 	told := make(chan string, 1)
 	echo := make(chan struct{}, 1)
 	m.pool.Close()
-	m.pool = transport.NewPool(t.Context(), transport.Options{
+	m.pool = transport.NewPool(transport.Options{
 		OnFrame: func(msg *wire.Msg) {
 			msg.Release()
 			select {

@@ -339,7 +339,7 @@ func TestNoticeToUnreachableWorker(t *testing.T) {
 	// A backoff that outlasts the test, so the second and third notices
 	// are refused whatever the host's speed.
 	r.master.ctl.Close()
-	r.master.ctl = transport.NewPool(t.Context(), transport.Options{Backoff: transport.Backoff{Min: time.Hour}})
+	r.master.ctl = transport.NewPool(transport.Options{Backoff: transport.Backoff{Min: time.Hour}})
 	r.workers["w0"].ctl.Close()
 	addr, _ := r.dep.ControlAddr("w0")
 	runJobs(t, r, 0xF200, 3*noticeBatch, []string{"w0", "w1"})

@@ -7,7 +7,6 @@
 package shim
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -34,9 +33,6 @@ type WorkerConfig struct {
 	// It must match the master shim's planner — see
 	// MasterConfig.Planner.
 	Planner treeplan.Planner
-	// Context optionally bounds the shim's lifetime: cancelling it is
-	// equivalent to Close (nil = Background).
-	Context context.Context
 }
 
 // retention bounds how long sent partial results stay buffered for
@@ -50,7 +46,6 @@ type Worker struct {
 	planner treeplan.Planner
 	pool    *transport.Pool
 	ctl     *transport.Server
-	cancel  context.CancelFunc
 
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
@@ -95,24 +90,17 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Planner == nil {
 		cfg.Planner = treeplan.OnPath{}
 	}
-	parent := cfg.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
 	w := &Worker{
 		cfg:      cfg,
 		planner:  cfg.Planner,
-		cancel:   cancel,
 		buffered: make(map[bufKey]*bufferedSend),
 	}
-	w.pool = transport.NewPool(ctx, transport.Options{NIC: cfg.NIC, OnLost: w.resend})
+	w.pool = transport.NewPool(transport.Options{NIC: cfg.NIC, OnLost: w.resend})
 	// The control listener carries only tiny redirect frames, so it is
 	// deliberately not NIC-paced (recovery signalling should not queue
 	// behind a congested emulated edge link).
-	ctl, err := transport.Listen(ctx, "127.0.0.1:0", w.control, transport.ServerOptions{})
+	ctl, err := transport.Listen(nil, "127.0.0.1:0", w.control, transport.ServerOptions{})
 	if err != nil {
-		cancel()
 		w.pool.Close()
 		return nil, err
 	}
@@ -132,7 +120,6 @@ func (w *Worker) Close() {
 	obsRetainedSends.Add(-int64(len(w.expiry)))
 	w.buffered, w.expiry = nil, nil
 	w.mu.Unlock()
-	w.cancel()
 	w.ctl.Close()
 	w.pool.Close()
 }

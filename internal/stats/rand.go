@@ -1,5 +1,5 @@
 // Package stats provides deterministic random number generation and the
-// statistical distributions used by the NetAgg workload model: Pareto and
+// statistical distributions used by the NetAgg workload model:
 // bounded-Pareto flow sizes, power-law (Zipf-like) worker fan-in, and
 // exponential inter-arrival times. All generators are seeded explicitly so
 // simulations and benchmarks are reproducible run to run.
@@ -56,19 +56,6 @@ func (rn *Rand) Exp(mean float64) float64 {
 	return rn.r.ExpFloat64() * mean
 }
 
-// Pareto returns a Pareto variate with minimum xm and shape alpha.
-// The mean is xm*alpha/(alpha-1) for alpha > 1. It panics if xm <= 0 or
-// alpha <= 0.
-func (rn *Rand) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("stats: Pareto requires xm > 0 and alpha > 0")
-	}
-	u := rn.r.Float64()
-	// Inverse CDF: xm / (1-u)^(1/alpha). Guard u == 1 cannot happen since
-	// Float64 is in [0,1), but 1-u can underflow for u extremely close to 1.
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto(xm, alpha) variate truncated to [xm, max]
 // by inverse-CDF sampling of the truncated distribution (not rejection, so
 // it always terminates). It panics unless 0 < xm < max and alpha > 0.
@@ -88,19 +75,6 @@ func (rn *Rand) BoundedPareto(xm, max, alpha float64) float64 {
 		x = max
 	}
 	return x
-}
-
-// ParetoMinForMean returns the xm parameter that gives an (untruncated)
-// Pareto distribution with shape alpha the requested mean. For alpha <= 1
-// the mean diverges; this helper panics in that case.
-func ParetoMinForMean(mean, alpha float64) float64 {
-	if alpha <= 1 {
-		panic("stats: Pareto mean diverges for alpha <= 1")
-	}
-	if mean <= 0 {
-		panic("stats: mean must be > 0")
-	}
-	return mean * (alpha - 1) / alpha
 }
 
 // PowerLaw returns an integer in [min, max] drawn from a discrete power law

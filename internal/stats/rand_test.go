@@ -25,25 +25,6 @@ func TestSplitIndependentButDeterministic(t *testing.T) {
 	}
 }
 
-func TestParetoMeanAndBound(t *testing.T) {
-	rn := NewRand(1)
-	const alpha = 2.5
-	xm := ParetoMinForMean(100, alpha)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := rn.Pareto(xm, alpha)
-		if v < xm {
-			t.Fatalf("Pareto variate %g below minimum %g", v, xm)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-100) > 3 {
-		t.Fatalf("empirical mean %g, want ≈100", mean)
-	}
-}
-
 func TestBoundedParetoWithinBounds(t *testing.T) {
 	rn := NewRand(2)
 	for i := 0; i < 10000; i++ {
@@ -129,14 +110,10 @@ func TestExpMean(t *testing.T) {
 func TestPanicsOnInvalidArgs(t *testing.T) {
 	rn := NewRand(1)
 	cases := []func(){
-		func() { rn.Pareto(0, 1) },
-		func() { rn.Pareto(1, 0) },
 		func() { rn.BoundedPareto(1, 1, 1) },
 		func() { rn.PowerLaw(0, 5, 1) },
 		func() { rn.PowerLaw(5, 4, 1) },
 		func() { rn.Exp(0) },
-		func() { ParetoMinForMean(100, 1) },
-		func() { ParetoMinForMean(-1, 2) },
 		func() { rn.Zipf(0, 1) },
 	}
 	for i, fn := range cases {

@@ -45,12 +45,15 @@ type connHandle struct {
 // established, Send blocks only on queue admission; while disconnected,
 // Send degrades to synchronous so dial errors and backoff refusals surface
 // to the caller exactly as they did before the queue existed. Cancelling
-// the constructor's context closes the connection.
+// the constructor's context closes the connection, and so does Close,
+// which also aborts a dial in flight.
 type Conn struct {
-	addr string
-	opts Options
-	ctx  context.Context
-	stop func() bool // detaches the context→Close hook
+	addr       string
+	opts       Options
+	ctx        context.Context
+	stop       func() bool        // detaches the context→Close hook
+	dialCtx    context.Context    // dials run under it: a child of ctx
+	cancelDial context.CancelFunc // Close's abort of a dial in flight
 
 	stats counters
 	q     sendq // send queue + batch writer; closed with ErrClosed
@@ -85,6 +88,7 @@ func NewConn(ctx context.Context, addr string, opts Options) *Conn {
 		opts: opts.withDefaults(),
 		ctx:  ctx,
 	}
+	c.dialCtx, c.cancelDial = context.WithCancel(ctx)
 	c.q.init(&c.stats, &c.wg, c.flusher)
 	c.stop = context.AfterFunc(ctx, c.Close)
 	return c
@@ -281,7 +285,7 @@ func (c *Conn) ensure() error {
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	dctx, cancel := context.WithTimeout(c.ctx, c.opts.DialTimeout)
+	dctx, cancel := context.WithTimeout(c.dialCtx, c.opts.DialTimeout)
 	nc, err := dial(dctx, c.addr)
 	cancel()
 	if err != nil {
@@ -396,11 +400,12 @@ func (c *Conn) Reset() {
 	}
 }
 
-// Close tears the connection down: the flusher completes or drops every
-// queued frame and exits; reader and OnLost goroutines drain. It is
-// idempotent and is also invoked by cancellation of the constructor's
-// context; every call returns only once the teardown is done, whichever
-// call (or the flusher, seeing the cancellation) started it.
+// Close tears the connection down: it aborts a dial in flight, the
+// flusher completes or drops every queued frame and exits, and reader and
+// OnLost goroutines drain. It is idempotent and is also invoked by
+// cancellation of the constructor's context; every call returns only once
+// the teardown is done, whichever call (or the flusher, seeing the
+// cancellation) started it.
 func (c *Conn) Close() {
 	if c.q.close(ErrClosed) {
 		c.connected.Store(false)
@@ -412,5 +417,6 @@ func (c *Conn) Close() {
 	if c.stop != nil {
 		c.stop()
 	}
+	c.cancelDial()
 	c.wg.Wait()
 }

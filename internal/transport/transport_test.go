@@ -440,6 +440,53 @@ func TestCloseWaitsForTeardownStartedElsewhere(t *testing.T) {
 	<-returned
 }
 
+// TestCloseAbortsDialInFlight closes a connection whose context is still
+// live while a synchronous Send waits on a dial that ends only with its
+// context: Close must abort the dial rather than wait out DialTimeout, and
+// a Send after Close must be refused with ErrClosed. The pool's Close
+// stops its connections the same way.
+func TestCloseAbortsDialInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(opts Options) (send func() error, close func())
+	}{
+		{"conn", func(opts Options) (func() error, func()) {
+			c := NewConn(t.Context(), "peer", opts)
+			return func() error { return c.Send(&wire.Msg{Type: wire.TData}) }, c.Close
+		}},
+		{"pool", func(opts Options) (func() error, func()) {
+			p := NewPool(opts)
+			return func() error { return p.Send("peer", &wire.Msg{Type: wire.TData}) }, p.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dialing := make(chan struct{})
+			send, closeFn := tc.open(Options{
+				DialTimeout: 10 * time.Second,
+				Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+					close(dialing)
+					<-ctx.Done()
+					return nil, ctx.Err()
+				},
+			})
+			sent := make(chan error, 1)
+			go func() { sent <- send() }()
+			<-dialing
+			start := time.Now()
+			closeFn()
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("Close took %v waiting out the dial", d)
+			}
+			if err := <-sent; err == nil {
+				t.Fatal("the Send whose dial Close aborted succeeded")
+			}
+			if err := send(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Send after Close = %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
 // TestUnencodableFrameRefusedAtAdmission pins where a frame the encoder
 // cannot write is refused: at the hand-over, to the caller that built it,
 // on a connected Conn, a never-connected one and a ServerConn alike. Past
@@ -585,7 +632,7 @@ func TestPoolSharesConnections(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := NewPool(context.Background(), Options{})
+	p := NewPool(Options{})
 	defer p.Close()
 	if p.Get(srv.Addr()) != p.Get(srv.Addr()) {
 		t.Fatal("pool returned distinct conns for one address")

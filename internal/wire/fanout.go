@@ -19,25 +19,15 @@ type FanoutPayload struct {
 	Routes [][]string
 }
 
-// Encode serialises the payload.
+// Encode serialises the payload: Inner after its length, then the route
+// count and each route as a string list.
 func (f *FanoutPayload) Encode() []byte {
-	size := binary.MaxVarintLen64*2 + len(f.Inner)
-	for _, r := range f.Routes {
-		size += binary.MaxVarintLen64
-		for _, a := range r {
-			size += binary.MaxVarintLen64 + len(a)
-		}
-	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(f.Inner))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Inner)))
 	buf = append(buf, f.Inner...)
 	buf = binary.AppendUvarint(buf, uint64(len(f.Routes)))
 	for _, r := range f.Routes {
-		buf = binary.AppendUvarint(buf, uint64(len(r)))
-		for _, a := range r {
-			buf = binary.AppendUvarint(buf, uint64(len(a)))
-			buf = append(buf, a...)
-		}
+		buf = appendStrings(buf, r)
 	}
 	return buf
 }
@@ -60,26 +50,16 @@ func DecodeFanout(p []byte) (*FanoutPayload, error) {
 		return nil, ErrCorrupt
 	}
 	p = p[n:]
-	if routeCount > uint64(len(p))+1 {
+	if routeCount > uint64(len(p)) {
 		return nil, ErrCorrupt
 	}
 	for i := uint64(0); i < routeCount; i++ {
-		hopCount, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		p = p[n:]
-		route := make([]string, 0, hopCount)
-		for h := uint64(0); h < hopCount; h++ {
-			alen, n := binary.Uvarint(p)
-			if n <= 0 || uint64(len(p[n:])) < alen {
-				return nil, ErrCorrupt
-			}
-			p = p[n:]
-			route = append(route, string(p[:alen]))
-			p = p[alen:]
+		route, rest, err := readStrings(p)
+		if err != nil {
+			return nil, err
 		}
 		out.Routes = append(out.Routes, route)
+		p = rest
 	}
 	if len(p) != 0 {
 		return nil, ErrCorrupt

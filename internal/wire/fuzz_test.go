@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -100,6 +101,35 @@ func FuzzEncodeDecode(f *testing.F) {
 			t.Fatalf("decode of a written frame failed: %v", err)
 		}
 		if !sameFrame(in, out) {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
+		}
+	})
+}
+
+// FuzzDecodeFanout drives DecodeFanout, which a box runs on a TFanout
+// payload straight off the network: no input may panic, and whatever it
+// accepts must decode again unchanged from its own Encode.
+func FuzzDecodeFanout(f *testing.F) {
+	fanout := &FanoutPayload{Inner: []byte("part"), Routes: [][]string{{"127.0.0.1:1", "127.0.0.1:2"}, {"127.0.0.1:3"}, {}}}
+	f.Add(fanout.Encode())
+	f.Add([]byte{})
+	for _, p := range hugeRouteFanouts {
+		f.Add(p)
+	}
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		in, err := DecodeFanout(p)
+		if err != nil {
+			if err != ErrCorrupt {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		out, err := DecodeFanout(in.Encode())
+		if err != nil {
+			t.Fatalf("decode of an encoded payload failed: %v", err)
+		}
+		if !bytes.Equal(in.Inner, out.Inner) || !reflect.DeepEqual(in.Routes, out.Routes) {
 			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 		}
 	})

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
@@ -195,6 +196,23 @@ func TestIDsCodec(t *testing.T) {
 	} {
 		if ids, err := DecodeIDs(p); err != ErrCorrupt {
 			t.Errorf("%s: DecodeIDs = %v, %v; want ErrCorrupt", name, ids, err)
+		}
+	}
+}
+
+// hugeRouteFanouts are TFanout payloads of an empty Inner and one route
+// whose hop count is far past the bytes that follow: decoding them once
+// panicked ("makeslice: cap out of range") or ran the process out of
+// memory on the box's reader goroutine.
+var hugeRouteFanouts = [][]byte{
+	binary.AppendUvarint([]byte{0, 1}, 1<<62),
+	binary.AppendUvarint([]byte{0, 1}, 1<<31),
+}
+
+func TestDecodeFanoutBoundsRouteLength(t *testing.T) {
+	for _, p := range hugeRouteFanouts {
+		if f, err := DecodeFanout(p); err != ErrCorrupt {
+			t.Errorf("DecodeFanout(%x) = %+v, %v; want ErrCorrupt", p, f, err)
 		}
 	}
 }
