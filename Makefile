@@ -39,9 +39,10 @@ escape:
 	$(GO) run ./cmd/netagg-lint -escape ./...
 
 # Fuzzers of everything that parses bytes from the network, bounded for
-# CI: the wire codec and the k-way KV, docs and items merges, which read
-# partial results without decoding them. Each target runs its checked-in
-# seed corpus (internal/{wire,agg}/testdata/fuzz) plus 10s of mutation.
+# CI: the wire codec, the k-way KV, docs and items merges, which read
+# partial results without decoding them, and the search backend's query
+# decoder. Each target runs its seeds (f.Add, and the checked-in corpus
+# under internal/{wire,agg}/testdata/fuzz) plus 10s of mutation.
 # Local deep runs: `go test ./internal/wire -fuzz FuzzDecodeFrame -fuzztime=5m`.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime=10s
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzKVMerge$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzDocsMerge$$' -fuzztime=10s
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzConcatMerge$$' -fuzztime=10s
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime=10s
 
 # Runtime half of the buffer-ownership contract: the netaggdebug build
 # tag poisons released buffers (0xDB) and verifies the poison on reuse,

@@ -31,9 +31,8 @@ func run(boxes int, inputs [][]string) (*mapred.Result, error) {
 	}
 	defer tb.Close()
 	return mapred.Run(tb, 1, mapred.JobConfig{
-		App:            "wc",
-		Op:             agg.OpSum,
-		MapSideCombine: true,
+		App: "wc",
+		Op:  agg.OpSum,
 	}, inputs, mapred.WordCount().Map)
 }
 

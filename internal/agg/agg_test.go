@@ -787,10 +787,10 @@ func referenceKV(op KVOp, parts [][]byte) ([]byte, error) {
 	return EncodeKVs(out), nil
 }
 
-// Equal keys inside one part (mapred's raw mode keeps them) are reduced by
-// the merge like equal keys across parts, for any number of parts down to
-// one: no key comes out twice, and the output is never larger than the
-// input.
+// Equal keys inside one part (a producer that does not combine first
+// leaves them) are reduced by the merge like equal keys across parts, for
+// any number of parts down to one: no key comes out twice, and the output
+// is never larger than the input.
 func TestKVMergeReducesKeysInsideAndAcrossParts(t *testing.T) {
 	rn := stats.NewRand(7)
 	for _, op := range []KVOp{OpSum, OpMax, OpMin} {

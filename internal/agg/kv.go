@@ -236,10 +236,11 @@ const (
 // the open cursors in a min-heap, which costs about 2·log₂k compares for
 // each record taken. A part whose keys go backwards is rejected with
 // ErrBadPayload (a merge-join over it would silently leave keys
-// unreduced). Equal keys inside one part — mapred's raw mode keeps them —
-// are reduced like equal keys across parts, so the output never holds a
-// key twice; what a reducer computes from it is unchanged and the bytes
-// it receives can only shrink.
+// unreduced). Equal keys inside one part — a producer that does not
+// combine before encoding leaves them — are reduced like equal keys
+// across parts, so the output never holds a key twice; what a reducer
+// computes from it is unchanged and the bytes it receives can only
+// shrink.
 //
 //netagg:hotpath
 func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {

@@ -367,6 +367,11 @@ func (d *Deployment) BoxesAt(sw string) []treeplan.Box {
 // on the way. shim.Master.Submit and shim.Worker.SendPartials refuse one.
 const MaxReq uint64 = 1<<56 - 1
 
+// MaxTrees is the most aggregation trees one request may use: the wire id
+// keeps the tree index in 4 bits. shim.Master.Submit and
+// shim.Worker.SendPartials refuse more.
+const MaxTrees = 16
+
 // WireReq encodes a request identifier (at most MaxReq), aggregation tree
 // index, and recovery attempt into the request id carried on the wire, so
 // every (tree, attempt) is an independent aggregation at the boxes. Trees
@@ -379,8 +384,9 @@ func WireReq(req uint64, tree, attempt int) uint64 {
 }
 
 // clampWireField bounds one 4-bit WireReq field, logging overflow: an
-// out-of-range value is a caller bug (shim.Master stops at three attempts
-// and Submit rejects more than 16 trees) that must not pass silently.
+// out-of-range value is a caller bug (shim.Master stops at three attempts,
+// and Submit and SendPartials refuse more than MaxTrees trees) that must
+// not pass silently.
 func clampWireField(name string, v int) int {
 	if v >= 0 && v <= 15 {
 		return v

@@ -45,10 +45,13 @@ func (CtxFlow) Doc() string {
 	return "blocking operations must be cancellable: no severed, dropped, or ignored contexts"
 }
 
-// ctxflowPackages is deliberately not dataPlanePackages: treeplan is in
-// (the Replanner's scoring loop runs under a context) and wire is out (a
+// ctxflowPackages is deliberately not dataPlanePackages: wire is out (a
 // codec over its caller's reader and writer — nothing in it takes or
-// holds a context, so rules 2 and 3 would have nothing to consult).
+// holds a context, so rules 2 and 3 would have nothing to consult), and
+// treeplan is in. treeplan holds no context either: its Replanner scores
+// the samples the testbed's control loop hands it (Observe), and that
+// loop owns the context. It stays listed so that rules 2 and 3 check a
+// context the planner ever takes from its first line.
 var ctxflowPackages = []string{"core", "shim", "cluster", "transport", "treeplan"}
 
 // CheckPackage implements PackageAnalyzer.

@@ -1,6 +1,6 @@
 // Package mapred is a small MapReduce framework, the repository's stand-in
 // for Apache Hadoop (§3.3, §4.2.2): mappers transform input splits into
-// key/value pairs (optionally running a map-side combiner, as Hadoop does),
+// key/value pairs (running a map-side combiner, as Hadoop does by default),
 // the shuffle ships each mapper's output to the reducer over TCP through
 // the NetAgg worker shims — so agg boxes can run the combiner on-path — and
 // the reducer performs the final per-key reduction. The paper's testbed
@@ -28,9 +28,6 @@ type JobConfig struct {
 	App string
 	// Op is the per-key reduction (also used map-side and at the reducer).
 	Op agg.KVOp
-	// MapSideCombine pre-combines each mapper's output, Hadoop's default
-	// behaviour; when false, raw pairs are shuffled.
-	MapSideCombine bool
 	// ReducerCost emulates per-KB CPU cost at the reducer (AdPredictor's
 	// compute-heavy reduce); zero means none.
 	ReducerCost time.Duration
@@ -143,33 +140,22 @@ func Run(tb *testbed.Testbed, jobID uint64, cfg JobConfig, inputs [][]string, ma
 	}, nil
 }
 
-// runMapper maps one split and optionally combines map-side.
+// runMapper maps one split and combines its pairs map-side, as Hadoop
+// does by default.
 func runMapper(split []string, mapper MapFunc, cfg JobConfig) []agg.KV {
-	if cfg.MapSideCombine {
-		combined := make(map[string]int64)
-		for _, rec := range split {
-			mapper(rec, func(k string, v int64) {
-				if old, seen := combined[k]; seen {
-					v = cfg.Op.Reduce(old, v)
-				}
-				combined[k] = v
-			})
-		}
-		out := make([]agg.KV, 0, len(combined))
-		for k, v := range combined {
-			out = append(out, agg.KV{Key: k, Val: v})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		return out
-	}
-	var out []agg.KV
+	combined := make(map[string]int64)
 	for _, rec := range split {
 		mapper(rec, func(k string, v int64) {
-			out = append(out, agg.KV{Key: k, Val: v})
+			if old, seen := combined[k]; seen {
+				v = cfg.Op.Reduce(old, v)
+			}
+			combined[k] = v
 		})
 	}
-	// Canonical order, and merge duplicate keys within one chunk boundary
-	// happens at the reducer; raw mode intentionally keeps duplicates.
+	out := make([]agg.KV, 0, len(combined))
+	for k, v := range combined {
+		out = append(out, agg.KV{Key: k, Val: v})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -57,7 +57,7 @@ func checkWC(t *testing.T, res *Result) {
 
 func TestWordCountPlain(t *testing.T) {
 	tb := newTB(t, 0)
-	res, err := Run(tb, 1, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: true},
+	res, err := Run(tb, 1, JobConfig{App: "job", Op: agg.OpSum},
 		wordCountInputs(), WordCount().Map)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestWordCountPlain(t *testing.T) {
 
 func TestWordCountNetAgg(t *testing.T) {
 	tb := newTB(t, 1)
-	res, err := Run(tb, 2, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: true},
+	res, err := Run(tb, 2, JobConfig{App: "job", Op: agg.OpSum},
 		wordCountInputs(), WordCount().Map)
 	if err != nil {
 		t.Fatal(err)
@@ -78,36 +78,16 @@ func TestWordCountNetAgg(t *testing.T) {
 	checkWC(t, res)
 }
 
-// Raw mode keeps equal keys inside a mapper's part. The box's merge
-// reduces them like equal keys across parts, so the reducer computes the
-// same output from no more bytes than it receives without the box.
-func TestWordCountRawPairsMatchCombined(t *testing.T) {
-	cfg := JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: false}
-	plain, err := Run(newTB(t, 0), 3, cfg, wordCountInputs(), WordCount().Map)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWC(t, plain)
-	res, err := Run(newTB(t, 1), 3, cfg, wordCountInputs(), WordCount().Map)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWC(t, res)
-	if res.BytesToReducer > plain.BytesToReducer {
-		t.Fatalf("reducer bytes grew through the box: %d vs %d plain", res.BytesToReducer, plain.BytesToReducer)
-	}
-}
-
 // The box-side combiner must shrink what the reducer receives.
 func TestNetAggReducesReducerBytes(t *testing.T) {
 	gen := WordCount().Gen(GenConfig{Seed: 1, Splits: 4, RecordsPerSplit: 200, Keys: 50})
 	plain := newTB(t, 0)
-	resPlain, err := Run(plain, 4, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: true}, gen, WordCount().Map)
+	resPlain, err := Run(plain, 4, JobConfig{App: "job", Op: agg.OpSum}, gen, WordCount().Map)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boxed := newTB(t, 1)
-	resBoxed, err := Run(boxed, 4, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: true}, gen, WordCount().Map)
+	resBoxed, err := Run(boxed, 4, JobConfig{App: "job", Op: agg.OpSum}, gen, WordCount().Map)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +112,7 @@ func TestAllBenchmarksRunAndReduceCorrectly(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			tb := newTB(t, 1)
 			inputs := b.Gen(GenConfig{Seed: 7, Splits: 4, RecordsPerSplit: 100, Keys: 40})
-			res, err := Run(tb, 10, JobConfig{App: "job", Op: b.Op, MapSideCombine: true}, inputs, b.Map)
+			res, err := Run(tb, 10, JobConfig{App: "job", Op: b.Op}, inputs, b.Map)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +134,7 @@ func TestTeraSortNoReduction(t *testing.T) {
 	b := TeraSort()
 	inputs := b.Gen(GenConfig{Seed: 1, Splits: 2, RecordsPerSplit: 50})
 	tb := newTB(t, 1)
-	res, err := Run(tb, 11, JobConfig{App: "job", Op: b.Op, MapSideCombine: true}, inputs, b.Map)
+	res, err := Run(tb, 11, JobConfig{App: "job", Op: b.Op}, inputs, b.Map)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +185,7 @@ func TestRunRejectsTooManySplits(t *testing.T) {
 func TestFailedShuffleFreesItsRequest(t *testing.T) {
 	tb := newTB(t, 1)
 	tb.Workers[tb.WorkerHosts()[2]].Close()
-	_, err := Run(tb, 7, JobConfig{App: "job", Op: agg.OpSum, MapSideCombine: true}, wordCountInputs(), WordCount().Map)
+	_, err := Run(tb, 7, JobConfig{App: "job", Op: agg.OpSum}, wordCountInputs(), WordCount().Map)
 	if err == nil || !strings.Contains(err.Error(), "worker closed") {
 		t.Fatalf("Run error = %v, want the closed worker shim's", err)
 	}

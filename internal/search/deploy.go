@@ -4,6 +4,7 @@ import (
 	"netagg/internal/agg"
 	"netagg/internal/corpus"
 	"netagg/internal/testbed"
+	"netagg/internal/transport"
 )
 
 // DeployConfig assembles a complete search deployment on a testbed.
@@ -18,9 +19,11 @@ type DeployConfig struct {
 	Aggregator agg.Aggregator
 	// Categorise marks payloads as raw documents for agg.Categorise.
 	Categorise bool
-	// Trees is the number of aggregation trees per query.
+	// Trees is the number of aggregation trees per query (0 = 1). The
+	// backends read it here: a sub-request does not carry it.
 	Trees int
-	// ChunkDocs splits backend results into parts of this many documents.
+	// ChunkDocs splits backend results into parts of this many documents
+	// (0 = one part), letting boxes aggregate in a streaming fashion.
 	ChunkDocs int
 }
 
@@ -42,39 +45,32 @@ func (c *Cluster) Close() {
 }
 
 // Deploy builds indices, starts one backend per worker host, and wires a
-// frontend on the master host.
+// frontend on the master host. The frontend and every backend share cfg,
+// so the trees the master waits on are the trees every backend sends over.
 func Deploy(tb *testbed.Testbed, cfg DeployConfig) (*Cluster, error) {
+	if cfg.Trees < 1 {
+		cfg.Trees = 1
+	}
 	hosts := tb.WorkerHosts()
-	docs := corpus.Generate(cfg.Corpus)
-	shards := corpus.Shard(docs, len(hosts))
+	shards := corpus.Shard(corpus.Generate(cfg.Corpus), len(hosts))
 
 	c := &Cluster{}
-	refs := make([]BackendRef, 0, len(hosts))
 	for i, host := range hosts {
-		b, err := StartBackend(BackendConfig{
-			App:        cfg.App,
-			WorkerIdx:  i,
-			Master:     testbed.MasterHost,
-			Shim:       tb.Workers[host],
-			Index:      NewIndex(shards[i]),
-			NIC:        tb.NIC(host),
-			Categorise: cfg.Categorise,
-			ChunkDocs:  cfg.ChunkDocs,
-		})
+		b := &Backend{cfg: &cfg, host: host, idx: i, shim: tb.Workers[host], index: NewIndex(shards[i])}
+		srv, err := transport.Listen(nil, "127.0.0.1:0", b.serve, transport.ServerOptions{NIC: tb.NIC(host)})
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
+		b.srv = srv
 		c.Backends = append(c.Backends, b)
-		refs = append(refs, BackendRef{Host: host, Addr: b.Addr()})
 	}
-	c.Frontend = NewFrontend(FrontendConfig{
-		App:        cfg.App,
-		Master:     tb.Master,
-		Backends:   refs,
-		Aggregator: cfg.Aggregator,
-		Trees:      cfg.Trees,
-		NIC:        tb.NIC(testbed.MasterHost),
-	})
+	c.Frontend = &Frontend{
+		cfg:      &cfg,
+		master:   tb.Master,
+		backends: c.Backends,
+		pool:     transport.NewPool(transport.Options{NIC: tb.NIC(testbed.MasterHost)}),
+		timeout:  queryTimeout,
+	}
 	return c, nil
 }

@@ -6,36 +6,10 @@ import (
 	"time"
 
 	"netagg/internal/agg"
-	"netagg/internal/netem"
 	"netagg/internal/shim"
 	"netagg/internal/transport"
 	"netagg/internal/wire"
 )
-
-// FrontendConfig configures the search frontend (the master node).
-type FrontendConfig struct {
-	// App is the NetAgg application name.
-	App string
-	// Master is the frontend's master-side shim.
-	Master *shim.Master
-	// Backends lists each backend's host name and request address, in
-	// worker-index order.
-	Backends []BackendRef
-	// Aggregator performs the frontend's final aggregation step over the
-	// parts the master shim collected (§3.1: with multiple trees "the
-	// master node must perform a final aggregation step").
-	Aggregator agg.Aggregator
-	// Trees is the number of aggregation trees per query.
-	Trees int
-	// NIC optionally paces the frontend's outgoing sub-requests.
-	NIC *netem.NIC
-}
-
-// BackendRef names one backend.
-type BackendRef struct {
-	Host string
-	Addr string
-}
 
 // queryTimeout bounds one query.
 const queryTimeout = 30 * time.Second
@@ -43,20 +17,12 @@ const queryTimeout = 30 * time.Second
 // Frontend scatters queries to the backends and returns the aggregated
 // result.
 type Frontend struct {
-	cfg     FrontendConfig
-	pool    *transport.Pool
-	reqID   atomic.Uint64
-	timeout time.Duration // queryTimeout; a field so a test can shorten it
-}
-
-// NewFrontend returns a frontend.
-func NewFrontend(cfg FrontendConfig) *Frontend {
-	if cfg.Trees < 1 {
-		cfg.Trees = 1
-	}
-	f := &Frontend{cfg: cfg, timeout: queryTimeout}
-	f.pool = transport.NewPool(transport.Options{NIC: cfg.NIC})
-	return f
+	cfg      *DeployConfig
+	master   *shim.Master
+	backends []*Backend
+	pool     *transport.Pool // to the backends, paced by the master host's NIC
+	reqID    atomic.Uint64
+	timeout  time.Duration // queryTimeout; a field so a test can shorten it
 }
 
 // Close tears down the frontend's backend connection pool (each pooled
@@ -79,24 +45,24 @@ type Response struct {
 // Query runs one search across all backends.
 func (f *Frontend) Query(terms []string, limit int, withText bool) (*Response, error) {
 	req := f.reqID.Add(1)
-	workers := make([]string, len(f.cfg.Backends))
-	for i, b := range f.cfg.Backends {
-		workers[i] = b.Host
+	workers := make([]string, len(f.backends))
+	for i, b := range f.backends {
+		workers[i] = b.host
 	}
 	start := time.Now()
-	pending, err := f.cfg.Master.Submit(f.cfg.App, req, workers, f.cfg.Trees)
+	pending, err := f.master.Submit(f.cfg.App, req, workers, f.cfg.Trees)
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{Terms: terms, Limit: limit, WithText: withText, Trees: f.cfg.Trees}
+	q := &Query{Terms: terms, Limit: limit, WithText: withText}
 	payload := q.Encode()
-	for _, b := range f.cfg.Backends {
-		err := f.pool.Send(b.Addr, &wire.Msg{Type: wire.TData, App: f.cfg.App, Req: req, Payload: payload})
+	for _, b := range f.backends {
+		err := f.pool.Send(b.srv.Addr(), &wire.Msg{Type: wire.TData, App: f.cfg.App, Req: req, Payload: payload})
 		if err != nil {
 			// The query cannot complete: give the request up rather than
 			// leave it registered with its partial buffers pinned.
 			pending.Cancel()
-			return nil, fmt.Errorf("search: sub-request to %s: %w", b.Host, err)
+			return nil, fmt.Errorf("search: sub-request to %s: %w", b.host, err)
 		}
 	}
 	select {

@@ -13,8 +13,6 @@ type Query struct {
 	Limit int
 	// WithText attaches document text to results (for categorise).
 	WithText bool
-	// Trees is the number of aggregation trees to use for the response.
-	Trees int
 }
 
 var errBadQuery = errors.New("search: malformed query")
@@ -27,7 +25,6 @@ func (q *Query) Encode() []byte {
 		flags = 1
 	}
 	buf = binary.AppendUvarint(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(q.Trees))
 	buf = binary.AppendUvarint(buf, uint64(len(q.Terms)))
 	for _, t := range q.Terms {
 		buf = binary.AppendUvarint(buf, uint64(len(t)))
@@ -51,12 +48,6 @@ func DecodeQuery(p []byte) (*Query, error) {
 	}
 	p = p[n:]
 	q.WithText = flags&1 != 0
-	trees, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errBadQuery
-	}
-	p = p[n:]
-	q.Trees = int(trees)
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, errBadQuery

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,9 @@ import (
 	"netagg/internal/corpus"
 	"netagg/internal/stats"
 	"netagg/internal/testbed"
+	"netagg/internal/testutil"
+	"netagg/internal/transport"
+	"netagg/internal/wire"
 )
 
 func TestIndexSearchScoresAndRanks(t *testing.T) {
@@ -52,17 +56,45 @@ func TestIndexWithText(t *testing.T) {
 }
 
 func TestQueryCodecRoundTrip(t *testing.T) {
-	q := &Query{Terms: []string{"a", "bb"}, Limit: 7, WithText: true, Trees: 2}
+	q := &Query{Terms: []string{"a", "bb"}, Limit: 7, WithText: true}
 	out, err := DecodeQuery(q.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Terms) != 2 || out.Terms[1] != "bb" || out.Limit != 7 || !out.WithText || out.Trees != 2 {
+	if len(out.Terms) != 2 || out.Terms[1] != "bb" || out.Limit != 7 || !out.WithText {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 	if _, err := DecodeQuery([]byte{0xff}); err == nil {
 		t.Fatal("expected error for corrupt query")
 	}
+}
+
+// craftedQuery is a sub-request in the encoding that once carried a tree
+// count (limit 0, no flags, trees 100000, no terms): a backend that
+// trusted it sent that many streams, each past the 16th clamped onto tree
+// 15's wire id.
+var craftedQuery = []byte{0, 0, 0xa0, 0x8d, 0x06, 0}
+
+// FuzzDecodeQuery feeds DecodeQuery the bytes a backend reads off the
+// network: it must not panic, and every query it accepts must encode back
+// to a query it decodes the same.
+func FuzzDecodeQuery(f *testing.F) {
+	f.Add(craftedQuery)
+	f.Add((&Query{Terms: []string{"a", "bb"}, Limit: 7, WithText: true}).Encode())
+	f.Add([]byte{0xff})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		q, err := DecodeQuery(p)
+		if err != nil {
+			return
+		}
+		again, err := DecodeQuery(q.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", q, err)
+		}
+		if !reflect.DeepEqual(q, again) {
+			t.Fatalf("round trip changed the query: %+v became %+v", q, again)
+		}
+	})
 }
 
 // newSearchRig deploys a search cluster over a testbed with topk
@@ -238,6 +270,47 @@ func TestMultipleTreesSearch(t *testing.T) {
 	}
 	if len(resp.Docs) == 0 {
 		t.Fatal("no results over multiple trees")
+	}
+}
+
+// The tree count belongs to the deployment, not to the query: a
+// sub-request naming a tree count is not one a backend accepts, so it
+// sends nothing, and the query after it reaches the boxes alone.
+func TestSubRequestCannotNameTrees(t *testing.T) {
+	tb, cl := newSearchRig(t, 1)
+	terms := corpus.QueryWords(stats.NewRand(7), 500, 3)
+	if _, err := cl.Frontend.Query(terms, 10, false); err != nil {
+		t.Fatal(err)
+	}
+	once := tb.BoxStats().BytesIn
+	if once == 0 {
+		t.Fatal("the query sent no bytes through the boxes")
+	}
+
+	srv := cl.Backends[0].srv
+	framesIn := srv.Stats().FramesIn
+	c := transport.NewConn(nil, srv.Addr(), transport.Options{})
+	defer c.Close()
+	// Besides craftedQuery, the same query naming two trees: a backend
+	// that took it would send its one part on a stream of its own, which
+	// the box counts.
+	msgs := []*wire.Msg{
+		{Type: wire.TData, App: "search", Req: 1 << 20, Payload: craftedQuery},
+		{Type: wire.TData, App: "search", Req: 1<<20 + 1, Payload: []byte{0, 0, 2, 0}},
+		// The backend reads one connection's frames in order, so once
+		// this one is in, it is done with the others.
+		{Type: wire.THeartbeat, App: "search"},
+	}
+	if err := c.SendAll(msgs); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, "the backend to read every frame", func() bool { return srv.Stats().FramesIn == framesIn+int64(len(msgs)) })
+
+	if _, err := cl.Frontend.Query(terms, 10, false); err != nil {
+		t.Fatal(err)
+	}
+	if in := tb.BoxStats().BytesIn; in != 2*once {
+		t.Fatalf("boxes read %d payload bytes over two equal queries, want %d: a crafted sub-request sent a stream", in, 2*once)
 	}
 }
 

@@ -229,8 +229,8 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	if trees < 1 {
 		trees = 1
 	}
-	if trees > 16 {
-		return nil, fmt.Errorf("shim: at most 16 trees, got %d", trees)
+	if trees > cluster.MaxTrees {
+		return nil, fmt.Errorf("shim: at most %d trees, got %d", cluster.MaxTrees, trees)
 	}
 	if req > cluster.MaxReq {
 		return nil, fmt.Errorf("shim: request id %d exceeds the wire's limit of %d", req, cluster.MaxReq)

@@ -346,6 +346,37 @@ func TestRequestIDsBeyondTheWireAreRefused(t *testing.T) {
 	}
 }
 
+// The wire id keeps a tree index in 4 bits, so both ends of the shim refuse
+// more than cluster.MaxTrees trees. A refused send reaches no box: the one
+// request sent after it on the same connections is all the boxes read.
+func TestTreesBeyondTheWireAreRefused(t *testing.T) {
+	r := newRig(t, 0)
+	part := kvPart("k", 1)
+	if _, err := r.master.Submit("wc", 8, []string{"w0"}, cluster.MaxTrees+1); err == nil {
+		t.Fatal("Submit accepted more trees than the wire can carry")
+	}
+	if err := r.workers["w0"].SendPartials("wc", 8, 0, "master", [][]byte{part}, cluster.MaxTrees+1); err == nil {
+		t.Fatal("SendPartials accepted more trees than the wire can carry")
+	}
+	p, err := r.master.Submit("wc", 9, []string{"w0"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.workers["w0"].SendPartials("wc", 9, 0, "master", [][]byte{part}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if totals := sumResult(t, waitResult2(t, p)); totals["k"] != 1 {
+		t.Fatalf("k total = %d, want 1", totals["k"])
+	}
+	var in int64
+	for _, b := range r.boxes {
+		in += b.Stats().BytesIn
+	}
+	if in != int64(len(part)) {
+		t.Fatalf("boxes read %d payload bytes, want %d: the refused send reached them", in, len(part))
+	}
+}
+
 func TestMasterCloseFailsPending(t *testing.T) {
 	r := newRig(t, 0)
 	p, err := r.master.Submit("wc", 7, []string{"w0", "w1"}, 1)

@@ -132,6 +132,9 @@ func (w *Worker) SendPartials(app string, req uint64, workerIdx int, master stri
 	if trees < 1 {
 		trees = 1
 	}
+	if trees > cluster.MaxTrees {
+		return fmt.Errorf("shim: at most %d trees, got %d", cluster.MaxTrees, trees)
+	}
 	if req > cluster.MaxReq {
 		return fmt.Errorf("shim: request id %d exceeds the wire's limit of %d", req, cluster.MaxReq)
 	}

@@ -46,10 +46,9 @@ func newHadoopTB(mappers, boxes int, reducerCost time.Duration) (*testbed.Testbe
 func runHadoop(b mapred.Benchmark, gen mapred.GenConfig, jobID uint64) (plain, boxed *mapred.Result, err error) {
 	inputs := b.Gen(gen)
 	cfg := mapred.JobConfig{
-		App:            "hadoop",
-		Op:             b.Op,
-		MapSideCombine: true,
-		ReducerCost:    b.ReducerCost,
+		App:         "hadoop",
+		Op:          b.Op,
+		ReducerCost: b.ReducerCost,
 	}
 	for _, boxes := range []int{0, 1} {
 		tb, terr := newHadoopTB(gen.Splits, boxes, b.ReducerCost)

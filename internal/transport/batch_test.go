@@ -120,10 +120,10 @@ func TestSendNoHeadOfLineBlocking(t *testing.T) {
 	if st.WritevCalls >= frames {
 		t.Fatalf("WritevCalls = %d for %d frames; wedged frames did not coalesce", st.WritevCalls, frames+1)
 	}
-	if st.BatchedFrames == 0 {
-		t.Fatal("BatchedFrames = 0, want coalesced batches while the socket was wedged")
+	if st.FramesOut <= st.WritevCalls {
+		t.Fatalf("%d frames in %d writev calls, want coalesced batches while the socket was wedged", st.FramesOut, st.WritevCalls)
 	}
-	t.Logf("%d frames in %d writev calls (%d batched)", st.FramesOut, st.WritevCalls, st.BatchedFrames)
+	t.Logf("%d frames in %d writev calls", st.FramesOut, st.WritevCalls)
 }
 
 // TestCloseReleasesQueuedFrames wedges a socket with pooled payloads in

@@ -23,11 +23,10 @@ var (
 	// and payload bytes it coalesced, and the admission/teardown events
 	// around the send queue. mean(transport.batch_size) collapsing to 1
 	// means flushes stopped coalescing — see OPERATIONS.md §8.
-	obsWritevCalls   = obs.C("transport.writev_calls")
-	obsBatchFrames   = obs.C("transport.batch_frames")
-	obsBatchBytes    = obs.C("transport.batch_bytes")
-	obsFlushCoalesce = obs.C("transport.flush_coalesced")
-	obsBatchSize     = obs.H("transport.batch_size")
-	obsQueueWaits    = obs.C("transport.sendq_waits")
-	obsQueueDrops    = obs.C("transport.sendq_dropped")
+	obsWritevCalls = obs.C("transport.writev_calls")
+	obsBatchFrames = obs.C("transport.batch_frames")
+	obsBatchBytes  = obs.C("transport.batch_bytes")
+	obsBatchSize   = obs.H("transport.batch_size")
+	obsQueueWaits  = obs.C("transport.sendq_waits")
+	obsQueueDrops  = obs.C("transport.sendq_dropped")
 )

@@ -100,7 +100,6 @@ func (q *sendq) admit(msgs []*wire.Msg, done chan error) error {
 	// a group larger than the bound cannot deadlock — it just has the
 	// queue to itself.
 	for len(q.queue) > 0 && len(q.queue)+len(msgs) > sendqCap && q.err == nil {
-		q.stats.queueWaits.Add(1)
 		obsQueueWaits.Inc()
 		q.notFull.Wait()
 	}
@@ -225,10 +224,6 @@ func (q *sendq) writeVec(vw *wire.VectorWriter) error {
 	obsBatchBytes.Add(written)
 	obsFramesOut.Add(k)
 	obsBytesOut.Add(payload)
-	if k > 1 {
-		q.stats.batchedFrames.Add(k)
-		obsFlushCoalesce.Add(k - 1)
-	}
 	return nil
 }
 

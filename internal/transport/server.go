@@ -113,7 +113,6 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.stats.accepted.Add(1)
-		s.stats.active.Add(1)
 		obsAccepted.Inc()
 		obsActiveConns.Add(1)
 		s.wg.Add(1)
@@ -134,7 +133,6 @@ func (s *Server) serve(conn net.Conn) {
 	conn.Close()
 	sc.q.close(ErrClosed)
 	sc.q.doorbell()
-	s.stats.active.Add(-1)
 	obsActiveConns.Add(-1)
 }
 

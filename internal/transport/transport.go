@@ -16,7 +16,7 @@
 //     owner when a connection that carried frames was lost (the owner
 //     re-sends from its own copies, §3.1), and optional netem.NIC pacing
 //     injected once instead of per call site.
-//   - Pool: one Conn per destination address, sharing a context.
+//   - Pool: one Conn per destination address.
 //
 // Every endpoint keeps per-connection counters (frames/bytes in and out,
 // dials, dial failures, reconnects) exposed as a Stats snapshot — the
@@ -116,18 +116,9 @@ type Stats struct {
 	BackoffSkips int64
 	// Accepted counts inbound connections accepted (Server only).
 	Accepted int64
-	// Active is the number of currently open inbound connections
-	// (Server only).
-	Active int64
 	// WritevCalls counts vectored writes issued by the endpoint's
 	// flusher; FramesOut / WritevCalls is the mean coalesced batch size.
 	WritevCalls int64
-	// BatchedFrames counts frames that shared a vectored write with at
-	// least one other frame (the coalescing win over one-flush-per-frame).
-	BatchedFrames int64
-	// QueueWaits counts sends that blocked on send-queue admission
-	// (back-pressure events, not failures).
-	QueueWaits int64
 	// Dropped counts queued fire-and-forget frames released undelivered
 	// at Close or teardown: a Conn's sends and a Server's replies alike.
 	Dropped int64
@@ -140,10 +131,8 @@ type counters struct {
 	dials, dialFailures atomic.Int64
 	reconnects          atomic.Int64
 	backoffSkips        atomic.Int64
-	accepted, active    atomic.Int64
+	accepted            atomic.Int64
 	writevCalls         atomic.Int64
-	batchedFrames       atomic.Int64
-	queueWaits          atomic.Int64
 	dropped             atomic.Int64
 }
 
@@ -168,19 +157,16 @@ func readFrames(nc net.Conn, stats *counters, deliver func(m *wire.Msg)) {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		FramesIn:      c.framesIn.Load(),
-		BytesIn:       c.bytesIn.Load(),
-		FramesOut:     c.framesOut.Load(),
-		BytesOut:      c.bytesOut.Load(),
-		Dials:         c.dials.Load(),
-		DialFailures:  c.dialFailures.Load(),
-		Reconnects:    c.reconnects.Load(),
-		BackoffSkips:  c.backoffSkips.Load(),
-		Accepted:      c.accepted.Load(),
-		Active:        c.active.Load(),
-		WritevCalls:   c.writevCalls.Load(),
-		BatchedFrames: c.batchedFrames.Load(),
-		QueueWaits:    c.queueWaits.Load(),
-		Dropped:       c.dropped.Load(),
+		FramesIn:     c.framesIn.Load(),
+		BytesIn:      c.bytesIn.Load(),
+		FramesOut:    c.framesOut.Load(),
+		BytesOut:     c.bytesOut.Load(),
+		Dials:        c.dials.Load(),
+		DialFailures: c.dialFailures.Load(),
+		Reconnects:   c.reconnects.Load(),
+		BackoffSkips: c.backoffSkips.Load(),
+		Accepted:     c.accepted.Load(),
+		WritevCalls:  c.writevCalls.Load(),
+		Dropped:      c.dropped.Load(),
 	}
 }
