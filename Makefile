@@ -73,8 +73,9 @@ bufpool-debug:
 # own address, a stream with a gap, a lost connection to a box a request
 # has left; and the box's request state under its one lock: the idle
 # load signal's decay, a crashing application's quarantine, a panic in
-# the local tree, and the tree's batches and back-pressure by bytes.
-# They race real sockets and merge tasks against goroutines, so an
+# the local tree, and the tree's batches and back-pressure by bytes; and
+# the control loop: each box's prober — heartbeat, failover, congestion
+# scoring — against Master.Supersede. They race real sockets and merge tasks against goroutines, so an
 # interleaving that breaks them shows only across repeated runs.
 recovery-stress:
 	$(GO) test -race -count=20 ./internal/transport \
@@ -83,6 +84,9 @@ recovery-stress:
 		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeMergesEachByteOnce|TestLocalTreeHoldsBoundedBytes)$$'
 	$(GO) test -race -count=20 ./internal/shim \
 		-run '^(TestUnreadFramesPastAnyWindowAreResent|TestBoxRestartRecoversWithoutNewAttempt|TestBoxOutboundHopStaysWithStragglerTimer|TestLostConnectionToAbandonedBoxResendsNothing|TestReannounceSendsTheArmedCounts|TestLostConnectionAfterReuseResendsTheNewRequest)$$'
+	$(GO) test -race -count=20 ./internal/cluster -run '^TestMonitor'
+	$(GO) test -race -count=20 ./internal/testbed \
+		-run '^(TestControlLoopRecoversFromBoxFailure|TestControlLoopQuietFleet)$$'
 
 # Protocol drift gate (DESIGN.md §17): the matrix embedded in DESIGN.md
 # must be exactly what internal/wire/protocol.go renders, and the lint

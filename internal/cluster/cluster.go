@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"slices"
@@ -188,22 +189,6 @@ func (d *Deployment) update(id uint64, fn func(*boxState)) {
 	}
 }
 
-// sorted lists every record through view, ordered by box ID.
-func sorted[T any](d *Deployment, view func(*boxState) T) []T {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids := make([]uint64, 0, len(d.boxes))
-	for id := range d.boxes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]T, len(ids))
-	for i, id := range ids {
-		out[i] = view(d.boxes[id])
-	}
-	return out
-}
-
 // Box returns a box by ID; LastSeen is the monitor's last heartbeat echo.
 func (d *Deployment) Box(id uint64) (BoxInfo, bool) {
 	s, ok := d.read(id)
@@ -213,13 +198,14 @@ func (d *Deployment) Box(id uint64) (BoxInfo, bool) {
 // Boxes lists every deployed box, ordered by ID; LastSeen is the
 // monitor's last heartbeat echo.
 func (d *Deployment) Boxes() []BoxInfo {
-	return sorted(d, func(s *boxState) BoxInfo { return s.info })
-}
-
-// PlannerBoxes lists every deployed box as the planner sees it (Dead and
-// Slow flags filled in), ordered by ID.
-func (d *Deployment) PlannerBoxes() []treeplan.Box {
-	return sorted(d, (*boxState).plannerBox)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make([]BoxInfo, 0, len(d.boxes))
+	for _, s := range d.boxes {
+		out = append(out, s.info)
+	}
+	slices.SortFunc(out, func(a, b BoxInfo) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // MarkSeen records a successful heartbeat from a box (the failure
@@ -252,8 +238,8 @@ func (d *Deployment) Dead(id uint64) bool {
 	return s.dead
 }
 
-// MarkCongested flips a box's congestion flag (the replanner calls it as
-// the box crosses the hysteresis thresholds). Planners see the flag as
+// MarkCongested flips a box's congestion flag (the failure monitor calls
+// it as the box crosses the hysteresis thresholds). Planners see the flag as
 // treeplan.Box.Slow: congested boxes are avoided when the switch has an
 // alternative, but — unlike dead boxes — stay eligible as a last resort.
 func (d *Deployment) MarkCongested(id uint64, congested bool) {
@@ -291,17 +277,9 @@ func (d *Deployment) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
 	return s.load, s.load != (treeplan.LoadSignal{})
 }
 
-// PathSwitches returns the switches on the up-down path from a worker to
-// the master: up the worker's side to the lowest tier shared with the
-// master, then down the master's side.
-func PathSwitches(worker, master Host) []string {
-	if worker.Name == master.Name {
-		return nil
-	}
-	return upDown(worker.UpPath(), master.UpPath())
-}
-
-// upDown joins two hosts' up-paths where they first meet.
+// upDown joins two hosts' up-paths where they first meet: up the worker's
+// side to the lowest tier shared with the master, then down the master's
+// side.
 func upDown(wu, mu []string) []string {
 	meet := len(wu) - 1
 	for i := range wu {
@@ -322,7 +300,7 @@ func upDown(wu, mu []string) []string {
 // deployed box with its current liveness. It is also the live fabric's
 // treeplan.Telemetry: the monitor feeds RTT and heartbeat-carried load
 // into it, LoadAware reads the combined signal back out on every plan, and
-// the Replanner reads each box's sample once, from the monitor's hook.
+// the monitor scores each box's sample once, right after writing it.
 var (
 	_ treeplan.Topology  = (*Deployment)(nil)
 	_ treeplan.Telemetry = (*Deployment)(nil)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,10 @@ import (
 
 	"netagg/internal/agg"
 	"netagg/internal/core"
+	"netagg/internal/obs"
+	"netagg/internal/transport"
 	"netagg/internal/treeplan"
+	"netagg/internal/wire"
 )
 
 // twoRackDeployment builds the paper's testbed shape: two racks in one pod,
@@ -33,20 +37,21 @@ func hostName(rack, i int) string {
 }
 
 func TestPathSwitches(t *testing.T) {
-	sameRack := PathSwitches(Host{Rack: 0, Pod: 0}, Host{Rack: 0, Pod: 0, Name: "x"})
-	if len(sameRack) != 1 || sameRack[0] != "tor:0" {
-		t.Fatalf("same rack path = %v", sameRack)
+	d := NewDeployment()
+	d.AddHost(Host{Name: "w", Rack: 0, Pod: 0})
+	d.AddHost(Host{Name: "rack", Rack: 0, Pod: 0})
+	d.AddHost(Host{Name: "pod", Rack: 1, Pod: 0})
+	d.AddHost(Host{Name: "far", Rack: 2, Pod: 1})
+	if got := d.PathSwitches("w", "rack", 0); !slices.Equal(got, []string{"tor:0"}) {
+		t.Fatalf("same rack path = %v", got)
 	}
-	samePod := PathSwitches(Host{Rack: 0, Pod: 0}, Host{Rack: 1, Pod: 0, Name: "x"})
-	want := []string{"tor:0", "agg:0", "tor:1"}
-	if len(samePod) != 3 || samePod[0] != want[0] || samePod[1] != want[1] || samePod[2] != want[2] {
-		t.Fatalf("same pod path = %v", samePod)
+	if got := d.PathSwitches("w", "pod", 0); !slices.Equal(got, []string{"tor:0", "agg:0", "tor:1"}) {
+		t.Fatalf("same pod path = %v", got)
 	}
-	crossPod := PathSwitches(Host{Rack: 0, Pod: 0}, Host{Rack: 2, Pod: 1, Name: "x"})
-	if len(crossPod) != 5 || crossPod[2] != "core" {
-		t.Fatalf("cross pod path = %v", crossPod)
+	if got := d.PathSwitches("w", "far", 0); len(got) != 5 || got[2] != "core" {
+		t.Fatalf("cross pod path = %v", got)
 	}
-	if PathSwitches(Host{Name: "s"}, Host{Name: "s"}) != nil {
+	if d.PathSwitches("w", "w", 0) != nil {
 		t.Fatal("same host has no path")
 	}
 }
@@ -201,26 +206,22 @@ func TestMonitorDetectsDeadBox(t *testing.T) {
 	d := NewDeployment()
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
 
-	failed := make(chan BoxInfo, 1)
-	m := NewMonitor(d, 30*time.Millisecond, 2, func(b BoxInfo, died bool) {
-		if died {
-			failed <- b
-		}
-	})
+	failed := make(chan uint64, 1)
+	m := NewMonitor(d, 30*time.Millisecond, 2, quiet, failovers(failed))
 	m.StartContext(t.Context())
 	defer m.Stop()
 
 	// Healthy at first.
 	select {
-	case b := <-failed:
-		t.Fatalf("healthy box %d reported failed", b.ID)
+	case id := <-failed:
+		t.Fatalf("healthy box %d reported failed", id)
 	case <-time.After(200 * time.Millisecond):
 	}
 	box.Close()
 	select {
-	case b := <-failed:
-		if b.ID != 1<<32 {
-			t.Fatalf("wrong box failed: %d", b.ID)
+	case id := <-failed:
+		if id != 1<<32 {
+			t.Fatalf("wrong box failed: %d", id)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("failure not detected")
@@ -264,44 +265,43 @@ func TestMonitorDeclaresWedgedBoxDead(t *testing.T) {
 
 	d := NewDeployment()
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: ln.Addr().String(), Switch: "tor:0"})
-	// One outcome per probe, read as they come: the buffer only has to
-	// absorb the probes between the last read and Stop.
-	outcomes := make(chan bool, 16)
-	m := NewMonitor(d, 30*time.Millisecond, 3, func(b BoxInfo, died bool) {
-		select {
-		case outcomes <- died:
-		default:
+	// Probes are counted as misses: act runs on the prober right after
+	// the miss that declares the box dead is counted.
+	misses := obs.C("cluster.hb_misses")
+	start := misses.Value()
+	failed := make(chan int64, 4)
+	m := NewMonitor(d, 30*time.Millisecond, 3, quiet, func(id uint64, cause string) int {
+		if cause == "failover" {
+			failed <- misses.Value() - start
 		}
+		return 0
 	})
 	m.StartContext(t.Context())
 	defer m.Stop()
-	next := func() bool {
-		select {
-		case died := <-outcomes:
-			return died
-		case <-time.After(2 * time.Second):
-			t.Fatal("monitor stopped probing the wedged box")
-			return false
-		}
-	}
 
-	probes := 1
-	for !next() {
-		probes++
-	}
-	if probes != 3 {
-		t.Fatalf("declared dead at probe %d, want the third miss", probes)
+	select {
+	case probes := <-failed:
+		if probes != 3 {
+			t.Fatalf("declared dead at probe %d, want the third miss", probes)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("monitor never declared the wedged box dead")
 	}
 	if !d.Dead(1 << 32) {
 		t.Fatal("wedged box should be marked dead in the deployment")
 	}
-	for ; probes < 6; probes++ {
-		if next() {
-			t.Fatal("wedged box declared dead twice")
+	for deadline := time.Now().Add(2 * time.Second); misses.Value()-start < 6; {
+		if time.Now().After(deadline) {
+			t.Fatal("monitor stopped probing the wedged box")
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	m.Stop()
-	if n := accepted.Load(); n < int64(probes) {
+	probes := misses.Value() - start
+	if len(failed) != 0 {
+		t.Fatal("wedged box declared dead twice")
+	}
+	if n := accepted.Load(); n < probes {
 		t.Fatalf("%d connections for %d timed-out probes: a probe that times out must drop its connection so the next re-dials", n, probes)
 	}
 }
@@ -352,12 +352,8 @@ func TestMonitorDetectionLatency(t *testing.T) {
 
 	const interval = 100 * time.Millisecond
 	const misses = 2
-	failed := make(chan BoxInfo, 1)
-	m := NewMonitor(d, interval, misses, func(b BoxInfo, died bool) {
-		if died {
-			failed <- b
-		}
-	})
+	failed := make(chan uint64, 1)
+	m := NewMonitor(d, interval, misses, quiet, failovers(failed))
 	m.StartContext(t.Context())
 	defer m.Stop()
 
@@ -371,18 +367,18 @@ func TestMonitorDetectionLatency(t *testing.T) {
 	}
 
 	box.Close()
-	var b BoxInfo
+	var id uint64
 	select {
-	case b = <-failed:
+	case id = <-failed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("failure not detected")
 	}
 	detectedAt := time.Now()
-	if b.ID != 1<<32 {
-		t.Fatalf("wrong box failed: %d", b.ID)
+	if id != 1<<32 {
+		t.Fatalf("wrong box failed: %d", id)
 	}
-	// The BoxInfo handed to the failure callback must carry the
-	// last-healthy timestamp (the LastSeen bugfix).
+	// The declared-dead box must keep its last-healthy timestamp (the
+	// LastSeen bugfix).
 	info, ok := d.Box(1 << 32)
 	if !ok || info.LastSeen.IsZero() {
 		t.Fatal("declared-dead box must retain its LastSeen timestamp")
@@ -425,9 +421,10 @@ func TestObserveRTTEWMA(t *testing.T) {
 }
 
 // TestMonitorFeedsRTTTelemetry checks the live path behind LoadAware
-// planning and the replanner: every probe outcome reaches the hook, and
-// by then the sample it produced — the RTT, and the load the echo
-// carried — is already in the deployment.
+// planning and congestion scoring: a box is scored against the sample its
+// probe produced — the RTT, and the load the echo carried — only once
+// that sample is in the deployment. A policy any sample trips migrates on
+// the first scored one, and by then the RTT must be recorded.
 func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 	reg := agg.NewRegistry()
 	reg.Register("x", agg.Concat{})
@@ -439,27 +436,155 @@ func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 
 	d := NewDeployment()
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
-	seen := make(chan int64, 64)
-	m := NewMonitor(d, 20*time.Millisecond, 3, func(b BoxInfo, died bool) {
-		if died {
-			t.Errorf("healthy box %d declared dead", b.ID)
+	scored := make(chan int64, 4)
+	policy := treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20}
+	m := NewMonitor(d, 20*time.Millisecond, 3, policy, func(id uint64, cause string) int {
+		if cause != "migrate" {
+			t.Errorf("healthy box %d acted on with cause %q", id, cause)
 		}
-		select {
-		case seen <- rttUs(d, b.ID):
-		default:
-		}
+		scored <- rttUs(d, id)
+		return 0
 	})
 	m.StartContext(t.Context())
 	defer m.Stop()
 
-	for i := 0; i < 3; i++ {
-		select {
-		case rtt := <-seen:
-			if rtt == 0 {
-				t.Fatal("hook ran before the probe's RTT sample was in the deployment")
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("monitor never reported a probe outcome")
+	select {
+	case rtt := <-scored:
+		if rtt == 0 {
+			t.Fatal("the box was scored before the probe's RTT sample was in the deployment")
 		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("monitor never scored a probe outcome")
+	}
+}
+
+// quiet is a congestion policy no heartbeat on an idle host reaches, for
+// the tests that watch only the failure path.
+var quiet = treeplan.ReplanPolicy{HotLoadUs: 1 << 40}
+
+// failovers is an act callback that reports every box declared dead.
+func failovers(failed chan<- uint64) func(id uint64, cause string) int {
+	return func(id uint64, cause string) int {
+		if cause == "failover" {
+			failed <- id
+		}
+		return 0
+	}
+}
+
+// loadBox is a box that answers heartbeats with a load the test sets,
+// and stops answering (reading and dropping them) while silent.
+type loadBox struct {
+	srv    *transport.Server
+	load   atomic.Int64 // queue depth to report
+	silent atomic.Bool
+}
+
+func startLoadBox(t *testing.T) *loadBox {
+	t.Helper()
+	lb := &loadBox{}
+	srv, err := transport.Listen(t.Context(), "127.0.0.1:0", func(c *transport.ServerConn, m *wire.Msg) {
+		seq := m.Seq
+		m.Release()
+		if lb.silent.Load() {
+			return
+		}
+		_ = c.Reply(&wire.Msg{Type: wire.THeartbeat, Source: 1 << 32, Seq: seq,
+			Payload: wire.EncodeLoad(int(lb.load.Load()), 0)})
+	}, transport.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.srv = srv
+	t.Cleanup(srv.Close)
+	return lb
+}
+
+// TestMonitorScoresCongestion drives one box's congestion state through
+// the monitor against a box whose reported load the test sets: a hot box
+// is marked and migrated once; hot again inside its cooldown it is only
+// marked; declared dead it fails over and loses its mark; revived it
+// starts cold. Each box's prober owns that box's state, so nothing else
+// is shared.
+func TestMonitorScoresCongestion(t *testing.T) {
+	const id = 1 << 32
+	lb := startLoadBox(t)
+	d := NewDeployment()
+	d.AddBox(BoxInfo{ID: id, Addr: lb.srv.Addr(), Switch: "tor:0"})
+
+	// 100 queued tasks read 100,000 µs, far above HotLoadUs and any RTT;
+	// an idle box reads its RTT alone, far under ColdLoadUs.
+	const hotDepth = 100
+	policy := treeplan.ReplanPolicy{HotLoadUs: 50_000, ColdLoadUs: 40_000, HotStreak: 2, CooldownTicks: 1 << 20}
+	acts := make(chan string, 16)
+	m := NewMonitor(d, 30*time.Millisecond, 3, policy, func(got uint64, cause string) int {
+		if got != id {
+			t.Errorf("act on box %d, want %d", got, id)
+		}
+		acts <- cause
+		return 1
+	})
+	congested, holds := obs.G("replan.congested_boxes"), obs.C("replan.cooldown_holds")
+	congestedBefore, holdsBefore := congested.Value(), holds.Value()
+	slow := func() bool { return d.BoxesAt("tor:0")[0].Slow }
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	next := func() string {
+		t.Helper()
+		select {
+		case cause := <-acts:
+			return cause
+		case <-time.After(5 * time.Second):
+			t.Fatal("the monitor never acted on the box")
+			return ""
+		}
+	}
+	m.StartContext(t.Context())
+	defer m.Stop()
+
+	lb.load.Store(hotDepth)
+	if cause := next(); cause != "migrate" {
+		t.Fatalf("a hot box got %q, want migrate", cause)
+	}
+	if !slow() || congested.Value()-congestedBefore != 1 {
+		t.Fatalf("a migrated box must be marked: slow=%v congested=%+d", slow(), congested.Value()-congestedBefore)
+	}
+
+	lb.load.Store(0)
+	await("the cooled box's mark clears", func() bool { return !slow() })
+	lb.load.Store(hotDepth)
+	await("the re-heated box is held", func() bool { return holds.Value() > holdsBefore })
+	if !slow() || len(acts) != 0 || holds.Value() != holdsBefore+1 {
+		t.Fatalf("hot again inside its cooldown, a box is only marked: slow=%v acts=%d holds=%+d", slow(), len(acts), holds.Value()-holdsBefore)
+	}
+
+	lb.silent.Store(true)
+	if cause := next(); cause != "failover" {
+		t.Fatalf("a silent box got %q, want failover", cause)
+	}
+	if !d.Dead(id) || slow() || congested.Value() != congestedBefore {
+		t.Fatalf("a dead box must lose its mark: dead=%v slow=%v congested=%+d", d.Dead(id), slow(), congested.Value()-congestedBefore)
+	}
+
+	lb.load.Store(0)
+	lb.silent.Store(false)
+	await("the box revives", func() bool { return !d.Dead(id) })
+	if slow() {
+		t.Fatal("a revived box must start cold")
+	}
+	// The cooldown died with the box's old state: turning hot migrates.
+	lb.load.Store(hotDepth)
+	if cause := next(); cause != "migrate" {
+		t.Fatalf("a revived box turning hot got %q, want migrate", cause)
+	}
+	if len(acts) != 0 {
+		t.Fatalf("unexpected act %q", <-acts)
 	}
 }

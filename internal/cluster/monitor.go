@@ -7,18 +7,23 @@ import (
 	"time"
 
 	"netagg/internal/transport"
+	"netagg/internal/treeplan"
 	"netagg/internal/wire"
 )
 
 // Monitor is the lightweight failure detection service (§3.1 "Handling
-// failures"): it keeps a heartbeat connection to every agg box and marks a
-// box dead in the deployment — removing it from future plans — after a run
-// of missed heartbeats. Every probe outcome, echo or miss, is written into
-// the deployment (liveness, RTT, the load the echo carried) and then
-// reported to the one registered hook, which is therefore the control
-// plane's only loop: the hook redirects in-flight requests when a probe
-// declares the box dead and scores the fresh sample for congestion.
+// failures"), extended into the control plane's only loop (DESIGN.md
+// §16): it keeps a heartbeat connection to every agg box and marks a box
+// dead in the deployment — removing it from future plans — after a run of
+// missed heartbeats. Every probe outcome, echo or miss, is written into
+// the deployment (liveness, RTT, the load the echo carried). A probe that
+// declares its box dead hands the box to act with cause "failover"; every
+// other sample of a live box steps that box's congestion hysteresis, and
+// a box turning hot is marked congested — so new plans avoid it — and,
+// outside its cooldown, handed to act with cause "migrate".
 //
+// Each box's prober goroutine owns that box's treeplan.Hysteresis, so a
+// streak counts that box's samples and no lock guards congestion state.
 // The heartbeat connections ride on transport.Conn, so probing a dead box
 // costs one bounded dial per backoff window instead of one unbounded dial
 // per interval. Probers keep watching a dead box and mark it alive again
@@ -27,7 +32,8 @@ type Monitor struct {
 	dep      *Deployment
 	interval time.Duration
 	misses   int
-	onProbe  func(b BoxInfo, died bool)
+	policy   treeplan.ReplanPolicy
+	act      func(id uint64, cause string) int
 
 	mu     sync.Mutex
 	ctx    context.Context
@@ -35,11 +41,12 @@ type Monitor struct {
 	wg     sync.WaitGroup
 }
 
-// NewMonitor creates a monitor probing every box each interval and
-// declaring failure after `misses` consecutive missed heartbeats. onProbe
-// runs on the box's prober goroutine after each probe's outcome is in the
-// deployment; died is true for the one probe that declared the box dead.
-func NewMonitor(dep *Deployment, interval time.Duration, misses int, onProbe func(b BoxInfo, died bool)) *Monitor {
+// NewMonitor creates a monitor probing every box each interval, declaring
+// failure after `misses` consecutive missed heartbeats and scoring
+// congestion under policy (zero fields defaulted). act — the signature of
+// shim.Master.Supersede — runs on the box's prober goroutine with cause
+// "failover" or "migrate", and returns how many requests it moved.
+func NewMonitor(dep *Deployment, interval time.Duration, misses int, policy treeplan.ReplanPolicy, act func(id uint64, cause string) int) *Monitor {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
@@ -50,7 +57,8 @@ func NewMonitor(dep *Deployment, interval time.Duration, misses int, onProbe fun
 		dep:      dep,
 		interval: interval,
 		misses:   misses,
-		onProbe:  onProbe,
+		policy:   policy,
+		act:      act,
 	}
 }
 
@@ -102,7 +110,8 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 	ticker := time.NewTicker(m.interval)
 	defer ticker.Stop()
 	missed := 0
-	dead := false
+	dead, hot := false, false
+	var congestion treeplan.Hysteresis
 	var seq uint64
 	for {
 		select {
@@ -111,7 +120,6 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 		case <-ticker.C:
 		}
 		seq++
-		died := false
 		rtt, ok := m.heartbeat(ctx, conn, replies, seq)
 		if ctx.Err() != nil {
 			return // a probe the shutdown interrupted is not an outcome
@@ -136,16 +144,52 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 			// until the box is declared dead.
 			m.dep.ObserveRTT(b.ID, m.interval)
 			if missed >= m.misses && !dead {
-				dead, died = true, true
+				dead = true
 				if last := m.dep.LastSeen(b.ID); !last.IsZero() {
 					obsDetectMs.Observe(time.Since(last).Milliseconds())
 				}
 				m.dep.MarkDead(b.ID)
 				obsFailures.Inc()
+				// The failure path owns a dead box: a congested mark it
+				// died with is cleared, and a revived box starts cold.
+				if hot {
+					m.dep.MarkCongested(b.ID, false)
+					obsReplanCongested.Add(-1)
+				}
+				congestion, hot = treeplan.Hysteresis{}, false
+				m.act(b.ID, "failover")
 			}
 		}
-		m.onProbe(b, died)
+		if !dead {
+			hot = m.score(b.ID, &congestion)
+		}
 	}
+}
+
+// score steps a live box's hysteresis against the sample its probe just
+// wrote into the deployment and acts on a flip: the deployment's
+// congested flag follows the state, and a flip to hot outside the
+// cooldown migrates the box's pending requests. It returns the state.
+func (m *Monitor) score(id uint64, h *treeplan.Hysteresis) bool {
+	sig, _ := m.dep.BoxSignal(id)
+	hot, changed, migrate := h.Step(m.policy, treeplan.LoadUs(sig))
+	obsReplanTicks.Inc()
+	if !changed {
+		return hot
+	}
+	m.dep.MarkCongested(id, hot)
+	switch {
+	case !hot:
+		obsReplanCongested.Add(-1)
+	case migrate:
+		obsReplanCongested.Add(1)
+		obsReplanMigrations.Inc()
+		obsReplanMigratedReqs.Add(int64(m.act(id, "migrate")))
+	default:
+		obsReplanCongested.Add(1)
+		obsReplanCooldownHolds.Inc()
+	}
+	return hot
 }
 
 // handleEcho processes one frame from a probed box. Heartbeats carry no

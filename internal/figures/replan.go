@@ -33,7 +33,7 @@ const replanBits = 4e7
 // initial trees; at replanChurnStart a burst of burner flows congests the
 // first box of every switch. The static strategy stays pinned to the
 // congested boxes for the rest of each job; the dynamic strategy detects
-// them through the HotTracker hysteresis and migrates every affected
+// them through the treeplan.Hysteresis and migrates every affected
 // subtree to the cold alternative, re-sending the partials in full — the
 // simulator's rendition of the live fabric's attempt-epoch migration. The
 // table reports the 99th-percentile job completion time of both per churn

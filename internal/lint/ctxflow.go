@@ -48,10 +48,10 @@ func (CtxFlow) Doc() string {
 // ctxflowPackages is deliberately not dataPlanePackages: wire is out (a
 // codec over its caller's reader and writer — nothing in it takes or
 // holds a context, so rules 2 and 3 would have nothing to consult), and
-// treeplan is in. treeplan holds no context either: its Replanner scores
-// the samples the testbed's control loop hands it (Observe), and that
-// loop owns the context. It stays listed so that rules 2 and 3 check a
-// context the planner ever takes from its first line.
+// treeplan is in. treeplan holds no context either: its Hysteresis is a
+// value each failure-monitor prober steps, and the monitor (cluster) owns
+// the context. It stays listed so that rules 2 and 3 check a context the
+// planner ever takes from its first line.
 var ctxflowPackages = []string{"core", "shim", "cluster", "transport", "treeplan"}
 
 // CheckPackage implements PackageAnalyzer.

@@ -12,7 +12,7 @@ import (
 // DynamicNetAgg is NetAgg with congestion-aware dynamic aggregation trees
 // (DESIGN.md §16): it plans jobs exactly like NetAgg, then keeps scoring
 // every agg box on a simulated-time tick through the same
-// treeplan.HotTracker hysteresis that drives the live fabric's Replanner.
+// treeplan.Hysteresis that the live fabric's failure monitor steps.
 // When a box turns congested mid-job, every incomplete job routed through
 // it migrates: the job's current flows are truncated and the trees are
 // re-planned against a topology view with the congested boxes marked
@@ -31,8 +31,9 @@ type DynamicNetAgg struct {
 	Mode    ReduceMode
 	Planner treeplan.Planner
 	// Interval is the replanning tick period in simulated seconds
-	// (default 0.005 — the simulator analogue of the live replanner's
-	// 500ms against wall-clock job times three orders larger).
+	// (default 0.005 — the simulator analogue of the live failure
+	// monitor's 500ms heartbeat against wall-clock job times three orders
+	// larger).
 	Interval float64
 	// Policy is the hysteresis/cooldown policy. Load is scored as
 	// treeplan.LoadUs over a queue depth equal to the number of flows
@@ -49,11 +50,11 @@ type DynamicNetAgg struct {
 
 // dynState is the per-simulation replanning state.
 type dynState struct {
-	net     *simnet.Network
-	tracker *treeplan.HotTracker
-	slow    map[topology.NodeID]bool
-	boxes   []topology.NodeID
-	jobs    []*dynJob
+	net   *simnet.Network
+	slow  map[topology.NodeID]bool
+	boxes []topology.NodeID
+	hyst  []treeplan.Hysteresis // boxes[i]'s congestion state
+	jobs  []*dynJob
 }
 
 // dynJob tracks one job's current flow set across migrations.
@@ -125,11 +126,12 @@ func (n *DynamicNetAgg) stateFor(net *simnet.Network) *dynState {
 	if st, ok := n.state[net.Sim]; ok {
 		return st
 	}
+	boxes := net.Topo.T.AggBoxes()
 	st := &dynState{
-		net:     net,
-		tracker: treeplan.NewHotTracker(n.Policy),
-		slow:    make(map[topology.NodeID]bool),
-		boxes:   net.Topo.T.AggBoxes(),
+		net:   net,
+		slow:  make(map[topology.NodeID]bool),
+		boxes: boxes,
+		hyst:  make([]treeplan.Hysteresis, len(boxes)),
 	}
 	n.state[net.Sim] = st
 	interval := n.Interval
@@ -155,20 +157,19 @@ func (n *DynamicNetAgg) tick(st *dynState) bool {
 	// Score every box and step the hysteresis; collect the boxes whose
 	// transition to congested should trigger a migration this tick.
 	var migrateFrom []topology.NodeID
-	for _, b := range st.boxes {
+	for i, b := range st.boxes {
 		depth := int64(sim.ResourceActiveFlows(st.net.Topo.ProcResource(b)))
-		hot, changed := st.tracker.Observe(uint64(b), treeplan.LoadUs(treeplan.LoadSignal{QueueDepth: depth}))
+		hot, changed, migrate := st.hyst[i].Step(n.Policy, treeplan.LoadUs(treeplan.LoadSignal{QueueDepth: depth}))
 		if !changed {
 			continue
 		}
-		if hot {
-			st.slow[b] = true
-			if !st.tracker.CoolingDown(uint64(b)) {
-				migrateFrom = append(migrateFrom, b)
-				st.tracker.StartCooldown(uint64(b))
-			}
-		} else {
+		if !hot {
 			delete(st.slow, b)
+			continue
+		}
+		st.slow[b] = true
+		if migrate {
+			migrateFrom = append(migrateFrom, b)
 		}
 	}
 	for _, b := range migrateFrom {

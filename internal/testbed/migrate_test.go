@@ -14,7 +14,7 @@ import (
 
 // migParts is how many partial-result frames each worker streams in the
 // migration tests: enough that the request is still mid-stream on the
-// netem-paced boxes when the replanner fires.
+// netem-paced boxes when the migration fires.
 const migParts = 128
 
 // sumParts merges a result's final parts and returns per-key totals.
@@ -41,9 +41,9 @@ func sumParts(t *testing.T, res shim.Result) map[string]int64 {
 
 // TestMigrationExactlyOnceUnderCongestion is the tentpole's end-to-end
 // proof on the live fabric: a request streams partials through
-// netem-paced (congested) boxes; mid-stream, a replanner wired exactly
-// like Testbed.StartControl detects the load through the deployment's
-// own telemetry and migrates the request off the hot boxes. The
+// netem-paced (congested) boxes; mid-stream, each box's hysteresis,
+// stepped as the failure monitor steps it, detects the load through the
+// deployment's own telemetry and migrates the request off the hot boxes. The
 // attempt-epoch protocol must make the migration exactly-once — every
 // buffered partial combined exactly once, none lost, none doubled — so
 // every key's total must be exact, and the bufpool refcounts taken over
@@ -57,7 +57,7 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 	// Two boxes per switch so every hot box has a cold alternative;
 	// EdgeGbps/BoxGbps/Scale pace every NIC to ~50 KB/s, so streaming
 	// migParts frames per worker keeps the request in flight for tens of
-	// milliseconds — plenty of loaded ticks for the replanner to score.
+	// milliseconds — plenty of loaded samples to score.
 	tb, err := New(Config{
 		Racks: 2, WorkersPerRack: 2, BoxesPerSwitch: 2, Registry: reg,
 		EdgeGbps: 1, BoxGbps: 1, Scale: 500, Seed: 11,
@@ -67,26 +67,26 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 	}
 	defer tb.Close()
 
-	// The replanner is wired exactly as StartControl does, but fed from
-	// the test — the sample a heartbeat echo would have carried, then one
-	// Observe per box — so detection is deterministic and migration stops
-	// after the first congested pass (the live loop could re-trip the
-	// replacement boxes and burn through the attempt budget).
+	// Each box's congestion is scored as the monitor's prober scores it —
+	// one Hysteresis per box, stepped against the sample a heartbeat echo
+	// would have carried — but from the test, so detection is
+	// deterministic and migration stops after the first congested pass
+	// (the live loop could re-trip the replacement boxes and burn through
+	// the attempt budget).
 	var migrated atomic.Int64
-	rp := treeplan.NewReplanner(treeplan.ReplannerConfig{
-		Policy:    treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20},
-		Telemetry: tb.Dep,
-		Mark:      tb.Dep.MarkCongested,
-		Migrate: func(id uint64) int {
-			n := tb.Master.Supersede(id, "migrate")
-			migrated.Add(int64(n))
-			return n
-		},
-	})
+	policy := treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20}
+	congestion := make([]treeplan.Hysteresis, len(tb.Boxes))
 	heartbeat := func() {
-		for i, b := range tb.Dep.PlannerBoxes() { // ordered by id, like tb.Boxes
+		for i, b := range tb.Dep.Boxes() { // ordered by id, like tb.Boxes
 			tb.Dep.ObserveLoad(b.ID, tb.Boxes[i].QueueDepth(), tb.Boxes[i].FlushLatencyUs())
-			rp.Observe(b)
+			sig, _ := tb.Dep.BoxSignal(b.ID)
+			hot, changed, migrate := congestion[i].Step(policy, treeplan.LoadUs(sig))
+			if changed {
+				tb.Dep.MarkCongested(b.ID, hot)
+			}
+			if migrate {
+				migrated.Add(int64(tb.Master.Supersede(b.ID, "migrate")))
+			}
 		}
 	}
 
@@ -126,7 +126,7 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 	completed := false
 	for migrated.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("replanner never migrated the in-flight request")
+			t.Fatal("congestion scoring never migrated the in-flight request")
 		}
 		select {
 		case res = <-pending.C:

@@ -220,26 +220,14 @@ func (tb *Testbed) WorkerHosts() []string { return tb.workers }
 // StartControl starts the deployment's control plane, which is one loop —
 // the failure monitor's heartbeat (DESIGN.md §16) — and returns the
 // function that stops it (Close stops it too). Every interval each box is
-// probed; the outcome lands in the deployment, which is the telemetry, and
-// then in the one hook below: a probe that declares its box dead
-// supersedes the requests routed through it ("failover"), and every
-// sample steps the replanner, which marks a box crossing the congestion
-// hysteresis so new plans avoid it and supersedes the requests on it
-// ("migrate"). New starts none of this, so no heartbeat connection enters
-// a run that did not ask for one.
+// probed and the outcome lands in the deployment, which is the telemetry:
+// a probe that declares its box dead supersedes the requests routed
+// through it ("failover"), and a box whose samples cross the congestion
+// hysteresis is marked so new plans avoid it and has its requests
+// superseded ("migrate"). New starts none of this, so no heartbeat
+// connection enters a run that did not ask for one.
 func (tb *Testbed) StartControl(ctx context.Context, interval time.Duration, policy treeplan.ReplanPolicy) (stop func()) {
-	scorer := treeplan.NewReplanner(treeplan.ReplannerConfig{
-		Policy:    policy,
-		Telemetry: tb.Dep,
-		Mark:      tb.Dep.MarkCongested,
-		Migrate:   func(id uint64) int { return tb.Master.Supersede(id, "migrate") },
-	})
-	mon := cluster.NewMonitor(tb.Dep, interval, 0, func(b cluster.BoxInfo, died bool) {
-		if died {
-			tb.Master.Supersede(b.ID, "failover")
-		}
-		scorer.Observe(treeplan.Box{ID: b.ID, Dead: tb.Dep.Dead(b.ID)})
-	})
+	mon := cluster.NewMonitor(tb.Dep, interval, 0, policy, tb.Master.Supersede)
 	mon.StartContext(ctx)
 	tb.controlStop = mon.Stop
 	return mon.Stop

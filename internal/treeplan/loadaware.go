@@ -100,8 +100,8 @@ func (l LoadAware) weight(id uint64) float64 {
 
 // LoadUs folds a load signal into one scalar in microsecond-ish units:
 // a queued task is costed at 1ms of backlog, flush latency and heartbeat
-// RTT enter directly. LoadAware buckets it for weighting; the Replanner
-// compares it against its hot/cold thresholds directly.
+// RTT enter directly. LoadAware buckets it for weighting; Hysteresis.Step
+// compares it against the policy's hot/cold thresholds directly.
 func LoadUs(sig LoadSignal) int64 {
 	return sig.QueueDepth*1000 + sig.FlushUs + sig.RTTUs
 }

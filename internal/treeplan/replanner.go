@@ -1,10 +1,9 @@
 package treeplan
 
-import "sync"
-
-// ReplanPolicy is the hysteresis/cooldown policy of the dynamic-tree
-// replanner (DESIGN.md §16). All thresholds are in the LoadUs scalar's
-// microsecond-ish units; the zero value takes the documented defaults.
+// ReplanPolicy is the hysteresis/cooldown policy of dynamic-tree
+// congestion scoring (DESIGN.md §16). All thresholds are in the LoadUs
+// scalar's microsecond-ish units; the zero value takes the documented
+// defaults.
 type ReplanPolicy struct {
 	// HotLoadUs is the congestion entry threshold: a box whose load stays
 	// at or above it for HotStreak consecutive ticks is declared
@@ -44,164 +43,46 @@ func (p ReplanPolicy) withDefaults() ReplanPolicy {
 	return p
 }
 
-// hotState is one box's position in the hysteresis state machine.
-type hotState struct {
+// Hysteresis is one box's congestion state machine, shared by the live
+// failure monitor (one per prober, so per box) and the simulator's
+// dynamic-tree strategy (one per agg box). Its zero value is a cold box.
+// It is deliberately time-free: the owner feeds it one load sample per
+// tick, and a streak therefore counts samples. Oscillation across the
+// entry threshold alone never flips the state (the no-flap property the
+// hysteresis test pins): entering requires HotStreak consecutive hot
+// samples, and leaving requires HotStreak consecutive samples at or below
+// the lower exit threshold. It is not safe for concurrent use; its owner
+// is the only goroutine that steps it.
+type Hysteresis struct {
 	hot      bool
-	streak   int // consecutive ticks beyond the active threshold
-	cooldown int // ticks left before another migration may fire
+	streak   int // consecutive samples beyond the active threshold
+	cooldown int // samples left before another migration may fire
 }
 
-// HotTracker is the tick-driven hysteresis state machine shared by the
-// live Replanner and the simulator's dynamic-tree strategy. It is
-// deliberately time-free: callers feed it one load observation per box
-// per tick, and it answers whether the box is congested under the
-// policy's enter/exit thresholds and streak requirement. Oscillation
-// across the entry threshold alone never flips the state (the no-flap
-// property the hysteresis test pins): entering requires HotStreak
-// consecutive hot ticks, and leaving requires HotStreak consecutive
-// ticks at or below the lower exit threshold.
-//
-// HotTracker is not safe for concurrent use; the Replanner serialises
-// access under its mutex.
-type HotTracker struct {
-	policy ReplanPolicy
-	boxes  map[uint64]*hotState
-}
-
-// NewHotTracker creates a tracker under p (zero fields defaulted).
-func NewHotTracker(p ReplanPolicy) *HotTracker {
-	return &HotTracker{policy: p.withDefaults(), boxes: make(map[uint64]*hotState)}
-}
-
-// Observe feeds one tick's load for one box and steps its state machine.
-// It returns the box's congested state after the observation and whether
-// this observation flipped it.
-func (t *HotTracker) Observe(id uint64, loadUs int64) (hot, changed bool) {
-	s := t.boxes[id]
-	if s == nil {
-		s = &hotState{}
-		t.boxes[id] = s
+// Step feeds one sample's load under p (zero fields defaulted). It
+// returns the box's congested state after the sample, whether this sample
+// flipped it, and whether the flip should migrate the box's pending
+// requests: a flip to hot outside the cooldown window, which it then
+// opens. A flip to hot inside the window only marks the box.
+func (h *Hysteresis) Step(p ReplanPolicy, loadUs int64) (hot, changed, migrate bool) {
+	p = p.withDefaults()
+	if h.cooldown > 0 {
+		h.cooldown--
 	}
-	if s.cooldown > 0 {
-		s.cooldown--
+	streaking := loadUs >= p.HotLoadUs
+	if h.hot {
+		streaking = loadUs <= p.ColdLoadUs
 	}
-	if !s.hot {
-		if loadUs >= t.policy.HotLoadUs {
-			s.streak++
-			if s.streak >= t.policy.HotStreak {
-				s.hot, s.streak = true, 0
-				return true, true
-			}
-		} else {
-			s.streak = 0
-		}
-		return false, false
+	if !streaking {
+		h.streak = 0
+		return h.hot, false, false
 	}
-	if loadUs <= t.policy.ColdLoadUs {
-		s.streak++
-		if s.streak >= t.policy.HotStreak {
-			s.hot, s.streak = false, 0
-			return false, true
-		}
-	} else {
-		s.streak = 0
+	if h.streak++; h.streak < p.HotStreak {
+		return h.hot, false, false
 	}
-	return true, false
-}
-
-// CoolingDown reports whether a box is inside its post-migration
-// cooldown window, during which further migrations off it are held.
-func (t *HotTracker) CoolingDown(id uint64) bool {
-	s := t.boxes[id]
-	return s != nil && s.cooldown > 0
-}
-
-// StartCooldown opens a box's cooldown window (called after a
-// migration fires for it).
-func (t *HotTracker) StartCooldown(id uint64) {
-	if s := t.boxes[id]; s != nil {
-		s.cooldown = t.policy.CooldownTicks
+	h.hot, h.streak = !h.hot, 0
+	if migrate = h.hot && h.cooldown == 0; migrate {
+		h.cooldown = p.CooldownTicks
 	}
-}
-
-// Forget drops a box's state (declared dead — the failure path owns it
-// now) and reports whether the box was congested when it went.
-func (t *HotTracker) Forget(id uint64) (wasHot bool) {
-	s := t.boxes[id]
-	delete(t.boxes, id)
-	return s != nil && s.hot
-}
-
-// ReplannerConfig wires a Replanner to the deployment it scores.
-// Telemetry and Mark are required; Migrate may be nil for a mark-only
-// replanner (new plans avoid congested boxes, in-flight requests stay
-// put).
-type ReplannerConfig struct {
-	// Policy is the hysteresis/cooldown policy (zero fields defaulted).
-	Policy ReplanPolicy
-	// Telemetry supplies the load signals to score boxes with.
-	Telemetry Telemetry
-	// Mark flips the deployment's congested flag for a box, which
-	// planners see as Box.Slow on the next plan.
-	Mark func(id uint64, congested bool)
-	// Migrate moves pending requests off a newly congested box
-	// (shim.Master.Supersede with cause "migrate") and returns how many
-	// requests it redirected.
-	Migrate func(id uint64) int
-}
-
-// Replanner is the dynamic re-planning scorer (DESIGN.md §16). It has no
-// loop of its own: the failure monitor calls Observe after every
-// heartbeat outcome, so each sample a box reports steps that box's
-// HotTracker exactly once — a streak counts samples, never reads of the
-// same sample. A box crossing the congestion hysteresis is marked so new
-// plans route around it, and — once per cooldown window — in-flight
-// requests are migrated off it. Epoch tagging in the shim/transport
-// layers makes the migration exactly-once (see shim.Master.Supersede).
-type Replanner struct {
-	cfg ReplannerConfig
-
-	mu      sync.Mutex // the monitor observes from one prober goroutine per box
-	tracker *HotTracker
-}
-
-// NewReplanner creates a replanner; it acts only when Observe is called.
-func NewReplanner(cfg ReplannerConfig) *Replanner {
-	return &Replanner{cfg: cfg, tracker: NewHotTracker(cfg.Policy)}
-}
-
-// Observe scores one box against the sample Telemetry currently holds
-// for it: the decision is taken under the mutex, Mark and Migrate run
-// outside it. Only b.ID and b.Dead are read. A dead box belongs to the
-// failure path: its state is dropped (a revived box re-enters cold) and
-// a congested mark it died with is cleared.
-func (r *Replanner) Observe(b Box) {
-	var hot, changed, migrate bool
-	r.mu.Lock()
-	if b.Dead {
-		changed = r.tracker.Forget(b.ID)
-	} else {
-		sig, _ := r.cfg.Telemetry.BoxSignal(b.ID)
-		hot, changed = r.tracker.Observe(b.ID, LoadUs(sig))
-		if migrate = changed && hot && !r.tracker.CoolingDown(b.ID); migrate {
-			r.tracker.StartCooldown(b.ID)
-		}
-		obsReplanTicks.Inc()
-	}
-	r.mu.Unlock()
-	if !changed {
-		return
-	}
-	r.cfg.Mark(b.ID, hot)
-	if !hot {
-		obsReplanCongested.Add(-1)
-		return
-	}
-	obsReplanCongested.Add(1)
-	if !migrate {
-		obsReplanCooldownHolds.Inc()
-	} else if r.cfg.Migrate != nil {
-		obsReplanMigrations.Inc()
-		obsReplanMigratedReqs.Add(int64(r.cfg.Migrate(b.ID)))
-	}
+	return h.hot, true, migrate
 }

@@ -3,8 +3,8 @@
 // traverse on their way to the master (§3.1). The data plane — shims,
 // boxes, the simulator — asks a Planner for a Tree and executes it; how
 // the boxes are chosen is the planner's business alone, which is the seam
-// ROADMAP items 1 (congestion-aware dynamic trees) and 2 (bounded
-// placement) plug into.
+// load-aware planning (LoadAware, DESIGN.md §14) and congestion-aware
+// dynamic trees (Box.Slow, set from each box's Hysteresis; §16) plug into.
 //
 // Planning must be per-worker decomposable: a worker shim asks for its own
 // route (Planner.Route) and must get the chain the master's tree
@@ -40,7 +40,7 @@ type Box struct {
 	// Dead marks a box the failure monitor has declared failed; planners
 	// must never route through a dead box.
 	Dead bool
-	// Slow marks a box the replanner has declared congested: planners
+	// Slow marks a box the failure monitor has declared congested: planners
 	// avoid it whenever the switch offers a non-slow alternative, but —
 	// unlike Dead — may still route through it when it is the only box
 	// standing, because a slow tree beats no tree.
