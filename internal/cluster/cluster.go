@@ -1,11 +1,13 @@
 // Package cluster holds the NetAgg deployment state shared by shim layers
 // and agg boxes: which hosts exist and where they sit in the physical
-// topology, which switches have agg boxes attached, and which boxes are
-// currently alive (§3.1 "Handling failures"). Planning the aggregation
-// trees over that state lives in internal/treeplan; Deployment implements
-// treeplan.Topology, so shims hand it straight to a Planner. It also owns
-// the wire-level request encoding (WireReq) that keeps each (tree,
-// attempt) an independent aggregation at the boxes.
+// topology, which switches have agg boxes attached, which boxes are
+// currently alive (§3.1 "Handling failures"), and the one planner that
+// every shim of the deployment plans its aggregation trees with. How a
+// planner chooses boxes lives in internal/treeplan; Deployment implements
+// treeplan.Topology and plans over itself (Plan, Route), so a master and
+// its workers cannot disagree on the planner. It also owns the wire-level
+// request encoding (WireReq) that keeps each (tree, attempt) an
+// independent aggregation at the boxes.
 package cluster
 
 import (
@@ -52,7 +54,7 @@ type BoxInfo struct {
 	// echo from the box (zero until the first echo). Together with the
 	// monitor's interval and miss threshold it bounds failure-detection
 	// latency (§3.1): a box declared dead was last healthy at LastSeen,
-	// and detection happens within misses×interval + interval of it.
+	// and detection happens within deadAfter×interval + interval of it.
 	LastSeen time.Time
 }
 
@@ -83,9 +85,11 @@ type hostState struct {
 	up []string
 }
 
-// Deployment is the cluster configuration: hosts, boxes and liveness.
-// It is safe for concurrent use.
+// Deployment is the cluster configuration: hosts, boxes, liveness and
+// the planner. It is safe for concurrent use.
 type Deployment struct {
+	planner treeplan.Planner
+
 	mu      sync.RWMutex
 	hosts   map[string]hostState
 	control map[string]string      // host name → worker shim control address
@@ -94,9 +98,14 @@ type Deployment struct {
 	at      map[string][]*boxState // switch → its boxes, in deployment order
 }
 
-// NewDeployment returns an empty deployment.
-func NewDeployment() *Deployment {
+// NewDeployment returns an empty deployment whose shims all plan with
+// planner (nil = treeplan.OnPath, the paper's hash-on-path planner).
+func NewDeployment(planner treeplan.Planner) *Deployment {
+	if planner == nil {
+		planner = treeplan.OnPath{}
+	}
 	return &Deployment{
+		planner: planner,
 		hosts:   make(map[string]hostState),
 		control: make(map[string]string),
 		results: make(map[string]string),
@@ -249,7 +258,7 @@ func (d *Deployment) MarkCongested(id uint64, congested bool) {
 // ObserveLoad records a box's self-reported load signal — scheduler
 // queue depth and flush-latency EWMA — delivered in its heartbeat echo
 // (wire.DecodeLoad). The failure monitor calls it; together with the
-// RTT EWMA it completes the deployment's treeplan.Telemetry view.
+// RTT EWMA it makes up BoxSignal.
 func (d *Deployment) ObserveLoad(id uint64, queueDepth int, flushUs int64) {
 	d.update(id, func(s *boxState) {
 		s.load.QueueDepth, s.load.FlushUs = int64(queueDepth), flushUs
@@ -258,7 +267,7 @@ func (d *Deployment) ObserveLoad(id uint64, queueDepth int, flushUs int64) {
 
 // ObserveRTT folds one heartbeat round-trip sample into the box's
 // smoothed RTT (EWMA, ⅞ old + ⅛ new). The failure monitor calls it; the
-// smoothed value feeds load-aware planning (treeplan.LoadSignal.RTTUs).
+// smoothed value is BoxSignal's RTTUs.
 func (d *Deployment) ObserveRTT(id uint64, rtt time.Duration) {
 	d.update(id, func(s *boxState) {
 		us := rtt.Microseconds()
@@ -269,9 +278,9 @@ func (d *Deployment) ObserveRTT(id uint64, rtt time.Duration) {
 	})
 }
 
-// BoxSignal implements treeplan.Telemetry over the monitor-fed state:
-// heartbeat RTT EWMA plus the box's last self-reported queue depth and
-// flush latency. ok is false until any signal has been observed.
+// BoxSignal returns the monitor-fed load of a box: heartbeat RTT EWMA
+// plus its last self-reported queue depth and flush latency, the sample
+// the monitor scores. ok is false until any signal has been observed.
 func (d *Deployment) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
 	s, _ := d.read(id)
 	return s.load, s.load != (treeplan.LoadSignal{})
@@ -297,14 +306,21 @@ func upDown(wu, mu []string) []string {
 
 // The Deployment is the live fabric's treeplan.Topology: planners walk
 // the deployment's single up-down path per host pair and see every
-// deployed box with its current liveness. It is also the live fabric's
-// treeplan.Telemetry: the monitor feeds RTT and heartbeat-carried load
-// into it, LoadAware reads the combined signal back out on every plan, and
-// the monitor scores each box's sample once, right after writing it.
-var (
-	_ treeplan.Topology  = (*Deployment)(nil)
-	_ treeplan.Telemetry = (*Deployment)(nil)
-)
+// deployed box with its current liveness.
+var _ treeplan.Topology = (*Deployment)(nil)
+
+// Plan computes a request's aggregation tree with the deployment's
+// planner: the master's view.
+func (d *Deployment) Plan(req treeplan.Request) treeplan.Tree {
+	return d.planner.Plan(d, req)
+}
+
+// Route computes one worker's box chain with the deployment's planner:
+// the worker's view, the chain Plan holds for it (treeplan's per-worker
+// decomposability).
+func (d *Deployment) Route(req treeplan.Request, worker string) []treeplan.Box {
+	return d.planner.Route(d, req, worker)
+}
 
 // PathSwitches implements treeplan.Topology: the switches on the up-down
 // path from a worker to the master. The hash is ignored — the emulated

@@ -20,7 +20,7 @@ import (
 // twoRackDeployment builds the paper's testbed shape: two racks in one pod,
 // one box per ToR plus one at the pod aggregation switch.
 func twoRackDeployment() *Deployment {
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddHost(Host{Name: "master", Rack: 0, Pod: 0})
 	for i := 0; i < 3; i++ {
 		d.AddHost(Host{Name: hostName(0, i), Rack: 0, Pod: 0})
@@ -37,7 +37,7 @@ func hostName(rack, i int) string {
 }
 
 func TestPathSwitches(t *testing.T) {
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddHost(Host{Name: "w", Rack: 0, Pod: 0})
 	d.AddHost(Host{Name: "rack", Rack: 0, Pod: 0})
 	d.AddHost(Host{Name: "pod", Rack: 1, Pod: 0})
@@ -128,7 +128,7 @@ func TestPlanExpectCounts(t *testing.T) {
 }
 
 func TestPlanNoBoxesDirectDelivery(t *testing.T) {
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddHost(Host{Name: "m", Rack: 0})
 	d.AddHost(Host{Name: "w1", Rack: 0})
 	d.AddHost(Host{Name: "w2", Rack: 1})
@@ -203,11 +203,11 @@ func TestMonitorDetectsDeadBox(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
 
 	failed := make(chan uint64, 1)
-	m := NewMonitor(d, 30*time.Millisecond, 2, quiet, failovers(failed))
+	m := NewMonitor(d, 30*time.Millisecond, quiet, failovers(failed))
 	m.StartContext(t.Context())
 	defer m.Stop()
 
@@ -263,14 +263,14 @@ func TestMonitorDeclaresWedgedBoxDead(t *testing.T) {
 	defer wg.Wait()
 	defer ln.Close()
 
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: ln.Addr().String(), Switch: "tor:0"})
 	// Probes are counted as misses: act runs on the prober right after
 	// the miss that declares the box dead is counted.
 	misses := obs.C("cluster.hb_misses")
 	start := misses.Value()
 	failed := make(chan int64, 4)
-	m := NewMonitor(d, 30*time.Millisecond, 3, quiet, func(id uint64, cause string) int {
+	m := NewMonitor(d, 30*time.Millisecond, quiet, func(id uint64, cause string) int {
 		if cause == "failover" {
 			failed <- misses.Value() - start
 		}
@@ -337,7 +337,7 @@ func TestLastSeenTracking(t *testing.T) {
 }
 
 // TestMonitorDetectionLatency pins the failure-detection bound (§3.1):
-// a box that dies is declared dead within misses×interval of its last
+// a box that dies is declared dead within deadAfter×interval of its last
 // successful heartbeat, plus one interval of probe-phase slack.
 func TestMonitorDetectionLatency(t *testing.T) {
 	reg := agg.NewRegistry()
@@ -347,13 +347,12 @@ func TestMonitorDetectionLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
 
 	const interval = 100 * time.Millisecond
-	const misses = 2
 	failed := make(chan uint64, 1)
-	m := NewMonitor(d, interval, misses, quiet, failovers(failed))
+	m := NewMonitor(d, interval, quiet, failovers(failed))
 	m.StartContext(t.Context())
 	defer m.Stop()
 
@@ -384,16 +383,16 @@ func TestMonitorDetectionLatency(t *testing.T) {
 		t.Fatal("declared-dead box must retain its LastSeen timestamp")
 	}
 	latency := detectedAt.Sub(info.LastSeen)
-	// Worst case: the box dies right after an echo, then `misses`
+	// Worst case: the box dies right after an echo, then deadAfter
 	// full probe intervals must elapse, and the declaring probe itself
 	// waits up to one interval for its echo.
-	bound := time.Duration(misses)*interval + interval
+	bound := deadAfter*interval + interval
 	if latency <= 0 {
 		t.Fatalf("detection latency %v not positive", latency)
 	}
 	if latency > bound {
-		t.Fatalf("detection latency %v exceeds bound %v (misses=%d interval=%v)",
-			latency, bound, misses, interval)
+		t.Fatalf("detection latency %v exceeds bound %v (deadAfter=%d interval=%v)",
+			latency, bound, deadAfter, interval)
 	}
 }
 
@@ -434,11 +433,11 @@ func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 	}
 	defer box.Close()
 
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
 	scored := make(chan int64, 4)
 	policy := treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20}
-	m := NewMonitor(d, 20*time.Millisecond, 3, policy, func(id uint64, cause string) int {
+	m := NewMonitor(d, 20*time.Millisecond, policy, func(id uint64, cause string) int {
 		if cause != "migrate" {
 			t.Errorf("healthy box %d acted on with cause %q", id, cause)
 		}
@@ -509,7 +508,7 @@ func startLoadBox(t *testing.T) *loadBox {
 func TestMonitorScoresCongestion(t *testing.T) {
 	const id = 1 << 32
 	lb := startLoadBox(t)
-	d := NewDeployment()
+	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: id, Addr: lb.srv.Addr(), Switch: "tor:0"})
 
 	// 100 queued tasks read 100,000 µs, far above HotLoadUs and any RTT;
@@ -517,7 +516,7 @@ func TestMonitorScoresCongestion(t *testing.T) {
 	const hotDepth = 100
 	policy := treeplan.ReplanPolicy{HotLoadUs: 50_000, ColdLoadUs: 40_000, HotStreak: 2, CooldownTicks: 1 << 20}
 	acts := make(chan string, 16)
-	m := NewMonitor(d, 30*time.Millisecond, 3, policy, func(got uint64, cause string) int {
+	m := NewMonitor(d, 30*time.Millisecond, policy, func(got uint64, cause string) int {
 		if got != id {
 			t.Errorf("act on box %d, want %d", got, id)
 		}

@@ -31,7 +31,6 @@ import (
 type Monitor struct {
 	dep      *Deployment
 	interval time.Duration
-	misses   int
 	policy   treeplan.ReplanPolicy
 	act      func(id uint64, cause string) int
 
@@ -41,22 +40,21 @@ type Monitor struct {
 	wg     sync.WaitGroup
 }
 
+// deadAfter is how many consecutive missed heartbeats declare a box dead.
+const deadAfter = 3
+
 // NewMonitor creates a monitor probing every box each interval, declaring
-// failure after `misses` consecutive missed heartbeats and scoring
+// failure after deadAfter consecutive missed heartbeats and scoring
 // congestion under policy (zero fields defaulted). act — the signature of
 // shim.Master.Supersede — runs on the box's prober goroutine with cause
 // "failover" or "migrate", and returns how many requests it moved.
-func NewMonitor(dep *Deployment, interval time.Duration, misses int, policy treeplan.ReplanPolicy, act func(id uint64, cause string) int) *Monitor {
+func NewMonitor(dep *Deployment, interval time.Duration, policy treeplan.ReplanPolicy, act func(id uint64, cause string) int) *Monitor {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
-	}
-	if misses <= 0 {
-		misses = 3
 	}
 	return &Monitor{
 		dep:      dep,
 		interval: interval,
-		misses:   misses,
 		policy:   policy,
 		act:      act,
 	}
@@ -143,7 +141,7 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 			// merely slow, instead of staying frozen at its last healthy value
 			// until the box is declared dead.
 			m.dep.ObserveRTT(b.ID, m.interval)
-			if missed >= m.misses && !dead {
+			if missed >= deadAfter && !dead {
 				dead = true
 				if last := m.dep.LastSeen(b.ID); !last.IsZero() {
 					obsDetectMs.Observe(time.Since(last).Milliseconds())

@@ -9,7 +9,7 @@ var (
 	// microseconds (§3.1: the monitor's view of box responsiveness).
 	obsHBRTT = obs.H("cluster.hb_rtt_us")
 	// obsHBMisses counts heartbeat intervals that elapsed without an
-	// echo. Failure is declared after `misses` consecutive ones.
+	// echo. Failure is declared after deadAfter consecutive ones.
 	obsHBMisses = obs.C("cluster.hb_misses")
 	// obsFailures counts boxes declared dead by the monitor.
 	obsFailures = obs.C("cluster.failures_detected")
@@ -17,7 +17,7 @@ var (
 	obsRevivals = obs.C("cluster.revivals")
 	// obsDetectMs is the failure time-to-detection in milliseconds:
 	// from the box's last successful heartbeat to the moment the
-	// monitor declared it dead. Bounded by misses×interval + interval.
+	// monitor declared it dead. Bounded by deadAfter×interval + interval.
 	obsDetectMs = obs.H("cluster.detect_ms")
 )
 

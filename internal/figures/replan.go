@@ -116,17 +116,7 @@ func runReplan(o Options, factor float64, dynamic bool) (*simexp.Result, int) {
 	var dyn *strategies.DynamicNetAgg
 	if dynamic {
 		// A DynamicNetAgg is stateful: each cell gets its own instance.
-		// The policy reads a box as hot at ≥24 concurrent flows on its
-		// processing resource for 2 consecutive 2ms ticks, cold again at
-		// ≤8 — the quiet per-box job load stays under both bounds, so
-		// factor 0 must behave exactly like the static strategy.
-		dyn = &strategies.DynamicNetAgg{
-			Interval: 0.002,
-			Policy: treeplan.ReplanPolicy{
-				HotLoadUs: 24000, ColdLoadUs: 8000,
-				HotStreak: 2, CooldownTicks: 20,
-			},
-		}
+		dyn = &strategies.DynamicNetAgg{}
 		strat = dyn
 	}
 	res := simexp.RunWith(topo, w, strat, simexp.Opts{Prelude: prelude})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -13,13 +14,20 @@ import (
 // stalled or double-counted request. Explicitly assigning to _ is
 // accepted as an audited discard.
 var droppedErrorMethods = map[string]bool{
-	"Write": true, "WriteBatch": true, "Flush": true, "Send": true, "SendAll": true,
+	"Write": true, "WriteBatch": true, "Flush": true,
+	"Send": true, "SendAll": true, "SendPartials": true,
 	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 }
 
-// ErrcheckWire flags statements in core/wire/shim/cluster/transport that
-// call a wire-protocol send/encode function or an io.Writer write and
-// drop the error result (the call is used as a bare statement).
+// errcheckWirePackages are the data-plane packages plus the two
+// applications built on the shims, whose worker sends (SendPartials) lose
+// a partial result just as silently.
+var errcheckWirePackages = slices.Concat(dataPlanePackages, []string{"search", "mapred"})
+
+// ErrcheckWire flags statements in core/wire/shim/cluster/transport and
+// the search and mapred applications that call a wire-protocol
+// send/encode function or an io.Writer write and drop the error result
+// (the call is used as a bare statement).
 //
 // Purely syntactic: a call x.M(...) used as a statement is flagged when M
 // is in droppedErrorMethods, except for in-memory writers recognised by
@@ -37,7 +45,7 @@ func (ErrcheckWire) Doc() string {
 
 // Check is the per-file hook.
 func (ErrcheckWire) Check(f *File, report func(pos token.Pos, msg string)) {
-	if f.Test || !inScope(f, dataPlanePackages...) {
+	if f.Test || !inScope(f, errcheckWirePackages...) {
 		return
 	}
 	ast.Inspect(f.AST, func(n ast.Node) bool {

@@ -508,6 +508,18 @@ func echo(sc serverConn) {
 `,
 			want: []string{"sc.Send is dropped"},
 		},
+		{
+			name: "application on the shims in scope: dropped SendPartials flagged",
+			path: "internal/search/x.go",
+			src: `package search
+type worker struct{}
+func (worker) SendPartials(parts [][]byte) error { return nil }
+func answer(w worker, parts [][]byte) {
+	w.SendPartials(parts)
+}
+`,
+			want: []string{"w.SendPartials is dropped"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

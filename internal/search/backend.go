@@ -1,6 +1,8 @@
 package search
 
 import (
+	"log"
+
 	"netagg/internal/agg"
 	"netagg/internal/shim"
 	"netagg/internal/testbed"
@@ -59,5 +61,7 @@ func (b *Backend) answer(req uint64, q *Query) {
 			break
 		}
 	}
-	b.shim.SendPartials(b.cfg.App, req, b.idx, testbed.MasterHost, parts, b.cfg.Trees)
+	if err := b.shim.SendPartials(b.cfg.App, req, b.idx, testbed.MasterHost, parts, b.cfg.Trees); err != nil {
+		log.Printf("search: backend %s sending request %d: %v", b.host, req, err)
+	}
 }

@@ -17,7 +17,7 @@ import (
 // with the attempt count, the request deregistered, and no timer left
 // running (the leak checker in TestMain would catch a stray one).
 func TestRedirectBudgetExhausted(t *testing.T) {
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	dep.AddHost(cluster.Host{Name: "w0", Rack: 0, Pod: 0})
 
@@ -54,22 +54,26 @@ func TestRedirectBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestLoadAwarePlannerEndToEnd runs a live aggregation with master and
-// worker shims sharing a LoadAware planner whose telemetry marks the first
-// box hot: the request must complete through the cold box while the hot
-// box sees no aggregation traffic.
+// TestLoadAwarePlannerEndToEnd runs a live aggregation over a deployment
+// planned by a LoadAware planner whose telemetry marks the first box hot:
+// the request must complete through the cold box while the hot box sees
+// no aggregation traffic.
 func TestLoadAwarePlannerEndToEnd(t *testing.T) {
 	reg := agg.NewRegistry()
 	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
 
-	dep := cluster.NewDeployment()
+	// A near-saturated hot box, in the one planner the deployment's master
+	// and workers all plan with.
+	hotID, coldID := uint64(1)<<32, uint64(2)<<32
+	dep := cluster.NewDeployment(treeplan.LoadAware{Telemetry: treeplan.StaticTelemetry{
+		hotID: {QueueDepth: 1 << 20, FlushUs: 500000},
+	}})
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	hosts := []cluster.Host{
 		{Name: "w0", Rack: 0, Pod: 0},
 		{Name: "w1", Rack: 0, Pod: 0},
 	}
 	var boxes []*core.Box
-	hotID, coldID := uint64(1)<<32, uint64(2)<<32
 	for i, id := range []uint64{hotID, coldID} {
 		box, err := core.Start(core.Config{ID: id, Registry: reg, Workers: 2, SchedSeed: int64(i + 1)})
 		if err != nil {
@@ -84,16 +88,10 @@ func TestLoadAwarePlannerEndToEnd(t *testing.T) {
 		}
 	}()
 
-	// A near-saturated hot box; every shim must hold the same telemetry
-	// view, mirroring how testbed.Testbed.Telemetry is shared.
-	planner := treeplan.LoadAware{Telemetry: treeplan.StaticTelemetry{
-		hotID: {QueueDepth: 1 << 20, FlushUs: 500000},
-	}}
-
 	workers := make(map[string]*Worker)
 	for _, h := range hosts {
 		dep.AddHost(h)
-		w, err := NewWorker(WorkerConfig{Host: h, Deployment: dep, Planner: planner})
+		w, err := NewWorker(WorkerConfig{Host: h, Deployment: dep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +101,6 @@ func TestLoadAwarePlannerEndToEnd(t *testing.T) {
 	master, err := NewMaster(MasterConfig{
 		Host:       cluster.Host{Name: "master", Rack: 0, Pod: 0},
 		Deployment: dep,
-		Planner:    planner,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func poolBalance(t *testing.T, before bufpool.Stats, wait time.Duration) {
 // error with the buffered part back in the pool — at once, not whenever
 // the garbage collector finds it.
 func TestErrorAfterDeliveryReleasesBuffers(t *testing.T) {
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master"})
 	dep.AddHost(cluster.Host{Name: "w0"})
 	m, err := NewMaster(MasterConfig{Host: cluster.Host{Name: "master"}, Deployment: dep})

@@ -29,7 +29,7 @@ func (m *Master) Fanout(app string, req uint64, inner []byte, targets map[string
 	// Fanout reuses the aggregation planner in reverse: the chain a
 	// worker's partials would traverse towards the master, flipped, is
 	// the master's replication route towards that worker.
-	plan := m.planner.Plan(dep, treeplan.NewRequest(req, 0, 0, m.cfg.Host.Name, workers))
+	plan := dep.Plan(treeplan.NewRequest(req, 0, 0, m.cfg.Host.Name, workers))
 	f := wire.FanoutPayload{Inner: inner}
 	for _, worker := range workers {
 		chain := plan.Routes[worker]

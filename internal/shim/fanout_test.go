@@ -87,7 +87,7 @@ func TestFanoutDeliversOncePerTarget(t *testing.T) {
 }
 
 func TestFanoutDirectWhenNoBoxes(t *testing.T) {
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0})
 	dep.AddHost(cluster.Host{Name: "w0", Rack: 0})
 	dep.AddHost(cluster.Host{Name: "w1", Rack: 1})

@@ -27,13 +27,6 @@ type MasterConfig struct {
 	// NIC optionally paces the master's traffic (the 1 Gbps frontend link
 	// whose congestion NetAgg relieves).
 	NIC *netem.NIC
-	// Planner chooses the aggregation trees for submits and redirects
-	// (nil = treeplan.OnPath, the paper's hash-on-path planner). Master
-	// and worker shims of one deployment must be configured with
-	// equivalent planners: they coordinate only through the hashed
-	// request identifier, so divergent planners mean divergent trees
-	// until the straggler timer re-syncs them.
-	Planner treeplan.Planner
 	// StragglerTimeout redirects a request that has not completed in time
 	// (§3.1 "Handling stragglers"); 0 disables recovery.
 	StragglerTimeout time.Duration
@@ -127,11 +120,10 @@ type srcKey struct {
 
 // Master is a master host's shim layer.
 type Master struct {
-	cfg     MasterConfig
-	planner treeplan.Planner
-	srv     *transport.Server
-	pool    *transport.Pool // to the boxes
-	ctl     *transport.Pool // to the workers' control listeners
+	cfg  MasterConfig
+	srv  *transport.Server
+	pool *transport.Pool // to the boxes
+	ctl  *transport.Pool // to the workers' control listeners
 
 	mu      sync.Mutex
 	pending map[pendKey]*Pending
@@ -165,12 +157,8 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("shim: master requires a deployment")
 	}
-	if cfg.Planner == nil {
-		cfg.Planner = treeplan.OnPath{}
-	}
 	m := &Master{
 		cfg:     cfg,
-		planner: cfg.Planner,
 		pending: make(map[pendKey]*Pending),
 		notices: make(map[noticeKey]*[]uint64),
 	}
@@ -277,7 +265,7 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	return p, nil
 }
 
-// arm plans an attempt through the configured planner, announces
+// arm plans an attempt through the deployment's planner, announces
 // expectations to the boxes, and starts the straggler timer. A request
 // that completed (or failed) while the attempt was being planned is left
 // untouched: arming must never resurrect a finished request's timer. So is
@@ -293,8 +281,7 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 func (m *Master) arm(p *Pending, attempt int, avoid uint64) (armed bool, err error) {
 	trees := make([]treeplan.Tree, p.trees)
 	for tr := range trees {
-		trees[tr] = m.planner.Plan(m.cfg.Deployment,
-			treeplan.NewRequest(p.req, tr, attempt, m.cfg.Host.Name, p.workers))
+		trees[tr] = m.cfg.Deployment.Plan(treeplan.NewRequest(p.req, tr, attempt, m.cfg.Host.Name, p.workers))
 		if _, still := trees[tr].Expect[avoid]; still {
 			return false, nil
 		}

@@ -12,7 +12,7 @@ import (
 // driven directly with constructed frames.
 func newDirectMaster(t *testing.T) (*Master, *Pending) {
 	t.Helper()
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	dep.AddHost(cluster.Host{Name: "w0", Rack: 0, Pod: 0})
 	dep.AddHost(cluster.Host{Name: "w1", Rack: 0, Pod: 0})

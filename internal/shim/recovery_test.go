@@ -258,7 +258,7 @@ func TestReannounceSendsTheArmedCounts(t *testing.T) {
 
 	r.dep.MarkAlive(tor1)
 	r.dep.MarkAlive(agg0)
-	if n := r.master.planner.Plan(r.dep, treeplan.NewRequest(req, 0, 0, "master", workers)).Expect[a]; n != 3 {
+	if n := r.dep.Plan(treeplan.NewRequest(req, 0, 0, "master", workers)).Expect[a]; n != 3 {
 		t.Fatalf("a fresh plan gives box A %d sources, want 3", n)
 	}
 	front.Cut()

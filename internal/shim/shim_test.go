@@ -28,7 +28,7 @@ func newRig(t *testing.T, stragglerTimeout time.Duration) *rig {
 	reg := agg.NewRegistry()
 	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
 
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	hosts := []cluster.Host{
 		{Name: "w0", Rack: 0, Pod: 0},
@@ -170,7 +170,7 @@ func TestEndToEndNoBoxes(t *testing.T) {
 	// receives every worker's raw parts.
 	reg := agg.NewRegistry()
 	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0})
 	dep.AddHost(cluster.Host{Name: "w0", Rack: 0})
 	dep.AddHost(cluster.Host{Name: "w1", Rack: 1})

@@ -169,7 +169,7 @@ func TestAttemptArmedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer box.Close()
-	dep := cluster.NewDeployment()
+	dep := cluster.NewDeployment(nil)
 	dep.AddHost(cluster.Host{Name: "master"})
 	dep.AddHost(cluster.Host{Name: "w0"})
 	dep.AddBox(cluster.BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
@@ -254,8 +254,7 @@ func TestStragglerAndSupersedeRace(t *testing.T) {
 }
 
 // countingPlanner counts what a shim asks its planner for: a worker's
-// routes in plans, whole trees — which a worker shim has no use for — in
-// trees.
+// routes in plans, whole trees in trees.
 type countingPlanner struct {
 	treeplan.OnPath
 	plans, trees atomic.Int64
@@ -271,16 +270,29 @@ func (c *countingPlanner) Route(topo treeplan.Topology, req treeplan.Request, wo
 	return c.OnPath.Route(topo, req, worker)
 }
 
-// TestRedirectRemembersTargets pins what a redirect costs the planner: an
-// applied redirect asks for its route once a tree — for the new attempt,
-// never for the superseded one and never for the tree around it — and a
-// duplicate, which the remembered lastAttempt turns away, asks for nothing.
+// TestRedirectRemembersTargets pins what the one planner of a deployment
+// is asked by each end. A worker's applied redirect asks for its route
+// once a tree — for the new attempt, never for the superseded one and
+// never for the tree around it — and a duplicate, which the remembered
+// lastAttempt turns away, asks for nothing; a master's Submit asks for one
+// whole tree a tree and no route.
 func TestRedirectRemembersTargets(t *testing.T) {
 	const trees = 2
 	r := newRig(t, 0)
 	r.addBox(t, 4<<32, "tor:0")
+	// A deployment of the rig's hosts, boxes and result address, planned
+	// by the counting planner.
 	planner := &countingPlanner{}
-	w, err := NewWorker(WorkerConfig{Host: cluster.Host{Name: "w0"}, Deployment: r.dep, Planner: planner})
+	dep := cluster.NewDeployment(planner)
+	for _, name := range []string{"master", "w0", "w1", "w2", "w3"} {
+		dep.AddHost(mustHost(t, r.dep, name))
+	}
+	for _, b := range r.dep.Boxes() {
+		dep.AddBox(b)
+	}
+	resultAddr, _ := r.dep.ResultAddr("master")
+	dep.SetResultAddr("master", resultAddr)
+	w, err := NewWorker(WorkerConfig{Host: cluster.Host{Name: "w0"}, Deployment: dep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +301,8 @@ func TestRedirectRemembersTargets(t *testing.T) {
 	// The marks decide the route whatever the trees hash to: tor:0 has one
 	// box that is not congested, and every tree starts there.
 	const req = 0x7A00
-	first, other := mustBox(t, r.dep, 1<<32), mustBox(t, r.dep, 4<<32)
-	r.dep.MarkCongested(other.ID, true)
+	const first, other = 1 << 32, 4 << 32
+	dep.MarkCongested(other, true)
 	redirect := func(attempt int) (plans int64) {
 		before := planner.plans.Load()
 		w.applyRedirect(&wire.Msg{Type: wire.TRedirect, App: "wc", Req: req, Payload: wire.EncodeCount(attempt)})
@@ -305,8 +317,8 @@ func TestRedirectRemembersTargets(t *testing.T) {
 	}
 
 	// The marks swap after the send: attempt 1 goes to the other box.
-	r.dep.MarkCongested(other.ID, false)
-	r.dep.MarkCongested(first.ID, true)
+	dep.MarkCongested(other, false)
+	dep.MarkCongested(first, true)
 	if n := redirect(1); n != trees {
 		t.Fatalf("redirect 1 planned %d times, want once per tree (%d)", n, trees)
 	}
@@ -316,8 +328,8 @@ func TestRedirectRemembersTargets(t *testing.T) {
 
 	// They swap back, and then a redirect keeps the route: each is one
 	// Route a tree all the same.
-	r.dep.MarkCongested(first.ID, false)
-	r.dep.MarkCongested(other.ID, true)
+	dep.MarkCongested(first, false)
+	dep.MarkCongested(other, true)
 	for attempt := 2; attempt <= 3; attempt++ {
 		if n := redirect(attempt); n != trees {
 			t.Fatalf("redirect %d planned %d times, want once per tree (%d)", attempt, n, trees)
@@ -326,6 +338,33 @@ func TestRedirectRemembersTargets(t *testing.T) {
 	if n := planner.trees.Load(); n != 0 {
 		t.Fatalf("the worker shim built %d whole trees; it only ever needs its own route", n)
 	}
+
+	// The master side of the same deployment plans whole trees only. It
+	// comes last because it takes over the deployment's result address.
+	m, err := NewMaster(MasterConfig{Host: cluster.Host{Name: "master"}, Deployment: dep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	plans := planner.plans.Load()
+	if _, err := m.Submit("wc", req+1, []string{"w0", "w1"}, trees); err != nil {
+		t.Fatal(err)
+	}
+	if n := planner.trees.Load(); n != trees {
+		t.Fatalf("a Submit planned %d trees, want one per tree (%d)", n, trees)
+	}
+	if n := planner.plans.Load() - plans; n != 0 {
+		t.Fatalf("a Submit asked for %d worker routes, want 0", n)
+	}
+}
+
+func mustHost(t *testing.T, dep *cluster.Deployment, name string) cluster.Host {
+	t.Helper()
+	h, ok := dep.Host(name)
+	if !ok {
+		t.Fatalf("host %q not deployed", name)
+	}
+	return h
 }
 
 // TestBufferedSendSize pins the retained record to its 112-byte size

@@ -29,10 +29,6 @@ type WorkerConfig struct {
 	Deployment *cluster.Deployment
 	// NIC optionally paces this host's traffic (1 Gbps edge link).
 	NIC *netem.NIC
-	// Planner chooses this worker's box routes (nil = treeplan.OnPath).
-	// It must match the master shim's planner — see
-	// MasterConfig.Planner.
-	Planner treeplan.Planner
 }
 
 // retention bounds how long sent partial results stay buffered for
@@ -42,10 +38,9 @@ const retention = 30 * time.Second
 
 // Worker is a worker host's shim layer.
 type Worker struct {
-	cfg     WorkerConfig
-	planner treeplan.Planner
-	pool    *transport.Pool
-	ctl     *transport.Server
+	cfg  WorkerConfig
+	pool *transport.Pool
+	ctl  *transport.Server
 
 	mu       sync.Mutex
 	buffered map[bufKey]*bufferedSend
@@ -87,12 +82,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("shim: worker requires a deployment")
 	}
-	if cfg.Planner == nil {
-		cfg.Planner = treeplan.OnPath{}
-	}
 	w := &Worker{
 		cfg:      cfg,
-		planner:  cfg.Planner,
 		buffered: make(map[bufKey]*bufferedSend),
 	}
 	w.pool = transport.NewPool(transport.Options{NIC: cfg.NIC, OnLost: w.resend})
@@ -184,7 +175,7 @@ func (w *Worker) expireLocked(now time.Time) {
 }
 
 // send transmits the buffered request at the given recovery attempt,
-// asking the configured planner for this worker's route alone (per-worker
+// asking the deployment's planner for this worker's route alone (per-worker
 // decomposability guarantees it is the chain the master's tree holds for
 // the same attempt). With only set, it sends just the trees whose route
 // starts at that address. It reports how many trees it sent.
@@ -204,7 +195,7 @@ func (w *Worker) send(b *bufferedSend, attempt int, only string) (int, error) {
 	sent := 0
 	for tree := 0; tree < b.trees; tree++ {
 		wireReq := cluster.WireReq(b.req, tree, attempt)
-		chain := w.planner.Route(dep, treeplan.NewRequest(b.req, tree, attempt, b.master, nil), w.cfg.Host.Name)
+		chain := dep.Route(treeplan.NewRequest(b.req, tree, attempt, b.master, nil), w.cfg.Host.Name)
 		target := resultAddr
 		if len(chain) > 0 {
 			target = chain[0].Addr

@@ -30,7 +30,7 @@ func benchDynScenario(b *testing.B, dynamic bool) int {
 
 	var strat Strategy = NetAgg{}
 	if dynamic {
-		strat = &DynamicNetAgg{Interval: 0.002, Policy: dynPolicy()}
+		strat = &DynamicNetAgg{}
 	}
 	jf := strat.AddJob(net, job, 0.1)
 	net.Sim.Run()

@@ -1,20 +1,35 @@
 package strategies
 
 import (
-	"fmt"
-
 	"netagg/internal/simnet"
 	"netagg/internal/topology"
 	"netagg/internal/treeplan"
 	"netagg/internal/workload"
 )
 
+// dynInterval is DynamicNetAgg's scoring tick in simulated seconds, the
+// simulator analogue of the live failure monitor's heartbeat.
+const dynInterval = 0.002
+
+// dynPolicy is DynamicNetAgg's hysteresis. Load is scored as
+// treeplan.LoadUs over a queue depth equal to the number of flows
+// currently crossing the box's processing resource, so HotLoadUs of
+// N×1000 means "N concurrent flows on the box": a box is hot at ≥24
+// concurrent flows for 2 consecutive ticks, cold again at ≤8. The quiet
+// per-box job load of Fig replan stays under both bounds, so its churn
+// factor 0 behaves exactly like the static strategy.
+var dynPolicy = treeplan.ReplanPolicy{
+	HotLoadUs: 24000, ColdLoadUs: 8000,
+	HotStreak: 2, CooldownTicks: 20,
+}
+
 // DynamicNetAgg is NetAgg with congestion-aware dynamic aggregation trees
-// (DESIGN.md §16): it plans jobs exactly like NetAgg, then keeps scoring
-// every agg box on a simulated-time tick through the same
-// treeplan.Hysteresis that the live fabric's failure monitor steps.
+// (DESIGN.md §16): it plans jobs exactly like the zero NetAgg (one tree,
+// treeplan.OnPath), then keeps scoring every agg box each dynInterval
+// through the same treeplan.Hysteresis that the live fabric's failure
+// monitor steps.
 // When a box turns congested mid-job, every incomplete job routed through
-// it migrates: the job's current flows are truncated and the trees are
+// it migrates: the job's current flows are truncated and the tree is
 // re-planned against a topology view with the congested boxes marked
 // Slow, re-sending the partial results in full from the workers — the
 // simulator's rendition of the attempt-epoch full resend the live shims
@@ -24,23 +39,6 @@ import (
 // give each simulation run its own instance (figures construct one per
 // scenario cell).
 type DynamicNetAgg struct {
-	// Trees, Mode, and Planner mean the same as on NetAgg. The planner is
-	// consulted for the initial plan and again on every migration, each
-	// time through the congestion-marked topology view.
-	Trees   int
-	Mode    ReduceMode
-	Planner treeplan.Planner
-	// Interval is the replanning tick period in simulated seconds
-	// (default 0.005 — the simulator analogue of the live failure
-	// monitor's 500ms heartbeat against wall-clock job times three orders
-	// larger).
-	Interval float64
-	// Policy is the hysteresis/cooldown policy. Load is scored as
-	// treeplan.LoadUs over a queue depth equal to the number of flows
-	// currently crossing the box's processing resource, so HotLoadUs
-	// of N×1000 means "N concurrent flows on the box".
-	Policy treeplan.ReplanPolicy
-
 	// Migrations counts subtree migrations performed (one per affected
 	// job per congestion event), summed over every run this instance saw.
 	Migrations int
@@ -78,17 +76,7 @@ func (dj *dynJob) done(sim *simnet.Sim) bool {
 }
 
 // Name implements Strategy.
-func (n *DynamicNetAgg) Name() string {
-	if n.Trees > 1 {
-		return fmt.Sprintf("netagg-dynamic-%dtrees", n.Trees)
-	}
-	return "netagg-dynamic"
-}
-
-// base is the static strategy the dynamic one plans through.
-func (n *DynamicNetAgg) base() NetAgg {
-	return NetAgg{Trees: n.Trees, Mode: n.Mode, Planner: n.Planner}
-}
+func (n *DynamicNetAgg) Name() string { return "netagg-dynamic" }
 
 // view is the planner's congestion-marked topology.
 func (st *dynState) view() treeplan.Topology {
@@ -98,17 +86,10 @@ func (st *dynState) view() treeplan.Topology {
 // AddJob implements Strategy.
 func (n *DynamicNetAgg) AddJob(net *simnet.Network, job *workload.Job, alpha float64) JobFlows {
 	st := n.stateFor(net)
-	trees := n.Trees
-	if trees < 1 {
-		trees = 1
-	}
 	dj := &dynJob{job: job, alpha: alpha, extra: &ExtraFlows{}, boxes: make(map[topology.NodeID]bool)}
 	var jf JobFlows
-	base := n.base()
-	for tr := 0; tr < trees; tr++ {
-		for _, b := range base.addTree(net, st.view(), job, alpha, tr, trees, 0, &jf) {
-			dj.boxes[b] = true
-		}
+	for _, b := range (NetAgg{}).addTree(net, st.view(), job, alpha, 0, 1, 0, &jf) {
+		dj.boxes[b] = true
 	}
 	dj.live = jf.All
 	dj.finals = jf.Finals
@@ -134,19 +115,15 @@ func (n *DynamicNetAgg) stateFor(net *simnet.Network) *dynState {
 		hyst:  make([]treeplan.Hysteresis, len(boxes)),
 	}
 	n.state[net.Sim] = st
-	interval := n.Interval
-	if interval <= 0 {
-		interval = 0.005
-	}
 	// Self-rearming tick: the chain stops once every job has delivered,
 	// so the timers never keep an otherwise finished simulation alive.
 	var tick func()
 	tick = func() {
 		if n.tick(st) {
-			net.Sim.At(net.Sim.Now()+interval, tick)
+			net.Sim.At(net.Sim.Now()+dynInterval, tick)
 		}
 	}
-	net.Sim.At(interval, tick)
+	net.Sim.At(dynInterval, tick)
 	return st
 }
 
@@ -159,7 +136,7 @@ func (n *DynamicNetAgg) tick(st *dynState) bool {
 	var migrateFrom []topology.NodeID
 	for i, b := range st.boxes {
 		depth := int64(sim.ResourceActiveFlows(st.net.Topo.ProcResource(b)))
-		hot, changed, migrate := st.hyst[i].Step(n.Policy, treeplan.LoadUs(treeplan.LoadSignal{QueueDepth: depth}))
+		hot, changed, migrate := st.hyst[i].Step(dynPolicy, treeplan.LoadUs(treeplan.LoadSignal{QueueDepth: depth}))
 		if !changed {
 			continue
 		}
@@ -184,17 +161,12 @@ func (n *DynamicNetAgg) tick(st *dynState) bool {
 }
 
 // migrate moves every incomplete job off a congested box: the current
-// attempt's flows are truncated and the trees re-planned and re-sent in
+// attempt's flows are truncated and the tree re-planned and re-sent in
 // full from the current time — the simulator analogue of the live
 // master's Supersede → TRedirect → attempt-epoch full resend.
 func (n *DynamicNetAgg) migrate(st *dynState, box topology.NodeID) {
 	sim := st.net.Sim
 	now := sim.Now()
-	trees := n.Trees
-	if trees < 1 {
-		trees = 1
-	}
-	base := n.base()
 	for _, dj := range st.jobs {
 		if !dj.boxes[box] || dj.done(sim) {
 			continue
@@ -204,10 +176,8 @@ func (n *DynamicNetAgg) migrate(st *dynState, box topology.NodeID) {
 		}
 		var tmp JobFlows
 		dj.boxes = make(map[topology.NodeID]bool)
-		for tr := 0; tr < trees; tr++ {
-			for _, b := range base.addTree(st.net, st.view(), dj.job, dj.alpha, tr, trees, now, &tmp) {
-				dj.boxes[b] = true
-			}
+		for _, b := range (NetAgg{}).addTree(st.net, st.view(), dj.job, dj.alpha, 0, 1, now, &tmp) {
+			dj.boxes[b] = true
 		}
 		dj.live = tmp.All
 		dj.finals = tmp.Finals

@@ -5,7 +5,6 @@ import (
 
 	"netagg/internal/simnet"
 	"netagg/internal/topology"
-	"netagg/internal/treeplan"
 )
 
 // dynTopo builds a small Clos with two boxes per switch so migration has
@@ -46,12 +45,6 @@ func burnBoxes(net *simnet.Network, topo *topology.Topology, boxes []topology.No
 	})
 }
 
-// dynPolicy is the test hysteresis: a box is hot at ≥24 concurrent flows
-// on its processing resource, cold again at ≤8, after 2 ticks each way.
-func dynPolicy() treeplan.ReplanPolicy {
-	return treeplan.ReplanPolicy{HotLoadUs: 24000, ColdLoadUs: 8000, HotStreak: 2, CooldownTicks: 20}
-}
-
 // runDynScenario runs one job under congestion churn: burners land on
 // the hot boxes shortly after the job starts. It returns the job
 // completion time and the migration count (0 for the static strategy).
@@ -67,7 +60,7 @@ func runDynScenario(t *testing.T, dynamic bool) (float64, int) {
 	var strat Strategy = NetAgg{}
 	var dyn *DynamicNetAgg
 	if dynamic {
-		dyn = &DynamicNetAgg{Interval: 0.002, Policy: dynPolicy()}
+		dyn = &DynamicNetAgg{}
 		strat = dyn
 	}
 	jf := strat.AddJob(net, job, 0.1)
@@ -124,7 +117,7 @@ func TestDynamicNetAggQuietNoMigration(t *testing.T) {
 	topo2, _, _ := dynTopo(t)
 	job2 := crossRackJob(topo2, 4, 4, 4e7)
 	net2 := simnet.NewNetwork(topo2)
-	dyn := &DynamicNetAgg{Interval: 0.002, Policy: dynPolicy()}
+	dyn := &DynamicNetAgg{}
 	jf2 := dyn.AddJob(net2, job2, 0.1)
 	net2.Sim.Run()
 

@@ -92,7 +92,7 @@ func (n NetAgg) addTree(net *simnet.Network, view treeplan.Topology, job *worklo
 		workers[i] = simNodeName(w)
 	}
 	planned := planner.Plan(view, treeplan.Request{
-		Req: uint64(job.ID), Tree: tree, Hash: h,
+		Hash:    h,
 		Master:  simNodeName(job.Master),
 		Workers: workers,
 	})

@@ -41,8 +41,8 @@ type Config struct {
 	Registry *agg.Registry
 	// BoxWorkers is each box's scheduler pool size (0 = 4).
 	BoxWorkers int
-	// Planner selects the tree planner every shim uses (nil = the
-	// paper's treeplan.OnPath). Master and workers always share it.
+	// Planner is the deployment's tree planner, the one every shim plans
+	// with (nil = the paper's treeplan.OnPath).
 	Planner treeplan.Planner
 	// StragglerTimeout enables master-side recovery.
 	StragglerTimeout time.Duration
@@ -89,7 +89,7 @@ func New(cfg Config) (*Testbed, error) {
 	}
 
 	tb := &Testbed{
-		Dep:     cluster.NewDeployment(),
+		Dep:     cluster.NewDeployment(cfg.Planner),
 		Workers: make(map[string]*shim.Worker),
 		nics:    make(map[string]*netem.NIC),
 	}
@@ -151,7 +151,6 @@ func New(cfg Config) (*Testbed, error) {
 			Host:       h,
 			Deployment: tb.Dep,
 			NIC:        nic(name, cfg.EdgeGbps),
-			Planner:    cfg.Planner,
 		})
 		if err != nil {
 			tb.Close()
@@ -163,7 +162,6 @@ func New(cfg Config) (*Testbed, error) {
 		Host:             masterHost,
 		Deployment:       tb.Dep,
 		NIC:              nic(MasterHost, cfg.EdgeGbps),
-		Planner:          cfg.Planner,
 		StragglerTimeout: cfg.StragglerTimeout,
 	})
 	if err != nil {
@@ -227,7 +225,7 @@ func (tb *Testbed) WorkerHosts() []string { return tb.workers }
 // superseded ("migrate"). New starts none of this, so no heartbeat
 // connection enters a run that did not ask for one.
 func (tb *Testbed) StartControl(ctx context.Context, interval time.Duration, policy treeplan.ReplanPolicy) (stop func()) {
-	mon := cluster.NewMonitor(tb.Dep, interval, 0, policy, tb.Master.Supersede)
+	mon := cluster.NewMonitor(tb.Dep, interval, policy, tb.Master.Supersede)
 	mon.StartContext(ctx)
 	tb.controlStop = mon.Stop
 	return mon.Stop

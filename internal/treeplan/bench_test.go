@@ -12,7 +12,7 @@ import (
 // 4 racks of 8 workers in one pod, two boxes per ToR and at the pod
 // aggregation switch.
 func benchDeployment() (*cluster.Deployment, []string) {
-	d := cluster.NewDeployment()
+	d := cluster.NewDeployment(nil)
 	d.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	var workers []string
 	for r := 0; r < 4; r++ {

@@ -9,8 +9,8 @@ import "time"
 // unchanged, so the surviving boxes' choices shift deterministically and
 // every shim shifts the same way.
 //
-// It is behavior-identical to the pre-refactor cluster.Deployment.Plan
-// (the oracle test pins this), so swapping planners is purely additive.
+// TestOnPathMatchesLegacyPlanOracle pins it to an independent replay of
+// that algorithm.
 type OnPath struct{}
 
 // Plan implements Planner.

@@ -17,10 +17,12 @@
 // switch, and Plan and Route are the same walk over it (see walk). A new
 // planner must preserve it.
 //
-// The same Planner serves the live fabric (cluster.Deployment implements
-// Topology over hosts and deployed boxes) and the simulator
-// (strategies.NetAgg adapts topology.Topology), so planner experiments
-// run unchanged in both worlds.
+// The same Planner serves the live fabric and the simulator, so planner
+// experiments run unchanged in both worlds. On the live fabric a
+// cluster.Deployment implements Topology over hosts and deployed boxes and
+// holds the one Planner its master and worker shims all plan with
+// (Deployment.Plan, Deployment.Route); strategies.NetAgg adapts
+// topology.Topology.
 package treeplan
 
 import (
@@ -49,17 +51,14 @@ type Box struct {
 
 // Request identifies one aggregation tree to plan.
 type Request struct {
-	// Req is the application-level request identifier.
-	Req uint64
-	// Tree is the aggregation tree index within the request (§3.1
-	// "Multiple aggregation trees per application").
-	Tree int
-	// Attempt is the recovery attempt being planned (0 = first try).
-	// OnPath ignores it — replans change only by excluding boxes that
-	// died — but planners may use it to diversify retries.
+	// Attempt is the recovery attempt being planned (0 = first try). No
+	// planner chooses by it — replans change only by excluding boxes that
+	// died or turned congested — it only feeds the plan.replans counter.
 	Attempt int
 	// Hash is the request/tree hash every consistent-planning decision
-	// derives from. NewRequest fills it with RequestHash; the simulator
+	// derives from, the one thing a planner knows of the request
+	// identifier and the tree index (§3.1 "Multiple aggregation trees per
+	// application"). NewRequest fills it with RequestHash; the simulator
 	// supplies its own per-job hash so simulated ECMP and box choices
 	// stay aligned with the rest of the simulation.
 	Hash uint64
@@ -75,9 +74,9 @@ type Request struct {
 // NewRequest builds a Request with the canonical live-fabric Hash.
 func NewRequest(req uint64, tree, attempt int, master string, workers []string) Request {
 	return Request{
-		Req: req, Tree: tree, Attempt: attempt,
-		Hash:   RequestHash(req, tree),
-		Master: master, Workers: workers,
+		Attempt: attempt,
+		Hash:    RequestHash(req, tree),
+		Master:  master, Workers: workers,
 	}
 }
 

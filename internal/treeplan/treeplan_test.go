@@ -16,7 +16,7 @@ import (
 // switches (0-3 per switch), and a random subset of boxes marked dead.
 // Returns the deployment, the worker names, and the live box count.
 func randDeployment(rn *rand.Rand) (*cluster.Deployment, []string) {
-	d := cluster.NewDeployment()
+	d := cluster.NewDeployment(nil)
 	d.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	var workers []string
 	pods := 1 + rn.Intn(3)
@@ -261,7 +261,7 @@ func TestPerWorkerDecomposability(t *testing.T) {
 // and one cold box at a switch, the hot box's share of picks collapses
 // while an idle fleet splits requests roughly evenly.
 func TestLoadAwareSteersOffHotBox(t *testing.T) {
-	d := cluster.NewDeployment()
+	d := cluster.NewDeployment(nil)
 	d.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	d.AddHost(cluster.Host{Name: "w", Rack: 0, Pod: 0})
 	hotID, coldID := uint64(1)<<32, uint64(2)<<32
