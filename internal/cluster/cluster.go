@@ -74,7 +74,7 @@ type boxState struct {
 func (s *boxState) plannerBox() treeplan.Box {
 	return treeplan.Box{
 		ID: s.info.ID, Addr: s.info.Addr, Switch: s.info.Switch,
-		Dead: s.dead, Slow: s.congested,
+		Dead: s.dead, Slow: s.congested, Load: treeplan.LoadBucket(s.load),
 	}
 }
 
@@ -258,17 +258,18 @@ func (d *Deployment) MarkCongested(id uint64, congested bool) {
 // ObserveLoad records a box's self-reported load signal — scheduler
 // queue depth and flush-latency EWMA — delivered in its heartbeat echo
 // (wire.DecodeLoad). The failure monitor calls it; together with the
-// RTT EWMA it makes up BoxSignal.
+// RTT EWMA it is the load the monitor scores and planners see as
+// treeplan.Box.Load.
 func (d *Deployment) ObserveLoad(id uint64, queueDepth int, flushUs int64) {
 	d.update(id, func(s *boxState) {
 		s.load.QueueDepth, s.load.FlushUs = int64(queueDepth), flushUs
 	})
 }
 
-// ObserveRTT folds one heartbeat round-trip sample into the box's
-// smoothed RTT (EWMA, ⅞ old + ⅛ new). The failure monitor calls it; the
-// smoothed value is BoxSignal's RTTUs.
-func (d *Deployment) ObserveRTT(id uint64, rtt time.Duration) {
+// observeRTT folds one heartbeat round-trip sample into the box's
+// smoothed RTT (EWMA, ⅞ old + ⅛ new), the load's RTTUs. The failure
+// monitor calls it.
+func (d *Deployment) observeRTT(id uint64, rtt time.Duration) {
 	d.update(id, func(s *boxState) {
 		us := rtt.Microseconds()
 		if s.load.RTTUs != 0 { // the first sample seeds the average
@@ -276,14 +277,6 @@ func (d *Deployment) ObserveRTT(id uint64, rtt time.Duration) {
 		}
 		s.load.RTTUs = us
 	})
-}
-
-// BoxSignal returns the monitor-fed load of a box: heartbeat RTT EWMA
-// plus its last self-reported queue depth and flush latency, the sample
-// the monitor scores. ok is false until any signal has been observed.
-func (d *Deployment) BoxSignal(id uint64) (treeplan.LoadSignal, bool) {
-	s, _ := d.read(id)
-	return s.load, s.load != (treeplan.LoadSignal{})
 }
 
 // upDown joins two hosts' up-paths where they first meet: up the worker's

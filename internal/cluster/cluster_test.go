@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -398,8 +400,8 @@ func TestMonitorDetectionLatency(t *testing.T) {
 
 // rttUs reads a box's smoothed heartbeat RTT out of its load signal.
 func rttUs(d *Deployment, id uint64) int64 {
-	sig, _ := d.BoxSignal(id)
-	return sig.RTTUs
+	s, _ := d.read(id)
+	return s.load.RTTUs
 }
 
 func TestObserveRTTEWMA(t *testing.T) {
@@ -407,15 +409,40 @@ func TestObserveRTTEWMA(t *testing.T) {
 	if got := rttUs(d, 1<<32); got != 0 {
 		t.Fatalf("unseen box RTT = %d, want 0", got)
 	}
-	d.ObserveRTT(1<<32, 800*time.Microsecond)
+	d.observeRTT(1<<32, 800*time.Microsecond)
 	if got := rttUs(d, 1<<32); got != 800 {
 		t.Fatalf("first RTT observation = %dus, want 800", got)
 	}
 	// The EWMA (⅞ old + ⅛ new) must move toward a new level without
 	// jumping to it.
-	d.ObserveRTT(1<<32, 8800*time.Microsecond)
+	d.observeRTT(1<<32, 8800*time.Microsecond)
 	if got := rttUs(d, 1<<32); got != 1800 {
 		t.Fatalf("EWMA after 800→8800 = %dus, want 1800", got)
+	}
+}
+
+// TestLoadEchoCannotWrapToIdle feeds heartbeat echoes whose queue depth
+// overflows the load arithmetic (1<<62 queued tasks cost more µs than an
+// int64 holds) or the cast from the wire's uvarint (1<<63 arrives
+// negative) through the monitor's decode-and-record path: the box must
+// read as the hottest load there is, to the congestion score and to
+// planners, never as idle.
+func TestLoadEchoCannotWrapToIdle(t *testing.T) {
+	for _, depth := range []uint64{1 << 62, 1 << 63} {
+		d := twoRackDeployment()
+		payload := binary.AppendUvarint(binary.AppendUvarint(nil, depth), 0)
+		q, f, err := wire.DecodeLoad(payload)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		d.ObserveLoad(1<<32, q, f)
+		s, _ := d.read(1 << 32)
+		if got := treeplan.LoadUs(s.load); got != math.MaxInt64 {
+			t.Errorf("depth %d: LoadUs = %d, want the saturated %d", depth, got, int64(math.MaxInt64))
+		}
+		if got := d.BoxesAt("tor:0")[0].Load; got != 63 {
+			t.Errorf("depth %d: Box.Load = %d, want 63, the top bucket", depth, got)
+		}
 	}
 }
 
@@ -423,7 +450,8 @@ func TestObserveRTTEWMA(t *testing.T) {
 // planning and congestion scoring: a box is scored against the sample its
 // probe produced — the RTT, and the load the echo carried — only once
 // that sample is in the deployment. A policy any sample trips migrates on
-// the first scored one, and by then the RTT must be recorded.
+// the first scored one, and by then the RTT must be recorded and planners
+// must see it as the box's Load.
 func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 	reg := agg.NewRegistry()
 	reg.Register("x", agg.Concat{})
@@ -435,22 +463,29 @@ func TestMonitorFeedsRTTTelemetry(t *testing.T) {
 
 	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: 1 << 32, Addr: box.Addr(), Switch: "tor:0"})
-	scored := make(chan int64, 4)
+	type sample struct {
+		rttUs int64
+		load  uint8
+	}
+	scored := make(chan sample, 4)
 	policy := treeplan.ReplanPolicy{HotLoadUs: 1, HotStreak: 1, CooldownTicks: 1 << 20}
 	m := NewMonitor(d, 20*time.Millisecond, policy, func(id uint64, cause string) int {
 		if cause != "migrate" {
 			t.Errorf("healthy box %d acted on with cause %q", id, cause)
 		}
-		scored <- rttUs(d, id)
+		scored <- sample{rttUs(d, id), d.BoxesAt("tor:0")[0].Load}
 		return 0
 	})
 	m.StartContext(t.Context())
 	defer m.Stop()
 
 	select {
-	case rtt := <-scored:
-		if rtt == 0 {
+	case got := <-scored:
+		if got.rttUs == 0 {
 			t.Fatal("the box was scored before the probe's RTT sample was in the deployment")
+		}
+		if got.load == 0 {
+			t.Fatalf("scored box (RTT %dus) is idle to planners: Box.Load = 0", got.rttUs)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("monitor never scored a probe outcome")

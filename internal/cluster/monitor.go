@@ -125,7 +125,7 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 		if ok {
 			missed = 0
 			m.dep.MarkSeen(b.ID)
-			m.dep.ObserveRTT(b.ID, rtt)
+			m.dep.observeRTT(b.ID, rtt)
 			if dead {
 				dead = false
 				m.dep.MarkAlive(b.ID)
@@ -140,7 +140,7 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 			// with it its load-aware planning score — rise while the box is
 			// merely slow, instead of staying frozen at its last healthy value
 			// until the box is declared dead.
-			m.dep.ObserveRTT(b.ID, m.interval)
+			m.dep.observeRTT(b.ID, m.interval)
 			if missed >= deadAfter && !dead {
 				dead = true
 				if last := m.dep.LastSeen(b.ID); !last.IsZero() {
@@ -169,8 +169,8 @@ func (m *Monitor) probe(ctx context.Context, b BoxInfo) {
 // congested flag follows the state, and a flip to hot outside the
 // cooldown migrates the box's pending requests. It returns the state.
 func (m *Monitor) score(id uint64, h *treeplan.Hysteresis) bool {
-	sig, _ := m.dep.BoxSignal(id)
-	hot, changed, migrate := h.Step(m.policy, treeplan.LoadUs(sig))
+	s, _ := m.dep.read(id)
+	hot, changed, migrate := h.Step(m.policy, treeplan.LoadUs(s.load))
 	obsReplanTicks.Inc()
 	if !changed {
 		return hot

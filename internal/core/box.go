@@ -168,8 +168,9 @@ func Start(cfg Config) (*Box, error) {
 func (b *Box) Addr() string { return b.srv.Addr() }
 
 // QueueDepth reports the scheduler's current pending task count — the
-// box's primary load signal for load-aware tree planning
-// (treeplan.LoadSignal.QueueDepth).
+// box's primary load signal, which each heartbeat echo carries to the
+// deployment (treeplan.LoadSignal.QueueDepth) and planners see, bucketed,
+// as treeplan.Box.Load.
 func (b *Box) QueueDepth() int { return b.sched.Pending() }
 
 // FlushLatencyUs reports the EWMA of recent request flush latencies in

@@ -18,7 +18,7 @@ var plannerFactors = []float64{0, 0.5, 1, 2}
 
 // FigPlanner is a repository experiment beyond the paper's figure set: it
 // compares the paper's hash-based on-path planner against the
-// telemetry-weighted LoadAware planner under skewed per-box background
+// load-weighted LoadAware planner under skewed per-box background
 // load. Every switch carries two agg boxes (scale-out, §3.1); the first
 // box of each switch is "hot" — a standing background flow of
 // factor × ProcRate bits competes for its processing resource. OnPath
@@ -65,16 +65,17 @@ func runPlanner(o Options, factor float64, loadAware bool) *simexp.Result {
 		hot = append(hot, boxes[i])
 	}
 
+	// The simulation has no live boxes to probe, so the load is static:
+	// the hot boxes report a queue depth proportional to the injected
+	// load, the cold boxes report nothing (zero load). Both planners see
+	// it; only LoadAware reads it.
+	load := make(map[topology.NodeID]treeplan.LoadSignal, len(hot))
+	for _, b := range hot {
+		load[b] = treeplan.LoadSignal{QueueDepth: int64(256 * factor)}
+	}
 	var planner treeplan.Planner = treeplan.OnPath{}
 	if loadAware {
-		// The simulation has no live boxes to probe, so the telemetry is
-		// static: the hot boxes report a queue depth proportional to the
-		// injected load, the cold boxes report nothing (zero load).
-		tel := make(treeplan.StaticTelemetry, len(hot))
-		for _, b := range hot {
-			tel[uint64(b)] = treeplan.LoadSignal{QueueDepth: int64(256 * factor)}
-		}
-		planner = treeplan.LoadAware{Telemetry: tel}
+		planner = treeplan.LoadAware{}
 	}
 
 	// The default workload's Pareto flow sizes put edge-link-bound
@@ -110,5 +111,5 @@ func runPlanner(o Options, factor float64, loadAware bool) *simexp.Result {
 			}
 		}
 	}
-	return simexp.RunWith(topo, w, strategies.NetAgg{Planner: planner}, simexp.Opts{Prelude: prelude})
+	return simexp.RunWith(topo, w, strategies.NetAgg{Planner: planner, Load: load}, simexp.Opts{Prelude: prelude})
 }

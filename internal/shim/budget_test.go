@@ -55,19 +55,17 @@ func TestRedirectBudgetExhausted(t *testing.T) {
 }
 
 // TestLoadAwarePlannerEndToEnd runs a live aggregation over a deployment
-// planned by a LoadAware planner whose telemetry marks the first box hot:
-// the request must complete through the cold box while the hot box sees
-// no aggregation traffic.
+// planned by a LoadAware planner while the deployment records the first
+// box's load as near-saturated: the request must complete through the
+// cold box while the hot box sees no aggregation traffic.
 func TestLoadAwarePlannerEndToEnd(t *testing.T) {
 	reg := agg.NewRegistry()
 	reg.Register("wc", agg.KVCombiner{Op: agg.OpSum})
 
-	// A near-saturated hot box, in the one planner the deployment's master
-	// and workers all plan with.
+	// The one planner the deployment's master and workers all plan with;
+	// the hot box's load is set below, the way its heartbeat echo would.
 	hotID, coldID := uint64(1)<<32, uint64(2)<<32
-	dep := cluster.NewDeployment(treeplan.LoadAware{Telemetry: treeplan.StaticTelemetry{
-		hotID: {QueueDepth: 1 << 20, FlushUs: 500000},
-	}})
+	dep := cluster.NewDeployment(treeplan.LoadAware{})
 	dep.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
 	hosts := []cluster.Host{
 		{Name: "w0", Rack: 0, Pod: 0},
@@ -82,6 +80,7 @@ func TestLoadAwarePlannerEndToEnd(t *testing.T) {
 		boxes = append(boxes, box)
 		dep.AddBox(cluster.BoxInfo{ID: id, Addr: box.Addr(), Switch: "tor:0"})
 	}
+	dep.ObserveLoad(hotID, 1<<20, 500000)
 	defer func() {
 		for _, b := range boxes {
 			b.Close()

@@ -223,6 +223,11 @@ func (m *Master) Submit(app string, req uint64, workers []string, trees int) (*P
 	if req > cluster.MaxReq {
 		return nil, fmt.Errorf("shim: request id %d exceeds the wire's limit of %d", req, cluster.MaxReq)
 	}
+	for _, w := range workers {
+		if _, ok := m.cfg.Deployment.Host(w); !ok {
+			return nil, fmt.Errorf("shim: unknown worker host %q", w)
+		}
+	}
 	p := &Pending{
 		c:           make(chan Result, 1),
 		m:           m,

@@ -319,6 +319,21 @@ func TestSubmitDuplicateRejected(t *testing.T) {
 	}
 }
 
+// A worker the deployment does not know has no path to plan a tree on:
+// Submit refuses it before it plans, and the request is not pending.
+func TestSubmitUnknownWorkerRefused(t *testing.T) {
+	r := newRig(t, 0)
+	if _, err := r.master.Submit("wc", 1, []string{"nosuch"}, 1); err == nil {
+		t.Fatal("Submit accepted a worker host the deployment does not know")
+	}
+	r.master.mu.Lock()
+	pending := len(r.master.pending)
+	r.master.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d requests pending after a refused Submit, want 0", pending)
+	}
+}
+
 // The wire id keeps a request id in 56 bits. A larger one would reach the
 // master's table with its top bits lost, under an id that matches no
 // request, so both ends of the shim refuse it; the largest that fits

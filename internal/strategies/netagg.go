@@ -32,6 +32,10 @@ type NetAgg struct {
 	// implementations drive the live fabric's shims, so planner
 	// experiments run unchanged in simulation and testbed.
 	Planner treeplan.Planner
+	// Load is each box's load signal, which planners see bucketed as
+	// Box.Load: the simulator has no monitor to measure it, so an
+	// experiment states it. Nil means every box is idle.
+	Load map[topology.NodeID]treeplan.LoadSignal
 }
 
 // Name implements Strategy.
@@ -62,7 +66,7 @@ func (n NetAgg) AddJob(net *simnet.Network, job *workload.Job, alpha float64) Jo
 	}
 	var jf JobFlows
 	for tr := 0; tr < trees; tr++ {
-		n.addTree(net, simTopo{topo: net.Topo.T}, job, alpha, tr, trees, 0, &jf)
+		n.addTree(net, simTopo{topo: net.Topo.T, load: n.Load}, job, alpha, tr, trees, 0, &jf)
 	}
 	return jf
 }

@@ -19,6 +19,9 @@ type simTopo struct {
 	// congested; planners see them as Box.Slow and route around them
 	// where the switch has a cold alternative. Nil for static planning.
 	slow map[topology.NodeID]bool
+	// load is NetAgg.Load, each box's load signal; nil for an idle
+	// fleet.
+	load map[topology.NodeID]treeplan.LoadSignal
 }
 
 // simNodeName renders a simulated node as a planner host name.
@@ -47,12 +50,13 @@ func (s simTopo) PathSwitches(worker, master string, hash uint64) []string {
 
 // BoxesAt implements treeplan.Topology. Simulated boxes cannot die, so
 // none are flagged Dead; failure experiments run on the live fabric.
-// Boxes the dynamic-tree strategy has marked congested carry Slow.
+// Boxes the dynamic-tree strategy has marked congested carry Slow, and
+// every box carries the bucket of its load signal as Load.
 func (s simTopo) BoxesAt(sw string) []treeplan.Box {
 	boxes := s.topo.BoxesAt(simNodeID(sw))
 	out := make([]treeplan.Box, len(boxes))
 	for i, b := range boxes {
-		out[i] = treeplan.Box{ID: uint64(b), Switch: sw, Slow: s.slow[b]}
+		out[i] = treeplan.Box{ID: uint64(b), Switch: sw, Slow: s.slow[b], Load: treeplan.LoadBucket(s.load[b])}
 	}
 	return out
 }

@@ -42,8 +42,8 @@ func sumParts(t *testing.T, res shim.Result) map[string]int64 {
 // TestMigrationExactlyOnceUnderCongestion is the tentpole's end-to-end
 // proof on the live fabric: a request streams partials through
 // netem-paced (congested) boxes; mid-stream, each box's hysteresis,
-// stepped as the failure monitor steps it, detects the load through the
-// deployment's own telemetry and migrates the request off the hot boxes. The
+// stepped as the failure monitor steps it, detects the load the boxes
+// report and migrates the request off the hot boxes. The
 // attempt-epoch protocol must make the migration exactly-once — every
 // buffered partial combined exactly once, none lost, none doubled — so
 // every key's total must be exact, and the bufpool refcounts taken over
@@ -78,8 +78,7 @@ func TestMigrationExactlyOnceUnderCongestion(t *testing.T) {
 	congestion := make([]treeplan.Hysteresis, len(tb.Boxes))
 	heartbeat := func() {
 		for i, b := range tb.Dep.Boxes() { // ordered by id, like tb.Boxes
-			tb.Dep.ObserveLoad(b.ID, tb.Boxes[i].QueueDepth(), tb.Boxes[i].FlushLatencyUs())
-			sig, _ := tb.Dep.BoxSignal(b.ID)
+			sig := treeplan.LoadSignal{QueueDepth: int64(tb.Boxes[i].QueueDepth()), FlushUs: tb.Boxes[i].FlushLatencyUs()}
 			hot, changed, migrate := congestion[i].Step(policy, treeplan.LoadUs(sig))
 			if changed {
 				tb.Dep.MarkCongested(b.ID, hot)

@@ -10,7 +10,9 @@ import (
 
 // benchDeployment builds the paper's testbed shape at benchmark size:
 // 4 racks of 8 workers in one pod, two boxes per ToR and at the pod
-// aggregation switch.
+// aggregation switch. Every box carries a load, recorded the way the
+// failure monitor records a heartbeat echo, so LoadAware pays its full
+// per-pick weighting cost on the live path.
 func benchDeployment() (*cluster.Deployment, []string) {
 	d := cluster.NewDeployment(nil)
 	d.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
@@ -26,6 +28,7 @@ func benchDeployment() (*cluster.Deployment, []string) {
 	for _, sw := range []string{"tor:0", "tor:1", "tor:2", "tor:3", "agg:0"} {
 		for k := 0; k < 2; k++ {
 			d.AddBox(cluster.BoxInfo{ID: id, Addr: "10.0.0.1:1", Switch: sw})
+			d.ObserveLoad(id, int(id>>32), 5000)
 			id += 1 << 32
 		}
 	}
@@ -48,7 +51,7 @@ func benchPlan(b *testing.B, p treeplan.Planner) {
 }
 
 func BenchmarkPlanOnPath(b *testing.B)    { benchPlan(b, treeplan.OnPath{}) }
-func BenchmarkPlanLoadAware(b *testing.B) { benchPlan(b, treeplan.LoadAware{Telemetry: benchTel()}) }
+func BenchmarkPlanLoadAware(b *testing.B) { benchPlan(b, treeplan.LoadAware{}) }
 
 // BenchmarkPlanOnPathRoute is what a worker shim asks for once a tree: its
 // own route, from the rack furthest from the master's.
@@ -62,14 +65,4 @@ func BenchmarkPlanOnPathRoute(b *testing.B) {
 			b.Fatal("empty route")
 		}
 	}
-}
-
-// benchTel gives every benchmark box a telemetry signal so LoadAware pays
-// its full per-pick weighting cost.
-func benchTel() treeplan.StaticTelemetry {
-	tel := treeplan.StaticTelemetry{}
-	for id := uint64(1) << 32; id <= 10<<32; id += 1 << 32 {
-		tel[id] = treeplan.LoadSignal{QueueDepth: int64(id >> 32), FlushUs: 5000, RTTUs: 300}
-	}
-	return tel
 }

@@ -22,44 +22,23 @@ type LoadSignal struct {
 	RTTUs int64
 }
 
-// Telemetry supplies per-box load signals to LoadAware. Implementations
-// must be safe for concurrent use; returning ok=false means "no signal",
-// which LoadAware treats as an idle box.
-type Telemetry interface {
-	// BoxSignal returns the current load signal for a box ID.
-	BoxSignal(id uint64) (LoadSignal, bool)
-}
-
-// StaticTelemetry is a fixed Telemetry for tests and simulations.
-type StaticTelemetry map[uint64]LoadSignal
-
-// BoxSignal implements Telemetry.
-func (s StaticTelemetry) BoxSignal(id uint64) (LoadSignal, bool) {
-	sig, ok := s[id]
-	return sig, ok
-}
-
 // LoadAware plans the same path set as OnPath but chooses among the live
 // boxes at each equipped switch by weighted rendezvous hashing: box i
 // gets the key -wᵢ/ln(uᵢ), where uᵢ ∈ (0,1) is derived by hashing the box
-// ID with the request hash and wᵢ = 1/(1+bucket(load)) shrinks as the
-// box's telemetry worsens; the highest key wins. An idle fleet therefore
+// ID with the request hash and wᵢ = 1/(1+Box.Load) shrinks as the box's
+// measured load grows; the highest key wins. An idle fleet therefore
 // spreads requests exactly as uniformly as rendezvous hashing, while a
 // hot box's share of new trees drops roughly in proportion to its load —
 // replans after failures or stragglers steer around hot boxes instead of
 // re-hashing onto them.
 //
 // The load enters the weight only through its power-of-two bucket
-// (bits.Len64), so shims whose telemetry views lag each other still
-// compute identical plans unless a box's load crosses a power-of-two
-// boundary between their reads; the divergence window is one straggler
-// timeout, after which the master's redirect re-synchronises every shim
-// on a freshly planned attempt (DESIGN.md §14).
-type LoadAware struct {
-	// Telemetry supplies the load signals; nil degrades to unweighted
-	// rendezvous hashing (all boxes idle).
-	Telemetry Telemetry
-}
+// (Box.Load, LoadBucket), so shims whose reads of the deployment lag each
+// other still compute identical plans unless a box's load crosses a
+// power-of-two boundary between their reads; the divergence window is one
+// straggler timeout, after which the master's redirect re-synchronises
+// every shim on a freshly planned attempt (DESIGN.md §14).
+type LoadAware struct{}
 
 // Plan implements Planner.
 func (l LoadAware) Plan(topo Topology, req Request) Tree {
@@ -74,11 +53,12 @@ func (l LoadAware) Route(topo Topology, req Request, worker string) []Box {
 // pick runs the weighted rendezvous election among the live boxes at one
 // switch. Ties (impossible in practice: keys are distinct reals) resolve
 // to the lowest deployment index, keeping the choice deterministic.
-func (l LoadAware) pick(alive []Box, hash uint64) Box {
+func (LoadAware) pick(alive []Box, hash uint64) Box {
 	best := 0
 	bestKey := math.Inf(-1)
 	for i, b := range alive {
-		key := -l.weight(b.ID) / math.Log(hashUnit(b.ID, hash))
+		w := 1 / float64(1+int(b.Load))
+		key := -w / math.Log(hashUnit(b.ID, hash))
 		if key > bestKey {
 			best, bestKey = i, key
 		}
@@ -86,33 +66,27 @@ func (l LoadAware) pick(alive []Box, hash uint64) Box {
 	return alive[best]
 }
 
-// weight maps a box's telemetry to its rendezvous weight in (0, 1].
-func (l LoadAware) weight(id uint64) float64 {
-	if l.Telemetry == nil {
-		return 1
-	}
-	sig, ok := l.Telemetry.BoxSignal(id)
-	if !ok {
-		return 1
-	}
-	return 1 / float64(1+loadBucket(sig))
-}
-
 // LoadUs folds a load signal into one scalar in microsecond-ish units:
 // a queued task is costed at 1ms of backlog, flush latency and heartbeat
-// RTT enter directly. LoadAware buckets it for weighting; Hysteresis.Step
-// compares it against the policy's hot/cold thresholds directly.
+// RTT enter directly. LoadBucket quantises it for Box.Load; Hysteresis.Step
+// compares it against the policy's hot/cold thresholds directly. It
+// saturates at math.MaxInt64: a sum that overflows, or a negative field (a
+// wire value of 2⁶³ or more, wrapped), is the hottest load there is, never
+// an idle one.
 func LoadUs(sig LoadSignal) int64 {
-	return sig.QueueDepth*1000 + sig.FlushUs + sig.RTTUs
+	hi, q := bits.Mul64(uint64(sig.QueueDepth), 1000)
+	sum, c1 := bits.Add64(q, uint64(sig.FlushUs), 0)
+	sum, c2 := bits.Add64(sum, uint64(sig.RTTUs), 0)
+	if hi|c1|c2 != 0 || sum > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(sum)
 }
 
-// loadBucket quantises a load signal into its power-of-two bucket.
-func loadBucket(sig LoadSignal) int {
-	load := LoadUs(sig)
-	if load <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(load))
+// LoadBucket quantises a load signal into its power-of-two bucket, the
+// Box.Load that both the live deployment and the simulator hand planners.
+func LoadBucket(sig LoadSignal) uint8 {
+	return uint8(bits.Len64(uint64(LoadUs(sig))))
 }
 
 // hashUnit maps (box, request hash) to a uniform value in (0, 1) using

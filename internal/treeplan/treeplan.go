@@ -3,8 +3,9 @@
 // traverse on their way to the master (§3.1). The data plane — shims,
 // boxes, the simulator — asks a Planner for a Tree and executes it; how
 // the boxes are chosen is the planner's business alone, which is the seam
-// load-aware planning (LoadAware, DESIGN.md §14) and congestion-aware
-// dynamic trees (Box.Slow, set from each box's Hysteresis; §16) plug into.
+// load-aware planning (LoadAware over Box.Load, each box's measured load;
+// DESIGN.md §14) and congestion-aware dynamic trees (Box.Slow, set from
+// each box's Hysteresis; §16) plug into.
 //
 // Planning must be per-worker decomposable: a worker shim asks for its own
 // route (Planner.Route) and must get the chain the master's tree
@@ -12,7 +13,7 @@
 // through the hashed request identifier (§3.1: "The next agg box on-path
 // is determined by hashing an application/request identifier"), never by
 // exchanging plans. Both built-in planners — OnPath (the paper's pure
-// hash) and LoadAware (telemetry-weighted rendezvous hashing) — have this
+// hash) and LoadAware (rendezvous hashing weighted by Box.Load) — have this
 // property by construction: each is a choice among the boxes at one
 // switch, and Plan and Route are the same walk over it (see walk). A new
 // planner must preserve it.
@@ -47,6 +48,10 @@ type Box struct {
 	// unlike Dead — may still route through it when it is the only box
 	// standing, because a slow tree beats no tree.
 	Slow bool
+	// Load is the power-of-two bucket of the box's measured load
+	// (LoadBucket; 0 = idle or never measured). LoadAware weights its
+	// choice by it; OnPath ignores it.
+	Load uint8
 }
 
 // Request identifies one aggregation tree to plan.
@@ -140,9 +145,9 @@ type Topology interface {
 }
 
 // Planner plans one aggregation tree over a topology. Implementations
-// must be pure with respect to (topo, req) plus whatever telemetry they
-// consume, deterministic, and per-worker decomposable (see the package
-// comment); they are called concurrently from many shims.
+// must be pure with respect to (topo, req) — the boxes' Dead, Slow and
+// Load included — deterministic, and per-worker decomposable (see the
+// package comment); they are called concurrently from many shims.
 type Planner interface {
 	// Plan computes the request's aggregation tree: the master's view.
 	Plan(topo Topology, req Request) Tree

@@ -2,6 +2,7 @@ package treeplan_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -150,20 +151,16 @@ func TestOnPathMatchesLegacyPlanOracle(t *testing.T) {
 	}
 }
 
-// planners returns the implementations the property tests quantify over:
-// the paper's hash planner and LoadAware under a random telemetry view.
-func planners(rn *rand.Rand) []treeplan.Planner {
-	tel := treeplan.StaticTelemetry{}
-	for id := uint64(1) << 32; id < 16<<32; id += 1 << 32 {
+// planners returns the implementations the property tests quantify over,
+// the paper's hash planner and LoadAware, after giving a random half of
+// d's boxes a random load so LoadAware's weights differ.
+func planners(rn *rand.Rand, d *cluster.Deployment) []treeplan.Planner {
+	for _, b := range d.Boxes() {
 		if rn.Intn(2) == 0 {
-			tel[id] = treeplan.LoadSignal{
-				QueueDepth: int64(rn.Intn(1024)),
-				FlushUs:    int64(rn.Intn(100000)),
-				RTTUs:      int64(rn.Intn(10000)),
-			}
+			d.ObserveLoad(b.ID, rn.Intn(1024), int64(rn.Intn(100000)))
 		}
 	}
-	return []treeplan.Planner{treeplan.OnPath{}, treeplan.LoadAware{Telemetry: tel}}
+	return []treeplan.Planner{treeplan.OnPath{}, treeplan.LoadAware{}}
 }
 
 // TestPlanConsistencyProperties checks, for every planner over randomized
@@ -177,7 +174,7 @@ func TestPlanConsistencyProperties(t *testing.T) {
 		d, all := randDeployment(rn)
 		workers := randWorkers(rn, all)
 		req := treeplan.NewRequest(rn.Uint64()>>8, rn.Intn(4), rn.Intn(3), "master", workers)
-		for _, p := range planners(rn) {
+		for _, p := range planners(rn, d) {
 			tree := p.Plan(d, req)
 			if len(tree.Routes) != len(workers) {
 				t.Fatalf("trial %d %T: %d routes for %d workers", trial, p, len(tree.Routes), len(workers))
@@ -238,7 +235,7 @@ func TestPerWorkerDecomposability(t *testing.T) {
 		}
 		workers := randWorkers(rn, all)
 		req := treeplan.NewRequest(rn.Uint64()>>8, rn.Intn(4), rn.Intn(3), "master", workers)
-		for _, p := range planners(rn) {
+		for _, p := range planners(rn, d) {
 			full := p.Plan(d, req)
 			for _, w := range workers {
 				solo := req
@@ -257,9 +254,9 @@ func TestPerWorkerDecomposability(t *testing.T) {
 	}
 }
 
-// TestLoadAwareSteersOffHotBox checks the planner's purpose: with one hot
-// and one cold box at a switch, the hot box's share of picks collapses
-// while an idle fleet splits requests roughly evenly.
+// TestLoadAwareSteersOffHotBox checks the planner's purpose: an idle fleet
+// splits requests roughly evenly, and once one of two boxes at a switch
+// carries load, the hot box's share of picks collapses.
 func TestLoadAwareSteersOffHotBox(t *testing.T) {
 	d := cluster.NewDeployment(nil)
 	d.AddHost(cluster.Host{Name: "master", Rack: 0, Pod: 0})
@@ -281,15 +278,37 @@ func TestLoadAwareSteersOffHotBox(t *testing.T) {
 		return
 	}
 
-	hot, cold := count(treeplan.LoadAware{Telemetry: treeplan.StaticTelemetry{
-		hotID: {QueueDepth: 256},
-	}})
-	if hot+cold != 400 || hot > 60 {
-		t.Fatalf("loaded fleet: hot box picked %d/400 times (cold %d), want a collapsed share", hot, cold)
-	}
 	idleHot, idleCold := count(treeplan.LoadAware{})
 	if idleHot < 100 || idleCold < 100 {
 		t.Fatalf("idle fleet: picks %d/%d, want a roughly even split", idleHot, idleCold)
+	}
+	d.ObserveLoad(hotID, 256, 0)
+	hot, cold := count(treeplan.LoadAware{})
+	if hot+cold != 400 || hot > 60 {
+		t.Fatalf("loaded fleet: hot box picked %d/400 times (cold %d), want a collapsed share", hot, cold)
+	}
+}
+
+// TestLoadUsSaturates pins the load arithmetic: an ordinary signal sums
+// its parts, and one whose sum overflows reads as the hottest load, in
+// the top bucket. cluster's TestLoadEchoCannotWrapToIdle feeds it the
+// overflowing queue depths a heartbeat echo can carry.
+func TestLoadUsSaturates(t *testing.T) {
+	for _, c := range []struct {
+		sig    treeplan.LoadSignal
+		load   int64
+		bucket uint8
+	}{
+		{treeplan.LoadSignal{}, 0, 0},
+		{treeplan.LoadSignal{QueueDepth: 3, FlushUs: 40, RTTUs: 5}, 3045, 12},
+		{treeplan.LoadSignal{FlushUs: math.MaxInt64, RTTUs: 1}, math.MaxInt64, 63},
+	} {
+		if got := treeplan.LoadUs(c.sig); got != c.load {
+			t.Errorf("LoadUs(%+v) = %d, want %d", c.sig, got, c.load)
+		}
+		if got := treeplan.LoadBucket(c.sig); got != c.bucket {
+			t.Errorf("LoadBucket(%+v) = %d, want %d", c.sig, got, c.bucket)
+		}
 	}
 }
 
