@@ -13,7 +13,7 @@ test:
 
 # netagg-lint: repo-specific analyzers (determinism, docrule,
 # lockdiscipline, errcheck-wire, goroutine-hygiene, lockorder, ctxflow,
-# exhaustive, bufown, protocheck). Exit 1 on findings; suppress audited
+# exhaustive, protocheck). Exit 1 on findings; suppress audited
 # false positives with //lint:ignore <analyzer> <reason>, the one
 # suppression every analyzer takes. Stale suppressions — directives
 # matching nothing — are findings too (DESIGN.md §17).
@@ -53,10 +53,11 @@ fuzz-smoke:
 	$(GO) test ./internal/agg -run '^$$' -fuzz '^FuzzConcatMerge$$' -fuzztime=10s
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime=10s
 
-# Runtime half of the buffer-ownership contract: the netaggdebug build
-# tag poisons released buffers (0xDB) and verifies the poison on reuse,
-# turning use-after-release into a deterministic panic instead of silent
-# corruption. The same tag arms wire.CheckReceive, the dynamic half of
+# The buffer-ownership contract is checked at run time (DESIGN.md §13):
+# besides the double-release panic and the tests' pool balances, the
+# netaggdebug build tag poisons released buffers (0xDB) and verifies the
+# poison on reuse, turning use-after-release into a deterministic panic
+# or poisoned bytes instead of silent corruption. The same tag arms wire.CheckReceive, the dynamic half of
 # the protocol table (DESIGN.md §17), so the suite also covers the
 # packages with annotated frame handlers, internal/search, whose
 # frontend reads a Result's pooled parts and gives them back, and the two

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	netagg-lint [-json] [-only a,b] [patterns...]
+//	netagg-lint [patterns...]
 //	netagg-lint -escape [patterns...]
 //
 // Patterns are package directories relative to the module root; the
@@ -24,10 +24,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -42,41 +42,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("netagg-lint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	jsonOut := fl.Bool("json", false, "emit findings as a JSON array")
-	only := fl.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := fl.Bool("analyzers", false, "list analyzers and exit")
 	escape := fl.Bool("escape", false, "run the //netagg:hotpath escape-analysis gate instead of the analyzer suite")
 	if err := fl.Parse(args); err != nil {
 		return 2
-	}
-
-	analyzers := lint.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-18s %s\n", a.Name(), a.Doc())
-		}
-		return 0
-	}
-	if *only != "" {
-		want := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		var sel []lint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name()] {
-				sel = append(sel, a)
-				delete(want, a.Name())
-			}
-		}
-		if len(want) > 0 {
-			fmt.Fprintf(stderr, "netagg-lint: unknown analyzers in -only: %v\n", keys(want))
-			return 2
-		}
-		analyzers = sel
 	}
 
 	root, err := moduleRoot()
@@ -118,13 +89,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		return runEscape(root, patterns, files, stdout, stderr)
 	}
 
+	analyzers := lint.All()
 	findings := lint.Run(files, analyzers)
 
 	// A suppression that suppresses nothing is itself a finding: a stale
 	// //lint:ignore claims an audited violation that no longer exists, so
-	// its recorded reason misdocuments the code. The scan is scoped to what
-	// this run actually checked: ignores naming analyzers outside -only are
-	// left alone.
+	// its recorded reason misdocuments the code.
 	findings = append(findings, lint.UnusedIgnores(files, analyzers)...)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -137,25 +107,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		return a.Analyzer < b.Analyzer
 	})
 
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(stderr, "netagg-lint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f.String())
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(stderr, "netagg-lint: %d finding(s)\n", len(findings))
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f.String())
 	}
 	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "netagg-lint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
@@ -164,7 +120,7 @@ func run(args []string, stdout, stderr *os.File) int {
 // runEscape is the -escape mode: the //netagg:hotpath allocation gate.
 // The compiler replays cached diagnostics (Go 1.21+), so repeat runs
 // are warm-cache cheap and need no cache busting.
-func runEscape(root string, patterns []string, files []*lint.File, stdout, stderr *os.File) int {
+func runEscape(root string, patterns []string, files []*lint.File, stdout, stderr io.Writer) int {
 	hot := lint.HotFuncs(files)
 	if len(hot) == 0 {
 		fmt.Fprintf(stderr, "netagg-lint: -escape found no //netagg:hotpath annotations in %v\n", patterns)
@@ -290,13 +246,4 @@ func walkGoFiles(base string, add func(string)) error {
 		}
 		return nil
 	})
-}
-
-func keys(m map[string]bool) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

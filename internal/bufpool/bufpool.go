@@ -16,12 +16,12 @@
 // just refills by allocating) but defeats recycling; releasing twice is a
 // bug and panics.
 //
-// The contract is machine-checked two ways: statically by the `bufown`
-// analyzer in internal/lint (//netagg:owns / //netagg:borrows
-// annotations, see DESIGN.md §13), and dynamically under the
-// `netaggdebug` build tag, which poisons recycled buffers and verifies
-// the poison on reuse so use-after-release shows up as a panic in
-// tests instead of silent cross-request corruption in production.
+// The contract is checked at run time (DESIGN.md §13): a double Release
+// panics in every build, tests assert that ReadStats balances
+// (Acquires == Releases) once their holders drain, and the `netaggdebug`
+// build tag poisons recycled buffers and verifies the poison on reuse so
+// use-after-release shows up as a panic in tests instead of silent
+// cross-request corruption in production.
 package bufpool
 
 import (

@@ -2,9 +2,9 @@
 
 package bufpool
 
-// The netaggdebug runtime checker: the static bufown analyzer cannot
-// see through containers or reflection, so the debug build closes the
-// gap dynamically. Every buffer recycled into the pool is overwritten
+// The netaggdebug runtime checker: a use after Release leaves the
+// reference counts balanced, so only the bytes can show it. Every buffer
+// recycled into the pool is overwritten
 // with poison; every buffer handed back out is checked still-poisoned.
 // A holder that kept writing through a stale slice after its Release
 // (the classic recycled-buffer race that `-race` cannot flag, because

@@ -158,7 +158,7 @@ func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	if t.parts == nil {
 		t.parts = make([]*bufpool.Buf, 0, listCap)
 	}
-	t.parts = append(t.parts, part) //netagg:owns part
+	t.parts = append(t.parts, part)
 	t.scheduleLocked()
 	t.mu.Unlock()
 	return true
@@ -271,7 +271,7 @@ func (t *LocalTree) mergeTask(batch []*bufpool.Buf, size int) {
 		t.held -= len(batch)
 		t.heldBytes -= size
 		if err == nil && t.err == nil {
-			t.runs = append(t.runs, run) //netagg:owns run
+			t.runs = append(t.runs, run)
 			t.runBytes += run.Len()
 		} else {
 			// A failed merge has no run (Release of nil is a no-op); a

@@ -18,7 +18,7 @@ import (
 //     if ctx == nil { ctx = context.Background() }, which only fires
 //     when the caller explicitly opted out.
 //
-//  2. In data-plane packages, a function that HAS a context available —
+//  2. In ctxflowPackages, a function that HAS a context available —
 //     a context.Context parameter, or a receiver struct carrying a
 //     context field — must use it at its blocking points: naked channel
 //     sends/receives, selects with no ctx.Done/default/timer case, and
@@ -45,14 +45,11 @@ func (CtxFlow) Doc() string {
 	return "blocking operations must be cancellable: no severed, dropped, or ignored contexts"
 }
 
-// ctxflowPackages is deliberately not dataPlanePackages: wire is out (a
-// codec over its caller's reader and writer — nothing in it takes or
-// holds a context, so rules 2 and 3 would have nothing to consult), and
-// treeplan is in. treeplan holds no context either: its Hysteresis is a
-// value each failure-monitor prober steps, and the monitor (cluster) owns
-// the context. It stays listed so that rules 2 and 3 check a context the
-// planner ever takes from its first line.
-var ctxflowPackages = []string{"core", "shim", "cluster", "transport", "treeplan"}
+// ctxflowPackages are the packages that hold a context: the transport
+// (a connection's dial and teardown) and the cluster's failure monitor.
+// The rest of the data plane holds none, so rules 2 and 3 would have
+// nothing to consult there.
+var ctxflowPackages = []string{"cluster", "transport"}
 
 // CheckPackage implements PackageAnalyzer.
 func (CtxFlow) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
@@ -63,8 +60,9 @@ func (CtxFlow) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string
 		}
 	}
 
-	// Rules 2 and 3 are scoped to the data plane, where blocking against
-	// a dead peer is the failure mode the paper's fault model cares about.
+	// Rules 2 and 3 are scoped to the packages that hold a context, where
+	// blocking against a dead peer is the failure mode the paper's fault
+	// model cares about.
 	if !p.inScope(ctxflowPackages...) {
 		return
 	}

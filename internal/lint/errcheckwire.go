@@ -24,7 +24,7 @@ var droppedErrorMethods = map[string]bool{
 // a partial result just as silently.
 var errcheckWirePackages = slices.Concat(dataPlanePackages, []string{"search", "mapred"})
 
-// ErrcheckWire flags statements in core/wire/shim/cluster/transport and
+// ErrcheckWire flags statements in core/shim/cluster/transport and
 // the search and mapred applications that call a wire-protocol
 // send/encode function or an io.Writer write and drop the error result
 // (the call is used as a bare statement).

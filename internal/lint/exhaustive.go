@@ -29,10 +29,8 @@ import (
 // An empty default, a bare return, or statements that just clean up and
 // fall through are silent — exactly the "swallow the frame" bug class.
 //
-// Type switches (interface dispatch) cannot be checked for coverage
-// without go/types, so only their clearly degenerate form is flagged:
-// a default case with an empty body or a bare return in a data-plane
-// package. That is a known false-negative limit.
+// Type switches are not checked: coverage of an interface's dynamic
+// types needs go/types, and no data-plane package has one.
 type Exhaustive struct{}
 
 // Name implements Analyzer.
@@ -163,16 +161,11 @@ func usesIotaShift(e ast.Expr) bool {
 	return found
 }
 
-// checkSwitches inspects each switch statement in the file.
+// checkSwitches inspects each tagged switch statement in the file.
 func checkSwitches(f *File, byMember map[string][]*enumSet, report func(pos token.Pos, msg string)) {
 	ast.Inspect(f.AST, func(n ast.Node) bool {
-		switch sw := n.(type) {
-		case *ast.SwitchStmt:
-			if sw.Tag != nil {
-				checkEnumSwitch(f, sw, byMember, report)
-			}
-		case *ast.TypeSwitchStmt:
-			checkTypeSwitch(f, sw, report)
+		if sw, ok := n.(*ast.SwitchStmt); ok && sw.Tag != nil {
+			checkEnumSwitch(f, sw, byMember, report)
 		}
 		return true
 	})
@@ -276,36 +269,6 @@ func importedDir(f *ast.File, qual string) string {
 		}
 	}
 	return ""
-}
-
-// checkTypeSwitch flags a degenerate silent default (empty body or bare
-// return) in data-plane packages.
-func checkTypeSwitch(f *File, sw *ast.TypeSwitchStmt, report func(pos token.Pos, msg string)) {
-	if !inScope(f, dataPlanePackages...) {
-		return
-	}
-	for _, c := range sw.Body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok || cc.List != nil {
-			continue
-		}
-		if emptyOrBareReturn(cc.Body) {
-			report(cc.Pos(), "silent default in type switch swallows unhandled types: log, return an error, or panic")
-		}
-	}
-}
-
-// emptyOrBareReturn reports whether the body does nothing at all.
-func emptyOrBareReturn(body []ast.Stmt) bool {
-	if len(body) == 0 {
-		return true
-	}
-	if len(body) == 1 {
-		if ret, ok := body[0].(*ast.ReturnStmt); ok && len(ret.Results) == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // loudBody reports whether a default clause fails loudly: it panics,

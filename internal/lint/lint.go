@@ -35,12 +35,12 @@ import (
 
 // Finding is one analyzer diagnostic.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the path as given to Parse (repo-relative in the driver).
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String formats a finding like a compiler diagnostic.
@@ -67,9 +67,6 @@ type File struct {
 	// standalone directive appears under two lines (its own and the next)
 	// through the same pointer, so usage marks land on the one directive.
 	ignores map[int][]*ignoreDirective
-	// owns marks the lines a //netagg:owns <var> hand-off marker covers
-	// (bufown, DESIGN.md §13).
-	owns map[int]bool
 }
 
 // ignoreDirective is one //lint:ignore comment, tracked so directives
@@ -129,7 +126,6 @@ func All() []Analyzer {
 		LockOrder{},
 		CtxFlow{},
 		Exhaustive{},
-		Bufown{},
 		Protocheck{},
 	}
 }
@@ -177,7 +173,7 @@ func directive(c *ast.Comment) (name string, args []string) {
 
 // docDirectives returns the arguments of each //netagg:<name> line in
 // the function's doc comment: //netagg:hotpath, //netagg:proto-handler
-// <role>, //netagg:owns and //netagg:borrows <param>.
+// <role> and //netagg:owns <param>.
 func docDirectives(decl *ast.FuncDecl, name string) [][]string {
 	if decl.Doc == nil {
 		return nil
@@ -191,29 +187,22 @@ func docDirectives(decl *ast.FuncDecl, name string) [][]string {
 	return out
 }
 
-// indexLines indexes the line-scoped directives, //lint:ignore and
-// //netagg:owns <var>, by the lines they cover: a standalone comment
-// (only whitespace before it on the line) covers its own line and the
-// next code line, a trailing comment its own line.
+// indexLines indexes the //lint:ignore directives by the lines they
+// cover: a standalone comment (only whitespace before it on the line)
+// covers its own line and the next code line, a trailing comment its own
+// line.
 func (f *File) indexLines() {
 	f.ignores = make(map[int][]*ignoreDirective)
-	f.owns = make(map[int]bool)
 	for _, cg := range f.AST.Comments {
 		for _, c := range cg.List {
 			name, args := directive(c)
-			if name != "lint:ignore" && name != "netagg:owns" {
+			if name != "lint:ignore" {
 				continue
 			}
 			pos := f.Fset.Position(c.Pos())
 			lines := []int{pos.Line}
 			if f.standalone(pos) {
 				lines = append(lines, pos.Line+1)
-			}
-			if name == "netagg:owns" {
-				for _, line := range lines {
-					f.owns[line] = true
-				}
-				continue
 			}
 			if len(args) < 2 {
 				// An ignore without a reason is itself ignored: the reason

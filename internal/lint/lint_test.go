@@ -232,8 +232,8 @@ func send(mu *sync.Mutex, ch chan int) {
 		},
 		{
 			name: "early-exit unlock in branch does not leak into fallthrough",
-			path: "internal/wire/x.go",
-			src: `package wire
+			path: "internal/transport/x.go",
+			src: `package transport
 import "sync"
 func send(mu *sync.Mutex, closed bool, ch chan int) {
 	mu.Lock()
@@ -485,8 +485,8 @@ func probe(conn net.Conn) {
 		},
 		{
 			name: "in-memory buffer writes allowed",
-			path: "internal/wire/x.go",
-			src: `package wire
+			path: "internal/transport/x.go",
+			src: `package transport
 import "bytes"
 func build(buf *bytes.Buffer) {
 	buf.Write([]byte("x"))

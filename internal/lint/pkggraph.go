@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the substrate every PackageAnalyzer reads — lockdiscipline,
-// lockorder, ctxflow, bufown, protocheck: a syntactic per-package model of
+// lockorder, ctxflow, protocheck: a syntactic per-package model of
 // functions, struct field types, a call-graph approximation, and
 // per-function summaries of lock acquisitions and blocking operations,
 // built once per package per Run. summaryScan is the suite's only
@@ -55,9 +55,10 @@ type funcSummary struct {
 
 	ctxParam string // name of the context.Context parameter ("" if none)
 	usesCtx  bool   // body references the context parameter
-	// paramAnns maps a parameter to its doc-comment ownership annotation,
-	// "owns" or "borrows" (bufown and protocheck read it).
-	paramAnns map[string]string
+	// owns is the set of parameters whose pooled payload the function
+	// takes over, from its //netagg:owns <param> doc directives
+	// (protocheck reads it).
+	owns map[string]bool
 
 	acquires []lockAcq // direct lock acquisitions
 	calls    []callRef // resolvable same-package calls
@@ -224,17 +225,15 @@ func isCtxType(e ast.Expr) bool {
 // scanned in scanBody once every key is registered.
 func (p *pkgSummary) newSummary(f *File, fn *ast.FuncDecl) *funcSummary {
 	fs := &funcSummary{
-		file:      f,
-		decl:      fn,
-		typeEnv:   make(typeEnv),
-		lockText:  make(map[string]string),
-		paramAnns: make(map[string]string),
+		file:     f,
+		decl:     fn,
+		typeEnv:  make(typeEnv),
+		lockText: make(map[string]string),
+		owns:     make(map[string]bool),
 	}
-	for _, kind := range []string{"owns", "borrows"} {
-		for _, args := range docDirectives(fn, kind) {
-			if len(args) > 0 {
-				fs.paramAnns[args[0]] = kind
-			}
+	for _, args := range docDirectives(fn, "owns") {
+		if len(args) > 0 {
+			fs.owns[args[0]] = true
 		}
 	}
 	if fn.Recv != nil && len(fn.Recv.List) == 1 {

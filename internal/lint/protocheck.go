@@ -68,6 +68,9 @@ func (Protocheck) Doc() string {
 	return "frame-dispatch switches must conform to the wire protocol table (internal/wire/protocol.go)"
 }
 
+// wirePath is the import path of the package that declares wire.Msg.
+const wirePath = "netagg/internal/wire"
+
 // CheckPackage implements PackageAnalyzer.
 func (Protocheck) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string)) {
 	pc := &protoPkg{pkg: p, rules: make(map[string]wire.Rule)}
@@ -462,7 +465,7 @@ func (t *protoTrace) stmt(fr *traceFrame, stmt ast.Stmt, st traceState) traceSta
 
 	case *ast.GoStmt:
 		// Goroutines detach from the handler's guard discipline; not
-		// traced (bufown covers the buffer hand-off).
+		// traced.
 	}
 	return st
 }
@@ -590,7 +593,7 @@ func (t *protoTrace) followCall(fr *traceFrame, call *ast.CallExpr, st traceStat
 		if !ok || id.Name != fr.msgName || i >= len(params) {
 			continue
 		}
-		if callee.paramAnns[params[i]] == "owns" {
+		if callee.owns[params[i]] {
 			t.take(call.Pos())
 		}
 		if t.visited[key] {
@@ -604,6 +607,22 @@ func (t *protoTrace) followCall(fr *traceFrame, call *ast.CallExpr, st traceStat
 		}
 		t.walkStmts(sub, callee.decl.Body.List, traceState{guarded: st.guarded})
 	}
+}
+
+// paramNames returns the function's parameter names in declaration
+// order, expanding grouped parameters.
+func paramNames(decl *ast.FuncDecl) []string {
+	var names []string
+	for _, field := range decl.Type.Params.List {
+		if len(field.Names) == 0 {
+			names = append(names, "_")
+			continue
+		}
+		for _, n := range field.Names {
+			names = append(names, n.Name)
+		}
+	}
+	return names
 }
 
 // Tri-state verdicts for type tests against the traced frame.
@@ -693,6 +712,15 @@ func bodyTerminates(b *ast.BlockStmt) bool {
 		return isPanicCall(last.X)
 	}
 	return false
+}
+
+func isPanicCall(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
 }
 
 // mutTarget renders an assignment target that reaches beyond function

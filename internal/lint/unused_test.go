@@ -65,7 +65,7 @@ func fire(c client) {
 	// reported: it may be load-bearing in a fuller run.
 	scoped := parseFixture(t, "internal/shim/x.go", `package shim
 func f() {
-	//lint:ignore bufown audited hand-off
+	//lint:ignore lockorder audited shutdown-only order
 	_ = 1
 }
 `)
@@ -81,40 +81,58 @@ func f() {
 	}
 }
 
-// TestBufownAllowSuppressesExactlyOneAndUnusedFires proves the same life
-// cycle for bufown's package-scoped findings: an ignore over a real leak
-// suppresses exactly that diagnostic; one over clean code is stale.
-func TestBufownAllowSuppressesExactlyOneAndUnusedFires(t *testing.T) {
-	bufown := []Analyzer{Bufown{}}
-	used := parseFixture(t, "internal/core/x.go", bufownHeader+`
-func f(n int, err error) error {
-	b := bufpool.Get(n)
-	if err != nil {
-		//lint:ignore bufown the caller parks the ref, audited 2026-08
-		return err
-	}
-	return nil
+// TestLockOrderIgnoreSuppressesExactlyOneAndUnusedFires proves the same
+// life cycle for a PackageAnalyzer, whose findings are reported from the
+// package summary rather than from one file's walk: an ignore over one
+// site of a lock-order cycle suppresses exactly that diagnostic, and one
+// over an acyclic acquisition is stale.
+func TestLockOrderIgnoreSuppressesExactlyOneAndUnusedFires(t *testing.T) {
+	lockorder := []Analyzer{LockOrder{}}
+	const types = `package core
+import "sync"
+type A struct {
+	mu sync.Mutex
+	b  *B
+}
+type B struct {
+	mu sync.Mutex
+	a  *A
+}
+`
+	used := parseFixture(t, "internal/core/x.go", types+`func (a *A) one() {
+	a.mu.Lock()
+	//lint:ignore lockorder B->A runs only during shutdown, audited 2026-08
+	a.b.mu.Lock()
+	a.b.mu.Unlock()
+	a.mu.Unlock()
+}
+func (b *B) two() {
+	b.mu.Lock()
+	b.a.mu.Lock()
+	b.a.mu.Unlock()
+	b.mu.Unlock()
 }
 `)
-	if got := Run([]*File{used}, bufown); len(got) != 1 || got[0].Line != 10 {
-		t.Fatalf("got %v, want exactly the unsuppressed leak at the final return (line 10)", got)
+	if got := Run([]*File{used}, lockorder); len(got) != 1 || got[0].Line != 20 {
+		t.Fatalf("got %v, want exactly the unsuppressed cycle site in two (line 20)", got)
 	}
-	if unused := UnusedIgnores([]*File{used}, bufown); len(unused) != 0 {
+	if unused := UnusedIgnores([]*File{used}, lockorder); len(unused) != 0 {
 		t.Fatalf("used directive reported as unused: %v", unused)
 	}
 
-	stale := parseFixture(t, "internal/core/x.go", bufownHeader+`
-func f(n int) {
-	b := bufpool.Get(n)
-	//lint:ignore bufown nothing leaks here any more
-	b.Release()
+	stale := parseFixture(t, "internal/core/x.go", types+`func (a *A) one() {
+	a.mu.Lock()
+	//lint:ignore lockorder no cycle here any more
+	a.b.mu.Lock()
+	a.b.mu.Unlock()
+	a.mu.Unlock()
 }
 `)
-	if got := Run([]*File{stale}, bufown); len(got) != 0 {
-		t.Fatalf("clean fixture produced findings: %v", got)
+	if got := Run([]*File{stale}, lockorder); len(got) != 0 {
+		t.Fatalf("acyclic fixture produced findings: %v", got)
 	}
-	unused := UnusedIgnores([]*File{stale}, bufown)
-	if len(unused) != 1 || unused[0].Line != 6 || !strings.Contains(unused[0].Message, "bufown suppresses nothing") {
-		t.Fatalf("unused = %v, want one stale bufown ignore at line 6 (the comment)", unused)
+	unused := UnusedIgnores([]*File{stale}, lockorder)
+	if len(unused) != 1 || unused[0].Line != 13 || !strings.Contains(unused[0].Message, "lockorder suppresses nothing") {
+		t.Fatalf("unused = %v, want one stale lockorder ignore at line 13 (the comment)", unused)
 	}
 }

@@ -244,7 +244,7 @@ func (c *Conn) next() int { return <-c.in }
 }
 
 func TestCtxFlowSelectNeedsEscapeHatch(t *testing.T) {
-	got := runOn(t, "internal/core/x.go", `package core
+	got := runOn(t, "internal/cluster/x.go", `package cluster
 func wait(a, b chan int) {
 	select {
 	case <-a:
@@ -256,7 +256,7 @@ func wait(a, b chan int) {
 }
 
 func TestCtxFlowSelectWithDoneOrTimerOK(t *testing.T) {
-	got := runOn(t, "internal/core/x.go", `package core
+	got := runOn(t, "internal/cluster/x.go", `package cluster
 import (
 	"context"
 	"time"
@@ -302,7 +302,7 @@ func retryBackoff(ctx context.Context) {
 }
 
 func TestCtxFlowDroppedCtxParam(t *testing.T) {
-	got := runOn(t, "internal/shim/x.go", `package shim
+	got := runOn(t, "internal/transport/x.go", `package transport
 import "context"
 func deliver(ctx context.Context, c chan int) {
 	c <- 1
@@ -317,7 +317,7 @@ func deliver(ctx context.Context, c chan int) {
 // The summary's two bounded kinds — a blockingMethods call, a select with
 // a Done case — are lockdiscipline's: no ctxflow rule may read them.
 func TestCtxFlowIgnoresBoundedBlockKinds(t *testing.T) {
-	got := runOn(t, "internal/shim/x.go", `package shim
+	got := runOn(t, "internal/transport/x.go", `package transport
 import "context"
 type conn struct{ ctx context.Context }
 func (conn) Send(v int) error { return nil }
@@ -441,20 +441,6 @@ func handle(f Flag) {
 `,
 	}, "exhaustive")
 	expectMessages(t, got)
-}
-
-func TestExhaustiveTypeSwitchSilentDefault(t *testing.T) {
-	got := runMulti(t, map[string]string{
-		"internal/core/c.go": `package core
-func dispatch(v interface{}) {
-	switch v.(type) {
-	case int:
-	default:
-	}
-}
-`,
-	}, "exhaustive")
-	expectMessages(t, got, "silent default in type switch")
 }
 
 func TestExhaustiveSuppression(t *testing.T) {

@@ -1,12 +1,14 @@
 package shim
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"netagg/internal/cluster"
+	"netagg/internal/testutil"
 	"netagg/internal/transport"
 	"netagg/internal/wire"
 )
@@ -142,5 +144,72 @@ func TestFanoutCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := wire.DecodeFanout([]byte{0xff}); err == nil {
 		t.Fatal("expected error for corrupt fanout payload")
+	}
+}
+
+// TestFanoutDeliveryKeepsTheFrameAlive pins the one zero-copy alias on
+// the data path: a box delivers a TFanout's inner payload as a TData frame
+// whose Payload aliases the TFanout frame's pooled buffer, and the
+// delivery's Buf reference is all that keeps that buffer alive in the
+// send queue after serveFrame releases the frame. The delivery connection
+// is stalled behind a relay until the box has handled (and released) the
+// TFanout frames; under netaggdebug a released buffer is poisoned at once,
+// so a delivery that rode on the frame without its own reference arrives
+// as poison.
+func TestFanoutDeliveryKeepsTheFrameAlive(t *testing.T) {
+	r := newRig(t, 0)
+	sink := newFanoutSink(t)
+	relay := testutil.NewRelay(t, sink.srv.Addr())
+	targets := map[string]string{"w0": relay.Addr()}
+	copies := func() int64 {
+		var n int64
+		for _, b := range r.boxes {
+			n += b.Stats().FanoutCopies
+		}
+		return n
+	}
+	pattern := func(n int, seed byte) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = seed + byte(i%251)
+		}
+		return p
+	}
+
+	// The first frame on a connection is sent synchronously (it waits for
+	// the dial); every later one is queued and written by the flusher.
+	if err := r.master.Fanout("wc", 1, []byte("warm-up"), targets); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, "the warm-up delivery", func() bool { return sink.count() == 1 })
+	perFanout := copies()
+
+	// With the relay paused, the filler fills the socket buffers and holds
+	// the box's flusher, so the probe waits in the send queue.
+	relay.Pause()
+	filler, probe := pattern(8<<20, 1), pattern(64<<10, 7)
+	for i, p := range [][]byte{filler, probe} {
+		if err := r.master.Fanout("wc", uint64(2+i), p, targets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.WaitFor(t, "the box to handle both fanouts", func() bool { return copies() == 3*perFanout })
+	time.Sleep(20 * time.Millisecond) // serveFrame releases the frame after handleFanout returns
+	if read := relay.BytesRead(); read >= int64(len(filler)) {
+		t.Fatalf("the relay read %d bytes while paused: the filler did not stall the box's flusher", read)
+	}
+	relay.Resume()
+
+	testutil.WaitFor(t, "both deliveries", func() bool { return sink.count() == 3 })
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for i, want := range [][]byte{filler, probe} {
+		if got := sink.payloads[1+i]; !bytes.Equal(got, want) {
+			at := 0
+			for at < len(got) && at < len(want) && got[at] == want[at] {
+				at++
+			}
+			t.Errorf("delivery %d: %d bytes differ from the %d sent, first at offset %d", i+1, len(got), len(want), at)
+		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 // Relay is a TCP forwarder a test puts in front of a listener — a box, a
 // master's result address — to break the connections to it from the far
 // side. Pause holds the bytes of every connection unread, so a sender's
-// writes complete into socket buffers the receiver never drains; Cut
-// severs every connection, dropping whatever Pause held, and forwards
-// again. The listener stays up, so a cut connection's owner can
+// writes complete into socket buffers the receiver never drains, until
+// Resume; Cut severs every connection, dropping whatever Pause held, and
+// forwards again. The listener stays up, so a cut connection's owner can
 // reconnect through it.
 type Relay struct {
 	ln     net.Listener
@@ -70,6 +70,13 @@ func (r *Relay) Pause() {
 	}
 }
 
+// Resume forwards again after a Pause, starting with the bytes it held.
+func (r *Relay) Resume() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.resumeLocked()
+}
+
 // Cut closes every connection the relay holds, on both sides, and drops
 // the bytes a Pause held. Forwarding resumes for the connections that
 // come after.
@@ -82,6 +89,10 @@ func (r *Relay) Cut() {
 	r.conns = nil
 	close(r.cut)
 	r.cut = make(chan struct{})
+	r.resumeLocked()
+}
+
+func (r *Relay) resumeLocked() {
 	select {
 	case <-r.open:
 	default:

@@ -109,7 +109,7 @@ func (q *sendq) admit(msgs []*wire.Msg, done chan error) error {
 	}
 	for i, m := range msgs {
 		cp := *m
-		cp.Buf = m.Buf.Retain() //netagg:owns cp — the queue's reference, released by the flusher
+		cp.Buf = m.Buf.Retain() // the queue's reference, released by the flusher
 		var d chan error
 		if i == len(msgs)-1 {
 			d = done // the group's waiter rides its last frame

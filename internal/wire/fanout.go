@@ -35,8 +35,6 @@ func (f *FanoutPayload) Encode() []byte {
 // DecodeFanout parses a TFanout payload. Inner borrows from p — no
 // copy is made — so the caller must keep p's backing buffer alive
 // (Retain the frame's Buf) for as long as Inner is in use.
-//
-//netagg:borrows p
 func DecodeFanout(p []byte) (*FanoutPayload, error) {
 	innerLen, n := binary.Uvarint(p)
 	if n <= 0 || uint64(len(p[n:])) < innerLen {

@@ -142,7 +142,7 @@ func (m *Msg) TakeBuf() *bufpool.Buf {
 //
 //netagg:owns b
 func (m *Msg) attachPayload(b *bufpool.Buf) {
-	m.Buf = b //netagg:owns b
+	m.Buf = b
 	m.Payload = b.Bytes()
 }
 
