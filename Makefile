@@ -72,7 +72,8 @@ bufpool-debug:
 # The recovery tests (DESIGN.md §15, §16) under -race, twenty runs each:
 # a connection cut with frames unread, a server or box restarted on its
 # own address, a stream with a gap, a lost connection to a box a request
-# has left; and the box's request state under its one lock: the idle
+# has left, a write wedged on a peer that stopped reading, which the
+# cancelled context of NewConn must free; and the box's request state under its one lock: the idle
 # load signal's decay, a crashing application's quarantine, a panic in
 # the local tree, and the tree's batches and back-pressure by bytes; and
 # the control loop: each box's prober — heartbeat, failover, congestion
@@ -80,7 +81,7 @@ bufpool-debug:
 # interleaving that breaks them shows only across repeated runs.
 recovery-stress:
 	$(GO) test -race -count=20 ./internal/transport \
-		-run '^(TestServerRestartResendAppliedOnce|TestQueuedFramesAppliedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher)$$'
+		-run '^(TestServerRestartResendAppliedOnce|TestQueuedFramesAppliedOnceAfterReconnect|TestOnLostOnlyForConnectionsThatWrote|TestOnLostRunsOffTheFlusher|TestCancelReleasesAWedgedWrite)$$'
 	$(GO) test -race -count=20 ./internal/core \
 		-run '^(TestBoxTakesEachSourceInOrder|TestIdleBoxFlushLatencyDecays|TestBoxQuarantinesCrashingApp|TestBoxQuarantineThreshold|TestLocalTreeMergePanicFailsRequest|TestLocalTreeMergesEachByteOnce|TestLocalTreeHoldsBoundedBytes)$$'
 	$(GO) test -race -count=20 ./internal/shim \

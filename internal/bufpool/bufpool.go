@@ -4,7 +4,7 @@
 // combine pipeline, to the master shim — without per-hop copies and,
 // on the steady-state path, without per-frame heap allocations.
 //
-// # Ownership contract
+// # Reference contract
 //
 // Get and Adopt return a buffer with one reference, owned by the
 // caller. Every reference must be balanced by exactly one Release;

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netagg/internal/agg"
+	"netagg/internal/bufpool"
 	"netagg/internal/core"
 	"netagg/internal/obs"
 	"netagg/internal/transport"
@@ -539,9 +540,11 @@ func startLoadBox(t *testing.T) *loadBox {
 // is marked and migrated once; hot again inside its cooldown it is only
 // marked; declared dead it fails over and loses its mark; revived it
 // starts cold. Each box's prober owns that box's state, so nothing else
-// is shared.
+// is shared. Once the monitor and the box are closed, every echo's
+// pooled payload is back in the pool.
 func TestMonitorScoresCongestion(t *testing.T) {
 	const id = 1 << 32
+	before := bufpool.ReadStats()
 	lb := startLoadBox(t)
 	d := NewDeployment(nil)
 	d.AddBox(BoxInfo{ID: id, Addr: lb.srv.Addr(), Switch: "tor:0"})
@@ -621,4 +624,11 @@ func TestMonitorScoresCongestion(t *testing.T) {
 	if len(acts) != 0 {
 		t.Fatalf("unexpected act %q", <-acts)
 	}
+
+	m.Stop()
+	lb.srv.Close()
+	await("the echoes' buffers are back in the pool", func() bool {
+		after := bufpool.ReadStats()
+		return after.Acquires()-before.Acquires() == after.Releases-before.Releases
+	})
 }

@@ -465,8 +465,6 @@ func (b *Box) recordSpan(req *boxRequest, aggNs, bytesOut int64, errText string)
 // takes its own references through the outbound Msg.Buf fields. Nothing
 // is kept once it is sent: a result lost with the connection to the next
 // hop is recovered by the master's straggler timer.
-//
-//netagg:owns resultBuf
 func (b *Box) finishRequest(req *boxRequest, resultBuf *bufpool.Buf, err error) {
 	defer resultBuf.Release()
 	result := resultBuf.Bytes()

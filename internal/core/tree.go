@@ -129,8 +129,6 @@ func NewLocalTree(sched *Scheduler, app string, aggregator agg.Aggregator, maxPe
 // hand their reference over and walk away. It blocks while the tree's
 // buffer is full (back-pressure) and returns false if the tree already
 // failed or was closed, or if the part failed it.
-//
-//netagg:owns part
 func (t *LocalTree) Add(part *bufpool.Buf) bool {
 	n := part.Len()
 	t.mu.Lock()

@@ -172,8 +172,8 @@ func directive(c *ast.Comment) (name string, args []string) {
 }
 
 // docDirectives returns the arguments of each //netagg:<name> line in
-// the function's doc comment: //netagg:hotpath, //netagg:proto-handler
-// <role> and //netagg:owns <param>.
+// the function's doc comment: //netagg:hotpath and
+// //netagg:proto-handler <role>.
 func docDirectives(decl *ast.FuncDecl, name string) [][]string {
 	if decl.Doc == nil {
 		return nil

@@ -55,10 +55,6 @@ type funcSummary struct {
 
 	ctxParam string // name of the context.Context parameter ("" if none)
 	usesCtx  bool   // body references the context parameter
-	// owns is the set of parameters whose pooled payload the function
-	// takes over, from its //netagg:owns <param> doc directives
-	// (protocheck reads it).
-	owns map[string]bool
 
 	acquires []lockAcq // direct lock acquisitions
 	calls    []callRef // resolvable same-package calls
@@ -229,12 +225,6 @@ func (p *pkgSummary) newSummary(f *File, fn *ast.FuncDecl) *funcSummary {
 		decl:     fn,
 		typeEnv:  make(typeEnv),
 		lockText: make(map[string]string),
-		owns:     make(map[string]bool),
-	}
-	for _, args := range docDirectives(fn, "owns") {
-		if len(args) > 0 {
-			fs.owns[args[0]] = true
-		}
 	}
 	if fn.Recv != nil && len(fn.Recv.List) == 1 {
 		fs.recvType = typeName(fn.Recv.List[0].Type)

@@ -13,10 +13,9 @@ import (
 // contract lives in one declarative table (internal/wire/protocol.go):
 // per frame type, which roles may send and receive it, whether the
 // receiving handler must pass an epoch/sequence guard before mutating
-// request state, and how payload-buffer ownership transfers. This
-// analyzer checks every annotated frame-dispatch switch against that
-// table — the lint package imports the table directly, so the spec and
-// the checker cannot drift apart.
+// request state. This analyzer checks every annotated frame-dispatch
+// switch against that table — the lint package imports the table
+// directly, so the spec and the checker cannot drift apart.
 //
 // A handler opts in with a doc-comment directive naming its role:
 //
@@ -40,14 +39,13 @@ import (
 //     guarded at this role, a mutation of non-local state (field or
 //     element assignment, ++/--, delete) reachable before an
 //     attempt/sequence guard — recovery re-sends deliver a frame more
-//     than once, so such a mutation double-counts;
-//   - ownership contradictions: a handler that never takes the payload
-//     buffer of a frame the table says it owns (Msg.TakeBuf or a bare
-//     hand-off to a //netagg:owns callee parameter), or that takes the
-//     buffer of a frame it only borrows.
+//     than once, so such a mutation double-counts.
 //
-// The mutation and ownership checks trace the whole handler body for
-// one frame type at a time: conditions and switches on `<msg>.Type`
+// What a handler does with the payload buffer is not checked here: the
+// Msg.Buf contract is checked at run time (DESIGN.md §13).
+//
+// The mutation check traces the whole handler body for each guarded
+// frame type, one at a time: conditions and switches on `<msg>.Type`
 // are evaluated definitively against the traced frame (pruning arms
 // the frame cannot reach), an `if` whose condition mentions an
 // attempt/seq/epoch name and whose body terminates marks the path
@@ -238,27 +236,13 @@ func (pc *protoPkg) checkHandler(fs *funcSummary, roleName string, report func(p
 		report(sw.Pos(), fmt.Sprintf("role %s must receive %s but the dispatch switch has no case for it", role, strings.Join(missing, ", ")))
 	}
 
-	// Per handled frame: epoch-guard and ownership conformance.
+	// Per handled epoch-guarded frame: no state mutation before the guard.
 	for _, r := range wire.Protocol() {
-		pos, ok := handled[r.Name]
-		if !ok || !r.MayReceive(role) {
+		if _, ok := handled[r.Name]; !ok || !r.GuardedAt(role) {
 			continue
 		}
-		tr := pc.trace(fs, msgName, r)
-		if r.GuardedAt(role) {
-			for _, m := range tr.mutations {
-				report(m.pos, fmt.Sprintf("state mutation of %s on epoch-guarded frame %s is reachable before the attempt/seq guard: a re-sent frame double-counts it", m.desc, r.Name))
-			}
-		}
-		switch own := r.OwnershipAt(role); own {
-		case wire.OwnTakes:
-			if len(tr.takes) == 0 {
-				report(pos, fmt.Sprintf("protocol declares %s payload ownership %q for role %s but the handler never takes the buffer (Msg.TakeBuf or a //netagg:owns hand-off)", r.Name, own.String(), role))
-			}
-		case wire.OwnBorrows, wire.OwnNone:
-			for _, tp := range tr.takes {
-				report(tp, fmt.Sprintf("handler takes the %s payload buffer but the protocol declares ownership %q for role %s", r.Name, own.String(), role))
-			}
+		for _, m := range pc.trace(fs, msgName, r) {
+			report(m.pos, fmt.Sprintf("state mutation of %s on epoch-guarded frame %s is reachable before the attempt/seq guard: a re-sent frame double-counts it", m.desc, r.Name))
 		}
 	}
 }
@@ -284,16 +268,14 @@ type traceSite struct {
 }
 
 // protoTrace walks a handler (and resolvable callees receiving the
-// message) for ONE frame type, recording unguarded state mutations and
-// buffer-take sites reachable by that frame.
+// message) for ONE frame type, recording the unguarded state mutations
+// reachable by that frame.
 type protoTrace struct {
 	pc   *protoPkg
 	rule wire.Rule
 
 	mutations []traceSite
-	takes     []token.Pos
 	seenMut   map[token.Pos]bool
-	seenTake  map[token.Pos]bool
 	visited   map[string]bool
 }
 
@@ -311,19 +293,19 @@ type traceState struct {
 	terminated bool
 }
 
-// trace runs a fresh frame-scoped walk over the handler.
-func (pc *protoPkg) trace(fs *funcSummary, msgName string, rule wire.Rule) *protoTrace {
+// trace runs a fresh frame-scoped walk over the handler and returns the
+// unguarded mutations it reached.
+func (pc *protoPkg) trace(fs *funcSummary, msgName string, rule wire.Rule) []traceSite {
 	t := &protoTrace{
-		pc:       pc,
-		rule:     rule,
-		seenMut:  make(map[token.Pos]bool),
-		seenTake: make(map[token.Pos]bool),
-		visited:  make(map[string]bool),
+		pc:      pc,
+		rule:    rule,
+		seenMut: make(map[token.Pos]bool),
+		visited: make(map[string]bool),
 	}
 	t.visited[fs.key] = true
 	fr := &traceFrame{fs: fs, msgName: msgName, wireName: importName(fs.file.AST, wirePath)}
 	t.walkStmts(fr, fs.decl.Body.List, traceState{})
-	return t
+	return t.mutations
 }
 
 func (t *protoTrace) mutation(pos token.Pos, desc string) {
@@ -332,14 +314,6 @@ func (t *protoTrace) mutation(pos token.Pos, desc string) {
 	}
 	t.seenMut[pos] = true
 	t.mutations = append(t.mutations, traceSite{pos: pos, desc: desc})
-}
-
-func (t *protoTrace) take(pos token.Pos) {
-	if t.seenTake[pos] {
-		return
-	}
-	t.seenTake[pos] = true
-	t.takes = append(t.takes, pos)
 }
 
 func (t *protoTrace) walkStmts(fr *traceFrame, stmts []ast.Stmt, st traceState) traceState {
@@ -552,8 +526,8 @@ func (t *protoTrace) switchStmt(fr *traceFrame, s *ast.SwitchStmt, st traceState
 	return t.walkStmts(fr, covering.Body, st)
 }
 
-// scanExpr records buffer takes and follows resolvable calls that
-// receive the message; function literals are separate scopes.
+// scanExpr follows resolvable calls that receive the message; function
+// literals are separate scopes.
 func (t *protoTrace) scanExpr(fr *traceFrame, e ast.Expr, st traceState) {
 	if e == nil {
 		return
@@ -563,11 +537,6 @@ func (t *protoTrace) scanExpr(fr *traceFrame, e ast.Expr, st traceState) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "TakeBuf" {
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == fr.msgName {
-					t.take(v.Pos())
-				}
-			}
 			t.followCall(fr, v, st)
 		}
 		return true
@@ -576,8 +545,7 @@ func (t *protoTrace) scanExpr(fr *traceFrame, e ast.Expr, st traceState) {
 
 // followCall recurses into a same-package callee that receives the
 // message as a bare argument, translating the message name into the
-// callee's parameter space. A hand-off to a //netagg:owns parameter is
-// itself a take.
+// callee's parameter space.
 func (t *protoTrace) followCall(fr *traceFrame, call *ast.CallExpr, st traceState) {
 	key := t.pc.pkg.resolveCallee(fr.fs.typeEnv, call)
 	if key == "" {
@@ -592,9 +560,6 @@ func (t *protoTrace) followCall(fr *traceFrame, call *ast.CallExpr, st traceStat
 		id, ok := arg.(*ast.Ident)
 		if !ok || id.Name != fr.msgName || i >= len(params) {
 			continue
-		}
-		if callee.owns[params[i]] {
-			t.take(call.Pos())
 		}
 		if t.visited[key] {
 			continue

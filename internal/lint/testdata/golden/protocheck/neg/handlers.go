@@ -1,8 +1,8 @@
 // Negative fixtures: the correct counterpart of every positive case.
 // Each role's handler dispatches on the message type with a logged
 // default, covers exactly the frames the protocol table lets it
-// receive, guards epoch-sensitive mutations, and honours the declared
-// payload ownership. The analyzer must stay silent on all of them.
+// receive, and guards epoch-sensitive mutations. The analyzer must stay
+// silent on all of them.
 package fixture
 
 import (

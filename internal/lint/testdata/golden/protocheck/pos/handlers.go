@@ -2,9 +2,9 @@
 // at least one way. One deliberate violation per diagnostic class:
 // unknown role, missing *wire.Msg parameter, missing dispatch switch,
 // handling a frame the role may not receive, silently dropping a
-// receivable frame, mutating state before the epoch guard (directly and
-// through a callee), declaring "takes" ownership without taking, and
-// taking a buffer the role only borrows.
+// receivable frame, and mutating state before the epoch guard (directly
+// and through a callee). What a handler does with a payload buffer is no
+// finding: buffer ownership is checked at run time, not by protocheck.
 package fixture
 
 import (
@@ -38,8 +38,8 @@ type pending struct {
 	bufs    [][]byte
 }
 
-// handleMaster mutates before the attempt check on TResult, never takes
-// the TData payload it is declared to own, and has no TError case.
+// handleMaster mutates before the attempt check on TResult and has no
+// TError case; keeping the TData payload without TakeBuf is no finding.
 //
 //netagg:proto-handler master
 func (p *pending) handleMaster(m *wire.Msg, attempt int) {
@@ -84,8 +84,8 @@ func (s *boxState) ingest(m *wire.Msg) {
 
 func sink(b []byte) {}
 
-// handleBox reaches ingest's unguarded mutation on TData and takes the
-// TExpect payload it only borrows.
+// handleBox reaches ingest's unguarded mutation on TData; taking the
+// TExpect payload is no finding.
 //
 //netagg:proto-handler box
 func (s *boxState) handleBox(m *wire.Msg) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"netagg/internal/bufpool"
 	"netagg/internal/cluster"
 	"netagg/internal/testutil"
 	"netagg/internal/transport"
@@ -47,7 +48,11 @@ func (s *fanoutSink) count() int {
 	return len(s.payloads)
 }
 
+// TestFanoutDeliversOncePerTarget broadcasts one payload to four workers
+// through the boxes: each gets it once, and once every endpoint is closed
+// each box has given back the TFanout frames it handled.
 func TestFanoutDeliversOncePerTarget(t *testing.T) {
+	before := bufpool.ReadStats()
 	r := newRig(t, 0)
 	sinks := map[string]*fanoutSink{}
 	targets := map[string]string{}
@@ -86,6 +91,11 @@ func TestFanoutDeliversOncePerTarget(t *testing.T) {
 	if copies == 0 {
 		t.Fatal("no box participated in the fanout")
 	}
+	r.close()
+	for _, s := range sinks {
+		s.srv.Close()
+	}
+	poolBalance(t, before, 5*time.Second)
 }
 
 func TestFanoutDirectWhenNoBoxes(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netagg/internal/agg"
+	"netagg/internal/bufpool"
 	"netagg/internal/cluster"
 	"netagg/internal/transport"
 	"netagg/internal/wire"
@@ -214,8 +215,11 @@ func TestErrorEndingsAreNoticed(t *testing.T) {
 // On the worker, a notice drops exactly the sends it names: a redirect
 // arriving after it finds nothing to replay; ids it does not hold —
 // unknown, already expired, noticed twice, another application's — change
-// nothing; and a malformed payload is dropped without a panic.
+// nothing; and a malformed payload is dropped without a panic. Each
+// control frame arrives as a connection delivers it, its payload in a
+// pooled buffer, and the handler must give every buffer back.
 func TestDoneNoticeAtWorker(t *testing.T) {
+	before := bufpool.ReadStats()
 	r := newRig(t, 0)
 	w := r.workers["w0"]
 	for req := uint64(1); req <= 3; req++ {
@@ -223,8 +227,13 @@ func TestDoneNoticeAtWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	frame := func(typ wire.Type, app string, req uint64, payload []byte) *wire.Msg {
+		buf := bufpool.Get(len(payload))
+		copy(buf.Bytes(), payload)
+		return &wire.Msg{Type: typ, App: app, Req: req, Payload: buf.Bytes(), Buf: buf}
+	}
 	done := func(app string, payload []byte) {
-		w.control(nil, &wire.Msg{Type: wire.TDone, App: app, Payload: payload})
+		w.control(nil, frame(wire.TDone, app, 0, payload))
 	}
 	expect := func(queued, retained int) {
 		t.Helper()
@@ -236,7 +245,7 @@ func TestDoneNoticeAtWorker(t *testing.T) {
 	done("wc", wire.EncodeIDs([]uint64{2}))
 	expect(3, 2) // request 2 waits in the queue behind request 1
 	applied := obsRedirectsApplied.Value()
-	w.applyRedirect(&wire.Msg{Type: wire.TRedirect, App: "wc", Req: 2, Payload: wire.EncodeCount(1)})
+	w.control(nil, frame(wire.TRedirect, "wc", 2, wire.EncodeCount(1)))
 	if obsRedirectsApplied.Value() != applied {
 		t.Fatal("a redirect after the notice replayed the request")
 	}
@@ -254,6 +263,8 @@ func TestDoneNoticeAtWorker(t *testing.T) {
 	w.mu.Unlock()
 	done("wc", wire.EncodeIDs([]uint64{3}))
 	expect(0, 0)
+	r.close()
+	poolBalance(t, before, 5*time.Second)
 }
 
 // A reused id whose previous incarnation is still in an unsent batch is

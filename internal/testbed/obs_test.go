@@ -273,7 +273,7 @@ func TestDebugEndpointCoversEveryLayer(t *testing.T) {
 
 	getJSON(t, base+"/metrics", &m)
 	for _, want := range []string{
-		"transport.frames_out", "transport.writev_calls", "transport.batch_frames",
+		"transport.frames_in", "transport.writev_calls", "transport.batch_frames",
 		"box.frames_aggregated", "box.cutthrough_merges",
 		"plan.replans", "plan.dead_boxes_skipped", "plan.slow_boxes_avoided",
 		"replan.ticks", "replan.migrations", "replan.migrated_requests",

@@ -10,7 +10,6 @@ import "netagg/internal/obs"
 var (
 	obsFramesIn     = obs.C("transport.frames_in")
 	obsBytesIn      = obs.C("transport.bytes_in")
-	obsFramesOut    = obs.C("transport.frames_out")
 	obsBytesOut     = obs.C("transport.bytes_out")
 	obsDials        = obs.C("transport.dials")
 	obsDialFailures = obs.C("transport.dial_failures")
@@ -19,9 +18,10 @@ var (
 	obsAccepted     = obs.C("transport.accepted")
 	obsActiveConns  = obs.G("transport.active_conns")
 
-	// Batched write path (DESIGN.md §15): one writev per flush, frames
-	// and payload bytes it coalesced, and the admission/teardown events
-	// around the send queue. mean(transport.batch_size) collapsing to 1
+	// Batched write path (DESIGN.md §15): one writev per flush, the
+	// frames and bytes it wrote (batch_frames is the process's frames
+	// out: every frame leaves in a writev), and the admission/teardown
+	// events around the send queue. mean(transport.batch_size) collapsing to 1
 	// means flushes stopped coalescing — see OPERATIONS.md §8.
 	obsWritevCalls = obs.C("transport.writev_calls")
 	obsBatchFrames = obs.C("transport.batch_frames")

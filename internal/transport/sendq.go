@@ -222,7 +222,6 @@ func (q *sendq) writeVec(vw *wire.VectorWriter) error {
 	obsBatchSize.Observe(k)
 	obsBatchFrames.Add(k)
 	obsBatchBytes.Add(written)
-	obsFramesOut.Add(k)
 	obsBytesOut.Add(payload)
 	return nil
 }

@@ -622,6 +622,46 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelReleasesAWedgedWrite pins that cancelling NewConn's ctx is
+// Close, not only a refusal of later sends: the flusher is wedged in a
+// vectored write to a peer that stopped reading, which only closing the
+// socket frees. The cancellation alone must tear the connection down and
+// drop the queued frames.
+func TestCancelReleasesAWedgedWrite(t *testing.T) {
+	first, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv, err := Listen(context.Background(), "127.0.0.1:0", func(_ *ServerConn, m *wire.Msg) {
+		m.Release()
+		once.Do(func() { close(first) })
+		<-unblock
+	}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(unblock)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := NewConn(ctx, srv.Addr(), Options{})
+	defer c.Close()
+	if err := c.Send(&wire.Msg{Type: wire.TData, App: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	<-first // the server reads nothing more
+
+	// 64 MiB is far more than the loopback socket buffers hold, so the
+	// flusher sits in a write that cannot finish.
+	payload := make([]byte, 1<<20)
+	for seq := uint64(1); seq <= 64; seq++ {
+		if err := c.Send(&wire.Msg{Type: wire.TData, App: "t", Seq: seq, Payload: payload}); err != nil {
+			t.Fatalf("send %d: %v", seq, err)
+		}
+	}
+	cancel()
+	testutil.WaitFor(t, "the cancellation to drop the wedged frames", func() bool { return c.Stats().Dropped > 0 })
+}
+
 // TestPoolSharesConnections checks the pool caches one Conn per address
 // and routes its sends through it.
 func TestPoolSharesConnections(t *testing.T) {

@@ -6,21 +6,24 @@ import (
 )
 
 // This file is the declarative wire-protocol specification: one table
-// (Protocol) mapping every frame type to the roles that may send and
-// receive it, whether the receiving handler must pass an epoch/sequence
-// guard before mutating request state, and how payload-buffer ownership
-// transfers at the receiver. Three consumers keep the table honest:
+// (Protocol) mapping every frame type to the roles that send and receive
+// it, and to whether the receiving handler must pass an epoch/sequence
+// guard before mutating request state. Three consumers keep the receiver
+// and guard columns honest:
 //
 //   - the protocheck analyzer (internal/lint) statically checks every
-//     //netagg:proto-handler dispatch switch against it,
+//     //netagg:proto-handler dispatch switch against them,
 //   - CheckReceive (protocol_check_debug.go) enforces the receiver
 //     column on live frames under the netaggdebug build tag, and
 //   - cmd/protogen renders ProtocolMatrix into DESIGN.md and fails CI
 //     when the committed matrix drifts from this table.
 //
 // Adding a frame type therefore means adding a rule here first; the
-// drift gate and the analyzer turn a forgotten handler or an undeclared
-// sender into a build failure instead of a protocol-skew log line.
+// drift gate and the analyzer turn a forgotten handler into a build
+// failure instead of a protocol-skew log line. The "sent by" column is
+// documentation: nothing checks a sender against it. What a receiver
+// does with a frame's payload buffer is the Msg.Buf contract, checked
+// at run time (DESIGN.md §13).
 
 // Role identifies a protocol participant: which kind of node a frame
 // handler runs on.
@@ -74,38 +77,6 @@ func ParseRole(s string) (Role, bool) {
 	return 0, false
 }
 
-// Ownership describes what a receiving handler does with a frame's
-// payload buffer (the Msg.Buf reference contract).
-type Ownership uint8
-
-const (
-	// OwnNone: the frame carries no payload the receiver keeps; the
-	// dispatch loop's Release is the only discharge.
-	OwnNone Ownership = iota
-	// OwnBorrows: the receiver reads the payload only for the duration
-	// of the handler call (decode-and-copy); taking the buffer
-	// reference would leak it past the borrow window.
-	OwnBorrows
-	// OwnTakes: the receiver takes the frame's buffer reference
-	// (Msg.TakeBuf or a //netagg:owns hand-off) and becomes responsible
-	// for releasing it.
-	OwnTakes
-)
-
-// String names the ownership mode as rendered in the protocol matrix.
-func (o Ownership) String() string {
-	switch o {
-	case OwnNone:
-		return "none"
-	case OwnBorrows:
-		return "borrows"
-	case OwnTakes:
-		return "takes"
-	default:
-		return fmt.Sprintf("ownership(%d)", uint8(o))
-	}
-}
-
 // Rule is one frame type's protocol contract.
 type Rule struct {
 	// Type is the frame type the rule governs.
@@ -113,7 +84,8 @@ type Rule struct {
 	// Name is the Go constant name ("TData"), the spelling dispatch
 	// switches use and the analyzer matches case arms against.
 	Name string
-	// Senders lists the roles that may emit the frame.
+	// Senders lists the roles that emit the frame; it is rendered in the
+	// matrix and checked by nothing.
 	Senders []Role
 	// Receivers lists the roles whose dispatch switches must handle the
 	// frame; a frame arriving anywhere else is a protocol violation.
@@ -123,15 +95,9 @@ type Rule struct {
 	// request state on this frame: recovery re-sends deliver a frame
 	// more than once, and unguarded mutation would count it twice.
 	Guarded []Role
-	// Owner maps each receiver to its payload-buffer ownership mode;
-	// receivers absent from the map default to OwnNone.
-	Owner map[Role]Ownership
 	// Note is the one-line rationale rendered in the protocol matrix.
 	Note string
 }
-
-// MaySend reports whether the role may emit this frame type.
-func (r Rule) MaySend(role Role) bool { return containsRole(r.Senders, role) }
 
 // MayReceive reports whether the role's dispatch switch may (and must)
 // handle this frame type.
@@ -140,10 +106,6 @@ func (r Rule) MayReceive(role Role) bool { return containsRole(r.Receivers, role
 // GuardedAt reports whether the role must epoch/sequence-guard its state
 // mutations for this frame type.
 func (r Rule) GuardedAt(role Role) bool { return containsRole(r.Guarded, role) }
-
-// OwnershipAt returns the role's payload ownership mode for this frame
-// type (OwnNone when unlisted).
-func (r Rule) OwnershipAt(role Role) Ownership { return r.Owner[role] }
 
 func containsRole(roles []Role, role Role) bool {
 	for _, r := range roles {
@@ -163,7 +125,6 @@ func Protocol() []Rule {
 			Type: THello, Name: "THello",
 			Senders:   []Role{RoleWorker, RoleBox},
 			Receivers: []Role{RoleBox},
-			Owner:     map[Role]Ownership{RoleBox: OwnBorrows},
 			Note:      "opens a stream; the payload is the remaining route, decoded and copied on arrival",
 		},
 		{
@@ -171,7 +132,6 @@ func Protocol() []Rule {
 			Senders:   []Role{RoleWorker, RoleBox, RoleMaster},
 			Receivers: []Role{RoleBox, RoleMaster},
 			Guarded:   []Role{RoleBox, RoleMaster},
-			Owner:     map[Role]Ownership{RoleBox: OwnTakes, RoleMaster: OwnTakes},
 			Note:      "one canonical part of a partial result — a worker's part or a box's whole aggregate, never a byte range of one; taken only at its source's next Seq, so a re-sent stream's duplicates and the frames behind a gap are dropped (the master also sends TData for §5 fanout distribution, received by the extension's own listener)",
 		},
 		{
@@ -185,7 +145,6 @@ func Protocol() []Rule {
 			Type: TExpect, Name: "TExpect",
 			Senders:   []Role{RoleMaster},
 			Receivers: []Role{RoleBox},
-			Owner:     map[Role]Ownership{RoleBox: OwnBorrows},
 			Note:      "announces the direct-source count for a request (varint payload); idempotent, and sent again when the master's connection to the box is lost",
 		},
 		{
@@ -193,14 +152,12 @@ func Protocol() []Rule {
 			Senders:   []Role{RoleBox},
 			Receivers: []Role{RoleMaster},
 			Guarded:   []Role{RoleMaster},
-			Owner:     map[Role]Ownership{RoleMaster: OwnTakes},
 			Note:      "fully aggregated result from a chain root (Seq 0); the master's attempt+Seq checks drop stale and repeated deliveries",
 		},
 		{
 			Type: THeartbeat, Name: "THeartbeat",
 			Senders:   []Role{RoleMonitor, RoleBox},
 			Receivers: []Role{RoleBox, RoleMonitor},
-			Owner:     map[Role]Ownership{RoleMonitor: OwnBorrows},
 			Note:      "liveness probe (monitor→box) and its echo (box→monitor); the echo payload carries the box's load signal",
 		},
 		{
@@ -208,7 +165,6 @@ func Protocol() []Rule {
 			Senders:   []Role{RoleMaster},
 			Receivers: []Role{RoleWorker},
 			Guarded:   []Role{RoleWorker},
-			Owner:     map[Role]Ownership{RoleWorker: OwnBorrows},
 			Note:      "recovery resend order (varint attempt payload); the worker's lastAttempt check dedups the straggler-timer/monitor race",
 		},
 		{
@@ -216,7 +172,6 @@ func Protocol() []Rule {
 			Senders:   []Role{RoleBox},
 			Receivers: []Role{RoleMaster},
 			Guarded:   []Role{RoleMaster},
-			Owner:     map[Role]Ownership{RoleMaster: OwnBorrows},
 			Note:      "fatal per-request aggregation error; the message is copied into the delivered Result",
 		},
 		{
@@ -229,14 +184,12 @@ func Protocol() []Rule {
 			Type: TDone, Name: "TDone",
 			Senders:   []Role{RoleMaster},
 			Receivers: []Role{RoleWorker},
-			Owner:     map[Role]Ownership{RoleWorker: OwnBorrows},
 			Note:      "ended requests of one application, batched per worker (varint count + ids); the worker drops their retained sends; idempotent (unknown or expired ids are a no-op)",
 		},
 		{
 			Type: TFanout, Name: "TFanout",
 			Senders:   []Role{RoleMaster, RoleBox},
 			Receivers: []Role{RoleBox},
-			Owner:     map[Role]Ownership{RoleBox: OwnBorrows},
 			Note:      "one-to-many distribution envelope (§5 extension); the box re-encodes or forwards per next hop within the call",
 		},
 	}
@@ -259,12 +212,6 @@ func MayReceive(role Role, t Type) bool {
 	return ok && r.MayReceive(role)
 }
 
-// MaySend reports whether the role may emit the frame type.
-func MaySend(role Role, t Type) bool {
-	r, ok := RuleFor(t)
-	return ok && r.MaySend(role)
-}
-
 // receiverNames renders a rule's receiver list for diagnostics
 // ("(none)" for frame types the table does not know).
 func receiverNames(t Type) string {
@@ -284,13 +231,12 @@ func receiverNames(t Type) string {
 // protogen markers and CI fails when the committed copy drifts.
 func ProtocolMatrix() string {
 	var b strings.Builder
-	b.WriteString("| frame | sent by | received by | epoch/sequence guard | payload ownership | notes |\n")
-	b.WriteString("|---|---|---|---|---|---|\n")
+	b.WriteString("| frame | sent by | received by | epoch/sequence guard | notes |\n")
+	b.WriteString("|---|---|---|---|---|\n")
 	for _, r := range Protocol() {
-		fmt.Fprintf(&b, "| `%s` (%s) | %s | %s | %s | %s | %s |\n",
+		fmt.Fprintf(&b, "| `%s` (%s) | %s | %s | %s | %s |\n",
 			r.Name, r.Type,
-			roleList(r.Senders), roleList(r.Receivers), roleList(r.Guarded),
-			ownerList(r), r.Note)
+			roleList(r.Senders), roleList(r.Receivers), roleList(r.Guarded), r.Note)
 	}
 	return b.String()
 }
@@ -305,17 +251,4 @@ func roleList(roles []Role) string {
 		names[i] = r.String()
 	}
 	return strings.Join(names, ", ")
-}
-
-// ownerList renders a rule's per-receiver ownership column in receiver
-// order, so the matrix is deterministic.
-func ownerList(r Rule) string {
-	if len(r.Receivers) == 0 {
-		return "—"
-	}
-	parts := make([]string, len(r.Receivers))
-	for i, role := range r.Receivers {
-		parts[i] = role.String() + " " + r.OwnershipAt(role).String()
-	}
-	return strings.Join(parts, ", ")
 }

@@ -71,16 +71,11 @@ func TestProtocolRuleInvariants(t *testing.T) {
 		}
 		seen[r.Name] = true
 
-		// Guarded and Owner only make sense for roles that can receive
-		// the frame in the first place.
+		// Guarded only makes sense for roles that can receive the frame
+		// in the first place.
 		for _, g := range r.Guarded {
 			if !r.MayReceive(g) {
 				t.Errorf("%s: guarded role %s is not a receiver", r.Name, g)
-			}
-		}
-		for role := range r.Owner {
-			if !r.MayReceive(role) {
-				t.Errorf("%s: ownership declared for non-receiver role %s", r.Name, role)
 			}
 		}
 		// A frame someone receives must have at least one sender, and
@@ -105,35 +100,28 @@ func TestParseRoleRoundTrip(t *testing.T) {
 	if s := Role(42).String(); !strings.Contains(s, "42") {
 		t.Errorf("unknown role String() = %q; want it to surface the raw value", s)
 	}
-	if s := Ownership(42).String(); !strings.Contains(s, "42") {
-		t.Errorf("unknown ownership String() = %q; want it to surface the raw value", s)
-	}
 }
 
-func TestMaySendMayReceive(t *testing.T) {
+func TestMayReceive(t *testing.T) {
 	cases := []struct {
 		role    Role
 		t       Type
-		send    bool
 		receive bool
 	}{
-		{RoleWorker, TData, true, false},
-		{RoleBox, TData, true, true},
-		{RoleMaster, TResult, false, true},
-		{RoleBox, TResult, true, false},
-		{RoleWorker, TRedirect, false, true},
-		{RoleMaster, TRedirect, true, false},
-		{RoleWorker, TDone, false, true},
-		{RoleMaster, TDone, true, false},
-		{RoleBox, TDone, false, false},
-		{RoleMonitor, THeartbeat, true, true},
-		{RoleWorker, Type(8), false, false},   // the retired slot after TRedirect
-		{RoleMaster, Type(200), false, false}, // unknown frame type
+		{RoleWorker, TData, false},
+		{RoleBox, TData, true},
+		{RoleMaster, TResult, true},
+		{RoleBox, TResult, false},
+		{RoleWorker, TRedirect, true},
+		{RoleMaster, TRedirect, false},
+		{RoleWorker, TDone, true},
+		{RoleMaster, TDone, false},
+		{RoleBox, TDone, false},
+		{RoleMonitor, THeartbeat, true},
+		{RoleWorker, Type(8), false},   // the retired slot after TRedirect
+		{RoleMaster, Type(200), false}, // unknown frame type
 	}
 	for _, c := range cases {
-		if got := MaySend(c.role, c.t); got != c.send {
-			t.Errorf("MaySend(%s, %s) = %v; want %v", c.role, c.t, got, c.send)
-		}
 		if got := MayReceive(c.role, c.t); got != c.receive {
 			t.Errorf("MayReceive(%s, %s) = %v; want %v", c.role, c.t, got, c.receive)
 		}
@@ -155,8 +143,8 @@ func TestProtocolMatrixDeterministicAndComplete(t *testing.T) {
 	if want := 2 + len(Protocol()); len(lines) != want {
 		t.Errorf("matrix has %d lines; want %d (header + separator + one per rule)", len(lines), want)
 	}
-	if strings.Contains(m1, "ownership(") || strings.Contains(m1, "role(") {
-		t.Error("matrix contains an unnamed role or ownership value")
+	if strings.Contains(m1, "role(") {
+		t.Error("matrix contains an unnamed role")
 	}
 }
 

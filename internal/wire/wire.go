@@ -139,8 +139,6 @@ func (m *Msg) TakeBuf() *bufpool.Buf {
 
 // attachPayload hands b's reference to the frame: Payload aliases the
 // buffer and Buf carries the obligation to Release it.
-//
-//netagg:owns b
 func (m *Msg) attachPayload(b *bufpool.Buf) {
 	m.Buf = b
 	m.Payload = b.Bytes()
