@@ -28,7 +28,7 @@ func ablationRun(b *testing.B, strat strategies.Strategy, o simexp.Opts) *simexp
 	}
 	strategies.DeployTiers(topo, strategies.TierAll, strategies.DefaultBoxSpec())
 	w := workload.Generate(topo, workload.Default())
-	return simexp.RunWith(topo, w, strat, o)
+	return simexp.Run(topo, w, strat, o)
 }
 
 // BenchmarkAblationStreaming compares NetAgg's streaming (pipelined)
@@ -54,7 +54,7 @@ func BenchmarkAblationReduceSemantics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		topo, _ := topology.BuildClos(topology.DefaultClos())
 		w := workload.Generate(topo, workload.Default())
-		rack := simexp.Run(topo, w, strategies.Rack{}, false)
+		rack := simexp.Run(topo, w, strategies.Rack{}, simexp.Opts{})
 		perHop := ablationRun(b, strategies.NetAgg{Mode: strategies.ReducePerHop}, simexp.Opts{})
 		original := ablationRun(b, strategies.NetAgg{Mode: strategies.ReduceOfOriginal}, simexp.Opts{})
 		if i == 0 {

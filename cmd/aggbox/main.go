@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	aggbox [-addr :7100] [-id 1] [-workers 8] [-fixed-wfq] [-debug 127.0.0.1:7180]
+//	aggbox [-addr :7100] [-id 1] [-workers 8] [-debug 127.0.0.1:7180]
 //
 // With -debug, the box serves the /debug/netagg observability endpoint
 // (live metrics, per-request traces, health, pprof — see OPERATIONS.md)
@@ -56,7 +56,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7100", "listen address")
 	id := flag.Uint64("id", 1, "box identifier (must be unique per deployment)")
 	workers := flag.Int("workers", 8, "scheduler thread pool size")
-	fixed := flag.Bool("fixed-wfq", false, "disable adaptive weighted fair queuing")
 	debug := flag.String("debug", "", "serve /debug/netagg observability endpoint on this address (empty = off)")
 	flag.Parse()
 
@@ -68,11 +67,10 @@ func main() {
 	defer stop()
 
 	box, err := core.Start(core.Config{
-		ID:           *id << 32,
-		Addr:         *addr,
-		Workers:      *workers,
-		FixedWeights: *fixed,
-		Registry:     reg,
+		ID:       *id << 32,
+		Addr:     *addr,
+		Workers:  *workers,
+		Registry: reg,
 	})
 	if err != nil {
 		log.Fatalf("aggbox: %v", err)

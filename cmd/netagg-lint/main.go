@@ -11,16 +11,9 @@
 // Usage:
 //
 //	netagg-lint [patterns...]
-//	netagg-lint -escape [patterns...]
 //
 // Patterns are package directories relative to the module root; the
 // pattern ./... (the default) walks the whole module.
-//
-// The -escape mode is the hot-path allocation gate: it collects every
-// function annotated //netagg:hotpath, runs `go build -gcflags=-m` over
-// the same patterns, and fails if the compiler's escape analysis
-// reports a heap allocation inside any annotated function (see
-// internal/lint/escape.go and DESIGN.md §12).
 package main
 
 import (
@@ -30,7 +23,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -45,7 +37,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("netagg-lint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	escape := fl.Bool("escape", false, "run the //netagg:hotpath escape-analysis gate instead of the analyzer suite")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -85,10 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		files = append(files, f)
 	}
 
-	if *escape {
-		return runEscape(root, patterns, files, stdout, stderr)
-	}
-
 	analyzers := lint.All()
 	findings := lint.Run(files, analyzers)
 
@@ -114,38 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "netagg-lint: %d finding(s)\n", len(findings))
 		return 1
 	}
-	return 0
-}
-
-// runEscape is the -escape mode: the //netagg:hotpath allocation gate.
-// The compiler replays cached diagnostics (Go 1.21+), so repeat runs
-// are warm-cache cheap and need no cache busting.
-func runEscape(root string, patterns []string, files []*lint.File, stdout, stderr io.Writer) int {
-	hot := lint.HotFuncs(files)
-	if len(hot) == 0 {
-		fmt.Fprintf(stderr, "netagg-lint: -escape found no //netagg:hotpath annotations in %v\n", patterns)
-		return 2
-	}
-
-	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m"}, patterns...)...)
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		// -gcflags=-m output goes to stderr alongside any real build
-		// error; a failed build means the diagnostics are unusable.
-		fmt.Fprintf(stderr, "netagg-lint: go build -gcflags=-m failed: %v\n%s", err, out)
-		return 2
-	}
-
-	findings := lint.EscapeFindings(hot, lint.ParseEscapeOutput(string(out)))
-	for _, f := range findings {
-		fmt.Fprintln(stdout, f.String())
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "netagg-lint: escape gate: %d allocation(s) in hotpath functions\n", len(findings))
-		return 1
-	}
-	fmt.Fprintf(stderr, "netagg-lint: escape gate: %d hotpath function(s) allocation-free\n", len(hot))
 	return 0
 }
 

@@ -42,7 +42,7 @@ func main() {
 			strategies.DeployTiers(topo, strategies.TierAll, strategies.DefaultBoxSpec())
 		}
 		w := workload.Generate(topo, wcfg)
-		res := simexp.Run(topo, w, st, false)
+		res := simexp.Run(topo, w, st, simexp.Opts{})
 		p99 := res.AllFCT.P99()
 		if st.Name() == "rack" {
 			rackP99 = p99

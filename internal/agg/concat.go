@@ -124,8 +124,6 @@ func (c *itemCursor) scan(part []byte) error {
 
 // next steps to the following item and returns its prefix word; ok is
 // false once the part is exhausted.
-//
-//netagg:hotpath
 func (c *itemCursor) next() (word uint64, ok bool) {
 	if c.left == 0 {
 		return 0, false
@@ -146,8 +144,6 @@ type itemHead struct {
 }
 
 // lessItem orders two heap entries: on the word, and on a tie on the items.
-//
-//netagg:hotpath
 func lessItem(cursors []itemCursor, a, b itemHead) bool {
 	return a.word < b.word || a.word == b.word && tieLess(cursors, a.cur, b.cur)
 }
@@ -162,8 +158,6 @@ func tieLess(cursors []itemCursor, a, b int) bool {
 
 // siftItems restores the min-heap (by current item) below heap[i] after
 // that entry's item grew.
-//
-//netagg:hotpath
 func siftItems(heap []itemHead, cursors []itemCursor, i int) {
 	for {
 		child := 2*i + 1
@@ -197,8 +191,6 @@ func moreItemCursors(n int) ([]itemCursor, []itemHead) {
 // cannot fail; a part whose items go backwards is rejected with
 // ErrBadPayload, as the other merges reject theirs. Equal items are all
 // kept, side by side. The byte order is what keeps the fold commutative.
-//
-//netagg:hotpath
 func (Concat) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	var cursorStack [kvStackCursors]itemCursor
 	var heapStack [kvStackCursors]itemHead

@@ -91,8 +91,6 @@ type docOrder struct {
 // -0 equal to +0), then ID ascending, then the encoded records byte by
 // byte. Records that compare equal are the same bytes, so the order of a
 // merged list does not depend on how its parts were grouped.
-//
-//netagg:hotpath
 func compareDocs(a, b docOrder) int {
 	if c := cmp.Compare(b.score, a.score); c != 0 {
 		return c
@@ -141,8 +139,6 @@ func (k *docCursor) open(part []byte) error {
 
 // next steps to the following record; ok is false once the part is
 // exhausted (trailing bytes after the last record are an error).
-//
-//netagg:hotpath
 func (k *docCursor) next() (ok bool, err error) {
 	p := k.rest
 	if k.left == 0 {
@@ -178,8 +174,6 @@ func (k *docCursor) next() (ok bool, err error) {
 
 // siftDocs restores the heap (best record first) below heap[i] after that
 // cursor stepped to a later record.
-//
-//netagg:hotpath
 func siftDocs(heap []docCursor, i int) {
 	for {
 		child := 2*i + 1
@@ -211,8 +205,6 @@ func moreDocCursors(n int) []docCursor { return make([]docCursor, n) }
 // limit are emitted (0 = all). Past the limit nothing is ordered any
 // more, but every part is still read to its end: a part is malformed
 // wherever the fault sits, not only in the records that made the cut.
-//
-//netagg:hotpath
 func mergeDocs(dst []byte, parts [][]byte, limit int, keep func(id uint64) bool) ([]byte, error) {
 	var stack [kvStackCursors]docCursor
 	heap := stack[:]
@@ -298,8 +290,6 @@ func (t TopK) Combine(a, b []byte) ([]byte, error) {
 }
 
 // Merge implements Aggregator (see mergeDocs).
-//
-//netagg:hotpath
 func (t TopK) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	return mergeDocs(dst, parts, max(t.K, 0), nil)
 }

@@ -136,8 +136,6 @@ func (k *kvCursor) open(part []byte) error {
 
 // next steps to the following pair; ok is false once the part is
 // exhausted (trailing bytes after the last pair are an error).
-//
-//netagg:hotpath
 func (k *kvCursor) next() (ok bool, err error) {
 	p := k.rest
 	if k.left == 0 {
@@ -163,8 +161,6 @@ func (k *kvCursor) next() (ok bool, err error) {
 
 // siftDown restores the min-heap (by current key) below heap[i] after
 // that cursor's key grew.
-//
-//netagg:hotpath
 func siftDown(heap []kvCursor, i int) {
 	for {
 		child := 2*i + 1
@@ -184,8 +180,6 @@ func siftDown(heap []kvCursor, i int) {
 
 // siftUp restores the min-heap (by current key) above heap[i] after that
 // cursor joined it.
-//
-//netagg:hotpath
 func siftUp(heap []kvCursor, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -201,7 +195,8 @@ func siftUp(heap []kvCursor, i int) {
 func byKey(a, b kvCursor) int { return bytes.Compare(a.key, b.key) }
 
 // moreKVCursors is Merge's beyond-the-stack-frame slow path, kept out of
-// the hot function so its allocation is not charged to it.
+// line: only a batch wider than kvStackCursors parts allocates its
+// cursors.
 //
 //go:noinline
 func moreKVCursors(n int) []kvCursor { return make([]kvCursor, n) }
@@ -241,8 +236,6 @@ const (
 // across parts, so the output never holds a key twice; what a reducer
 // computes from it is unchanged and the bytes it receives can only
 // shrink.
-//
-//netagg:hotpath
 func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 	var stack [kvStackCursors]kvCursor
 	curs := stack[:]
@@ -336,8 +329,6 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 // for each. It returns open and next for the heap to finish, 0 and
 // len(curs) once it merged everything; count is the number of records it
 // wrote.
-//
-//netagg:hotpath
 func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, open, next int, count uint64, err error) {
 	taken := 0 // records taken in this block
 	for open > 0 || next < len(curs) {

@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkBufpoolGetRelease is the steady-state cost of the pool hot
 // path: one Get and one Release per iteration at a typical partial-
 // result size. The target is 0 allocs/op — the whole point of the pool
-// — enforced by the escape gate on Get/Retain/Release and visible in
-// the BENCH_bufpool.json artifact.
+// — enforced by TestHotPathDoesNotAllocate and visible in the
+// BENCH_bufpool.json artifact.
 func BenchmarkBufpoolGetRelease(b *testing.B) {
 	for _, size := range []int{512, 4096, 65536} {
 		b.Run(sizeName(size), func(b *testing.B) {

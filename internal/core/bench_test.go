@@ -128,8 +128,8 @@ func benchKVDistinct(k int) [][]byte {
 // streams, each one part (sources=8); and eight parts that share no key
 // (distinct-k=8), where the merge gives up its scan for the heap. It lives here, beside the
 // tree benchmark, because both feed on the same parts. The target is
-// 0 allocs/op on every row (the escape gate covers the code,
-// BENCH_agg.json the number).
+// 0 allocs/op on every row (TestMergesDoNotAllocate gates it,
+// BENCH_agg.json records it).
 func BenchmarkKVMerge(b *testing.B) {
 	type row struct {
 		name  string

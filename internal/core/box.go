@@ -26,9 +26,6 @@ type Config struct {
 	Addr string
 	// Workers is the scheduler thread pool size.
 	Workers int
-	// FixedWeights disables the adaptive WFQ correction (Fig 25's
-	// baseline); the default (false) is the paper's adaptive scheduler.
-	FixedWeights bool
 	// Registry supplies each application's aggregation function.
 	Registry *agg.Registry
 	// NIC optionally emulates the box's access link (10 Gbps in the paper).
@@ -140,7 +137,7 @@ func Start(cfg Config) (*Box, error) {
 		done:    make(chan struct{}),
 		sched: NewScheduler(SchedulerConfig{
 			Workers:  cfg.Workers,
-			Adaptive: !cfg.FixedWeights,
+			Adaptive: true, // the paper's scheduler; Fig 25's fixed-WFQ baseline builds its own
 			Seed:     cfg.SchedSeed,
 		}),
 		requests: make(map[reqKey]*boxRequest),

@@ -105,7 +105,6 @@ type scenario struct {
 	deploy   func(*topology.Topology) // attaches agg boxes; nil for none
 	workload workload.Config
 	strategy strategies.Strategy
-	sf       bool // store-and-forward ablation
 }
 
 // run builds and executes a scenario.
@@ -118,7 +117,7 @@ func run(sc scenario) *simexp.Result {
 		sc.deploy(topo)
 	}
 	w := workload.Generate(topo, sc.workload)
-	return simexp.Run(topo, w, sc.strategy, sc.sf)
+	return simexp.Run(topo, w, sc.strategy, simexp.Opts{})
 }
 
 // runAll executes every scenario, fanning them across o.Workers goroutines,

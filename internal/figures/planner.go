@@ -111,5 +111,5 @@ func runPlanner(o Options, factor float64, loadAware bool) *simexp.Result {
 			}
 		}
 	}
-	return simexp.RunWith(topo, w, strategies.NetAgg{Planner: planner, Load: load}, simexp.Opts{Prelude: prelude})
+	return simexp.Run(topo, w, strategies.NetAgg{Planner: planner, Load: load}, simexp.Opts{Prelude: prelude})
 }

@@ -119,7 +119,7 @@ func runReplan(o Options, factor float64, dynamic bool) (*simexp.Result, int) {
 		dyn = &strategies.DynamicNetAgg{}
 		strat = dyn
 	}
-	res := simexp.RunWith(topo, w, strat, simexp.Opts{Prelude: prelude})
+	res := simexp.Run(topo, w, strat, simexp.Opts{Prelude: prelude})
 	migs := 0
 	if dyn != nil {
 		migs = dyn.Migrations

@@ -18,9 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden expected.txt files")
 
 // TestGolden runs each AST analyzer over its positive and negative
 // fixture corpus under testdata/golden/<analyzer>/{pos,neg} and
-// compares the rendered findings byte-for-byte with expected.txt. The
-// escape analyzer has its own golden test (TestEscapeGateGolden) since
-// it drives the real compiler rather than lint.Run.
+// compares the rendered findings byte-for-byte with expected.txt.
 func TestGolden(t *testing.T) {
 	root := filepath.Join("testdata", "golden")
 	entries, err := os.ReadDir(root)
@@ -29,7 +27,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !e.IsDir() || name == "escape" {
+		if !e.IsDir() {
 			continue
 		}
 		var analyzer Analyzer

@@ -172,8 +172,7 @@ func directive(c *ast.Comment) (name string, args []string) {
 }
 
 // docDirectives returns the arguments of each //netagg:<name> line in
-// the function's doc comment: //netagg:hotpath and
-// //netagg:proto-handler <role>.
+// the function's doc comment (//netagg:proto-handler <role>).
 func docDirectives(decl *ast.FuncDecl, name string) [][]string {
 	if decl.Doc == nil {
 		return nil

@@ -462,75 +462,6 @@ func handle(k Kind) {
 	expectMessages(t, got)
 }
 
-func TestHotFuncCollection(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := ParseSource(fset, "internal/obs/x.go", []byte(`package obs
-
-// Add is allocation-free.
-//
-//netagg:hotpath
-func (c *Counter) Add(n int64) {
-	c.v.Add(n)
-}
-
-type Counter struct{ v fakeAtomic }
-type fakeAtomic struct{}
-func (fakeAtomic) Add(int64) {}
-
-// cold has no annotation.
-func cold() {}
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := HotFuncs([]*File{f})
-	if len(hot) != 1 {
-		t.Fatalf("got %d hot funcs, want 1: %+v", len(hot), hot)
-	}
-	h := hot[0]
-	if h.Name != "Counter.Add" || h.File != "internal/obs/x.go" || h.Start != 6 || h.End != 8 {
-		t.Fatalf("unexpected hot func: %+v", h)
-	}
-}
-
-func TestParseEscapeOutput(t *testing.T) {
-	out := `# netagg/internal/wire
-internal/wire/wire.go:127:6: moved to heap: lenb
-internal/wire/wire.go:116:21: m.App escapes to heap
-internal/wire/wire.go:119:14: (*Writer).Write ignoring self-assignment
-internal/wire/wire.go:131:20: make([]byte, n) does not escape
-internal/wire/wire.go:106:16: leaking param: w
-garbage line
-`
-	diags := ParseEscapeOutput(out)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diags, want 2: %+v", len(diags), diags)
-	}
-	if diags[0].Line != 127 || diags[0].Msg != "moved to heap: lenb" || diags[0].Col != 6 {
-		t.Fatalf("diag 0: %+v", diags[0])
-	}
-	if diags[1].Line != 116 || diags[1].Msg != "m.App escapes to heap" {
-		t.Fatalf("diag 1: %+v", diags[1])
-	}
-}
-
-func TestEscapeFindingsRangeMatch(t *testing.T) {
-	hot := []HotFunc{{File: "internal/wire/wire.go", Name: "Writer.Write", Start: 110, End: 140}}
-	diags := []EscapeDiag{
-		{File: "internal/wire/wire.go", Line: 127, Col: 6, Msg: "moved to heap: lenb"},
-		{File: "internal/wire/wire.go", Line: 200, Msg: "moved to heap: elsewhere"},
-		{File: "internal/wire/other.go", Line: 120, Msg: "moved to heap: otherfile"},
-	}
-	got := EscapeFindings(hot, diags)
-	if len(got) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(got), got)
-	}
-	want := "internal/wire/wire.go:127:6: escape: hotpath function Writer.Write allocates: moved to heap: lenb"
-	if got[0].String() != want {
-		t.Fatalf("finding = %q, want %q", got[0].String(), want)
-	}
-}
-
 func TestPackageAnalyzerGroupsByDir(t *testing.T) {
 	// Two files in the same directory must be analyzed as one package:
 	// the cycle spans the two files.

@@ -45,13 +45,9 @@ type Counter struct {
 }
 
 // Add increments the counter by n. Allocation-free.
-//
-//netagg:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one. Allocation-free.
-//
-//netagg:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
@@ -64,13 +60,9 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value. Allocation-free.
-//
-//netagg:hotpath
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the gauge by n (negative to decrease). Allocation-free.
-//
-//netagg:hotpath
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current level.
@@ -95,8 +87,6 @@ type Histogram struct {
 
 // Observe records one value. Negative values are clamped to zero.
 // Allocation-free.
-//
-//netagg:hotpath
 func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0

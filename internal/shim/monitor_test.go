@@ -28,17 +28,29 @@ func TestDuplicateRedirectIgnored(t *testing.T) {
 	}
 
 	// Simulate two racing redirect frames for the same attempt; the worker
-	// must resend at most once. (The data goes to boxes keyed by a fresh
-	// attempt id, so a correct single resend is invisible to request 61.)
+	// must apply exactly one. (The data goes to boxes keyed by a fresh
+	// attempt id, so a correct single resend is invisible to request 61;
+	// the worker's shim.redirects_applied counter is what sees it.)
 	ctl, ok := r.dep.ControlAddr("w0")
 	if !ok {
 		t.Fatal("no control address")
 	}
+	applied := obsRedirectsApplied.Value()
 	c := newCtl(t, ctl)
 	for i := 0; i < 2; i++ {
 		c(&wire.Msg{Type: wire.TRedirect, App: "wc", Req: 61, Payload: wire.EncodeCount(1)})
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for obsRedirectsApplied.Value() == applied {
+		if time.Now().After(deadline) {
+			t.Fatal("neither redirect was applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	time.Sleep(200 * time.Millisecond) // let any (wrong) duplicate land
+	if got := obsRedirectsApplied.Value() - applied; got != 1 {
+		t.Fatalf("%d redirects applied for one attempt, want 1", got)
+	}
 }
 
 // newCtl returns a sender on a fresh control connection.

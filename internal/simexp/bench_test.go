@@ -23,7 +23,7 @@ func BenchmarkRunFullScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Run(topo, w, strategies.NetAgg{}, false)
+		res := Run(topo, w, strategies.NetAgg{}, Opts{})
 		if res.Stats.Events == 0 {
 			b.Fatal("full-scale run produced no events")
 		}

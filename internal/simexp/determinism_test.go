@@ -51,7 +51,7 @@ func seededRun(t *testing.T, seed int64) string {
 	cfg := workload.Default()
 	cfg.Seed = seed
 	w := workload.Generate(topo, cfg)
-	return fingerprint(Run(topo, w, strategies.NetAgg{}, false))
+	return fingerprint(Run(topo, w, strategies.NetAgg{}, Opts{}))
 }
 
 // TestSimulationDeterminism is the regression gate behind the

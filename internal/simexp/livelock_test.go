@@ -21,7 +21,7 @@ func TestNoEventLivelockOnFullyAggregatableWorkload(t *testing.T) {
 	cfg := workload.Default()
 	cfg.AggregatableFraction = 1.0
 	w := workload.Generate(topo, cfg)
-	res := Run(topo, w, strategies.NetAgg{}, false)
+	res := Run(topo, w, strategies.NetAgg{}, Opts{})
 	if res.Stats.Events > 20*w.NumFlows() {
 		t.Fatalf("event explosion: %d events for %d flows", res.Stats.Events, w.NumFlows())
 	}

@@ -63,7 +63,7 @@ func oracleRun(t *testing.T, sc oracleScenario, full bool) (string, *Result) {
 	cfg := workload.Default()
 	cfg.Seed = sc.seed
 	w := workload.Generate(topo, cfg)
-	res := RunWith(topo, w, sc.strat, Opts{StoreAndForward: sc.sf, FullRecompute: full})
+	res := Run(topo, w, sc.strat, Opts{StoreAndForward: sc.sf, FullRecompute: full})
 	return fingerprint(res), res
 }
 

@@ -23,7 +23,7 @@ func TestFullScaleRun(t *testing.T) {
 	if w.NumFlows() < 3000 {
 		t.Fatalf("expected thousands of flows at full scale, got %d", w.NumFlows())
 	}
-	res := Run(topo, w, strategies.NetAgg{}, false)
+	res := Run(topo, w, strategies.NetAgg{}, Opts{})
 	if res.AllFCT.Len() == 0 || res.Duration <= 0 {
 		t.Fatal("full-scale run produced no measurements")
 	}

@@ -53,14 +53,9 @@ type Opts struct {
 	Prelude func(*simnet.Network)
 }
 
-// Run simulates the workload on the topology under the given strategy.
-// storeAndForward disables streaming aggregation (ablation).
-func Run(topo *topology.Topology, w *workload.Workload, strat strategies.Strategy, storeAndForward bool) *Result {
-	return RunWith(topo, w, strat, Opts{StoreAndForward: storeAndForward})
-}
-
-// RunWith simulates with explicit ablation options.
-func RunWith(topo *topology.Topology, w *workload.Workload, strat strategies.Strategy, o Opts) *Result {
+// Run simulates the workload on the topology under the given strategy;
+// the zero Opts is the paper's simulator.
+func Run(topo *topology.Topology, w *workload.Workload, strat strategies.Strategy, o Opts) *Result {
 	net := simnet.NewNetwork(topo)
 	net.Sim.StoreAndForward = o.StoreAndForward
 	net.Sim.NaiveAllocation = o.NaiveAllocation

@@ -22,7 +22,7 @@ func run(t *testing.T, strat strategies.Strategy, mutate func(*workload.Config),
 		mutate(&cfg)
 	}
 	w := workload.Generate(topo, cfg)
-	return Run(topo, w, strat, false)
+	return Run(topo, w, strat, Opts{})
 }
 
 func TestRunCompletes(t *testing.T) {
@@ -105,10 +105,10 @@ func TestStoreAndForwardSlower(t *testing.T) {
 	topo, _ := topology.BuildClos(topology.SmallClos())
 	strategies.DeployTiers(topo, strategies.TierAll, strategies.DefaultBoxSpec())
 	w := workload.Generate(topo, workload.Default())
-	stream := Run(topo, w, strategies.NetAgg{}, false)
+	stream := Run(topo, w, strategies.NetAgg{}, Opts{})
 	topo2, _ := topology.BuildClos(topology.SmallClos())
 	strategies.DeployTiers(topo2, strategies.TierAll, strategies.DefaultBoxSpec())
-	sf := Run(topo2, w, strategies.NetAgg{}, true)
+	sf := Run(topo2, w, strategies.NetAgg{}, Opts{StoreAndForward: true})
 	if stream.JobFCT.P99() > sf.JobFCT.P99()*1.001 {
 		t.Fatalf("streaming p99 job FCT %g should not exceed store-and-forward %g",
 			stream.JobFCT.P99(), sf.JobFCT.P99())

@@ -428,8 +428,6 @@ func (s *Sim) collectTouched(flows []FlowID) []ResourceID {
 }
 
 // waterfill runs one progressive-filling pass over a standalone flow set.
-//
-//netagg:hotpath
 func (s *Sim) waterfill(flows []FlowID) {
 	s.waterfillTouched(flows, s.collectTouched(flows))
 }
@@ -442,8 +440,6 @@ func (s *Sim) waterfill(flows []FlowID) {
 // "implements TCP max-min flow fairness"). The caller guarantees that
 // every active flow sharing a resource with a member is itself a member and
 // that touched is collectTouched(flows).
-//
-//netagg:hotpath
 func (s *Sim) waterfillTouched(flows []FlowID, touched []ResourceID) {
 	for _, r := range touched {
 		res := &s.resources[r]

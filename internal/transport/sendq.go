@@ -163,8 +163,6 @@ func (q *sendq) moveQueued() bool {
 // batchBound returns how many pending frames the next vectored write may
 // coalesce under the frame-count and payload-byte caps (always at least
 // one).
-//
-//netagg:hotpath
 func (q *sendq) batchBound() int {
 	n := len(q.pending)
 	if n > batchMaxFrames {
@@ -203,8 +201,6 @@ func (q *sendq) flush(vw *wire.VectorWriter) (int, error) {
 
 // writeVec issues one vectored write for the frames staged in q.batch
 // and records the per-batch counters.
-//
-//netagg:hotpath
 func (q *sendq) writeVec(vw *wire.VectorWriter) error {
 	written, err := vw.WriteBatch(q.batch)
 	if err != nil {

@@ -56,8 +56,6 @@ func CheckFrame(m *Msg) error {
 
 // appendFrame validates m and encodes its length prefix and header onto
 // the batch scratch.
-//
-//netagg:hotpath
 func (v *VectorWriter) appendFrame(m *Msg) error {
 	if err := CheckFrame(m); err != nil {
 		return err
@@ -91,8 +89,6 @@ func (v *VectorWriter) grow(need int) {
 // iovec elements and usually far fewer. A short write or error leaves
 // the stream corrupt mid-frame; callers must drop the connection (the
 // transport re-dials and rewrites, §3.1 recovery).
-//
-//netagg:hotpath
 func (v *VectorWriter) WriteBatch(msgs []*Msg) (int64, error) {
 	v.hdr = v.hdr[:0]
 	v.ends = v.ends[:0]

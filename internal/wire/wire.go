@@ -111,8 +111,6 @@ type Msg struct {
 // Release drops an inbound frame's payload reference and detaches the
 // buffer so a reused Msg cannot alias recycled bytes. Safe on frames
 // with no pooled payload.
-//
-//netagg:hotpath
 func (m *Msg) Release() {
 	b := m.Buf
 	if b == nil {
@@ -160,9 +158,9 @@ var (
 	ErrCorrupt = errors.New("wire: corrupt frame")
 )
 
-// errAppTooLong is kept out of the encoder (and out of inlining range) so
-// the fmt.Errorf boxing of the name only allocates on the error path, not
-// in the hot encode path.
+// errAppTooLong is kept out of line, so that CheckFrame stays small enough
+// to inline into the encoder and the fmt.Errorf boxing of the name
+// allocates only on the error path.
 //
 //go:noinline
 func errAppTooLong(app string) error {
@@ -211,9 +209,9 @@ func (r *Reader) internApp(name []byte) string {
 }
 
 // internAppSlow is the interning miss path: it allocates the canonical
-// string (and, once, the map). Kept out of line so its allocations stay
-// outside ReadInto's //netagg:hotpath escape-gate range — after the
-// first frame per app name, only the zero-alloc lookup above runs.
+// string (and, once, the map). Kept out of line so that internApp is the
+// lookup alone — after the first frame per app name, only the zero-alloc
+// lookup above runs.
 //
 //go:noinline
 func (r *Reader) internAppSlow(name []byte) string {
@@ -243,8 +241,6 @@ func (r *Reader) Read() (*Msg, error) {
 // Msg release it first. The header is parsed in place inside the bufio
 // window, so a steady-state frame costs one pool fetch and no heap
 // allocations.
-//
-//netagg:hotpath
 func (r *Reader) ReadInto(m *Msg) error {
 	if _, err := io.ReadFull(r.r, r.lenb[:]); err != nil {
 		return err
