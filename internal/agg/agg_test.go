@@ -1132,6 +1132,121 @@ func TestKVMergeRejectsMalformedParts(t *testing.T) {
 	}
 }
 
+// kvWordTrapLong is the 40-byte key whose prefixes kvWordTrapKeys holds.
+const kvWordTrapLong = "key-0123456789abcdefghijklmnopqrstuvwxyz"
+
+// kvWordTrapKeys are the keys the merge's cached key words cannot order
+// alone, sorted: zero padding gives the first few and the prefixes of a
+// key their words, and the keys past the sixteenth byte share the words
+// of their first sixteen. Their lengths straddle a word (7, 8, 9) and the
+// two (15, 16, 17), and some hold 0xff bytes, which a sign or a mask gone
+// wrong would misorder.
+var kvWordTrapKeys = func() []string {
+	long := kvWordTrapLong
+	keys := []string{"", "\x00", "ab", "ab\x00", "ab\x00\x00", "ab\xff", "ab\xff\x00"}
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 40} {
+		keys = append(keys, long[:n], long[:n]+"\x00", strings.Repeat("\xff", n))
+	}
+	for _, tail := range []string{"a", "b", "a\x00", "\x00", "\xff", "b-past-the-words", "b-past-the-words\xff"} {
+		keys = append(keys, long[:16]+tail, strings.Repeat("\xff", 16)+tail)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}()
+
+// The merge compares keys on their first sixteen bytes as two cached
+// words and settles a tie on the words with the keys themselves, unless
+// both keys are one length of at most sixteen bytes. Keys that tie on
+// their words — in length, or past the sixteenth byte — must come out as
+// the decode-everything reduction's bytes through the scan, the switch to
+// the heap and the heap, each key in several parts and twice in one; and a
+// part whose keys go backwards only where the words cannot see it is
+// refused, whether more records follow it or it ends the part, where the
+// words are loaded from the key alone and not by two masked loads.
+func TestKVMergeKeyWordTies(t *testing.T) {
+	rn := stats.NewRand(17)
+	val := func() int64 { return int64(rn.Intn(2000)) - 1000 }
+	// tiePart holds every trap key, and twice those whose place is p.
+	tiePart := func(keys []string, p, w int) []KV {
+		var kvs []KV
+		for i, k := range keys {
+			kvs = append(kvs, KV{k, val()})
+			if i%w == p {
+				kvs = append(kvs, KV{k, val()})
+			}
+		}
+		return kvs
+	}
+	// The switch comes after a block of keys each taken from one part:
+	// fillers, which sort after "\x00" and before "ab".
+	low, high := kvWordTrapKeys[:2], kvWordTrapKeys[2:]
+	for _, c := range []struct {
+		name   string
+		widths []int
+		filler bool
+		pick   string
+	}{
+		{"scan", []int{2, 3, kvScanCursors}, false, "scan"},
+		{"heap", []int{kvScanCursors + 1, 12}, false, "heap"},
+		{"switch", []int{1, 2, 4, kvScanCursors}, true, "switch"},
+	} {
+		for _, w := range c.widths {
+			parts := make([][]byte, w)
+			for p := range parts {
+				var kvs []KV
+				if c.filler {
+					kvs = tiePart(low, p, w)
+					for i := p; i < 3*kvScanBlock; i += w {
+						kvs = append(kvs, KV{fmt.Sprintf("\x01filler%04d", i), val()})
+					}
+					kvs = append(kvs, tiePart(high, p, w)...)
+				} else {
+					kvs = tiePart(kvWordTrapKeys, p, w)
+				}
+				parts[p] = encodeKVsAsIs(kvs)
+			}
+			if got := kvPicker(parts); got != c.pick {
+				t.Fatalf("%s, width %d: picked by %s, built for %s", c.name, w, got, c.pick)
+			}
+			for _, op := range []KVOp{OpSum, OpMax, OpMin} {
+				got, err := KVCombiner{Op: op}.Merge(nil, parts)
+				if err != nil {
+					t.Fatalf("%s, width %d, %v: %v", c.name, w, op, err)
+				}
+				if want, _ := referenceKV(op, parts); !bytes.Equal(got, want) {
+					t.Fatalf("%s, width %d, %v: merge differs from the decode-everything reduction", c.name, w, op)
+				}
+			}
+		}
+	}
+
+	long, ff := kvWordTrapLong, strings.Repeat("\xff", 16)
+	after := KV{strings.Repeat("\xff", 40), 1} // a record more, past any load
+	backwards := map[string][]KV{
+		"past byte 16":                             {{long[:16] + "b", 1}, {long[:16] + "a", 2}, after},
+		"past byte 16, last in the part":           {{long[:16] + "b", 1}, {long[:16] + "a", 2}},
+		"past byte 16, 0xff":                       {{ff + "\xff", 1}, {ff + "b", 2}, after},
+		"in length":                                {{"ab\x00", 1}, {"ab", 2}, after},
+		"in length, at the part's end":             {{"ab\x00", 1}, {"ab", 2}},
+		"in length past byte 8, at the part's end": {{long[:9] + "\x00", 1}, {long[:9], 2}},
+		"in length, 0xff, at the part's end":       {{"\xff\xff\x00", 1}, {"\xff\xff", 2}},
+		"in length past byte 16":                   {{long[:16] + "\x00", 1}, {long[:16], 2}, after},
+	}
+	good := encodeKVsAsIs(tiePart(kvWordTrapKeys, 0, 1))
+	for name, kvs := range backwards {
+		bad := encodeKVsAsIs(kvs)
+		for _, w := range []int{1, 3, kvScanCursors + 2} {
+			parts := [][]byte{bad}
+			for len(parts) < w {
+				parts = append(parts, good)
+			}
+			if _, err := (KVCombiner{Op: OpSum}).Merge(nil, parts); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("keys going backwards %s, width %d: Merge returned %v, want ErrBadPayload", name, w, err)
+			}
+		}
+	}
+}
+
 // keysDescend reports whether some decodable part's keys go backwards,
 // which DecodeKVs accepts and Merge refuses.
 func keysDescend(parts [][]byte) bool {
@@ -1157,9 +1272,10 @@ func FuzzKVMerge(f *testing.F) {
 	f.Add(frameFuzzParts(EncodeKVs([]KV{{"a", 5}, {"c", 7}}), valid, EncodeKVs(nil)))
 	f.Add(frameFuzzParts(encodeKVsAsIs([]KV{{"b", 1}, {"b", 2}, {"b", 3}}), valid, valid))
 	// More seeds (keys going backwards, bad counts, truncation, merges long
-	// and wide enough to switch to the heap or start there, and the
-	// ascending chunks of three and of nine sources) are checked in under
-	// testdata/fuzz/FuzzKVMerge.
+	// and wide enough to switch to the heap or start there, the ascending
+	// chunks of three and of nine sources, and keys that tie on their
+	// cached words, in the heap and going backwards at a part's end) are
+	// checked in under testdata/fuzz/FuzzKVMerge.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parts := splitFuzzParts(data)
 		parts = parts[:min(len(parts), 24)]

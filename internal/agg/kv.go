@@ -117,11 +117,20 @@ const kvStackCursors = 256
 // kvCursor reads one encoded KV payload pair by pair without decoding it:
 // key is a sub-slice of the part, so advancing allocates nothing. It
 // rejects exactly what DecodeKVs rejects, plus keys that go backwards.
+//
+// w0 and w1 are the current key's first sixteen bytes as two big-endian
+// words, zero past the key's end: what the merge compares before it
+// compares keys. Like Concat's prefixWord they are a cache of the order,
+// not the order — words that differ order their keys as bytes.Compare
+// does, and equal words settle a tie only between keys of one length of at
+// most sixteen bytes; "ab" and "ab\x00" share their words.
 type kvCursor struct {
-	rest []byte // unread bytes after the current pair
-	key  []byte // current key
-	val  int64  // current value
-	left uint64 // pairs after the current one
+	rest   []byte // unread bytes after the current pair
+	key    []byte // current key
+	val    int64  // current value
+	left   uint64 // pairs after the current one
+	w0, w1 uint64 // the current key's words
+	same   bool   // the current key equals the one before it in the part
 }
 
 // open positions the cursor before the part's first pair.
@@ -135,7 +144,8 @@ func (k *kvCursor) open(part []byte) error {
 }
 
 // next steps to the following pair; ok is false once the part is
-// exhausted (trailing bytes after the last pair are an error).
+// exhausted (trailing bytes after the last pair are an error). A
+// one-byte key length or value, the common case, is read inline.
 func (k *kvCursor) next() (ok bool, err error) {
 	p := k.rest
 	if k.left == 0 {
@@ -144,33 +154,112 @@ func (k *kvCursor) next() (ok bool, err error) {
 		}
 		return false, nil
 	}
-	klen, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) < klen {
+	var klen uint64
+	n := 1
+	if len(p) > 0 && p[0] < 0x80 {
+		klen = uint64(p[0])
+	} else if klen, n = binary.Uvarint(p); n <= 0 {
+		return false, ErrBadPayload
+	}
+	if uint64(len(p)-n) < klen {
 		return false, ErrBadPayload
 	}
 	end := n + int(klen)
 	key := p[n:end]
-	val, n := binary.Varint(p[end:])
-	if n <= 0 || bytes.Compare(key, k.key) < 0 {
+	var w0, w1 uint64
+	if len(p)-n >= 16 {
+		// Past the key lie its value and later records: two loads stay
+		// inside the part, and the masks clear what is not the key's.
+		w0 = binary.BigEndian.Uint64(p[n:])
+		w1 = binary.BigEndian.Uint64(p[n+8:])
+		if klen < 8 {
+			w0 &= ^uint64(0) << (64 - 8*klen)
+			w1 = 0
+		} else if klen < 16 {
+			w1 &= ^uint64(0) << (128 - 8*klen)
+		}
+	} else {
+		w0 = prefixWord(key)
+		if klen > 8 {
+			w1 = prefixWord(key[8:])
+		}
+	}
+	var val int64
+	if end < len(p) && p[end] < 0x80 {
+		val, n = int64(p[end]>>1)^-int64(p[end]&1), 1
+	} else if val, n = binary.Varint(p[end:]); n <= 0 {
 		return false, ErrBadPayload
 	}
-	k.rest, k.key, k.val = p[end+n:], key, val
+	d := k.order(w0, w1, len(key))
+	if d == wordTie {
+		d = tieCompare(k.key, key)
+	}
+	if d > 0 {
+		return false, ErrBadPayload
+	}
+	k.rest, k.key, k.val, k.w0, k.w1, k.same = p[end+n:], key, val, w0, w1, d == 0
 	k.left--
 	return true, nil
 }
 
-// siftDown restores the min-heap (by current key) below heap[i] after
-// that cursor's key grew.
-func siftDown(heap []kvCursor, i int) {
+// order orders k's current key against a key of n bytes whose words are
+// w0 and w1, as far as the words can: -1, 0 or 1 as bytes.Compare would
+// give, or wordTie where only the keys can tell. It calls nothing, so it
+// inlines into next's order check and the scan's pass, the merge's most
+// frequent compares, which settle a wordTie with tieCompare; cmp does both.
+func (k *kvCursor) order(w0, w1 uint64, n int) int {
+	switch {
+	case k.w0 != w0:
+		return wordOrder(k.w0, w0)
+	case k.w1 != w1:
+		return wordOrder(k.w1, w1)
+	case len(k.key) == n && n <= 16:
+		return 0
+	}
+	return wordTie
+}
+
+// wordTie is what order returns on a tie that only the keys can settle.
+const wordTie = 2
+
+// wordOrder is -1 or 1 as a is below or above b, which differ.
+func wordOrder(a, b uint64) int {
+	if a < b {
+		return -1
+	}
+	return 1
+}
+
+// tieCompare settles a wordTie, kept out of line as Concat's tieLess is:
+// keys that differ only in length or only past their sixteenth byte.
+//
+//go:noinline
+func tieCompare(a, b []byte) int { return bytes.Compare(a, b) }
+
+// cmp orders k's current key against key, whose words are w0 and w1, as
+// bytes.Compare does.
+func (k *kvCursor) cmp(w0, w1 uint64, key []byte) int {
+	if d := k.order(w0, w1, len(key)); d != wordTie {
+		return d
+	}
+	return tieCompare(k.key, key)
+}
+
+// less reports whether a's current key is below b's.
+func (a *kvCursor) less(b *kvCursor) bool { return a.cmp(b.w0, b.w1, b.key) < 0 }
+
+// siftDown restores the min-heap of cursor numbers (by the cursors'
+// current keys) below heap[i] after that cursor's key grew.
+func siftDown(curs []kvCursor, heap []int32, i int) {
 	for {
 		child := 2*i + 1
 		if child >= len(heap) {
 			return
 		}
-		if r := child + 1; r < len(heap) && bytes.Compare(heap[r].key, heap[child].key) < 0 {
+		if r := child + 1; r < len(heap) && curs[heap[r]].less(&curs[heap[child]]) {
 			child = r
 		}
-		if bytes.Compare(heap[i].key, heap[child].key) <= 0 {
+		if !curs[heap[child]].less(&curs[heap[i]]) {
 			return
 		}
 		heap[i], heap[child] = heap[child], heap[i]
@@ -178,12 +267,12 @@ func siftDown(heap []kvCursor, i int) {
 	}
 }
 
-// siftUp restores the min-heap (by current key) above heap[i] after that
+// siftUp restores the min-heap of cursor numbers above heap[i] after that
 // cursor joined it.
-func siftUp(heap []kvCursor, i int) {
+func siftUp(curs []kvCursor, heap []int32, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if bytes.Compare(heap[parent].key, heap[i].key) <= 0 {
+		if !curs[heap[i]].less(&curs[heap[parent]]) {
 			return
 		}
 		heap[i], heap[parent] = heap[parent], heap[i]
@@ -192,14 +281,16 @@ func siftUp(heap []kvCursor, i int) {
 }
 
 // byKey orders cursors by their current key.
-func byKey(a, b kvCursor) int { return bytes.Compare(a.key, b.key) }
+func byKey(a, b kvCursor) int { return a.cmp(b.w0, b.w1, b.key) }
 
 // moreKVCursors is Merge's beyond-the-stack-frame slow path, kept out of
 // line: only a batch wider than kvStackCursors parts allocates its
-// cursors.
+// cursors and its heap.
 //
 //go:noinline
-func moreKVCursors(n int) []kvCursor { return make([]kvCursor, n) }
+func moreKVCursors(n int) ([]kvCursor, []int32) {
+	return make([]kvCursor, n), make([]int32, 0, n)
+}
 
 // uvarintLen is the encoded size of x as binary.AppendUvarint writes it.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
@@ -217,8 +308,9 @@ const (
 )
 
 // Merge implements Aggregator as one streaming k-way merge over the
-// encoded bytes: a cursor per part, keys compared as sub-slices of the
-// input, the output written once. Every part's count and first record
+// encoded bytes: a cursor per part, keys compared on their cached words
+// and, on a tie the words cannot settle, as the sub-slices of the input
+// they are, the output written once. Every part's count and first record
 // are read before anything is written. The cursors are then sorted by
 // first key, and a part stays closed until the merge reaches it: it opens
 // once its first key is at or before the least open key, so equal keys
@@ -237,10 +329,11 @@ const (
 // computes from it is unchanged and the bytes it receives can only
 // shrink.
 func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
-	var stack [kvStackCursors]kvCursor
-	curs := stack[:]
+	var cursorStack [kvStackCursors]kvCursor
+	var heapStack [kvStackCursors]int32
+	curs, heap := cursorStack[:], heapStack[:0]
 	if len(parts) > kvStackCursors {
-		curs = moreKVCursors(len(parts))
+		curs, heap = moreKVCursors(len(parts))
 	}
 	live := 0
 	var bound uint64 // the output cannot hold more pairs than the inputs together
@@ -272,21 +365,23 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 		return dst, err
 	}
 	// The heap finishes what the scan left: the open cursors curs[:open]
-	// and the closed ones curs[next:].
-	for i := open/2 - 1; i >= 0; i-- {
-		siftDown(curs[:open], i)
+	// and the closed ones curs[next:]. It holds the cursors' numbers, so a
+	// sift moves four bytes, not an 88-byte cursor.
+	for i := 0; i < open; i++ {
+		heap = append(heap, int32(i))
 	}
-	for open > 0 || next < len(curs) {
+	for i := open/2 - 1; i >= 0; i-- {
+		siftDown(curs, heap, i)
+	}
+	for len(heap) > 0 || next < len(curs) {
 		// Push each closed part that starts at or before the top key.
-		for next < len(curs) && (open == 0 || bytes.Compare(curs[next].key, curs[0].key) <= 0) {
-			curs[open] = curs[next]
-			open++
+		for next < len(curs) && (len(heap) == 0 || !curs[heap[0]].less(&curs[next])) {
+			heap = append(heap, int32(next))
 			next++
-			siftUp(curs[:open], open-1)
+			siftUp(curs, heap, len(heap)-1)
 		}
-		heap := curs[:open]
-		top := &heap[0]
-		key, val := top.key, top.val
+		top := &curs[heap[0]]
+		key, w0, w1, val := top.key, top.w0, top.w1, top.val
 		for {
 			ok, err := top.next()
 			if err != nil {
@@ -299,13 +394,13 @@ func (c KVCombiner) Merge(dst []byte, parts [][]byte) ([]byte, error) {
 					break
 				}
 			}
-			siftDown(heap, 0)
-			if !bytes.Equal(top.key, key) {
+			siftDown(curs, heap, 0)
+			top = &curs[heap[0]]
+			if top.cmp(w0, w1, key) != 0 {
 				break
 			}
 			val = c.Op.Reduce(val, top.val)
 		}
-		open = len(heap)
 		dst = appendKV(dst, key, val)
 		count++
 	}
@@ -342,10 +437,10 @@ func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, open, next int,
 			curs[0] = curs[next]
 			open, next = 1, next+1
 		}
-		key, val, marked := curs[0].key, curs[0].val, uint(1)
+		key, w0, w1, val, marked := curs[0].key, curs[0].w0, curs[0].w1, curs[0].val, uint(1)
 		for i := 1; ; i++ {
 			if i == open {
-				if next == len(curs) || bytes.Compare(curs[next].key, key) > 0 {
+				if next == len(curs) || curs[next].cmp(w0, w1, key) > 0 {
 					break
 				}
 				if open == kvScanCursors {
@@ -354,9 +449,13 @@ func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, open, next int,
 				curs[open] = curs[next]
 				open, next = open+1, next+1
 			}
-			switch d := bytes.Compare(curs[i].key, key); {
+			d := curs[i].order(w0, w1, len(key))
+			if d == wordTie {
+				d = tieCompare(curs[i].key, key)
+			}
+			switch {
 			case d < 0:
-				key, val, marked = curs[i].key, curs[i].val, 1<<i
+				key, w0, w1, val, marked = curs[i].key, curs[i].w0, curs[i].w1, curs[i].val, 1<<i
 			case d == 0:
 				val = c.Op.Reduce(val, curs[i].val)
 				marked |= 1 << i
@@ -379,7 +478,7 @@ func (c KVCombiner) scan(dst []byte, curs []kvCursor) (_ []byte, open, next int,
 					curs[i] = curs[open]
 					break
 				}
-				if !bytes.Equal(k.key, key) {
+				if !k.same {
 					break
 				}
 				val = c.Op.Reduce(val, k.val)
