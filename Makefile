@@ -13,7 +13,7 @@ test:
 
 # netagg-lint: repo-specific analyzers (determinism, docrule,
 # lockdiscipline, errcheck-wire, goroutine-hygiene, lockorder, ctxflow,
-# exhaustive, protocheck). Exit 1 on findings; suppress audited
+# exhaustive). Exit 1 on findings; suppress audited
 # false positives with //lint:ignore <analyzer> <reason>, the one
 # suppression every analyzer takes. Stale suppressions — directives
 # matching nothing — are findings too (DESIGN.md §17).
@@ -86,7 +86,9 @@ recovery-stress:
 
 # Protocol drift gate (DESIGN.md §17): the matrix embedded in DESIGN.md
 # must be exactly what internal/wire/protocol.go renders, and the lint
-# framework must survive its own analyzers (self-lint).
+# framework must survive its own analyzers (self-lint). Whether each
+# role's handler follows the table is tier-1's business: the protocol
+# tests in core, shim and cluster deliver every frame to a real endpoint.
 protocol-check:
 	$(GO) run ./cmd/protogen -check
 	$(GO) run ./cmd/netagg-lint ./internal/lint

@@ -14,7 +14,7 @@
 // The generator is the source of truth's only renderer: hand-editing
 // the embedded table is always wrong, and `make protocol-check` makes
 // it fail loudly instead of silently drifting from the Go table the
-// protocheck analyzer and the netaggdebug runtime assertions enforce.
+// protocol tests and the netaggdebug runtime assertions enforce.
 package main
 
 import (

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"log"
 	"sync"
 	"time"
 
@@ -193,9 +192,8 @@ func (m *Monitor) score(id uint64, h *treeplan.Hysteresis) bool {
 // handleEcho processes one frame from a probed box. Heartbeats carry no
 // epoch state, so no replay guard is needed: a replayed echo only
 // re-observes a load sample and re-delivers a sequence number heartbeat()
-// already treats as stale.
-//
-//netagg:proto-handler monitor
+// already treats as stale. TestMonitorHandlesEveryFrameItReceives holds
+// the switch to the monitor's column of wire.Protocol().
 func (m *Monitor) handleEcho(b BoxInfo, replies chan<- uint64, msg *wire.Msg) {
 	wire.CheckReceive(wire.RoleMonitor, msg)
 	switch msg.Type {
@@ -211,8 +209,8 @@ func (m *Monitor) handleEcho(b BoxInfo, replies chan<- uint64, msg *wire.Msg) {
 		default: // prober is behind; dropping an echo just costs a miss
 		}
 	default:
+		wire.Unexpected(wire.RoleMonitor, msg)
 		msg.Release()
-		log.Printf("cluster: monitor dropping unhandled frame type %v from box %d", msg.Type, b.ID)
 	}
 }
 

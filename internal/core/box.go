@@ -253,9 +253,8 @@ func (b *Box) discard(req *boxRequest) {
 // serveFrame handles one frame from an inbound persistent connection
 // (shim or upstream box). It runs on the transport server's reader
 // goroutine for that connection, so blocking here back-pressures that
-// sender only.
-//
-//netagg:proto-handler box
+// sender only. TestBoxHandlesEveryFrameItReceives holds the switch to the
+// box's column of wire.Protocol().
 func (b *Box) serveFrame(conn *transport.ServerConn, m *wire.Msg) {
 	wire.CheckReceive(wire.RoleBox, m)
 	switch m.Type {
@@ -283,7 +282,7 @@ func (b *Box) serveFrame(conn *transport.ServerConn, m *wire.Msg) {
 	case wire.TCancel:
 		b.handleCancel(m)
 	default:
-		b.logf("box %d: unexpected frame %s", b.cfg.ID, m.Type)
+		wire.Unexpected(wire.RoleBox, m)
 	}
 	// Every path above has consumed the payload (TData hands the buffer
 	// to the tree via TakeBuf, leaving this a no-op).

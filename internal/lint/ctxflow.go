@@ -10,7 +10,7 @@ import (
 // CtxFlow is the context-propagation analyzer. Cancellation is the data
 // plane's only defence against wedged peers, so every potentially
 // unbounded blocking operation must be reachable by a cancel signal.
-// Three rules, all on non-test code:
+// Two rules, both on non-test code:
 //
 //  1. context.Background() / context.TODO() outside package main is a
 //     severed cancellation chain: callers can never cancel what runs
@@ -27,10 +27,6 @@ import (
 //     cannot demand a parameter be added, only that an available one be
 //     consulted).
 //
-//  3. A context parameter that is never referenced in a function that
-//     blocks (directly or via resolvable same-package calls) is a
-//     dropped context and flagged at the declaration.
-//
 // Receives from ctx.Done(), timer channels (time.After, .C) and sends
 // executed by test files are exempt. Functions whose name mentions
 // backoff are exempt from the Sleep rule — a backoff helper's whole job
@@ -42,13 +38,13 @@ func (CtxFlow) Name() string { return "ctxflow" }
 
 // Doc implements Analyzer.
 func (CtxFlow) Doc() string {
-	return "blocking operations must be cancellable: no severed, dropped, or ignored contexts"
+	return "blocking operations must be cancellable: no severed or ignored contexts"
 }
 
 // ctxflowPackages are the packages that hold a context: the transport
 // (a connection's dial and teardown) and the cluster's failure monitor.
-// The rest of the data plane holds none, so rules 2 and 3 would have
-// nothing to consult there.
+// The rest of the data plane holds none, so rule 2 would have nothing to
+// consult there.
 var ctxflowPackages = []string{"cluster", "transport"}
 
 // CheckPackage implements PackageAnalyzer.
@@ -60,14 +56,12 @@ func (CtxFlow) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string
 		}
 	}
 
-	// Rules 2 and 3 are scoped to the packages that hold a context, where
+	// Rule 2 is scoped to the packages that hold a context, where
 	// blocking against a dead peer is the failure mode the paper's fault
 	// model cares about.
 	if !p.inScope(ctxflowPackages...) {
 		return
 	}
-	blocking := p.transitiveBlocking()
-
 	for _, key := range p.keys {
 		fs := p.funcs[key]
 		ctxAvail := fs.ctxParam != "" || p.ctxFields[fs.recvType]
@@ -92,9 +86,6 @@ func (CtxFlow) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string
 				// cancel signal: lockdiscipline's business, not a rule here.
 			}
 		}
-		if fs.ctxParam != "" && !fs.usesCtx && (fs.blocksUnbounded() || callsBlocking(fs, blocking)) {
-			report(fs.decl.Pos(), fmt.Sprintf("context parameter %q is dropped: the function blocks but never consults it", fs.ctxParam))
-		}
 	}
 }
 
@@ -103,17 +94,6 @@ func (CtxFlow) CheckPackage(p *pkgSummary, report func(pos token.Pos, msg string
 func cancellableRecv(desc string) bool {
 	return strings.Contains(desc, ".Done(") || strings.HasPrefix(desc, "time.After") ||
 		strings.HasSuffix(desc, ".C")
-}
-
-// callsBlocking reports whether the function calls (resolvably) into any
-// transitively blocking function.
-func callsBlocking(fs *funcSummary, blocking map[string]bool) bool {
-	for _, c := range fs.calls {
-		if blocking[c.callee] {
-			return true
-		}
-	}
-	return false
 }
 
 // checkBackground flags context.Background() / context.TODO() calls

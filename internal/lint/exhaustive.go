@@ -306,10 +306,11 @@ func loudBody(body []ast.Stmt) bool {
 	return false
 }
 
-// logLike matches names that visibly record the unhandled value.
+// logLike matches names that visibly record the unhandled value
+// (wire.Unexpected counts and logs the frame a dispatch switch drops).
 func logLike(name string) bool {
 	l := strings.ToLower(name)
-	for _, frag := range []string{"log", "fatal", "panic", "error", "warn", "print"} {
+	for _, frag := range []string{"log", "fatal", "panic", "error", "warn", "print", "unexpected"} {
 		if strings.Contains(l, frag) {
 			return true
 		}

@@ -18,8 +18,7 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // on the flagged line or the line above it; it is the one suppression
-// mechanism. Every comment directive — that one, and the //netagg:
-// annotations the analyzers read — is parsed in this file.
+// mechanism, and the one comment directive, parsed in this file.
 package lint
 
 import (
@@ -126,7 +125,6 @@ func All() []Analyzer {
 		LockOrder{},
 		CtxFlow{},
 		Exhaustive{},
-		Protocheck{},
 	}
 }
 
@@ -158,32 +156,16 @@ func ParseSource(fset *token.FileSet, displayPath string, src []byte) (*File, er
 	return f, nil
 }
 
-// directive splits a `//lint:<name> args...` or `//netagg:<name> args...`
-// comment into its name ("lint:ignore") and arguments; name is "" for
-// any other comment.
+// directive splits a `//lint:<name> args...` comment into its name
+// ("lint:ignore") and arguments; name is "" for any other comment.
 func directive(c *ast.Comment) (name string, args []string) {
 	text, ok := strings.CutPrefix(c.Text, "//")
 	text = strings.TrimSpace(text)
-	if !ok || !(strings.HasPrefix(text, "lint:") || strings.HasPrefix(text, "netagg:")) {
+	if !ok || !strings.HasPrefix(text, "lint:") {
 		return "", nil
 	}
 	fields := strings.Fields(text)
 	return fields[0], fields[1:]
-}
-
-// docDirectives returns the arguments of each //netagg:<name> line in
-// the function's doc comment (//netagg:proto-handler <role>).
-func docDirectives(decl *ast.FuncDecl, name string) [][]string {
-	if decl.Doc == nil {
-		return nil
-	}
-	var out [][]string
-	for _, c := range decl.Doc.List {
-		if n, args := directive(c); n == "netagg:"+name {
-			out = append(out, args)
-		}
-	}
-	return out
 }
 
 // indexLines indexes the //lint:ignore directives by the lines they

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the substrate every PackageAnalyzer reads — lockdiscipline,
-// lockorder, ctxflow, protocheck: a syntactic per-package model of
+// lockorder, ctxflow: a syntactic per-package model of
 // functions, struct field types, a call-graph approximation, and
 // per-function summaries of lock acquisitions and blocking operations,
 // built once per package per Run. summaryScan is the suite's only
@@ -54,7 +54,6 @@ type funcSummary struct {
 	recvType string // receiver type name ("" for functions)
 
 	ctxParam string // name of the context.Context parameter ("" if none)
-	usesCtx  bool   // body references the context parameter
 
 	acquires []lockAcq // direct lock acquisitions
 	calls    []callRef // resolvable same-package calls
@@ -260,14 +259,6 @@ func (p *pkgSummary) newSummary(f *File, fn *ast.FuncDecl) *funcSummary {
 func (p *pkgSummary) scanBody(fs *funcSummary) {
 	sc := &summaryScan{pkg: p, fs: fs}
 	sc.block(fs.decl.Body.List, nil)
-	if fs.ctxParam != "" {
-		ast.Inspect(fs.decl.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == fs.ctxParam {
-				fs.usesCtx = true
-			}
-			return true
-		})
-	}
 }
 
 // resolveType resolves an identifier-rooted selector chain to a type
@@ -677,43 +668,4 @@ func (p *pkgSummary) transitiveAcquires() map[string]map[string]bool {
 		}
 	}
 	return acq
-}
-
-// blocksUnbounded reports whether the function itself contains a
-// naked send or receive, a done-less select or a sleep.
-func (fs *funcSummary) blocksUnbounded() bool {
-	for _, b := range fs.blocks {
-		if b.kind <= blockSleep {
-			return true
-		}
-	}
-	return false
-}
-
-// transitiveBlocking computes the set of functions that may block
-// (directly or through resolvable calls) without consulting a context:
-// naked sends/receives, done-less selects, sleeps.
-func (p *pkgSummary) transitiveBlocking() map[string]bool {
-	blocking := make(map[string]bool, len(p.funcs))
-	for key, fs := range p.funcs {
-		if fs.blocksUnbounded() {
-			blocking[key] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for key, fs := range p.funcs {
-			if blocking[key] {
-				continue
-			}
-			for _, c := range fs.calls {
-				if blocking[c.callee] {
-					blocking[key] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return blocking
 }

@@ -1,7 +1,6 @@
 // Positive ctxflow fixture: a severed cancellation chain
-// (context.Background outside package main), a dropped context
-// parameter, and blocking channel operations that ignore an available
-// context.
+// (context.Background outside package main) and blocking channel
+// operations that ignore an available context.
 package transport
 
 import "context"

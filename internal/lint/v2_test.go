@@ -301,19 +301,6 @@ func retryBackoff(ctx context.Context) {
 	expectMessages(t, got, "time.Sleep ignores cancellation")
 }
 
-func TestCtxFlowDroppedCtxParam(t *testing.T) {
-	got := runOn(t, "internal/transport/x.go", `package transport
-import "context"
-func deliver(ctx context.Context, c chan int) {
-	c <- 1
-}
-`, "ctxflow")
-	// Both the unconsulted blocking send and the dropped parameter fire.
-	expectMessages(t, got,
-		`context parameter "ctx" is dropped`,
-		"channel send on c cannot be cancelled")
-}
-
 // The summary's two bounded kinds — a blockingMethods call, a select with
 // a Done case — are lockdiscipline's: no ctxflow rule may read them.
 func TestCtxFlowIgnoresBoundedBlockKinds(t *testing.T) {
@@ -399,6 +386,14 @@ func handle(k Kind) error {
 		panic("unhandled kind")
 	}
 	return nil
+}
+func Unexpected(k Kind) {}
+func dispatch(k Kind) {
+	switch k {
+	case K1:
+	default:
+		Unexpected(k)
+	}
 }
 `,
 	}, "exhaustive")

@@ -619,8 +619,8 @@ func (m *Master) ResultBytes() int64 { return m.bytesIn.Load() }
 
 // handle processes one frame arriving at the result listener: TResult from
 // a box, TData/TEnd streams from workers with no on-path box, or TError.
-//
-//netagg:proto-handler master
+// TestMasterHandlesEveryFrameItReceives holds the switch to the master's
+// column of wire.Protocol().
 func (m *Master) handle(msg *wire.Msg) {
 	wire.CheckReceive(wire.RoleMaster, msg)
 	// Payloads that get buffered below take the frame's reference via
@@ -676,11 +676,8 @@ func (m *Master) handle(msg *wire.Msg) {
 	case wire.TError:
 		failure = fmt.Errorf("shim: aggregation failed: %s", msg.Payload)
 	default:
-		// A frame type this switch does not know must not vanish silently:
-		// it means protocol skew between shim and box, which should be
-		// diagnosable from the log.
 		p.mu.Unlock()
-		log.Printf("shim: master dropping unhandled frame type %v for request %d", msg.Type, msg.Req)
+		wire.Unexpected(wire.RoleMaster, msg)
 		return
 	}
 	p.mu.Unlock()

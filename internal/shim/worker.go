@@ -257,8 +257,8 @@ func treeOf(req uint64, partIdx, trees int) int {
 
 // control processes one control frame from a master shim. It runs on
 // the control server's reader goroutine for the sending master.
-//
-//netagg:proto-handler worker
+// TestWorkerHandlesEveryFrameItReceives holds the switch to the worker's
+// column of wire.Protocol().
 func (w *Worker) control(_ *transport.ServerConn, m *wire.Msg) {
 	wire.CheckReceive(wire.RoleWorker, m)
 	defer m.Release() // DecodeCount and DecodeIDs copy out of the payload
@@ -268,8 +268,7 @@ func (w *Worker) control(_ *transport.ServerConn, m *wire.Msg) {
 	case wire.TDone:
 		w.applyDone(m)
 	default:
-		log.Printf("shim: worker %s dropping unhandled frame type %v for request %d",
-			w.cfg.Host.Name, m.Type, m.Req)
+		wire.Unexpected(wire.RoleWorker, m)
 	}
 }
 

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"fmt"
+	"log"
 	"strings"
+
+	"netagg/internal/obs"
 )
 
 // This file is the declarative wire-protocol specification: one table
@@ -11,19 +14,21 @@ import (
 // guard before mutating request state. Three consumers keep the receiver
 // and guard columns honest:
 //
-//   - the protocheck analyzer (internal/lint) statically checks every
-//     //netagg:proto-handler dispatch switch against them,
+//   - each role's protocol test (TestBoxHandlesEveryFrameItReceives,
+//     TestMasterTakesGuardedFramesOnce, ...) reads the table, delivers
+//     every frame to a real endpoint of the role over loopback, and
+//     fails on a rule it has no case for,
 //   - CheckReceive (protocol_check_debug.go) enforces the receiver
 //     column on live frames under the netaggdebug build tag, and
 //   - cmd/protogen renders ProtocolMatrix into DESIGN.md and fails CI
 //     when the committed matrix drifts from this table.
 //
 // Adding a frame type therefore means adding a rule here first; the
-// drift gate and the analyzer turn a forgotten handler into a build
-// failure instead of a protocol-skew log line. The "sent by" column is
-// documentation: nothing checks a sender against it. What a receiver
-// does with a frame's payload buffer is the Msg.Buf contract, checked
-// at run time (DESIGN.md §13).
+// drift gate and the tests turn a forgotten handler into a test failure
+// instead of a protocol-skew log line (wire.unexpected_frames). The
+// "sent by" column is documentation: nothing checks a sender against it.
+// What a receiver does with a frame's payload buffer is the Msg.Buf
+// contract, checked at run time (DESIGN.md §13).
 
 // Role identifies a protocol participant: which kind of node a frame
 // handler runs on.
@@ -46,7 +51,7 @@ const (
 	RoleMonitor
 )
 
-// String names the role as used in //netagg:proto-handler annotations.
+// String names the role in the protocol matrix and in diagnostics.
 func (r Role) String() string {
 	switch r {
 	case RoleWorker:
@@ -62,27 +67,12 @@ func (r Role) String() string {
 	}
 }
 
-// ParseRole resolves a //netagg:proto-handler role name to its Role.
-func ParseRole(s string) (Role, bool) {
-	switch s {
-	case "worker":
-		return RoleWorker, true
-	case "box":
-		return RoleBox, true
-	case "master":
-		return RoleMaster, true
-	case "monitor":
-		return RoleMonitor, true
-	}
-	return 0, false
-}
-
 // Rule is one frame type's protocol contract.
 type Rule struct {
 	// Type is the frame type the rule governs.
 	Type Type
-	// Name is the Go constant name ("TData"), the spelling dispatch
-	// switches use and the analyzer matches case arms against.
+	// Name is the Go constant name ("TData"), the spelling the protocol
+	// matrix and the protocol tests' messages use.
 	Name string
 	// Senders lists the roles that emit the frame; it is rendered in the
 	// matrix and checked by nothing.
@@ -210,6 +200,18 @@ func RuleFor(t Type) (Rule, bool) {
 func MayReceive(role Role, t Type) bool {
 	r, ok := RuleFor(t)
 	return ok && r.MayReceive(role)
+}
+
+// obsUnexpected counts frames that reached a role's default dispatch arm
+// (DESIGN.md §11): protocol skew between a sender and its receiver.
+var obsUnexpected = obs.C("wire.unexpected_frames")
+
+// Unexpected is every role's default dispatch arm: a frame the role does
+// not receive is counted and logged, then dropped by the caller. Under
+// netaggdebug CheckReceive panics on such a frame before it gets here.
+func Unexpected(role Role, m *Msg) {
+	obsUnexpected.Inc()
+	log.Printf("wire: %s dropping unexpected %s frame for request %d", role, m.Type, m.Req)
 }
 
 // receiverNames renders a rule's receiver list for diagnostics

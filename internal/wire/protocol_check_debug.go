@@ -4,10 +4,9 @@ package wire
 
 import "fmt"
 
-// CheckReceive is the runtime half of the protocol table (the static
-// half is the protocheck analyzer): under the netaggdebug build tag
-// every annotated dispatch loop asserts, per live frame, that its role
-// is listed in the table's receiver column. A violation panics with the
+// CheckReceive is the protocol table's assertion on live frames: under
+// the netaggdebug build tag every role's dispatch loop asserts, per
+// frame, that its role is listed in the table's receiver column. A violation panics with the
 // rule, so protocol skew between sender and receiver fails a debug run
 // loudly instead of being logged and limped past. Release builds get
 // the empty version in protocol_check_off.go, which the compiler
